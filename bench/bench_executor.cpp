@@ -28,7 +28,7 @@ using namespace dct;
 namespace {
 
 double time_simulate(const core::CompiledProgram& cp, int procs,
-                     int fast_exec, int reps, runtime::RunResult* out) {
+                     bool fast_exec, int reps, runtime::RunResult* out) {
   runtime::ExecOptions opts;
   opts.collect_values = false;
   opts.fast_exec = fast_exec;
@@ -83,8 +83,8 @@ int main() {
     for (const core::Mode mode : modes) {
       const auto cp = core::compile(prog, mode, procs);
       runtime::RunResult interp, fast;
-      const double t_interp = time_simulate(cp, procs, 0, reps, &interp);
-      const double t_fast = time_simulate(cp, procs, 1, reps, &fast);
+      const double t_interp = time_simulate(cp, procs, false, reps, &interp);
+      const double t_fast = time_simulate(cp, procs, true, reps, &fast);
       bench::check(fast.cycles == interp.cycles &&
                        fast.statements == interp.statements &&
                        fast.mem.accesses == interp.mem.accesses,

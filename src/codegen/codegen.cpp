@@ -196,8 +196,8 @@ std::string emit_nest(const CompiledProgram& cp, int nest_index) {
     std::string rhs;
     for (size_t r = 0; r < cs.reads.size(); ++r)
       rhs += (r ? ", " : "") + ref_text(cp, cs.reads[r], depth);
-    if (!cs.writes.empty())
-      os << indent << ref_text(cp, cs.writes[0], depth) << " = f(" << rhs
+    if (cs.write)
+      os << indent << ref_text(cp, *cs.write, depth) << " = f(" << rhs
          << ");\n";
   }
   for (int l = depth - 1; l >= 0; --l)

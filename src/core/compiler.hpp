@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "decomp/decomposition.hpp"
@@ -103,7 +104,7 @@ struct CompiledStmt {
   double compute_cycles = 0;
   std::function<double(std::span<const double>)> eval;
   std::vector<CompiledRef> reads;
-  std::vector<CompiledRef> writes;  ///< 0 or 1
+  std::optional<CompiledRef> write;
   /// Owner mapping: pairs of (loop level, fold). Empty = run on proc 0.
   std::vector<std::pair<int, CoordFold>> owner;
 };

@@ -229,7 +229,7 @@ class LowerPass final : public Pass {
         for (const ir::ArrayRef& r : stmt.reads)
           cs.reads.push_back(flatten_ref(r, depth, false));
         if (stmt.write)
-          cs.writes.push_back(flatten_ref(*stmt.write, depth, true));
+          cs.write = flatten_ref(*stmt.write, depth, true);
 
         if (base_block_owner_) {
           // BASE: block-distribute the single marked loop by its span.
@@ -327,7 +327,7 @@ class AddrStrategyPass final : public Pass {
         };
         for (size_t k = 0; k < cs.reads.size(); ++k)
           cost(cs.reads[k], stmt.reads[k]);
-        if (!cs.writes.empty()) cost(cs.writes[0], *stmt.write);
+        if (cs.write) cost(*cs.write, *stmt.write);
       }
     }
     rs.count("refs", refs);
@@ -349,15 +349,12 @@ class AddrStrategyPass final : public Pass {
 
 class VerifyPass final : public Pass {
  public:
-  /// native: 1 = run the native differential, 0 = skip, -1 = consult the
-  /// DCT_NATIVE env var at run time (the legacy factory).
-  explicit VerifyPass(int native) : native_(native) {}
+  /// native: also run the native threaded-backend differential.
+  explicit VerifyPass(bool native) : native_(native) {}
   std::string name() const override { return "verify"; }
   void run(CompilationState& st, support::RemarkSink& rs) override {
     verify::ValidationReport rep = verify::validate_compiled(st.cp);
-    const bool native =
-        native_ >= 0 ? native_ != 0 : verify::native_check_enabled();
-    if (native) {
+    if (native_) {
       rep.oracles.push_back(verify::check_native(st.cp));
       const native::ProgramPlan pp = native::plan_program(st.cp);
       rs.count("native_sequential_nests", pp.sequential_nests);
@@ -378,7 +375,7 @@ class VerifyPass final : public Pass {
   }
 
  private:
-  int native_;
+  bool native_;
 };
 
 }  // namespace
@@ -407,10 +404,7 @@ std::unique_ptr<Pass> make_addr_strategy_pass() {
   return std::make_unique<AddrStrategyPass>();
 }
 std::unique_ptr<Pass> make_verify_pass(bool native_check) {
-  return std::make_unique<VerifyPass>(native_check ? 1 : 0);
-}
-std::unique_ptr<Pass> make_verify_pass() {
-  return std::make_unique<VerifyPass>(-1);
+  return std::make_unique<VerifyPass>(native_check);
 }
 
 PassManager build_pipeline(Mode mode, const CompileOptions& opts) {

@@ -88,7 +88,5 @@ std::unique_ptr<Pass> make_addr_strategy_pass();
 /// `native_check` adds the native threaded-backend differential.
 /// build_pipeline appends it automatically when opts.validate is set.
 std::unique_ptr<Pass> make_verify_pass(bool native_check);
-/// Legacy: native differential gated by the DCT_NATIVE env var at run time.
-std::unique_ptr<Pass> make_verify_pass();
 
 }  // namespace dct::core

@@ -53,7 +53,8 @@ struct MachineConfig {
   /// the line's coherence state provably cannot change (see
   /// Machine::access). Identical latencies and statistics either way —
   /// only ProcStats::dir_fast_hits differs; off = always exercise the
-  /// full directory protocol (DCT_FAST_EXEC=0 disables it).
+  /// full directory protocol (runtime::ExecOptions::fast_exec = false
+  /// disables it).
   bool fast_directory = true;
 
   int clusters() const { return (procs + procs_per_cluster - 1) / procs_per_cluster; }

@@ -1,121 +1,77 @@
 #include "native/native.hpp"
 
-#include <algorithm>
 #include <barrier>
 #include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
 
-#include "runtime/executor.hpp"
-#include "runtime/walker.hpp"
+#include "runtime/traversal.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
 
 namespace dct::native {
 
-using core::CompiledNest;
 using core::CompiledProgram;
-using core::CompiledRef;
-using core::CompiledStmt;
-using core::CoordFold;
-using runtime::RefWalker;
 
 namespace {
 
-/// Ascending iterator over the values of [lo, hi] owned by digit `t` of a
-/// fold — the per-thread loop bounds of the paper's generated SPMD code:
-/// one clamped run for BLOCK (edge digits absorb the out-of-range spill,
-/// matching CoordFold::fold's clamp), a stride-procs walk for CYCLIC, and
-/// block-length runs every procs blocks for BLOCK-CYCLIC.
-class OwnedIter {
+/// Traversal policy of one SPMD thread: plain loads and stores into the
+/// transformed layouts, the owner filter, and the plan's barriers (after
+/// each iteration of the barrier level, around gated-statement firings).
+/// Unfiltered, it runs a Sequential nest whole on one thread.
+class NativePolicy {
  public:
-  OwnedIter(const CoordFold& f, int t, Int lo, Int hi)
-      : kind_(f.kind), procs_(f.procs), block_(std::max<Int>(1, f.block)),
-        offset_(f.offset), t_(t), hi_(hi) {
-    switch (kind_) {
-      case decomp::DistKind::Serial:  // unbound: every value "owned"
-        v_ = lo;
-        run_hi_ = hi;
-        break;
-      case decomp::DistKind::Block: {
-        const Int blo = t == 0 ? lo : std::max(lo, f.block_lo(t));
-        run_hi_ = t == procs_ - 1 ? hi : std::min(hi, f.block_hi(t));
-        v_ = blo;
-        break;
-      }
-      case decomp::DistKind::Cyclic:
-        v_ = lo + linalg::floor_mod(offset_ + t - lo, procs_);
-        run_hi_ = hi;
-        break;
-      case decomp::DistKind::BlockCyclic: {
-        g_ = linalg::floor_div(lo - offset_, block_);
-        g_ += linalg::floor_mod(t - g_, procs_);
-        v_ = std::max(lo, offset_ + g_ * block_);
-        run_hi_ = std::min(hi, offset_ + (g_ + 1) * block_ - 1);
-        break;
-      }
-    }
-    done_ = v_ > run_hi_;
+  using Slot = double*;
+  struct Cursor {};
+
+  NativePolicy(std::vector<std::vector<double>>& data, std::barrier<>& bar,
+               int T, int myid)
+      : data_(data), bar_(bar), T_(T), myid_(myid) {}
+
+  Slot slot(const core::CompiledRef& ref) const {
+    return data_[static_cast<size_t>(ref.array)].data();
+  }
+  bool owns(int q) const { return !filter_ || q == myid_; }
+  static Cursor cursor() { return {}; }
+  static void flush(Cursor&) {}
+  static void begin(Cursor&, int, double) {}
+  static void end(Cursor&) {}
+  static double load(Cursor&, Slot s, Int lin) { return s[lin]; }
+  static void store(Cursor&, Slot s, Int lin, double v, bool has_value) {
+    if (has_value) s[lin] = v;
+  }
+  static void poll() {}
+  // All threads evaluate the same firing predicate and visit the same
+  // barrier-level iterations, so these barriers are uniform.
+  void gate() {
+    if (filter_ && np_->gate_sync) sync();
+  }
+  void after_iteration(int level) {
+    if (filter_ && level == np_->barrier_level) sync();
   }
 
-  bool done() const { return done_; }
-  Int value() const { return v_; }
-
-  void next() {
-    if (kind_ == decomp::DistKind::Cyclic) {
-      v_ += procs_;
-      done_ = v_ > hi_;
-      return;
-    }
-    ++v_;
-    if (v_ <= run_hi_) return;
-    if (kind_ == decomp::DistKind::BlockCyclic) {
-      g_ += procs_;
-      v_ = offset_ + g_ * block_;
-      run_hi_ = std::min(hi_, v_ + block_ - 1);
-      done_ = v_ > hi_;
-      return;
-    }
-    done_ = true;  // Serial / Block: a single run
+  /// Run the following nest under plan `np`, filtered by ownership or not.
+  void enter(const NestPlan& np, bool filter) {
+    np_ = &np;
+    filter_ = filter;
   }
+  void sync() {
+    if (T_ > 1) {
+      bar_.arrive_and_wait();
+      ++barriers;
+    }
+  }
+
+  long long barriers = 0;
 
  private:
-  decomp::DistKind kind_;
-  int procs_;
-  Int block_, offset_;
-  int t_;
-  Int hi_;
-  Int v_ = 0, run_hi_ = -1, g_ = 0;
-  bool done_ = false;
-};
-
-/// Per-(thread, reference) execution state.
-struct NRef {
-  const CompiledRef* ref = nullptr;
-  std::vector<double>* data = nullptr;
-  const layout::Layout* layout = nullptr;
-  bool walk = false;
-  RefWalker walker;
-};
-
-/// Per-(thread, statement) execution state.
-struct NStmt {
-  const CompiledStmt* cs = nullptr;
-  bool full = false;
-  /// Owner folds invariant over the innermost loop, folded per segment.
-  std::vector<std::pair<int, CoordFold>> hoisted;
-  /// Owner folds on the innermost loop, evaluated per iteration.
-  std::vector<std::pair<int, CoordFold>> inner;
-  std::vector<NRef> reads;
-  NRef write;
-  bool has_write = false;
-  bool has_eval = false;
-  int q_base = 0;
-};
-
-struct NNest {
-  std::vector<NStmt> stmts;
+  std::vector<std::vector<double>>& data_;
+  std::barrier<>& bar_;
+  const int T_;
+  const int myid_;
+  const NestPlan* np_ = nullptr;
+  bool filter_ = true;
 };
 
 struct ThreadStats {
@@ -125,310 +81,36 @@ struct ThreadStats {
 
 /// One SPMD worker: walks every nest with the owner filter (or its
 /// restricted slice), synchronizing as the plan dictates.
-class Worker {
- public:
-  Worker(const CompiledProgram& cp, const ProgramPlan& plan,
-         std::vector<std::vector<double>>& data, std::barrier<>& bar, int T,
-         int myid)
-      : cp_(cp), plan_(plan), data_(data), bar_(bar), T_(T), myid_(myid) {
-    size_t max_rank = 1, max_reads = 1;
-    for (const ir::ArrayDecl& decl : cp.program.arrays)
-      max_rank = std::max(max_rank, decl.dims.size());
-    plans_.resize(cp.nests.size());
+ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
+                       std::vector<std::vector<double>>& data,
+                       std::barrier<>& bar, int myid) {
+  NativePolicy policy(data, bar, cp.procs, myid);
+  runtime::Traversal<NativePolicy> kernel(cp, policy, /*fast=*/true);
+  // This thread's digit of every restricted level, per nest.
+  std::vector<std::vector<runtime::Restriction>> restrict(plan.nests.size());
+  for (size_t j = 0; j < plan.nests.size(); ++j)
+    for (const NestRestriction& r : plan.nests[j].restrictions)
+      restrict[j].push_back({r.level, r.fold, r.fold.digit_of(myid)});
+
+  const ir::Program& prog = cp.program;
+  for (int step = 0; step < prog.time_steps; ++step) {
     for (size_t j = 0; j < cp.nests.size(); ++j) {
-      const CompiledNest& cn = cp.nests[j];
-      const int d = static_cast<int>(cn.nest.loops.size());
-      for (const CompiledStmt& cs : cn.stmts) {
-        NStmt ns;
-        ns.cs = &cs;
-        ns.full = cs.depth >= d;
-        ns.has_eval = static_cast<bool>(cs.eval);
-        max_reads = std::max(max_reads, cs.reads.size());
-        for (const auto& pair : cs.owner) {
-          if (ns.full && pair.first == d - 1)
-            ns.inner.push_back(pair);
-          else
-            ns.hoisted.push_back(pair);
-        }
-        auto make_ref = [&](const CompiledRef& ref, bool is_write) {
-          NRef r;
-          r.ref = &ref;
-          r.data = &data_[static_cast<size_t>(ref.array)];
-          r.layout = &cp.arrays[static_cast<size_t>(ref.array)].layout;
-          if (is_write)
-            DCT_CHECK(!cp.arrays[static_cast<size_t>(ref.array)].replicated,
-                      "native write to replicated array");
-          if (ns.full) r.walk = r.walker.build(ref, *r.layout, d);
-          return r;
-        };
-        for (const CompiledRef& ref : cs.reads)
-          ns.reads.push_back(make_ref(ref, false));
-        if (!cs.writes.empty()) {
-          ns.write = make_ref(cs.writes[0], true);
-          ns.has_write = true;
-        }
-        plans_[j].stmts.push_back(std::move(ns));
-      }
-    }
-    scratch_.assign(max_rank, 0);
-    vals_.assign(max_reads, 0.0);
-  }
-
-  ThreadStats run() {
-    const ir::Program& prog = cp_.program;
-    for (int step = 0; step < prog.time_steps; ++step) {
-      for (size_t j = 0; j < cp_.nests.size(); ++j) {
-        const NestPlan& np = plan_.nests[j];
-        if (np.schedule == NestSchedule::Sequential) {
-          sync();  // prior parallel writes visible to thread 0
-          if (myid_ == 0) run_nest(j, /*filter=*/false);
-          sync();  // thread 0's writes visible to everyone
-        } else {
-          run_nest(j, /*filter=*/true);
-        }
-        const bool last = step == prog.time_steps - 1 &&
-                          j == cp_.nests.size() - 1;
-        if (cp_.nests[j].barrier_after || last) sync();
-      }
-    }
-    return stats_;
-  }
-
- private:
-  void sync() {
-    if (T_ > 1) {
-      bar_.arrive_and_wait();
-      ++stats_.barriers;
-    }
-  }
-
-  /// Interpreter address path (gated statements, non-walkable refs).
-  Int addr_of(const NRef& r, int d, std::span<const Int> iter) {
-    const CompiledRef& ref = *r.ref;
-    for (int k = 0; k < ref.rank; ++k) {
-      Int v = ref.offsets[static_cast<size_t>(k)];
-      const Int* row =
-          ref.coeffs.data() + static_cast<size_t>(k) * static_cast<size_t>(d);
-      for (int l = 0; l < d; ++l) v += row[l] * iter[static_cast<size_t>(l)];
-      scratch_[static_cast<size_t>(k)] = v;
-    }
-    return r.layout->linearize(
-        std::span<const Int>(scratch_.data(), static_cast<size_t>(ref.rank)));
-  }
-
-  /// Execute one statement instance with walker addressing (full-depth
-  /// statements inside a segment).
-  void exec_walked(NStmt& ns, int d, std::span<const Int> iter) {
-    size_t vi = 0;
-    for (NRef& r : ns.reads) {
-      const Int lin = r.walk ? r.walker.addr() : addr_of(r, d, iter);
-      vals_[vi++] = (*r.data)[static_cast<size_t>(lin)];
-    }
-    if (ns.has_write && ns.has_eval) {
-      const Int lin =
-          ns.write.walk ? ns.write.walker.addr() : addr_of(ns.write, d, iter);
-      (*ns.write.data)[static_cast<size_t>(lin)] =
-          ns.cs->eval(std::span<const double>(vals_.data(), vi));
-    }
-    ++stats_.statements;
-  }
-
-  /// Execute one gated statement instance (interpreter addressing).
-  void exec_gated(NStmt& ns, int d, std::span<const Int> iter) {
-    size_t vi = 0;
-    for (NRef& r : ns.reads)
-      vals_[vi++] = (*r.data)[static_cast<size_t>(addr_of(r, d, iter))];
-    if (ns.has_write && ns.has_eval)
-      (*ns.write.data)[static_cast<size_t>(addr_of(ns.write, d, iter))] =
-          ns.cs->eval(std::span<const double>(vals_.data(), vi));
-    ++stats_.statements;
-  }
-
-  int owner_at(const NStmt& ns, std::span<const Int> iter) const {
-    int q = 0;
-    for (const auto& [loop, fold] : ns.cs->owner)
-      q += fold.fold(iter[static_cast<size_t>(loop)]) * fold.stride;
-    return q >= T_ ? T_ - 1 : q;
-  }
-
-  /// One innermost segment: iter[0..inner) fixed, bounds already in
-  /// lb_/ub_. Gated statements execute in statement-list order at their
-  /// firing iteration, bracketed by barriers when the plan requires.
-  void run_segment(const CompiledNest& cn, NNest& nn, const NestPlan& np,
-                   bool filter, const NestRestriction* inner_r,
-                   int inner_digit) {
-    const int d = static_cast<int>(cn.nest.loops.size());
-    const int inner = d - 1;
-    const Int ilb = lb_[static_cast<size_t>(inner)];
-    const Int iub = ub_[static_cast<size_t>(inner)];
-    if (ilb > iub) return;  // empty: gated statements do not fire either
-
-    for (NStmt& ns : nn.stmts) {
-      if (!ns.full) continue;
-      int qb = 0;
-      for (const auto& [loop, fold] : ns.hoisted)
-        qb += fold.fold(iter_[static_cast<size_t>(loop)]) * fold.stride;
-      ns.q_base = qb;
-    }
-
-    if (inner_r != nullptr) {
-      // Every iteration this thread walks belongs to it at the restricted
-      // level; the remaining digits are segment-invariant, so ownership
-      // of the whole slice is one comparison.
-      const CoordFold& f = inner_r->fold;
-      const int digit = inner_digit;
-      const int q = std::min(nn.stmts[0].q_base + digit * f.stride, T_ - 1);
-      if (q != myid_) return;
-      OwnedIter oi(f, digit, ilb, iub);
-      if (oi.done()) return;
-      iter_[static_cast<size_t>(inner)] = oi.value();
-      for (NStmt& ns : nn.stmts) {
-        for (NRef& r : ns.reads)
-          if (r.walk) r.walker.init(iter_);
-        if (ns.has_write && ns.write.walk) ns.write.walker.init(iter_);
-      }
-      while (true) {
-        for (NStmt& ns : nn.stmts) exec_walked(ns, d, iter_);
-        const Int prev = oi.value();
-        oi.next();
-        if (oi.done()) break;
-        const Int jump = oi.value() - prev;
-        iter_[static_cast<size_t>(inner)] = oi.value();
-        for (NStmt& ns : nn.stmts) {
-          for (NRef& r : ns.reads)
-            if (r.walk) r.walker.step_n(jump);
-          if (ns.has_write && ns.write.walk) ns.write.walker.step_n(jump);
-        }
-      }
-      return;
-    }
-
-    // Full walk: every thread steps every iteration, executing only what
-    // it owns — the universal correctness net under which restriction and
-    // hoisting are pure optimizations.
-    iter_[static_cast<size_t>(inner)] = ilb;
-    for (NStmt& ns : nn.stmts) {
-      if (!ns.full) continue;
-      for (NRef& r : ns.reads)
-        if (r.walk) r.walker.init(iter_);
-      if (ns.has_write && ns.write.walk) ns.write.walker.init(iter_);
-    }
-    for (Int i = ilb; i <= iub; ++i) {
-      iter_[static_cast<size_t>(inner)] = i;
-      for (NStmt& ns : nn.stmts) {
-        if (!ns.full) {
-          if (i != ilb) continue;
-          bool first = true;
-          for (int k = ns.cs->depth; k < inner && first; ++k)
-            first = iter_[static_cast<size_t>(k)] == lb_[static_cast<size_t>(k)];
-          if (!first) continue;
-          // All threads evaluate the same firing predicate, so the
-          // barrier pair is uniform; only the owner executes between.
-          if (filter && np.gate_sync) sync();
-          if (!filter || owner_at(ns, iter_) == myid_)
-            exec_gated(ns, d, iter_);
-          if (filter && np.gate_sync) sync();
-          continue;
-        }
-        int q = ns.q_base;
-        for (const auto& [loop, fold] : ns.inner)
-          q += fold.fold(i) * fold.stride;
-        if (q >= T_) q = T_ - 1;
-        if (!filter || q == myid_) exec_walked(ns, d, iter_);
-        for (NRef& r : ns.reads)
-          if (r.walk) r.walker.step();
-        if (ns.has_write && ns.write.walk) ns.write.walker.step();
-      }
-    }
-  }
-
-  void run_nest(size_t j, bool filter) {
-    const CompiledNest& cn = cp_.nests[j];
-    const NestPlan& np = plan_.nests[j];
-    const int d = static_cast<int>(cn.nest.loops.size());
-    if (d == 0) return;
-    iter_.assign(static_cast<size_t>(d), 0);
-    lb_.assign(static_cast<size_t>(d), 0);
-    ub_.assign(static_cast<size_t>(d), 0);
-    // Per-level restriction lookup: each restricted level walks only this
-    // thread's digit of the fold; the innermost level gets the dedicated
-    // segment path (single ownership comparison + step_n jumps).
-    std::vector<const NestRestriction*> restrict_at(
-        static_cast<size_t>(d), nullptr);
-    std::vector<int> digit_at(static_cast<size_t>(d), 0);
-    const NestRestriction* inner_r = nullptr;
-    int inner_digit = 0;
-    if (filter)
-      for (const NestRestriction& r : np.restrictions) {
-        const int dig = r.fold.digit_of(myid_);
-        if (r.level == d - 1) {
-          inner_r = &r;
-          inner_digit = dig;
-        } else {
-          restrict_at[static_cast<size_t>(r.level)] = &r;
-          digit_at[static_cast<size_t>(r.level)] = dig;
-        }
-      }
-
-    // Recursive lockstep walk; the barrier after each barrier_level
-    // iteration and the gate barriers fire identically on every thread.
-    auto walk = [&](auto&& self, int level) -> void {
-      const Int lo = cn.nest.loops[static_cast<size_t>(level)].lower_bound(iter_);
-      const Int hi = cn.nest.loops[static_cast<size_t>(level)].upper_bound(iter_);
-      lb_[static_cast<size_t>(level)] = lo;
-      ub_[static_cast<size_t>(level)] = hi;
-      if (level == d - 1) {
-        run_segment(cn, plans_[j], np, filter, inner_r, inner_digit);
-        return;
-      }
-      auto body = [&](Int v) {
-        iter_[static_cast<size_t>(level)] = v;
-        self(self, level + 1);
-        if (filter && level == np.barrier_level) sync();
-      };
-      if (const NestRestriction* r = restrict_at[static_cast<size_t>(level)]) {
-        for (OwnedIter oi(r->fold, digit_at[static_cast<size_t>(level)], lo,
-                          hi);
-             !oi.done(); oi.next())
-          body(oi.value());
+      const NestPlan& np = plan.nests[j];
+      if (np.schedule == NestSchedule::Sequential) {
+        policy.sync();  // prior parallel writes visible to thread 0
+        policy.enter(np, /*filter=*/false);
+        if (myid == 0) kernel.run_nest(j);
+        policy.sync();  // thread 0's writes visible to everyone
       } else {
-        for (Int v = lo; v <= hi; ++v) body(v);
+        policy.enter(np, /*filter=*/true);
+        kernel.run_nest(j, restrict[j]);
       }
-    };
-    walk(walk, 0);
-  }
-
-  const CompiledProgram& cp_;
-  const ProgramPlan& plan_;
-  std::vector<std::vector<double>>& data_;
-  std::barrier<>& bar_;
-  const int T_;
-  const int myid_;
-  std::vector<NNest> plans_;
-  std::vector<Int> iter_, lb_, ub_, scratch_;
-  std::vector<double> vals_;
-  ThreadStats stats_;
-};
-
-/// Walk an array's original index space in linear (column-major) order.
-template <typename Fn>
-void for_each_element(const ir::ArrayDecl& decl, Fn&& fn) {
-  const int rank = static_cast<int>(decl.dims.size());
-  std::vector<Int> idx(static_cast<size_t>(rank), 0);
-  Int linear = 0;
-  bool done = false;
-  while (!done) {
-    fn(std::span<const Int>(idx), linear);
-    ++linear;
-    int k = 0;
-    while (k < rank) {
-      if (++idx[static_cast<size_t>(k)] < decl.dims[static_cast<size_t>(k)])
-        break;
-      idx[static_cast<size_t>(k)] = 0;
-      ++k;
+      const bool last =
+          step == prog.time_steps - 1 && j == cp.nests.size() - 1;
+      if (cp.nests[j].barrier_after || last) policy.sync();
     }
-    if (k == rank) done = true;
   }
+  return {kernel.statements, policy.barriers};
 }
 
 }  // namespace
@@ -442,20 +124,17 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
                      opts.threads, cp.procs));
   DCT_CHECK(plan.nests.size() == cp.nests.size(), "plan/program mismatch");
   const int T = opts.threads;
-  const ir::Program& prog = cp.program;
 
   // Arrays live in their TRANSFORMED linear layouts; values are stored as
   // doubles regardless of the modelled element size so results stay
   // bit-identical to the double-valued reference.
-  std::vector<std::vector<double>> data(prog.arrays.size());
-  for (size_t a = 0; a < prog.arrays.size(); ++a) {
-    const ir::ArrayDecl& decl = prog.arrays[a];
-    const layout::Layout& lay = cp.arrays[a].layout;
-    data[a].assign(static_cast<size_t>(lay.size()), 0.0);
-    for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
-      data[a][static_cast<size_t>(lay.linearize(idx))] =
-          runtime::init_value(opts.init_seed, static_cast<int>(a), linear);
-    });
+  std::vector<std::vector<double>> data(cp.program.arrays.size());
+  for (size_t a = 0; a < data.size(); ++a) {
+    data[a].assign(static_cast<size_t>(cp.arrays[a].layout.size()), 0.0);
+    runtime::for_each_initial(cp, static_cast<int>(a), opts.init_seed,
+                              [&](std::span<const Int>, Int lin, double v) {
+                                data[a][static_cast<size_t>(lin)] = v;
+                              });
   }
 
   std::barrier<> bar(static_cast<std::ptrdiff_t>(T));
@@ -470,8 +149,8 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
     for (int myid = 0; myid < T; ++myid) {
       threads.emplace_back([&, myid] {
         try {
-          Worker w(cp, plan, data, bar, T, myid);
-          stats[static_cast<size_t>(myid)] = w.run();
+          stats[static_cast<size_t>(myid)] =
+              run_worker(cp, plan, data, bar, myid);
         } catch (...) {
           {
             std::lock_guard<std::mutex> g(error_mu);
@@ -496,18 +175,10 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
   res.restricted_nests = plan.restricted_nests;
   res.parallel_nests =
       static_cast<int>(plan.nests.size()) - plan.sequential_nests;
-  if (opts.collect_values) {
-    res.values.resize(prog.arrays.size());
-    for (size_t a = 0; a < prog.arrays.size(); ++a) {
-      const ir::ArrayDecl& decl = prog.arrays[a];
-      res.values[a].resize(static_cast<size_t>(decl.elem_count()));
-      const layout::Layout& lay = cp.arrays[a].layout;
-      for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
-        res.values[a][static_cast<size_t>(linear)] =
-            data[a][static_cast<size_t>(lay.linearize(idx))];
-      });
-    }
-  }
+  if (opts.collect_values)
+    res.values = runtime::original_order(cp, [&](int a, Int lin) {
+      return data[static_cast<size_t>(a)][static_cast<size_t>(lin)];
+    });
   return res;
 }
 

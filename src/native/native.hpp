@@ -2,11 +2,13 @@
 //
 // Where runtime::simulate models a DASH-class machine, this backend runs
 // the transformed program for real: one std::thread per compiled
-// processor, arrays allocated in their *transformed* linear layouts,
-// inner loops driven by the same incremental address walkers as the fast
-// simulator engine (constant-add addressing, div/mod only at strip
-// boundaries), owner-computes statement filtering, and std::barrier
-// synchronization placed by the native::plan classification.
+// processor, arrays allocated in their *transformed* linear layouts. Each
+// thread runs the same owner-computes traversal kernel as the simulator
+// (runtime/traversal.hpp: walker addressing, hoisted owners, the gated-
+// statement rule) under a native policy: plain loads and stores, the
+// `q == myid` owner filter or a restricted per-thread slice, and the
+// std::barrier synchronization placed by the native::plan classification.
+// Sequential nests run the kernel unfiltered on thread 0.
 //
 // The backend is an execution tier, not a model: its wall-clock time is
 // the hardware's answer to whether the Section 4 layout transformations

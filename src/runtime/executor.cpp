@@ -1,19 +1,15 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "runtime/walker.hpp"
+#include "runtime/traversal.hpp"
 #include "support/diagnostics.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
-#include "support/str.hpp"
 
 namespace dct::runtime {
 
 using core::CompiledProgram;
 using core::CompiledRef;
-using core::CompiledStmt;
 
 double init_value(std::uint64_t seed, int array, Int orig_linear) {
   Rng rng(seed ^ (static_cast<std::uint64_t>(array + 1) << 40) ^
@@ -22,27 +18,6 @@ double init_value(std::uint64_t seed, int array, Int orig_linear) {
 }
 
 namespace {
-
-/// Walk an array's original index space in linear (column-major) order.
-template <typename Fn>
-void for_each_element(const ir::ArrayDecl& decl, Fn&& fn) {
-  const int rank = static_cast<int>(decl.dims.size());
-  std::vector<Int> idx(static_cast<size_t>(rank), 0);
-  Int linear = 0;
-  bool done = false;
-  while (!done) {
-    fn(std::span<const Int>(idx), linear);
-    ++linear;
-    int k = 0;
-    while (k < rank) {
-      if (++idx[static_cast<size_t>(k)] < decl.dims[static_cast<size_t>(k)])
-        break;
-      idx[static_cast<size_t>(k)] = 0;
-      ++k;
-    }
-    if (k == rank) done = true;
-  }
-}
 
 /// Per-element simulation state, one cache-friendly record per address:
 /// the value, the completion time of the last write and the writer id
@@ -54,113 +29,102 @@ struct Cell {
   std::int8_t wproc = -1;
 };
 
-struct ArrayState {
-  std::vector<Cell> cells;  ///< by restructured element address
-};
+/// Traversal policy of the simulator: per-processor clocks, dataflow
+/// waits on cells written by other processors, and one machine access
+/// per reference.
+class SimPolicy {
+ public:
+  struct Slot {
+    Cell* cells = nullptr;  ///< by restructured element address
+    Int base_addr = 0;
+    Int elem_size = 8;
+    Int copy_bytes = 0;
+    bool replicated = false;
+    double addr_overhead = 0;
+  };
 
-/// Incremental owner fold over the innermost loop variable: the same
-/// BLOCK / CYCLIC / BLOCK-CYCLIC folding as core::CoordFold::fold, but
-/// maintained by increment-and-compare instead of div/mod per iteration.
-struct OwnerStep {
-  decomp::DistKind kind = decomp::DistKind::Serial;
-  Int block = 1;
-  int procs = 1;
-  int stride = 1;
-  Int offset = 0;
-  // State.
-  Int rem = 0;  ///< (v - offset) mod block, in [0, block)
-  Int f = 0;    ///< unclamped floor((v - offset) / block)
-  int g = 0;    ///< f mod procs (CYCLIC: (v - offset) mod procs)
+  SimPolicy(const CompiledProgram& cp, const machine::MachineConfig& mcfg,
+            machine::Machine& machine, std::vector<std::vector<Cell>>& cells,
+            std::vector<double>& clock, const support::CancelToken& cancel,
+            bool cache_clock)
+      : cp_(cp), mcfg_(mcfg), machine_(machine), cells_(cells),
+        clock_(clock), cancel_(cancel), cache_clock_(cache_clock) {}
 
-  explicit OwnerStep(const core::CoordFold& cf)
-      : kind(cf.kind), block(std::max<Int>(1, cf.block)), procs(cf.procs),
-        stride(cf.stride), offset(cf.offset) {}
-
-  void init(Int v) {
-    const Int x = v - offset;
-    switch (kind) {
-      case decomp::DistKind::Serial:
-        break;
-      case decomp::DistKind::Block:
-        f = linalg::floor_div(x, block);
-        rem = x - f * block;
-        break;
-      case decomp::DistKind::Cyclic:
-        g = static_cast<int>(linalg::floor_mod(x, procs));
-        break;
-      case decomp::DistKind::BlockCyclic:
-        f = linalg::floor_div(x, block);
-        rem = x - f * block;
-        g = static_cast<int>(linalg::floor_mod(f, procs));
-        break;
-    }
+  Slot slot(const CompiledRef& ref) const {
+    const core::CompiledArray& ca = cp_.arrays[static_cast<size_t>(ref.array)];
+    return {cells_[static_cast<size_t>(ref.array)].data(), ca.base_addr,
+            cp_.program.arrays[static_cast<size_t>(ref.array)].elem_size,
+            ca.bytes, ca.replicated, ref.addr_overhead};
   }
 
-  void step() {
-    switch (kind) {
-      case decomp::DistKind::Serial:
-        break;
-      case decomp::DistKind::Block:
-        if (++rem == block) { rem = 0; ++f; }
-        break;
-      case decomp::DistKind::Cyclic:
-        if (++g == procs) g = 0;
-        break;
-      case decomp::DistKind::BlockCyclic:
-        if (++rem == block) {
-          rem = 0;
-          if (++g == procs) g = 0;
-        }
-        break;
+  static bool owns(int) { return true; }
+
+  /// The processor whose clock is in flight and that clock. With
+  /// `cache_clock` it stays in flight until the owner changes or the
+  /// segment ends; otherwise it is stored back after every instance.
+  struct Cursor {
+    int q = -1;  ///< -1 = none
+    int cluster = 0;
+    double t = 0;
+  };
+
+  static Cursor cursor() { return {}; }
+  void flush(Cursor& c) {
+    if (c.q >= 0) clock_[static_cast<size_t>(c.q)] = c.t;
+    c.q = -1;
+  }
+  void begin(Cursor& c, int q, double compute_cycles) {
+    if (q != c.q) {
+      flush(c);
+      c = {q, mcfg_.cluster_of(q), clock_[static_cast<size_t>(q)]};
     }
+    c.t += compute_cycles;
+  }
+  void end(Cursor& c) {
+    if (!cache_clock_) flush(c);
   }
 
-  /// Folded coordinate times the mixed-radix stride (CoordFold semantics).
-  int value() const {
-    switch (kind) {
-      case decomp::DistKind::Serial:
-        return 0;
-      case decomp::DistKind::Block:
-        return static_cast<int>(std::clamp<Int>(f, 0, procs - 1)) * stride;
-      case decomp::DistKind::Cyclic:
-      case decomp::DistKind::BlockCyclic:
-        return g * stride;
+  double load(Cursor& cur, const Slot& s, Int lin) {
+    const Cell& c = s.cells[lin];
+    // Cross-processor dataflow.
+    if (c.wproc >= 0 && c.wproc != cur.q) {
+      const double wt = c.wtime;
+      if (wt > cur.t) {
+        wait_cycles += wt - cur.t;
+        cur.t = wt + mcfg_.lock_cycles;
+      }
     }
-    return 0;
+    Int byte = s.base_addr + lin * s.elem_size;
+    if (s.replicated) byte += static_cast<Int>(cur.cluster) * s.copy_bytes;
+    cur.t += machine_.access(cur.q, byte, false) + s.addr_overhead;
+    return c.data;
   }
-};
 
-/// Per-reference execution plan of the fast engine.
-struct RefPlan {
-  const CompiledRef* ref = nullptr;
-  const core::CompiledArray* ca = nullptr;
-  ArrayState* as = nullptr;
-  Int base_addr = 0;
-  Int elem_size = 8;
-  Int copy_bytes = 0;
-  bool replicated = false;
-  double addr_overhead = 0;
-  bool walk = false;  ///< addresses come from the incremental walker
-  RefWalker walker;
-};
+  void store(Cursor& cur, const Slot& s, Int lin, double v, bool has_value) {
+    Cell& c = s.cells[lin];
+    cur.t += machine_.access(cur.q, s.base_addr + lin * s.elem_size, true) +
+            s.addr_overhead;
+    if (has_value) c.data = v;
+    c.wproc = static_cast<std::int8_t>(cur.q);
+    c.wtime = cur.t;
+  }
 
-/// Per-statement execution plan of the fast engine.
-struct StmtPlan {
-  const CompiledStmt* cs = nullptr;
-  bool full_depth = false;  ///< executes on every innermost iteration
-  double compute_cycles = 0;  ///< cached from cs for the hot loop
-  bool has_eval = false;
-  /// Owner pairs invariant over the innermost loop — folded once per
-  /// segment into q_base.
-  std::vector<std::pair<int, core::CoordFold>> hoisted_owner;
-  /// Owner pairs on the innermost loop — stepped incrementally.
-  std::vector<OwnerStep> inner_owner;
-  std::vector<RefPlan> reads, writes;
-  int q_base = 0;  ///< per-segment hoisted owner contribution
-};
+  void poll() const {
+    if (cancel_.valid()) cancel_.check("simulate");
+  }
+  static void gate() {}
+  static void after_iteration(int) {}
 
-struct NestPlan {
-  std::vector<StmtPlan> stmts;
+  double wait_cycles = 0;  ///< cross-processor dataflow stalls
+
+ private:
+  const CompiledProgram& cp_;
+  const machine::MachineConfig& mcfg_;
+  machine::Machine& machine_;
+  std::vector<std::vector<Cell>>& cells_;
+  std::vector<double>& clock_;
+  const support::CancelToken& cancel_;
+  const bool cache_clock_;
 };
 
 }  // namespace
@@ -175,11 +139,8 @@ RunResult simulate(const CompiledProgram& cp,
     throw Error(Error::Code::kUnsupportedConfig,
                 "simulate supports at most 127 processors (int8 writer "
                 "ids); got " + std::to_string(cp.procs));
-  const bool use_fast =
-      (opts.fast_exec >= 0 ? opts.fast_exec
-                           : env_int("DCT_FAST_EXEC", 1)) != 0;
   machine::MachineConfig mc = mcfg;
-  mc.fast_directory = mc.fast_directory && use_fast;
+  mc.fast_directory = mc.fast_directory && opts.fast_exec;
   machine::Machine machine(mc);
   const int P = cp.procs;
   const ir::Program& prog = cp.program;
@@ -200,12 +161,10 @@ RunResult simulate(const CompiledProgram& cp,
   };
 
   // ---- array state + page homing ----
-  std::vector<ArrayState> state(prog.arrays.size());
+  std::vector<std::vector<Cell>> cells(prog.arrays.size());
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     const core::CompiledArray& ca = cp.arrays[a];
     const ir::ArrayDecl& decl = prog.arrays[a];
-    state[a].cells.assign(static_cast<size_t>(ca.layout.size()), Cell{});
-
     const bool distributed =
         !ca.replicated &&
         std::any_of(ca.part.dims.begin(), ca.part.dims.end(),
@@ -213,26 +172,17 @@ RunResult simulate(const CompiledProgram& cp,
     const Int pages = ca.bytes / mcfg.page_bytes;
     std::vector<std::pair<Int, int>> page_owner(
         static_cast<size_t>(pages), {INT64_MAX, -1});
-    for_each_element(decl, [&](std::span<const Int> idx, Int) {
-      const Int lin = ca.layout.linearize(idx);
-      state[a].cells[static_cast<size_t>(lin)].data =
-          init_value(opts.init_seed, static_cast<int>(a),
-                     // original linear index for layout-independence
-                     [&] {
-                       Int l = 0, s = 1;
-                       for (size_t k = 0; k < idx.size(); ++k) {
-                         l += idx[k] * s;
-                         s *= decl.dims[k];
-                       }
-                       return l;
-                     }());
-      if (!distributed) return;
-      const Int byte = lin * decl.elem_size;
-      const Int page = byte / mcfg.page_bytes;
-      auto& po = page_owner[static_cast<size_t>(page)];
-      if (byte < po.first)
-        po = {byte, owner_of_coords(ca.part.owner(idx))};
-    });
+    cells[a].resize(static_cast<size_t>(ca.layout.size()));
+    for_each_initial(cp, static_cast<int>(a), opts.init_seed,
+                     [&](std::span<const Int> idx, Int lin, double v) {
+                       cells[a][static_cast<size_t>(lin)].data = v;
+                       if (!distributed) return;
+                       const Int byte = lin * decl.elem_size;
+                       auto& po = page_owner[static_cast<size_t>(
+                           byte / mcfg.page_bytes)];
+                       if (byte < po.first)
+                         po = {byte, owner_of_coords(ca.part.owner(idx))};
+                     });
     if (ca.replicated) {
       for (int c = 0; c < mcfg.clusters(); ++c)
         for (Int pg = 0; pg < pages; ++pg)
@@ -254,451 +204,13 @@ RunResult simulate(const CompiledProgram& cp,
   RunResult res;
   res.proc_cycles.assign(static_cast<size_t>(P), 0.0);
   std::vector<double>& clock = res.proc_cycles;
-  ExecCounters ctr;
-
-  // Cooperative cancellation: polled once per innermost segment (fast
-  // engine) / every 4096 statement batches (interpreter). An inert token
-  // reduces the whole mechanism to one always-false branch per segment.
-  const bool poll_cancel = opts.cancel.valid();
-  long long poll_ctr = 0;
-
-  // Scratch buffers sized from the program, not fixed capacities: the
-  // deepest array rank and the widest statement read list actually present.
-  size_t max_rank = 1, max_reads = 1;
-  for (const ir::ArrayDecl& decl : prog.arrays)
-    max_rank = std::max(max_rank, decl.dims.size());
-  for (const core::CompiledNest& cn : cp.nests)
-    for (const CompiledStmt& cs : cn.stmts)
-      max_reads = std::max(max_reads, cs.reads.size());
-  std::vector<Int> scratch(max_rank, 0);
-  std::vector<double> vals(max_reads, 0.0);
-
-  // Affine subscripts + Layout::linearize — the interpreter address path
-  // and the fast engine's fallback for non-walkable references.
-  auto element_addr = [&](const CompiledRef& ref, int d,
-                          std::span<const Int> iter) {
-    for (int r = 0; r < ref.rank; ++r) {
-      Int v = ref.offsets[static_cast<size_t>(r)];
-      const Int* row =
-          ref.coeffs.data() + static_cast<size_t>(r) * static_cast<size_t>(d);
-      for (int k = 0; k < d; ++k) v += row[k] * iter[static_cast<size_t>(k)];
-      scratch[static_cast<size_t>(r)] = v;
-    }
-    ++ctr.linearize_fallback;
-    return cp.arrays[static_cast<size_t>(ref.array)].layout.linearize(
-        std::span<const Int>(scratch.data(), static_cast<size_t>(ref.rank)));
-  };
-
-  // ---- interpreter engine (DCT_FAST_EXEC=0): re-evaluate everything ----
-  auto run_nest_interp = [&](const core::CompiledNest& cn) {
-    const int d = static_cast<int>(cn.nest.loops.size());
-    if (d == 0) return;
-    std::vector<Int> iter(static_cast<size_t>(d)), lb(static_cast<size_t>(d)),
-        ub(static_cast<size_t>(d));
-
-    auto body = [&]() {
-      for (const CompiledStmt& cs : cn.stmts) {
-        if (cs.depth < d) {
-          bool first = true;
-          for (int k = cs.depth; k < d && first; ++k)
-            first = iter[static_cast<size_t>(k)] == lb[static_cast<size_t>(k)];
-          if (!first) continue;
-        }
-        int q = 0;
-        for (const auto& [loop, fold] : cs.owner)
-          q += fold.fold(iter[static_cast<size_t>(loop)]) * fold.stride;
-        if (q >= P) q = P - 1;
-
-        double t = clock[static_cast<size_t>(q)] + cs.compute_cycles;
-        const int cluster = mcfg.cluster_of(q);
-
-        size_t vi = 0;
-        for (const CompiledRef& ref : cs.reads) {
-          const core::CompiledArray& ca =
-              cp.arrays[static_cast<size_t>(ref.array)];
-          const Int lin = element_addr(ref, d, iter);
-          const Cell& c =
-              state[static_cast<size_t>(ref.array)].cells[static_cast<size_t>(lin)];
-          // Cross-processor dataflow.
-          if (c.wproc >= 0 && c.wproc != q) {
-            const double wt = c.wtime;
-            if (wt > t) {
-              res.wait_cycles += wt - t;
-              t = wt + mcfg.lock_cycles;
-            }
-          }
-          Int byte = ca.base_addr +
-                     lin * prog.arrays[static_cast<size_t>(ref.array)].elem_size;
-          if (ca.replicated) byte += static_cast<Int>(cluster) * ca.bytes;
-          t += machine.access(q, byte, false) + ref.addr_overhead;
-          vals[vi++] = c.data;
-        }
-        for (const CompiledRef& ref : cs.writes) {
-          const core::CompiledArray& ca =
-              cp.arrays[static_cast<size_t>(ref.array)];
-          DCT_CHECK(!ca.replicated, "write to replicated array");
-          const Int lin = element_addr(ref, d, iter);
-          Cell& c =
-              state[static_cast<size_t>(ref.array)].cells[static_cast<size_t>(lin)];
-          const Int byte =
-              ca.base_addr +
-              lin * prog.arrays[static_cast<size_t>(ref.array)].elem_size;
-          t += machine.access(q, byte, true) + ref.addr_overhead;
-          if (cs.eval)
-            c.data = cs.eval(std::span<const double>(vals.data(), vi));
-          c.wproc = static_cast<std::int8_t>(q);
-          c.wtime = t;
-        }
-        clock[static_cast<size_t>(q)] = t;
-        ++res.statements;
-      }
-    };
-
-    int level = 0;
-    iter[0] = lb[0] = cn.nest.loops[0].lower_bound(iter);
-    ub[0] = cn.nest.loops[0].upper_bound(iter);
-    while (level >= 0) {
-      if (iter[static_cast<size_t>(level)] > ub[static_cast<size_t>(level)]) {
-        --level;
-        if (level >= 0) ++iter[static_cast<size_t>(level)];
-        continue;
-      }
-      if (level == d - 1) {
-        if (poll_cancel && ((++poll_ctr & 4095) == 0))
-          opts.cancel.check("simulate (interpreter)");
-        body();
-        ++iter[static_cast<size_t>(level)];
-      } else {
-        ++level;
-        iter[static_cast<size_t>(level)] = lb[static_cast<size_t>(level)] =
-            cn.nest.loops[static_cast<size_t>(level)].lower_bound(iter);
-        ub[static_cast<size_t>(level)] =
-            cn.nest.loops[static_cast<size_t>(level)].upper_bound(iter);
-      }
-    }
-  };
-
-  // ---- fast engine: walkers + hoisted owners, compiled up front ----
-  std::vector<int> cluster_of(static_cast<size_t>(P));
-  for (int q = 0; q < P; ++q) cluster_of[static_cast<size_t>(q)] = mcfg.cluster_of(q);
-  std::vector<NestPlan> plans;
-  if (use_fast) {
-    plans.resize(cp.nests.size());
-    for (size_t j = 0; j < cp.nests.size(); ++j) {
-      const core::CompiledNest& cn = cp.nests[j];
-      const int d = static_cast<int>(cn.nest.loops.size());
-      for (const CompiledStmt& cs : cn.stmts) {
-        StmtPlan sp;
-        sp.cs = &cs;
-        sp.full_depth = cs.depth >= d;
-        sp.compute_cycles = cs.compute_cycles;
-        sp.has_eval = static_cast<bool>(cs.eval);
-        for (const auto& pair : cs.owner) {
-          if (sp.full_depth && pair.first == d - 1)
-            sp.inner_owner.push_back(OwnerStep(pair.second));
-          else
-            sp.hoisted_owner.push_back(pair);
-        }
-        auto plan_ref = [&](const CompiledRef& ref, bool is_write) {
-          RefPlan rp;
-          rp.ref = &ref;
-          rp.ca = &cp.arrays[static_cast<size_t>(ref.array)];
-          rp.as = &state[static_cast<size_t>(ref.array)];
-          rp.base_addr = rp.ca->base_addr;
-          rp.elem_size = prog.arrays[static_cast<size_t>(ref.array)].elem_size;
-          rp.copy_bytes = rp.ca->bytes;
-          rp.replicated = rp.ca->replicated;
-          rp.addr_overhead = ref.addr_overhead;
-          if (is_write)
-            DCT_CHECK(!rp.replicated, "write to replicated array");
-          // Walkers pay off only for references advanced every innermost
-          // iteration; gated statements keep the interpreter path.
-          if (sp.full_depth)
-            rp.walk = rp.walker.build(ref, rp.ca->layout, d);
-          return rp;
-        };
-        for (const CompiledRef& ref : cs.reads)
-          sp.reads.push_back(plan_ref(ref, false));
-        for (const CompiledRef& ref : cs.writes)
-          sp.writes.push_back(plan_ref(ref, true));
-        plans[j].stmts.push_back(std::move(sp));
-      }
-    }
-  }
-
-  auto run_nest_fast = [&](const core::CompiledNest& cn, NestPlan& np) {
-    const int d = static_cast<int>(cn.nest.loops.size());
-    if (d == 0) return;
-    const int inner = d - 1;
-    std::vector<Int> iter(static_cast<size_t>(d)), lb(static_cast<size_t>(d)),
-        ub(static_cast<size_t>(d));
-
-    // One gated (depth < d) statement execution — interpreter addressing.
-    auto exec_gated = [&](StmtPlan& sp) {
-      const CompiledStmt& cs = *sp.cs;
-      int q = 0;
-      for (const auto& [loop, fold] : cs.owner)
-        q += fold.fold(iter[static_cast<size_t>(loop)]) * fold.stride;
-      if (q >= P) q = P - 1;
-      double t = clock[static_cast<size_t>(q)] + cs.compute_cycles;
-      const int cluster = mcfg.cluster_of(q);
-      size_t vi = 0;
-      for (RefPlan& rp : sp.reads) {
-        const Int lin = element_addr(*rp.ref, d, iter);
-        const Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-        if (c.wproc >= 0 && c.wproc != q) {
-          const double wt = c.wtime;
-          if (wt > t) {
-            res.wait_cycles += wt - t;
-            t = wt + mcfg.lock_cycles;
-          }
-        }
-        Int byte = rp.base_addr + lin * rp.elem_size;
-        if (rp.replicated) byte += static_cast<Int>(cluster) * rp.copy_bytes;
-        t += machine.access(q, byte, false) + rp.addr_overhead;
-        vals[vi++] = c.data;
-      }
-      for (RefPlan& rp : sp.writes) {
-        const Int lin = element_addr(*rp.ref, d, iter);
-        Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-        const Int byte = rp.base_addr + lin * rp.elem_size;
-        t += machine.access(q, byte, true) + rp.addr_overhead;
-        if (cs.eval)
-          c.data = cs.eval(std::span<const double>(vals.data(), vi));
-        c.wproc = static_cast<std::int8_t>(q);
-        c.wtime = t;
-      }
-      clock[static_cast<size_t>(q)] = t;
-      ++res.statements;
-    };
-
-    // Run one innermost segment: iter[0..inner) fixed, iter[inner] already
-    // at its lower bound, ub[inner] valid, segment known non-empty.
-    auto run_segment = [&]() {
-      const Int ilb = iter[static_cast<size_t>(inner)];
-      const Int iub = ub[static_cast<size_t>(inner)];
-      const Int len = iub - ilb + 1;
-      long long n_full = 0;
-      for (StmtPlan& sp : np.stmts) {
-        if (!sp.full_depth) continue;
-        ++n_full;
-        int qb = 0;
-        for (const auto& [loop, fold] : sp.hoisted_owner)
-          qb += fold.fold(iter[static_cast<size_t>(loop)]) * fold.stride;
-        sp.q_base = qb;
-        for (OwnerStep& os : sp.inner_owner) os.init(ilb);
-        long long walkers = 0;
-        for (RefPlan& rp : sp.reads)
-          if (rp.walk) {
-            rp.walker.init(iter);
-            ++walkers;
-          }
-        for (RefPlan& rp : sp.writes)
-          if (rp.walk) {
-            rp.walker.init(iter);
-            ++walkers;
-          }
-        // Segment-granular bookkeeping keeps the counters off the hot path.
-        ctr.walker_fast += walkers * len;
-        if (sp.inner_owner.empty()) ctr.owner_hoisted += len;
-      }
-      res.statements += n_full * len;
-      for (Int i = ilb;; ++i) {
-        iter[static_cast<size_t>(inner)] = i;
-        for (StmtPlan& sp : np.stmts) {
-          if (!sp.full_depth) {
-            // Gated statement: runs once per prefix, at the first
-            // iteration of every loop below its depth.
-            if (i != ilb) continue;
-            bool first = true;
-            for (int k = sp.cs->depth; k < inner && first; ++k)
-              first =
-                  iter[static_cast<size_t>(k)] == lb[static_cast<size_t>(k)];
-            if (!first) continue;
-            exec_gated(sp);
-            continue;
-          }
-          int q = sp.q_base;
-          for (OwnerStep& os : sp.inner_owner) {
-            q += os.value();
-            os.step();  // advance for the next iteration (harmless past end)
-          }
-          if (q >= P) q = P - 1;
-          double t = clock[static_cast<size_t>(q)] + sp.compute_cycles;
-          const int cluster = cluster_of[static_cast<size_t>(q)];
-          size_t vi = 0;
-          for (RefPlan& rp : sp.reads) {
-            Int lin;
-            if (rp.walk) {
-              lin = rp.walker.addr();
-              rp.walker.step();
-            } else {
-              lin = element_addr(*rp.ref, d, iter);
-            }
-            const Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-            if (c.wproc >= 0 && c.wproc != q) {
-              const double wt = c.wtime;
-              if (wt > t) {
-                res.wait_cycles += wt - t;
-                t = wt + mcfg.lock_cycles;
-              }
-            }
-            Int byte = rp.base_addr + lin * rp.elem_size;
-            if (rp.replicated)
-              byte += static_cast<Int>(cluster) * rp.copy_bytes;
-            t += machine.access(q, byte, false) + rp.addr_overhead;
-            vals[vi++] = c.data;
-          }
-          for (RefPlan& rp : sp.writes) {
-            Int lin;
-            if (rp.walk) {
-              lin = rp.walker.addr();
-              rp.walker.step();
-            } else {
-              lin = element_addr(*rp.ref, d, iter);
-            }
-            Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-            const Int byte = rp.base_addr + lin * rp.elem_size;
-            t += machine.access(q, byte, true) + rp.addr_overhead;
-            if (sp.has_eval)
-              c.data = sp.cs->eval(std::span<const double>(vals.data(), vi));
-            c.wproc = static_cast<std::int8_t>(q);
-            c.wtime = t;
-          }
-          clock[static_cast<size_t>(q)] = t;
-        }
-        if (i == iub) break;
-      }
-      iter[static_cast<size_t>(inner)] = iub + 1;  // segment exhausted
-    };
-
-    // Specialized segment for the common single-statement nest: no gated
-    // statements to interleave with, so the owner's clock rides in a
-    // register and is flushed only when the owner changes (at distribution
-    // block boundaries) instead of loaded and stored every iteration.
-    auto run_segment_single = [&]() {
-      StmtPlan& sp = np.stmts[0];
-      const Int ilb = iter[static_cast<size_t>(inner)];
-      const Int iub = ub[static_cast<size_t>(inner)];
-      const Int len = iub - ilb + 1;
-      int qb = 0;
-      for (const auto& [loop, fold] : sp.hoisted_owner)
-        qb += fold.fold(iter[static_cast<size_t>(loop)]) * fold.stride;
-      sp.q_base = qb;
-      for (OwnerStep& os : sp.inner_owner) os.init(ilb);
-      long long walkers = 0;
-      for (RefPlan& rp : sp.reads)
-        if (rp.walk) {
-          rp.walker.init(iter);
-          ++walkers;
-        }
-      for (RefPlan& rp : sp.writes)
-        if (rp.walk) {
-          rp.walker.init(iter);
-          ++walkers;
-        }
-      ctr.walker_fast += walkers * len;
-      if (sp.inner_owner.empty()) ctr.owner_hoisted += len;
-      res.statements += len;
-      int q_cur = sp.q_base;
-      for (const OwnerStep& os : sp.inner_owner) q_cur += os.value();
-      if (q_cur >= P) q_cur = P - 1;
-      double t = clock[static_cast<size_t>(q_cur)];
-      int cluster = cluster_of[static_cast<size_t>(q_cur)];
-      for (Int i = ilb;; ++i) {
-        iter[static_cast<size_t>(inner)] = i;
-        int q = sp.q_base;
-        for (OwnerStep& os : sp.inner_owner) {
-          q += os.value();
-          os.step();  // advance for the next iteration (harmless past end)
-        }
-        if (q >= P) q = P - 1;
-        if (q != q_cur) {
-          clock[static_cast<size_t>(q_cur)] = t;
-          q_cur = q;
-          t = clock[static_cast<size_t>(q)];
-          cluster = cluster_of[static_cast<size_t>(q)];
-        }
-        t += sp.compute_cycles;
-        size_t vi = 0;
-        for (RefPlan& rp : sp.reads) {
-          Int lin;
-          if (rp.walk) {
-            lin = rp.walker.addr();
-            rp.walker.step();
-          } else {
-            lin = element_addr(*rp.ref, d, iter);
-          }
-          const Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-          if (c.wproc >= 0 && c.wproc != q) {
-            const double wt = c.wtime;
-            if (wt > t) {
-              res.wait_cycles += wt - t;
-              t = wt + mcfg.lock_cycles;
-            }
-          }
-          Int byte = rp.base_addr + lin * rp.elem_size;
-          if (rp.replicated)
-            byte += static_cast<Int>(cluster) * rp.copy_bytes;
-          t += machine.access(q, byte, false) + rp.addr_overhead;
-          vals[vi++] = c.data;
-        }
-        for (RefPlan& rp : sp.writes) {
-          Int lin;
-          if (rp.walk) {
-            lin = rp.walker.addr();
-            rp.walker.step();
-          } else {
-            lin = element_addr(*rp.ref, d, iter);
-          }
-          Cell& c = rp.as->cells[static_cast<size_t>(lin)];
-          const Int byte = rp.base_addr + lin * rp.elem_size;
-          t += machine.access(q, byte, true) + rp.addr_overhead;
-          if (sp.has_eval)
-            c.data = sp.cs->eval(std::span<const double>(vals.data(), vi));
-          c.wproc = static_cast<std::int8_t>(q);
-          c.wtime = t;
-        }
-        if (i == iub) break;
-      }
-      clock[static_cast<size_t>(q_cur)] = t;
-      iter[static_cast<size_t>(inner)] = iub + 1;  // segment exhausted
-    };
-    const bool single_stmt =
-        np.stmts.size() == 1 && np.stmts[0].full_depth;
-
-    int level = 0;
-    iter[0] = lb[0] = cn.nest.loops[0].lower_bound(iter);
-    ub[0] = cn.nest.loops[0].upper_bound(iter);
-    while (level >= 0) {
-      if (iter[static_cast<size_t>(level)] > ub[static_cast<size_t>(level)]) {
-        --level;
-        if (level >= 0) ++iter[static_cast<size_t>(level)];
-        continue;
-      }
-      if (level == inner) {
-        if (poll_cancel) opts.cancel.check("simulate (fast engine)");
-        if (single_stmt)
-          run_segment_single();
-        else
-          run_segment();
-      } else {
-        ++level;
-        iter[static_cast<size_t>(level)] = lb[static_cast<size_t>(level)] =
-            cn.nest.loops[static_cast<size_t>(level)].lower_bound(iter);
-        ub[static_cast<size_t>(level)] =
-            cn.nest.loops[static_cast<size_t>(level)].upper_bound(iter);
-      }
-    }
-  };
-
+  SimPolicy policy(cp, mcfg, machine, cells, clock, opts.cancel,
+                   opts.fast_exec);
+  Traversal<SimPolicy> kernel(cp, policy, opts.fast_exec);
   for (int step = 0; step < prog.time_steps; ++step) {
     for (size_t j = 0; j < cp.nests.size(); ++j) {
-      if (poll_cancel) opts.cancel.check("simulate");
-      if (use_fast)
-        run_nest_fast(cp.nests[j], plans[j]);
-      else
-        run_nest_interp(cp.nests[j]);
+      policy.poll();
+      kernel.run_nest(j);
       const bool last =
           step == prog.time_steps - 1 && j == cp.nests.size() - 1;
       if (P > 1 && (cp.nests[j].barrier_after || last)) {
@@ -712,41 +224,26 @@ RunResult simulate(const CompiledProgram& cp,
 
   res.cycles = *std::max_element(clock.begin(), clock.end());
   res.mem = machine.total_stats();
+  res.wait_cycles = policy.wait_cycles;
+  res.statements = kernel.statements;
+  ExecCounters& ctr = res.counters = kernel.counters;
   ctr.dir_fast = res.mem.dir_fast_hits;
-  res.counters = ctr;
 
-  {
-    support::RemarkEngine eng;
-    eng.begin_pass("simulate");
-    eng.count("sim_walker_fast_hits", static_cast<long>(ctr.walker_fast));
-    eng.count("sim_linearize_fallbacks",
-              static_cast<long>(ctr.linearize_fallback));
-    eng.count("sim_dir_fast_hits", static_cast<long>(ctr.dir_fast));
-    eng.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
-    eng.count("sim_statements", static_cast<long>(res.statements));
-    eng.end_pass();
-    res.trace = eng.take_trace();
-    if (support::trace_enabled())
-      support::emit_trace(res.trace.json(
-          {{"unit", prog.name},
-           {"kind", "simulate"},
-           {"mode", core::to_string(cp.mode)},
-           {"procs", strf("%d", cp.procs)},
-           {"engine", use_fast ? "fast" : "interp"}}));
-  }
+  support::RemarkEngine eng;
+  eng.begin_pass("simulate");
+  eng.count("sim_walker_fast_hits", static_cast<long>(ctr.walker_fast));
+  eng.count("sim_linearize_fallbacks",
+            static_cast<long>(ctr.linearize_fallback));
+  eng.count("sim_dir_fast_hits", static_cast<long>(ctr.dir_fast));
+  eng.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
+  eng.count("sim_statements", static_cast<long>(res.statements));
+  eng.end_pass();
+  res.trace = eng.take_trace();
 
-  if (opts.collect_values) {
-    res.values.resize(prog.arrays.size());
-    for (size_t a = 0; a < prog.arrays.size(); ++a) {
-      const ir::ArrayDecl& decl = prog.arrays[a];
-      res.values[a].resize(static_cast<size_t>(decl.elem_count()));
-      for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
-        res.values[a][static_cast<size_t>(linear)] =
-            state[a].cells[static_cast<size_t>(
-                cp.arrays[a].layout.linearize(idx))].data;
-      });
-    }
-  }
+  if (opts.collect_values)
+    res.values = original_order(cp, [&](int a, Int lin) {
+      return cells[static_cast<size_t>(a)][static_cast<size_t>(lin)].data;
+    });
   return res;
 }
 

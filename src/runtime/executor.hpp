@@ -7,28 +7,25 @@
 // processor waits for the writer's completion time (plus a hand-off cost)
 // — pipelined doacross schedules and the LU pivot broadcast fall out of
 // this rule without special cases. Barriers separate nests unless the
-// decomposition proved them redundant.
+// decomposition proved them redundant. Every statement is also evaluated
+// numerically, so the run that measures performance also checks that the
+// transformed program computes bit-identical results.
 //
-// The engine also evaluates every statement numerically, so the same run
-// that measures performance verifies that the transformed program
-// computes bit-identical results to the sequential reference.
+// The walk is the shared owner-computes kernel (runtime/traversal.hpp)
+// under a simulator policy: dataflow clocks, machine accesses and
+// counters. ExecOptions::fast_exec picks one of two configurations with
+// bit-identical clocks, statistics and values:
 //
-// Two engines produce bit-identical results (clocks, statistics, values):
-//
-//  * the FAST engine (default) compiles, per (nest, statement, reference),
-//    an incremental address walker (runtime/walker.hpp) before walking the
-//    iteration space — inner-loop addresses advance by constant adds with
-//    mod/div only at strip boundaries (the paper's Section 4.3 strength
-//    reduction applied to the simulator itself) — and hoists per-statement
-//    owner computation out of the innermost loop where it is invariant;
-//  * the INTERPRETER re-evaluates the affine subscripts and calls
-//    Layout::linearize on every access.
-//
-// References the walker cannot prove affine-incremental fall back to
-// linearize automatically. DCT_FAST_EXEC=0 (or ExecOptions::fast_exec = 0)
-// forces the interpreter and the full directory protocol in the machine.
+//  * fast (default): incremental address walkers (runtime/walker.hpp, the
+//    paper's Section 4.3 strength reduction applied to the simulator),
+//    owner folds hoisted per segment, the owner's clock kept in flight
+//    until the owner changes, and the machine's directory fast path;
+//  * interpreter: Layout::linearize per access, the owner folded and its
+//    clock loaded and stored per instance, the full directory protocol —
+//    so the fast-vs-interpreter differential checks every optimization.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -69,9 +66,9 @@ struct RunResult {
 struct ExecOptions {
   bool collect_values = true;  ///< fill RunResult::values
   std::uint64_t init_seed = 42;
-  /// Engine selection: 1 = fast (walkers + machine fast path), 0 =
-  /// interpreter, -1 = read the DCT_FAST_EXEC env var (default on).
-  int fast_exec = -1;
+  /// true = fast configuration (walkers, owner hoisting, clock caching,
+  /// machine fast path); false = interpreter.
+  bool fast_exec = true;
   /// Cooperative cancellation: the engines poll this token at segment
   /// granularity and throw Error(kCancelled / kDeadlineExceeded) when it
   /// expires. A default (inert) token costs one branch per segment.
@@ -95,5 +92,55 @@ std::vector<std::vector<double>> run_reference(const ir::Program& prog,
 /// index). Shared by the simulator, the reference and the native backend
 /// so their results are bit-comparable.
 double init_value(std::uint64_t seed, int array, Int orig_linear);
+
+namespace detail {
+/// Walk an array's original index space in linear (column-major) order:
+/// fn(idx, original linear index).
+template <typename Fn>
+void for_each_element(const ir::ArrayDecl& decl, Fn&& fn) {
+  const int rank = static_cast<int>(decl.dims.size());
+  std::vector<Int> idx(static_cast<size_t>(rank), 0);
+  for (Int linear = 0;; ++linear) {
+    fn(std::span<const Int>(idx), linear);
+    int k = 0;
+    for (; k < rank; ++k) {
+      if (++idx[static_cast<size_t>(k)] < decl.dims[static_cast<size_t>(k)])
+        break;
+      idx[static_cast<size_t>(k)] = 0;
+    }
+    if (k == rank) return;
+  }
+}
+}  // namespace detail
+
+/// Set up array `a` in its compiled layout: fn(idx, lin, v) for every
+/// element, with lin = layout.linearize(idx) and v its initial value.
+template <typename Fn>
+void for_each_initial(const core::CompiledProgram& cp, int a,
+                      std::uint64_t seed, Fn&& fn) {
+  const layout::Layout& lay = cp.arrays[static_cast<size_t>(a)].layout;
+  detail::for_each_element(cp.program.arrays[static_cast<size_t>(a)],
+                           [&](std::span<const Int> idx, Int linear) {
+                             fn(idx, lay.linearize(idx),
+                                init_value(seed, a, linear));
+                           });
+}
+
+/// Every array's contents in ORIGINAL element order, read from storage in
+/// the compiled layouts through `at(array, lin)`.
+template <typename At>
+std::vector<std::vector<double>> original_order(const core::CompiledProgram& cp,
+                                                At&& at) {
+  std::vector<std::vector<double>> values(cp.program.arrays.size());
+  for (size_t a = 0; a < values.size(); ++a) {
+    const ir::ArrayDecl& decl = cp.program.arrays[a];
+    values[a].resize(static_cast<size_t>(decl.elem_count()));
+    detail::for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
+      values[a][static_cast<size_t>(linear)] =
+          at(static_cast<int>(a), cp.arrays[a].layout.linearize(idx));
+    });
+  }
+  return values;
+}
 
 }  // namespace dct::runtime

@@ -1,0 +1,421 @@
+// The owner-computes traversal kernel: the one SPMD walk (the paper's
+// Section 4 code shape) that every execution engine runs. Traversal<Policy>
+// owns the loop-nest recursion (optionally restricted per level to one
+// processor's iterations), the innermost segment (hoisted owner folds,
+// incremental OwnerStep owners, walker addressing with the
+// Layout::linearize fallback, the gated-statement firing rule) and the
+// statement-instance body: reads, then eval, then the write. What an
+// instance does is the policy's:
+//
+//   Slot slot(const CompiledRef&)      per-reference storage handle
+//   bool owns(int q)                   run instances owned by q here?
+//   Cursor cursor() / flush(Cursor&)   open / close a segment's cursor
+//   begin(Cursor&, q, compute_cycles) / end(Cursor&)   bracket an instance
+//   double load(Cursor&, const Slot&, Int lin)
+//   store(Cursor&, const Slot&, Int lin, double v, bool has_value)
+//   poll()                once per non-empty segment
+//   gate()                before and after every gated-statement firing
+//   after_iteration(l)    after each iteration of non-innermost loop l
+//
+// With `fast` off the kernel is the reference interpreter: every address
+// comes from Layout::linearize and every owner is folded per instance.
+#pragma once
+
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "core/compiler.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/walker.hpp"
+#include "support/diagnostics.hpp"
+
+namespace dct::runtime {
+
+/// Incremental owner fold over the innermost loop variable: the same
+/// BLOCK / CYCLIC / BLOCK-CYCLIC folding as core::CoordFold::fold, but
+/// maintained by increment-and-compare instead of div/mod per iteration.
+class OwnerStep {
+ public:
+  explicit OwnerStep(const core::CoordFold& cf)
+      : kind_(cf.kind), block_(std::max<Int>(1, cf.block)), procs_(cf.procs),
+        stride_(cf.stride), offset_(cf.offset) {}
+
+  void init(Int v) {
+    const Int x = v - offset_;
+    f_ = linalg::floor_div(x, block_);
+    rem_ = x - f_ * block_;
+    g_ = static_cast<int>(
+        linalg::floor_mod(kind_ == decomp::DistKind::Cyclic ? x : f_, procs_));
+  }
+
+  void step() {
+    if (kind_ == decomp::DistKind::Cyclic) {
+      if (++g_ == procs_) g_ = 0;
+    } else if (++rem_ == block_) {
+      rem_ = 0;
+      ++f_;
+      if (++g_ == procs_) g_ = 0;
+    }
+  }
+
+  /// Folded coordinate times the mixed-radix stride (CoordFold semantics).
+  int value() const {
+    switch (kind_) {
+      case decomp::DistKind::Serial:
+        return 0;
+      case decomp::DistKind::Block:
+        return static_cast<int>(std::clamp<Int>(f_, 0, procs_ - 1)) * stride_;
+      default:
+        return g_ * stride_;
+    }
+  }
+
+ private:
+  decomp::DistKind kind_;
+  Int block_;
+  int procs_, stride_;
+  Int offset_;
+  Int rem_ = 0;  ///< (v - offset) mod block, in [0, block)
+  Int f_ = 0;    ///< unclamped floor((v - offset) / block)
+  int g_ = 0;    ///< f mod procs (CYCLIC: (v - offset) mod procs)
+};
+
+/// Ascending iterator over the values of [lo, hi] owned by digit `t` of a
+/// fold — the per-thread loop bounds of the paper's generated SPMD code:
+/// one clamped run for BLOCK (edge digits absorb the out-of-range spill,
+/// matching CoordFold::fold's clamp), a stride-procs walk for CYCLIC, and
+/// block-length runs every procs blocks for BLOCK-CYCLIC.
+class OwnedIter {
+ public:
+  OwnedIter(const core::CoordFold& f, int t, Int lo, Int hi)
+      : kind_(f.kind), procs_(f.procs), block_(std::max<Int>(1, f.block)),
+        offset_(f.offset), hi_(hi) {
+    switch (kind_) {
+      case decomp::DistKind::Serial:  // unbound: every value "owned"
+        v_ = lo;
+        run_hi_ = hi;
+        break;
+      case decomp::DistKind::Block:
+        v_ = t == 0 ? lo : std::max(lo, f.block_lo(t));
+        run_hi_ = t == procs_ - 1 ? hi : std::min(hi, f.block_hi(t));
+        break;
+      case decomp::DistKind::Cyclic:
+        v_ = lo + linalg::floor_mod(offset_ + t - lo, procs_);
+        run_hi_ = hi;
+        break;
+      case decomp::DistKind::BlockCyclic:
+        g_ = linalg::floor_div(lo - offset_, block_);
+        g_ += linalg::floor_mod(t - g_, procs_);
+        v_ = std::max(lo, offset_ + g_ * block_);
+        run_hi_ = std::min(hi, offset_ + (g_ + 1) * block_ - 1);
+        break;
+    }
+    done_ = v_ > run_hi_;
+  }
+
+  bool done() const { return done_; }
+  Int value() const { return v_; }
+
+  void next() {
+    if (kind_ == decomp::DistKind::Cyclic) {
+      v_ += procs_;
+      done_ = v_ > hi_;
+      return;
+    }
+    ++v_;
+    if (v_ <= run_hi_) return;
+    if (kind_ == decomp::DistKind::BlockCyclic) {
+      g_ += procs_;
+      v_ = offset_ + g_ * block_;
+      run_hi_ = std::min(hi_, v_ + block_ - 1);
+      done_ = v_ > hi_;
+      return;
+    }
+    done_ = true;  // Serial / Block: a single run
+  }
+
+ private:
+  decomp::DistKind kind_;
+  int procs_;
+  Int block_, offset_, hi_;
+  Int v_ = 0, run_hi_ = -1, g_ = 0;
+  bool done_ = false;
+};
+
+/// One loop level walked only over the values that digit `digit` of
+/// `fold` owns. An innermost restriction requires every statement of the
+/// nest to be full-depth with one owner signature.
+struct Restriction {
+  int level = -1;
+  core::CoordFold fold;
+  int digit = 0;
+};
+
+template <class Policy>
+class Traversal {
+ public:
+  Traversal(const core::CompiledProgram& cp, Policy& policy, bool fast)
+      : cp_(cp), policy_(policy), fast_(fast), procs_(cp.procs) {
+    size_t max_rank = 1, max_reads = 1;
+    plans_.resize(cp.nests.size());
+    for (size_t j = 0; j < cp.nests.size(); ++j) {
+      const int d = static_cast<int>(cp.nests[j].nest.loops.size());
+      for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
+        max_reads = std::max(max_reads, cs.reads.size());
+        Stmt s;
+        s.cs = &cs;
+        s.full = cs.depth >= d;
+        for (const auto& pair : cs.owner) {
+          if (!fast || !s.full)
+            s.folded.push_back(pair);
+          else if (pair.first == d - 1)
+            s.stepped.emplace_back(pair.second);
+          else
+            s.hoisted.push_back(pair);
+        }
+        // Walkers pay off only for references advanced every innermost
+        // iteration; gated statements keep the linearize path.
+        auto add = [&](const core::CompiledRef& ref) {
+          const auto& lay = cp.arrays[static_cast<size_t>(ref.array)].layout;
+          max_rank = std::max(max_rank, static_cast<size_t>(ref.rank));
+          Ref& r = s.refs.emplace_back();
+          r.ref = &ref;
+          r.slot = policy.slot(ref);
+          if (fast && s.full) r.walk = r.walker.build(ref, lay, d);
+        };
+        for (const core::CompiledRef& ref : cs.reads) add(ref);
+        if (cs.write) {
+          DCT_CHECK(!cp.arrays[static_cast<size_t>(cs.write->array)].replicated,
+                    "write to replicated array");
+          add(*cs.write);
+        }
+        plans_[j].push_back(std::move(s));
+      }
+    }
+    scratch_.assign(max_rank, 0);
+    vals_.assign(max_reads, 0.0);
+  }
+
+  /// Walk nest `j` once. Levels named in `restrictions` visit only the
+  /// owned values of their fold digit.
+  void run_nest(size_t j, std::span<const Restriction> restrictions = {}) {
+    const int d = static_cast<int>(cp_.nests[j].nest.loops.size());
+    if (d == 0) return;
+    loops_ = &cp_.nests[j].nest.loops;
+    stmts_ = &plans_[j];
+    inner_ = d - 1;
+    iter_.assign(static_cast<size_t>(d), 0);
+    lb_.assign(static_cast<size_t>(d), 0);
+    ub_.assign(static_cast<size_t>(d), 0);
+    restrict_.assign(static_cast<size_t>(d), nullptr);
+    for (const Restriction& r : restrictions)
+      restrict_[static_cast<size_t>(r.level)] = &r;
+    walk(0);
+  }
+
+  long long statements = 0;  ///< statement instances executed
+  ExecCounters counters;     ///< all but dir_fast, which is the machine's
+
+ private:
+  using Cursor = typename Policy::Cursor;
+  struct Ref {
+    const core::CompiledRef* ref = nullptr;
+    typename Policy::Slot slot{};
+    bool walk = false;  ///< addresses come from the incremental walker
+    RefWalker walker;
+  };
+  struct Stmt {
+    const core::CompiledStmt* cs = nullptr;
+    bool full = false;  ///< executes on every innermost iteration
+    /// Owner pairs invariant over the innermost loop: folded once per
+    /// segment into q_base.
+    std::vector<std::pair<int, core::CoordFold>> hoisted;
+    /// Owner pairs on the innermost loop: stepped incrementally.
+    std::vector<OwnerStep> stepped;
+    /// Owner pairs folded per instance (gated statements, interpreter).
+    std::vector<std::pair<int, core::CoordFold>> folded;
+    std::vector<Ref> refs;  ///< reads in order, then the write (if any)
+    int q_base = 0;
+  };
+
+  Int at(int k) const { return iter_[static_cast<size_t>(k)]; }
+
+  int fold(const std::vector<std::pair<int, core::CoordFold>>& pairs) const {
+    int q = 0;
+    for (const auto& [loop, f] : pairs) q += f.fold(at(loop)) * f.stride;
+    return q;
+  }
+
+  /// Owner of `s` at the current iteration; advances its OwnerSteps.
+  int owner(Stmt& s) {
+    int q = s.q_base + fold(s.folded);
+    for (OwnerStep& os : s.stepped) {
+      q += os.value();
+      os.step();  // advance for the next iteration (harmless past end)
+    }
+    return std::min(q, procs_ - 1);
+  }
+
+  /// Address of `r` at the current iteration. A walker then advances to
+  /// the next innermost iteration (harmless past the segment's end).
+  Int next_addr(Ref& r) {
+    if (!r.walk) return linearize(r);
+    const Int a = r.walker.addr();
+    r.walker.step();
+    return a;
+  }
+
+  // Out of line: the cold path of the fast configuration.
+  [[gnu::noinline]] Int linearize(const Ref& r) {
+    const core::CompiledRef& ref = *r.ref;
+    const int d = inner_ + 1;
+    for (int k = 0; k < ref.rank; ++k) {
+      Int v = ref.offsets[static_cast<size_t>(k)];
+      const Int* row = ref.coeffs.data() + static_cast<size_t>(k * d);
+      for (int l = 0; l < d; ++l) v += row[l] * at(l);
+      scratch_[static_cast<size_t>(k)] = v;
+    }
+    ++counters.linearize_fallback;
+    return cp_.arrays[static_cast<size_t>(ref.array)].layout.linearize(
+        std::span<const Int>(scratch_.data(), static_cast<size_t>(ref.rank)));
+  }
+
+  /// One statement instance on processor q: reads, then eval, then write.
+  /// Inlined into every segment loop: this is the engines' hot path.
+  [[gnu::always_inline]] void instance(Cursor& cur, Stmt& s, int q) {
+    const core::CompiledStmt& cs = *s.cs;
+    policy_.begin(cur, q, cs.compute_cycles);
+    const size_t n = cs.reads.size();
+    for (size_t k = 0; k < n; ++k)
+      vals_[k] = policy_.load(cur, s.refs[k].slot, next_addr(s.refs[k]));
+    if (cs.write) {
+      const bool has = static_cast<bool>(cs.eval);
+      const std::span<const double> vals(vals_.data(), n);
+      policy_.store(cur, s.refs[n].slot, next_addr(s.refs[n]),
+                    has ? cs.eval(vals) : 0.0, has);
+    }
+    policy_.end(cur);
+    ++statements;
+  }
+
+  void walk(int level) {
+    const ir::Loop& loop = (*loops_)[static_cast<size_t>(level)];
+    const Int lo = lb_[static_cast<size_t>(level)] = loop.lower_bound(iter_);
+    const Int hi = ub_[static_cast<size_t>(level)] = loop.upper_bound(iter_);
+    const Restriction* r = restrict_[static_cast<size_t>(level)];
+    if (level == inner_) {
+      if (lo > hi) return;  // empty: gated statements do not fire either
+      policy_.poll();
+      if (r != nullptr)
+        restricted_segment(*r, lo, hi);
+      else
+        segment(lo, hi);
+      return;
+    }
+    auto visit = [&](Int v) {
+      iter_[static_cast<size_t>(level)] = v;
+      walk(level + 1);
+      policy_.after_iteration(level);
+    };
+    if (r != nullptr) {
+      for (OwnedIter oi(r->fold, r->digit, lo, hi); !oi.done(); oi.next())
+        visit(oi.value());
+    } else {
+      for (Int v = lo; v <= hi; ++v) visit(v);
+    }
+  }
+
+  /// Full innermost segment: every iteration is stepped, each instance
+  /// runs when its owner is the policy's. Gated statements run once per
+  /// prefix, at the first iteration of every loop below their depth.
+  /// Out of line (like restricted_segment) so the hot loop is compiled
+  /// on its own, away from the recursion: measurably faster.
+  [[gnu::noinline]] void segment(Int lo, Int hi) {
+    Cursor cur = policy_.cursor();
+    const Int len = hi - lo + 1;
+    iter_[static_cast<size_t>(inner_)] = lo;
+    for (Stmt& s : *stmts_) {
+      if (!s.full) continue;
+      s.q_base = fold(s.hoisted);
+      for (OwnerStep& os : s.stepped) os.init(lo);
+      for (Ref& r : s.refs)
+        if (r.walk) {
+          r.walker.init(iter_);
+          counters.walker_fast += len;
+        }
+      if (fast_ && s.stepped.empty()) counters.owner_hoisted += len;
+    }
+    for (Int i = lo;; ++i) {
+      iter_[static_cast<size_t>(inner_)] = i;
+      for (Stmt& s : *stmts_) {
+        if (!s.full) {
+          if (i != lo || !fires(s)) continue;
+          policy_.gate();
+          const int q = owner(s);
+          if (policy_.owns(q)) instance(cur, s, q);
+          policy_.gate();
+          continue;
+        }
+        const int q = owner(s);
+        if (policy_.owns(q)) {
+          instance(cur, s, q);
+        } else {
+          for (Ref& r : s.refs)
+            if (r.walk) r.walker.step();
+        }
+      }
+      if (i == hi) break;
+    }
+    policy_.flush(cur);
+  }
+
+  bool fires(const Stmt& s) const {
+    for (int k = s.cs->depth; k < inner_; ++k)
+      if (at(k) != lb_[static_cast<size_t>(k)]) return false;
+    return true;
+  }
+
+  /// Innermost segment restricted to one digit's values: the restricted
+  /// fold is the same for every statement, so ownership of the whole
+  /// slice is one comparison and walkers jump between owned values.
+  [[gnu::noinline]] void restricted_segment(const Restriction& r, Int lo,
+                                            Int hi) {
+    OwnedIter oi(r.fold, r.digit, lo, hi);
+    if (oi.done()) return;
+    iter_[static_cast<size_t>(inner_)] = oi.value();
+    const int q = std::min(fold(stmts_->front().cs->owner), procs_ - 1);
+    if (!policy_.owns(q)) return;
+    for (Stmt& s : *stmts_)
+      for (Ref& ref : s.refs)
+        if (ref.walk) ref.walker.init(iter_);
+    Cursor cur = policy_.cursor();
+    while (true) {
+      for (Stmt& s : *stmts_) instance(cur, s, q);
+      const Int prev = oi.value();
+      oi.next();
+      if (oi.done()) break;
+      iter_[static_cast<size_t>(inner_)] = oi.value();
+      // The instance already stepped every walker once.
+      if (oi.value() - prev > 1)
+        for (Stmt& s : *stmts_)
+          for (Ref& ref : s.refs)
+            if (ref.walk) ref.walker.step_n(oi.value() - prev - 1);
+    }
+    policy_.flush(cur);
+  }
+
+  const core::CompiledProgram& cp_;
+  Policy& policy_;
+  const bool fast_;
+  const int procs_;
+  std::vector<std::vector<Stmt>> plans_;  ///< per nest
+  const std::vector<ir::Loop>* loops_ = nullptr;
+  std::vector<Stmt>* stmts_ = nullptr;
+  int inner_ = 0;
+  std::vector<Int> iter_, lb_, ub_, scratch_;
+  std::vector<double> vals_;
+  std::vector<const Restriction*> restrict_;
+};
+
+}  // namespace dct::runtime

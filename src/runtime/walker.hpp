@@ -13,9 +13,9 @@
 // strength reduction the paper applies to its generated SPMD code.
 //
 // A walker is built once per (nest, statement, reference) before the
-// iteration-space walk; construction fails (and the executor falls back to
-// Layout::linearize) for layouts with a non-simple dimension, so results
-// are bit-identical by construction.
+// iteration-space walk; construction fails (and the traversal kernel
+// falls back to Layout::linearize) for layouts with a non-simple
+// dimension, so results are bit-identical by construction.
 #pragma once
 
 #include <span>

@@ -432,9 +432,9 @@ OracleReport check_differential(const core::CompiledProgram& cp,
   ++rep.subjects;
 
   runtime::ExecOptions fast_o;
-  fast_o.fast_exec = 1;
+  fast_o.fast_exec = true;
   runtime::ExecOptions interp_o;
-  interp_o.fast_exec = 0;
+  interp_o.fast_exec = false;
   const runtime::RunResult fast = runtime::simulate(cp, mcfg, fast_o);
   const runtime::RunResult interp = runtime::simulate(cp, mcfg, interp_o);
 

@@ -178,7 +178,7 @@ TEST(Executor, DeadlineCancelsRunawayNest) {
   // engines, with the deadline's structured code.
   const ir::Program prog = apps::stencil5(96, 4);
   const auto cp = core::compile(prog, Mode::Full, 4);
-  for (int fast : {1, 0}) {
+  for (bool fast : {true, false}) {
     ExecOptions opts;
     opts.fast_exec = fast;
     opts.cancel = support::CancelToken::with_deadline_ms(0);  // expired

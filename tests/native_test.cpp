@@ -61,6 +61,36 @@ TEST(Native, BitIdenticalToReferenceAllAppsModesThreads) {
   }
 }
 
+TEST(Native, StatementsAndValuesMatchSimulatorInBothEngines) {
+  // Native and the simulator run the same traversal kernel under
+  // different policies: the owner filter and restricted slices must
+  // neither drop nor double-fire a statement instance (gated ones
+  // included), so every engine executes exactly the same instances.
+  const Mode modes[] = {Mode::Base, Mode::CompDecomp, Mode::Full};
+  for (const auto& [name, prog] : programs()) {
+    for (Mode mode : modes) {
+      for (int threads : {1, 2, 4}) {
+        const std::string label =
+            name + "/" + core::to_string(mode) + "/t" + std::to_string(threads);
+        const auto cp = core::compile(prog, mode, threads);
+        NativeOptions opts;
+        opts.threads = threads;
+        const NativeResult res = run_native(cp, opts);
+        for (bool fast : {true, false}) {
+          runtime::ExecOptions eo;
+          eo.fast_exec = fast;
+          const runtime::RunResult sim =
+              runtime::simulate(cp, machine::MachineConfig::dash(threads), eo);
+          EXPECT_EQ(res.statements, sim.statements)
+              << label << (fast ? " fast" : " interp");
+          expect_bit_identical(label + (fast ? " fast" : " interp"),
+                               res.values, sim.values);
+        }
+      }
+    }
+  }
+}
+
 TEST(Native, ThreadCountMustMatchCompiledProcs) {
   const auto cp = core::compile(apps::stencil5(12, 1), Mode::Base, 4);
   NativeOptions opts;

@@ -227,9 +227,9 @@ TEST(Walker, FastEngineMatchesInterpreterOnAllApps) {
     for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
       const auto cp = core::compile(prog, mode, 4);
       ExecOptions fast_opts;
-      fast_opts.fast_exec = 1;
+      fast_opts.fast_exec = true;
       ExecOptions interp_opts;
-      interp_opts.fast_exec = 0;
+      interp_opts.fast_exec = false;
       const auto fast =
           simulate(cp, machine::MachineConfig::dash(4), fast_opts);
       const auto interp =
@@ -244,7 +244,7 @@ TEST(Walker, FastEngineMatchesInterpreterOnAllApps) {
 TEST(Walker, FastEngineUsesWalkersOnTransformedLayouts) {
   const auto cp = core::compile(apps::stencil5(32, 2), Mode::Full, 8);
   ExecOptions opts;
-  opts.fast_exec = 1;
+  opts.fast_exec = true;
   const auto r = simulate(cp, machine::MachineConfig::dash(8), opts);
   EXPECT_GT(r.counters.walker_fast, 0);
   EXPECT_GT(r.counters.dir_fast, 0);
