@@ -3,7 +3,7 @@
 // model. Every application is compiled under BASE / COMP_DECOMP / FULL
 // and executed for real by src/native/ — one std::thread per compiled
 // processor, transformed array layouts, incremental address walkers,
-// std::barrier synchronization — at each requested thread count.
+// epoch-counter synchronization — at each requested thread count.
 //
 // The headline ratio is FULL time vs BASE time at the same thread count:
 // same statement schedule, different data layouts and addressing. On a

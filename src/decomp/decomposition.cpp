@@ -576,6 +576,20 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
                     LoopAssignment{});
     nd.comm_free = ev.comm == 0;
     nd.boundary_free = ev.boundary == 0;
+    // The cost model charges nothing for a written array that has no
+    // dimension in a group this nest distributes, yet every processor
+    // may then touch the same element of it.
+    for (const StmtInfo& si : info[static_cast<size_t>(j)].stmts)
+      for (const RefInfo& r : si.refs) {
+        if (!written[static_cast<size_t>(r.array)]) continue;
+        for (const int g : ev.honored) {
+          bool in_group = false;
+          for (size_t k = 0; k < r.dim_loop.size(); ++k)
+            in_group |= group_of[static_cast<size_t>(ag.node_id(
+                            r.array, static_cast<int>(k)))] == g;
+          nd.owner_pinned = nd.owner_pinned && in_group;
+        }
+      }
     nd.stmts.assign(nestpar.nest.stmts.size(), StmtMapping{});
     for (size_t s = 0; s < nd.stmts.size(); ++s) {
       nd.stmts[s].loop_for_dim.assign(
@@ -728,7 +742,7 @@ void eliminate_barriers(ProgramDecomposition& d, support::RemarkSink* rs) {
     // simulator's timing model tolerates a missing barrier either way;
     // real threads do not.
     if (a.comm_free && b.comm_free && a.boundary_free && b.boundary_free &&
-        all_doall(a) && all_doall(b)) {
+        a.owner_pinned && b.owner_pinned && all_doall(a) && all_doall(b)) {
       d.nests[static_cast<size_t>(j)].barrier_after = false;
       if (rs != nullptr) {
         support::ScopedSink nest_rs(rs, j, {});

@@ -91,6 +91,9 @@ struct NestDecomposition {
   /// No nearest-neighbour boundary reads under the honored mapping (those
   /// cross owners even when Eq. 1 holds for the owner loop).
   bool boundary_free = true;
+  /// Every reference to a written array has a dimension in each group the
+  /// nest distributes, so no two processors touch one of its elements.
+  bool owner_pinned = true;
   /// Synchronization optimization [Tseng 95]: the barrier after this nest
   /// can be dropped when the next nest's decomposition matches.
   bool barrier_after = true;

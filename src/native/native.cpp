@@ -1,8 +1,10 @@
 #include "native/native.hpp"
 
-#include <barrier>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -16,23 +18,90 @@ using core::CompiledProgram;
 
 namespace {
 
+/// Sync event number. Every thread counts the same sequence of sync events
+/// (barriers, gate arrivals and firings, doacross iterations), so "thread t
+/// posted epoch e" names the same program point on every thread.
+using Epoch = std::uint32_t;
+/// Posted by a thread that throws: satisfies every wait on it, now and
+/// later, so the survivors run to the end instead of hanging.
+constexpr Epoch kTerminal = std::numeric_limits<Epoch>::max();
+
+/// One monotonic epoch counter per thread, each on its own cache lines. A
+/// post is a release store to the poster's own counter, so the waiter's
+/// acquire load of any later epoch also sees everything the poster wrote
+/// before it. 32 bits wide so std::atomic::wait blocks on a futex of the
+/// counter itself.
+class EpochCounters {
+ public:
+  explicit EpochCounters(int threads) : slots_(static_cast<size_t>(threads)) {}
+
+  void post(int t, Epoch e) {
+    std::atomic<Epoch>& a = slots_[static_cast<size_t>(t)].epoch;
+    a.store(e, std::memory_order_release);
+    a.notify_all();
+  }
+
+  /// Returns the epoch thread t has posted once it is >= e. Spins first
+  /// (the producer usually runs on another core and is about to post),
+  /// then yields (it may be preempted), then blocks.
+  Epoch wait(int t, Epoch e) const {
+    const std::atomic<Epoch>& a = slots_[static_cast<size_t>(t)].epoch;
+    Epoch cur = a.load(std::memory_order_acquire);
+    for (int i = 0; cur < e && i < kSpins; ++i) {
+      cpu_relax();
+      cur = a.load(std::memory_order_acquire);
+    }
+    for (int i = 0; cur < e && i < kYields; ++i) {
+      std::this_thread::yield();
+      cur = a.load(std::memory_order_acquire);
+    }
+    while (cur < e) {
+      a.wait(cur, std::memory_order_acquire);
+      cur = a.load(std::memory_order_acquire);
+    }
+    return cur;
+  }
+
+ private:
+  static constexpr int kSpins = 256;
+  static constexpr int kYields = 16;
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  // Two lines: adjacent-line prefetchers pair 64-byte lines.
+  struct alignas(128) Slot {
+    std::atomic<Epoch> epoch{0};
+  };
+  std::vector<Slot> slots_;
+};
+
 /// Traversal policy of one SPMD thread: plain loads and stores into the
-/// transformed layouts, the owner filter, and the plan's barriers (after
-/// each iteration of the barrier level, around gated-statement firings).
+/// transformed layouts, the owner filter, and the plan's epoch syncs (a
+/// barrier after each iteration of the barrier level, owner posts around
+/// gated-statement firings, doacross waits and posts per segment).
 /// Unfiltered, it runs a Sequential nest whole on one thread.
 class NativePolicy {
  public:
   using Slot = double*;
   struct Cursor {};
 
-  NativePolicy(std::vector<std::vector<double>>& data, std::barrier<>& bar,
+  NativePolicy(std::vector<std::vector<double>>& data, EpochCounters& epochs,
                int T, int myid)
-      : data_(data), bar_(bar), T_(T), myid_(myid) {}
+      : data_(data), epochs_(epochs), T_(T), myid_(myid),
+        seen_(static_cast<size_t>(T), 0) {}
 
   Slot slot(const core::CompiledRef& ref) const {
     return data_[static_cast<size_t>(ref.array)].data();
   }
-  bool owns(int q) const { return !filter_ || q == myid_; }
+  bool owns(int q) {
+    if (firing_) [[unlikely]]
+      fire(q);
+    return !filter_ || q == myid_;
+  }
   static Cursor cursor() { return {}; }
   static void flush(Cursor&) {}
   static void begin(Cursor&, int, double) {}
@@ -41,50 +110,111 @@ class NativePolicy {
   static void store(Cursor&, Slot s, Int lin, double v, bool has_value) {
     if (has_value) s[lin] = v;
   }
-  static void poll() {}
-  // All threads evaluate the same firing predicate and visit the same
-  // barrier-level iterations, so these barriers are uniform.
+  /// Before each non-empty innermost segment: a doacross thread waits for
+  /// the previous block's owner to finish this iteration.
+  void poll() {
+    if (upstream_ >= 0) wait(upstream_, n_ + 1);
+  }
+  /// Called before and after each gated-statement firing; the kernel asks
+  /// owns() for the firing's owner in between. All threads evaluate the
+  /// same firing predicate and owner, so every thread counts the firing.
   void gate() {
-    if (filter_ && np_->gate_sync) sync();
+    if (!filter_ || np_->gate == GateSync::None || T_ == 1) return;
+    if (!firing_) {
+      firing_ = true;
+      if (np_->gate == GateSync::GatherPost) post(next());  // arrival
+      return;
+    }
+    firing_ = false;
+    const Epoch e = next();
+    if (owner_ == myid_)
+      post(e);
+    else
+      wait(owner_, e);
   }
   void after_iteration(int level) {
-    if (filter_ && level == np_->barrier_level) sync();
+    if (!filter_) return;
+    if (level == np_->barrier_level)
+      barrier();
+    else if (level == post_level_)
+      post(next());
   }
 
   /// Run the following nest under plan `np`, filtered by ownership or not.
   void enter(const NestPlan& np, bool filter) {
     np_ = &np;
     filter_ = filter;
-  }
-  void sync() {
-    if (T_ > 1) {
-      bar_.arrive_and_wait();
-      ++barriers;
+    upstream_ = post_level_ = -1;
+    if (filter && T_ > 1 && np.doacross.level >= 0) {
+      post_level_ = np.doacross.level - 1;
+      if (np.doacross.fold.digit_of(myid_) > 0)
+        upstream_ = myid_ - np.doacross.fold.stride;
     }
   }
+  /// Post, then wait for every other thread's post of the same epoch.
+  void barrier() {
+    if (T_ == 1) return;
+    const Epoch e = next();
+    post(e);
+    for (int t = 0; t < T_; ++t)
+      if (t != myid_) observe(t, e);
+    ++barriers;
+  }
 
-  long long barriers = 0;
+  long long barriers = 0;  ///< all-thread syncs
+  long long waits = 0;     ///< point-to-point waits
 
  private:
+  /// The firing's owner is q: with GatherPost it first waits for every
+  /// other thread's arrival (posted by gate() before the firing).
+  void fire(int q) {
+    owner_ = q;
+    if (np_->gate == GateSync::GatherPost && q == myid_)
+      for (int t = 0; t < T_; ++t)
+        if (t != myid_) wait(t, n_);
+  }
+  Epoch next() {
+    DCT_CHECK(n_ < kTerminal - 1, "native sync epoch overflow");
+    return ++n_;
+  }
+  void post(Epoch e) { epochs_.post(myid_, e); }
+  /// Thread t has passed epoch e. An epoch already observed needs no new
+  /// load: the acquire that observed it ordered everything before it.
+  void observe(int t, Epoch e) {
+    Epoch& seen = seen_[static_cast<size_t>(t)];
+    if (seen < e) seen = epochs_.wait(t, e);
+  }
+  void wait(int t, Epoch e) {
+    observe(t, e);
+    ++waits;
+  }
+
   std::vector<std::vector<double>>& data_;
-  std::barrier<>& bar_;
+  EpochCounters& epochs_;
   const int T_;
   const int myid_;
   const NestPlan* np_ = nullptr;
   bool filter_ = true;
+  Epoch n_ = 0;          ///< last sync event this thread reached
+  bool firing_ = false;  ///< between the two gate() calls of a firing
+  int owner_ = 0;        ///< owner of the current firing
+  int upstream_ = -1;    ///< doacross: thread holding the previous block
+  int post_level_ = -1;  ///< doacross: post after each iteration here
+  std::vector<Epoch> seen_;  ///< per thread: highest epoch observed
 };
 
 struct ThreadStats {
   long long statements = 0;
   long long barriers = 0;
+  long long waits = 0;
 };
 
 /// One SPMD worker: walks every nest with the owner filter (or its
 /// restricted slice), synchronizing as the plan dictates.
 ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
                        std::vector<std::vector<double>>& data,
-                       std::barrier<>& bar, int myid) {
-  NativePolicy policy(data, bar, cp.procs, myid);
+                       EpochCounters& epochs, int myid) {
+  NativePolicy policy(data, epochs, cp.procs, myid);
   runtime::Traversal<NativePolicy> kernel(cp, policy, /*fast=*/true);
   // This thread's digit of every restricted level, per nest.
   std::vector<std::vector<runtime::Restriction>> restrict(plan.nests.size());
@@ -97,20 +227,20 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
     for (size_t j = 0; j < cp.nests.size(); ++j) {
       const NestPlan& np = plan.nests[j];
       if (np.schedule == NestSchedule::Sequential) {
-        policy.sync();  // prior parallel writes visible to thread 0
+        policy.barrier();  // prior parallel writes visible to thread 0
         policy.enter(np, /*filter=*/false);
         if (myid == 0) kernel.run_nest(j);
-        policy.sync();  // thread 0's writes visible to everyone
+        policy.barrier();  // thread 0's writes visible to everyone
       } else {
         policy.enter(np, /*filter=*/true);
         kernel.run_nest(j, restrict[j]);
       }
       const bool last =
           step == prog.time_steps - 1 && j == cp.nests.size() - 1;
-      if (cp.nests[j].barrier_after || last) policy.sync();
+      if (cp.nests[j].barrier_after || last) policy.barrier();
     }
   }
-  return {kernel.statements, policy.barriers};
+  return {kernel.statements, policy.barriers, policy.waits};
 }
 
 }  // namespace
@@ -137,7 +267,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
                               });
   }
 
-  std::barrier<> bar(static_cast<std::ptrdiff_t>(T));
+  EpochCounters epochs(T);
   std::vector<ThreadStats> stats(static_cast<size_t>(T));
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -150,15 +280,15 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
       threads.emplace_back([&, myid] {
         try {
           stats[static_cast<size_t>(myid)] =
-              run_worker(cp, plan, data, bar, myid);
+              run_worker(cp, plan, data, epochs, myid);
         } catch (...) {
           {
             std::lock_guard<std::mutex> g(error_mu);
             if (!first_error) first_error = std::current_exception();
           }
-          // Permanently leave the barrier so surviving threads never
-          // block on this one; the run's results are discarded anyway.
-          bar.arrive_and_drop();
+          // Release every wait on this thread; the run's results are
+          // discarded anyway.
+          epochs.post(myid, kTerminal);
         }
       });
     }
@@ -169,7 +299,10 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
 
   NativeResult res;
   res.seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const ThreadStats& s : stats) res.statements += s.statements;
+  for (const ThreadStats& s : stats) {
+    res.statements += s.statements;
+    res.waits += s.waits;
+  }
   res.barriers = stats[0].barriers;
   res.sequential_nests = plan.sequential_nests;
   res.restricted_nests = plan.restricted_nests;

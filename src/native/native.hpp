@@ -7,8 +7,25 @@
 // (runtime/traversal.hpp: walker addressing, hoisted owners, the gated-
 // statement rule) under a native policy: plain loads and stores, the
 // `q == myid` owner filter or a restricted per-thread slice, and the
-// std::barrier synchronization placed by the native::plan classification.
-// Sequential nests run the kernel unfiltered on thread 0.
+// synchronization the native::plan classification derived from the
+// nest's dependences. Sequential nests run the kernel unfiltered on
+// thread 0.
+//
+// Synchronization uses one primitive: per-thread, cache-line-padded,
+// monotonic epoch counters. Every thread numbers the same sequence of
+// sync events, so an epoch names one program point on all threads. A post
+// is a release store of the current epoch to the thread's own counter; a
+// wait spins on an acquire load of another thread's counter, then yields,
+// then blocks in std::atomic::wait; a barrier is a post followed by a wait
+// on every counter. The plan's three sync shapes map onto it as follows:
+// a barrier after each iteration of the barrier level; after each gated
+// firing, a post by the firing's owner that every other thread waits on
+// (optionally preceded by the owner waiting for every other thread's
+// arrival); and a doacross, where each thread waits, before each
+// innermost segment, for the previous block's owner to post that
+// iteration, and posts its own after it. A thread that throws posts a
+// terminal epoch that satisfies every wait on it, so run_native rethrows
+// instead of hanging.
 //
 // The backend is an execution tier, not a model: its wall-clock time is
 // the hardware's answer to whether the Section 4 layout transformations
@@ -44,7 +61,8 @@ struct NativeResult {
   std::vector<std::vector<double>> values;
   double seconds = 0;        ///< wall-clock of the threaded region
   long long statements = 0;  ///< statement instances executed (all threads)
-  long long barriers = 0;    ///< barrier phases per thread
+  long long barriers = 0;    ///< all-thread barriers per thread
+  long long waits = 0;       ///< point-to-point waits, summed over threads
   int sequential_nests = 0;
   int parallel_nests = 0;
   int restricted_nests = 0;

@@ -14,7 +14,8 @@
 //   double load(Cursor&, const Slot&, Int lin)
 //   store(Cursor&, const Slot&, Int lin, double v, bool has_value)
 //   poll()                once per non-empty segment
-//   gate()                before and after every gated-statement firing
+//   gate()                before and after every gated-statement firing;
+//                         owns() is asked about its owner once in between
 //   after_iteration(l)    after each iteration of non-innermost loop l
 //
 // With `fast` off the kernel is the reference interpreter: every address
@@ -144,8 +145,9 @@ class OwnedIter {
 };
 
 /// One loop level walked only over the values that digit `digit` of
-/// `fold` owns. An innermost restriction requires every statement of the
-/// nest to be full-depth with one owner signature.
+/// `fold` owns. An innermost restriction requires every full-depth
+/// statement of the nest to share one owner signature, and every gated
+/// statement to be listed ahead of them.
 struct Restriction {
   int level = -1;
   core::CoordFold fold;
@@ -350,11 +352,7 @@ class Traversal {
       iter_[static_cast<size_t>(inner_)] = i;
       for (Stmt& s : *stmts_) {
         if (!s.full) {
-          if (i != lo || !fires(s)) continue;
-          policy_.gate();
-          const int q = owner(s);
-          if (policy_.owns(q)) instance(cur, s, q);
-          policy_.gate();
+          if (i == lo && fires(s)) fire(cur, s);
           continue;
         }
         const int q = owner(s);
@@ -370,6 +368,14 @@ class Traversal {
     policy_.flush(cur);
   }
 
+  /// One firing of gated statement `s`, bracketed by the policy's gates.
+  void fire(Cursor& cur, Stmt& s) {
+    policy_.gate();
+    const int q = owner(s);
+    if (policy_.owns(q)) instance(cur, s, q);
+    policy_.gate();
+  }
+
   bool fires(const Stmt& s) const {
     for (int k = s.cs->depth; k < inner_; ++k)
       if (at(k) != lb_[static_cast<size_t>(k)]) return false;
@@ -377,21 +383,39 @@ class Traversal {
   }
 
   /// Innermost segment restricted to one digit's values: the restricted
-  /// fold is the same for every statement, so ownership of the whole
-  /// slice is one comparison and walkers jump between owned values.
+  /// fold is the same for every full-depth statement, so ownership of the
+  /// whole slice is one comparison and walkers jump between owned values.
+  /// Gated statements, listed ahead of every full-depth one, fire first,
+  /// exactly as at the segment's first iteration.
   [[gnu::noinline]] void restricted_segment(const Restriction& r, Int lo,
                                             Int hi) {
+    Cursor cur = policy_.cursor();
+    iter_[static_cast<size_t>(inner_)] = lo;
+    const Stmt* lead = nullptr;
+    for (Stmt& s : *stmts_) {
+      if (s.full) {
+        if (lead == nullptr) lead = &s;
+      } else if (fires(s)) {
+        fire(cur, s);
+      }
+    }
     OwnedIter oi(r.fold, r.digit, lo, hi);
-    if (oi.done()) return;
-    iter_[static_cast<size_t>(inner_)] = oi.value();
-    const int q = std::min(fold(stmts_->front().cs->owner), procs_ - 1);
-    if (!policy_.owns(q)) return;
+    if (lead != nullptr && !oi.done()) {
+      iter_[static_cast<size_t>(inner_)] = oi.value();
+      const int q = std::min(fold(lead->cs->owner), procs_ - 1);
+      if (policy_.owns(q)) owned_slice(cur, oi, q);
+    }
+    policy_.flush(cur);
+  }
+
+  /// The full-depth instances of a restricted slice, all owned by q.
+  void owned_slice(Cursor& cur, OwnedIter& oi, int q) {
     for (Stmt& s : *stmts_)
       for (Ref& ref : s.refs)
         if (ref.walk) ref.walker.init(iter_);
-    Cursor cur = policy_.cursor();
     while (true) {
-      for (Stmt& s : *stmts_) instance(cur, s, q);
+      for (Stmt& s : *stmts_)
+        if (s.full) instance(cur, s, q);
       const Int prev = oi.value();
       oi.next();
       if (oi.done()) break;
@@ -402,7 +426,6 @@ class Traversal {
           for (Ref& ref : s.refs)
             if (ref.walk) ref.walker.step_n(oi.value() - prev - 1);
     }
-    policy_.flush(cur);
   }
 
   const core::CompiledProgram& cp_;

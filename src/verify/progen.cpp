@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/compiler.hpp"
+#include "native/native.hpp"
 #include "runtime/executor.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
@@ -156,6 +157,15 @@ std::optional<std::string> check_program(const ir::Program& prog) {
                       "(fast %.1f vs interpreter %.1f cycles)",
                       core::to_string(mode).c_str(), procs, runs[1].cycles,
                       runs[0].cycles);
+
+        // Real threads: the plan's derived barriers, owner posts, gathers
+        // and doacross waits must order every dependence.
+        native::NativeOptions nopts;
+        nopts.threads = procs;
+        if (native::run_native(cp, nopts).values != reference)
+          return strf("mode=%s procs=%d engine=native diverges from the "
+                      "sequential reference",
+                      core::to_string(mode).c_str(), procs);
       }
     }
   } catch (const Error& e) {

@@ -7,10 +7,10 @@
 // generated program is a valid input to the full compiler pipeline.
 //
 // check_program compiles the program in all three modes, executes it at
-// several processor counts under BOTH executor engines, and compares every
-// run bit-for-bit against the sequential reference (plus the static
-// oracles of verify/oracle.hpp). Any disagreement — or any crash — is a
-// finding.
+// several processor counts under BOTH executor engines and on the native
+// threaded backend, and compares every run bit-for-bit against the
+// sequential reference (plus the static oracles of verify/oracle.hpp). Any
+// disagreement — or any crash — is a finding.
 //
 // When a seed fails, shrink_program greedily drops nests, statements,
 // reads and time steps while the failure reproduces, so the reported
@@ -42,8 +42,9 @@ struct ProgenOptions {
 ir::Program generate_program(std::uint64_t seed,
                              const ProgenOptions& opts = {});
 
-/// Differential check: all 3 modes x procs {1, 3, 4} x both engines vs
-/// the sequential reference, plus the static validation oracles. Returns
+/// Differential check: all 3 modes x procs {1, 3, 4} x both engines and
+/// the native backend vs the sequential reference, plus the static
+/// validation oracles. Returns
 /// a description of the first disagreement (or crash), nullopt on full
 /// agreement.
 std::optional<std::string> check_program(const ir::Program& prog);

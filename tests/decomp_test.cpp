@@ -178,6 +178,49 @@ TEST(Decompose, BaseDistributesOutermostParallelLoop) {
   }
 }
 
+TEST(Decompose, BarrierKeptAroundUndistributedWrittenArray) {
+  // A0 stays undistributed, yet each DOALL iteration I0 writes A0(I0+1)
+  // in the first nest and reads A0(I0+3) in the second: different
+  // processors touch one element, so neither barrier may go.
+  using namespace ir;
+  ProgramBuilder pb("undistributed");
+  const int a0 = pb.array("A0", {9}, 8);
+  const int a2 = pb.array("A2", {9, 6}, 8);
+  const auto one = [](std::span<const double>) { return 1.0; };
+  {
+    LoopNest& nest = pb.nest("n0", 1);
+    nest.loops.push_back(loop("I0", cst(0), cst(4)));
+    nest.loops.push_back(loop("I1", cst(0), cst(4)));
+    Stmt s;
+    s.write = simple_ref(a2, 2, {{0, 2}, {0, 0}});
+    s.eval = one;
+    nest.stmts.push_back(std::move(s));
+    Stmt g;
+    g.depth = 1;
+    g.write = simple_ref(a0, 2, {{0, 1}});
+    g.eval = one;
+    nest.stmts.push_back(std::move(g));
+  }
+  {
+    LoopNest& nest = pb.nest("n1", 1);
+    nest.loops.push_back(loop("I0", cst(0), cst(3)));
+    nest.loops.push_back(loop("I1", cst(0), cst(2)));
+    Stmt g;
+    g.depth = 1;
+    g.write = simple_ref(a2, 2, {{0, 2}, {0, 0}});
+    g.reads = {simple_ref(a0, 2, {{0, 3}})};
+    g.eval = [](std::span<const double> r) { return r[0]; };
+    nest.stmts.push_back(std::move(g));
+  }
+  const ir::Program prog = pb.build();
+  const ProgramDecomposition d = decompose(prog);
+  EXPECT_EQ(kinds(d, prog, "A0"), (std::vector<DistKind>{DistKind::Serial}));
+  for (const auto& nd : d.nests) {
+    EXPECT_FALSE(nd.owner_pinned);
+    EXPECT_TRUE(nd.barrier_after);
+  }
+}
+
 TEST(Decompose, EquationOneHolds) {
   // Property: for comm-free nests, sampled iterations satisfy
   // D(F(i)) == G(i) on distributed dimensions for offset-free references.

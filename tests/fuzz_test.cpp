@@ -1,5 +1,6 @@
 // Differential program fuzzer (tier-1 smoke): seeded random affine
-// programs are compiled in all three modes and executed by both engines;
+// programs are compiled in all three modes and executed by both engines
+// and the native threaded backend;
 // any divergence from the sequential reference is shrunk to a minimal
 // repro and reported with its seed.
 //

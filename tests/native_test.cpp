@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "native/plan.hpp"
@@ -98,41 +101,134 @@ TEST(Native, ThreadCountMustMatchCompiledProcs) {
   EXPECT_THROW((void)run_native(cp, opts), Error);
 }
 
+TEST(Native, OversubscribedThreadsStayBitIdentical) {
+  // More threads than the host has cores: waits are preempted mid-spin
+  // and fall through to yielding and blocking, so a missing or misplaced
+  // post shows up as a wrong value instead of hiding behind lockstep.
+  const Mode modes[] = {Mode::Base, Mode::CompDecomp, Mode::Full};
+  for (const auto& [name, prog] : programs()) {
+    if (name != "lu" && name != "adi" && name != "stencil5") continue;
+    const auto want = runtime::run_reference(prog);
+    for (Mode mode : modes) {
+      for (int threads : {8, 16}) {
+        const auto cp = core::compile(prog, mode, threads);
+        NativeOptions opts;
+        opts.threads = threads;
+        expect_bit_identical(
+            name + "/" + core::to_string(mode) + "/t" + std::to_string(threads),
+            run_native(cp, opts).values, want);
+      }
+    }
+  }
+}
+
+TEST(Native, ThrowingThreadReleasesItsWaiters) {
+  // LU's divide fires on the pivot column's owner while every other
+  // thread waits on that owner's post. When the divide throws, the
+  // thrower's terminal epoch must release them: run_native rethrows the
+  // Error instead of hanging.
+  for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+    auto cp = core::compile(apps::lu(16), mode, 4);
+    ASSERT_EQ(plan_program(cp).nests[0].gate,
+              mode == Mode::Base ? GateSync::None : GateSync::Post);
+    // Divides run in k order, one k after another: call 16 is the first
+    // divide of k = 1, which the column-cyclic modes give to thread 1.
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    core::CompiledStmt& div = cp.nests[0].stmts[0];
+    ASSERT_LT(div.depth, 3);
+    div.eval = [calls, inner = div.eval](std::span<const double> r) {
+      if (calls->fetch_add(1) + 1 == 16)
+        throw Error(Error::Code::kGeneric, "divide failed");
+      return inner(r);
+    };
+    NativeOptions opts;
+    opts.threads = 4;
+    try {
+      (void)run_native(cp, opts);
+      ADD_FAILURE() << core::to_string(mode) << ": no error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("divide failed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Native, GatherOrdersReadsListedBeforeTheGatedStatement) {
+  // LU with the update listed before the divide: the first update of each
+  // row reads the multiplier before the divide overwrites it, on another
+  // column's owner, so the divide's owner must gather every thread's
+  // arrival before firing.
+  ir::Program prog = apps::lu(16);
+  std::swap(prog.nests[0].stmts[0], prog.nests[0].stmts[1]);
+  const auto want = runtime::run_reference(prog);
+  for (Mode mode : {Mode::CompDecomp, Mode::Full}) {
+    for (int threads : {2, 4}) {
+      const std::string label =
+          core::to_string(mode) + "/t" + std::to_string(threads);
+      const auto cp = core::compile(prog, mode, threads);
+      EXPECT_EQ(plan_program(cp).nests[0].gate, GateSync::GatherPost)
+          << label;
+      NativeOptions opts;
+      opts.threads = threads;
+      expect_bit_identical(label, run_native(cp, opts).values, want);
+    }
+  }
+}
+
 TEST(Native, PlanIsNotDegenerateOnDataParallelApps) {
-  // The scheduler must not hide behind the Sequential fallback for the
-  // embarrassingly parallel stencil: most nests should thread for real.
-  const auto cp = core::compile(apps::stencil5(18, 2), Mode::Full, 4);
-  const ProgramPlan pp = plan_program(cp);
-  ASSERT_FALSE(pp.nests.empty());
-  EXPECT_LT(pp.sequential_nests, static_cast<int>(pp.nests.size()));
+  // The scheduler must not hide behind the Sequential fallback: every
+  // nest of the seven Table 1 codes threads for real in every mode, LU's
+  // pivot through owner posts and the ADI/tomcatv sweeps as doacross.
+  const Mode modes[] = {Mode::Base, Mode::CompDecomp, Mode::Full};
+  for (const auto& [name, prog] : programs()) {
+    if (name == "figure1") continue;
+    for (Mode mode : modes) {
+      const ProgramPlan pp = plan_program(core::compile(prog, mode, 4));
+      ASSERT_FALSE(pp.nests.empty());
+      EXPECT_EQ(pp.sequential_nests, 0) << name << "/" << core::to_string(mode);
+    }
+  }
 }
 
 TEST(Native, RestrictedWalkMatchesFullWalk) {
   // Forcing restriction off must not change results: restriction is a
   // pruning optimization under the owner filter, never a semantic change.
-  const auto cp = core::compile(apps::stencil5(18, 2), Mode::Full, 4);
-  ProgramPlan pp = plan_program(cp);
-  int restricted_levels = 0;
-  for (const NestPlan& np : pp.nests)
-    restricted_levels += static_cast<int>(np.restrictions.size());
-  EXPECT_GT(restricted_levels, 0);
-  NativeOptions opts;
-  opts.threads = 4;
-  const NativeResult restricted = run_native(cp, pp, opts);
-  for (NestPlan& np : pp.nests) np.restrictions.clear();
-  const NativeResult full = run_native(cp, pp, opts);
-  expect_bit_identical("restricted-vs-full", restricted.values, full.values);
+  // stencil5 restricts every level, lu its innermost level around gated
+  // firings, adi the owner level of its doacross.
+  for (const auto& [name, prog] : programs()) {
+    if (name != "stencil5" && name != "lu" && name != "adi") continue;
+    for (Mode mode : {Mode::CompDecomp, Mode::Full}) {
+      const std::string label = name + "/" + core::to_string(mode);
+      const auto cp = core::compile(prog, mode, 4);
+      ProgramPlan pp = plan_program(cp);
+      int restricted_levels = 0;
+      for (const NestPlan& np : pp.nests)
+        restricted_levels += static_cast<int>(np.restrictions.size());
+      EXPECT_GT(restricted_levels, 0) << label;
+      NativeOptions opts;
+      opts.threads = 4;
+      const NativeResult restricted = run_native(cp, pp, opts);
+      for (NestPlan& np : pp.nests) np.restrictions.clear();
+      const NativeResult full = run_native(cp, pp, opts);
+      expect_bit_identical(label + " restricted-vs-full", restricted.values,
+                           full.values);
+    }
+  }
 }
 
 TEST(Native, BarriersUniformAcrossRuns) {
-  // The plan-derived barrier schedule must be deterministic: two runs of
-  // the same compiled program execute the same number of barrier phases.
+  // The plan-derived sync schedule must be deterministic: two runs of the
+  // same compiled program execute the same number of barriers and
+  // point-to-point waits.
   const auto cp = core::compile(apps::lu(16), Mode::CompDecomp, 2);
   NativeOptions opts;
   opts.threads = 2;
   const NativeResult a = run_native(cp, opts);
   const NativeResult b = run_native(cp, opts);
   EXPECT_EQ(a.barriers, b.barriers);
+  EXPECT_EQ(a.waits, b.waits);
+  EXPECT_GT(a.waits, 0);
   EXPECT_EQ(a.statements, b.statements);
 }
 
