@@ -100,7 +100,7 @@ int main() {
          {layout::AddrStrategy::Naive, layout::AddrStrategy::Hoisted,
           layout::AddrStrategy::Optimized}) {
       const auto r = runtime::simulate(
-          core::compile(prog, core::Mode::Full, 32, strat),
+          core::compile(prog, core::Mode::Full, 32, {.strategy = strat}),
           machine::MachineConfig::dash(32), eopts);
       sp[i++] = seq / r.cycles;
     }

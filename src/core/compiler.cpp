@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include <cstdlib>
-
 #include "core/pass.hpp"
 #include "linalg/int_matrix.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
-#include "verify/oracle.hpp"
 
 namespace dct::core {
 
@@ -44,17 +41,6 @@ int CoordFold::fold(Int v) const {
   return 0;
 }
 
-CompileOptions CompileOptions::from_env() {
-  CompileOptions o;
-  o.validate = verify::validate_enabled();
-  o.native_check = verify::native_check_enabled();
-  o.decomp.debug = std::getenv("DCT_DEBUG_DECOMP") != nullptr;
-  const support::TraceOptions to = support::TraceOptions::from_env();
-  o.trace = to.enabled;
-  o.trace_path = to.path;
-  return o;
-}
-
 namespace {
 
 CompiledProgram run_pipeline(const PassManager& pm, CompilationState st,
@@ -67,7 +53,7 @@ CompiledProgram run_pipeline(const PassManager& pm, CompilationState st,
         st.cp.trace.json({{"unit", st.cp.program.name},
                           {"mode", to_string(st.cp.mode)},
                           {"procs", strf("%d", st.cp.procs)}}),
-        support::TraceOptions{true, opts.trace_path});
+        opts.trace_path);
   return std::move(st.cp);
 }
 
@@ -84,13 +70,6 @@ CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
   return run_pipeline(build_pipeline(mode, opts), std::move(st), opts);
 }
 
-CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
-                        layout::AddrStrategy strategy) {
-  CompileOptions opts = CompileOptions::from_env();
-  opts.strategy = strategy;
-  return compile(prog, mode, procs, opts);
-}
-
 CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            decomp::ProgramDecomposition dec,
                                            Mode mode, int procs,
@@ -104,15 +83,6 @@ CompiledProgram compile_with_decomposition(const ir::Program& prog,
   st.cp.dec = std::move(dec);
   return run_pipeline(build_lowering_pipeline(mode, opts), std::move(st),
                       opts);
-}
-
-CompiledProgram compile_with_decomposition(const ir::Program& prog,
-                                           decomp::ProgramDecomposition dec,
-                                           Mode mode, int procs,
-                                           layout::AddrStrategy strategy) {
-  CompileOptions opts = CompileOptions::from_env();
-  opts.strategy = strategy;
-  return compile_with_decomposition(prog, std::move(dec), mode, procs, opts);
 }
 
 std::string CompiledProgram::report() const {

@@ -28,28 +28,22 @@ using linalg::Int;
 enum class Mode { Base, CompDecomp, Full };
 std::string to_string(Mode mode);
 
-/// Explicit per-compilation configuration. Historically the pipeline read
-/// environment variables (DCT_VALIDATE, DCT_NATIVE, DCT_DEBUG_DECOMP,
-/// DCT_TRACE) mid-flight; that is process-global state, so two concurrent
-/// compilations could not hold different settings and raced with setenv.
-/// All of it now travels here. The legacy compile() overloads snapshot the
-/// environment once at compile entry (from_env), preserving the env-driven
-/// behavior for batch tools; long-lived callers (the dctd service) resolve
-/// one snapshot at startup and pass it explicitly with every request.
+/// Explicit per-compilation configuration: everything the pipeline
+/// consults besides the program, the mode and the processor count. The
+/// library reads no environment variables; a binary that wants an
+/// environment knob reads it in its own main() and sets the field here.
+/// Nothing is process-global, so concurrent compilations may each hold
+/// different options.
 struct CompileOptions {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
-  decomp::DecompOptions decomp;
+  decomp::DecompOptions decomp{};
   /// Append the verify pass (src/verify static oracles) to the pipeline.
   bool validate = false;
   /// Verify pass also differential-tests the native threaded backend.
   bool native_check = false;
   /// Emit the pipeline trace as one JSON line after the compile.
   bool trace = false;
-  std::string trace_path;  ///< empty = stderr
-
-  /// Fresh snapshot of DCT_VALIDATE / DCT_NATIVE / DCT_DEBUG_DECOMP /
-  /// DCT_TRACE. Read once per call; nothing downstream touches getenv.
-  static CompileOptions from_env();
+  std::string trace_path{};  ///< empty = stderr
 };
 
 /// Folding of one virtual processor dimension onto physical ranks.
@@ -125,7 +119,8 @@ struct CompiledProgram {
   std::vector<CompiledArray> arrays;
   std::vector<CompiledNest> nests;
   /// Structured pipeline trace: per-pass wall time, remarks and decision
-  /// counters (see support/remark.hpp; DCT_TRACE=1 prints it as JSON).
+  /// counters (see support/remark.hpp; CompileOptions::trace prints it as
+  /// JSON).
   support::PipelineTrace trace;
 
   std::string report() const;  ///< human-readable compilation summary
@@ -139,13 +134,7 @@ struct CompiledProgram {
 /// Reentrant: everything the pipeline consults lives in `opts` (or the
 /// arguments), so any number of compilations may run concurrently.
 CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
-                        const CompileOptions& opts);
-
-/// Legacy entry point: snapshots the environment knobs at call time
-/// (CompileOptions::from_env) and overrides the address strategy.
-CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
-                        layout::AddrStrategy strategy =
-                            layout::AddrStrategy::Optimized);
+                        const CompileOptions& opts = {});
 
 /// Compile with an externally supplied decomposition (ablation studies,
 /// HPF-directed decompositions): layouts, folds and schedules are derived
@@ -154,11 +143,6 @@ CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
 CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            decomp::ProgramDecomposition dec,
                                            Mode mode, int procs,
-                                           const CompileOptions& opts);
-
-CompiledProgram compile_with_decomposition(
-    const ir::Program& prog, decomp::ProgramDecomposition dec, Mode mode,
-    int procs,
-    layout::AddrStrategy strategy = layout::AddrStrategy::Optimized);
+                                           const CompileOptions& opts = {});
 
 }  // namespace dct::core

@@ -6,11 +6,9 @@
 #include <utility>
 
 #include "support/diagnostics.hpp"
-#include "support/env.hpp"
 #include "support/parallel.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
-#include "verify/oracle.hpp"
 
 namespace dct::core {
 
@@ -60,11 +58,9 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   // Sweep-wide cooperative deadline: the executor polls this token at
   // segment granularity, and the thread pool stops dispatching new cells
   // once it trips.
-  double dl_ms = opts.deadline_ms;
-  if (dl_ms < 0)
-    dl_ms = static_cast<double>(env_int("DCT_DEADLINE_MS", 0));
   support::CancelToken cancel;
-  if (dl_ms > 0) cancel = support::CancelToken::with_deadline_ms(dl_ms);
+  if (opts.deadline_ms > 0)
+    cancel = support::CancelToken::with_deadline_ms(opts.deadline_ms);
 
   // Every sweep point — the sequential baseline, the per-mode verification
   // runs and the (mode, P) grid — is an independent compile + simulation,
@@ -87,12 +83,7 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   const std::vector<std::vector<double>> reference =
       opts.verify ? runtime::run_reference(prog)
                   : std::vector<std::vector<double>>{};
-  // One environment snapshot for the whole sweep: every cell compiles with
-  // the same explicit options, so cells racing on a thread pool can never
-  // observe a mid-sweep setenv (and passes never touch getenv themselves).
-  CompileOptions copts = CompileOptions::from_env();
-  copts.strategy = opts.strategy;
-  const bool validate = copts.validate;
+  const CompileOptions copts{.strategy = opts.strategy};
 
   // Crash boundary around one cell: any failure of any attempt becomes a
   // CellFailure record; the sweep itself always completes.
@@ -118,21 +109,10 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
     runtime::RunResult rr =
         runtime::simulate(cp, machine::MachineConfig::dash(t.procs), eopts);
     trace.merge(rr.trace);
-    if (t.verify) {
-      if (rr.values != reference)
-        throw Error(Error::Code::kOracleViolation,
-                    prog.name + ": transformed program changed results")
-            .with_context("verify cell");
-      if (validate) {
-        // DCT_VALIDATE=1: the verify cells additionally cross-check the
-        // two executor engines against each other and the reference.
-        const verify::OracleReport rep = verify::check_differential(
-            cp, machine::MachineConfig::dash(t.procs));
-        if (!rep.ok())
-          throw Error(Error::Code::kOracleViolation, rep.to_string())
-              .with_context("differential oracle");
-      }
-    }
+    if (t.verify && rr.values != reference)
+      throw Error(Error::Code::kOracleViolation,
+                  prog.name + ": transformed program changed results")
+          .with_context("verify cell");
     return {std::move(rr), std::move(trace)};
   };
 
@@ -254,13 +234,6 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
     out.mem_at_max.push_back(last.mem);
     out.raw_at_max.push_back(std::move(last));
   }
-
-  if (support::trace_enabled())
-    support::emit_trace(out.trace.json(
-        {{"unit", prog.name},
-         {"kind", "sweep"},
-         {"points", strf("%d", static_cast<int>(tasks.size()))},
-         {"failures", strf("%d", static_cast<int>(out.failures.size()))}}));
   return out;
 }
 

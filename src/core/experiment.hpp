@@ -5,7 +5,7 @@
 //
 // The sweep is fault-isolated: every (mode, P) cell runs inside a crash
 // boundary with a configurable retry budget and a cooperative wall-clock
-// deadline (DCT_DEADLINE_MS). A cell that keeps failing becomes a
+// deadline (SweepOptions::deadline_ms). A cell that keeps failing becomes a
 // structured CellFailure record — it never takes the sweep down — and the
 // optimized modes degrade down the mode chain (Full -> CompDecomp ->
 // Base) before giving up, recording a `degraded` remark when a fallback
@@ -30,17 +30,17 @@ struct SweepOptions {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
   bool verify = true;  ///< check bit-exact semantics on the smallest run
   /// Worker threads for the sweep points: 0 = support::default_threads()
-  /// (hardware_concurrency, or the DCT_THREADS env), 1 = serial. Results
-  /// are byte-identical regardless of the thread count.
+  /// (hardware_concurrency), 1 = serial. Results are byte-identical
+  /// regardless of the thread count.
   int threads = 0;
   /// Extra attempts per cell after a transient failure (unsupported
   /// configs, oracle violations and deadline trips are never retried).
   int retries = 0;
-  /// Wall-clock budget for the whole sweep in milliseconds. < 0 reads the
-  /// DCT_DEADLINE_MS environment variable; 0 disables the deadline. On
-  /// expiry, running simulations stop at their next cancellation poll and
-  /// cells not yet started are recorded as cancelled.
-  double deadline_ms = -1;
+  /// Wall-clock budget for the whole sweep in milliseconds; 0 disables the
+  /// deadline. On expiry, running simulations stop at their next
+  /// cancellation poll and cells not yet started are recorded as
+  /// cancelled.
+  double deadline_ms = 0;
   /// Test seam: called at the start of every cell attempt (before the
   /// compile). A throw is handled exactly like a pass or simulator fault
   /// — fault-injection tests use this to exercise the crash boundary.

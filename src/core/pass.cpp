@@ -344,7 +344,7 @@ class AddrStrategyPass final : public Pass {
 };
 
 // ---------------------------------------------------------------------------
-// verify — static validation oracles (src/verify/), DCT_VALIDATE=1
+// verify — static validation oracles (src/verify/), opts.validate
 // ---------------------------------------------------------------------------
 
 class VerifyPass final : public Pass {
@@ -422,10 +422,6 @@ PassManager build_pipeline(Mode mode, const CompileOptions& opts) {
   return pm;
 }
 
-PassManager build_pipeline(Mode mode) {
-  return build_pipeline(mode, CompileOptions::from_env());
-}
-
 PassManager build_lowering_pipeline(Mode mode, const CompileOptions& opts) {
   PassManager pm;
   pm.add(make_layout_pass(mode == Mode::Full));
@@ -433,10 +429,6 @@ PassManager build_lowering_pipeline(Mode mode, const CompileOptions& opts) {
   pm.add(make_addr_strategy_pass());
   if (opts.validate) pm.add(make_verify_pass(opts.native_check));
   return pm;
-}
-
-PassManager build_lowering_pipeline(Mode mode) {
-  return build_lowering_pipeline(mode, CompileOptions::from_env());
 }
 
 }  // namespace dct::core

@@ -57,18 +57,16 @@ class PassManager {
 ///               layout(keep), lower, addr-strategy
 ///   Full:       as CompDecomp with layout(restructure)
 /// With opts.validate every pipeline additionally ends in the `verify`
-/// pass (the static oracles of src/verify/oracle.hpp). No pass built here
-/// consults the environment — everything is captured from `opts`, so
-/// pipelines for concurrent compilations are independent.
-PassManager build_pipeline(Mode mode, const CompileOptions& opts);
-/// Legacy: snapshots the environment knobs (CompileOptions::from_env).
-PassManager build_pipeline(Mode mode);
+/// pass (the static oracles of src/verify/oracle.hpp). Everything a pass
+/// consults is captured from `opts`, so pipelines for concurrent
+/// compilations are independent.
+PassManager build_pipeline(Mode mode, const CompileOptions& opts = {});
 
 /// The lowering tail used when the decomposition is supplied by the caller
 /// (ablation studies, HPF-directed decompositions): layout onward. `mode`
 /// selects layout restructuring (Full) and the Base owner model.
-PassManager build_lowering_pipeline(Mode mode, const CompileOptions& opts);
-PassManager build_lowering_pipeline(Mode mode);
+PassManager build_lowering_pipeline(Mode mode,
+                                    const CompileOptions& opts = {});
 
 // Individual pass factories — tests and tools compose custom pipelines.
 std::unique_ptr<Pass> make_parallelize_pass();

@@ -494,18 +494,6 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
   // while the global cost estimate improves) ---
   std::vector<bool> active(static_cast<size_t>(ngroups), false);
   double cur = score_state(active);
-  if (opts.debug) {
-    fprintf(stderr, "[decomp] %s: %d groups, base score %.3g\n",
-            prog.name.c_str(), ngroups, cur);
-    for (int g = 0; g < ngroups; ++g) {
-      std::vector<bool> t(static_cast<size_t>(ngroups), false);
-      t[static_cast<size_t>(g)] = true;
-      fprintf(stderr, "[decomp]   group %d (node %d, arr %d dim %d): %.3g\n",
-              g, groups[static_cast<size_t>(g)],
-              ag.array_of(groups[static_cast<size_t>(g)]),
-              ag.dim_of(groups[static_cast<size_t>(g)]), score_state(t));
-    }
-  }
   bool improved = true;
   while (improved) {
     improved = false;

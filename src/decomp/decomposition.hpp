@@ -128,11 +128,6 @@ struct DecompOptions {
   int max_proc_dims = 2;  ///< virtual processor space rank limit
   int procs = 32;         ///< reference machine size for the cost model
   Int block_cyclic_block = 8;
-  /// Dump group-selection scoring to stderr. Threaded explicitly (not read
-  /// from DCT_DEBUG_DECOMP mid-pipeline) so concurrent compilations with
-  /// different settings cannot race on process state; the env var is
-  /// resolved once per compile entry by core::CompileOptions::from_env().
-  bool debug = false;
 };
 
 /// The paper's full global algorithm (Section 3): parallelizes every nest,

@@ -34,9 +34,10 @@
 // initialization, same owner-computes schedule, dependence-ordered
 // evaluation).
 //
-// Env knobs (read by callers, not here): DCT_NATIVE enables the native
-// differential check in the verify pass, DCT_NATIVE_THREADS sets the
-// thread count used by tools that compile specifically for this backend.
+// Configuration is explicit: core::CompileOptions::native_check makes the
+// verify pass run this backend as a differential oracle, and
+// bench_native's main() reads DCT_NATIVE_THREADS for the thread counts it
+// compiles for. Nothing here reads the environment.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,6 @@
 #include "machine/machine.hpp"
 #include "native/native.hpp"
 #include "runtime/executor.hpp"
-#include "support/env.hpp"
 #include "support/str.hpp"
 #include "verify/oracle.hpp"
 
@@ -56,19 +55,6 @@ std::optional<core::Mode> parse_mode(const std::string& s) {
   if (s == "comp_decomp" || s == "compdecomp") return core::Mode::CompDecomp;
   if (s == "full" || s.empty()) return core::Mode::Full;
   return std::nullopt;
-}
-
-ServerOptions ServerOptions::from_env() {
-  ServerOptions o;
-  o.workers = static_cast<int>(env_int("DCT_SERVICE_WORKERS", 2));
-  o.queue_cap =
-      static_cast<std::size_t>(env_int("DCT_SERVICE_QUEUE_CAP", 64));
-  o.cache_cap =
-      static_cast<std::size_t>(env_int("DCT_SERVICE_CACHE_CAP", 32));
-  o.default_deadline_ms =
-      static_cast<double>(env_int("DCT_SERVICE_DEADLINE_MS", 0));
-  o.compile = core::CompileOptions::from_env();
-  return o;
 }
 
 ir::Program build_app(const std::string& name, linalg::Int size, int steps) {

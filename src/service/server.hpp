@@ -88,16 +88,13 @@ struct ServerOptions {
   std::size_t queue_cap = 64;   ///< submit() blocks beyond this depth
   std::size_t cache_cap = 32;   ///< CompileCache capacity (entries)
   double default_deadline_ms = 0;  ///< 0 = requests have no deadline
-  /// Compilation knobs shared by every request — resolved ONCE (typically
-  /// from the environment at process startup) and threaded explicitly;
-  /// workers never consult getenv.
+  /// Compilation knobs shared by every request, threaded explicitly into
+  /// each compile.
   core::CompileOptions compile;
   /// Run the static validation oracles on every Nth cache hit (0 = never):
   /// cheap continuous self-checking that a cached artifact still satisfies
   /// its invariants.
   int spot_check_every = 16;
-
-  static ServerOptions from_env();
 };
 
 /// Build a registered application program. Throws Error(kInvalidArgument)

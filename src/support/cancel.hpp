@@ -4,8 +4,8 @@
 // inert (never cancels, no allocation), so code paths that thread a token
 // through pay nothing unless the caller opted in. Tokens cancel either
 // explicitly (cancel()) or by a wall-clock deadline (with_deadline_ms);
-// the experiment harness builds one per sweep from DCT_DEADLINE_MS and
-// polls it in the executor's segment loops — a tripped deadline stops
+// the experiment harness builds one per sweep from
+// SweepOptions::deadline_ms and polls it in the executor's segment loops — a tripped deadline stops
 // both running simulations and the queuing of new sweep cells.
 #pragma once
 

@@ -28,7 +28,7 @@ class Error : public std::runtime_error {
                          ///< (recorded as a skipped cell, not a failure)
     kOracleViolation,    ///< a validation oracle found wrong results
     kCancelled,          ///< cooperative cancellation tripped
-    kDeadlineExceeded,   ///< DCT_DEADLINE_MS budget exhausted
+    kDeadlineExceeded,   ///< wall-clock deadline budget exhausted
     kFault,              ///< foreign exception caught at a crash boundary
   };
 

@@ -1,4 +1,6 @@
-// Environment-variable configuration used by the benchmark harnesses.
+// Environment-variable readers for binaries' main() functions (the benches
+// and the fuzz harness). The library itself reads no environment: every
+// option reaches it explicitly through its options structs.
 #pragma once
 
 #include <string>

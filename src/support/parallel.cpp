@@ -3,13 +3,9 @@
 #include <atomic>
 #include <thread>
 
-#include "support/env.hpp"
-
 namespace dct::support {
 
 int default_threads() {
-  const long env = env_int("DCT_THREADS", 0);
-  if (env > 0) return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

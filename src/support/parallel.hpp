@@ -10,9 +10,8 @@
 
 namespace dct::support {
 
-/// Worker count to use when the caller does not specify one: the
-/// DCT_THREADS environment variable when set, otherwise
-/// std::thread::hardware_concurrency().
+/// Worker count to use when the caller does not specify one:
+/// std::thread::hardware_concurrency() (1 when unknown).
 int default_threads();
 
 /// Outcome of a parallel_for_collect run: one slot per index.

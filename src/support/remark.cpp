@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
@@ -148,31 +147,15 @@ void RemarkEngine::count(const std::string& counter, long delta) {
   current().counters[counter] += delta;
 }
 
-TraceOptions TraceOptions::from_env() {
-  TraceOptions to;
-  const char* v = std::getenv("DCT_TRACE");
-  if (v == nullptr || *v == '\0' || std::string(v) == "0") return to;
-  to.enabled = true;
-  if (std::string(v) != "1") to.path = v;
-  return to;
-}
-
-bool trace_enabled() { return TraceOptions::from_env().enabled; }
-
-void emit_trace(const std::string& json_line) {
-  emit_trace(json_line, TraceOptions::from_env());
-}
-
-void emit_trace(const std::string& json_line, const TraceOptions& to) {
-  if (!to.enabled) return;
-  // Serialize emission: a parallel sweep traces from many threads.
+void emit_trace(const std::string& json_line, const std::string& path) {
+  // Serialize emission: concurrent compilations trace from many threads.
   static std::mutex mu;
   const std::lock_guard<std::mutex> lock(mu);
-  if (to.path.empty()) {
+  if (path.empty()) {
     std::fprintf(stderr, "%s\n", json_line.c_str());
     return;
   }
-  if (std::FILE* f = std::fopen(to.path.c_str(), "a")) {
+  if (std::FILE* f = std::fopen(path.c_str(), "a")) {
     std::fprintf(f, "%s\n", json_line.c_str());
     std::fclose(f);
   } else {

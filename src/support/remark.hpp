@@ -7,10 +7,9 @@
 // with the CompiledProgram so the experiment harness can aggregate traces
 // across a whole sweep.
 //
-// Tracing is controlled by the DCT_TRACE environment variable:
-//   unset / "0"  — off (remarks are still collected, just not printed)
-//   "1"          — every compilation emits a JSON report to stderr
-//   anything else — treated as a file path; reports are appended to it
+// Printing is per compilation (core::CompileOptions::trace and
+// trace_path): off by default, remarks are still collected; when on, the
+// compilation emits one JSON report to stderr or appends it to a file.
 #pragma once
 
 #include <map>
@@ -120,25 +119,10 @@ class RemarkEngine final : public RemarkSink {
   double start_ms_ = 0;
 };
 
-/// Explicit trace destination, so concurrent compilations can carry their
-/// own configuration instead of each re-reading DCT_TRACE mid-flight (the
-/// service resolves one snapshot at startup and threads it through every
-/// request's CompileOptions).
-struct TraceOptions {
-  bool enabled = false;
-  std::string path;  ///< empty = stderr
-
-  /// Snapshot of the DCT_TRACE environment variable (see file header).
-  static TraceOptions from_env();
-};
-
-/// True when DCT_TRACE requests report emission.
-bool trace_enabled();
-/// Emit one JSON report line to the DCT_TRACE destination (stderr or file).
-void emit_trace(const std::string& json_line);
-/// Emit one JSON report line to an explicit destination. Emission is
-/// serialized process-wide regardless of destination.
-void emit_trace(const std::string& json_line, const TraceOptions& to);
+/// Emit one JSON report line, appended to the file at `path` (stderr when
+/// `path` is empty or cannot be opened). Emission is serialized
+/// process-wide regardless of destination.
+void emit_trace(const std::string& json_line, const std::string& path);
 
 /// JSON string escaping (exposed for tests).
 std::string json_escape(const std::string& s);

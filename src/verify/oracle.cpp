@@ -9,7 +9,6 @@
 #include "native/native.hpp"
 #include "runtime/executor.hpp"
 #include "support/diagnostics.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
 
@@ -555,9 +554,5 @@ ValidationReport validate_run(const core::CompiledProgram& cp,
   rep.oracles.push_back(check_differential(cp, mcfg, opts));
   return rep;
 }
-
-bool validate_enabled() { return env_int("DCT_VALIDATE", 0) != 0; }
-
-bool native_check_enabled() { return env_int("DCT_NATIVE", 0) != 0; }
 
 }  // namespace dct::verify

@@ -2,7 +2,8 @@
 // paper's correctness argument rests on.
 //
 // Four oracles, each independent and sampling-based so they stay cheap
-// enough to run inside CI sweeps (DCT_VALIDATE=1):
+// enough to run inside every compile of a test sweep
+// (CompileOptions::validate):
 //
 //  * equation-1: the no-communication condition D_x(F_jx(i)) = G_j(i)
 //    (paper Equation 1). For every communication-free nest, sampled
@@ -31,7 +32,7 @@
 // validate_compiled() runs the three static oracles; validate_run() adds
 // the differential cross-check. The verify pass (core::make_verify_pass)
 // runs the static oracles at the tail of the pass pipeline when
-// DCT_VALIDATE=1.
+// CompileOptions::validate is set.
 #pragma once
 
 #include <string>
@@ -79,7 +80,8 @@ OracleReport check_differential(const core::CompiledProgram& cp,
                                 const OracleOptions& opts = {});
 /// Runs the native threaded backend at cp.procs hardware threads and
 /// demands bit-identical array results against the sequential reference.
-/// The verify pass adds this oracle when DCT_NATIVE=1.
+/// The verify pass adds this oracle when CompileOptions::native_check is
+/// set.
 OracleReport check_native(const core::CompiledProgram& cp,
                           const OracleOptions& opts = {});
 
@@ -109,12 +111,5 @@ ValidationReport validate_compiled(const core::CompiledProgram& cp,
 ValidationReport validate_run(const core::CompiledProgram& cp,
                               const machine::MachineConfig& mcfg,
                               const OracleOptions& opts = {});
-
-/// True when the DCT_VALIDATE environment variable requests validation.
-bool validate_enabled();
-
-/// True when DCT_NATIVE asks the verify pass to differential-test the
-/// native threaded backend as well.
-bool native_check_enabled();
 
 }  // namespace dct::verify

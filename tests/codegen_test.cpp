@@ -28,15 +28,16 @@ TEST(Codegen, FullModeRestructuredArray) {
 
 TEST(Codegen, NaiveStrategySpellsModDiv) {
   const auto cp = core::compile(apps::lu(32), core::Mode::Full, 4,
-                                layout::AddrStrategy::Naive);
+                                {.strategy = layout::AddrStrategy::Naive});
   const std::string code = emit_program(cp);
   EXPECT_NE(code.find("%"), std::string::npos);
   EXPECT_NE(code.find("/4"), std::string::npos);
 }
 
 TEST(Codegen, OptimizedStrategyUsesCounters) {
-  const auto cp = core::compile(apps::lu(32), core::Mode::Full, 4,
-                                layout::AddrStrategy::Optimized);
+  const auto cp =
+      core::compile(apps::lu(32), core::Mode::Full, 4,
+                    {.strategy = layout::AddrStrategy::Optimized});
   const std::string code = emit_program(cp);
   // Strength-reduced counters replace the mod/div on the hot path.
   EXPECT_NE(code.find("_c"), std::string::npos);

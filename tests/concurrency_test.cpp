@@ -1,13 +1,11 @@
 // Concurrency regression tests, written to run under ThreadSanitizer
-// (the build-tsan CI job builds with -fsanitize=thread and runs exactly
-// this binary plus the service tests).
+// (the build-tsan CI job builds with -fsanitize=thread and runs this
+// binary among others).
 //
-// Historically the pipeline consulted process-global state mid-compile
-// (getenv for DCT_TRACE / DCT_VALIDATE / DCT_DEBUG_DECOMP), so two
-// concurrent compilations with different settings raced. These tests pin
-// the fix: every knob travels in CompileOptions, so concurrent compiles
-// with *different* options — tracing to different sinks included — are
-// clean, and the serving cache keeps its invariants under a thread storm.
+// The pipeline consults no process-global state: every knob travels in
+// CompileOptions, so concurrent compiles with *different* options —
+// tracing to different sinks included — are clean, and the serving cache
+// keeps its invariants under a thread storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -83,8 +81,8 @@ TEST(Concurrency, ConcurrentTracedCompiles) {
   std::remove(path_b.c_str());
 }
 
-// Concurrent compiles with *different* debug/validate settings: proves no
-// hidden process-global knob is consulted mid-pipeline.
+// Concurrent compiles with *different* validate/native-check settings:
+// proves no hidden process-global knob is consulted mid-pipeline.
 TEST(Concurrency, MixedOptionCompiles) {
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -92,7 +90,7 @@ TEST(Concurrency, MixedOptionCompiles) {
     threads.emplace_back([t, &failures] {
       core::CompileOptions opts;
       opts.validate = (t % 2 == 0);
-      opts.decomp.debug = false;
+      opts.native_check = (t == 0);  // native threads inside one compile
       try {
         for (int i = 0; i < 3; ++i)
           (void)core::compile(apps::stencil5(16, 2),

@@ -213,12 +213,14 @@ TEST(Executor, ExplicitCancellationStopsSimulation) {
 
 TEST(Executor, AddressStrategyChangesTimeNotValues) {
   const ir::Program prog = apps::lu(24);
-  const auto naive = simulate(
-      core::compile(prog, Mode::Full, 4, layout::AddrStrategy::Naive),
-      machine::MachineConfig::dash(4));
-  const auto opt = simulate(
-      core::compile(prog, Mode::Full, 4, layout::AddrStrategy::Optimized),
-      machine::MachineConfig::dash(4));
+  const auto naive =
+      simulate(core::compile(prog, Mode::Full, 4,
+                             {.strategy = layout::AddrStrategy::Naive}),
+               machine::MachineConfig::dash(4));
+  const auto opt =
+      simulate(core::compile(prog, Mode::Full, 4,
+                             {.strategy = layout::AddrStrategy::Optimized}),
+               machine::MachineConfig::dash(4));
   EXPECT_EQ(naive.values, opt.values);
   EXPECT_GT(naive.cycles, opt.cycles);  // Section 4.3: overhead matters
 }

@@ -1,7 +1,8 @@
 // Tests for the pass-pipeline refactor: the pass lists behind each mode,
 // equivalence of hand-composed pipelines with compile(), the structured
-// trace (remarks, counters, wall time, JSON emission via DCT_TRACE) and
-// the determinism of the multi-threaded experiment sweep.
+// trace (remarks, counters, wall time, JSON emission via
+// CompileOptions::trace), the determinism of the multi-threaded experiment
+// sweep, and that the library ignores the environment.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +16,6 @@
 #include "core/pass.hpp"
 #include "runtime/executor.hpp"
 #include "support/remark.hpp"
-#include "verify/oracle.hpp"
 
 namespace dct {
 namespace {
@@ -23,30 +23,34 @@ namespace {
 using core::Mode;
 
 TEST(Pipeline, ModePassLists) {
-  // With DCT_VALIDATE=1 every pipeline additionally ends in `verify`.
-  auto with_verify = [](std::vector<std::string> names) {
-    if (verify::validate_enabled()) names.push_back("verify");
-    return names;
-  };
+  // With opts.validate every pipeline additionally ends in `verify`.
+  for (const bool validate : {false, true}) {
+    const core::CompileOptions opts{.validate = validate};
+    auto with_verify = [&](std::vector<std::string> names) {
+      if (validate) names.push_back("verify");
+      return names;
+    };
 
-  const auto base = core::build_pipeline(Mode::Base).pass_names();
-  const auto want_base = with_verify(
-      {"parallelize", "decompose-base", "layout", "lower", "addr-strategy"});
-  EXPECT_EQ(base, want_base);
+    const auto base = core::build_pipeline(Mode::Base, opts).pass_names();
+    const auto want_base = with_verify(
+        {"parallelize", "decompose-base", "layout", "lower", "addr-strategy"});
+    EXPECT_EQ(base, want_base);
 
-  const auto cd = core::build_pipeline(Mode::CompDecomp).pass_names();
-  const auto want_cd = with_verify({"parallelize", "decompose", "fold-select",
-                                    "barrier-elim", "layout", "lower",
-                                    "addr-strategy"});
-  EXPECT_EQ(cd, want_cd);
+    const auto cd = core::build_pipeline(Mode::CompDecomp, opts).pass_names();
+    const auto want_cd = with_verify({"parallelize", "decompose",
+                                      "fold-select", "barrier-elim", "layout",
+                                      "lower", "addr-strategy"});
+    EXPECT_EQ(cd, want_cd);
 
-  // Full is CompDecomp's list — restructuring is pass configuration, not
-  // an extra stage.
-  EXPECT_EQ(core::build_pipeline(Mode::Full).pass_names(), want_cd);
+    // Full is CompDecomp's list — restructuring is pass configuration,
+    // not an extra stage.
+    EXPECT_EQ(core::build_pipeline(Mode::Full, opts).pass_names(), want_cd);
 
-  const auto tail = core::build_lowering_pipeline(Mode::Full).pass_names();
-  const auto want_tail = with_verify({"layout", "lower", "addr-strategy"});
-  EXPECT_EQ(tail, want_tail);
+    const auto tail =
+        core::build_lowering_pipeline(Mode::Full, opts).pass_names();
+    const auto want_tail = with_verify({"layout", "lower", "addr-strategy"});
+    EXPECT_EQ(tail, want_tail);
+  }
 }
 
 TEST(Pipeline, ManualCompositionMatchesCompile) {
@@ -83,7 +87,7 @@ TEST(Pipeline, SuppliedDecompositionMatchesCompile) {
     const ir::Program prog = apps::lu(16);
     const core::CompiledProgram direct = core::compile(prog, mode, 4);
     const core::CompiledProgram via = core::compile_with_decomposition(
-        prog, decomp::decompose(prog), mode, 4);
+        prog, decomp::decompose(prog), mode, 4, {.validate = true});
     if (mode != Mode::Base) {  // Base's own analysis differs from decompose()
       EXPECT_EQ(via.report(), direct.report());
     }
@@ -153,12 +157,11 @@ TEST(Pipeline, JsonEscaping) {
   EXPECT_EQ(support::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(Pipeline, DctTraceWritesReportFile) {
+TEST(Pipeline, TracePathWritesReportFile) {
   const std::string path = ::testing::TempDir() + "dct_trace_test.jsonl";
   std::remove(path.c_str());
-  ASSERT_EQ(setenv("DCT_TRACE", path.c_str(), 1), 0);
-  core::compile(apps::figure1(20, 2), Mode::CompDecomp, 4);
-  ASSERT_EQ(unsetenv("DCT_TRACE"), 0);
+  core::compile(apps::figure1(20, 2), Mode::CompDecomp, 4,
+                {.trace = true, .trace_path = path});
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << path;
@@ -196,6 +199,56 @@ TEST(Pipeline, ParallelSweepIsDeterministic) {
   bool saw_lower = false;
   for (const auto& p : b.trace.passes) saw_lower |= p.name == "lower";
   EXPECT_TRUE(saw_lower);
+}
+
+// The library reads no environment variables: configuration enters only
+// through the options structs, so none of these settings may change a
+// pass list, emit a trace or cancel a sweep cell.
+TEST(Pipeline, LibraryIgnoresEnvironment) {
+  const std::string trace_path =
+      ::testing::TempDir() + "dct_ignored_trace.jsonl";
+  std::remove(trace_path.c_str());
+  const std::vector<std::pair<const char*, std::string>> knobs = {
+      {"DCT_VALIDATE", "1"}, {"DCT_NATIVE", "1"},
+      {"DCT_TRACE", trace_path}, {"DCT_THREADS", "1"},
+      {"DCT_DEADLINE_MS", "1"}, {"DCT_DEBUG_DECOMP", "1"}};
+  struct Unset {  // also on a failed assertion
+    const decltype(knobs)& k;
+    ~Unset() {
+      for (const auto& kv : k) unsetenv(kv.first);
+    }
+  } unset{knobs};
+
+  struct Observed {
+    std::vector<std::string> passes;
+    core::SweepResult sweep;
+  };
+  const ir::Program prog = apps::stencil5(18, 2);
+  auto observe = [&] {
+    Observed o;
+    o.passes = core::build_pipeline(Mode::Full).pass_names();
+    (void)core::compile(apps::figure1(12, 2), Mode::Full, 4);
+    o.sweep = core::run_sweep(prog);
+    return o;
+  };
+
+  for (const auto& kv : knobs) unsetenv(kv.first);
+  const Observed clean = observe();
+  for (const auto& kv : knobs)
+    ASSERT_EQ(setenv(kv.first, kv.second.c_str(), 1), 0);
+  const Observed set = observe();
+
+  EXPECT_EQ(set.passes, clean.passes);
+  std::ifstream trace(trace_path);
+  EXPECT_FALSE(trace.good()) << "compile wrote a trace to " << trace_path;
+  int cancelled = 0;
+  for (const core::CellFailure& f : set.sweep.failures)
+    cancelled += f.code == Error::Code::kCancelled ||
+                 f.code == Error::Code::kDeadlineExceeded;
+  EXPECT_EQ(cancelled, 0) << core::render_failures(set.sweep.failures);
+  EXPECT_EQ(core::render_sweep("stencil5", set.sweep),
+            core::render_sweep("stencil5", clean.sweep));
+  std::remove(trace_path.c_str());
 }
 
 TEST(Pipeline, CompilerSourceStaysThin) {

@@ -4,8 +4,6 @@
 // report a violation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "core/pass.hpp"
@@ -31,17 +29,43 @@ ir::Program small_app(int which) {
 }
 
 TEST(Verify, AllOraclesCleanOnEveryAppAndMode) {
+  // The verify pass inside the compile runs the static oracles and the
+  // native differential (it throws on a violation); validate_run adds the
+  // simulator's engine differential.
   for (int app = 0; app < 8; ++app) {
     const ir::Program prog = small_app(app);
     for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
-      const core::CompiledProgram cp = core::compile(prog, mode, 4);
-      const verify::ValidationReport rep =
-          verify::validate_run(cp, machine::MachineConfig::dash(4));
-      EXPECT_TRUE(rep.ok()) << prog.name << " [" << core::to_string(mode)
-                            << "]\n" << rep.to_string();
-      EXPECT_GT(rep.total_checks(), 0) << prog.name;
+      for (int procs : {1, 2, 3, 4, 8}) {
+        const core::CompiledProgram cp = core::compile(
+            prog, mode, procs, {.validate = true, .native_check = true});
+        const verify::ValidationReport rep =
+            verify::validate_run(cp, machine::MachineConfig::dash(procs));
+        EXPECT_TRUE(rep.ok()) << prog.name << " [" << core::to_string(mode)
+                              << ", P=" << procs << "]\n"
+                              << rep.to_string();
+        EXPECT_GT(rep.total_checks(), 0) << prog.name;
+      }
     }
   }
+}
+
+TEST(Verify, StaticOraclesCleanOnTable1Sizes) {
+  // The seven Table 1 codes at bench_table1's sizes, uniprocessor and at
+  // the paper's 32 processors; the verify pass throws on any violation.
+  const std::vector<ir::Program> progs = {
+      apps::vpenta(96),        apps::lu(256),     apps::stencil5(256, 4),
+      apps::adi(128, 4),       apps::erlebacher(48, 2),
+      apps::swm256(128, 4),    apps::tomcatv(256, 2)};
+  for (const ir::Program& prog : progs)
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+      for (int procs : {1, 32}) {
+        const core::CompiledProgram cp =
+            core::compile(prog, mode, procs, {.validate = true});
+        ASSERT_FALSE(cp.trace.passes.empty());
+        EXPECT_EQ(cp.trace.passes.back().name, "verify")
+            << prog.name << " [" << core::to_string(mode) << ", P=" << procs
+            << "]";
+      }
 }
 
 TEST(Verify, BijectivityOracleCatchesMismatchedLayout) {
@@ -125,17 +149,17 @@ TEST(Verify, RaiseIfViolatedThrowsStructuredError) {
   }
 }
 
-TEST(Verify, ValidatePassAppendedWhenEnvSet) {
-  ASSERT_EQ(setenv("DCT_VALIDATE", "1", 1), 0);
-  EXPECT_TRUE(verify::validate_enabled());
-  const auto names = core::build_pipeline(Mode::Full).pass_names();
+TEST(Verify, ValidatePassAppendedWhenOptionSet) {
+  const auto names =
+      core::build_pipeline(Mode::Full, {.validate = true}).pass_names();
   ASSERT_FALSE(names.empty());
   EXPECT_EQ(names.back(), "verify");
   // And the instrumented pipeline actually runs the oracles cleanly.
   const core::CompiledProgram cp =
-      core::compile(apps::figure1(12, 2), Mode::Full, 4);
-  EXPECT_FALSE(cp.trace.passes.empty());
-  ASSERT_EQ(unsetenv("DCT_VALIDATE"), 0);
+      core::compile(apps::figure1(12, 2), Mode::Full, 4, {.validate = true});
+  ASSERT_FALSE(cp.trace.passes.empty());
+  EXPECT_EQ(cp.trace.passes.back().name, "verify");
+  EXPECT_GT(cp.trace.passes.back().counters.at("oracle_checks"), 0);
   const auto off = core::build_pipeline(Mode::Full).pass_names();
   EXPECT_NE(off.back(), "verify");
 }
@@ -160,26 +184,25 @@ TEST(Verify, NativeOracleAgreesOnThreadedBackend) {
   EXPECT_GT(rep.checks, 0);
 }
 
-TEST(Verify, NativeOracleGatedByEnv) {
-  // The suite may itself run under DCT_NATIVE=1 (CI's native-smoke job
-  // does); normalize before probing the gate.
-  ASSERT_EQ(unsetenv("DCT_NATIVE"), 0);
-  EXPECT_FALSE(verify::native_check_enabled());
-  ASSERT_EQ(setenv("DCT_NATIVE", "1", 1), 0);
-  EXPECT_TRUE(verify::native_check_enabled());
-  // With both knobs set, the verify pass runs the native differential
-  // inside the pipeline and records its plan remarks.
-  ASSERT_EQ(setenv("DCT_VALIDATE", "1", 1), 0);
-  const core::CompiledProgram cp =
-      core::compile(apps::figure1(12, 2), Mode::Full, 4);
-  bool saw_native = false;
-  for (const auto& pr : cp.trace.passes)
-    if (pr.name == "verify")
-      for (const auto& [key, value] : pr.counters)
-        saw_native |= key.rfind("checks_native", 0) == 0 && value > 0;
-  EXPECT_TRUE(saw_native);
-  ASSERT_EQ(unsetenv("DCT_NATIVE"), 0);
-  ASSERT_EQ(unsetenv("DCT_VALIDATE"), 0);
+TEST(Verify, NativeOracleGatedByOption) {
+  // True when the compile's verify pass ran the native differential.
+  auto saw_native = [](const core::CompileOptions& opts) {
+    const core::CompiledProgram cp =
+        core::compile(apps::figure1(12, 2), Mode::Full, 4, opts);
+    bool saw = false;
+    for (const auto& pr : cp.trace.passes)
+      if (pr.name == "verify")
+        for (const auto& [key, value] : pr.counters)
+          saw |= key.rfind("checks_native", 0) == 0 && value > 0;
+    return saw;
+  };
+  EXPECT_FALSE(saw_native({}));
+  EXPECT_FALSE(saw_native({.validate = true}));
+  // native_check only adds to the verify pass; alone it appends nothing.
+  EXPECT_FALSE(saw_native({.native_check = true}));
+  // With both set, the verify pass runs the native differential inside
+  // the pipeline and records its plan remarks.
+  EXPECT_TRUE(saw_native({.validate = true, .native_check = true}));
 }
 
 }  // namespace

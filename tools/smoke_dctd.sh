@@ -95,4 +95,18 @@ for needle in \
   grep -qF "$needle" "$metrics" || fail "metrics missing: $needle"
 done
 
+# Bad configuration: a DCT_SERVICE_* value that is not a whole integer in
+# range exits 2 with one stderr line, before any request is served.
+for setting in DCT_SERVICE_QUEUE_CAP=-1 DCT_SERVICE_CACHE_CAP=-1 \
+               DCT_SERVICE_WORKERS=0 DCT_SERVICE_WORKERS=4x \
+               DCT_SERVICE_DEADLINE_MS=-5 DCT_SERVICE_QUEUE_CAP=99999999999; do
+  status=0
+  env "$setting" "$DCTD" >"$out" 2>"$metrics" \
+    <<<'{"id":"x","app":"lu","size":16,"procs":2}' || status=$?
+  [ "$status" -eq 2 ] || fail "$setting: expected exit status 2, got $status"
+  [ ! -s "$out" ] || fail "$setting: dctd served a request"
+  [ "$(wc -l <"$metrics")" -eq 1 ] || fail "$setting: expected one stderr line"
+  grep -qF "${setting%%=*}" "$metrics" || fail "$setting: stderr must name it"
+done
+
 echo "dctd smoke: all checks passed"
