@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/pass.hpp"
 #include "linalg/int_matrix.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
@@ -39,50 +38,6 @@ int CoordFold::fold(Int v) const {
           floor_mod(floor_div(x, std::max<Int>(1, block)), procs));
   }
   return 0;
-}
-
-namespace {
-
-CompiledProgram run_pipeline(const PassManager& pm, CompilationState st,
-                             const CompileOptions& opts) {
-  support::RemarkEngine eng;
-  pm.run(st, eng);
-  st.cp.trace = eng.take_trace();
-  if (opts.trace)
-    support::emit_trace(
-        st.cp.trace.json({{"unit", st.cp.program.name},
-                          {"mode", to_string(st.cp.mode)},
-                          {"procs", strf("%d", st.cp.procs)}}),
-        opts.trace_path);
-  return std::move(st.cp);
-}
-
-}  // namespace
-
-CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
-                        const CompileOptions& opts) {
-  DCT_CHECK(procs >= 1, "need at least one processor");
-  CompilationState st;
-  st.cp.program = prog;
-  st.cp.mode = mode;
-  st.cp.procs = procs;
-  st.cp.strategy = opts.strategy;
-  return run_pipeline(build_pipeline(mode, opts), std::move(st), opts);
-}
-
-CompiledProgram compile_with_decomposition(const ir::Program& prog,
-                                           decomp::ProgramDecomposition dec,
-                                           Mode mode, int procs,
-                                           const CompileOptions& opts) {
-  DCT_CHECK(procs >= 1, "need at least one processor");
-  CompilationState st;
-  st.cp.program = prog;
-  st.cp.mode = mode;
-  st.cp.procs = procs;
-  st.cp.strategy = opts.strategy;
-  st.cp.dec = std::move(dec);
-  return run_pipeline(build_lowering_pipeline(mode, opts), std::move(st),
-                      opts);
 }
 
 std::string CompiledProgram::report() const {

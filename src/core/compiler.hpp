@@ -36,10 +36,9 @@ std::string to_string(Mode mode);
 /// different options.
 struct CompileOptions {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
-  decomp::DecompOptions decomp{};
-  /// Append the verify pass (src/verify static oracles) to the pipeline.
+  /// Run the verify stage (src/verify static oracles) last.
   bool validate = false;
-  /// Verify pass also differential-tests the native threaded backend.
+  /// The verify stage also differential-tests the native threaded backend.
   bool native_check = false;
   /// Emit the pipeline trace as one JSON line after the compile.
   bool trace = false;
@@ -116,6 +115,9 @@ struct CompiledProgram {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
   decomp::ProgramDecomposition dec;
   std::vector<int> grid;  ///< physical extent per virtual dimension
+  /// Mixed-radix stride of each virtual dimension within its co-activity
+  /// clique: a processor's rank is the sum of coordinate * stride.
+  std::vector<int> stride;
   std::vector<CompiledArray> arrays;
   std::vector<CompiledNest> nests;
   /// Structured pipeline trace: per-pass wall time, remarks and decision
@@ -126,20 +128,23 @@ struct CompiledProgram {
   std::string report() const;  ///< human-readable compilation summary
 };
 
-/// Run the full pipeline for `procs` processors: builds the pass list for
-/// `mode` (see core/pass.hpp) and runs it through the PassManager. The
-/// processor count is a compile-time input exactly as in the paper's
-/// generated SPMD code (block sizes are ceil(d/P)).
+/// Compile `prog` for `procs` processors by running the stages for `mode`
+/// in order (core/pass.cpp): parallelize, decompose (decompose-base for
+/// Base), fold-select and barrier-elim (not for Base), layout, lower,
+/// addr-strategy, and verify when opts.validate is set. The processor
+/// count is a compile-time input exactly as in the paper's generated SPMD
+/// code (block sizes are ceil(d/P)).
 ///
-/// Reentrant: everything the pipeline consults lives in `opts` (or the
+/// Reentrant: everything the stages consult lives in `opts` (or the
 /// arguments), so any number of compilations may run concurrently.
 CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
                         const CompileOptions& opts = {});
 
 /// Compile with an externally supplied decomposition (ablation studies,
 /// HPF-directed decompositions): layouts, folds and schedules are derived
-/// from `dec` exactly as `compile` does from its own analysis. `mode`
-/// controls only whether layouts are restructured (Full) or kept (others).
+/// from `dec` exactly as `compile` does from its own analysis: only the
+/// stages from layout onward run. `mode` selects layout restructuring
+/// (Full) and the Base owner model.
 CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            decomp::ProgramDecomposition dec,
                                            Mode mode, int procs,

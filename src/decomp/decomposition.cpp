@@ -68,6 +68,10 @@ std::vector<int> ProgramDecomposition::grid_extents(int procs) const {
 
 namespace {
 
+constexpr int kMaxProcDims = 2;       ///< virtual processor space rank limit
+constexpr int kCostModelProcs = 32;   ///< reference machine for the cost model
+constexpr Int kBlockCyclicBlock = 8;  ///< BLOCK-CYCLIC block size
+
 constexpr int kConst = -1;    ///< dimension subscript is a constant
 constexpr int kComplex = -2;  ///< subscript not a single unit loop variable
 
@@ -230,18 +234,17 @@ struct NestEval {
 // The decomposition algorithm
 // ---------------------------------------------------------------------------
 
-ProgramDecomposition decompose(const Program& prog, const DecompOptions& opts) {
+ProgramDecomposition decompose(const Program& prog) {
   std::vector<ParallelizedNest> par;
   for (const LoopNest& nest : prog.nests) par.push_back(dep::parallelize(nest));
-  ProgramDecomposition out = decompose_from(std::move(par), prog, opts);
-  select_folds(prog, out, opts);
+  ProgramDecomposition out = decompose_from(std::move(par), prog);
+  select_folds(prog, out);
   eliminate_barriers(out);
   return out;
 }
 
 ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
                                     const Program& prog,
-                                    const DecompOptions& opts,
                                     support::RemarkSink* rs) {
   ProgramDecomposition out;
   const int nnests = static_cast<int>(prog.nests.size());
@@ -438,7 +441,8 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
     auto consider = [&](const std::vector<const Drivable*>& view) {
       // Distinct driving loops required.
       if (view.size() == 2 && view[0]->loop == view[1]->loop) return;
-      const auto grid = factor_grid(opts.procs, static_cast<int>(view.size()));
+      const auto grid =
+          factor_grid(kCostModelProcs, static_cast<int>(view.size()));
       double par_factor = 1;
       for (size_t i = 0; i < view.size(); ++i) {
         const double extent = static_cast<double>(grid[i]);
@@ -476,7 +480,7 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
         best = std::move(ev);
     };
     for (const Drivable& a : drivable) consider({&a});
-    if (opts.max_proc_dims >= 2)
+    if (kMaxProcDims >= 2)
       for (const Drivable& a : drivable)
         for (const Drivable& b : drivable)
           if (a.group != b.group) consider({&a, &b});
@@ -670,7 +674,7 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
 }
 
 void select_folds(const Program& prog, ProgramDecomposition& d,
-                  const DecompOptions& opts, support::RemarkSink* rs) {
+                  support::RemarkSink* rs) {
   // CYCLIC wins over BLOCK-CYCLIC wins over BLOCK, across every nest that
   // drives the dimension (order-independent).
   std::vector<DistKind> fold(static_cast<size_t>(d.num_proc_dims),
@@ -693,7 +697,7 @@ void select_folds(const Program& prog, ProgramDecomposition& d,
       const DistKind kind = fold[static_cast<size_t>(dd.proc_dim)];
       changed |= kind != dd.kind;
       dd.kind = kind;
-      dd.block = kind == DistKind::BlockCyclic ? opts.block_cyclic_block : 0;
+      dd.block = kind == DistKind::BlockCyclic ? kBlockCyclicBlock : 0;
     }
     if (rs != nullptr && ad.distributed_count() > 0) {
       support::ScopedSink arr_rs(rs, -1, {}, static_cast<int>(a),
@@ -741,18 +745,9 @@ void eliminate_barriers(ProgramDecomposition& d, support::RemarkSink* rs) {
   }
 }
 
-ProgramDecomposition decompose_base(const Program& prog,
-                                    const DecompOptions& opts) {
-  std::vector<ParallelizedNest> par;
-  for (const LoopNest& nest : prog.nests) par.push_back(dep::parallelize(nest));
-  return decompose_base_from(std::move(par), prog, opts);
-}
-
 ProgramDecomposition decompose_base_from(std::vector<ParallelizedNest> par,
                                          const Program& prog,
-                                         const DecompOptions& opts,
                                          support::RemarkSink* rs) {
-  (void)opts;
   ProgramDecomposition out;
   out.par = std::move(par);
   DCT_CHECK(out.par.size() == prog.nests.size(),

@@ -124,28 +124,15 @@ struct ProgramDecomposition {
 /// e.g. factor_grid(32, 2) == {8, 4}.
 std::vector<int> factor_grid(int p, int dims);
 
-struct DecompOptions {
-  int max_proc_dims = 2;  ///< virtual processor space rank limit
-  int procs = 32;         ///< reference machine size for the cost model
-  Int block_cyclic_block = 8;
-};
-
 /// The paper's full global algorithm (Section 3): parallelizes every nest,
 /// then runs decompose_from + select_folds + eliminate_barriers.
-ProgramDecomposition decompose(const ir::Program& prog,
-                               const DecompOptions& opts = {});
+ProgramDecomposition decompose(const ir::Program& prog);
 
-/// The BASE compiler of the evaluation (Section 6.1): each nest analyzed
-/// in isolation, outermost parallel loop block-distributed, data layouts
-/// untouched, a barrier after every nest.
-ProgramDecomposition decompose_base(const ir::Program& prog,
-                                    const DecompOptions& opts = {});
-
-// --- pipeline stages (the pass-at-a-time interface compile() drives) ---
+// --- the stages compile() runs one at a time ---
 //
-// decompose() and decompose_base() above remain the one-shot entry points;
-// the PassManager runs these stages individually so each gets its own
-// wall-time and remarks.
+// decompose() above is the one-shot entry point; compile() calls these
+// individually (and decompose_base_from for the BASE mode) so each stage
+// gets its own wall time and remarks.
 
 /// Alignment grouping + global group selection + computation mapping, on
 /// nests already parallelized by the caller. Distributed dimensions come
@@ -153,19 +140,19 @@ ProgramDecomposition decompose_base(const ir::Program& prog,
 /// nest keeps its barrier (see eliminate_barriers).
 ProgramDecomposition decompose_from(std::vector<dep::ParallelizedNest> par,
                                     const ir::Program& prog,
-                                    const DecompOptions& opts = {},
                                     support::RemarkSink* rs = nullptr);
 
-/// BASE-mode decomposition over pre-parallelized nests.
+/// The BASE compiler of the evaluation (Section 6.1) over pre-parallelized
+/// nests: each nest analyzed in isolation, outermost parallel loop
+/// block-distributed, data layouts untouched, a barrier after every nest.
 ProgramDecomposition decompose_base_from(
     std::vector<dep::ParallelizedNest> par, const ir::Program& prog,
-    const DecompOptions& opts = {}, support::RemarkSink* rs = nullptr);
+    support::RemarkSink* rs = nullptr);
 
 /// Folding-function selection per virtual dimension: BLOCK by default,
 /// CYCLIC when a distributed loop is load-imbalanced, BLOCK-CYCLIC when a
 /// pipelined loop needs both balance and granularity.
 void select_folds(const ir::Program& prog, ProgramDecomposition& d,
-                  const DecompOptions& opts = {},
                   support::RemarkSink* rs = nullptr);
 
 /// Barrier elimination [Tseng 95]: drop the barrier after a nest when no

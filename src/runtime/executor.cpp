@@ -145,18 +145,10 @@ RunResult simulate(const CompiledProgram& cp,
   const int P = cp.procs;
   const ir::Program& prog = cp.program;
 
-  // Mixed-radix strides per virtual dimension (same rule as the compiler).
-  std::vector<int> stride(static_cast<size_t>(cp.dec.num_proc_dims), 1);
-  for (int pd = 0; pd < cp.dec.num_proc_dims; ++pd)
-    for (int q = 0; q < pd; ++q)
-      if (cp.dec.clique_id[static_cast<size_t>(q)] ==
-          cp.dec.clique_id[static_cast<size_t>(pd)])
-        stride[static_cast<size_t>(pd)] *= cp.grid[static_cast<size_t>(q)];
-
   auto owner_of_coords = [&](const std::vector<int>& coords) {
     int proc = 0;
     for (size_t pd = 0; pd < coords.size(); ++pd)
-      if (coords[pd] >= 0) proc += coords[pd] * stride[pd];
+      if (coords[pd] >= 0) proc += coords[pd] * cp.stride[pd];
     return std::min(proc, P - 1);
   };
 

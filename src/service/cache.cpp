@@ -88,9 +88,7 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
   os << "mode=" << static_cast<int>(mode) << "|P=" << procs
      << "|strat=" << static_cast<int>(opts.strategy)
      << "|validate=" << (opts.validate ? 1 : 0)
-     << "|native=" << (opts.native_check ? 1 : 0)
-     << "|dec=" << opts.decomp.max_proc_dims << ',' << opts.decomp.procs
-     << ',' << opts.decomp.block_cyclic_block;
+     << "|native=" << (opts.native_check ? 1 : 0);
   if (!salt.empty()) os << "|salt=" << salt;
   return os.str();
 }

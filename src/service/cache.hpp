@@ -1,6 +1,6 @@
 // Content-addressed compilation cache (the serving layer's workhorse).
 //
-// The pass pipeline (decompose → fold-select → layout → lower) is a pure,
+// The compile stages (decompose → fold-select → layout → lower) are a pure,
 // expensive function of (program IR, mode, P, layout-relevant options) —
 // exactly the shape serving stacks hide behind a cache. CompileCache maps
 // a canonical fingerprint of those inputs to a shared_ptr<const
@@ -43,7 +43,7 @@ namespace dct::service {
 /// compilation request: the structural IR (arrays, nests, bounds, access
 /// matrices, statement shapes — evaluator closures excluded), the mode,
 /// the processor count, and the options that change the compiled artifact
-/// (address strategy, decomposition knobs, validate/native-check).
+/// (address strategy, validate/native-check).
 /// `salt` folds in request context the IR cannot express (e.g. the HPF
 /// directive text a request carried).
 std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,

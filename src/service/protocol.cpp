@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -63,23 +64,38 @@ std::string parse_scalar(const std::string& s, std::size_t& i) {
   return tok;
 }
 
-long require_long(const std::map<std::string, std::string>& kv,
-                  const std::string& key, long def, long lo, long hi) {
+/// Upper bound on a request's "deadline_ms" (one day); see protocol.hpp.
+constexpr double kMaxDeadlineMs = 86'400'000;
+
+/// The numeric field `key` (`def` when absent). Rejects a value that is
+/// empty, not fully consumed, non-finite, outside [lo, hi] or, with
+/// `integral`, fractional — all checked on the double, before any cast.
+double require_number(const std::map<std::string, std::string>& kv,
+                      const std::string& key, double def, double lo,
+                      double hi, bool integral) {
   const auto it = kv.find(key);
   if (it == kv.end()) return def;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const double d = std::strtod(it->second.c_str(), &end);
-  const long v = static_cast<long>(d);
-  if (end != it->second.c_str() + it->second.size() ||
-      static_cast<double>(v) != d)
+  const double d = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(d) || (integral && d != std::trunc(d)))
     throw Error(Error::Code::kInvalidArgument,
-                strf("field \"%s\": expected an integer, got \"%s\"",
-                     key.c_str(), it->second.c_str()));
-  if (v < lo || v > hi)
+                strf("field \"%s\": expected %s, got \"%s\"", key.c_str(),
+                     integral ? "an integer" : "a finite number",
+                     text.c_str()));
+  if (d < lo || d > hi)
     throw Error(Error::Code::kInvalidArgument,
-                strf("field \"%s\": %ld out of range [%ld, %ld]",
-                     key.c_str(), v, lo, hi));
-  return v;
+                strf("field \"%s\": %s out of range [%.17g, %.17g]",
+                     key.c_str(), text.c_str(), lo, hi));
+  return d;
+}
+
+long require_long(const std::map<std::string, std::string>& kv,
+                  const std::string& key, long def, long lo, long hi) {
+  return static_cast<long>(require_number(kv, key, static_cast<double>(def),
+                                          static_cast<double>(lo),
+                                          static_cast<double>(hi), true));
 }
 
 void escape_into(std::ostringstream& os, const std::string& s) {
@@ -172,13 +188,8 @@ ParsedLine parse_line(const std::string& line) {
   r.procs = static_cast<int>(require_long(kv, "procs", 4, 1, 1 << 20));
   r.seed = static_cast<std::uint64_t>(
       require_long(kv, "seed", 42, 0, 1L << 62));
-  if (const auto it = kv.find("deadline_ms"); it != kv.end()) {
-    char* end = nullptr;
-    r.deadline_ms = std::strtod(it->second.c_str(), &end);
-    if (end != it->second.c_str() + it->second.size())
-      throw Error(Error::Code::kInvalidArgument,
-                  "field \"deadline_ms\": expected a number");
-  }
+  r.deadline_ms = require_number(kv, "deadline_ms", r.deadline_ms,
+                                 -kMaxDeadlineMs, kMaxDeadlineMs, false);
   if (const auto it = kv.find("mode"); it != kv.end()) {
     const std::optional<core::Mode> m = parse_mode(it->second);
     if (!m)

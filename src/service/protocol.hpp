@@ -8,9 +8,13 @@
 //   {"id": "r1", "app": "lu", "size": 64, "mode": "full", "procs": 4,
 //    "engine": "simulate", "steps": 2, "deadline_ms": 500,
 //    "hpf": "!HPF$ DISTRIBUTE A(CYCLIC, *)", "seed": 42}
-// (every field optional except "app"). Each response is one JSON object
-// on one line. A malformed line yields an error response with
-// code "invalid-argument" and the server keeps serving.
+// (every field optional except "app"). Numeric fields may be JSON numbers
+// or strings holding one; a value that is empty, not wholly a number,
+// non-finite (inf, nan) or out of range is rejected. "deadline_ms" is
+// capped at one day (|deadline_ms| <= 86400000; 0 = the server default,
+// negative = no deadline). Each response is one JSON object on one line.
+// A malformed line yields an error response with code "invalid-argument"
+// and the server keeps serving.
 //
 // The parser handles exactly the flat string/number/bool objects above —
 // no nesting, no arrays — which keeps dctd dependency-free.

@@ -112,10 +112,7 @@ Server::Server(const ServerOptions& opts)
 Server::~Server() { shutdown(); }
 
 void Server::deliver(Item& item, Response resp) {
-  if (item.has_promise)
-    item.promise.set_value(std::move(resp));
-  else if (item.callback)
-    item.callback(std::move(resp));
+  if (item.callback) item.callback(std::move(resp));
 }
 
 void Server::enqueue(Item item) {
@@ -143,11 +140,12 @@ void Server::enqueue(Item item) {
 }
 
 std::future<Response> Server::submit(Request req) {
-  Item item;
-  item.req = std::move(req);
-  item.has_promise = true;
-  std::future<Response> fut = item.promise.get_future();
-  enqueue(std::move(item));
+  // std::function needs a copyable callable; the promise is move-only.
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> fut = promise->get_future();
+  submit_async(std::move(req), [promise](Response resp) {
+    promise->set_value(std::move(resp));
+  });
   return fut;
 }
 
@@ -248,8 +246,7 @@ Response Server::process(Item& item) {
           // processor dimensions in the directives must fit the automatic
           // decomposition's processor space — remapping a larger directive
           // grid is out of scope for the service.
-          decomp::ProgramDecomposition dec =
-              decomp::decompose(prog, copts.decomp);
+          decomp::ProgramDecomposition dec = decomp::decompose(prog);
           const hpf::Directives dirs = hpf::parse(prog, req.hpf);
           for (const auto& [name, ad] : dirs.arrays) {
             for (const decomp::DimDistribution& d : ad.dims)

@@ -148,9 +148,7 @@ class Server {
     Request req;
     support::CancelToken cancel;
     std::chrono::steady_clock::time_point enqueued;
-    std::promise<Response> promise;          ///< submit() path
-    std::function<void(Response)> callback;  ///< submit_async() path
-    bool has_promise = false;
+    std::function<void(Response)> callback;  ///< receives the Response
   };
 
   void enqueue(Item item);

@@ -13,9 +13,17 @@ CancelToken CancelToken::make() {
 CancelToken CancelToken::with_deadline_ms(double ms) {
   CancelToken t = make();
   t.s_->has_deadline = true;
-  t.s_->deadline = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(ms < 0 ? 0 : ms));
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double, std::milli> wait(ms);
+  // Converting a wait beyond the clock's range to ticks would overflow.
+  // Half the remaining range leaves slack for the double's rounding.
+  if (!(ms > 0))
+    t.s_->deadline = now;
+  else if (wait >= (Clock::time_point::max() - now) / 2)
+    t.s_->deadline = Clock::time_point::max();
+  else
+    t.s_->deadline = now + std::chrono::duration_cast<Clock::duration>(wait);
   return t;
 }
 

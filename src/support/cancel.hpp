@@ -24,7 +24,9 @@ class CancelToken {
 
   /// Manually cancellable token.
   static CancelToken make();
-  /// Token that expires `ms` milliseconds from now (ms <= 0: immediately).
+  /// Token that expires `ms` milliseconds from now. Saturating: ms <= 0
+  /// or NaN expires immediately, and a wait past the clock's range (up to
+  /// +inf) never expires.
   static CancelToken with_deadline_ms(double ms);
 
   bool valid() const { return s_ != nullptr; }

@@ -2,8 +2,8 @@
 //
 // Every pipeline stage reports what it decided — per-nest and per-array
 // attributed remarks plus named decision counters — into a RemarkSink.
-// The PassManager owns a RemarkEngine that groups everything by pass and
-// stamps wall-clock time per stage; the resulting PipelineTrace travels
+// The compile driver owns a RemarkEngine that groups everything by stage
+// and stamps wall-clock time per stage; the resulting PipelineTrace travels
 // with the CompiledProgram so the experiment harness can aggregate traces
 // across a whole sweep.
 //

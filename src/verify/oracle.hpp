@@ -30,9 +30,8 @@
 //    bit-identical results — values, cycles, and statement counts.
 //
 // validate_compiled() runs the three static oracles; validate_run() adds
-// the differential cross-check. The verify pass (core::make_verify_pass)
-// runs the static oracles at the tail of the pass pipeline when
-// CompileOptions::validate is set.
+// the differential cross-check. compile()'s verify stage runs the static
+// oracles after every other stage when CompileOptions::validate is set.
 #pragma once
 
 #include <string>

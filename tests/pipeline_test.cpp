@@ -1,8 +1,9 @@
-// Tests for the pass-pipeline refactor: the pass lists behind each mode,
-// equivalence of hand-composed pipelines with compile(), the structured
-// trace (remarks, counters, wall time, JSON emission via
-// CompileOptions::trace), the determinism of the multi-threaded experiment
-// sweep, and that the library ignores the environment.
+// Tests for the compile driver: the stages each mode runs (read back
+// from the trace), equivalence of a supplied decomposition with compile(),
+// failure attribution to the failing stage, the structured trace (remarks,
+// counters, wall time, JSON emission via CompileOptions::trace), the
+// determinism of the multi-threaded experiment sweep, and that the library
+// ignores the environment.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +14,7 @@
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "core/experiment.hpp"
-#include "core/pass.hpp"
+#include "decomp/decomposition.hpp"
 #include "runtime/executor.hpp"
 #include "support/remark.hpp"
 
@@ -22,88 +23,100 @@ namespace {
 
 using core::Mode;
 
-TEST(Pipeline, ModePassLists) {
-  // With opts.validate every pipeline additionally ends in `verify`.
-  for (const bool validate : {false, true}) {
-    const core::CompileOptions opts{.validate = validate};
-    auto with_verify = [&](std::vector<std::string> names) {
-      if (validate) names.push_back("verify");
-      return names;
-    };
-
-    const auto base = core::build_pipeline(Mode::Base, opts).pass_names();
-    const auto want_base = with_verify(
-        {"parallelize", "decompose-base", "layout", "lower", "addr-strategy"});
-    EXPECT_EQ(base, want_base);
-
-    const auto cd = core::build_pipeline(Mode::CompDecomp, opts).pass_names();
-    const auto want_cd = with_verify({"parallelize", "decompose",
-                                      "fold-select", "barrier-elim", "layout",
-                                      "lower", "addr-strategy"});
-    EXPECT_EQ(cd, want_cd);
-
-    // Full is CompDecomp's list — restructuring is pass configuration,
-    // not an extra stage.
-    EXPECT_EQ(core::build_pipeline(Mode::Full, opts).pass_names(), want_cd);
-
-    const auto tail =
-        core::build_lowering_pipeline(Mode::Full, opts).pass_names();
-    const auto want_tail = with_verify({"layout", "lower", "addr-strategy"});
-    EXPECT_EQ(tail, want_tail);
-  }
+std::vector<std::string> stage_names(const core::CompiledProgram& cp) {
+  std::vector<std::string> names;
+  for (const auto& p : cp.trace.passes) names.push_back(p.name);
+  return names;
 }
 
-TEST(Pipeline, ManualCompositionMatchesCompile) {
-  const ir::Program prog = apps::adi(14, 2);
-  const core::CompiledProgram want = core::compile(prog, Mode::Full, 4);
+const std::vector<std::string> kFullStages = {
+    "parallelize", "decompose", "fold-select", "barrier-elim",
+    "layout",      "lower",     "addr-strategy"};
 
-  core::PassManager pm;
-  pm.add(core::make_parallelize_pass())
-      .add(core::make_decompose_pass(/*base=*/false))
-      .add(core::make_fold_select_pass())
-      .add(core::make_barrier_elim_pass())
-      .add(core::make_layout_pass(/*restructure=*/true))
-      .add(core::make_lower_pass(/*base_block_owner=*/false))
-      .add(core::make_addr_strategy_pass());
-  core::CompilationState st;
-  st.cp.program = prog;
-  st.cp.mode = Mode::Full;
-  st.cp.procs = 4;
-  support::RemarkEngine eng;
-  pm.run(st, eng);
+TEST(Pipeline, ModePassLists) {
+  // Every stage leaves exactly one trace record, in order; with
+  // opts.validate the list additionally ends in `verify`.
+  for (const ir::Program& prog : {apps::stencil5(18, 2), apps::vpenta(12)}) {
+    for (const bool validate : {false, true}) {
+      SCOPED_TRACE(prog.name + (validate ? " validate" : ""));
+      const core::CompileOptions opts{.validate = validate};
+      auto with_verify = [&](std::vector<std::string> names) {
+        if (validate) names.push_back("verify");
+        return names;
+      };
 
-  EXPECT_EQ(st.cp.report(), want.report());
-  const auto a = runtime::simulate(st.cp, machine::MachineConfig::dash(4));
-  const auto b = runtime::simulate(want, machine::MachineConfig::dash(4));
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.values, b.values);
+      EXPECT_EQ(stage_names(core::compile(prog, Mode::Base, 4, opts)),
+                with_verify({"parallelize", "decompose-base", "layout",
+                             "lower", "addr-strategy"}));
+      EXPECT_EQ(stage_names(core::compile(prog, Mode::CompDecomp, 4, opts)),
+                with_verify(kFullStages));
+      // Full runs CompDecomp's stages — restructuring is what the layout
+      // stage does for Full, not an extra stage.
+      EXPECT_EQ(stage_names(core::compile(prog, Mode::Full, 4, opts)),
+                with_verify(kFullStages));
+
+      // A supplied decomposition runs only the tail, from layout onward.
+      for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+        EXPECT_EQ(stage_names(core::compile_with_decomposition(
+                      prog, decomp::decompose(prog), mode, 4, opts)),
+                  with_verify({"layout", "lower", "addr-strategy"}));
+    }
+  }
 }
 
 TEST(Pipeline, SuppliedDecompositionMatchesCompile) {
   // compile_with_decomposition on the compiler's own analysis must be
   // bit-identical to the integrated pipeline — the lowering tail is the
-  // same pass objects.
-  for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
-    const ir::Program prog = apps::lu(16);
-    const core::CompiledProgram direct = core::compile(prog, mode, 4);
-    const core::CompiledProgram via = core::compile_with_decomposition(
-        prog, decomp::decompose(prog), mode, 4, {.validate = true});
-    if (mode != Mode::Base) {  // Base's own analysis differs from decompose()
-      EXPECT_EQ(via.report(), direct.report());
-    }
-    const auto a = runtime::simulate(via, machine::MachineConfig::dash(4));
+  // same stage functions.
+  for (const ir::Program& prog : {apps::lu(16), apps::adi(14, 2)}) {
     const auto ref = runtime::run_reference(prog);
-    EXPECT_EQ(a.values, ref);
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+      SCOPED_TRACE(prog.name + " " + core::to_string(mode));
+      const core::CompiledProgram direct = core::compile(prog, mode, 4);
+      const core::CompiledProgram via = core::compile_with_decomposition(
+          prog, decomp::decompose(prog), mode, 4, {.validate = true});
+      const auto a = runtime::simulate(via, machine::MachineConfig::dash(4));
+      // Base's own analysis differs from decompose().
+      if (mode != Mode::Base) {
+        EXPECT_EQ(via.report(), direct.report());
+        const auto b =
+            runtime::simulate(direct, machine::MachineConfig::dash(4));
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.values, b.values);
+      }
+      EXPECT_EQ(a.values, ref);
+    }
+  }
+}
+
+TEST(Pipeline, StageFailureNamesTheStage) {
+  // Swapping the processor dimensions of A's two distributed dims breaks
+  // Equation 1; the verify stage must reject it, and the error must name
+  // that stage.
+  const ir::Program prog = apps::stencil5(18, 2);
+  decomp::ProgramDecomposition dec = decomp::decompose(prog);
+  auto& dims = dec.arrays[static_cast<size_t>(prog.array_id("A"))].dims;
+  ASSERT_EQ(dims.size(), 2u);
+  ASSERT_GE(dims[0].proc_dim, 0);
+  ASSERT_GE(dims[1].proc_dim, 0);
+  ASSERT_NE(dims[0].proc_dim, dims[1].proc_dim);
+  std::swap(dims[0].proc_dim, dims[1].proc_dim);
+  try {
+    core::compile_with_decomposition(prog, std::move(dec), Mode::Full, 4,
+                                     {.validate = true});
+    FAIL() << "expected the verify stage to throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Error::Code::kOracleViolation) << e.what();
+    ASSERT_FALSE(e.context().empty());
+    EXPECT_EQ(e.context().front(), "pass verify");
   }
 }
 
 TEST(Pipeline, TraceRecordsEveryPass) {
   const core::CompiledProgram cp =
       core::compile(apps::stencil5(18, 2), Mode::Full, 4);
-  const auto names = core::build_pipeline(Mode::Full).pass_names();
-  ASSERT_EQ(cp.trace.passes.size(), names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(cp.trace.passes[i].name, names[i]);
+  ASSERT_EQ(stage_names(cp), kFullStages);
+  for (size_t i = 0; i < kFullStages.size(); ++i) {
     EXPECT_EQ(cp.trace.passes[i].runs, 1);
     EXPECT_GE(cp.trace.passes[i].wall_ms, 0.0);
   }
@@ -203,7 +216,7 @@ TEST(Pipeline, ParallelSweepIsDeterministic) {
 
 // The library reads no environment variables: configuration enters only
 // through the options structs, so none of these settings may change a
-// pass list, emit a trace or cancel a sweep cell.
+// compile's stage list, emit a trace or cancel a sweep cell.
 TEST(Pipeline, LibraryIgnoresEnvironment) {
   const std::string trace_path =
       ::testing::TempDir() + "dct_ignored_trace.jsonl";
@@ -226,8 +239,8 @@ TEST(Pipeline, LibraryIgnoresEnvironment) {
   const ir::Program prog = apps::stencil5(18, 2);
   auto observe = [&] {
     Observed o;
-    o.passes = core::build_pipeline(Mode::Full).pass_names();
-    (void)core::compile(apps::figure1(12, 2), Mode::Full, 4);
+    o.passes =
+        stage_names(core::compile(apps::figure1(12, 2), Mode::Full, 4));
     o.sweep = core::run_sweep(prog);
     return o;
   };
@@ -249,15 +262,6 @@ TEST(Pipeline, LibraryIgnoresEnvironment) {
   EXPECT_EQ(core::render_sweep("stencil5", set.sweep),
             core::render_sweep("stencil5", clean.sweep));
   std::remove(trace_path.c_str());
-}
-
-TEST(Pipeline, CompilerSourceStaysThin) {
-  // Guard the refactor: compile() must stay a thin wrapper over
-  // build_pipeline(); pass logic lives in core/pass.cpp.
-  const core::CompiledProgram cp =
-      core::compile(apps::vpenta(12), Mode::Base, 4);
-  EXPECT_EQ(cp.trace.passes.size(),
-            core::build_pipeline(Mode::Base).pass_names().size());
 }
 
 }  // namespace

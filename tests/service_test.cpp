@@ -308,7 +308,12 @@ TEST(Protocol, RejectsMalformedLines) {
         R"({"app":"lu"} trailing)", R"({"size": 32})",
         R"({"app":"lu", "size": "big"})", R"({"app":"lu", "procs": 1.5})",
         R"({"cmd":"reboot"})", R"({"app":"lu", "mode":"turbo"})",
-        R"({"app":"lu", "engine":"gpu"})"}) {
+        R"({"app":"lu", "engine":"gpu"})",
+        // Numeric fields: non-finite, out of range, or empty.
+        R"({"app":"lu", "deadline_ms":"inf"})",
+        R"({"app":"lu", "deadline_ms":1e300})",
+        R"({"app":"lu", "deadline_ms":"nan"})",
+        R"({"app":"lu", "deadline_ms":""})", R"({"app":"lu", "seed":""})"}) {
     EXPECT_THROW((void)service::parse_line(line), Error)
         << "accepted: " << line;
   }

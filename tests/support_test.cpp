@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "support/cancel.hpp"
@@ -102,6 +103,15 @@ TEST(Cancel, ExplicitCancelAndDeadline) {
   const support::CancelToken d = support::CancelToken::with_deadline_ms(0);
   EXPECT_TRUE(d.expired());
   EXPECT_EQ(d.reason(), Error::Code::kDeadlineExceeded);
+}
+
+TEST(Cancel, HugeDeadlinesSaturateInsteadOfOverflowing) {
+  // Converting these waits to clock ticks would overflow; the token must
+  // saturate to "never expires", not wrap into the past.
+  for (const double ms : {std::numeric_limits<double>::infinity(), 1e300}) {
+    const support::CancelToken t = support::CancelToken::with_deadline_ms(ms);
+    EXPECT_FALSE(t.expired()) << ms;
+  }
 }
 
 TEST(Parallel, CollectReportsEveryFailingIndex) {

@@ -6,9 +6,9 @@
 #
 # Drives one dctd process over a JSONL script that covers the full
 # response taxonomy — ok, cache hit, fault isolation (crash + unknown
-# app), deadline-exceeded, malformed JSON — then asserts on the response
-# lines and the metrics dump shape. Exits non-zero on the first unmet
-# expectation.
+# app), deadline-exceeded, malformed JSON and field values — then asserts
+# on the response lines and the metrics dump shape. Exits non-zero on the
+# first unmet expectation.
 set -euo pipefail
 
 DCTD="${1:-build/tools/dctd}"
@@ -32,6 +32,7 @@ DCT_SERVICE_WORKERS=4 DCT_SERVICE_CACHE_CAP=8 "$DCTD" >"$out" 2>"$metrics" <<'EO
 {"id":"unknown","app":"nosuch"}
 {"id":"badfield","app":"lu","procs":"many"}
 not even json
+{"id":"infdeadline","app":"lu","size":48,"procs":4,"deadline_ms":"inf"}
 {"id":"deadline","app":"adi","size":48,"procs":4,"deadline_ms":0.0001}
 {"id":"native","app":"stencil5","size":32,"procs":2,"engine":"native"}
 {"id":"compile","app":"vpenta","size":24,"procs":4,"engine":"compile"}
@@ -43,9 +44,9 @@ EOF
 fail() { echo "FAIL: $1" >&2; echo "--- responses ---" >&2; cat "$out" >&2; \
          echo "--- metrics ---" >&2; cat "$metrics" >&2; exit 1; }
 
-# One response line per request line: 9 served + 2 rejected at parse time
+# One response line per request line: 9 served + 3 rejected at parse time
 # (the rejected ones carry synthesized line-numbered ids).
-[ "$(wc -l <"$out")" -eq 11 ] || fail "expected 11 response lines"
+[ "$(wc -l <"$out")" -eq 12 ] || fail "expected 12 response lines"
 
 expect() { # expect <id> <pattern>
   grep -F "\"id\":\"$1\"" "$out" | grep -qF "$2" \
@@ -59,6 +60,7 @@ expect crash    '"error_code":"fault"'
 expect unknown  '"error_code":"invalid-argument"'
 expect line-7   '"error_code":"invalid-argument"'   # non-integer procs
 expect line-8   '"error_code":"invalid-argument"'   # not JSON at all
+expect line-9   '"error_code":"invalid-argument"'   # non-finite deadline
 expect deadline '"error_code":"deadline-exceeded"'
 expect native   '"ok":true'
 expect native   '"seconds":'
@@ -77,11 +79,11 @@ vals="$(grep -F '"id":"warm"' "$out" | grep -o '"values":"[0-9a-f]*"')"
 
 # Metrics shape: counters and latency quantiles for every stage.
 for needle in \
-    'dctd_requests_total 11' \
+    'dctd_requests_total 12' \
     'dctd_requests_completed 9' \
     'dctd_requests_ok 6' \
     'dctd_requests_error 3' \
-    'dctd_requests_rejected 2' \
+    'dctd_requests_rejected 3' \
     'dctd_requests_error_code{code="invalid-argument"} 1' \
     'dctd_requests_error_code{code="fault"} 1' \
     'dctd_requests_error_code{code="deadline-exceeded"} 1' \
