@@ -207,6 +207,7 @@ struct ThreadStats {
   long long statements = 0;
   long long barriers = 0;
   long long waits = 0;
+  long long walker_splits = 0;
 };
 
 /// One SPMD worker: walks every nest with the owner filter (or its
@@ -240,7 +241,8 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
       if (cp.nests[j].barrier_after || last) policy.barrier();
     }
   }
-  return {kernel.statements, policy.barriers, policy.waits};
+  return {kernel.statements, policy.barriers, policy.waits,
+          kernel.counters.walker_splits};
 }
 
 }  // namespace
@@ -302,6 +304,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
   for (const ThreadStats& s : stats) {
     res.statements += s.statements;
     res.waits += s.waits;
+    res.walker_splits += s.walker_splits;
   }
   res.barriers = stats[0].barriers;
   res.sequential_nests = plan.sequential_nests;

@@ -64,6 +64,9 @@ struct NativeResult {
   long long statements = 0;  ///< statement instances executed (all threads)
   long long barriers = 0;    ///< all-thread barriers per thread
   long long waits = 0;       ///< point-to-point waits, summed over threads
+  /// Innermost runs cut by a walker's strip boundary before their
+  /// segment's end, summed over threads (runtime::ExecCounters).
+  long long walker_splits = 0;
   int sequential_nests = 0;
   int parallel_nests = 0;
   int restricted_nests = 0;

@@ -228,6 +228,7 @@ RunResult simulate(const CompiledProgram& cp,
             static_cast<long>(ctr.linearize_fallback));
   eng.count("sim_dir_fast_hits", static_cast<long>(ctr.dir_fast));
   eng.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
+  eng.count("sim_walker_splits", static_cast<long>(ctr.walker_splits));
   eng.count("sim_statements", static_cast<long>(res.statements));
   eng.end_pass();
   res.trace = eng.take_trace();

@@ -45,6 +45,9 @@ struct ExecCounters {
   long long dir_fast = 0;            ///< machine accesses skipping the directory
   long long owner_hoisted = 0;       ///< statement executions with the owner
                                      ///< computed outside the inner loop
+  long long walker_splits = 0;       ///< innermost runs cut by a walker's
+                                     ///< strip boundary before their
+                                     ///< segment's end
 };
 
 struct RunResult {

@@ -3,7 +3,8 @@
 // owns the loop-nest recursion (optionally restricted per level to one
 // processor's iterations), the innermost segment (hoisted owner folds,
 // incremental OwnerStep owners, walker addressing with the
-// Layout::linearize fallback, the gated-statement firing rule) and the
+// Layout::linearize fallback, the gated-statement firing rule, the split
+// of the innermost loop where a walker's run ends) and the
 // statement-instance body: reads, then eval, then the write. What an
 // instance does is the policy's:
 //
@@ -83,10 +84,11 @@ class OwnerStep {
 };
 
 /// Ascending iterator over the values of [lo, hi] owned by digit `t` of a
-/// fold — the per-thread loop bounds of the paper's generated SPMD code:
-/// one clamped run for BLOCK (edge digits absorb the out-of-range spill,
-/// matching CoordFold::fold's clamp), a stride-procs walk for CYCLIC, and
-/// block-length runs every procs blocks for BLOCK-CYCLIC.
+/// fold — the per-thread loop bounds of the paper's generated SPMD code —
+/// as runs of equally spaced values: one clamped run for BLOCK (edge digits
+/// absorb the out-of-range spill, matching CoordFold::fold's clamp), one
+/// stride-procs run for CYCLIC, and block-length runs every procs blocks
+/// for BLOCK-CYCLIC.
 class OwnedIter {
  public:
   OwnedIter(const core::CoordFold& f, int t, Int lo, Int hi)
@@ -112,28 +114,27 @@ class OwnedIter {
         run_hi_ = std::min(hi, offset_ + (g_ + 1) * block_ - 1);
         break;
     }
-    done_ = v_ > run_hi_;
   }
 
-  bool done() const { return done_; }
+  bool done() const { return v_ > run_hi_; }
+  /// First value of the current run.
   Int value() const { return v_; }
+  /// Distance between consecutive owned values of a run.
+  Int stride() const {
+    return kind_ == decomp::DistKind::Cyclic ? procs_ : 1;
+  }
+  /// Owned values in the current run.
+  Int run_left() const { return (run_hi_ - v_) / stride() + 1; }
 
-  void next() {
-    if (kind_ == decomp::DistKind::Cyclic) {
-      v_ += procs_;
-      done_ = v_ > hi_;
+  /// Move to the next run; done() afterwards when there is none.
+  void next_run() {
+    if (kind_ != decomp::DistKind::BlockCyclic) {
+      run_hi_ = v_ - 1;  // Serial / Block / Cyclic: a single run
       return;
     }
-    ++v_;
-    if (v_ <= run_hi_) return;
-    if (kind_ == decomp::DistKind::BlockCyclic) {
-      g_ += procs_;
-      v_ = offset_ + g_ * block_;
-      run_hi_ = std::min(hi_, v_ + block_ - 1);
-      done_ = v_ > hi_;
-      return;
-    }
-    done_ = true;  // Serial / Block: a single run
+    g_ += procs_;
+    v_ = offset_ + g_ * block_;
+    run_hi_ = std::min(hi_, v_ + block_ - 1);
   }
 
  private:
@@ -141,7 +142,6 @@ class OwnedIter {
   int procs_;
   Int block_, offset_, hi_;
   Int v_ = 0, run_hi_ = -1, g_ = 0;
-  bool done_ = false;
 };
 
 /// One loop level walked only over the values that digit `digit` of
@@ -195,6 +195,12 @@ class Traversal {
         plans_[j].push_back(std::move(s));
       }
     }
+    // The plans are final: their walkers' addresses are stable.
+    walkers_.resize(plans_.size());
+    for (size_t j = 0; j < plans_.size(); ++j)
+      for (Stmt& s : plans_[j])
+        for (Ref& r : s.refs)
+          if (r.walk) walkers_[j].push_back(&r.walker);
     scratch_.assign(max_rank, 0);
     vals_.assign(max_reads, 0.0);
   }
@@ -206,6 +212,7 @@ class Traversal {
     if (d == 0) return;
     loops_ = &cp_.nests[j].nest.loops;
     stmts_ = &plans_[j];
+    walkers_now_ = &walkers_[j];
     inner_ = d - 1;
     iter_.assign(static_cast<size_t>(d), 0);
     lb_.assign(static_cast<size_t>(d), 0);
@@ -259,8 +266,8 @@ class Traversal {
     return std::min(q, procs_ - 1);
   }
 
-  /// Address of `r` at the current iteration. A walker then advances to
-  /// the next innermost iteration (harmless past the segment's end).
+  /// Address of `r` at the current iteration. A walker then steps on
+  /// inside its run.
   Int next_addr(Ref& r) {
     if (!r.walk) return linearize(r);
     const Int a = r.walker.addr();
@@ -321,16 +328,34 @@ class Traversal {
       policy_.after_iteration(level);
     };
     if (r != nullptr) {
-      for (OwnedIter oi(r->fold, r->digit, lo, hi); !oi.done(); oi.next())
-        visit(oi.value());
+      for (OwnedIter oi(r->fold, r->digit, lo, hi); !oi.done();
+           oi.next_run()) {
+        const Int step = oi.stride();
+        for (Int v = oi.value(), n = oi.run_left(); n > 0; --n, v += step)
+          visit(v);
+      }
     } else {
       for (Int v = lo; v <= hi; ++v) visit(v);
     }
   }
 
+  /// Steps every walker of the nest can take inside its current run.
+  Int walker_run() const {
+    Int n = kEndlessRun;
+    for (const RefWalker* w : *walkers_now_) n = std::min(n, w->run());
+    return n;
+  }
+
+  /// Close every walker's run after n steps.
+  void finish_runs(Int n) {
+    for (RefWalker* w : *walkers_now_) w->finish_run(n);
+  }
+
   /// Full innermost segment: every iteration is stepped, each instance
   /// runs when its owner is the policy's. Gated statements run once per
-  /// prefix, at the first iteration of every loop below their depth.
+  /// prefix, at the first iteration of every loop below their depth. The
+  /// loop is split where any walker's run ends, so inside a piece every
+  /// address advances by one add.
   /// Out of line (like restricted_segment) so the hot loop is compiled
   /// on its own, away from the recursion: measurably faster.
   [[gnu::noinline]] void segment(Int lo, Int hi) {
@@ -348,22 +373,27 @@ class Traversal {
         }
       if (fast_ && s.stepped.empty()) counters.owner_hoisted += len;
     }
-    for (Int i = lo;; ++i) {
-      iter_[static_cast<size_t>(inner_)] = i;
-      for (Stmt& s : *stmts_) {
-        if (!s.full) {
-          if (i == lo && fires(s)) fire(cur, s);
-          continue;
-        }
-        const int q = owner(s);
-        if (policy_.owns(q)) {
-          instance(cur, s, q);
-        } else {
-          for (Ref& r : s.refs)
-            if (r.walk) r.walker.step();
+    for (Int i = lo;;) {
+      const Int n = std::min(hi - i + 1, walker_run());
+      for (const Int end = i + n; i < end; ++i) {
+        iter_[static_cast<size_t>(inner_)] = i;
+        for (Stmt& s : *stmts_) {
+          if (!s.full) {
+            if (i == lo && fires(s)) fire(cur, s);
+            continue;
+          }
+          const int q = owner(s);
+          if (policy_.owns(q)) {
+            instance(cur, s, q);
+          } else {
+            for (Ref& r : s.refs)
+              if (r.walk) r.walker.step();
+          }
         }
       }
-      if (i == hi) break;
+      if (i > hi) break;
+      finish_runs(n);
+      ++counters.walker_splits;
     }
     policy_.flush(cur);
   }
@@ -408,23 +438,31 @@ class Traversal {
     policy_.flush(cur);
   }
 
-  /// The full-depth instances of a restricted slice, all owned by q.
+  /// The full-depth instances of a restricted slice, all owned by q: each
+  /// run of owned values is split where a walker's run ends, and walkers
+  /// jump the gaps between runs.
   void owned_slice(Cursor& cur, OwnedIter& oi, int q) {
-    for (Stmt& s : *stmts_)
-      for (Ref& ref : s.refs)
-        if (ref.walk) ref.walker.init(iter_);
-    while (true) {
-      for (Stmt& s : *stmts_)
-        if (s.full) instance(cur, s, q);
-      const Int prev = oi.value();
-      oi.next();
+    const Int stride = oi.stride();
+    for (RefWalker* w : *walkers_now_) w->init(iter_, stride);
+    for (Int i = oi.value();;) {
+      Int n = 0;  // steps into the walkers' current run
+      for (Int left = oi.run_left();;) {
+        n = std::min(left, walker_run());
+        for (const Int end = i + n * stride; i != end; i += stride) {
+          iter_[static_cast<size_t>(inner_)] = i;
+          for (Stmt& s : *stmts_)
+            if (s.full) instance(cur, s, q);
+        }
+        left -= n;
+        if (left == 0) break;
+        finish_runs(n);
+        ++counters.walker_splits;
+      }
+      oi.next_run();
       if (oi.done()) break;
-      iter_[static_cast<size_t>(inner_)] = oi.value();
-      // The instance already stepped every walker once.
-      if (oi.value() - prev > 1)
-        for (Stmt& s : *stmts_)
-          for (Ref& ref : s.refs)
-            if (ref.walk) ref.walker.step_n(oi.value() - prev - 1);
+      finish_runs(n);
+      for (RefWalker* w : *walkers_now_) w->jump((oi.value() - i) / stride);
+      i = oi.value();
     }
   }
 
@@ -433,8 +471,10 @@ class Traversal {
   const bool fast_;
   const int procs_;
   std::vector<std::vector<Stmt>> plans_;  ///< per nest
+  std::vector<std::vector<RefWalker*>> walkers_;  ///< per nest: every walker
   const std::vector<ir::Loop>* loops_ = nullptr;
   std::vector<Stmt>* stmts_ = nullptr;
+  const std::vector<RefWalker*>* walkers_now_ = nullptr;
   int inner_ = 0;
   std::vector<Int> iter_, lb_, ub_, scratch_;
   std::vector<double> vals_;

@@ -1,5 +1,7 @@
 #include "runtime/walker.hpp"
 
+#include <algorithm>
+
 #include "support/diagnostics.hpp"
 
 namespace dct::runtime {
@@ -36,11 +38,11 @@ bool RefWalker::build(const core::CompiledRef& ref,
     if (c != 0) {
       if (f.div == 1 && f.mod == 0) {
         // Untransformed dimension: its contribution changes by a constant
-        // every step — fold it into one add.
+        // every iteration — fold it into one add.
         inner_delta_ += c * d.stride;
       } else {
         d.active = static_cast<int>(active_.size());
-        active_.push_back(DimState{f.div, f.mod, d.stride, c, 0, 0});
+        active_.push_back(DimState{f.div, f.mod, d.stride, c});
       }
     }
     dims_.push_back(d);
@@ -48,7 +50,7 @@ bool RefWalker::build(const core::CompiledRef& ref,
   return true;
 }
 
-void RefWalker::init(std::span<const Int> iter) {
+void RefWalker::init(std::span<const Int> iter, Int owned_stride) {
   const core::CompiledRef& ref = *ref_;
   for (int r = 0; r < ref.rank; ++r) {
     Int v = ref.offsets[static_cast<size_t>(r)];
@@ -69,6 +71,51 @@ void RefWalker::init(std::span<const Int> iter) {
       st.v = v;
     }
   }
+  // Split each step's subscript advance c * owned_stride into whole
+  // strips q (rounded toward zero) and a remainder r. Modulo the
+  // dimension's modulus, q is what v gains per step until it wraps; a q
+  // that is a multiple of the modulus (LU's j mod 4 under owned stride 4)
+  // adds nothing and never wraps.
+  delta_ = inner_delta_ * owned_stride;
+  for (DimState& st : active_) {
+    st.step = st.c * owned_stride;
+    st.q = st.step / st.div;
+    st.r = st.step - st.q * st.div;
+    if (st.mod != 0) st.q %= st.mod;
+    delta_ += st.q * st.stride;
+  }
+  run_ = run_length();
+}
+
+void RefWalker::resync(Int n) {
+  for (DimState& d : active_) {
+    const Int t = d.rem + n * d.step;
+    const Int k = floor_div(t, d.div);  // strips advanced, crossings included
+    d.rem = t - k * d.div;
+    const Int v = d.mod != 0 ? floor_mod(d.v + k, d.mod) : d.v + k;
+    // The run's adds credited n * q for this dimension.
+    addr_ += (v - d.v - n * d.q) * d.stride;
+    d.v = v;
+  }
+  run_ = run_length();
+}
+
+Int RefWalker::run_length() const {
+  Int run = kEndlessRun;
+  for (const DimState& d : active_) {
+    // Further steps before rem leaves [0, div) or v leaves [0, mod).
+    Int k = kEndlessRun;
+    if (d.r > 0)
+      k = (d.div - 1 - d.rem) / d.r;
+    else if (d.r < 0)
+      k = d.rem / -d.r;
+    if (d.q > 0 && d.mod != 0)
+      k = std::min(k, (d.mod - 1 - d.v) / d.q);
+    else if (d.q < 0 && d.mod != 0)
+      k = std::min(k, d.v / -d.q);
+    if (k != kEndlessRun) run = std::min(run, k + 1);
+  }
+  return run;
 }
 
 }  // namespace dct::runtime

@@ -6,6 +6,7 @@
 #include "core/compiler.hpp"
 #include "native/native.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/walker.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
 #include "verify/oracle.hpp"
@@ -123,7 +124,87 @@ ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
 // Differential check
 // ---------------------------------------------------------------------------
 
-std::optional<std::string> check_program(const ir::Program& prog) {
+decomp::ProgramDecomposition refold(decomp::ProgramDecomposition dec,
+                                    decomp::DistKind kind) {
+  for (decomp::ArrayDecomposition& ad : dec.arrays)
+    for (decomp::DimDistribution& d : ad.dims)
+      if (d.kind != decomp::DistKind::Serial) {
+        d.kind = kind;
+        d.block = kind == decomp::DistKind::BlockCyclic ? 3 : 0;
+      }
+  return dec;
+}
+
+namespace {
+
+/// Tally the innermost restricted slices of `plan` whose walkers cross
+/// strips, by fold kind.
+void count_strip_slices(const core::CompiledProgram& cp,
+                        const native::ProgramPlan& plan,
+                        CheckCoverage& cov) {
+  for (size_t j = 0; j < plan.nests.size(); ++j) {
+    const int d = static_cast<int>(cp.nests[j].nest.loops.size());
+    for (const native::NestRestriction& r : plan.nests[j].restrictions) {
+      if (r.level != d - 1 || r.fold.kind == decomp::DistKind::Serial)
+        continue;
+      bool strips = false;
+      const auto note = [&](const core::CompiledRef& ref) {
+        runtime::RefWalker w;
+        const auto& lay = cp.arrays[static_cast<size_t>(ref.array)].layout;
+        strips |= w.build(ref, lay, d) && w.walks_strips();
+      };
+      for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
+        if (cs.depth < d) continue;
+        for (const core::CompiledRef& ref : cs.reads) note(ref);
+        if (cs.write) note(*cs.write);
+      }
+      // DistKind order: Serial, Block, Cyclic, BlockCyclic.
+      if (strips) ++cov.strip_slices[static_cast<int>(r.fold.kind) - 1];
+    }
+  }
+}
+
+/// Both engines and the native backend on one compilation, against the
+/// sequential reference.
+std::optional<std::string> run_engines(
+    const core::CompiledProgram& cp, const std::string& what,
+    const std::vector<std::vector<double>>& reference, CheckCoverage* cov) {
+  const int procs = cp.procs;
+  runtime::RunResult runs[2];
+  for (const int fast : {1, 0}) {
+    runtime::ExecOptions eopts;
+    eopts.fast_exec = fast;
+    runs[fast] =
+        runtime::simulate(cp, machine::MachineConfig::dash(procs), eopts);
+    if (runs[fast].values != reference)
+      return strf("%s procs=%d engine=%s diverges from the sequential "
+                  "reference",
+                  what.c_str(), procs, fast ? "fast" : "interpreter");
+  }
+  if (runs[0].cycles != runs[1].cycles ||
+      runs[0].statements != runs[1].statements ||
+      runs[0].proc_cycles != runs[1].proc_cycles)
+    return strf("%s procs=%d engines disagree on timing "
+                "(fast %.1f vs interpreter %.1f cycles)",
+                what.c_str(), procs, runs[1].cycles, runs[0].cycles);
+
+  // Real threads: the plan's derived barriers, owner posts, gathers
+  // and doacross waits must order every dependence.
+  const native::ProgramPlan plan = native::plan_program(cp);
+  if (cov != nullptr) count_strip_slices(cp, plan, *cov);
+  native::NativeOptions nopts;
+  nopts.threads = procs;
+  if (native::run_native(cp, plan, nopts).values != reference)
+    return strf("%s procs=%d engine=native diverges from the sequential "
+                "reference",
+                what.c_str(), procs);
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> check_program(const ir::Program& prog,
+                                         CheckCoverage* cov) {
   try {
     const auto reference = runtime::run_reference(prog);
     for (const core::Mode mode :
@@ -137,35 +218,30 @@ std::optional<std::string> check_program(const ir::Program& prog) {
           return strf("mode=%s procs=%d static oracle violation:\n%s",
                       core::to_string(mode).c_str(), procs,
                       vr.to_string().c_str());
-
-        runtime::RunResult runs[2];
-        for (const int fast : {1, 0}) {
-          runtime::ExecOptions eopts;
-          eopts.fast_exec = fast;
-          runs[fast] = runtime::simulate(
-              cp, machine::MachineConfig::dash(procs), eopts);
-          if (runs[fast].values != reference)
-            return strf("mode=%s procs=%d engine=%s diverges from the "
-                        "sequential reference",
-                        core::to_string(mode).c_str(), procs,
-                        fast ? "fast" : "interpreter");
+        if (auto bad = run_engines(cp, "mode=" + core::to_string(mode),
+                                   reference, cov))
+          return bad;
+      }
+    }
+    // FULL with every distributed dimension refolded: the CYCLIC and
+    // BLOCK-CYCLIC slices the generated programs' own folds never pick.
+    const decomp::ProgramDecomposition dec = decomp::decompose(prog);
+    for (const decomp::DistKind kind :
+         {decomp::DistKind::Cyclic, decomp::DistKind::BlockCyclic}) {
+      const decomp::ProgramDecomposition re = refold(dec, kind);
+      for (const int procs : {3, 4}) {
+        std::optional<core::CompiledProgram> cp;
+        try {
+          cp = core::compile_with_decomposition(prog, re, core::Mode::Full,
+                                                procs);
+        } catch (const Error&) {
+          if (cov != nullptr) ++cov->refold_skips;
+          continue;
         }
-        if (runs[0].cycles != runs[1].cycles ||
-            runs[0].statements != runs[1].statements ||
-            runs[0].proc_cycles != runs[1].proc_cycles)
-          return strf("mode=%s procs=%d engines disagree on timing "
-                      "(fast %.1f vs interpreter %.1f cycles)",
-                      core::to_string(mode).c_str(), procs, runs[1].cycles,
-                      runs[0].cycles);
-
-        // Real threads: the plan's derived barriers, owner posts, gathers
-        // and doacross waits must order every dependence.
-        native::NativeOptions nopts;
-        nopts.threads = procs;
-        if (native::run_native(cp, nopts).values != reference)
-          return strf("mode=%s procs=%d engine=native diverges from the "
-                      "sequential reference",
-                      core::to_string(mode).c_str(), procs);
+        if (auto bad = run_engines(
+                *cp, "mode=FULL refolded=" + decomp::to_string(kind),
+                reference, cov))
+          return bad;
       }
     }
   } catch (const Error& e) {
@@ -245,9 +321,10 @@ ir::Program shrink_program(
 }
 
 std::optional<Divergence> fuzz_one(std::uint64_t seed,
-                                   const ProgenOptions& opts) {
+                                   const ProgenOptions& opts,
+                                   CheckCoverage* cov) {
   const ir::Program prog = generate_program(seed, opts);
-  if (!check_program(prog)) return std::nullopt;
+  if (!check_program(prog, cov)) return std::nullopt;
   Divergence d;
   d.seed = seed;
   d.program = shrink_program(prog);

@@ -9,8 +9,10 @@
 // check_program compiles the program in all three modes, executes it at
 // several processor counts under BOTH executor engines and on the native
 // threaded backend, and compares every run bit-for-bit against the
-// sequential reference (plus the static oracles of verify/oracle.hpp). Any
-// disagreement — or any crash — is a finding.
+// sequential reference (plus the static oracles of verify/oracle.hpp). It
+// does the same for FULL with the decomposition refolded to CYCLIC and to
+// BLOCK-CYCLIC, so every slice kind of the traversal kernel gets walked.
+// Any disagreement — or any crash — is a finding.
 //
 // When a seed fails, shrink_program greedily drops nests, statements,
 // reads and time steps while the failure reproduces, so the reported
@@ -23,6 +25,7 @@
 #include <optional>
 #include <string>
 
+#include "decomp/decomposition.hpp"
 #include "ir/program.hpp"
 
 namespace dct::verify {
@@ -42,12 +45,28 @@ struct ProgenOptions {
 ir::Program generate_program(std::uint64_t seed,
                              const ProgenOptions& opts = {});
 
-/// Differential check: all 3 modes x procs {1, 3, 4} x both engines and
-/// the native backend vs the sequential reference, plus the static
-/// validation oracles. Returns
-/// a description of the first disagreement (or crash), nullopt on full
-/// agreement.
-std::optional<std::string> check_program(const ir::Program& prog);
+/// `dec` with every distributed array dimension refolded to `kind`
+/// (blocks of 3 for BLOCK-CYCLIC).
+decomp::ProgramDecomposition refold(decomp::ProgramDecomposition dec,
+                                    decomp::DistKind kind);
+
+/// What the differential checks walked (coverage, not findings).
+struct CheckCoverage {
+  /// Innermost restricted native slices with a walker crossing strips,
+  /// by fold kind: BLOCK, CYCLIC, BLOCK-CYCLIC.
+  long strip_slices[3] = {};
+  /// Refolded decompositions compile_with_decomposition rejected.
+  long refold_skips = 0;
+};
+
+/// Differential check: all 3 modes x procs {1, 3, 4}, and FULL refolded
+/// to CYCLIC and BLOCK-CYCLIC x procs {3, 4}, each on both engines and the
+/// native backend vs the sequential reference, plus the static validation
+/// oracles on the unrefolded compilations. Returns a description of the
+/// first disagreement (or crash), nullopt on full agreement. Adds to
+/// `cov` when given.
+std::optional<std::string> check_program(const ir::Program& prog,
+                                         CheckCoverage* cov = nullptr);
 
 /// Greedy structural shrink: repeatedly drop nests, statements, reads and
 /// time steps while `failing` still returns a finding for the reduced
@@ -55,7 +74,7 @@ std::optional<std::string> check_program(const ir::Program& prog);
 ir::Program shrink_program(
     const ir::Program& prog,
     const std::function<std::optional<std::string>(const ir::Program&)>&
-        failing = check_program);
+        failing = [](const ir::Program& p) { return check_program(p); });
 
 /// A divergence found by the fuzzer, already shrunk to a minimal repro.
 struct Divergence {
@@ -64,8 +83,10 @@ struct Divergence {
   ir::Program program;  ///< minimal failing program
 };
 
-/// Generate, check, and (on failure) shrink one seed.
+/// Generate, check, and (on failure) shrink one seed; the check of the
+/// generated program adds to `cov` when given.
 std::optional<Divergence> fuzz_one(std::uint64_t seed,
-                                   const ProgenOptions& opts = {});
+                                   const ProgenOptions& opts = {},
+                                   CheckCoverage* cov = nullptr);
 
 }  // namespace dct::verify

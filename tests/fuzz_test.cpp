@@ -1,6 +1,7 @@
 // Differential program fuzzer (tier-1 smoke): seeded random affine
-// programs are compiled in all three modes and executed by both engines
-// and the native threaded backend;
+// programs are compiled in all three modes (and FULL refolded to CYCLIC
+// and BLOCK-CYCLIC) and executed by both engines and the native threaded
+// backend;
 // any divergence from the sequential reference is shrunk to a minimal
 // repro and reported with its seed.
 //
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iostream>
 
 #include "support/env.hpp"
 #include "verify/progen.hpp"
@@ -88,8 +90,10 @@ TEST(Fuzz, DifferentialSweepFindsNoDivergence) {
   const long count = env_int("DCT_FUZZ_COUNT", 50);
   const std::string repro_out = env_str("DCT_FUZZ_REPRO_OUT", "");
   long divergences = 0;
+  CheckCoverage cov;
   for (long i = 0; i < count; ++i) {
-    const std::optional<Divergence> d = fuzz_one(base + static_cast<std::uint64_t>(i));
+    const std::optional<Divergence> d =
+        fuzz_one(base + static_cast<std::uint64_t>(i), {}, &cov);
     if (d) {
       ++divergences;
       ADD_FAILURE() << "seed " << d->seed << ": " << d->detail
@@ -102,6 +106,17 @@ TEST(Fuzz, DifferentialSweepFindsNoDivergence) {
     }
   }
   EXPECT_EQ(divergences, 0) << "replay with DCT_FUZZ_SEED=" << base;
+  // Every slice kind of the traversal kernel must have walked a
+  // strip-mined layout, or the sweep proves nothing about its runs.
+  const char* const kinds[] = {"BLOCK", "CYCLIC", "BLOCK-CYCLIC"};
+  for (int k = 0; k < 3; ++k) {
+    std::cout << "[ fuzz ] innermost " << kinds[k]
+              << " slices crossing strips: " << cov.strip_slices[k] << "\n";
+    EXPECT_GT(cov.strip_slices[k], 0)
+        << "no innermost " << kinds[k] << " slice walked a strip-mined layout";
+  }
+  std::cout << "[ fuzz ] refolded decompositions rejected: "
+            << cov.refold_skips << "\n";
 }
 
 }  // namespace

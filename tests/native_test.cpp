@@ -14,6 +14,7 @@
 #include "native/plan.hpp"
 #include "runtime/executor.hpp"
 #include "support/diagnostics.hpp"
+#include "verify/progen.hpp"
 
 namespace dct::native {
 namespace {
@@ -214,6 +215,86 @@ TEST(Native, RestrictedWalkMatchesFullWalk) {
       expect_bit_identical(label + " restricted-vs-full", restricted.values,
                            full.values);
     }
+  }
+}
+
+TEST(Native, CyclicAndBlockCyclicSlicesMatchReference) {
+  // The apps' own folds give BLOCK slices almost everywhere. Refolding
+  // every distributed dimension (as bench_ablation does) makes every
+  // engine walk CYCLIC slices (owned stride P) and BLOCK-CYCLIC ones in
+  // blocks of 3 (walkers jumping between owned blocks) through FULL
+  // layouts strip-mined the same way.
+  for (const auto& [name, prog] : programs()) {
+    if (name != "stencil5" && name != "swm256" && name != "tomcatv" &&
+        name != "lu")
+      continue;
+    const auto want = runtime::run_reference(prog);
+    for (const decomp::DistKind kind :
+         {decomp::DistKind::Cyclic, decomp::DistKind::BlockCyclic}) {
+      const decomp::ProgramDecomposition dec =
+          verify::refold(decomp::decompose(prog), kind);
+      for (int threads : {3, 4}) {
+        const std::string label = name + "/" + decomp::to_string(kind) +
+                                  "/t" + std::to_string(threads);
+        const auto cp =
+            core::compile_with_decomposition(prog, dec, Mode::Full, threads);
+        const ProgramPlan pp = plan_program(cp);
+        bool innermost = false;
+        for (size_t j = 0; j < pp.nests.size(); ++j)
+          for (const NestRestriction& r : pp.nests[j].restrictions)
+            innermost |= r.fold.kind == kind &&
+                         r.level + 1 == static_cast<int>(
+                                            cp.nests[j].nest.loops.size());
+        EXPECT_TRUE(innermost) << label << ": no innermost slice of that kind";
+        NativeOptions opts;
+        opts.threads = threads;
+        expect_bit_identical(label + " native", run_native(cp, pp, opts).values,
+                             want);
+        for (bool fast : {true, false}) {
+          runtime::ExecOptions eo;
+          eo.fast_exec = fast;
+          expect_bit_identical(
+              label + (fast ? " fast" : " interp"),
+              runtime::simulate(cp, machine::MachineConfig::dash(threads), eo)
+                  .values,
+              want);
+        }
+      }
+    }
+  }
+}
+
+TEST(Native, WalkerSplitsOnlyWhereStripsCut) {
+  // BASE and COMP DECOMP keep identity layouts: no walker ever splits.
+  for (const auto& [name, prog] : programs())
+    for (Mode mode : {Mode::Base, Mode::CompDecomp}) {
+      const auto cp = core::compile(prog, mode, 4);
+      NativeOptions opts;
+      opts.threads = 4;
+      EXPECT_EQ(run_native(cp, opts).walker_splits, 0)
+          << name << "/" << core::to_string(mode);
+      EXPECT_EQ(runtime::simulate(cp, machine::MachineConfig::dash(4))
+                    .counters.walker_splits,
+                0)
+          << name << "/" << core::to_string(mode);
+    }
+  // FULL at the native benchmark's sizes: LU's CYCLIC slices are one run
+  // each; a BLOCK slice splits only where a stencil offset reaches into a
+  // neighbour's strip.
+  NativeOptions opts;
+  opts.threads = 4;
+  opts.collect_values = false;
+  EXPECT_EQ(run_native(core::compile(apps::lu(96), Mode::Full, 4), opts)
+                .walker_splits,
+            0);
+  for (const auto& [name, prog] :
+       {std::pair{"stencil5", apps::stencil5(512, 2)},
+        std::pair{"swm256", apps::swm256(384, 2)},
+        std::pair{"tomcatv", apps::tomcatv(384, 2)}}) {
+    const NativeResult r =
+        run_native(core::compile(prog, Mode::Full, 4), opts);
+    EXPECT_GT(r.walker_splits, 0) << name;
+    EXPECT_LT(r.walker_splits * 100, r.statements) << name;
   }
 }
 

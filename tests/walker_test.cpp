@@ -1,8 +1,9 @@
 // Tests for the incremental address walkers and the fast execution engine:
-// the walker must agree with Layout::linearize at every step (including
-// across strip boundaries and for negative inner-loop coefficients), and
-// the fast engine must be bit-identical to the interpreter on every
-// application under every compilation mode.
+// driven run by run the way the traversal kernel drives it, the walker
+// must agree with Layout::linearize at every visited position (across
+// strip boundaries, for negative inner-loop coefficients, owned strides
+// above 1 and jumps), and the fast engine must be bit-identical to the
+// interpreter on every application under every compilation mode.
 #include "runtime/walker.hpp"
 
 #include <gtest/gtest.h>
@@ -35,20 +36,45 @@ Int reference_addr(const core::CompiledRef& ref, const Layout& lay,
   return lay.linearize(subs);
 }
 
-/// Walk the innermost loop over [0, trips) from a random starting point and
-/// compare the walker against subscript evaluation + linearize every step.
-void check_walk(const core::CompiledRef& ref, const Layout& lay, int depth,
-                std::span<const Int> start, Int trips) {
+/// Walk `trips` positions of the innermost loop, `stride` iterations
+/// apart, from `start` the way the traversal kernel does: take
+/// min(run(), left) steps, then finish_run. With `rng`, jump over a few
+/// positions now and then. Compares the walker against subscript
+/// evaluation + linearize at every visited position; returns the number of
+/// runs taken.
+Int check_walk(const core::CompiledRef& ref, const Layout& lay, int depth,
+               std::span<const Int> start, Int trips, Int stride = 1,
+               Rng* rng = nullptr) {
   RefWalker w;
-  ASSERT_TRUE(w.build(ref, lay, depth));
-  std::vector<Int> iter(start.begin(), start.end());
-  w.init(iter);
-  for (Int i = 0; i < trips; ++i) {
-    ASSERT_EQ(w.addr(), reference_addr(ref, lay, iter))
-        << "layout " << lay.to_string() << " at step " << i;
-    ++iter[static_cast<size_t>(depth - 1)];
-    w.step();
+  if (!w.build(ref, lay, depth)) {
+    ADD_FAILURE() << "layout " << lay.to_string() << " not walkable";
+    return 0;
   }
+  std::vector<Int> iter(start.begin(), start.end());
+  Int& inner = iter[static_cast<size_t>(depth - 1)];
+  w.init(iter, stride);
+  Int runs = 0;
+  for (Int left = trips; left > 0;) {
+    const Int n = std::min(w.run(), left);
+    EXPECT_GE(n, 1);
+    for (Int k = 0; k < n; ++k, inner += stride) {
+      const Int want = reference_addr(ref, lay, iter);
+      EXPECT_EQ(w.addr(), want) << "layout " << lay.to_string() << " stride "
+                                << stride << " at inner " << inner;
+      if (w.addr() != want) return runs;  // one report per walk
+      w.step();
+    }
+    left -= n;
+    w.finish_run(n);
+    ++runs;
+    if (rng != nullptr && left > 1 && rng->uniform(0, 3) == 0) {
+      const Int gap = rng->uniform(1, std::min<Int>(left - 1, 9));
+      w.jump(gap);
+      inner += gap * stride;
+      left -= gap;
+    }
+  }
+  return runs;
 }
 
 TEST(Walker, MatchesLinearizeOnRandomLayouts) {
@@ -61,6 +87,7 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
     const int rank = static_cast<int>(rng.uniform(1, 3));
     const int depth = static_cast<int>(rng.uniform(1, 3));
     const Int trips = rng.uniform(8, 40);
+    const Int stride = rng.uniform(1, 5);  // owned stride: CYCLIC slices
     core::CompiledRef ref;
     ref.rank = rank;
     ref.coeffs.assign(static_cast<size_t>(rank * depth), 0);
@@ -75,7 +102,8 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
       for (int k = 0; k < depth; ++k) {
         const Int c = rng.uniform(-2, 2);
         ref.coeffs[static_cast<size_t>(r * depth + k)] = c;
-        const Int hi = k == depth - 1 ? trips : start[static_cast<size_t>(k)];
+        const Int hi =
+            k == depth - 1 ? trips * stride : start[static_cast<size_t>(k)];
         min_sub += std::min<Int>(0, c * hi);
         max_sub += std::max<Int>(0, c * hi);
       }
@@ -105,16 +133,16 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
     }
     if (!lay.all_simple()) continue;  // nested strips may break divisibility
 
-    check_walk(ref, lay, depth, start, trips);
+    check_walk(ref, lay, depth, start, trips, stride, &rng);
     ++checked;
   }
   EXPECT_GT(checked, 200);  // the skip path must stay the exception
 }
 
-TEST(Walker, StepNJumpsMatchSingleSteps) {
-  // step_n(n) powers the native backend's restricted walks: jumping the
-  // inner loop by a gap must land on exactly the address n single steps
-  // reach, across strip boundaries included.
+TEST(Walker, JumpsMatchSingleSteps) {
+  // jump(n) carries the native backend's restricted walks across the gaps
+  // between BLOCK-CYCLIC runs: it must land on exactly the address n
+  // single steps reach, across several strip boundaries included.
   Rng rng(20260808);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<Int> dims{rng.uniform(24, 48), rng.uniform(8, 16)};
@@ -138,14 +166,42 @@ TEST(Walker, StepNJumpsMatchSingleSteps) {
     while (true) {
       const Int gap = rng.uniform(1, 7);
       if (pos + gap >= dims[0]) break;
-      for (Int s = 0; s < gap; ++s) stepper.step();
-      jumper.step_n(gap);
+      for (Int s = 0; s < gap; ++s) {
+        stepper.step();
+        stepper.finish_run(1);
+      }
+      jumper.jump(gap);
       pos += gap;
       ASSERT_EQ(jumper.addr(), stepper.addr())
           << "layout " << lay.to_string() << " at i1=" << pos;
       std::vector<Int> iter{start[0], pos};
       ASSERT_EQ(jumper.addr(), reference_addr(ref, lay, iter));
     }
+  }
+}
+
+TEST(Walker, CyclicStrideMultipleOfModulusIsOneRun) {
+  // LU's FULL layout at 4 threads: the CYCLIC column dimension strip-mined
+  // by 4 and the strip index moved outermost. A thread's slice walks
+  // j = t, t + 4, ...: j mod 4 never changes and j / 4 advances by one, so
+  // the address is affine over the whole slice. Values stay right when
+  // the walker splits here anyway; only the run count catches it.
+  Layout lay = Layout::identity({96, 96});
+  lay.apply(layout::StripMine{1, 4});
+  lay.apply(layout::Permute{{0, 2, 1}});
+  ASSERT_EQ(lay.to_string(), "dims(96,24,4) strip(dim=1, b=4) permute(0,2,1)");
+  core::CompiledRef ref;
+  ref.rank = 2;
+  ref.coeffs = {1, 0, 0, 1};  // A(i, j), j innermost
+  ref.offsets = {0, 0};
+  for (Int t = 0; t < 4; ++t) {
+    const std::vector<Int> start{17, t};
+    EXPECT_EQ(check_walk(ref, lay, 2, start, 24, /*stride=*/4), 1)
+        << "thread " << t;
+    RefWalker w;
+    ASSERT_TRUE(w.build(ref, lay, 2));
+    w.init(start, 4);
+    EXPECT_EQ(w.run(), kEndlessRun);
   }
 }
 
@@ -255,6 +311,11 @@ TEST(Walker, FastEngineUsesWalkersOnTransformedLayouts) {
             static_cast<long>(r.counters.walker_fast));
   EXPECT_EQ(r.trace.passes[0].counters.at("sim_dir_fast_hits"),
             static_cast<long>(r.counters.dir_fast));
+  // The unfiltered walk crosses every processor's strip of the FULL
+  // layout, so its runs end there.
+  EXPECT_GT(r.counters.walker_splits, 0);
+  EXPECT_EQ(r.trace.passes[0].counters.at("sim_walker_splits"),
+            static_cast<long>(r.counters.walker_splits));
 }
 
 }  // namespace
