@@ -35,9 +35,9 @@
 // evaluation).
 //
 // Configuration is explicit: core::CompileOptions::native_check makes the
-// verify pass run this backend as a differential oracle, and
-// bench_native's main() reads DCT_NATIVE_THREADS for the thread counts it
-// compiles for. Nothing here reads the environment.
+// verify pass run this backend as a differential oracle, and callers set
+// the thread count through NativeOptions::threads. Nothing here reads the
+// environment.
 #pragma once
 
 #include <cstdint>

@@ -422,10 +422,9 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp,
 // Differential: fast engine vs interpreter vs sequential reference
 // ---------------------------------------------------------------------------
 
-OracleReport check_differential(const core::CompiledProgram& cp,
-                                const machine::MachineConfig& mcfg,
-                                const OracleOptions& opts) {
-  (void)opts;
+OracleReport check_differential(
+    const core::CompiledProgram& cp, const machine::MachineConfig& mcfg,
+    const std::vector<std::vector<double>>& reference) {
   OracleReport rep;
   rep.oracle = "differential";
   ++rep.subjects;
@@ -437,11 +436,15 @@ OracleReport check_differential(const core::CompiledProgram& cp,
   const runtime::RunResult fast = runtime::simulate(cp, mcfg, fast_o);
   const runtime::RunResult interp = runtime::simulate(cp, mcfg, interp_o);
 
-  auto expect_eq = [&](bool eq, const char* what) {
+  auto expect = [&](bool ok, const std::string& what) {
     ++rep.checks;
-    if (!eq)
-      add_violation(rep, cp.program.name + ": fast engine and interpreter "
-                         "disagree on " + what);
+    if (!ok)
+      add_violation(rep, strf("%s procs=%d: ", cp.program.name.c_str(),
+                              cp.procs) + what);
+  };
+  auto expect_eq = [&](bool eq, const char* field) {
+    expect(eq, std::string("fast engine and interpreter disagree on ") +
+                   field);
   };
   expect_eq(fast.cycles == interp.cycles, "cycles");
   expect_eq(fast.proc_cycles == interp.proc_cycles, "per-processor clocks");
@@ -449,19 +452,29 @@ OracleReport check_differential(const core::CompiledProgram& cp,
   expect_eq(fast.wait_cycles == interp.wait_cycles, "dataflow wait cycles");
   expect_eq(fast.statements == interp.statements, "statement count");
   expect_eq(fast.values == interp.values, "final array values");
-  // Memory behaviour must match except the dir_fast_hits counter (the
-  // interpreter run disables the directory fast path by design).
-  expect_eq(fast.mem.accesses == interp.mem.accesses, "memory accesses");
-  expect_eq(fast.mem.l1_hits == interp.mem.l1_hits, "L1 hits");
-  expect_eq(fast.mem.memory_cycles == interp.mem.memory_cycles,
-            "memory cycles");
-
-  const auto reference = runtime::run_reference(cp.program);
-  ++rep.checks;
-  if (fast.values != reference)
-    add_violation(rep, cp.program.name +
-                           ": transformed program diverges from the "
-                           "sequential reference");
+  // Memory behaviour must match except dir_fast_hits, which records the
+  // fast path itself.
+  const machine::ProcStats& fm = fast.mem;
+  const machine::ProcStats& im = interp.mem;
+  expect_eq(fm.accesses == im.accesses, "memory accesses");
+  expect_eq(fm.l1_hits == im.l1_hits, "L1 hits");
+  expect_eq(fm.l2_hits == im.l2_hits, "L2 hits");
+  expect_eq(fm.local_fills == im.local_fills, "local fills");
+  expect_eq(fm.remote_fills == im.remote_fills, "remote fills");
+  expect_eq(fm.remote_dirty_fills == im.remote_dirty_fills,
+            "remote dirty fills");
+  expect_eq(fm.upgrades == im.upgrades, "upgrades");
+  expect_eq(fm.cold_misses == im.cold_misses, "cold misses");
+  expect_eq(fm.replace_misses == im.replace_misses, "replacement misses");
+  expect_eq(fm.coherence_true == im.coherence_true,
+            "true-sharing coherence misses");
+  expect_eq(fm.coherence_false == im.coherence_false,
+            "false-sharing coherence misses");
+  expect_eq(fm.memory_cycles == im.memory_cycles, "memory cycles");
+  expect(im.dir_fast_hits == 0 && interp.counters.walker_fast == 0,
+         "interpreter took a fast path");
+  expect(fast.values == reference,
+         "transformed program diverges from the sequential reference");
   return rep;
 }
 
@@ -551,7 +564,8 @@ ValidationReport validate_run(const core::CompiledProgram& cp,
                               const machine::MachineConfig& mcfg,
                               const OracleOptions& opts) {
   ValidationReport rep = validate_compiled(cp, opts);
-  rep.oracles.push_back(check_differential(cp, mcfg, opts));
+  rep.oracles.push_back(
+      check_differential(cp, mcfg, runtime::run_reference(cp.program)));
   return rep;
 }
 

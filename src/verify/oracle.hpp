@@ -27,7 +27,9 @@
 //
 //  * differential: the fast engine (incremental walkers + directory fast
 //    path), the interpreter, and the sequential reference must produce
-//    bit-identical results — values, cycles, and statement counts.
+//    bit-identical results — values, cycles, statement counts and memory
+//    statistics. It is the one engine comparator: the tests and the
+//    fuzzer call it too.
 //
 // validate_compiled() runs the three static oracles; validate_run() adds
 // the differential cross-check. compile()'s verify stage runs the static
@@ -72,11 +74,14 @@ OracleReport check_layout_bijectivity(const core::CompiledProgram& cp,
                                       const OracleOptions& opts = {});
 OracleReport check_fold_coverage(const core::CompiledProgram& cp,
                                  const OracleOptions& opts = {});
-/// Runs the program under both engines and the sequential reference;
+/// Runs the program under both engines and demands they agree on every
+/// observable (only the fast-path counters may differ) and that their
+/// values equal `reference`, which is runtime::run_reference(cp.program)
+/// taken by the caller so one reference serves many compilations;
 /// requires mcfg.procs == cp.procs.
-OracleReport check_differential(const core::CompiledProgram& cp,
-                                const machine::MachineConfig& mcfg,
-                                const OracleOptions& opts = {});
+OracleReport check_differential(
+    const core::CompiledProgram& cp, const machine::MachineConfig& mcfg,
+    const std::vector<std::vector<double>>& reference);
 /// Runs the native threaded backend at cp.procs hardware threads and
 /// demands bit-identical array results against the sequential reference.
 /// The verify pass adds this oracle when CompileOptions::native_check is

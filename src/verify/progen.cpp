@@ -170,23 +170,10 @@ std::optional<std::string> run_engines(
     const core::CompiledProgram& cp, const std::string& what,
     const std::vector<std::vector<double>>& reference, CheckCoverage* cov) {
   const int procs = cp.procs;
-  runtime::RunResult runs[2];
-  for (const int fast : {1, 0}) {
-    runtime::ExecOptions eopts;
-    eopts.fast_exec = fast;
-    runs[fast] =
-        runtime::simulate(cp, machine::MachineConfig::dash(procs), eopts);
-    if (runs[fast].values != reference)
-      return strf("%s procs=%d engine=%s diverges from the sequential "
-                  "reference",
-                  what.c_str(), procs, fast ? "fast" : "interpreter");
-  }
-  if (runs[0].cycles != runs[1].cycles ||
-      runs[0].statements != runs[1].statements ||
-      runs[0].proc_cycles != runs[1].proc_cycles)
-    return strf("%s procs=%d engines disagree on timing "
-                "(fast %.1f vs interpreter %.1f cycles)",
-                what.c_str(), procs, runs[1].cycles, runs[0].cycles);
+  const OracleReport diff = check_differential(
+      cp, machine::MachineConfig::dash(procs), reference);
+  if (!diff.ok())
+    return strf("%s %s", what.c_str(), diff.to_string().c_str());
 
   // Real threads: the plan's derived barriers, owner posts, gathers
   // and doacross waits must order every dependence.

@@ -176,6 +176,44 @@ TEST(Server, ServesAndCaches) {
   EXPECT_EQ(r1.cycles, r2.cycles);
 }
 
+TEST(Server, CacheHitSkipsCompile) {
+  // 48 distinct lu sizes compile cold; then 48 repeats of one of those
+  // keys must all hit, compile nothing, and spend at most a fifth of the
+  // cold pass's summed compile stage. The true ratio is thousands, so the
+  // margin holds under sanitizers.
+  constexpr int kRequests = 48;
+  ServerOptions opts;
+  opts.workers = 4;
+  opts.queue_cap = kRequests;
+  opts.cache_cap = kRequests;  // room for every cold key: no evictions
+  opts.spot_check_every = 0;
+  Server server(opts);
+  auto compile_ms = [&](auto size_of, bool want_hit) {
+    std::vector<std::future<Response>> futs;
+    for (int i = 0; i < kRequests; ++i) {
+      Request r = req("lu", 4, Engine::Compile);
+      r.size = size_of(i);
+      r.id = std::to_string(r.size);
+      futs.push_back(server.submit(r));
+    }
+    double sum = 0;
+    for (auto& f : futs) {
+      const Response r = f.get();
+      EXPECT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.cache_hit, want_hit) << "lu size " << r.id;
+      sum += r.compile_ms;
+    }
+    return sum;
+  };
+  const double cold = compile_ms([](int i) { return 32 + 2 * i; }, false);
+  const long misses = server.cache().stats().misses;
+  EXPECT_EQ(misses, kRequests);
+  const double warm = compile_ms([](int) { return 32; }, true);
+  EXPECT_EQ(server.cache().stats().misses, misses);
+  EXPECT_LE(warm * 5, cold) << "warm " << warm << " ms, cold " << cold
+                            << " ms";
+}
+
 TEST(Server, EnginesAgreeOnValues) {
   // The simulator and the native backend run the same compiled artifact
   // and must produce bit-identical array results.

@@ -6,6 +6,7 @@
 
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
+#include "runtime/executor.hpp"
 #include "support/diagnostics.hpp"
 #include "verify/oracle.hpp"
 
@@ -166,8 +167,8 @@ TEST(Verify, DifferentialOracleAgreesOnPipelinedApp) {
   // see bit-identical cycles and values from both engines.
   const core::CompiledProgram cp =
       core::compile(apps::adi(12, 2), Mode::Full, 4);
-  const verify::OracleReport rep =
-      verify::check_differential(cp, machine::MachineConfig::dash(4));
+  const verify::OracleReport rep = verify::check_differential(
+      cp, machine::MachineConfig::dash(4), runtime::run_reference(cp.program));
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
