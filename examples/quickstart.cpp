@@ -30,8 +30,7 @@ int main() {
   //    dimension and move the processor-identifying dimension rightmost,
   //    making each processor's rows contiguous in the shared address
   //    space.
-  const core::CompiledProgram full =
-      core::compile(prog, core::Mode::Full, 8, {.trace = true});
+  const core::CompiledProgram full = core::compile(prog, core::Mode::Full, 8);
   for (size_t a = 0; a < full.arrays.size(); ++a)
     if (!full.arrays[a].layout.is_identity())
       std::cout << "layout " << prog.arrays[a].name << ": "
@@ -40,9 +39,12 @@ int main() {
 
   // 3b. The compiler is an instrumented pass pipeline: every compilation
   //     carries a structured trace (per-pass wall time, remarks, decision
-  //     counters). The Full compile above sets CompileOptions::trace, so
-  //     it printed the whole trace as one JSON line on stderr; here is
+  //     counters). Print the whole trace as one JSON line on stderr, then
   //     the summary.
+  std::cerr << full.trace.json({{"unit", full.program.name},
+                                {"mode", core::to_string(full.mode)},
+                                {"procs", strf("%d", full.procs)}})
+            << "\n";
   std::cout << "Pass pipeline (" << strf("%.3f", full.trace.total_ms)
             << " ms; the full JSON trace is on stderr):\n";
   for (const auto& p : full.trace.passes)

@@ -33,16 +33,11 @@ std::string to_string(Mode mode);
 /// library reads no environment variables; a binary that wants an
 /// environment knob reads it in its own main() and sets the field here.
 /// Nothing is process-global, so concurrent compilations may each hold
-/// different options.
+/// different options. Only what changes the compiled artifact belongs
+/// here: checking it (src/verify) and printing its trace
+/// (PipelineTrace::json) are the caller's business.
 struct CompileOptions {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
-  /// Run the verify stage (src/verify static oracles) last.
-  bool validate = false;
-  /// The verify stage also differential-tests the native threaded backend.
-  bool native_check = false;
-  /// Emit the pipeline trace as one JSON line after the compile.
-  bool trace = false;
-  std::string trace_path{};  ///< empty = stderr
 };
 
 /// Folding of one virtual processor dimension onto physical ranks.
@@ -121,8 +116,8 @@ struct CompiledProgram {
   std::vector<CompiledArray> arrays;
   std::vector<CompiledNest> nests;
   /// Structured pipeline trace: per-pass wall time, remarks and decision
-  /// counters (see support/remark.hpp; CompileOptions::trace prints it as
-  /// JSON).
+  /// counters (see support/remark.hpp; callers print it with
+  /// PipelineTrace::json).
   support::PipelineTrace trace;
 
   std::string report() const;  ///< human-readable compilation summary
@@ -131,9 +126,12 @@ struct CompiledProgram {
 /// Compile `prog` for `procs` processors by running the stages for `mode`
 /// in order (core/pass.cpp): parallelize, decompose (decompose-base for
 /// Base), fold-select and barrier-elim (not for Base), layout, lower,
-/// addr-strategy, and verify when opts.validate is set. The processor
-/// count is a compile-time input exactly as in the paper's generated SPMD
-/// code (block sizes are ceil(d/P)).
+/// addr-strategy. The processor count is a compile-time input exactly as
+/// in the paper's generated SPMD code (block sizes are ceil(d/P)).
+///
+/// A compile only compiles: it starts no thread, opens no file and runs
+/// no oracle. Callers that want the checks run them on the result
+/// (verify::validate_compiled, verify::check_native).
 ///
 /// Reentrant: everything the stages consult lives in `opts` (or the
 /// arguments), so any number of compilations may run concurrently.
@@ -144,7 +142,10 @@ CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
 /// HPF-directed decompositions): layouts, folds and schedules are derived
 /// from `dec` exactly as `compile` does from its own analysis: only the
 /// stages from layout onward run. `mode` selects layout restructuring
-/// (Full) and the Base owner model.
+/// (Full) and the Base owner model. A `dec` whose nest or array count
+/// differs from `prog` throws kInvalidArgument; one binding a processor
+/// dimension outside dec.num_proc_dims throws kUnsupportedConfig (both
+/// with context "pass layout").
 CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            decomp::ProgramDecomposition dec,
                                            Mode mode, int procs,

@@ -3,21 +3,18 @@
 // Each stage of the paper's flow — parallelization (§3.2), global
 // computation/data decomposition (§3), folding-function selection,
 // barrier elimination [Tseng 95], layout derivation (§4.2), schedule
-// lowering, address-strategy costing (§4.3) and, with
-// CompileOptions::validate, the static oracles of src/verify — is a plain
-// function over the CompiledProgram being built. run_stages() calls them
-// in order for a mode, giving each its own timed trace record (wall time,
-// remarks, decision counters) in a support::RemarkEngine.
+// lowering and address-strategy costing (§4.3) — is a plain function over
+// the CompiledProgram being built. run_stages() calls them in order for a
+// mode, giving each its own timed trace record (wall time, remarks,
+// decision counters) in a support::RemarkEngine.
 #include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "core/compiler.hpp"
 #include "dep/dependence.hpp"
-#include "native/plan.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
-#include "verify/oracle.hpp"
 
 namespace dct::core {
 
@@ -77,7 +74,36 @@ void eliminate_barriers(CompiledProgram& cp, support::RemarkSink& rs) {
 // layout — grid folding, per-array layouts/partitions, address space (§4.2)
 // ---------------------------------------------------------------------------
 
+/// A decomposition supplied to compile_with_decomposition must describe
+/// this program: one entry per nest and per array, and processor
+/// dimensions inside its own space. Checked before anything indexes by
+/// them.
+void check_decomposition(const CompiledProgram& cp) {
+  const ir::Program& prog = cp.program;
+  const decomp::ProgramDecomposition& dec = cp.dec;
+  if (dec.nests.size() != prog.nests.size() ||
+      dec.par.size() != prog.nests.size() ||
+      dec.arrays.size() != prog.arrays.size())
+    throw Error(Error::Code::kInvalidArgument,
+                strf("decomposition has %zu nests (%zu parallelized) and "
+                     "%zu arrays but %s has %zu nests and %zu arrays",
+                     dec.nests.size(), dec.par.size(), dec.arrays.size(),
+                     prog.name.c_str(), prog.nests.size(),
+                     prog.arrays.size()));
+  // dctd's HPF bridge is where an out-of-range dimension comes from, so
+  // the message names the directive.
+  for (size_t a = 0; a < dec.arrays.size(); ++a)
+    for (const decomp::DimDistribution& d : dec.arrays[a].dims)
+      if (d.proc_dim >= dec.num_proc_dims)
+        throw Error(Error::Code::kUnsupportedConfig,
+                    strf("HPF directive for \"%s\" uses processor dim %d "
+                         "but the decomposition has %d",
+                         prog.arrays[a].name.c_str(), d.proc_dim,
+                         dec.num_proc_dims));
+}
+
 void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
+  check_decomposition(cp);
   const ir::Program& prog = cp.program;
   const bool restructure = cp.mode == Mode::Full;
   cp.grid = cp.dec.grid_extents(cp.procs);
@@ -265,33 +291,6 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
 }
 
 // ---------------------------------------------------------------------------
-// verify — static validation oracles (src/verify/), opts.validate
-// ---------------------------------------------------------------------------
-
-/// Throws Error(kOracleViolation) on any violation; `native` adds the
-/// native threaded-backend differential.
-void validate(CompiledProgram& cp, support::RemarkSink& rs, bool native) {
-  verify::ValidationReport rep = verify::validate_compiled(cp);
-  if (native) {
-    rep.oracles.push_back(verify::check_native(cp));
-    const native::ProgramPlan pp = native::plan_program(cp);
-    rs.count("native_sequential_nests", pp.sequential_nests);
-    rs.count("native_restricted_nests", pp.restricted_nests);
-    for (size_t j = 0; j < pp.nests.size(); ++j) {
-      support::ScopedSink nest_rs(&rs, static_cast<int>(j),
-                                  cp.program.nests[j].name);
-      nest_rs.note("native plan: " + pp.nests[j].why);
-    }
-  }
-  rs.count("oracle_checks", rep.total_checks());
-  for (const verify::OracleReport& o : rep.oracles) {
-    rs.count(("checks_" + o.oracle).c_str(), o.checks);
-    if (!o.ok()) rs.note(o.to_string());
-  }
-  rep.raise_if_violated(cp.program.name + " [" + to_string(cp.mode) + "]");
-}
-
-// ---------------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------------
 
@@ -300,8 +299,7 @@ void validate(CompiledProgram& cp, support::RemarkSink& rs, bool native) {
 ///   CompDecomp: parallelize, decompose, fold-select, barrier-elim,
 ///               layout, lower, addr-strategy
 ///   Full:       as CompDecomp; layout restructures arrays
-/// then `verify` when opts.validate is set. With a supplied `dec` only the
-/// tail from `layout` onward runs. Emits the trace when opts.trace is set.
+/// With a supplied `dec` only the tail from `layout` onward runs.
 CompiledProgram run_stages(const ir::Program& prog, Mode mode, int procs,
                            const CompileOptions& opts,
                            std::optional<decomp::ProgramDecomposition> dec) {
@@ -344,17 +342,7 @@ CompiledProgram run_stages(const ir::Program& prog, Mode mode, int procs,
   run("layout", lay_out);
   run("lower", lower);
   run("addr-strategy", cost_addresses);
-  if (opts.validate)
-    run("verify", [&](CompiledProgram& c, support::RemarkSink& rs) {
-      validate(c, rs, opts.native_check);
-    });
-
   cp.trace = eng.take_trace();
-  if (opts.trace)
-    support::emit_trace(cp.trace.json({{"unit", cp.program.name},
-                                       {"mode", to_string(cp.mode)},
-                                       {"procs", strf("%d", cp.procs)}}),
-                        opts.trace_path);
   return cp;
 }
 

@@ -39,9 +39,15 @@ std::string ProcStats::to_string() const {
       coherence_true, coherence_false);
 }
 
-Machine::Machine(const MachineConfig& cfg)
-    : cfg_(cfg), fast_enabled_(cfg.fast_directory) {
-  DCT_CHECK(cfg.procs >= 1 && cfg.procs <= 64, "1..64 processors supported");
+Machine::Machine(const MachineConfig& cfg, bool fast_directory)
+    : cfg_(cfg), fast_enabled_(fast_directory) {
+  DCT_CHECK(cfg.procs >= 1, "need at least one processor");
+  // A structured code lets a sweep record the cell as skipped, not failed.
+  if (cfg.procs > kMaxProcs)
+    throw Error(Error::Code::kUnsupportedConfig,
+                strf("the machine model supports at most %d processors "
+                     "(64-bit sharer masks); got %d",
+                     kMaxProcs, cfg.procs));
   DCT_CHECK(cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
             "only direct-mapped caches modelled (as on DASH)");
   procs_.resize(static_cast<size_t>(cfg.procs));

@@ -25,6 +25,10 @@ namespace dct::machine {
 
 using linalg::Int;
 
+/// Most processors a Machine models: the directory's sharer sets are
+/// 64-bit masks. Larger machines are rejected with kUnsupportedConfig.
+constexpr int kMaxProcs = 64;
+
 struct CacheConfig {
   Int size_bytes = 64 * 1024;
   Int line_bytes = 16;
@@ -49,13 +53,6 @@ struct MachineConfig {
   double barrier_per_proc = 20;
   /// Acquiring a free lock / producer-consumer hand-off.
   double lock_cycles = 60;
-  /// Take the L1-hit fast path that skips the directory hash lookup when
-  /// the line's coherence state provably cannot change (see
-  /// Machine::access). Identical latencies and statistics either way —
-  /// only ProcStats::dir_fast_hits differs; off = always exercise the
-  /// full directory protocol (runtime::ExecOptions::fast_exec = false
-  /// disables it).
-  bool fast_directory = true;
 
   int clusters() const { return (procs + procs_per_cluster - 1) / procs_per_cluster; }
   int cluster_of(int proc) const { return proc / procs_per_cluster; }
@@ -78,7 +75,7 @@ struct ProcStats {
   long long coherence_true = 0;
   long long coherence_false = 0;
   /// L1 hits served by the directory fast path (subset of l1_hits; the
-  /// only counter that depends on MachineConfig::fast_directory).
+  /// only counter that depends on Machine's `fast_directory`).
   long long dir_fast_hits = 0;
   double memory_cycles = 0;
 
@@ -89,12 +86,18 @@ struct ProcStats {
 /// One processor's two-level cache hierarchy plus the shared directory.
 class Machine {
  public:
-  explicit Machine(const MachineConfig& cfg);
+  /// Throws Error(kUnsupportedConfig) when cfg.procs > kMaxProcs.
+  /// `fast_directory` takes the L1-hit fast path that skips the directory
+  /// hash lookup when the line's coherence state provably cannot change
+  /// (see access). Identical latencies and statistics either way — only
+  /// ProcStats::dir_fast_hits differs; false always exercises the full
+  /// directory protocol (the simulator's interpreter configuration).
+  explicit Machine(const MachineConfig& cfg, bool fast_directory = true);
 
   /// Simulate one access; returns its latency in cycles and updates the
   /// per-processor statistics.
   ///
-  /// Fast path (cfg.fast_directory): an L1 hit whose slot carries the
+  /// Fast path (`fast_directory`): an L1 hit whose slot carries the
   /// right fast flag — read: the processor is a recorded sharer; write:
   /// the processor is the dirty owner — needs no directory transition at
   /// all, so the `directory_` hash lookup is skipped entirely. The slow

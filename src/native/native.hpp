@@ -34,9 +34,9 @@
 // initialization, same owner-computes schedule, dependence-ordered
 // evaluation).
 //
-// Configuration is explicit: core::CompileOptions::native_check makes the
-// verify pass run this backend as a differential oracle, and callers set
-// the thread count through NativeOptions::threads. Nothing here reads the
+// Configuration is explicit: callers set the thread count through
+// NativeOptions::threads, and verify::check_native runs this backend as a
+// differential oracle on a compiled program. Nothing here reads the
 // environment.
 #pragma once
 

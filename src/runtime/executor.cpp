@@ -1,6 +1,7 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "runtime/traversal.hpp"
 #include "support/diagnostics.hpp"
@@ -28,6 +29,8 @@ struct Cell {
   double wtime = 0;
   std::int8_t wproc = -1;
 };
+// The Machine's processor limit is what keeps writer ids in range.
+static_assert(machine::kMaxProcs <= INT8_MAX);
 
 /// Traversal policy of the simulator: per-processor clocks, dataflow
 /// waits on cells written by other processors, and one machine access
@@ -133,15 +136,7 @@ RunResult simulate(const CompiledProgram& cp,
                    const machine::MachineConfig& mcfg,
                    const ExecOptions& opts) {
   DCT_CHECK(mcfg.procs == cp.procs, "machine/compile processor mismatch");
-  // The writer-id field of the dataflow state is an int8. A structured
-  // code lets the sweep record the cell as skipped instead of failed.
-  if (cp.procs > 127)
-    throw Error(Error::Code::kUnsupportedConfig,
-                "simulate supports at most 127 processors (int8 writer "
-                "ids); got " + std::to_string(cp.procs));
-  machine::MachineConfig mc = mcfg;
-  mc.fast_directory = mc.fast_directory && opts.fast_exec;
-  machine::Machine machine(mc);
+  machine::Machine machine(mcfg, opts.fast_exec);
   const int P = cp.procs;
   const ir::Program& prog = cp.program;
 

@@ -79,8 +79,8 @@ struct ExecOptions {
 };
 
 /// Simulate the compiled program on the machine. `mcfg.procs` must match
-/// the compiled processor count. Throws Error(kUnsupportedConfig) for
-/// processor counts beyond the int8 writer-id dataflow state (> 127).
+/// the compiled processor count. Throws Error(kUnsupportedConfig) above
+/// machine::kMaxProcs processors.
 RunResult simulate(const core::CompiledProgram& cp,
                    const machine::MachineConfig& mcfg,
                    const ExecOptions& opts = {});

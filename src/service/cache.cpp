@@ -86,9 +86,7 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
     os << '|';
   }
   os << "mode=" << static_cast<int>(mode) << "|P=" << procs
-     << "|strat=" << static_cast<int>(opts.strategy)
-     << "|validate=" << (opts.validate ? 1 : 0)
-     << "|native=" << (opts.native_check ? 1 : 0);
+     << "|strat=" << static_cast<int>(opts.strategy);
   if (!salt.empty()) os << "|salt=" << salt;
   return os.str();
 }

@@ -42,8 +42,7 @@ namespace dct::service {
 /// Canonical text serialization of everything layout-relevant about a
 /// compilation request: the structural IR (arrays, nests, bounds, access
 /// matrices, statement shapes — evaluator closures excluded), the mode,
-/// the processor count, and the options that change the compiled artifact
-/// (address strategy, validate/native-check).
+/// the processor count, and the one compile option (address strategy).
 /// `salt` folds in request context the IR cannot express (e.g. the HPF
 /// directive text a request carried).
 std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,

@@ -245,20 +245,12 @@ Response Server::process(Item& item) {
           // data decomposition of every array the directives name. Virtual
           // processor dimensions in the directives must fit the automatic
           // decomposition's processor space — remapping a larger directive
-          // grid is out of scope for the service.
+          // grid is out of scope for the service, and the compile's layout
+          // stage rejects it with kUnsupportedConfig.
           decomp::ProgramDecomposition dec = decomp::decompose(prog);
           const hpf::Directives dirs = hpf::parse(prog, req.hpf);
-          for (const auto& [name, ad] : dirs.arrays) {
-            for (const decomp::DimDistribution& d : ad.dims)
-              if (d.proc_dim >= dec.num_proc_dims)
-                throw Error(
-                    Error::Code::kUnsupportedConfig,
-                    strf("HPF directive for \"%s\" uses processor dim %d "
-                         "but the decomposition has %d",
-                         name.c_str(), d.proc_dim, dec.num_proc_dims));
-            const int id = prog.array_id(name);
-            dec.arrays[static_cast<std::size_t>(id)] = ad;
-          }
+          for (const auto& [name, ad] : dirs.arrays)
+            dec.arrays[static_cast<std::size_t>(prog.array_id(name))] = ad;
           return std::make_shared<const core::CompiledProgram>(
               core::compile_with_decomposition(prog, std::move(dec),
                                                req.mode, req.procs, copts));

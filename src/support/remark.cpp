@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <sstream>
 
 #include "support/diagnostics.hpp"
@@ -145,22 +144,6 @@ void RemarkEngine::remark(Remark r) {
 
 void RemarkEngine::count(const std::string& counter, long delta) {
   current().counters[counter] += delta;
-}
-
-void emit_trace(const std::string& json_line, const std::string& path) {
-  // Serialize emission: concurrent compilations trace from many threads.
-  static std::mutex mu;
-  const std::lock_guard<std::mutex> lock(mu);
-  if (path.empty()) {
-    std::fprintf(stderr, "%s\n", json_line.c_str());
-    return;
-  }
-  if (std::FILE* f = std::fopen(path.c_str(), "a")) {
-    std::fprintf(f, "%s\n", json_line.c_str());
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "%s\n", json_line.c_str());
-  }
 }
 
 }  // namespace dct::support

@@ -7,9 +7,10 @@
 // with the CompiledProgram so the experiment harness can aggregate traces
 // across a whole sweep.
 //
-// Printing is per compilation (core::CompileOptions::trace and
-// trace_path): off by default, remarks are still collected; when on, the
-// compilation emits one JSON report to stderr or appends it to a file.
+// The library never prints a trace: remarks are always collected, and a
+// caller that wants the report renders it with PipelineTrace::json and
+// writes it wherever it likes (examples/quickstart prints one line to
+// stderr).
 #pragma once
 
 #include <map>
@@ -118,11 +119,6 @@ class RemarkEngine final : public RemarkSink {
   bool open_ = false;
   double start_ms_ = 0;
 };
-
-/// Emit one JSON report line, appended to the file at `path` (stderr when
-/// `path` is empty or cannot be opened). Emission is serialized
-/// process-wide regardless of destination.
-void emit_trace(const std::string& json_line, const std::string& path);
 
 /// JSON string escaping (exposed for tests).
 std::string json_escape(const std::string& s);

@@ -21,6 +21,14 @@ using linalg::floor_mod;
 namespace {
 
 constexpr size_t kMaxViolations = 16;
+constexpr int kSamples = 256;  ///< sampled iterations/elements per subject
+constexpr std::uint64_t kSeed = 0x5eedULL;
+/// Arrays with at most this many elements are checked exhaustively for
+/// address collisions; larger ones are sampled.
+constexpr Int kExhaustiveBelow = 4096;
+/// Fold domains wider than this skip the exact coverage count (totality
+/// and step-consistency are still sampled).
+constexpr Int kCoverageCap = 65536;
 
 void add_violation(OracleReport& rep, std::string msg) {
   if (rep.violations.size() < kMaxViolations)
@@ -77,12 +85,11 @@ std::string OracleReport::to_string() const {
 // Equation 1: D_x(F_jx(i)) == G_j(i) on DOALL-bound dimensions
 // ---------------------------------------------------------------------------
 
-OracleReport check_equation1(const core::CompiledProgram& cp,
-                             const OracleOptions& opts) {
+OracleReport check_equation1(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "equation1";
   const decomp::ProgramDecomposition& dec = cp.dec;
-  Rng rng(opts.seed ^ 0xe91ULL);
+  Rng rng(kSeed ^ 0xe91ULL);
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     if (j >= dec.nests.size()) break;
@@ -113,7 +120,7 @@ OracleReport check_equation1(const core::CompiledProgram& cp,
       return decomp::LoopSched::Sequential;
     };
 
-    for (int draw = 0; draw < 2 * opts.samples; ++draw) {
+    for (int draw = 0; draw < 2 * kSamples; ++draw) {
       const auto iter = sample_iteration(nest, rng);
       if (!iter) continue;
       for (size_t s = 0; s < nest.stmts.size(); ++s) {
@@ -174,8 +181,7 @@ OracleReport check_equation1(const core::CompiledProgram& cp,
 // ---------------------------------------------------------------------------
 
 void check_layout_against(const ir::ArrayDecl& decl,
-                          const layout::Layout& layout,
-                          const OracleOptions& opts, OracleReport& rep) {
+                          const layout::Layout& layout, OracleReport& rep) {
   ++rep.subjects;
   const Int total = layout.size();
   const std::vector<Int>& ldims = layout.dims();
@@ -225,7 +231,7 @@ void check_layout_against(const ir::ArrayDecl& decl,
                               decl.name.c_str(), static_cast<long long>(lin)));
   };
 
-  if (decl.elem_count() <= opts.exhaustive_below) {
+  if (decl.elem_count() <= kExhaustiveBelow) {
     std::unordered_set<Int> seen;
     seen.reserve(static_cast<size_t>(decl.elem_count()));
     for_each_index(decl, [&](std::span<const Int> idx) {
@@ -234,10 +240,10 @@ void check_layout_against(const ir::ArrayDecl& decl,
   } else {
     // Sampled: distinct original elements must still get distinct
     // addresses.
-    Rng rng(opts.seed ^ 0xb13ULL ^ static_cast<std::uint64_t>(total));
+    Rng rng(kSeed ^ 0xb13ULL ^ static_cast<std::uint64_t>(total));
     std::unordered_set<Int> orig_seen, addr_seen;
     std::vector<Int> idx(decl.dims.size());
-    for (int s = 0; s < opts.samples; ++s) {
+    for (int s = 0; s < kSamples; ++s) {
       Int orig = 0, stride = 1;
       for (size_t k = 0; k < decl.dims.size(); ++k) {
         idx[k] = rng.uniform(0, decl.dims[k] - 1);
@@ -250,13 +256,11 @@ void check_layout_against(const ir::ArrayDecl& decl,
   }
 }
 
-OracleReport check_layout_bijectivity(const core::CompiledProgram& cp,
-                                      const OracleOptions& opts) {
+OracleReport check_layout_bijectivity(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "layout-bijectivity";
   for (size_t a = 0; a < cp.arrays.size(); ++a)
-    check_layout_against(cp.program.arrays[a], cp.arrays[a].layout, opts,
-                         rep);
+    check_layout_against(cp.program.arrays[a], cp.arrays[a].layout, rep);
   return rep;
 }
 
@@ -265,8 +269,7 @@ OracleReport check_layout_bijectivity(const core::CompiledProgram& cp,
 // ---------------------------------------------------------------------------
 
 void check_one_fold(const core::CoordFold& fold, Int lo, Int hi,
-                    const std::string& subject, const OracleOptions& opts,
-                    OracleReport& rep) {
+                    const std::string& subject, OracleReport& rep) {
   ++rep.subjects;
   if (fold.procs < 1) {
     add_violation(rep, subject + ": fold has non-positive processor extent");
@@ -277,9 +280,9 @@ void check_one_fold(const core::CoordFold& fold, Int lo, Int hi,
 
   // Totality: any Int — including values below the offset and far past the
   // domain — must fold into [0, procs).
-  Rng rng(opts.seed ^ 0xf01dULL ^ static_cast<std::uint64_t>(lo));
+  Rng rng(kSeed ^ 0xf01dULL ^ static_cast<std::uint64_t>(lo));
   const Int ext_lo = lo - 2 * span - 3, ext_hi = hi + 2 * span + 3;
-  for (int s = 0; s < opts.samples; ++s) {
+  for (int s = 0; s < kSamples; ++s) {
     const Int v = rng.uniform(ext_lo, std::max(ext_lo, ext_hi));
     const int c = fold.fold(v);
     ++rep.checks;
@@ -293,8 +296,8 @@ void check_one_fold(const core::CoordFold& fold, Int lo, Int hi,
   if (span == 0) return;
 
   // Step-consistency and owner coverage over the iteration domain.
-  const bool capped = span > opts.coverage_cap;
-  const Int whi = capped ? lo + opts.coverage_cap - 1 : hi;
+  const bool capped = span > kCoverageCap;
+  const Int whi = capped ? lo + kCoverageCap - 1 : hi;
   std::vector<char> hit(static_cast<size_t>(fold.procs), 0);
   int prev = fold.fold(lo);
   hit[static_cast<size_t>(prev)] = 1;
@@ -370,8 +373,7 @@ void check_one_fold(const core::CoordFold& fold, Int lo, Int hi,
                             static_cast<long long>(expected)));
 }
 
-OracleReport check_fold_coverage(const core::CompiledProgram& cp,
-                                 const OracleOptions& opts) {
+OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "fold-coverage";
 
@@ -388,7 +390,7 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp,
                        strf("%s nest %d stmt %d loop %d",
                             cp.program.name.c_str(), static_cast<int>(j),
                             static_cast<int>(s), loop),
-                       opts, rep);
+                       rep);
   }
 
   // Partition folds: in-range over the array's extent.
@@ -398,8 +400,8 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp,
       const layout::Partition::Dim& d = part.dims[k];
       if (d.proc_dim < 0 || d.extent <= 0) continue;
       ++rep.subjects;
-      Rng rng(opts.seed ^ 0x9a27ULL ^ static_cast<std::uint64_t>(a << 8 | k));
-      for (int s = 0; s < opts.samples; ++s) {
+      Rng rng(kSeed ^ 0x9a27ULL ^ static_cast<std::uint64_t>(a << 8 | k));
+      for (int s = 0; s < kSamples; ++s) {
         const Int v = rng.uniform(0, d.extent - 1);
         const int c = part.fold(static_cast<int>(k), v);
         ++rep.checks;
@@ -478,9 +480,7 @@ OracleReport check_differential(
   return rep;
 }
 
-OracleReport check_native(const core::CompiledProgram& cp,
-                          const OracleOptions& opts) {
-  (void)opts;
+OracleReport check_native(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "native-differential";
   ++rep.subjects;
@@ -551,21 +551,11 @@ void ValidationReport::raise_if_violated(const std::string& unit) const {
   throw Error(Error::Code::kOracleViolation, os.str());
 }
 
-ValidationReport validate_compiled(const core::CompiledProgram& cp,
-                                   const OracleOptions& opts) {
+ValidationReport validate_compiled(const core::CompiledProgram& cp) {
   ValidationReport rep;
-  rep.oracles.push_back(check_equation1(cp, opts));
-  rep.oracles.push_back(check_layout_bijectivity(cp, opts));
-  rep.oracles.push_back(check_fold_coverage(cp, opts));
-  return rep;
-}
-
-ValidationReport validate_run(const core::CompiledProgram& cp,
-                              const machine::MachineConfig& mcfg,
-                              const OracleOptions& opts) {
-  ValidationReport rep = validate_compiled(cp, opts);
-  rep.oracles.push_back(
-      check_differential(cp, mcfg, runtime::run_reference(cp.program)));
+  rep.oracles.push_back(check_equation1(cp));
+  rep.oracles.push_back(check_layout_bijectivity(cp));
+  rep.oracles.push_back(check_fold_coverage(cp));
   return rep;
 }
 

@@ -2,8 +2,8 @@
 // paper's correctness argument rests on.
 //
 // Four oracles, each independent and sampling-based so they stay cheap
-// enough to run inside every compile of a test sweep
-// (CompileOptions::validate):
+// enough to run after every compile of a test sweep. They check a
+// compile's output; the compile itself never runs them:
 //
 //  * equation-1: the no-communication condition D_x(F_jx(i)) = G_j(i)
 //    (paper Equation 1). For every communication-free nest, sampled
@@ -31,9 +31,11 @@
 //    statistics. It is the one engine comparator: the tests and the
 //    fuzzer call it too.
 //
-// validate_compiled() runs the three static oracles; validate_run() adds
-// the differential cross-check. compile()'s verify stage runs the static
-// oracles after every other stage when CompileOptions::validate is set.
+// validate_compiled() runs the three static oracles; check_differential()
+// and check_native() execute the program. Callers (the tests, the fuzzer,
+// dctd's cache spot-check) run whichever they need on a CompiledProgram.
+// Sample counts and seeds are fixed in oracle.cpp, so every run of an
+// oracle on the same subject checks the same points.
 #pragma once
 
 #include <string>
@@ -46,17 +48,6 @@ namespace dct::verify {
 
 using linalg::Int;
 
-struct OracleOptions {
-  int samples = 256;  ///< sampled iterations/elements per subject
-  std::uint64_t seed = 0x5eedULL;
-  /// Arrays with at most this many elements are checked exhaustively for
-  /// address collisions; larger ones are sampled.
-  Int exhaustive_below = 4096;
-  /// Fold domains wider than this skip the exact coverage count (totality
-  /// and step-consistency are still sampled).
-  Int coverage_cap = 65536;
-};
-
 /// Outcome of one oracle over one compiled program.
 struct OracleReport {
   std::string oracle;
@@ -68,12 +59,9 @@ struct OracleReport {
   std::string to_string() const;
 };
 
-OracleReport check_equation1(const core::CompiledProgram& cp,
-                             const OracleOptions& opts = {});
-OracleReport check_layout_bijectivity(const core::CompiledProgram& cp,
-                                      const OracleOptions& opts = {});
-OracleReport check_fold_coverage(const core::CompiledProgram& cp,
-                                 const OracleOptions& opts = {});
+OracleReport check_equation1(const core::CompiledProgram& cp);
+OracleReport check_layout_bijectivity(const core::CompiledProgram& cp);
+OracleReport check_fold_coverage(const core::CompiledProgram& cp);
 /// Runs the program under both engines and demands they agree on every
 /// observable (only the fast-path counters may differ) and that their
 /// values equal `reference`, which is runtime::run_reference(cp.program)
@@ -84,19 +72,14 @@ OracleReport check_differential(
     const std::vector<std::vector<double>>& reference);
 /// Runs the native threaded backend at cp.procs hardware threads and
 /// demands bit-identical array results against the sequential reference.
-/// The verify pass adds this oracle when CompileOptions::native_check is
-/// set.
-OracleReport check_native(const core::CompiledProgram& cp,
-                          const OracleOptions& opts = {});
+OracleReport check_native(const core::CompiledProgram& cp);
 
 // Low-level entry points, exposed so tests can aim an oracle at a
 // deliberately broken subject and prove it has teeth.
 void check_layout_against(const ir::ArrayDecl& decl,
-                          const layout::Layout& layout,
-                          const OracleOptions& opts, OracleReport& rep);
+                          const layout::Layout& layout, OracleReport& rep);
 void check_one_fold(const core::CoordFold& fold, Int lo, Int hi,
-                    const std::string& subject, const OracleOptions& opts,
-                    OracleReport& rep);
+                    const std::string& subject, OracleReport& rep);
 
 struct ValidationReport {
   std::vector<OracleReport> oracles;
@@ -109,11 +92,6 @@ struct ValidationReport {
 };
 
 /// The three static oracles (no execution).
-ValidationReport validate_compiled(const core::CompiledProgram& cp,
-                                   const OracleOptions& opts = {});
-/// Static oracles plus the differential engine cross-check.
-ValidationReport validate_run(const core::CompiledProgram& cp,
-                              const machine::MachineConfig& mcfg,
-                              const OracleOptions& opts = {});
+ValidationReport validate_compiled(const core::CompiledProgram& cp);
 
 }  // namespace dct::verify

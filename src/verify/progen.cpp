@@ -22,6 +22,17 @@ using linalg::Int;
 
 namespace {
 
+// Shape limits of a generated program. Changing any of them changes the
+// program every fuzz seed replays.
+constexpr int kMaxArrays = 3;
+constexpr int kMaxNests = 3;
+constexpr int kMaxDepth = 3;
+constexpr int kMaxStmts = 2;
+constexpr int kMaxReads = 3;
+constexpr int kMaxTimeSteps = 2;
+constexpr Int kMinExtent = 6;  ///< array extents (loops stay shorter)
+constexpr Int kMaxExtent = 10;
+
 /// One-hot reference into `array`: every array dimension either reads a
 /// loop below `sdepth` with an offset that keeps the subscript inside the
 /// extent for every iteration, or is a constant. `loop_hi[l]` is loop l's
@@ -49,11 +60,11 @@ ir::ArrayRef random_ref(Rng& rng, int array, std::span<const Int> dims,
 
 }  // namespace
 
-ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
+ir::Program generate_program(std::uint64_t seed) {
   Rng rng(seed ^ 0x5eedf00dULL);
   ir::ProgramBuilder pb(strf("fuzz-%llu", static_cast<unsigned long long>(seed)));
 
-  const int narrays = static_cast<int>(rng.uniform(1, opts.max_arrays));
+  const int narrays = static_cast<int>(rng.uniform(1, kMaxArrays));
   std::vector<std::vector<Int>> array_dims;
   for (int a = 0; a < narrays; ++a) {
     // Rank weighted toward 2 (the common case in the paper's apps).
@@ -61,7 +72,7 @@ ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
     const int rank = roll < 3 ? 1 : roll < 8 ? 2 : 3;
     std::vector<Int> dims;
     for (int k = 0; k < rank; ++k)
-      dims.push_back(rng.uniform(opts.min_extent, opts.max_extent));
+      dims.push_back(rng.uniform(kMinExtent, kMaxExtent));
     pb.array(strf("a%d", a), dims);
     array_dims.push_back(std::move(dims));
   }
@@ -69,19 +80,19 @@ ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
   static const double kCoef[] = {0.5, 0.25, 1.0, -0.5};
   static const double kBias[] = {1.0, 0.5, -1.0, 2.0, 0.25};
 
-  const int nnests = static_cast<int>(rng.uniform(1, opts.max_nests));
+  const int nnests = static_cast<int>(rng.uniform(1, kMaxNests));
   for (int j = 0; j < nnests; ++j) {
     ir::LoopNest& nest = pb.nest(strf("n%d", j));
-    const int depth = static_cast<int>(rng.uniform(1, opts.max_depth));
+    const int depth = static_cast<int>(rng.uniform(1, kMaxDepth));
     std::vector<Int> loop_hi;
     for (int l = 0; l < depth; ++l) {
       // Loops stay shorter than the smallest extent so offsets have slack.
-      loop_hi.push_back(rng.uniform(2, opts.min_extent - 2));
+      loop_hi.push_back(rng.uniform(2, kMinExtent - 2));
       nest.loops.push_back(ir::loop(strf("i%d", l), ir::cst(0),
                                     ir::cst(loop_hi.back())));
     }
 
-    const int nstmts = static_cast<int>(rng.uniform(1, opts.max_stmts));
+    const int nstmts = static_cast<int>(rng.uniform(1, kMaxStmts));
     for (int s = 0; s < nstmts; ++s) {
       Stmt stmt;
       // Occasionally an imperfect nest: the statement sits above the
@@ -94,7 +105,7 @@ ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
       const int w = static_cast<int>(rng.uniform(0, narrays - 1));
       stmt.write = random_ref(rng, w, array_dims[static_cast<size_t>(w)],
                               depth, sdepth, loop_hi);
-      const int nreads = static_cast<int>(rng.uniform(0, opts.max_reads));
+      const int nreads = static_cast<int>(rng.uniform(0, kMaxReads));
       std::vector<double> coef;
       for (int r = 0; r < nreads; ++r) {
         const int a = static_cast<int>(rng.uniform(0, narrays - 1));
@@ -116,7 +127,7 @@ ir::Program generate_program(std::uint64_t seed, const ProgenOptions& opts) {
       nest.stmts.push_back(std::move(stmt));
     }
   }
-  pb.set_time_steps(static_cast<int>(rng.uniform(1, opts.max_time_steps)));
+  pb.set_time_steps(static_cast<int>(rng.uniform(1, kMaxTimeSteps)));
   return pb.build();
 }
 
@@ -307,10 +318,8 @@ ir::Program shrink_program(
   return best;
 }
 
-std::optional<Divergence> fuzz_one(std::uint64_t seed,
-                                   const ProgenOptions& opts,
-                                   CheckCoverage* cov) {
-  const ir::Program prog = generate_program(seed, opts);
+std::optional<Divergence> fuzz_one(std::uint64_t seed, CheckCoverage* cov) {
+  const ir::Program prog = generate_program(seed);
   if (!check_program(prog, cov)) return std::nullopt;
   Divergence d;
   d.seed = seed;

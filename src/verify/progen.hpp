@@ -30,20 +30,8 @@
 
 namespace dct::verify {
 
-struct ProgenOptions {
-  int max_arrays = 3;
-  int max_nests = 3;
-  int max_depth = 3;
-  int max_stmts = 2;
-  int max_reads = 3;
-  int max_time_steps = 2;
-  linalg::Int min_extent = 6;   ///< array extents (loops stay shorter)
-  linalg::Int max_extent = 10;
-};
-
 /// Deterministic: the same seed always yields the same program.
-ir::Program generate_program(std::uint64_t seed,
-                             const ProgenOptions& opts = {});
+ir::Program generate_program(std::uint64_t seed);
 
 /// `dec` with every distributed array dimension refolded to `kind`
 /// (blocks of 3 for BLOCK-CYCLIC).
@@ -86,7 +74,6 @@ struct Divergence {
 /// Generate, check, and (on failure) shrink one seed; the check of the
 /// generated program adds to `cov` when given.
 std::optional<Divergence> fuzz_one(std::uint64_t seed,
-                                   const ProgenOptions& opts = {},
                                    CheckCoverage* cov = nullptr);
 
 }  // namespace dct::verify

@@ -3,17 +3,14 @@
 // binary among others).
 //
 // The pipeline consults no process-global state: every knob travels in
-// CompileOptions, so concurrent compiles with *different* options —
-// tracing to different sinks included — are clean, and the serving cache
-// keeps its invariants under a thread storm.
+// CompileOptions, so concurrent compiles with *different* options — with
+// the oracles, native threads included, running beside them — are clean,
+// and the serving cache keeps its invariants under a thread storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +20,7 @@
 #include "runtime/executor.hpp"
 #include "service/cache.hpp"
 #include "service/server.hpp"
+#include "verify/oracle.hpp"
 
 namespace dct {
 namespace {
@@ -33,70 +31,51 @@ using service::Response;
 using service::Server;
 using service::ServerOptions;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-// The satellite regression: two programs compiled concurrently, both with
-// tracing enabled but aimed at per-compilation sinks. Before the
-// CompileOptions refactor this setup raced on the env-derived global
-// trace flag; now each compile owns its options and its sink.
+// Two programs compiled concurrently with different options. Before the
+// CompileOptions refactor this setup raced on an env-derived global trace
+// flag; now each compile owns its options and its trace, which holds
+// exactly its own stages.
 TEST(Concurrency, ConcurrentTracedCompiles) {
-  const std::string path_a = "concurrency_trace_a.jsonl";
-  const std::string path_b = "concurrency_trace_b.jsonl";
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-
   constexpr int kRounds = 4;
-  std::thread ta([&] {
-    core::CompileOptions opts;
-    opts.trace = true;
-    opts.trace_path = path_a;
-    for (int i = 0; i < kRounds; ++i)
-      (void)core::compile(apps::lu(16), core::Mode::Full, 4, opts);
-  });
+  const auto compile_rounds = [](const ir::Program& prog,
+                                 const core::CompileOptions& opts) {
+    for (int i = 0; i < kRounds; ++i) {
+      const core::CompiledProgram cp =
+          core::compile(prog, core::Mode::Full, 4, opts);
+      EXPECT_EQ(cp.trace.passes.size(), 7u) << prog.name;
+      for (const support::PassRecord& p : cp.trace.passes)
+        EXPECT_EQ(p.runs, 1) << prog.name << " " << p.name;
+    }
+  };
+  std::thread ta([&] { compile_rounds(apps::lu(16), {}); });
   std::thread tb([&] {
-    core::CompileOptions opts;
-    opts.trace = true;
-    opts.trace_path = path_b;
-    opts.validate = true;  // different pipeline shape, concurrently
-    for (int i = 0; i < kRounds; ++i)
-      (void)core::compile(apps::adi(16, 2), core::Mode::Full, 4, opts);
+    compile_rounds(apps::adi(16, 2), {.strategy = layout::AddrStrategy::Naive});
   });
   ta.join();
   tb.join();
-
-  // Each sink holds exactly its own compile's trace lines.
-  const std::string a = read_file(path_a), b = read_file(path_b);
-  EXPECT_EQ(std::count(a.begin(), a.end(), '\n'), kRounds);
-  EXPECT_EQ(std::count(b.begin(), b.end(), '\n'), kRounds);
-  EXPECT_NE(a.find("\"lu\""), std::string::npos);
-  EXPECT_EQ(a.find("\"adi\""), std::string::npos);
-  EXPECT_NE(b.find("\"adi\""), std::string::npos);
-  EXPECT_EQ(b.find("\"lu\""), std::string::npos);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
-// Concurrent compiles with *different* validate/native-check settings:
-// proves no hidden process-global knob is consulted mid-pipeline.
+// Concurrent compiles with different options, some followed by the static
+// oracles and one by the native oracle's threads: proves no hidden
+// process-global knob is consulted mid-pipeline.
 TEST(Concurrency, MixedOptionCompiles) {
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([t, &failures] {
       core::CompileOptions opts;
-      opts.validate = (t % 2 == 0);
-      opts.native_check = (t == 0);  // native threads inside one compile
+      if (t % 2) opts.strategy = layout::AddrStrategy::Hoisted;
       try {
-        for (int i = 0; i < 3; ++i)
-          (void)core::compile(apps::stencil5(16, 2),
-                              t % 2 ? core::Mode::Full
-                                    : core::Mode::CompDecomp,
-                              4, opts);
+        for (int i = 0; i < 3; ++i) {
+          const core::CompiledProgram cp =
+              core::compile(apps::stencil5(16, 2),
+                            t % 2 ? core::Mode::Full : core::Mode::CompDecomp,
+                            4, opts);
+          if (t % 2 == 0)
+            verify::validate_compiled(cp).raise_if_violated("stencil5");
+          if (t == 0 && !verify::check_native(cp).ok())
+            failures.fetch_add(1);  // native threads beside the compiles
+        }
       } catch (...) {
         failures.fetch_add(1);
       }

@@ -158,18 +158,22 @@ TEST(Executor, BuffersSizedFromProgramNotFixedCaps) {
 }
 
 TEST(Executor, RejectsProcessorCountsBeyondInt8Writers) {
-  // The dataflow state records the last writer in an int8; simulate must
-  // refuse processor counts that cannot be represented rather than wrap —
+  // The dataflow state records the last writer in an int8, and the
+  // machine's sharer masks are 64 bits: simulate must refuse processor
+  // counts beyond the machine's 64 rather than wrap or fail generically —
   // with a structured kUnsupportedConfig code so the sweep records a
   // skipped cell instead of a fault.
   const ir::Program prog = apps::figure1(16, 1);
-  const auto cp = core::compile(prog, Mode::Base, 200);
-  try {
-    simulate(cp, machine::MachineConfig::dash(200));
-    FAIL() << "expected rejection of 200 processors";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), Error::Code::kUnsupportedConfig);
-    EXPECT_NE(std::string(e.what()).find("127"), std::string::npos);
+  for (const int procs : {65, 200}) {
+    const auto cp = core::compile(prog, Mode::Base, procs);
+    try {
+      simulate(cp, machine::MachineConfig::dash(procs));
+      ADD_FAILURE() << "expected rejection of " << procs << " processors";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Error::Code::kUnsupportedConfig) << procs;
+      EXPECT_NE(std::string(e.what()).find("64"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

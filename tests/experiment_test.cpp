@@ -144,22 +144,26 @@ TEST(Experiment, RetriesRecoverTransientFaults) {
 }
 
 TEST(Experiment, UnsupportedProcCountIsSkippedNotDegraded) {
-  // P=256 exceeds the simulator's int8 writer-id contract: the cell is
-  // recorded as skipped (kUnsupportedConfig) and never degraded — every
-  // mode would be equally unsupported.
+  // P=100 and P=256 exceed the machine model's 64 processors: each cell
+  // is recorded as skipped (kUnsupportedConfig) after one attempt and
+  // never degraded — every mode would be equally unsupported.
   SweepOptions opts;
-  opts.procs = {2, 256};
+  opts.procs = {2, 100, 256};
   opts.modes = {Mode::Base};
   opts.verify = false;
   const SweepResult r = run_sweep(apps::figure1(16, 1), opts);
-  ASSERT_EQ(r.failures.size(), 1u);
-  const CellFailure& f = r.failures[0];
-  EXPECT_TRUE(f.skipped);
-  EXPECT_FALSE(f.degraded);
-  EXPECT_EQ(f.code, Error::Code::kUnsupportedConfig);
-  EXPECT_EQ(f.procs, 256);
+  ASSERT_EQ(r.failures.size(), 2u);
+  for (size_t i = 0; i < r.failures.size(); ++i) {
+    const CellFailure& f = r.failures[i];
+    EXPECT_TRUE(f.skipped);
+    EXPECT_FALSE(f.degraded);
+    EXPECT_EQ(f.attempts, 1);
+    EXPECT_EQ(f.code, Error::Code::kUnsupportedConfig);
+    EXPECT_EQ(f.procs, i == 0 ? 100 : 256);
+  }
   EXPECT_GT(r.speedups[0][0], 0.0);
   EXPECT_EQ(r.speedups[0][1], 0.0);
+  EXPECT_EQ(r.speedups[0][2], 0.0);
 }
 
 TEST(Experiment, DeadlineCancelsRunawaySweep) {

@@ -93,7 +93,7 @@ TEST(Fuzz, DifferentialSweepFindsNoDivergence) {
   CheckCoverage cov;
   for (long i = 0; i < count; ++i) {
     const std::optional<Divergence> d =
-        fuzz_one(base + static_cast<std::uint64_t>(i), {}, &cov);
+        fuzz_one(base + static_cast<std::uint64_t>(i), &cov);
     if (d) {
       ++divergences;
       ADD_FAILURE() << "seed " << d->seed << ": " << d->detail

@@ -1,14 +1,15 @@
 // Tests for the compile driver: the stages each mode runs (read back
 // from the trace), equivalence of a supplied decomposition with compile(),
-// failure attribution to the failing stage, the structured trace (remarks,
-// counters, wall time, JSON emission via CompileOptions::trace), the
-// determinism of the multi-threaded experiment sweep, and that the library
-// ignores the environment.
+// rejection of a malformed one and failure attribution to the failing
+// stage, the structured trace (remarks, counters, wall time, JSON
+// rendering), the determinism of the multi-threaded experiment sweep, and
+// that the library ignores the environment.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "apps/apps.hpp"
@@ -17,6 +18,7 @@
 #include "decomp/decomposition.hpp"
 #include "runtime/executor.hpp"
 #include "support/remark.hpp"
+#include "verify/oracle.hpp"
 
 namespace dct {
 namespace {
@@ -34,33 +36,23 @@ const std::vector<std::string> kFullStages = {
     "layout",      "lower",     "addr-strategy"};
 
 TEST(Pipeline, ModePassLists) {
-  // Every stage leaves exactly one trace record, in order; with
-  // opts.validate the list additionally ends in `verify`.
+  // Every stage leaves exactly one trace record, in order.
   for (const ir::Program& prog : {apps::stencil5(18, 2), apps::vpenta(12)}) {
-    for (const bool validate : {false, true}) {
-      SCOPED_TRACE(prog.name + (validate ? " validate" : ""));
-      const core::CompileOptions opts{.validate = validate};
-      auto with_verify = [&](std::vector<std::string> names) {
-        if (validate) names.push_back("verify");
-        return names;
-      };
+    SCOPED_TRACE(prog.name);
+    EXPECT_EQ(stage_names(core::compile(prog, Mode::Base, 4)),
+              std::vector<std::string>({"parallelize", "decompose-base",
+                                        "layout", "lower", "addr-strategy"}));
+    EXPECT_EQ(stage_names(core::compile(prog, Mode::CompDecomp, 4)),
+              kFullStages);
+    // Full runs CompDecomp's stages — restructuring is what the layout
+    // stage does for Full, not an extra stage.
+    EXPECT_EQ(stage_names(core::compile(prog, Mode::Full, 4)), kFullStages);
 
-      EXPECT_EQ(stage_names(core::compile(prog, Mode::Base, 4, opts)),
-                with_verify({"parallelize", "decompose-base", "layout",
-                             "lower", "addr-strategy"}));
-      EXPECT_EQ(stage_names(core::compile(prog, Mode::CompDecomp, 4, opts)),
-                with_verify(kFullStages));
-      // Full runs CompDecomp's stages — restructuring is what the layout
-      // stage does for Full, not an extra stage.
-      EXPECT_EQ(stage_names(core::compile(prog, Mode::Full, 4, opts)),
-                with_verify(kFullStages));
-
-      // A supplied decomposition runs only the tail, from layout onward.
-      for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
-        EXPECT_EQ(stage_names(core::compile_with_decomposition(
-                      prog, decomp::decompose(prog), mode, 4, opts)),
-                  with_verify({"layout", "lower", "addr-strategy"}));
-    }
+    // A supplied decomposition runs only the tail, from layout onward.
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+      EXPECT_EQ(stage_names(core::compile_with_decomposition(
+                    prog, decomp::decompose(prog), mode, 4)),
+                std::vector<std::string>({"layout", "lower", "addr-strategy"}));
   }
 }
 
@@ -74,7 +66,9 @@ TEST(Pipeline, SuppliedDecompositionMatchesCompile) {
       SCOPED_TRACE(prog.name + " " + core::to_string(mode));
       const core::CompiledProgram direct = core::compile(prog, mode, 4);
       const core::CompiledProgram via = core::compile_with_decomposition(
-          prog, decomp::decompose(prog), mode, 4, {.validate = true});
+          prog, decomp::decompose(prog), mode, 4);
+      const verify::ValidationReport rep = verify::validate_compiled(via);
+      EXPECT_TRUE(rep.ok()) << rep.to_string();
       const auto a = runtime::simulate(via, machine::MachineConfig::dash(4));
       // Base's own analysis differs from decompose().
       if (mode != Mode::Base) {
@@ -90,25 +84,60 @@ TEST(Pipeline, SuppliedDecompositionMatchesCompile) {
 }
 
 TEST(Pipeline, StageFailureNamesTheStage) {
-  // Swapping the processor dimensions of A's two distributed dims breaks
-  // Equation 1; the verify stage must reject it, and the error must name
-  // that stage.
+  // A supplied decomposition that does not describe the program fails in
+  // the layout stage, with a structured code and that stage named, before
+  // anything indexes by it.
   const ir::Program prog = apps::stencil5(18, 2);
+  const size_t a = static_cast<size_t>(prog.array_id("A"));
+  struct Case {
+    const char* what;
+    std::function<void(decomp::ProgramDecomposition&)> mangle;
+    Error::Code code;
+  };
+  const Case cases[] = {
+      {"short nests",
+       [](decomp::ProgramDecomposition& d) { d.nests.pop_back(); },
+       Error::Code::kInvalidArgument},
+      {"short arrays",
+       [](decomp::ProgramDecomposition& d) { d.arrays.pop_back(); },
+       Error::Code::kInvalidArgument},
+      {"proc_dim out of range",
+       [a](decomp::ProgramDecomposition& d) {
+         d.arrays[a].dims[0].proc_dim = d.num_proc_dims;
+       },
+       Error::Code::kUnsupportedConfig},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    decomp::ProgramDecomposition dec = decomp::decompose(prog);
+    c.mangle(dec);
+    try {
+      core::compile_with_decomposition(prog, std::move(dec), Mode::Full, 4);
+      ADD_FAILURE() << "expected the layout stage to throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), c.code) << e.what();
+      ASSERT_FALSE(e.context().empty());
+      EXPECT_EQ(e.context().front(), "pass layout");
+    }
+  }
+
+  // Swapping the processor dimensions of A's two distributed dims is a
+  // well-formed decomposition that breaks Equation 1: it compiles, and
+  // the static oracles reject the result.
   decomp::ProgramDecomposition dec = decomp::decompose(prog);
-  auto& dims = dec.arrays[static_cast<size_t>(prog.array_id("A"))].dims;
+  auto& dims = dec.arrays[a].dims;
   ASSERT_EQ(dims.size(), 2u);
   ASSERT_GE(dims[0].proc_dim, 0);
   ASSERT_GE(dims[1].proc_dim, 0);
   ASSERT_NE(dims[0].proc_dim, dims[1].proc_dim);
   std::swap(dims[0].proc_dim, dims[1].proc_dim);
+  const core::CompiledProgram cp =
+      core::compile_with_decomposition(prog, std::move(dec), Mode::Full, 4);
   try {
-    core::compile_with_decomposition(prog, std::move(dec), Mode::Full, 4,
-                                     {.validate = true});
-    FAIL() << "expected the verify stage to throw";
+    verify::validate_compiled(cp).raise_if_violated(prog.name);
+    FAIL() << "expected the static oracles to throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Error::Code::kOracleViolation) << e.what();
-    ASSERT_FALSE(e.context().empty());
-    EXPECT_EQ(e.context().front(), "pass verify");
   }
 }
 
@@ -168,23 +197,6 @@ TEST(Pipeline, TraceMergeAggregates) {
 TEST(Pipeline, JsonEscaping) {
   EXPECT_EQ(support::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(support::json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(Pipeline, TracePathWritesReportFile) {
-  const std::string path = ::testing::TempDir() + "dct_trace_test.jsonl";
-  std::remove(path.c_str());
-  core::compile(apps::figure1(20, 2), Mode::CompDecomp, 4,
-                {.trace = true, .trace_path = path});
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path;
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"unit\":\"figure1\""), std::string::npos);
-  EXPECT_NE(line.find("\"mode\":\"comp decomp\""), std::string::npos);
-  EXPECT_NE(line.find("\"procs\":\"4\""), std::string::npos);
-  EXPECT_NE(line.find("\"passes\":["), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Pipeline, ParallelSweepIsDeterministic) {

@@ -66,22 +66,8 @@ TEST(CacheKey, DistinguishesEveryInput) {
   core::CompileOptions strat = opts;
   strat.strategy = layout::AddrStrategy::Naive;
   keys.insert(service::cache_key(lu, core::Mode::Full, 4, strat));
-  core::CompileOptions val = opts;
-  val.validate = true;
-  keys.insert(service::cache_key(lu, core::Mode::Full, 4, val));
   keys.insert(service::cache_key(lu, core::Mode::Full, 4, opts, "salt"));
-  EXPECT_EQ(keys.size(), 8u) << "every varied input must change the key";
-}
-
-TEST(CacheKey, TraceKnobsDoNotChangeTheKey) {
-  // Trace output does not affect the compiled artifact, so it must not
-  // fragment the cache.
-  const ir::Program prog = apps::figure1(16, 2);
-  core::CompileOptions a, b;
-  b.trace = true;
-  b.trace_path = "/tmp/somewhere.jsonl";
-  EXPECT_EQ(service::cache_key(prog, core::Mode::Full, 4, a),
-            service::cache_key(prog, core::Mode::Full, 4, b));
+  EXPECT_EQ(keys.size(), 7u) << "every varied input must change the key";
 }
 
 TEST(Cache, HitMissAndLruEviction) {
@@ -286,6 +272,19 @@ TEST(Server, HpfDirectiveRequests) {
   const Response c = server.call(malformed);
   EXPECT_FALSE(c.ok);
   EXPECT_EQ(c.error_code, to_string(Error::Code::kInvalidArgument));
+
+  // A directive grid larger than the automatic decomposition's processor
+  // space is refused by the compile's layout stage.
+  Request oversized = req("adi");
+  oversized.hpf = "!HPF$ DISTRIBUTE X(BLOCK, BLOCK)";
+  const Response d = server.call(oversized);
+  EXPECT_FALSE(d.ok);
+  EXPECT_EQ(d.error_code, to_string(Error::Code::kUnsupportedConfig));
+  EXPECT_NE(d.error.find("HPF directive for \"X\" uses processor dim 1 "
+                         "but the decomposition has 1"),
+            std::string::npos)
+      << d.error;
+  EXPECT_NE(d.context.find("pass layout"), std::string::npos) << d.context;
 }
 
 TEST(Server, DrainWaitsForAllAccepted) {

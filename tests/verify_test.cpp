@@ -29,17 +29,18 @@ ir::Program small_app(int which) {
 }
 
 TEST(Verify, AllOraclesCleanOnEveryAppAndMode) {
-  // The verify pass inside the compile runs the static oracles and the
-  // native differential (it throws on a violation); validate_run adds the
-  // simulator's engine differential.
+  // The static oracles, the native differential and the simulator's
+  // engine differential, each run on the compiled program.
   for (int app = 0; app < 8; ++app) {
     const ir::Program prog = small_app(app);
+    const auto reference = runtime::run_reference(prog);
     for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
       for (int procs : {1, 2, 3, 4, 8}) {
-        const core::CompiledProgram cp = core::compile(
-            prog, mode, procs, {.validate = true, .native_check = true});
-        const verify::ValidationReport rep =
-            verify::validate_run(cp, machine::MachineConfig::dash(procs));
+        const core::CompiledProgram cp = core::compile(prog, mode, procs);
+        verify::ValidationReport rep = verify::validate_compiled(cp);
+        rep.oracles.push_back(verify::check_native(cp));
+        rep.oracles.push_back(verify::check_differential(
+            cp, machine::MachineConfig::dash(procs), reference));
         EXPECT_TRUE(rep.ok()) << prog.name << " [" << core::to_string(mode)
                               << ", P=" << procs << "]\n"
                               << rep.to_string();
@@ -51,7 +52,7 @@ TEST(Verify, AllOraclesCleanOnEveryAppAndMode) {
 
 TEST(Verify, StaticOraclesCleanOnTable1Sizes) {
   // The seven Table 1 codes at bench_table1's sizes, uniprocessor and at
-  // the paper's 32 processors; the verify pass throws on any violation.
+  // the paper's 32 processors.
   const std::vector<ir::Program> progs = {
       apps::vpenta(96),        apps::lu(256),     apps::stencil5(256, 4),
       apps::adi(128, 4),       apps::erlebacher(48, 2),
@@ -59,12 +60,12 @@ TEST(Verify, StaticOraclesCleanOnTable1Sizes) {
   for (const ir::Program& prog : progs)
     for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
       for (int procs : {1, 32}) {
-        const core::CompiledProgram cp =
-            core::compile(prog, mode, procs, {.validate = true});
-        ASSERT_FALSE(cp.trace.passes.empty());
-        EXPECT_EQ(cp.trace.passes.back().name, "verify")
-            << prog.name << " [" << core::to_string(mode) << ", P=" << procs
-            << "]";
+        const verify::ValidationReport rep =
+            verify::validate_compiled(core::compile(prog, mode, procs));
+        EXPECT_TRUE(rep.ok()) << prog.name << " [" << core::to_string(mode)
+                              << ", P=" << procs << "]\n"
+                              << rep.to_string();
+        EXPECT_GT(rep.total_checks(), 0) << prog.name;
       }
 }
 
@@ -77,7 +78,7 @@ TEST(Verify, BijectivityOracleCatchesMismatchedLayout) {
   const layout::Layout lay = layout::Layout::identity({5, 5});
   verify::OracleReport rep;
   rep.oracle = "layout-bijectivity";
-  verify::check_layout_against(decl, lay, {}, rep);
+  verify::check_layout_against(decl, lay, rep);
   EXPECT_FALSE(rep.ok());
 }
 
@@ -87,7 +88,7 @@ TEST(Verify, FoldOracleRejectsNonPositiveProcs) {
   fold.procs = 0;
   verify::OracleReport rep;
   rep.oracle = "fold-coverage";
-  verify::check_one_fold(fold, 0, 9, "degenerate", {}, rep);
+  verify::check_one_fold(fold, 0, 9, "degenerate", rep);
   EXPECT_FALSE(rep.ok());
 }
 
@@ -109,7 +110,7 @@ TEST(Verify, FoldOracleAcceptsEveryDistributionKind) {
     fold.offset = c.offset;
     verify::OracleReport rep;
     rep.oracle = "fold-coverage";
-    verify::check_one_fold(fold, 0, 31, "case", {}, rep);
+    verify::check_one_fold(fold, 0, 31, "case", rep);
     EXPECT_TRUE(rep.ok()) << rep.to_string();
     EXPECT_GT(rep.checks, 0);
   }
@@ -149,19 +150,6 @@ TEST(Verify, RaiseIfViolatedThrowsStructuredError) {
   }
 }
 
-TEST(Verify, ValidatePassAppendedWhenOptionSet) {
-  // The instrumented pipeline ends in verify and runs the oracles cleanly.
-  const core::CompiledProgram cp =
-      core::compile(apps::figure1(12, 2), Mode::Full, 4, {.validate = true});
-  ASSERT_FALSE(cp.trace.passes.empty());
-  EXPECT_EQ(cp.trace.passes.back().name, "verify");
-  EXPECT_GT(cp.trace.passes.back().counters.at("oracle_checks"), 0);
-  const core::CompiledProgram off =
-      core::compile(apps::figure1(12, 2), Mode::Full, 4);
-  ASSERT_FALSE(off.trace.passes.empty());
-  EXPECT_NE(off.trace.passes.back().name, "verify");
-}
-
 TEST(Verify, DifferentialOracleAgreesOnPipelinedApp) {
   // ADI exercises the pipelined schedule — the differential oracle must
   // see bit-identical cycles and values from both engines.
@@ -180,27 +168,6 @@ TEST(Verify, NativeOracleAgreesOnThreadedBackend) {
   const verify::OracleReport rep = verify::check_native(cp);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_GT(rep.checks, 0);
-}
-
-TEST(Verify, NativeOracleGatedByOption) {
-  // True when the compile's verify pass ran the native differential.
-  auto saw_native = [](const core::CompileOptions& opts) {
-    const core::CompiledProgram cp =
-        core::compile(apps::figure1(12, 2), Mode::Full, 4, opts);
-    bool saw = false;
-    for (const auto& pr : cp.trace.passes)
-      if (pr.name == "verify")
-        for (const auto& [key, value] : pr.counters)
-          saw |= key.rfind("checks_native", 0) == 0 && value > 0;
-    return saw;
-  };
-  EXPECT_FALSE(saw_native({}));
-  EXPECT_FALSE(saw_native({.validate = true}));
-  // native_check only adds to the verify pass; alone it appends nothing.
-  EXPECT_FALSE(saw_native({.native_check = true}));
-  // With both set, the verify pass runs the native differential inside
-  // the pipeline and records its plan remarks.
-  EXPECT_TRUE(saw_native({.validate = true, .native_check = true}));
 }
 
 }  // namespace
