@@ -5,7 +5,7 @@
 // and bit-exact semantic verification.
 //
 // Sizes are parameters; the paper's dataset sizes are reached with
-// REPRO_SCALE (see bench/).
+// `paper --scale N` (see bench/paper.cpp).
 #pragma once
 
 #include "ir/program.hpp"

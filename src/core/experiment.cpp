@@ -231,7 +231,6 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
     runtime::RunResult last;
     if (!opts.procs.empty() && cells[i - 1].ok)
       last = std::move(cells[i - 1].result);
-    out.mem_at_max.push_back(last.mem);
     out.raw_at_max.push_back(std::move(last));
   }
   return out;
@@ -280,7 +279,7 @@ std::string render_sweep(const std::string& title, const SweepResult& r) {
   os << "memory behaviour at P=" << r.procs.back() << ":\n";
   for (size_t m = 0; m < r.modes.size(); ++m)
     os << "  " << to_string(r.modes[m]) << ": "
-       << r.mem_at_max[m].to_string() << "\n";
+       << r.raw_at_max[m].mem.to_string() << "\n";
   if (!r.failures.empty()) os << render_failures(r.failures);
   return os.str();
 }
@@ -291,6 +290,12 @@ Table1Row table1_row(const std::string& name, const ir::Program& prog,
   opts.procs = {procs};
   opts.verify = false;
   const SweepResult r = run_sweep(prog, opts);
+  if (!r.failures.empty()) {
+    const CellFailure& f = r.failures.front();
+    Error e(f.code, f.what);
+    if (!f.stage.empty()) e.with_context(f.stage);
+    throw e.with_context("cell " + f.repro);
+  }
   Table1Row row;
   row.program = name;
   row.base_speedup = r.speedups[0][0];

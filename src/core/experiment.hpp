@@ -1,4 +1,4 @@
-// Experiment harness shared by the benchmark binaries: runs a program
+// Experiment harness shared by bench/paper and perfbench: runs a program
 // under the three compiler configurations of the paper's evaluation
 // across a processor sweep and renders paper-style speedup figures and
 // summary tables.
@@ -70,8 +70,8 @@ struct SweepResult {
   /// failed (and could not degrade) holds 0 and is rendered as "-".
   std::vector<std::vector<double>> speedups;
   std::vector<Mode> modes;
-  /// Memory statistics of the largest-P run per mode.
-  std::vector<machine::ProcStats> mem_at_max;
+  /// The largest-P run per mode (its `mem` is the memory statistics
+  /// render_sweep prints).
   std::vector<runtime::RunResult> raw_at_max;
   /// Pipeline traces of every compilation in the sweep, aggregated
   /// (per-pass wall time, runs and decision counters summed). Served
@@ -110,6 +110,10 @@ struct Table1Row {
   std::string decompositions;
 };
 
+/// Sweeps `prog` at `procs` in every mode. Throws the first cell failure
+/// of that sweep (failed, skipped or degraded) as a dct::Error with its
+/// code, its stage and then the cell's repro as context, rather than
+/// returning a row built from a 0 or from a lower mode's result.
 Table1Row table1_row(const std::string& name, const ir::Program& prog,
                      int procs = 32);
 std::string render_table1(const std::vector<Table1Row>& rows);

@@ -59,6 +59,19 @@ TEST(Experiment, Table1RowFields) {
   EXPECT_NE(table.find("fig1"), std::string::npos);
 }
 
+TEST(Experiment, Table1RowThrowsOnAFailedCell) {
+  // P=100 exceeds the machine model's 64 processors, so every cell of the
+  // row's sweep is skipped; the row must not be built from their zeros.
+  try {
+    table1_row("x", apps::figure1(16, 1), 100);
+    FAIL() << "table1_row returned a row from failed cells";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Error::Code::kUnsupportedConfig) << e.full_message();
+    ASSERT_FALSE(e.context().empty());
+    EXPECT_EQ(e.context().back(), "cell figure1 mode=base procs=100");
+  }
+}
+
 TEST(Experiment, ChartRendering) {
   const std::string chart = render_speedup_chart(
       "title", {1, 2, 4}, {Series{"s1", {1.0, 2.0, 4.0}}});

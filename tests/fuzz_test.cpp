@@ -10,10 +10,10 @@
 // DCT_FUZZ_REPRO_OUT (write minimized repros to this file for triage).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
-#include "support/env.hpp"
 #include "verify/progen.hpp"
 
 namespace dct::verify {
@@ -85,10 +85,14 @@ TEST(Fuzz, ShrinkerFindsMinimalRepro) {
 }
 
 TEST(Fuzz, DifferentialSweepFindsNoDivergence) {
+  // A non-numeric DCT_FUZZ_SEED or DCT_FUZZ_COUNT throws, failing the test.
+  const char* seed_env = std::getenv("DCT_FUZZ_SEED");
+  const char* count_env = std::getenv("DCT_FUZZ_COUNT");
+  const char* repro_env = std::getenv("DCT_FUZZ_REPRO_OUT");
   const std::uint64_t base =
-      static_cast<std::uint64_t>(env_int("DCT_FUZZ_SEED", 20260807));
-  const long count = env_int("DCT_FUZZ_COUNT", 50);
-  const std::string repro_out = env_str("DCT_FUZZ_REPRO_OUT", "");
+      static_cast<std::uint64_t>(seed_env ? std::stol(seed_env) : 20260807);
+  const long count = count_env ? std::stol(count_env) : 50;
+  const std::string repro_out = repro_env ? repro_env : "";
   long divergences = 0;
   CheckCoverage cov;
   for (long i = 0; i < count; ++i) {

@@ -220,7 +220,7 @@ TEST(Native, RestrictedWalkMatchesFullWalk) {
 
 TEST(Native, CyclicAndBlockCyclicSlicesMatchReference) {
   // The apps' own folds give BLOCK slices almost everywhere. Refolding
-  // every distributed dimension (as bench_ablation does) makes every
+  // every distributed dimension (as `paper ablation` does) makes every
   // engine walk CYCLIC slices (owned stride P) and BLOCK-CYCLIC ones in
   // blocks of 3 (walkers jumping between owned blocks) through FULL
   // layouts strip-mined the same way.

@@ -1,15 +1,13 @@
-// Tests for the support utilities (string formatting, env config, RNG,
+// Tests for the support utilities (string formatting, RNG,
 // structured errors, cancellation tokens, parallel-for fault collection).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <set>
 
 #include "support/cancel.hpp"
 #include "support/diagnostics.hpp"
-#include "support/env.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
@@ -29,15 +27,6 @@ TEST(Str, Join) {
   EXPECT_EQ(join(std::vector<std::string>{"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join(std::vector<int>{1, 2}, "-"), "1-2");
   EXPECT_EQ(join(std::vector<int>{}, ","), "");
-}
-
-TEST(Env, ParsesAndDefaults) {
-  ::setenv("DCT_TEST_ENV", "42", 1);
-  EXPECT_EQ(env_int("DCT_TEST_ENV", 7), 42);
-  ::setenv("DCT_TEST_ENV", "junk", 1);
-  EXPECT_EQ(env_int("DCT_TEST_ENV", 7), 7);
-  ::unsetenv("DCT_TEST_ENV");
-  EXPECT_EQ(env_int("DCT_TEST_ENV", 7), 7);
 }
 
 TEST(Rng, DeterministicAndSpread) {

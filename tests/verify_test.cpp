@@ -51,7 +51,7 @@ TEST(Verify, AllOraclesCleanOnEveryAppAndMode) {
 }
 
 TEST(Verify, StaticOraclesCleanOnTable1Sizes) {
-  // The seven Table 1 codes at bench_table1's sizes, uniprocessor and at
+  // The seven Table 1 codes at `paper table1`'s sizes, uniprocessor and at
   // the paper's 32 processors.
   const std::vector<ir::Program> progs = {
       apps::vpenta(96),        apps::lu(256),     apps::stencil5(256, 4),
