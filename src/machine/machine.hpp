@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "linalg/int_matrix.hpp"
@@ -86,10 +85,14 @@ struct ProcStats {
 /// One processor's two-level cache hierarchy plus the shared directory.
 class Machine {
  public:
-  /// Throws Error(kUnsupportedConfig) when cfg.procs > kMaxProcs.
+  /// Throws Error(kUnsupportedConfig) when cfg.procs > kMaxProcs, or when
+  /// the address split cannot be a shift and a mask: the L1 and L2 line
+  /// sizes differ; the line size, either level's set count or the page
+  /// size is not a power of two; a page is smaller than a line; or a line
+  /// is larger than 1024 B (word offsets are stored in a byte).
   /// `fast_directory` takes the L1-hit fast path that skips the directory
-  /// hash lookup when the line's coherence state provably cannot change
-  /// (see access). Identical latencies and statistics either way — only
+  /// entirely when the line's coherence state provably cannot change (see
+  /// access). Identical latencies and statistics either way — only
   /// ProcStats::dir_fast_hits differs; false always exercises the full
   /// directory protocol (the simulator's interpreter configuration).
   explicit Machine(const MachineConfig& cfg, bool fast_directory = true);
@@ -100,13 +103,13 @@ class Machine {
   /// Fast path (`fast_directory`): an L1 hit whose slot carries the
   /// right fast flag — read: the processor is a recorded sharer; write:
   /// the processor is the dirty owner — needs no directory transition at
-  /// all, so the `directory_` hash lookup is skipped entirely. The slow
-  /// path maintains the flags; invalidations and downgrades clear them.
+  /// all, so `directory_` is not touched. The slow path maintains the
+  /// flags; invalidations and downgrades clear them.
   double access(int proc, Int byte_addr, bool is_write) {
-    if (fast_enabled_) {
+    if (fast_directory_) {
       Proc& p = procs_[static_cast<size_t>(proc)];
       const Int line = byte_addr >> line_shift_;
-      const size_t slot = static_cast<size_t>(line) & l1_slot_mask_;
+      const size_t slot = static_cast<size_t>(line) & p.l1.mask;
       if (p.l1.tag[slot] == line &&
           (p.l1.fast[slot] & (is_write ? kWriteFast : kReadFast)) != 0) {
         // One dense counter; folded into ProcStats when stats are read
@@ -136,7 +139,7 @@ class Machine {
   static constexpr std::uint8_t kWriteFast = 2;  ///< dirty owner
 
   struct CacheLevel {
-    Int lines = 0;  ///< number of sets (direct-mapped)
+    size_t mask = 0;  ///< number of sets (direct-mapped, a power of two) - 1
     std::vector<Int> tag;  ///< -1 = invalid; tag = line address
     /// L1 only: per-slot fast-path flags (kReadFast | kWriteFast), valid
     /// while the tag matches. Empty for L2.
@@ -144,16 +147,18 @@ class Machine {
   };
   struct Proc {
     CacheLevel l1, l2;
+    int cluster = 0;  ///< MachineConfig::cluster_of(this processor)
   };
-  /// Directory entry per line.
+  /// Directory entry per line (24 bytes).
   struct Line {
     std::uint64_t sharers = 0;  ///< bitmask of caching processors
-    int dirty_owner = -1;       ///< processor with the modified copy
     /// Classification helpers.
     std::uint64_t invalidated_from = 0;  ///< procs that lost this line
+    std::int8_t dirty_owner = -1;  ///< processor with the modified copy
     std::uint8_t last_inval_word = 0;
     bool touched = false;
   };
+  static_assert(kMaxProcs <= INT8_MAX && sizeof(Line) == 24);
 
   double access_slow(int proc, Int byte_addr, bool is_write);
   bool lookup(CacheLevel& c, Int line) const;
@@ -164,18 +169,22 @@ class Machine {
   int home_cluster(Int line);
 
   MachineConfig cfg_;
-  /// The fast path additionally requires power-of-two line size and L1
-  /// set count so the address split is a shift and a mask; otherwise it is
-  /// disabled and every access takes the full protocol (same results).
-  bool fast_enabled_ = true;
+  bool fast_directory_ = true;
+  /// The address split: line = byte >> line_shift_, word = (byte &
+  /// word_mask_) >> 2, page = line >> page_line_shift_.
   int line_shift_ = 0;
-  size_t l1_slot_mask_ = 0;
+  Int word_mask_ = 0;
+  int page_line_shift_ = 0;
+  int clusters_ = 1;
   std::vector<Proc> procs_;
   std::vector<ProcStats> stats_;
   /// Directory-fast-path hits per processor, folded into stats_ on read.
   std::vector<long long> fast_hits_;
-  std::unordered_map<Int, Line> directory_;
-  std::unordered_map<Int, int> page_home_;
+  /// Indexed by line number; grown by doubling when a line past the end
+  /// is first touched (addresses are dense from 0).
+  std::vector<Line> directory_;
+  /// Home cluster per page, -1 = unassigned; grown like directory_.
+  std::vector<int> page_home_;
   int next_rr_cluster_ = 0;
 };
 

@@ -229,5 +229,32 @@ TEST(Executor, AddressStrategyChangesTimeNotValues) {
   EXPECT_GT(naive.cycles, opt.cycles);  // Section 4.3: overhead matters
 }
 
+TEST(Executor, WideLineAndFlatMachineCyclesArePinned) {
+  // examples/custom_machine.cpp's two non-DASH machines: 64 B lines, and
+  // uniform memory latencies. Only DASH cycles are pinned elsewhere (by
+  // perfbench's expected Table 1), so these pin the machine model's
+  // other configurations exactly.
+  const ir::Program prog = apps::tomcatv(128, 2);
+  machine::MachineConfig wide = machine::MachineConfig::dash(32);
+  wide.l1.line_bytes = 64;
+  wide.l2.line_bytes = 64;
+  machine::MachineConfig flat = machine::MachineConfig::dash(32);
+  flat.lat_remote = flat.lat_local;
+  flat.lat_remote_dirty = flat.lat_local;
+  ExecOptions opts;
+  opts.collect_values = false;
+  const Mode modes[] = {Mode::Base, Mode::CompDecomp, Mode::Full};
+  // Captured from the hashed-directory model this one replaced.
+  const double wide_cycles[] = {1445674, 1536654, 627895.43253974104};
+  const double flat_cycles[] = {531666, 557054, 644257.05158736068};
+  for (int i = 0; i < 3; ++i) {
+    const auto cp = core::compile(prog, modes[i], 32);
+    EXPECT_EQ(simulate(cp, wide, opts).cycles, wide_cycles[i])
+        << core::to_string(modes[i]);
+    EXPECT_EQ(simulate(cp, flat, opts).cycles, flat_cycles[i])
+        << core::to_string(modes[i]);
+  }
+}
+
 }  // namespace
 }  // namespace dct::runtime

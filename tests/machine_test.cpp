@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "support/diagnostics.hpp"
 
 namespace dct::machine {
@@ -114,8 +118,45 @@ TEST(Machine, StatsAggregation) {
 }
 
 TEST(Machine, RejectsBadConfig) {
-  MachineConfig cfg = MachineConfig::dash(128);
-  EXPECT_THROW(Machine m(cfg), Error);
+  // One case per rule: too many processors for the sharer masks, and
+  // every configuration the shift/mask address split cannot represent.
+  const auto with = [](void (*edit)(MachineConfig&)) {
+    MachineConfig cfg = MachineConfig::dash(8);
+    edit(cfg);
+    return cfg;
+  };
+  const std::pair<const char*, MachineConfig> bad[] = {
+      {"128 procs", MachineConfig::dash(128)},
+      {"L2 lines differ",
+       with([](MachineConfig& c) { c.l2.line_bytes = 32; })},
+      {"line not 2^k", with([](MachineConfig& c) {
+         c.l1.line_bytes = 24;
+         c.l2.line_bytes = 24;
+       })},
+      {"L1 sets not 2^k",
+       with([](MachineConfig& c) { c.l1.size_bytes = 48 * 1024; })},
+      {"L2 sets not 2^k",
+       with([](MachineConfig& c) { c.l2.size_bytes = 192 * 1024; })},
+      {"page not 2^k", with([](MachineConfig& c) { c.page_bytes = 3000; })},
+      {"page < line", with([](MachineConfig& c) { c.page_bytes = 8; })},
+      {"line > 1024 B", with([](MachineConfig& c) {
+         c.l1.line_bytes = 2048;
+         c.l2.line_bytes = 2048;
+       })},
+  };
+  for (const auto& [what, cfg] : bad) {
+    try {
+      Machine m(cfg);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Error::Code::kUnsupportedConfig) << what;
+    }
+  }
+  // The repo's non-DASH configuration (examples/custom_machine.cpp).
+  EXPECT_NO_THROW(Machine m(with([](MachineConfig& c) {
+    c.l1.line_bytes = 64;
+    c.l2.line_bytes = 64;
+  })));
 }
 
 
@@ -157,6 +198,79 @@ TEST(Machine, BackToBackAccessAlwaysHits) {
     m.access(proc, addr, false);
     EXPECT_EQ(m.access(proc, addr, false), m.config().lat_l1);
   }
+}
+
+// A seeded stream of mixed reads and writes: a hot shared region
+// (coherence traffic), per-processor regions that conflict in both cache
+// levels (replacement), sequential runs, and a wide region up to 8 MB
+// (cold misses on lines and pages far past any initial table size).
+ProcStats run_seeded_stream(int procs, bool fast_directory) {
+  Machine m(MachineConfig::dash(procs), fast_directory);
+  m.home_page(0, 1);
+  m.home_page(0, 0);  // ignored: the first assignment wins
+  m.home_page(3 * 4096, procs / 4 - 1);
+  m.home_page(6 << 20, 1);
+  std::uint64_t seed =
+      0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(procs);
+  auto next = [&]() {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<Int>(seed >> 33);
+  };
+  std::vector<Int> cursor(static_cast<size_t>(procs));
+  for (int q = 0; q < procs; ++q)
+    cursor[static_cast<size_t>(q)] = static_cast<Int>(q) * (256 << 10);
+  for (int i = 0; i < 120000; ++i) {
+    const int proc = static_cast<int>(next() % procs);
+    Int addr = 0;
+    switch (next() % 4) {
+      case 0: addr = next() % (16 << 10); break;
+      case 1: addr = proc * (64 << 10) + next() % (512 << 10); break;
+      case 2: addr = cursor[static_cast<size_t>(proc)] += 4; break;
+      default: addr = next() % (8 << 20); break;
+    }
+    m.access(proc, addr & ~Int{3}, next() % 3 == 0);
+  }
+  return m.total_stats();
+}
+
+TEST(Machine, SeededStreamStatsArePinned) {
+  // The fast engine and the interpreter share Machine, so differential
+  // checks cannot see a change in the machine itself; these totals pin
+  // it exactly. They include the eviction-order quirk of insert(): the
+  // victim is notified while still in its slot, so a line that leaves
+  // both levels stays in the directory as a sharer or dirty owner.
+  //
+  // Captured from the hashed-directory model this one replaced. Fields
+  // in ProcStats order; dir_fast_hits is the fast_directory=true count.
+  struct Pinned {
+    int procs;
+    ProcStats want;
+  };
+  const Pinned pinned[] = {
+      {8, {120000, 30885, 1289, 37403, 36861, 13562, 3094, 56264, 16507,
+           3733, 11322, 25139, 6921331}},
+      {32, {120000, 25185, 156, 10332, 72429, 11898, 996, 62056, 24431,
+            2084, 6088, 20751, 9224949}},
+  };
+  for (const Pinned& p : pinned)
+    for (const bool fast : {true, false}) {
+      const ProcStats got = run_seeded_stream(p.procs, fast);
+      SCOPED_TRACE(testing::Message() << "procs=" << p.procs
+                                      << " fast_directory=" << fast);
+      EXPECT_EQ(got.accesses, p.want.accesses);
+      EXPECT_EQ(got.l1_hits, p.want.l1_hits);
+      EXPECT_EQ(got.l2_hits, p.want.l2_hits);
+      EXPECT_EQ(got.local_fills, p.want.local_fills);
+      EXPECT_EQ(got.remote_fills, p.want.remote_fills);
+      EXPECT_EQ(got.remote_dirty_fills, p.want.remote_dirty_fills);
+      EXPECT_EQ(got.upgrades, p.want.upgrades);
+      EXPECT_EQ(got.cold_misses, p.want.cold_misses);
+      EXPECT_EQ(got.replace_misses, p.want.replace_misses);
+      EXPECT_EQ(got.coherence_true, p.want.coherence_true);
+      EXPECT_EQ(got.coherence_false, p.want.coherence_false);
+      EXPECT_EQ(got.memory_cycles, p.want.memory_cycles);
+      EXPECT_EQ(got.dir_fast_hits, fast ? p.want.dir_fast_hits : 0);
+    }
 }
 
 TEST(Machine, ReadSharingIsFree) {
