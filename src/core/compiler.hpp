@@ -90,7 +90,7 @@ struct CompiledRef {
 struct CompiledStmt {
   int depth = 0;  ///< executes once per iteration of the outer `depth` loops
   double compute_cycles = 0;
-  std::function<double(std::span<const double>)> eval;
+  ir::StmtEval eval;
   std::vector<CompiledRef> reads;
   std::optional<CompiledRef> write;
   /// Owner mapping: pairs of (loop level, fold). Empty = run on proc 0.

@@ -7,10 +7,10 @@
 // This module provides that abstraction plus a builder API; the seven
 // benchmark applications (src/apps) are expressed directly in it.
 //
-// Statements additionally carry a numeric evaluator so a transformed
-// program can be *executed* and checked bit-for-bit against the original
-// (layout legality, Section 4.1.3: a data transform must preserve program
-// semantics).
+// Statements additionally carry a numeric evaluator (ir/stmt_eval.hpp) so
+// a transformed program can be *executed*, by every engine, and checked
+// bit-for-bit against the original (layout legality, Section 4.1.3: a data
+// transform must preserve program semantics).
 #pragma once
 
 #include <functional>
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/stmt_eval.hpp"
 #include "linalg/int_matrix.hpp"
 
 namespace dct::ir {
@@ -79,14 +80,15 @@ struct ArrayRef {
 ArrayRef simple_ref(int array, int depth,
                     const std::vector<std::pair<int, Int>>& dims);
 
-/// One assignment statement: write = eval(reads). The evaluator is used by
-/// the semantic-verification executor; the performance simulator only needs
-/// the reference structure and the compute cost.
+/// One assignment statement: write = eval(reads). Every engine executes
+/// the evaluator: the reference interpreter and the simulator once per
+/// instance, the native backend through its run loops. The simulator's
+/// timing needs only the reference structure and the compute cost.
 struct Stmt {
   std::vector<ArrayRef> reads;
   std::optional<ArrayRef> write;
   double compute_cycles = 4.0;  ///< scalar FP work per execution
-  std::function<double(std::span<const double>)> eval;
+  StmtEval eval;
   /// Imperfect-nest support: the statement executes once per iteration of
   /// the outermost `depth` loops, positioned before the deeper loop body
   /// (-1 = full nest depth). Access matrices still have full-depth columns

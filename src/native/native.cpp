@@ -83,11 +83,13 @@ class EpochCounters {
 /// transformed layouts, the owner filter, and the plan's epoch syncs (a
 /// barrier after each iteration of the barrier level, owner posts around
 /// gated-statement firings, doacross waits and posts per segment).
-/// Unfiltered, it runs a Sequential nest whole on one thread.
+/// Unfiltered, it runs a Sequential nest whole on one thread. Its accesses
+/// being plain, it takes owned pieces of segments as compiled run loops.
 class NativePolicy {
  public:
   using Slot = double*;
   struct Cursor {};
+  static constexpr bool kRunLoops = true;
 
   NativePolicy(std::vector<std::vector<double>>& data, EpochCounters& epochs,
                int T, int myid)
@@ -107,6 +109,7 @@ class NativePolicy {
   static void begin(Cursor&, int, double) {}
   static void end(Cursor&) {}
   static double load(Cursor&, Slot s, Int lin) { return s[lin]; }
+  static double* element(Slot s, Int lin) { return s + lin; }
   static void store(Cursor&, Slot s, Int lin, double v, bool has_value) {
     if (has_value) s[lin] = v;
   }
@@ -208,6 +211,7 @@ struct ThreadStats {
   long long barriers = 0;
   long long waits = 0;
   long long walker_splits = 0;
+  long long run_instances = 0;
 };
 
 /// One SPMD worker: walks every nest with the owner filter (or its
@@ -242,7 +246,7 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
     }
   }
   return {kernel.statements, policy.barriers, policy.waits,
-          kernel.counters.walker_splits};
+          kernel.counters.walker_splits, kernel.counters.run_instances};
 }
 
 }  // namespace
@@ -305,6 +309,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
     res.statements += s.statements;
     res.waits += s.waits;
     res.walker_splits += s.walker_splits;
+    res.run_instances += s.run_instances;
   }
   res.barriers = stats[0].barriers;
   res.sequential_nests = plan.sequential_nests;

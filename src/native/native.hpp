@@ -67,6 +67,9 @@ struct NativeResult {
   /// Innermost runs cut by a walker's strip boundary before their
   /// segment's end, summed over threads (runtime::ExecCounters).
   long long walker_splits = 0;
+  /// Statement instances executed through compiled run loops
+  /// (ir::StmtEval::run) instead of one at a time, summed over threads.
+  long long run_instances = 0;
   int sequential_nests = 0;
   int parallel_nests = 0;
   int restricted_nests = 0;

@@ -61,6 +61,8 @@ class SimPolicy {
   }
 
   static bool owns(int) { return true; }
+  /// Every access is charged to the machine in order: no run loops.
+  static constexpr bool kRunLoops = false;
 
   /// The processor whose clock is in flight and that clock. With
   /// `cache_clock` it stays in flight until the owner changes or the

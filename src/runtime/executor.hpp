@@ -48,6 +48,8 @@ struct ExecCounters {
   long long walker_splits = 0;       ///< innermost runs cut by a walker's
                                      ///< strip boundary before their
                                      ///< segment's end
+  long long run_instances = 0;       ///< statement instances executed by
+                                     ///< run loops (native backend only)
 };
 
 struct RunResult {

@@ -18,6 +18,23 @@
 //   gate()                before and after every gated-statement firing;
 //                         owns() is asked about its owner once in between
 //   after_iteration(l)    after each iteration of non-innermost loop l
+//   kRunLoops             static constexpr bool: takes whole runs
+//
+// A policy whose loads and stores are plain memory accesses, and whose
+// begin() and end() do nothing, may set kRunLoops and then also provides
+//
+//   double* element(const Slot&, Int lin)   the element at address lin
+//
+// The kernel then runs each owned piece of an innermost segment (a stretch
+// inside every walker's run, with every owner constant over it) through
+// the statements' compiled runs (ir::StmtEval::run) instead of instance by
+// instance: one statement's n instances in one call, several statements'
+// one position at a time in program order. The instances and their order
+// are the same either way, so are the values. Pieces fall back to the
+// per-instance body when a full-depth statement has no write or no
+// evaluator, more reads than ir::StmtRun::kMaxReads, a reference without
+// a walker, or an owner that changes along the segment; the first
+// iteration of a segment that fires gated statements always does.
 //
 // With `fast` off the kernel is the reference interpreter: every address
 // comes from Layout::linearize and every owner is folded per instance.
@@ -59,6 +76,11 @@ class OwnerStep {
       ++f_;
       if (++g_ == procs_) g_ = 0;
     }
+  }
+
+  /// value() is 0 at every iteration: a single-processor or unbound fold.
+  bool constant() const {
+    return kind_ == decomp::DistKind::Serial || procs_ == 1;
   }
 
   /// Folded coordinate times the mixed-radix stride (CoordFold semantics).
@@ -156,6 +178,10 @@ struct Restriction {
 
 template <class Policy>
 class Traversal {
+  // Compile-time, so that a policy without run loops compiles none of the
+  // batching branches into its segment loops.
+  static constexpr bool kRunLoops = Policy::kRunLoops;
+
  public:
   Traversal(const core::CompiledProgram& cp, Policy& policy, bool fast)
       : cp_(cp), policy_(policy), fast_(fast), procs_(cp.procs) {
@@ -192,15 +218,34 @@ class Traversal {
                     "write to replicated array");
           add(*cs.write);
         }
-        plans_[j].push_back(std::move(s));
+        s.runs = kRunLoops && s.full && cs.write && cs.eval &&
+                 cs.reads.size() <= ir::StmtRun::kMaxReads &&
+                 std::all_of(s.refs.begin(), s.refs.end(),
+                             [](const Ref& r) { return r.walk; });
+        if (s.runs) s.run = cs.eval.run(cs.reads.size());
+        plans_[j].stmts.push_back(std::move(s));
       }
     }
-    // The plans are final: their walkers' addresses are stable.
-    walkers_.resize(plans_.size());
-    for (size_t j = 0; j < plans_.size(); ++j)
-      for (Stmt& s : plans_[j])
+    // The plans are final: their statements' and walkers' addresses are
+    // stable.
+    for (Plan& plan : plans_) {
+      bool runs = true, constant_owners = true;
+      for (Stmt& s : plan.stmts) {
         for (Ref& r : s.refs)
-          if (r.walk) walkers_[j].push_back(&r.walker);
+          if (r.walk) plan.walkers.push_back(&r.walker);
+        if (!s.full) {
+          plan.gated = true;
+          continue;
+        }
+        plan.full.push_back(&s);
+        runs &= s.runs;
+        constant_owners &=
+            std::all_of(s.stepped.begin(), s.stepped.end(),
+                        [](const OwnerStep& os) { return os.constant(); });
+      }
+      plan.run_slices = runs && !plan.full.empty();
+      plan.run_segments = plan.run_slices && constant_owners;
+    }
     scratch_.assign(max_rank, 0);
     vals_.assign(max_reads, 0.0);
   }
@@ -211,8 +256,7 @@ class Traversal {
     const int d = static_cast<int>(cp_.nests[j].nest.loops.size());
     if (d == 0) return;
     loops_ = &cp_.nests[j].nest.loops;
-    stmts_ = &plans_[j];
-    walkers_now_ = &walkers_[j];
+    plan_ = &plans_[j];
     inner_ = d - 1;
     iter_.assign(static_cast<size_t>(d), 0);
     lb_.assign(static_cast<size_t>(d), 0);
@@ -246,6 +290,21 @@ class Traversal {
     std::vector<std::pair<int, core::CoordFold>> folded;
     std::vector<Ref> refs;  ///< reads in order, then the write (if any)
     int q_base = 0;
+    /// Full depth, written by an evaluator from at most
+    /// StmtRun::kMaxReads reads, every reference walked: can run in run
+    /// loops under a kRunLoops policy.
+    bool runs = false;
+    ir::StmtRun run;  ///< the current run's addresses
+  };
+  /// One nest's statements and what the kernel may batch in it.
+  struct Plan {
+    std::vector<Stmt> stmts;
+    std::vector<Stmt*> full;          ///< the full-depth statements
+    std::vector<RefWalker*> walkers;  ///< every walker of the nest
+    bool gated = false;               ///< some statement is not full depth
+    bool run_slices = false;          ///< owned slices run as run loops
+    /// So do segment pieces: no owner changes along the innermost loop.
+    bool run_segments = false;
   };
 
   Int at(int k) const { return iter_[static_cast<size_t>(k)]; }
@@ -342,28 +401,82 @@ class Traversal {
   /// Steps every walker of the nest can take inside its current run.
   Int walker_run() const {
     Int n = kEndlessRun;
-    for (const RefWalker* w : *walkers_now_) n = std::min(n, w->run());
+    for (const RefWalker* w : plan_->walkers) n = std::min(n, w->run());
     return n;
   }
 
   /// Close every walker's run after n steps.
   void finish_runs(Int n) {
-    for (RefWalker* w : *walkers_now_) w->finish_run(n);
+    for (RefWalker* w : plan_->walkers) w->finish_run(n);
+  }
+
+  /// n positions of a piece inside every walker's run, through run loops:
+  /// the statements of `batch` (owned, in program order) execute, every
+  /// walker of the nest moves n steps.
+  void run_piece(std::span<Stmt* const> batch, Int n) {
+    if (n <= 0) return;
+    for (Stmt* s : batch) {
+      ir::StmtRun& run = s->run;
+      for (size_t k = 0; k < run.reads; ++k) {
+        run.read[k] = element(s->refs[k]);
+        run.read_step[k] = s->refs[k].walker.delta();
+      }
+      run.write = element(s->refs[run.reads]);
+      run.write_step = s->refs[run.reads].walker.delta();
+    }
+    if (batch.size() == 1) {
+      batch[0]->run(n);
+    } else {
+      for (Int k = 0; k < n; ++k)
+        for (Stmt* s : batch) s->run.once();
+    }
+    for (RefWalker* w : plan_->walkers) w->step(n);
+    const long long done = n * static_cast<long long>(batch.size());
+    statements += done;
+    counters.run_instances += done;
+  }
+
+  /// The element at walked reference r's current address.
+  double* element(const Ref& r) {
+    if constexpr (kRunLoops)
+      return policy_.element(r.slot, r.walker.addr());
+    else
+      return nullptr;  // never asked: no run loops
+  }
+
+  /// Every statement at innermost iteration i of a segment starting at lo.
+  [[gnu::always_inline]] void iteration(Cursor& cur, Int i, Int lo) {
+    iter_[static_cast<size_t>(inner_)] = i;
+    for (Stmt& s : plan_->stmts) {
+      if (!s.full) {
+        if (i == lo && fires(s)) fire(cur, s);
+        continue;
+      }
+      const int q = owner(s);
+      if (policy_.owns(q)) {
+        instance(cur, s, q);
+      } else {
+        for (Ref& r : s.refs)
+          if (r.walk) r.walker.step();
+      }
+    }
   }
 
   /// Full innermost segment: every iteration is stepped, each instance
   /// runs when its owner is the policy's. Gated statements run once per
   /// prefix, at the first iteration of every loop below their depth. The
   /// loop is split where any walker's run ends, so inside a piece every
-  /// address advances by one add.
+  /// address advances by one add, and with run_segments each piece runs
+  /// the owned statements through run loops.
   /// Out of line (like restricted_segment) so the hot loop is compiled
   /// on its own, away from the recursion: measurably faster.
   [[gnu::noinline]] void segment(Int lo, Int hi) {
     Cursor cur = policy_.cursor();
     const Int len = hi - lo + 1;
     iter_[static_cast<size_t>(inner_)] = lo;
-    for (Stmt& s : *stmts_) {
-      if (!s.full) continue;
+    owned_.clear();
+    for (Stmt* sp : plan_->full) {
+      Stmt& s = *sp;
       s.q_base = fold(s.hoisted);
       for (OwnerStep& os : s.stepped) os.init(lo);
       for (Ref& r : s.refs)
@@ -372,24 +485,21 @@ class Traversal {
           counters.walker_fast += len;
         }
       if (fast_ && s.stepped.empty()) counters.owner_hoisted += len;
+      // Constant over the segment when run_segments holds: the stepped
+      // folds, if any, add 0.
+      if (kRunLoops && plan_->run_segments &&
+          policy_.owns(std::min(s.q_base, procs_ - 1)))
+        owned_.push_back(&s);
     }
     for (Int i = lo;;) {
       const Int n = std::min(hi - i + 1, walker_run());
-      for (const Int end = i + n; i < end; ++i) {
-        iter_[static_cast<size_t>(inner_)] = i;
-        for (Stmt& s : *stmts_) {
-          if (!s.full) {
-            if (i == lo && fires(s)) fire(cur, s);
-            continue;
-          }
-          const int q = owner(s);
-          if (policy_.owns(q)) {
-            instance(cur, s, q);
-          } else {
-            for (Ref& r : s.refs)
-              if (r.walk) r.walker.step();
-          }
-        }
+      const Int end = i + n;
+      if (kRunLoops && plan_->run_segments) {
+        if (i == lo && plan_->gated) iteration(cur, i++, lo);
+        run_piece(owned_, end - i);
+        i = end;
+      } else {
+        for (; i < end; ++i) iteration(cur, i, lo);
       }
       if (i > hi) break;
       finish_runs(n);
@@ -422,7 +532,7 @@ class Traversal {
     Cursor cur = policy_.cursor();
     iter_[static_cast<size_t>(inner_)] = lo;
     const Stmt* lead = nullptr;
-    for (Stmt& s : *stmts_) {
+    for (Stmt& s : plan_->stmts) {
       if (s.full) {
         if (lead == nullptr) lead = &s;
       } else if (fires(s)) {
@@ -443,15 +553,19 @@ class Traversal {
   /// jump the gaps between runs.
   void owned_slice(Cursor& cur, OwnedIter& oi, int q) {
     const Int stride = oi.stride();
-    for (RefWalker* w : *walkers_now_) w->init(iter_, stride);
+    for (RefWalker* w : plan_->walkers) w->init(iter_, stride);
     for (Int i = oi.value();;) {
       Int n = 0;  // steps into the walkers' current run
       for (Int left = oi.run_left();;) {
         n = std::min(left, walker_run());
-        for (const Int end = i + n * stride; i != end; i += stride) {
-          iter_[static_cast<size_t>(inner_)] = i;
-          for (Stmt& s : *stmts_)
-            if (s.full) instance(cur, s, q);
+        if (kRunLoops && plan_->run_slices) {
+          run_piece(plan_->full, n);
+          i += n * stride;
+        } else {
+          for (const Int end = i + n * stride; i != end; i += stride) {
+            iter_[static_cast<size_t>(inner_)] = i;
+            for (Stmt* s : plan_->full) instance(cur, *s, q);
+          }
         }
         left -= n;
         if (left == 0) break;
@@ -461,7 +575,7 @@ class Traversal {
       oi.next_run();
       if (oi.done()) break;
       finish_runs(n);
-      for (RefWalker* w : *walkers_now_) w->jump((oi.value() - i) / stride);
+      for (RefWalker* w : plan_->walkers) w->jump((oi.value() - i) / stride);
       i = oi.value();
     }
   }
@@ -470,11 +584,10 @@ class Traversal {
   Policy& policy_;
   const bool fast_;
   const int procs_;
-  std::vector<std::vector<Stmt>> plans_;  ///< per nest
-  std::vector<std::vector<RefWalker*>> walkers_;  ///< per nest: every walker
+  std::vector<Plan> plans_;  ///< per nest
   const std::vector<ir::Loop>* loops_ = nullptr;
-  std::vector<Stmt>* stmts_ = nullptr;
-  const std::vector<RefWalker*>* walkers_now_ = nullptr;
+  Plan* plan_ = nullptr;  ///< the nest being walked
+  std::vector<Stmt*> owned_;  ///< segment(): the statements it runs
   int inner_ = 0;
   std::vector<Int> iter_, lb_, ub_, scratch_;
   std::vector<double> vals_;

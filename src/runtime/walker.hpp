@@ -65,6 +65,12 @@ class RefWalker {
   /// Advance one step inside the run.
   void step() { addr_ += delta_; }
 
+  /// Advance n steps inside the run at once (a whole run loop's worth).
+  void step(Int n) { addr_ += n * delta_; }
+
+  /// Address change per step inside a run.
+  Int delta() const { return delta_; }
+
   /// After n step()s since the last init / finish_run (n may exceed
   /// run()): make addr() exact again and start the next run.
   void finish_run(Int n) {

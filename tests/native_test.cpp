@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 
 #include "apps/apps.hpp"
@@ -248,8 +249,15 @@ TEST(Native, CyclicAndBlockCyclicSlicesMatchReference) {
         EXPECT_TRUE(innermost) << label << ": no innermost slice of that kind";
         NativeOptions opts;
         opts.threads = threads;
-        expect_bit_identical(label + " native", run_native(cp, pp, opts).values,
-                             want);
+        const NativeResult res = run_native(cp, pp, opts);
+        expect_bit_identical(label + " native", res.values, want);
+        // Owned slices run as run loops, across the jumps between
+        // BLOCK-CYCLIC blocks too: every instance of the codes whose
+        // nests are all innermost slices.
+        if (name == "stencil5" || name == "swm256")
+          EXPECT_EQ(res.run_instances, res.statements) << label;
+        else
+          EXPECT_GT(res.run_instances, 0) << label;
         for (bool fast : {true, false}) {
           runtime::ExecOptions eo;
           eo.fast_exec = fast;
@@ -295,6 +303,208 @@ TEST(Native, WalkerSplitsOnlyWhereStripsCut) {
         run_native(core::compile(prog, Mode::Full, 4), opts);
     EXPECT_GT(r.walker_splits, 0) << name;
     EXPECT_LT(r.walker_splits * 100, r.statements) << name;
+    // A split starts a new run loop; it does not fall back to single
+    // instances.
+    EXPECT_GE(r.run_instances * 100, r.statements * 99) << name;
+  }
+}
+
+TEST(Native, RunLoopsCoverDataParallelApps) {
+  // At the native benchmark's sizes nearly every instance of the seven
+  // codes runs through a compiled run loop; the rest are gated firings
+  // (LU's divides) and the first iteration of segments that fire them.
+  const std::pair<const char*, ir::Program> bench[] = {
+      {"lu", apps::lu(96)},
+      {"stencil5", apps::stencil5(512, 2)},
+      {"adi", apps::adi(384, 2)},
+      {"vpenta", apps::vpenta(256)},
+      {"erlebacher", apps::erlebacher(64, 2)},
+      {"swm256", apps::swm256(384, 2)},
+      {"tomcatv", apps::tomcatv(384, 2)}};
+  NativeOptions opts;
+  opts.threads = 4;
+  opts.collect_values = false;
+  for (const auto& [name, prog] : bench)
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+      const NativeResult r = run_native(core::compile(prog, mode, 4), opts);
+      EXPECT_GE(static_cast<double>(r.run_instances),
+                0.95 * static_cast<double>(r.statements))
+          << name << "/" << core::to_string(mode) << ": " << r.run_instances
+          << " of " << r.statements;
+    }
+  // The simulator charges every access to the machine in order: neither
+  // of its configurations takes run loops.
+  for (const auto& [name, prog] : programs())
+    for (Mode mode : {Mode::Base, Mode::Full})
+      for (bool fast : {true, false}) {
+        runtime::ExecOptions eo;
+        eo.fast_exec = fast;
+        eo.collect_values = false;
+        const runtime::RunResult sim = runtime::simulate(
+            core::compile(prog, mode, 4), machine::MachineConfig::dash(4), eo);
+        EXPECT_EQ(sim.counters.run_instances, 0)
+            << name << "/" << core::to_string(mode);
+        EXPECT_GT(sim.statements, 0);
+      }
+}
+
+/// A two-level nest over J (outer) and I (inner) with the given
+/// statements, over N x N arrays A and B.
+ir::Program order_program(
+    const std::string& name, Int lo, Int hi,
+    const std::function<std::vector<ir::Stmt>(int a, int b)>& stmts) {
+  constexpr Int kN = 24;
+  ir::ProgramBuilder pb(name);
+  const int a = pb.array("A", {kN, kN});
+  const int b = pb.array("B", {kN, kN});
+  ir::LoopNest& nest = pb.nest("body");
+  nest.loops.push_back(ir::loop("J", ir::cst(0), ir::cst(kN - 1)));
+  nest.loops.push_back(ir::loop("I", ir::cst(lo), ir::cst(hi)));
+  nest.stmts = stmts(a, b);
+  pb.set_time_steps(2);
+  return pb.build();
+}
+
+/// Element (I + di, J) of array x.
+ir::ArrayRef at(int x, Int di) { return ir::simple_ref(x, 2, {{1, di}, {0, 0}}); }
+
+ir::Stmt assign(ir::ArrayRef write, std::vector<ir::ArrayRef> reads,
+                ir::StmtEval eval) {
+  ir::Stmt s;
+  s.write = std::move(write);
+  s.reads = std::move(reads);
+  s.eval = std::move(eval);
+  return s;
+}
+
+TEST(Native, RunLoopsKeepInstanceOrder) {
+  // Inside one run, each instance reads what the previous ones wrote: a
+  // run loop that reordered, batched its reads ahead of its writes or
+  // dropped an instance would change these values.
+  using R = std::span<const double>;
+  const std::pair<const char*, ir::Program> cases[] = {
+      {"flow recurrence",
+       order_program("flow", 1, 23, [](int a, int b) {
+         return std::vector{assign(at(a, 0), {at(a, -1), at(b, 0)},
+                                   [](R r) { return r[0] * 0.75 + r[1]; })};
+       })},
+      {"anti dependence",
+       order_program("anti", 0, 22, [](int a, int b) {
+         return std::vector{assign(at(a, 0), {at(a, 1), at(b, 0)},
+                                   [](R r) { return r[0] + r[1]; })};
+       })},
+      {"two statements",
+       order_program("pair", 1, 22, [](int a, int b) {
+         return std::vector{
+             assign(at(a, 0), {at(b, -1), at(a, 1)},
+                    [](R r) { return r[0] * 0.5 + r[1]; }),
+             assign(at(b, 0), {at(a, -1), at(b, 1)},
+                    [](R r) { return r[0] - 0.25 * r[1]; })};
+       })},
+      {"reads its own write",
+       order_program("self", 0, 23, [](int a, int) {
+         return std::vector{assign(at(a, 0), {at(a, 0), at(a, 0)},
+                                   [](R r) { return r[0] * r[1] + 1.0; })};
+       })},
+      {"zero reads",
+       order_program("zero", 1, 23, [](int a, int b) {
+         return std::vector{
+             assign(at(a, 0), {}, [](R) { return 3.0; }),
+             assign(at(b, 0), {at(a, -1), at(b, 0)},
+                    [](R r) { return r[0] + r[1]; })};
+       })},
+  };
+  for (const auto& [name, prog] : cases) {
+    const auto want = runtime::run_reference(prog);
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+      for (int threads : {1, 2, 4}) {
+        const std::string label = std::string(name) + "/" +
+                                  core::to_string(mode) + "/t" +
+                                  std::to_string(threads);
+        const auto cp = core::compile(prog, mode, threads);
+        // I stays innermost: the dependences lie inside each run.
+        ASSERT_EQ(cp.nests[0].stmts[0].write->coeffs[1], 1) << label;
+        NativeOptions opts;
+        opts.threads = threads;
+        const NativeResult r = run_native(cp, opts);
+        expect_bit_identical(label, r.values, want);
+        EXPECT_EQ(r.run_instances, r.statements) << label;
+      }
+  }
+}
+
+TEST(Native, RunLoopFallbacksMatchReference) {
+  // Pieces a run loop cannot take run instance by instance, bit-identical
+  // to the reference, and the counter says which way they ran.
+  using R = std::span<const double>;
+  const auto plus = [](R r) { return r[0] + r[1]; };
+  const auto check = [](const std::string& label, const ir::Program& prog,
+                        const core::CompiledProgram& cp, const ProgramPlan& pp,
+                        bool runs) {
+    NativeOptions opts;
+    opts.threads = cp.procs;
+    const NativeResult r = run_native(cp, pp, opts);
+    expect_bit_identical(label, r.values, runtime::run_reference(prog));
+    EXPECT_GT(r.statements, 0) << label;
+    if (runs)
+      EXPECT_EQ(r.run_instances, r.statements) << label;
+    else
+      EXPECT_EQ(r.run_instances, 0) << label;
+  };
+
+  // A write without an evaluator stores nothing: the nest's pieces stay
+  // per instance.
+  const ir::Program no_eval = order_program("no_eval", 0, 23, [&](int a, int b) {
+    return std::vector{assign(at(a, 0), {at(b, 0)}, {}),
+                       assign(at(b, 0), {at(b, 0), at(a, 0)}, plus)};
+  });
+  // More reads than a run loop holds.
+  const ir::Program wide = order_program("wide", 0, 23, [](int a, int b) {
+    std::vector<ir::ArrayRef> reads;
+    for (size_t k = 0; k <= ir::StmtRun::kMaxReads; ++k)
+      reads.push_back(at(k % 2 == 0 ? b : a, 0));
+    return std::vector{assign(at(a, 0), reads, [](R r) {
+      double s = 0;
+      for (double v : r) s = s * 0.5 + v;
+      return s;
+    })};
+  });
+  const ir::Program pair = order_program("pair", 0, 23, [&](int a, int b) {
+    return std::vector{assign(at(a, 0), {at(a, 0), at(b, 0)}, plus),
+                       assign(at(b, 0), {at(b, 0), at(a, 0)}, plus)};
+  });
+  const ir::Program apart = order_program("apart", 1, 23, [&](int a, int b) {
+    return std::vector{assign(at(a, 0), {at(a, 0), at(a, -1)}, plus),
+                       assign(at(b, 0), {at(b, 0), at(b, -1)}, plus)};
+  });
+  for (int threads : {1, 4}) {
+    const std::string t = "/t" + std::to_string(threads);
+    for (Mode mode : {Mode::Base, Mode::Full}) {
+      const std::string m = "/" + core::to_string(mode) + t;
+      auto cp = core::compile(no_eval, mode, threads);
+      check("no eval" + m, no_eval, cp, plan_program(cp), false);
+      cp = core::compile(wide, mode, threads);
+      check("wide" + m, wide, cp, plan_program(cp), false);
+    }
+    // A layout the walkers cannot step (strips that do not divide their
+    // modulus): its references fall back to Layout::linearize.
+    auto cp = core::compile(pair, Mode::Full, threads);
+    layout::Layout odd = layout::Layout::identity({24, 24});
+    odd.apply(layout::StripMine{0, 4});
+    odd.apply(layout::StripMine{0, 3});
+    ASSERT_FALSE(odd.all_simple());
+    cp.arrays[0].layout = odd;
+    check("no walker" + t, pair, cp, plan_program(cp), false);
+    // An unowned statement inside a batched segment: the second of two
+    // independent statements all on thread 0, the first spread over the
+    // threads, and no restricted walk, so every thread's segments hold
+    // owned and unowned statements and still run as run loops.
+    cp = core::compile(apart, Mode::Base, threads);
+    cp.nests[0].stmts[1].owner.clear();
+    ProgramPlan pp = plan_program(cp);
+    EXPECT_EQ(pp.sequential_nests, 0);
+    for (NestPlan& np : pp.nests) np.restrictions.clear();
+    check("unowned" + t, apart, cp, pp, true);
   }
 }
 
