@@ -82,20 +82,19 @@ Machine::Machine(const MachineConfig& cfg, bool fast_directory)
   line_shift_ = log2(line_bytes);
   word_mask_ = line_bytes - 1;
   page_line_shift_ = log2(cfg.page_bytes) - line_shift_;
+
+  l1_mask_ = static_cast<size_t>(l1_sets - 1);
+  l2_mask_ = static_cast<size_t>(l2_sets - 1);
+  l1_bits_ = log2(l1_sets);
+  l2_bits_ = log2(l2_sets);
   clusters_ = cfg.clusters();
 
-  procs_.resize(static_cast<size_t>(cfg.procs));
-  stats_.resize(static_cast<size_t>(cfg.procs));
-  fast_hits_.assign(static_cast<size_t>(cfg.procs), 0);
-  for (int q = 0; q < cfg.procs; ++q) {
-    Proc& p = procs_[static_cast<size_t>(q)];
-    p.cluster = cfg.cluster_of(q);
-    p.l1.mask = static_cast<size_t>(l1_sets - 1);
-    p.l1.tag.assign(static_cast<size_t>(l1_sets), -1);
-    p.l1.fast.assign(static_cast<size_t>(l1_sets), 0);
-    p.l2.mask = static_cast<size_t>(l2_sets - 1);
-    p.l2.tag.assign(static_cast<size_t>(l2_sets), -1);
-  }
+  const auto procs = static_cast<size_t>(cfg.procs);
+  l1_.assign(procs * static_cast<size_t>(l1_sets), kEmptyL1);
+  l2_.assign(procs * static_cast<size_t>(l2_sets), kEmptyL2);
+  for (int q = 0; q < cfg.procs; ++q) cluster_.push_back(cfg.cluster_of(q));
+  stats_.resize(procs);
+  fast_hits_.assign(procs, 0);
 }
 
 namespace {
@@ -111,51 +110,28 @@ void grow_to_cover(std::vector<T>& table, Int index, const T& fill) {
 
 }  // namespace
 
-bool Machine::lookup(CacheLevel& c, Int line) const {
-  return c.tag[static_cast<size_t>(line) & c.mask] == line;
-}
-
-void Machine::insert(int proc, CacheLevel& c, Int line) {
-  const size_t set = static_cast<size_t>(line) & c.mask;
-  Int& slot = c.tag[set];
-  if (slot == line) return;
-  // The victim is notified while it still holds its slot, so
-  // evict_notify's lookup finds it and the directory keeps the processor
-  // as sharer or dirty owner. Known quirk, kept: the order sets cycles.
-  if (slot >= 0) evict_notify(proc, slot);
-  slot = line;
-  if (!c.fast.empty()) c.fast[set] = 0;
-}
-
-/// A line fell out of one cache level; if it is in neither level, the
-/// processor no longer caches it.
-void Machine::evict_notify(int proc, Int line) {
-  Proc& p = procs_[static_cast<size_t>(proc)];
-  if (lookup(p.l1, line) || lookup(p.l2, line)) return;
-  if (static_cast<size_t>(line) >= directory_.size()) return;
-  Line& dir = directory_[static_cast<size_t>(line)];
-  dir.sharers &= ~(1ull << proc);
-  if (dir.dirty_owner == proc) dir.dirty_owner = -1;
+/// Cover `line`, first rejecting a line the 32-bit cache slots cannot name.
+void Machine::grow_directory(Int line) {
+  if (line >= kMaxLines)
+    throw Error(Error::Code::kUnsupportedConfig,
+                strf("the machine model addresses at most %ld lines (30-bit "
+                     "cache slots); got line %ld",
+                     static_cast<long>(kMaxLines), static_cast<long>(line)));
+  grow_to_cover(directory_, line, Line{});
 }
 
 void Machine::drop_line(int proc, Int line) {
-  Proc& p = procs_[static_cast<size_t>(proc)];
-  const size_t set1 = static_cast<size_t>(line) & p.l1.mask;
-  if (p.l1.tag[set1] == line) {
-    p.l1.tag[set1] = -1;
-    p.l1.fast[set1] = 0;
-  }
-  Int& s2 = p.l2.tag[static_cast<size_t>(line) & p.l2.mask];
-  if (s2 == line) s2 = -1;
+  std::uint32_t& s1 = l1_at(proc, line);
+  if (s1 >> 2 == line) s1 = kEmptyL1;
+  std::uint32_t& s2 = l2_at(proc, line);
+  if (s2 == line) s2 = kEmptyL2;
 }
 
 /// A dirty line was downgraded to shared: its (former) owner may no longer
 /// write it without a directory transition.
 void Machine::clear_write_fast(int proc, Int line) {
-  Proc& p = procs_[static_cast<size_t>(proc)];
-  const size_t set = static_cast<size_t>(line) & p.l1.mask;
-  if (p.l1.tag[set] == line)
-    p.l1.fast[set] &= static_cast<std::uint8_t>(~kWriteFast);
+  std::uint32_t& s = l1_at(proc, line);
+  if (s >> 2 == line) s &= ~kWriteFast;
 }
 
 int Machine::home_cluster(Int line) {
@@ -187,28 +163,26 @@ double Machine::access_slow(int proc, Int byte_addr, bool is_write) {
   const Int line = byte_addr >> line_shift_;
   const auto word =
       static_cast<std::uint8_t>((byte_addr & word_mask_) >> 2);  // 4B words
-  Proc& p = procs_[static_cast<size_t>(proc)];
+  if (static_cast<size_t>(line) >= directory_.size()) grow_directory(line);
   ProcStats& st = stats_[static_cast<size_t>(proc)];
   ++st.accesses;
 
-  if (static_cast<size_t>(line) >= directory_.size())
-    grow_to_cover(directory_, line, Line{});
   // Stays valid: nothing below resizes directory_.
   Line& dir = directory_[static_cast<size_t>(line)];
   const std::uint64_t self = 1ull << proc;
   double latency = 0;
 
-  const bool in_l1 = lookup(p.l1, line);
-  const bool in_l2 = in_l1 || lookup(p.l2, line);
+  std::uint32_t& s1 = l1_at(proc, line);
+  std::uint32_t& s2 = l2_at(proc, line);
+  const bool in_l1 = s1 >> 2 == line;
+  const bool in_l2 = in_l1 || s2 == line;
 
   if (in_l2) {
     latency = in_l1 ? cfg_.lat_l1 : cfg_.lat_l2;
     if (in_l1)
       ++st.l1_hits;
-    else {
+    else
       ++st.l2_hits;
-      insert(proc, p.l1, line);
-    }
     if (is_write) {
       if (dir.dirty_owner != proc) {
         // Upgrade: invalidate the other sharers.
@@ -227,8 +201,8 @@ double Machine::access_slow(int proc, Int byte_addr, bool is_write) {
     }
     dir.sharers |= self;
     dir.touched = true;
-    p.l1.fast[static_cast<size_t>(line) & p.l1.mask] = static_cast<
-        std::uint8_t>(kReadFast | (dir.dirty_owner == proc ? kWriteFast : 0));
+    // An L2 hit refills L1 over its victim (see the fill below).
+    s1 = l1_slot(line, dir.dirty_owner == proc);
     st.memory_cycles += latency;
     return latency;
   }
@@ -249,7 +223,7 @@ double Machine::access_slow(int proc, Int byte_addr, bool is_write) {
 
   // Fetch latency by where the data lives.
   const int home = home_cluster(line);
-  const bool local = home == p.cluster;
+  const bool local = home == cluster_[static_cast<size_t>(proc)];
   if (dir.dirty_owner >= 0 && dir.dirty_owner != proc) {
     latency = cfg_.lat_remote_dirty;
     ++st.remote_dirty_fills;
@@ -278,10 +252,11 @@ double Machine::access_slow(int proc, Int byte_addr, bool is_write) {
     dir.sharers |= self;
   }
 
-  insert(proc, p.l2, line);
-  insert(proc, p.l1, line);
-  p.l1.fast[static_cast<size_t>(line) & p.l1.mask] = static_cast<
-      std::uint8_t>(kReadFast | (dir.dirty_owner == proc ? kWriteFast : 0));
+  // Fill both levels over their victims. No level tells the directory of
+  // an eviction: a processor whose copy left both levels stays a recorded
+  // sharer (or the dirty owner) of that line.
+  s2 = static_cast<std::uint32_t>(line);
+  s1 = l1_slot(line, dir.dirty_owner == proc);
   st.memory_cycles += latency;
   return latency;
 }
@@ -294,6 +269,12 @@ ProcStats Machine::stats(int proc) const {
   s.dir_fast_hits += fh;
   s.memory_cycles += static_cast<double>(fh) * cfg_.lat_l1;
   return s;
+}
+
+std::size_t Machine::state_bytes() const {
+  return directory_.size() * sizeof(Line) +
+         page_home_.size() * sizeof(page_home_[0]) +
+         (l1_.size() + l2_.size()) * sizeof(std::uint32_t);
 }
 
 ProcStats Machine::total_stats() const {

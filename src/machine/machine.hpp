@@ -11,8 +11,15 @@
 // latter split into true and false sharing by comparing the invalidating
 // write's word with the word re-read) — the quantities the paper's
 // optimizations target.
+//
+// Host state: one 32-bit slot per cache set (L1: line << 2 | fast flags;
+// L2: the line), 80 KB per DASH processor; a 24-byte directory entry per
+// line and an int per page, in tables grown by doubling. A slot names a
+// line in 30 bits, so addresses stop below line Machine::kMaxLines (16 GiB
+// at 16 B lines); an access beyond throws kUnsupportedConfig.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -78,6 +85,7 @@ struct ProcStats {
   long long dir_fast_hits = 0;
   double memory_cycles = 0;
 
+  bool operator==(const ProcStats&) const = default;
   void add(const ProcStats& o);
   std::string to_string() const;
 };
@@ -98,20 +106,24 @@ class Machine {
   explicit Machine(const MachineConfig& cfg, bool fast_directory = true);
 
   /// Simulate one access; returns its latency in cycles and updates the
-  /// per-processor statistics.
+  /// per-processor statistics. Throws Error(kUnsupportedConfig) for an
+  /// address at or beyond line kMaxLines (before any state grows).
   ///
   /// Fast path (`fast_directory`): an L1 hit whose slot carries the
   /// right fast flag — read: the processor is a recorded sharer; write:
   /// the processor is the dirty owner — needs no directory transition at
   /// all, so `directory_` is not touched. The slow path maintains the
-  /// flags; invalidations and downgrades clear them.
+  /// flags; invalidations and downgrades clear them. One slot load and
+  /// one compare: a read ORs kWriteFast into the slot, so it matches
+  /// `line << 2 | kReadFast | kWriteFast` exactly when the slot holds the
+  /// line with kReadFast set.
   double access(int proc, Int byte_addr, bool is_write) {
     if (fast_directory_) {
-      Proc& p = procs_[static_cast<size_t>(proc)];
       const Int line = byte_addr >> line_shift_;
-      const size_t slot = static_cast<size_t>(line) & p.l1.mask;
-      if (p.l1.tag[slot] == line &&
-          (p.l1.fast[slot] & (is_write ? kWriteFast : kReadFast)) != 0) {
+      const std::uint32_t slot =
+          l1_at(proc, line) | (is_write ? 0u : kWriteFast);
+      // Widened, so that no line past the slot range can match.
+      if (slot == (static_cast<std::uint64_t>(line) << 2 | kFastBits)) {
         // One dense counter; folded into ProcStats when stats are read
         // (a fast hit bumps accesses, l1_hits, dir_fast_hits and lat_l1
         // memory cycles — all derivable from the count).
@@ -134,21 +146,26 @@ class Machine {
   ProcStats stats(int proc) const;
   ProcStats total_stats() const;
 
- private:
-  static constexpr std::uint8_t kReadFast = 1;   ///< sharer; reads are free
-  static constexpr std::uint8_t kWriteFast = 2;  ///< dirty owner
+  /// Host bytes of the model's state: directory, page homes and every
+  /// processor's cache slots (sizes, not capacities: deterministic).
+  std::size_t state_bytes() const;
 
-  struct CacheLevel {
-    size_t mask = 0;  ///< number of sets (direct-mapped, a power of two) - 1
-    std::vector<Int> tag;  ///< -1 = invalid; tag = line address
-    /// L1 only: per-slot fast-path flags (kReadFast | kWriteFast), valid
-    /// while the tag matches. Empty for L2.
-    std::vector<std::uint8_t> fast;
-  };
-  struct Proc {
-    CacheLevel l1, l2;
-    int cluster = 0;  ///< MachineConfig::cluster_of(this processor)
-  };
+  /// Lines the cache slots can name: a slot holds a line in 30 bits, and
+  /// the all-ones line marks an empty slot. 16 GiB at 16 B lines.
+  static constexpr Int kMaxLines = (Int{1} << 30) - 1;
+
+ private:
+  // Cache slots are 32-bit. An L1 slot is `line << 2 | flags`; the flags
+  // are valid while the line is resident:
+  static constexpr std::uint32_t kReadFast = 1;   ///< sharer; reads are free
+  static constexpr std::uint32_t kWriteFast = 2;  ///< dirty owner
+  static constexpr std::uint32_t kFastBits = kReadFast | kWriteFast;
+  /// Empty slots name line kMaxLines, which access() rejects; the L1 one
+  /// has no fast flag, so the fast path's compare never matches it.
+  static constexpr std::uint32_t kEmptyL2 =
+      static_cast<std::uint32_t>(kMaxLines);
+  static constexpr std::uint32_t kEmptyL1 = kEmptyL2 << 2;
+
   /// Directory entry per line (24 bytes).
   struct Line {
     std::uint64_t sharers = 0;  ///< bitmask of caching processors
@@ -160,10 +177,21 @@ class Machine {
   };
   static_assert(kMaxProcs <= INT8_MAX && sizeof(Line) == 24);
 
+  /// Processor `proc`'s L1 and L2 slots for `line`.
+  std::uint32_t& l1_at(int proc, Int line) {
+    return l1_[(static_cast<size_t>(proc) << l1_bits_) |
+               (static_cast<size_t>(line) & l1_mask_)];
+  }
+  std::uint32_t& l2_at(int proc, Int line) {
+    return l2_[(static_cast<size_t>(proc) << l2_bits_) |
+               (static_cast<size_t>(line) & l2_mask_)];
+  }
+  static std::uint32_t l1_slot(Int line, bool dirty_owner) {
+    return static_cast<std::uint32_t>(line) << 2 | kReadFast |
+           (dirty_owner ? kWriteFast : 0u);
+  }
   double access_slow(int proc, Int byte_addr, bool is_write);
-  bool lookup(CacheLevel& c, Int line) const;
-  void insert(int proc, CacheLevel& c, Int line);
-  void evict_notify(int proc, Int line);
+  void grow_directory(Int line);
   void drop_line(int proc, Int line);
   void clear_write_fast(int proc, Int line);
   int home_cluster(Int line);
@@ -175,8 +203,14 @@ class Machine {
   int line_shift_ = 0;
   Int word_mask_ = 0;
   int page_line_shift_ = 0;
+  /// Set of a line: line & mask; sets per cache: 1 << bits (direct-mapped).
+  size_t l1_mask_ = 0, l2_mask_ = 0;
+  int l1_bits_ = 0, l2_bits_ = 0;
   int clusters_ = 1;
-  std::vector<Proc> procs_;
+  /// Every processor's cache slots, processor after processor.
+  std::vector<std::uint32_t> l1_;  ///< line << 2 | flags
+  std::vector<std::uint32_t> l2_;  ///< line
+  std::vector<int> cluster_;       ///< MachineConfig::cluster_of by processor
   std::vector<ProcStats> stats_;
   /// Directory-fast-path hits per processor, folded into stats_ on read.
   std::vector<long long> fast_hits_;

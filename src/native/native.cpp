@@ -90,6 +90,7 @@ class NativePolicy {
   using Slot = double*;
   struct Cursor {};
   static constexpr bool kRunLoops = true;
+  static constexpr bool values() { return true; }
 
   NativePolicy(std::vector<std::vector<double>>& data, EpochCounters& epochs,
                int T, int myid)

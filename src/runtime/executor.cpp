@@ -20,25 +20,33 @@ double init_value(std::uint64_t seed, int array, Int orig_linear) {
 
 namespace {
 
-/// Per-element simulation state, one cache-friendly record per address:
-/// the value, the completion time of the last write and the writer id
-/// (-1 = initial data). Keeping the three together costs one cache line
-/// per access instead of up to three.
-struct Cell {
-  double data = 0;
-  double wtime = 0;
-  std::int8_t wproc = -1;
+/// Per-element simulation state of one array, as parallel arrays by
+/// restructured element address: the writer id, read on every access (-1
+/// = initial data); the completion time of the last write, read only when
+/// the writer is another processor; and, only when values are collected,
+/// the value. A hot element costs 9 bytes.
+struct Cells {
+  std::vector<std::int8_t> wproc;
+  std::vector<double> wtime;
+  std::vector<double> data;  ///< empty unless values are collected
+
+  std::size_t bytes() const {
+    return wproc.size() * sizeof(wproc[0]) + wtime.size() * sizeof(double) +
+           data.size() * sizeof(double);
+  }
 };
 // The Machine's processor limit is what keeps writer ids in range.
 static_assert(machine::kMaxProcs <= INT8_MAX);
 
 /// Traversal policy of the simulator: per-processor clocks, dataflow
-/// waits on cells written by other processors, and one machine access
-/// per reference.
+/// waits on elements written by other processors, and one machine access
+/// per reference. Statements are evaluated only when values are collected.
 class SimPolicy {
  public:
   struct Slot {
-    Cell* cells = nullptr;  ///< by restructured element address
+    std::int8_t* wproc = nullptr;  ///< by restructured element address
+    double* wtime = nullptr;
+    double* data = nullptr;  ///< used only when values are collected
     Int base_addr = 0;
     Int elem_size = 8;
     Int copy_bytes = 0;
@@ -47,22 +55,30 @@ class SimPolicy {
   };
 
   SimPolicy(const CompiledProgram& cp, const machine::MachineConfig& mcfg,
-            machine::Machine& machine, std::vector<std::vector<Cell>>& cells,
+            machine::Machine& machine, std::vector<Cells>& cells,
             std::vector<double>& clock, const support::CancelToken& cancel,
-            bool cache_clock)
+            bool cache_clock, bool values)
       : cp_(cp), mcfg_(mcfg), machine_(machine), cells_(cells),
-        clock_(clock), cancel_(cancel), cache_clock_(cache_clock) {}
+        clock_(clock), cancel_(cancel), cache_clock_(cache_clock),
+        values_(values) {}
 
   Slot slot(const CompiledRef& ref) const {
     const core::CompiledArray& ca = cp_.arrays[static_cast<size_t>(ref.array)];
-    return {cells_[static_cast<size_t>(ref.array)].data(), ca.base_addr,
+    Cells& c = cells_[static_cast<size_t>(ref.array)];
+    return {c.wproc.data(),
+            c.wtime.data(),
+            c.data.data(),
+            ca.base_addr,
             cp_.program.arrays[static_cast<size_t>(ref.array)].elem_size,
-            ca.bytes, ca.replicated, ref.addr_overhead};
+            ca.bytes,
+            ca.replicated,
+            ref.addr_overhead};
   }
 
   static bool owns(int) { return true; }
   /// Every access is charged to the machine in order: no run loops.
   static constexpr bool kRunLoops = false;
+  bool values() const { return values_; }
 
   /// The processor whose clock is in flight and that clock. With
   /// `cache_clock` it stays in flight until the owner changes or the
@@ -90,10 +106,10 @@ class SimPolicy {
   }
 
   double load(Cursor& cur, const Slot& s, Int lin) {
-    const Cell& c = s.cells[lin];
     // Cross-processor dataflow.
-    if (c.wproc >= 0 && c.wproc != cur.q) {
-      const double wt = c.wtime;
+    const int w = s.wproc[lin];
+    if (w >= 0 && w != cur.q) {
+      const double wt = s.wtime[lin];
       if (wt > cur.t) {
         wait_cycles += wt - cur.t;
         cur.t = wt + mcfg_.lock_cycles;
@@ -102,16 +118,15 @@ class SimPolicy {
     Int byte = s.base_addr + lin * s.elem_size;
     if (s.replicated) byte += static_cast<Int>(cur.cluster) * s.copy_bytes;
     cur.t += machine_.access(cur.q, byte, false) + s.addr_overhead;
-    return c.data;
+    return values_ ? s.data[lin] : 0.0;
   }
 
   void store(Cursor& cur, const Slot& s, Int lin, double v, bool has_value) {
-    Cell& c = s.cells[lin];
     cur.t += machine_.access(cur.q, s.base_addr + lin * s.elem_size, true) +
-            s.addr_overhead;
-    if (has_value) c.data = v;
-    c.wproc = static_cast<std::int8_t>(cur.q);
-    c.wtime = cur.t;
+             s.addr_overhead;
+    if (has_value) s.data[lin] = v;
+    s.wproc[lin] = static_cast<std::int8_t>(cur.q);
+    s.wtime[lin] = cur.t;
   }
 
   void poll() const {
@@ -126,10 +141,11 @@ class SimPolicy {
   const CompiledProgram& cp_;
   const machine::MachineConfig& mcfg_;
   machine::Machine& machine_;
-  std::vector<std::vector<Cell>>& cells_;
+  std::vector<Cells>& cells_;
   std::vector<double>& clock_;
   const support::CancelToken& cancel_;
   const bool cache_clock_;
+  const bool values_;
 };
 
 }  // namespace
@@ -150,7 +166,12 @@ RunResult simulate(const CompiledProgram& cp,
   };
 
   // ---- array state + page homing ----
-  std::vector<std::vector<Cell>> cells(prog.arrays.size());
+  // Pages are the machine's: compile aligns arrays to 4 KB, so a larger
+  // page may start before an array or end after it. An array's pages run
+  // from the one holding its first byte to the one holding its last.
+  const bool values = opts.collect_values;
+  const Int page_bytes = mcfg.page_bytes;
+  std::vector<Cells> cells(prog.arrays.size());
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     const core::CompiledArray& ca = cp.arrays[a];
     const ir::ArrayDecl& decl = prog.arrays[a];
@@ -158,31 +179,44 @@ RunResult simulate(const CompiledProgram& cp,
         !ca.replicated &&
         std::any_of(ca.part.dims.begin(), ca.part.dims.end(),
                     [](const auto& d) { return d.proc_dim >= 0; });
-    const Int pages = ca.bytes / mcfg.page_bytes;
+    const auto n = static_cast<size_t>(ca.layout.size());
+    cells[a].wproc.assign(n, -1);
+    cells[a].wtime.assign(n, 0.0);
+    if (values) cells[a].data.resize(n);
+    // First page of the copy starting at `base`, and how many it spans.
+    const auto pages_of = [&](Int base) {
+      const Int first = base / page_bytes;
+      const Int end = (base + ca.bytes + page_bytes - 1) / page_bytes;
+      return std::pair{first, end - first};
+    };
+    const auto [first_page, pages] = pages_of(ca.base_addr);
+    // Per page: lowest byte of the array in it and that element's owner.
     std::vector<std::pair<Int, int>> page_owner(
-        static_cast<size_t>(pages), {INT64_MAX, -1});
-    cells[a].resize(static_cast<size_t>(ca.layout.size()));
-    for_each_initial(cp, static_cast<int>(a), opts.init_seed,
-                     [&](std::span<const Int> idx, Int lin, double v) {
-                       cells[a][static_cast<size_t>(lin)].data = v;
-                       if (!distributed) return;
-                       const Int byte = lin * decl.elem_size;
-                       auto& po = page_owner[static_cast<size_t>(
-                           byte / mcfg.page_bytes)];
-                       if (byte < po.first)
-                         po = {byte, owner_of_coords(ca.part.owner(idx))};
-                     });
+        distributed ? static_cast<size_t>(pages) : 0, {INT64_MAX, -1});
+    if (values || distributed)
+      detail::for_each_element(decl, [&](std::span<const Int> idx,
+                                         Int linear) {
+        const Int lin = ca.layout.linearize(idx);
+        if (values)
+          cells[a].data[static_cast<size_t>(lin)] =
+              init_value(opts.init_seed, static_cast<int>(a), linear);
+        if (!distributed) return;
+        const Int byte = ca.base_addr + lin * decl.elem_size;
+        auto& po = page_owner[static_cast<size_t>(byte / page_bytes -
+                                                  first_page)];
+        if (byte < po.first) po = {byte, owner_of_coords(ca.part.owner(idx))};
+      });
     if (ca.replicated) {
-      for (int c = 0; c < mcfg.clusters(); ++c)
-        for (Int pg = 0; pg < pages; ++pg)
-          machine.home_page(ca.base_addr + c * ca.bytes +
-                                pg * mcfg.page_bytes,
-                            c);
+      for (int c = 0; c < mcfg.clusters(); ++c) {
+        const auto [first, count] = pages_of(ca.base_addr + c * ca.bytes);
+        for (Int pg = first; pg < first + count; ++pg)
+          machine.home_page(pg * page_bytes, c);
+      }
     } else if (distributed) {
       for (Int pg = 0; pg < pages; ++pg) {
         const int owner = page_owner[static_cast<size_t>(pg)].second;
         if (owner >= 0)
-          machine.home_page(ca.base_addr + pg * mcfg.page_bytes,
+          machine.home_page((first_page + pg) * page_bytes,
                             mcfg.cluster_of(owner));
       }
     }
@@ -194,7 +228,7 @@ RunResult simulate(const CompiledProgram& cp,
   res.proc_cycles.assign(static_cast<size_t>(P), 0.0);
   std::vector<double>& clock = res.proc_cycles;
   SimPolicy policy(cp, mcfg, machine, cells, clock, opts.cancel,
-                   opts.fast_exec);
+                   opts.fast_exec, values);
   Traversal<SimPolicy> kernel(cp, policy, opts.fast_exec);
   for (int step = 0; step < prog.time_steps; ++step) {
     for (size_t j = 0; j < cp.nests.size(); ++j) {
@@ -227,12 +261,15 @@ RunResult simulate(const CompiledProgram& cp,
   eng.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
   eng.count("sim_walker_splits", static_cast<long>(ctr.walker_splits));
   eng.count("sim_statements", static_cast<long>(res.statements));
+  std::size_t state_bytes = machine.state_bytes();
+  for (const Cells& c : cells) state_bytes += c.bytes();
+  eng.count("sim_state_bytes", static_cast<long>(state_bytes));
   eng.end_pass();
   res.trace = eng.take_trace();
 
-  if (opts.collect_values)
+  if (values)
     res.values = original_order(cp, [&](int a, Int lin) {
-      return cells[static_cast<size_t>(a)][static_cast<size_t>(lin)].data;
+      return cells[static_cast<size_t>(a)].data[static_cast<size_t>(lin)];
     });
   return res;
 }

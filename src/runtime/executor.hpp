@@ -7,9 +7,11 @@
 // processor waits for the writer's completion time (plus a hand-off cost)
 // — pipelined doacross schedules and the LU pivot broadcast fall out of
 // this rule without special cases. Barriers separate nests unless the
-// decomposition proved them redundant. Every statement is also evaluated
-// numerically, so the run that measures performance also checks that the
-// transformed program computes bit-identical results.
+// decomposition proved them redundant. With ExecOptions::collect_values
+// (the default) every statement is also evaluated numerically, so the run
+// that measures performance also checks that the transformed program
+// computes bit-identical results. Without it the simulator keeps no values
+// and calls no evaluator; cycles and every statistic are the same.
 //
 // The walk is the shared owner-computes kernel (runtime/traversal.hpp)
 // under a simulator policy: dataflow clocks, machine accesses and
@@ -50,6 +52,8 @@ struct ExecCounters {
                                      ///< segment's end
   long long run_instances = 0;       ///< statement instances executed by
                                      ///< run loops (native backend only)
+
+  bool operator==(const ExecCounters&) const = default;
 };
 
 struct RunResult {
@@ -60,8 +64,10 @@ struct RunResult {
   double wait_cycles = 0;  ///< cross-processor dataflow stalls
   long long statements = 0;
   ExecCounters counters;
-  /// One-pass "simulate" trace record carrying the sim_* counters;
-  /// core::run_sweep merges it into the sweep's pipeline trace.
+  /// One-pass "simulate" trace record carrying the sim_* counters
+  /// (sim_state_bytes: host bytes of the per-element state, directory,
+  /// page homes and cache slots); core::run_sweep merges it into the
+  /// sweep's pipeline trace.
   support::PipelineTrace trace;
   /// Final contents of every array, indexed by the ORIGINAL element order
   /// (layout-independent, for bit-exact comparison across modes).
@@ -69,7 +75,10 @@ struct RunResult {
 };
 
 struct ExecOptions {
-  bool collect_values = true;  ///< fill RunResult::values
+  /// Evaluate statements and fill RunResult::values. Off, the simulator
+  /// keeps no value per element and calls no evaluator; nothing else in
+  /// the RunResult changes.
+  bool collect_values = true;
   std::uint64_t init_seed = 42;
   /// true = fast configuration (walkers, owner hoisting, clock caching,
   /// machine fast path); false = interpreter.

@@ -19,9 +19,13 @@
 //                         owns() is asked about its owner once in between
 //   after_iteration(l)    after each iteration of non-innermost loop l
 //   kRunLoops             static constexpr bool: takes whole runs
+//   bool values()         evaluate statements? When false, load()'s
+//                         result is unused, no evaluator is called and
+//                         store() gets has_value = false
 //
-// A policy whose loads and stores are plain memory accesses, and whose
-// begin() and end() do nothing, may set kRunLoops and then also provides
+// A policy whose loads and stores are plain memory accesses, whose
+// begin() and end() do nothing and whose values() is true, may set
+// kRunLoops and then also provides
 //
 //   double* element(const Slot&, Int lin)   the element at address lin
 //
@@ -350,6 +354,7 @@ class Traversal {
   }
 
   /// One statement instance on processor q: reads, then eval, then write.
+  /// Without values() the reads still happen and eval does not.
   /// Inlined into every segment loop: this is the engines' hot path.
   [[gnu::always_inline]] void instance(Cursor& cur, Stmt& s, int q) {
     const core::CompiledStmt& cs = *s.cs;
@@ -358,7 +363,7 @@ class Traversal {
     for (size_t k = 0; k < n; ++k)
       vals_[k] = policy_.load(cur, s.refs[k].slot, next_addr(s.refs[k]));
     if (cs.write) {
-      const bool has = static_cast<bool>(cs.eval);
+      const bool has = policy_.values() && static_cast<bool>(cs.eval);
       const std::span<const double> vals(vals_.data(), n);
       policy_.store(cur, s.refs[n].slot, next_addr(s.refs[n]),
                     has ? cs.eval(vals) : 0.0, has);

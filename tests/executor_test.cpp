@@ -1,5 +1,5 @@
 // Tests for the SPMD execution engine: determinism, clock/sync behaviour,
-// page homing, and failure injection.
+// page homing, values on and off, host state, and failure injection.
 #include "runtime/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "support/diagnostics.hpp"
+#include "verify/oracle.hpp"
 
 namespace dct::runtime {
 namespace {
@@ -254,6 +255,105 @@ TEST(Executor, WideLineAndFlatMachineCyclesArePinned) {
     EXPECT_EQ(simulate(cp, flat, opts).cycles, flat_cycles[i])
         << core::to_string(modes[i]);
   }
+}
+
+TEST(Executor, LargerMachinePagesHomeEveryArray) {
+  // compile aligns arrays to 4 KB, so a larger machine page can start
+  // before an array or end past it. Page homing must cover each array
+  // from its first byte's page to its last byte's, for every replicated
+  // copy too (figure1's B and C; P=8 has two clusters).
+  const std::pair<const char*, ir::Program> programs[] = {
+      {"stencil5", apps::stencil5(16, 1)}, {"figure1", apps::figure1(16, 1)}};
+  for (const auto& [name, prog] : programs) {
+    const auto reference = run_reference(prog);
+    for (const int procs : {4, 8})
+      for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+        const auto cp = core::compile(prog, mode, procs);
+        for (const Int page : {8192, 16384}) {
+          machine::MachineConfig mcfg = machine::MachineConfig::dash(procs);
+          mcfg.page_bytes = page;
+          const verify::OracleReport rep =
+              verify::check_differential(cp, mcfg, reference);
+          EXPECT_TRUE(rep.ok()) << name << "/" << core::to_string(mode)
+                                << " P=" << procs << " page=" << page
+                                << ": " << rep.to_string();
+        }
+      }
+  }
+}
+
+TEST(Executor, ValuesOffChangesNothingElse) {
+  // Without collect_values the simulator keeps no values and evaluates no
+  // statement; everything else it measures must be what it is with them.
+  long long evals = 0;
+  const auto counted = [&evals](ir::Program prog) {
+    for (ir::LoopNest& nest : prog.nests)
+      for (ir::Stmt& s : nest.stmts)
+        if (s.eval)
+          s.eval = [&evals, inner = s.eval](std::span<const double> r) {
+            ++evals;
+            return inner(r);
+          };
+    return prog;
+  };
+  const std::pair<const char*, ir::Program> programs[] = {
+      {"lu", apps::lu(16)},           {"stencil5", apps::stencil5(18, 2)},
+      {"adi", apps::adi(14, 2)},      {"vpenta", apps::vpenta(12)},
+      {"erlebacher", apps::erlebacher(8, 1)},
+      {"swm256", apps::swm256(14, 2)}, {"tomcatv", apps::tomcatv(14, 2)}};
+  const auto state_bytes = [](const RunResult& r) {
+    return r.trace.passes.at(0).counters.at("sim_state_bytes");
+  };
+  for (const auto& [name, plain] : programs) {
+    const ir::Program prog = counted(plain);
+    for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+      const auto cp = core::compile(prog, mode, 4);
+      long elements = 0;
+      for (const core::CompiledArray& ca : cp.arrays)
+        elements += static_cast<long>(ca.layout.size());
+      for (const bool fast : {true, false}) {
+        SCOPED_TRACE(testing::Message() << name << "/" << core::to_string(mode)
+                                        << " fast_exec=" << fast);
+        ExecOptions on;
+        on.fast_exec = fast;
+        ExecOptions off = on;
+        off.collect_values = false;
+        evals = 0;
+        const RunResult a = simulate(cp, machine::MachineConfig::dash(4), on);
+        EXPECT_GT(evals, 0);
+        EXPECT_FALSE(a.values.empty());
+        evals = 0;
+        const RunResult b = simulate(cp, machine::MachineConfig::dash(4), off);
+        EXPECT_EQ(evals, 0);
+        EXPECT_TRUE(b.values.empty());
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.proc_cycles, b.proc_cycles);
+        EXPECT_EQ(a.wait_cycles, b.wait_cycles);
+        EXPECT_EQ(a.barrier_cycles, b.barrier_cycles);
+        EXPECT_EQ(a.statements, b.statements);
+        EXPECT_EQ(a.mem, b.mem);
+        EXPECT_EQ(a.counters, b.counters);
+        // The value array is the only state that goes: 8 B per element.
+        EXPECT_EQ(state_bytes(a) - state_bytes(b), 8 * elements);
+      }
+    }
+  }
+}
+
+TEST(Executor, SimStateBytesArePinned) {
+  // Host bytes of the simulator's state for Table 1's LU at P=32, as every
+  // sweep cell runs it (values off): 9 B per element for the writer id and
+  // write time, 24 B per directory line, 4 B per page home, and 80 KB of
+  // 32-bit cache slots per processor (4096 L1 + 16384 L2 sets). 24 B
+  // cells and 64-bit tags with a flag byte per L1 set took 7737344.
+  const auto cp = core::compile(apps::lu(256), Mode::Full, 32);
+  ExecOptions opts;
+  opts.collect_values = false;
+  const RunResult r = simulate(cp, machine::MachineConfig::dash(32), opts);
+  const long elements = 256 * 256, lines = elements * 8 / 16;
+  EXPECT_EQ(r.trace.passes.at(0).counters.at("sim_state_bytes"),
+            9 * elements + 24 * lines + 4 * 1024 + 32 * 80 * 1024);
+  EXPECT_EQ(r.trace.passes.at(0).counters.at("sim_state_bytes"), 4001792);
 }
 
 }  // namespace

@@ -236,9 +236,9 @@ ProcStats run_seeded_stream(int procs, bool fast_directory) {
 TEST(Machine, SeededStreamStatsArePinned) {
   // The fast engine and the interpreter share Machine, so differential
   // checks cannot see a change in the machine itself; these totals pin
-  // it exactly. They include the eviction-order quirk of insert(): the
-  // victim is notified while still in its slot, so a line that leaves
-  // both levels stays in the directory as a sharer or dirty owner.
+  // it exactly. They include the directory's view of evictions: no cache
+  // level notifies it, so a line that leaves both levels stays in the
+  // directory as a sharer or dirty owner.
   //
   // Captured from the hashed-directory model this one replaced. Fields
   // in ProcStats order; dir_fast_hits is the fast_directory=true count.
@@ -271,6 +271,31 @@ TEST(Machine, SeededStreamStatsArePinned) {
       EXPECT_EQ(got.memory_cycles, p.want.memory_cycles);
       EXPECT_EQ(got.dir_fast_hits, fast ? p.want.dir_fast_hits : 0);
     }
+}
+
+TEST(Machine, RejectsLinesBeyondSlotRange) {
+  // A cache slot names its line in 30 bits, and the all-ones line marks an
+  // empty slot. Only the rejected side is tested: an address just below
+  // the limit would grow the directory to gigabytes.
+  for (const bool fast : {true, false}) {
+    Machine m(small_dash(8), fast);
+    const std::size_t empty = m.state_bytes();
+    for (const Int line : {Machine::kMaxLines, Machine::kMaxLines + 1,
+                           Int{1} << 31, Int{1} << 40})
+      for (const bool write : {false, true}) {
+        try {
+          m.access(0, line * 16, write);
+          ADD_FAILURE() << "accepted line " << line << " fast=" << fast;
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), Error::Code::kUnsupportedConfig) << line;
+        }
+      }
+    // Rejected before anything grew or was counted.
+    EXPECT_EQ(m.state_bytes(), empty);
+    EXPECT_EQ(m.total_stats().accesses, 0);
+    m.access(0, 0, false);
+    EXPECT_EQ(m.total_stats().cold_misses, 1);
+  }
 }
 
 TEST(Machine, ReadSharingIsFree) {
