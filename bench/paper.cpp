@@ -44,7 +44,7 @@ struct Run {
     ok = ok && holds;
   }
 
-  /// core::run_sweep; any failed, skipped or degraded cell fails the
+  /// core::run_sweep; any failed or skipped cell fails the
   /// section (render_sweep prints the failure table).
   core::SweepResult sweep(const ir::Program& prog,
                           const core::SweepOptions& opts = {}) {

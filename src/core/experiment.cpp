@@ -14,16 +14,6 @@ namespace dct::core {
 
 namespace {
 
-/// The graceful-degradation chain: Full -> CompDecomp -> Base.
-std::optional<Mode> lower_mode(Mode m) {
-  switch (m) {
-    case Mode::Full: return Mode::CompDecomp;
-    case Mode::CompDecomp: return Mode::Base;
-    case Mode::Base: return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 bool retryable(Error::Code code) {
   switch (code) {
     case Error::Code::kUnsupportedConfig:
@@ -39,13 +29,10 @@ bool retryable(Error::Code code) {
 }  // namespace
 
 std::string CellFailure::to_string() const {
-  std::string disposition = skipped     ? "skipped"
-                            : degraded  ? "degraded -> " +
-                                              core::to_string(served_mode)
-                                        : "failed";
   return strf("%s P=%d [%s] %s (%s, %d attempt%s)%s",
               core::to_string(mode).c_str(), procs, dct::to_string(code),
-              disposition.c_str(), stage.empty() ? "-" : stage.c_str(),
+              skipped ? "skipped" : "failed",
+              stage.empty() ? "-" : stage.c_str(),
               attempts, attempts == 1 ? "" : "s",
               what.empty() ? "" : (": " + what).c_str());
 }
@@ -96,12 +83,11 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   };
   std::vector<CellOutcome> cells(tasks.size());
 
-  // One attempt of one cell under `mode` (which may sit below the task's
-  // requested mode when degrading). Throws on any failure.
-  auto attempt = [&](const Task& t, Mode mode)
+  // One attempt of one cell. Throws on any failure.
+  auto attempt = [&](const Task& t)
       -> std::pair<runtime::RunResult, support::PipelineTrace> {
-    if (opts.fault_hook) opts.fault_hook(mode, t.procs);
-    CompiledProgram cp = compile(prog, mode, t.procs, copts);
+    if (opts.fault_hook) opts.fault_hook(t.mode, t.procs);
+    CompiledProgram cp = compile(prog, t.mode, t.procs, copts);
     support::PipelineTrace trace = std::move(cp.trace);
     runtime::ExecOptions eopts;
     eopts.collect_values = t.verify;
@@ -119,63 +105,35 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   auto run_cell = [&](int idx) {
     const Task& t = tasks[static_cast<size_t>(idx)];
     CellOutcome& cell = cells[static_cast<size_t>(idx)];
-    Mode mode = t.mode;
-    while (true) {
-      std::optional<Error> last;
-      const int tries = 1 + std::max(0, opts.retries);
-      for (int a = 0; a < tries && !cell.ok; ++a) {
-        ++cell.fail.attempts;
-        try {
-          auto [rr, trace] = attempt(t, mode);
-          cell.result = std::move(rr);
-          cell.trace = std::move(trace);
-          cell.ok = true;
-        } catch (const Error& e) {
-          last = e;
-        } catch (const std::exception& e) {
-          last = Error(Error::Code::kFault, e.what());
-        }
-        if (last && !retryable(last->code())) break;
+    std::optional<Error> last;
+    const int tries = 1 + std::max(0, opts.retries);
+    for (int a = 0; a < tries && !cell.ok; ++a) {
+      ++cell.fail.attempts;
+      try {
+        auto [rr, trace] = attempt(t);
+        cell.result = std::move(rr);
+        cell.trace = std::move(trace);
+        cell.ok = true;
+      } catch (const Error& e) {
+        last = e;
+      } catch (const std::exception& e) {
+        last = Error(Error::Code::kFault, e.what());
       }
-      if (cell.ok) {
-        if (mode != t.mode) {
-          // A fallback result is served: keep the original failure record
-          // but mark it degraded, and leave a remark in the trace.
-          cell.fail.degraded = true;
-          cell.fail.served_mode = mode;
-          support::RemarkEngine eng;
-          eng.begin_pass("degraded");
-          eng.note(strf("%s: %s degraded to %s at P=%d (%s)",
-                        prog.name.c_str(), to_string(t.mode).c_str(),
-                        to_string(mode).c_str(), t.procs,
-                        cell.fail.what.c_str()));
-          eng.count("cells_degraded");
-          eng.end_pass();
-          cell.trace.merge(eng.take_trace());
-        }
-        return;
-      }
-      // All attempts at `mode` failed; record and decide the disposition.
-      cell.has_failure = true;
-      cell.fail.mode = t.mode;
-      cell.fail.procs = t.procs;
-      cell.fail.code = last->code();
-      cell.fail.stage = join(last->context(), "; ");
-      cell.fail.what = last->what();
-      cell.fail.repro = strf("%s mode=%s procs=%d%s", prog.name.c_str(),
-                             to_string(t.mode).c_str(), t.procs,
-                             t.verify ? " (verify cell)" : "");
-      if (last->code() == Error::Code::kUnsupportedConfig) {
-        cell.fail.skipped = true;  // not a fault: config out of contract
-        return;
-      }
-      if (last->code() == Error::Code::kCancelled ||
-          last->code() == Error::Code::kDeadlineExceeded)
-        return;  // the whole sweep is out of budget; don't degrade
-      const std::optional<Mode> down = lower_mode(mode);
-      if (!down) return;
-      mode = *down;  // graceful degradation: try the next mode down
+      if (last && !retryable(last->code())) break;
     }
+    if (cell.ok) return;
+    // Every attempt failed: the cell is recorded and rendered as "-".
+    cell.has_failure = true;
+    cell.fail.mode = t.mode;
+    cell.fail.procs = t.procs;
+    cell.fail.code = last->code();
+    cell.fail.stage = join(last->context(), "; ");
+    cell.fail.what = last->what();
+    cell.fail.repro = strf("%s mode=%s procs=%d%s", prog.name.c_str(),
+                           to_string(t.mode).c_str(), t.procs,
+                           t.verify ? " (verify cell)" : "");
+    // Not a fault: the configuration is out of contract.
+    cell.fail.skipped = last->code() == Error::Code::kUnsupportedConfig;
   };
 
   const support::ParallelOutcome po = support::parallel_for_collect(
@@ -242,15 +200,11 @@ std::string render_failures(const std::vector<CellFailure>& failures) {
   Table t({"mode", "procs", "code", "stage", "attempts", "disposition",
            "error"});
   for (const CellFailure& f : failures) {
-    std::string disposition = f.skipped    ? "skipped"
-                              : f.degraded ? "degraded -> " +
-                                                 to_string(f.served_mode)
-                                           : "failed";
     std::string what = f.what;
     if (what.size() > 60) what = what.substr(0, 57) + "...";
     t.add_row({to_string(f.mode), strf("%d", f.procs),
                dct::to_string(f.code), f.stage.empty() ? "-" : f.stage,
-               strf("%d", f.attempts), std::move(disposition),
+               strf("%d", f.attempts), f.skipped ? "skipped" : "failed",
                std::move(what)});
   }
   os << t.to_string();

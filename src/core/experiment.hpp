@@ -6,10 +6,8 @@
 // The sweep is fault-isolated: every (mode, P) cell runs inside a crash
 // boundary with a configurable retry budget and a cooperative wall-clock
 // deadline (SweepOptions::deadline_ms). A cell that keeps failing becomes a
-// structured CellFailure record — it never takes the sweep down — and the
-// optimized modes degrade down the mode chain (Full -> CompDecomp ->
-// Base) before giving up, recording a `degraded` remark when a fallback
-// result is served.
+// structured CellFailure record — it never takes the sweep down — and is
+// rendered as "-": no other mode's result ever stands in for it.
 #pragma once
 
 #include <functional>
@@ -54,10 +52,8 @@ struct CellFailure {
   Error::Code code = Error::Code::kGeneric;
   std::string stage;  ///< context chain of the error, innermost first
   std::string what;   ///< message of the (last) failure
-  int attempts = 0;   ///< total attempts across the degradation chain
-  bool skipped = false;   ///< unsupported configuration, not a fault
-  bool degraded = false;  ///< a lower mode's result was served instead
-  Mode served_mode = Mode::Base;  ///< meaningful when degraded
+  int attempts = 0;      ///< total attempts
+  bool skipped = false;  ///< unsupported configuration, not a fault
   std::string repro;  ///< how to reproduce, e.g. "lu mode=full procs=8"
 
   std::string to_string() const;
@@ -67,22 +63,21 @@ struct SweepResult {
   std::vector<int> procs;
   double seq_cycles = 0;  ///< best sequential version (BASE on 1 processor)
   /// speedups[m][p] for mode m over the processor sweep. A cell that
-  /// failed (and could not degrade) holds 0 and is rendered as "-".
+  /// failed holds 0 and is rendered as "-".
   std::vector<std::vector<double>> speedups;
   std::vector<Mode> modes;
   /// The largest-P run per mode (its `mem` is the memory statistics
   /// render_sweep prints).
   std::vector<runtime::RunResult> raw_at_max;
   /// Pipeline traces of every compilation in the sweep, aggregated
-  /// (per-pass wall time, runs and decision counters summed). Served
-  /// fallback results contribute a `degraded` pass record.
+  /// (per-pass wall time, runs and decision counters summed).
   support::PipelineTrace trace;
-  /// Every cell that faulted, was skipped, degraded or got cancelled.
+  /// Every cell that faulted, was skipped or got cancelled.
   std::vector<CellFailure> failures;
 
-  /// True when every cell produced its own result (skipped and degraded
-  /// cells count as failures here — callers that tolerate them should
-  /// inspect `failures` directly).
+  /// True when every cell produced its result (skipped cells count as
+  /// failures here — callers that tolerate them should inspect `failures`
+  /// directly).
   bool all_cells_ok() const { return failures.empty(); }
 };
 
@@ -111,9 +106,9 @@ struct Table1Row {
 };
 
 /// Sweeps `prog` at `procs` in every mode. Throws the first cell failure
-/// of that sweep (failed, skipped or degraded) as a dct::Error with its
-/// code, its stage and then the cell's repro as context, rather than
-/// returning a row built from a 0 or from a lower mode's result.
+/// of that sweep (failed or skipped) as a dct::Error with its code, its
+/// stage and then the cell's repro as context, rather than returning a
+/// row built from a 0.
 Table1Row table1_row(const std::string& name, const ir::Program& prog,
                      int procs = 32);
 std::string render_table1(const std::vector<Table1Row>& rows);

@@ -13,6 +13,7 @@
 
 #include "core/compiler.hpp"
 #include "dep/dependence.hpp"
+#include "machine/machine.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
 
@@ -20,10 +21,10 @@ namespace dct::core {
 
 using decomp::DistKind;
 using layout::Layout;
+using linalg::ceil_div;
 
 namespace {
 
-Int ceil_div(Int a, Int b) { return (a + b - 1) / b; }
 Int page_align(Int x, Int page = 4096) { return ceil_div(x, page) * page; }
 
 // ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
           cp.dec.clique_id[static_cast<size_t>(pd)])
         cp.stride[static_cast<size_t>(pd)] *= cp.grid[static_cast<size_t>(q)];
 
-  const int clusters = (cp.procs + 3) / 4;  // DASH clustering
+  const Int clusters = ceil_div(cp.procs, machine::kProcsPerCluster);
   Int next_addr = 0;
   cp.arrays.clear();
   for (size_t a = 0; a < prog.arrays.size(); ++a) {

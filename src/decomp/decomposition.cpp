@@ -783,18 +783,6 @@ ProgramDecomposition decompose_base_from(std::vector<ParallelizedNest> par,
   return out;
 }
 
-linalg::Vec computation_coords(const ProgramDecomposition& d, int nest,
-                               std::span<const Int> iter) {
-  Vec coords(static_cast<size_t>(d.num_proc_dims), -1);
-  const NestDecomposition& nd = d.nests[static_cast<size_t>(nest)];
-  for (size_t l = 0; l < nd.loops.size(); ++l) {
-    const LoopAssignment& la = nd.loops[l];
-    if (la.proc_dim >= 0 && la.proc_dim < d.num_proc_dims)
-      coords[static_cast<size_t>(la.proc_dim)] = iter[l];
-  }
-  return coords;
-}
-
 std::optional<linalg::Vec> data_coords(const ProgramDecomposition& d,
                                        int array,
                                        std::span<const Int> index) {

@@ -161,11 +161,6 @@ void select_folds(const ir::Program& prog, ProgramDecomposition& d,
 void eliminate_barriers(ProgramDecomposition& d,
                         support::RemarkSink* rs = nullptr);
 
-/// Virtual-processor coordinates of an iteration of nest `j` under the
-/// decomposition (the affine G_j, evaluated). Entries are -1 on processor
-/// dimensions this nest does not use.
-linalg::Vec computation_coords(const ProgramDecomposition& d, int nest,
-                               std::span<const Int> iter);
 /// Virtual-processor coordinates of an array element under D_x; nullopt
 /// when the array is replicated or fully serial.
 std::optional<linalg::Vec> data_coords(const ProgramDecomposition& d,

@@ -4,11 +4,13 @@
 #include <map>
 #include <sstream>
 
+#include "ir/transform.hpp"
 #include "support/diagnostics.hpp"
 
 namespace dct::dep {
 
 using ir::ArrayRef;
+using ir::Ineq;
 using ir::LoopNest;
 using linalg::checked_add;
 using linalg::checked_mul;
@@ -64,8 +66,6 @@ void expr_interval(const ir::AffineExpr& e, const std::vector<Int>& lo,
   }
 }
 
-Int ceil_div(Int a, Int b) { return -linalg::floor_div(-a, b); }
-
 }  // namespace
 
 Hull iteration_hull(const ir::LoopNest& nest) {
@@ -81,7 +81,7 @@ Hull iteration_hull(const ir::LoopNest& nest) {
     for (const ir::Bound& b : lp.lowers) {
       Int blo = 0, bhi = 0;
       expr_interval(b.expr, hull.lo, hull.hi, blo, bhi);
-      lo = std::max(lo, ceil_div(blo, b.divisor));
+      lo = std::max(lo, linalg::ceil_div(blo, b.divisor));
     }
     for (const ir::Bound& b : lp.uppers) {
       Int blo = 0, bhi = 0;
@@ -105,56 +105,19 @@ Hull iteration_hull(const ir::LoopNest& nest) {
 
 namespace {
 
-/// One affine inequality c · x + c0 >= 0 over the 2d-dimensional space of
-/// iteration pairs (i, i').
-struct Ineq {
-  Vec c;
-  Int c0 = 0;
-};
-
-/// Integer-tightening normalization: divide by the gcd of the variable
-/// coefficients, flooring the constant (keeps every integer point).
-void normalize_ineq(Ineq& q) {
-  Int g = 0;
-  for (Int v : q.c) g = linalg::gcd(g, v);
-  if (g > 1) {
-    for (Int& v : q.c) v /= g;
-    q.c0 = linalg::floor_div(q.c0, g);
-  }
-}
-
 /// Fourier–Motzkin feasibility over the rationals (with gcd cuts): false
 /// means no integer solution exists; true is conservative. Caps work to
 /// stay cheap — on blow-up it answers true (sound).
 bool fm_feasible(std::vector<Ineq> system, int nvars) {
   constexpr size_t kMaxRows = 4000;
-  for (Ineq& q : system) normalize_ineq(q);
+  for (Ineq& q : system) ir::normalize_ineq(q);
   for (int v = nvars - 1; v >= 0; --v) {
-    std::vector<Ineq> lower, upper, rest;
-    for (Ineq& q : system) {
-      const Int cv = q.c[static_cast<size_t>(v)];
-      if (cv > 0)
-        lower.push_back(std::move(q));
-      else if (cv < 0)
-        upper.push_back(std::move(q));
-      else
-        rest.push_back(std::move(q));
-    }
+    auto [lower, upper, rest] = ir::split_on(std::move(system), v);
     if (lower.size() * upper.size() + rest.size() > kMaxRows) return true;
     system = std::move(rest);
     for (const Ineq& lo : lower)
       for (const Ineq& hi : upper) {
-        const Int clo = lo.c[static_cast<size_t>(v)];
-        const Int chi = -hi.c[static_cast<size_t>(v)];
-        Ineq q;
-        q.c.resize(static_cast<size_t>(nvars));
-        for (int k = 0; k < nvars; ++k)
-          q.c[static_cast<size_t>(k)] = checked_add(
-              checked_mul(clo, hi.c[static_cast<size_t>(k)]),
-              checked_mul(chi, lo.c[static_cast<size_t>(k)]));
-        q.c0 = checked_add(checked_mul(clo, hi.c0), checked_mul(chi, lo.c0));
-        DCT_CHECK(q.c[static_cast<size_t>(v)] == 0);
-        normalize_ineq(q);
+        Ineq q = ir::eliminate(lo, hi, v);
         if (std::all_of(q.c.begin(), q.c.end(), [](Int x) { return x == 0; })) {
           if (q.c0 < 0) return false;
           continue;  // trivially satisfied
@@ -174,36 +137,6 @@ bool fm_feasible(std::vector<Ineq> system, int nvars) {
   for (const Ineq& q : system)
     if (q.c0 < 0) return false;
   return true;
-}
-
-/// Append the inequalities of `loop` bounds for iteration variables at
-/// offset `base` within a 2d-variable system.
-void add_bound_ineqs(const ir::LoopNest& nest, int base, int nvars,
-                     std::vector<Ineq>& system) {
-  const int d = nest.depth();
-  for (int k = 0; k < d; ++k) {
-    const ir::Loop& lp = nest.loops[static_cast<size_t>(k)];
-    for (const ir::Bound& b : lp.lowers) {
-      Ineq q;
-      q.c.assign(static_cast<size_t>(nvars), 0);
-      q.c[static_cast<size_t>(base + k)] = b.divisor;
-      for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
-        q.c[static_cast<size_t>(base) + i] = linalg::checked_sub(
-            q.c[static_cast<size_t>(base) + i], b.expr.coeffs[i]);
-      q.c0 = -b.expr.constant;
-      system.push_back(std::move(q));
-    }
-    for (const ir::Bound& b : lp.uppers) {
-      Ineq q;
-      q.c.assign(static_cast<size_t>(nvars), 0);
-      for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
-        q.c[static_cast<size_t>(base) + i] = b.expr.coeffs[i];
-      q.c[static_cast<size_t>(base + k)] = linalg::checked_sub(
-          q.c[static_cast<size_t>(base + k)], b.divisor);
-      q.c0 = b.expr.constant;
-      system.push_back(std::move(q));
-    }
-  }
 }
 
 /// Can src (executed at iteration i) and dst (at i') touch the same element
@@ -287,8 +220,8 @@ bool direction_feasible(const ir::LoopNest& nest, const ArrayRef& src,
   // triangular) bounds, direction constraints and subscript equalities.
   const int nvars = 2 * depth;
   std::vector<Ineq> system;
-  add_bound_ineqs(nest, 0, nvars, system);      // i
-  add_bound_ineqs(nest, depth, nvars, system);  // i'
+  ir::append_bound_ineqs(nest, 0, nvars, system);      // i
+  ir::append_bound_ineqs(nest, depth, nvars, system);  // i'
   for (int k = 0; k < common; ++k) {
     Ineq q;
     q.c.assign(static_cast<size_t>(nvars), 0);

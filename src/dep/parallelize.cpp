@@ -13,14 +13,6 @@ namespace dct::dep {
 using linalg::Int;
 using linalg::IntMatrix;
 
-int ParallelizedNest::outer_parallel_count() const {
-  int n = 0;
-  while (n < static_cast<int>(parallel.size()) &&
-         parallel[static_cast<size_t>(n)])
-    ++n;
-  return n;
-}
-
 namespace {
 
 /// Transform a dependence-vector set by a unimodular matrix. Permutation

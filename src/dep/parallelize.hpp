@@ -16,8 +16,6 @@ struct ParallelizedNest {
   linalg::IntMatrix transform;  ///< j = transform * i
   NestDeps deps;                ///< dependences of the transformed nest
   std::vector<bool> parallel;   ///< per level: carries no dependence (DOALL)
-
-  int outer_parallel_count() const;  ///< leading DOALL levels
 };
 
 /// Search permutations (and, when no permutation exposes parallelism and

@@ -16,12 +16,6 @@ Int AffineExpr::eval(std::span<const Int> iter) const {
   return v;
 }
 
-bool AffineExpr::depends_only_on_outer(int first) const {
-  for (size_t d = static_cast<size_t>(first); d < coeffs.size(); ++d)
-    if (coeffs[d] != 0) return false;
-  return true;
-}
-
 std::string AffineExpr::to_string() const {
   std::ostringstream os;
   bool any = false;
@@ -79,16 +73,12 @@ AffineExpr operator+(AffineExpr a, Int c) {
 
 AffineExpr operator-(AffineExpr a, Int c) { return std::move(a) + (-c); }
 
-namespace {
-// ceil(a/b) for b > 0.
-Int ceil_div(Int a, Int b) { return -linalg::floor_div(-a, b); }
-}  // namespace
-
 Int Loop::lower_bound(std::span<const Int> iter) const {
   DCT_CHECK(!lowers.empty(), "loop has no lower bound");
-  Int v = ceil_div(lowers[0].expr.eval(iter), lowers[0].divisor);
+  Int v = linalg::ceil_div(lowers[0].expr.eval(iter), lowers[0].divisor);
   for (size_t i = 1; i < lowers.size(); ++i)
-    v = std::max(v, ceil_div(lowers[i].expr.eval(iter), lowers[i].divisor));
+    v = std::max(
+        v, linalg::ceil_div(lowers[i].expr.eval(iter), lowers[i].divisor));
   return v;
 }
 
@@ -111,10 +101,6 @@ Int ArrayDecl::elem_count() const {
   Int n = 1;
   for (Int d : dims) n = linalg::checked_mul(n, d);
   return n;
-}
-
-Int ArrayDecl::byte_size() const {
-  return linalg::checked_mul(elem_count(), elem_size);
 }
 
 Vec ArrayRef::index(std::span<const Int> iter) const {
@@ -199,12 +185,6 @@ void for_each_iteration(const LoopNest& nest,
           nest.loops[static_cast<size_t>(level)].upper_bound(iter);
     }
   }
-}
-
-long long Program::nest_iterations(const LoopNest& nest) const {
-  long long n = 0;
-  for_each_iteration(nest, [&](std::span<const Int>) { ++n; });
-  return n;
 }
 
 std::string Program::to_string() const {

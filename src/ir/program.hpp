@@ -37,8 +37,6 @@ struct AffineExpr {
   Int constant = 0;
 
   Int eval(std::span<const Int> iter) const;
-  /// True if no loop variable with index >= first appears.
-  bool depends_only_on_outer(int first) const;
   std::string to_string() const;
 };
 
@@ -61,7 +59,6 @@ struct ArrayDecl {
   bool transformable = true;
 
   Int elem_count() const;
-  Int byte_size() const;
 };
 
 /// Affine array reference: index(i) = access * i + offset.
@@ -148,8 +145,6 @@ struct Program {
 
   const ArrayDecl& array(int id) const;
   int array_id(const std::string& name) const;
-  /// Total iterations of one nest (walks the affine bounds).
-  long long nest_iterations(const LoopNest& nest) const;
   std::string to_string() const;
 };
 

@@ -1,7 +1,7 @@
 #include "ir/transform.hpp"
 
-#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 
@@ -53,42 +53,68 @@ IntMatrix unimodular_inverse(const IntMatrix& u) {
   return inv;
 }
 
-namespace {
-
-/// One affine inequality c · x + c0 >= 0 over the iteration vector.
-struct Ineq {
-  linalg::Vec c;
-  linalg::Int c0 = 0;
-};
-
-Ineq scale(const Ineq& q, linalg::Int s) {
-  Ineq out = q;
-  for (auto& v : out.c) v = checked_mul(v, s);
-  out.c0 = checked_mul(out.c0, s);
-  return out;
-}
-
-Ineq add(const Ineq& a, const Ineq& b) {
-  Ineq out;
-  out.c.resize(a.c.size());
-  for (size_t i = 0; i < a.c.size(); ++i)
-    out.c[i] = checked_add(a.c[i], b.c[i]);
-  out.c0 = checked_add(a.c0, b.c0);
-  return out;
-}
-
-/// Reduce an inequality by the gcd of its coefficients (with floor on the
-/// constant — valid for integer points).
-void normalize(Ineq& q) {
-  linalg::Int g = 0;
-  for (auto v : q.c) g = linalg::gcd(g, v);
+void normalize_ineq(Ineq& q) {
+  const linalg::Int g = linalg::gcd(q.c);
   if (g > 1) {
     for (auto& v : q.c) v /= g;
     q.c0 = linalg::floor_div(q.c0, g);
   }
 }
 
-}  // namespace
+void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
+                        std::vector<Ineq>& out) {
+  const auto at = [base](size_t i) { return static_cast<size_t>(base) + i; };
+  for (size_t k = 0; k < nest.loops.size(); ++k) {
+    const Loop& lp = nest.loops[k];
+    for (const Bound& b : lp.lowers) {
+      // divisor * i_k - expr >= 0
+      Ineq q;
+      q.c.assign(static_cast<size_t>(nvars), 0);
+      q.c[at(k)] = b.divisor;
+      for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
+        q.c[at(i)] = linalg::checked_sub(q.c[at(i)], b.expr.coeffs[i]);
+      q.c0 = -b.expr.constant;
+      out.push_back(std::move(q));
+    }
+    for (const Bound& b : lp.uppers) {
+      // expr - divisor * i_k >= 0
+      Ineq q;
+      q.c.assign(static_cast<size_t>(nvars), 0);
+      for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
+        q.c[at(i)] = b.expr.coeffs[i];
+      q.c[at(k)] = linalg::checked_sub(q.c[at(k)], b.divisor);
+      q.c0 = b.expr.constant;
+      out.push_back(std::move(q));
+    }
+  }
+}
+
+FmSplit split_on(std::vector<Ineq> system, int v) {
+  FmSplit out;
+  for (Ineq& q : system) {
+    const linalg::Int cv = q.c[static_cast<size_t>(v)];
+    if (cv > 0)
+      out.lower.push_back(std::move(q));
+    else if (cv < 0)
+      out.upper.push_back(std::move(q));
+    else
+      out.rest.push_back(std::move(q));
+  }
+  return out;
+}
+
+Ineq eliminate(const Ineq& lo, const Ineq& hi, int v) {
+  const linalg::Int clo = lo.c[static_cast<size_t>(v)];
+  const linalg::Int chi = -hi.c[static_cast<size_t>(v)];
+  Ineq q;
+  q.c.resize(lo.c.size());
+  for (size_t k = 0; k < q.c.size(); ++k)
+    q.c[k] = checked_add(checked_mul(clo, hi.c[k]), checked_mul(chi, lo.c[k]));
+  q.c0 = checked_add(checked_mul(clo, hi.c0), checked_mul(chi, lo.c0));
+  DCT_CHECK(q.c[static_cast<size_t>(v)] == 0, "FM elimination bug");
+  normalize_ineq(q);
+  return q;
+}
 
 LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   const int d = nest.depth();
@@ -98,29 +124,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   // Build the iteration-polytope inequality system over i, then substitute
   // i = v * j to express it over j.
   std::vector<Ineq> system;
-  for (int k = 0; k < d; ++k) {
-    const Loop& lp = nest.loops[static_cast<size_t>(k)];
-    for (const Bound& b : lp.lowers) {
-      // divisor * i_k - expr >= 0
-      Ineq q;
-      q.c.assign(static_cast<size_t>(d), 0);
-      q.c[static_cast<size_t>(k)] = b.divisor;
-      for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
-        q.c[i] = linalg::checked_sub(q.c[i], b.expr.coeffs[i]);
-      q.c0 = -b.expr.constant;
-      system.push_back(std::move(q));
-    }
-    for (const Bound& b : lp.uppers) {
-      // expr - divisor * i_k >= 0
-      Ineq q;
-      q.c.assign(static_cast<size_t>(d), 0);
-      for (size_t i = 0; i < b.expr.coeffs.size(); ++i) q.c[i] = b.expr.coeffs[i];
-      q.c[static_cast<size_t>(k)] =
-          linalg::checked_sub(q.c[static_cast<size_t>(k)], b.divisor);
-      q.c0 = b.expr.constant;
-      system.push_back(std::move(q));
-    }
-  }
+  append_bound_ineqs(nest, 0, d, system);
   for (Ineq& q : system) {
     linalg::Vec cj(static_cast<size_t>(d), 0);
     for (int col = 0; col < d; ++col)
@@ -129,7 +133,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
             checked_add(cj[static_cast<size_t>(col)],
                         checked_mul(q.c[static_cast<size_t>(row)], v.at(row, col)));
     q.c = std::move(cj);
-    normalize(q);
+    normalize_ineq(q);
   }
 
   // Fourier–Motzkin: peel bounds for levels d-1 .. 0.
@@ -140,16 +144,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   for (int k = d - 1; k >= 0; --k) {
     Loop& lp = out.loops[static_cast<size_t>(k)];
     lp.var_name = "j" + std::to_string(k);
-    std::vector<Ineq> lower, upper, rest;
-    for (const Ineq& q : system) {
-      const linalg::Int ck = q.c[static_cast<size_t>(k)];
-      if (ck > 0)
-        lower.push_back(q);
-      else if (ck < 0)
-        upper.push_back(q);
-      else
-        rest.push_back(q);
-    }
+    auto [lower, upper, rest] = split_on(std::move(system), k);
     DCT_CHECK(!lower.empty() && !upper.empty(),
               "transformed nest is unbounded at level " + std::to_string(k));
     for (const Ineq& q : lower) {
@@ -172,14 +167,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
     // Eliminate j_k for the outer levels.
     system = std::move(rest);
     for (const Ineq& lo : lower)
-      for (const Ineq& hi : upper) {
-        Ineq combined =
-            add(scale(hi, lo.c[static_cast<size_t>(k)]),
-                scale(lo, -hi.c[static_cast<size_t>(k)]));
-        DCT_CHECK(combined.c[static_cast<size_t>(k)] == 0, "FM elimination bug");
-        normalize(combined);
-        system.push_back(std::move(combined));
-      }
+      for (const Ineq& hi : upper) system.push_back(eliminate(lo, hi, k));
   }
 
   // Transform the statements: F' = F * V, offsets unchanged.

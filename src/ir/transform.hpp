@@ -32,4 +32,35 @@ LoopNest apply_unimodular(const LoopNest& nest, const linalg::IntMatrix& u);
 /// Exact integer inverse of a unimodular matrix.
 linalg::IntMatrix unimodular_inverse(const linalg::IntMatrix& u);
 
+// Fourier–Motzkin elimination over affine inequalities, shared by bound
+// regeneration (apply_unimodular) and dependence feasibility
+// (dep::analyze). Each caller keeps its own policy around these steps.
+
+/// One affine inequality c · x + c0 >= 0.
+struct Ineq {
+  linalg::Vec c;
+  linalg::Int c0 = 0;
+};
+
+/// Integer tightening: divide by the gcd of the variable coefficients,
+/// flooring the constant (keeps every integer point).
+void normalize_ineq(Ineq& q);
+
+/// Append the inequalities of `nest`'s loop bounds, loop by loop (lowers,
+/// then uppers), over variables [base, base + depth) of an `nvars`-wide
+/// space.
+void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
+                        std::vector<Ineq>& out);
+
+/// The rows of `system` split by the sign of their coefficient on x_v:
+/// lower bounds (> 0), upper bounds (< 0) and the rest.
+struct FmSplit {
+  std::vector<Ineq> lower, upper, rest;
+};
+FmSplit split_on(std::vector<Ineq> system, int v);
+
+/// One elimination: the normalized nonnegative combination of `lo` (a
+/// lower bound on x_v) and `hi` (an upper bound) in which x_v cancels.
+Ineq eliminate(const Ineq& lo, const Ineq& hi, int v);
+
 }  // namespace dct::ir

@@ -9,13 +9,10 @@
 
 namespace dct::layout {
 
+using linalg::ceil_div;
 using linalg::checked_mul;
 using linalg::floor_div;
 using linalg::floor_mod;
-
-namespace {
-Int ceil_div(Int a, Int b) { return -floor_div(-a, b); }
-}  // namespace
 
 Layout Layout::identity(std::vector<Int> dims) {
   Layout l;
@@ -98,17 +95,8 @@ Int Layout::size() const {
 }
 
 std::vector<Int> Layout::map_index(std::span<const Int> index) const {
-  if (fast_) {
-    std::vector<Int> out(dims_.size());
-    for (size_t k = 0; k < fns_.size(); ++k) {
-      const DimFn& f = fns_[k];
-      Int v = floor_div(index[static_cast<size_t>(f.src)], f.div);
-      if (f.mod != 0) v = floor_mod(v, f.mod);
-      out[k] = v;
-    }
-    return out;
-  }
-  // Interpret the transform steps.
+  // Always interpret the transform steps: this is the reference that the
+  // closed form in linearize() is checked against.
   std::vector<Int> cur(index.begin(), index.end());
   for (const Transform& t : steps_) {
     if (const auto* sm = std::get_if<StripMine>(&t)) {

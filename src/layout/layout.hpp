@@ -68,10 +68,12 @@ class Layout {
   bool is_identity() const { return steps_.empty(); }
   const std::vector<Transform>& steps() const { return steps_; }
 
-  /// Restructured index vector of an original element.
+  /// Restructured index vector of an original element, by interpreting
+  /// steps() one transform at a time (never the closed form).
   std::vector<Int> map_index(std::span<const Int> index) const;
   /// Column-major linear address of an original element in the
-  /// restructured array.
+  /// restructured array: the closed form dim_functions() when
+  /// all_simple(), map_index() otherwise.
   Int linearize(std::span<const Int> index) const;
 
   std::string to_string() const;

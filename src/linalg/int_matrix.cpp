@@ -1,9 +1,8 @@
 #include "linalg/int_matrix.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 
@@ -44,19 +43,6 @@ Int gcd(const Vec& v) {
   return g;
 }
 
-Int ext_gcd(Int a, Int b, Int& x, Int& y) {
-  if (b == 0) {
-    x = (a < 0) ? -1 : 1;
-    y = 0;
-    return std::abs(a);
-  }
-  Int x1 = 0, y1 = 0;
-  const Int g = ext_gcd(b, a % b, x1, y1);
-  x = y1;
-  y = checked_sub(x1, checked_mul(a / b, y1));
-  return g;
-}
-
 Int floor_div(Int a, Int b) {
   DCT_CHECK(b != 0, "floor_div by zero");
   Int q = a / b;
@@ -65,6 +51,8 @@ Int floor_div(Int a, Int b) {
 }
 
 Int floor_mod(Int a, Int b) { return checked_sub(a, checked_mul(floor_div(a, b), b)); }
+
+Int ceil_div(Int a, Int b) { return -floor_div(-a, b); }
 
 // ---------------------------------------------------------------------------
 // IntMatrix basics
@@ -92,12 +80,6 @@ IntMatrix IntMatrix::identity(int n) {
   return m;
 }
 
-IntMatrix IntMatrix::row_vector(const Vec& v) {
-  IntMatrix m(1, static_cast<int>(v.size()));
-  for (size_t i = 0; i < v.size(); ++i) m.at(0, static_cast<int>(i)) = v[i];
-  return m;
-}
-
 IntMatrix IntMatrix::col_vector(const Vec& v) {
   IntMatrix m(static_cast<int>(v.size()), 1);
   for (size_t i = 0; i < v.size(); ++i) m.at(static_cast<int>(i), 0) = v[i];
@@ -120,24 +102,6 @@ Vec IntMatrix::row(int r) const {
   Vec v(static_cast<size_t>(cols_));
   for (int c = 0; c < cols_; ++c) v[static_cast<size_t>(c)] = at(r, c);
   return v;
-}
-
-Vec IntMatrix::col(int c) const {
-  Vec v(static_cast<size_t>(rows_));
-  for (int r = 0; r < rows_; ++r) v[static_cast<size_t>(r)] = at(r, c);
-  return v;
-}
-
-void IntMatrix::set_row(int r, const Vec& v) {
-  DCT_CHECK(static_cast<int>(v.size()) == cols_, "row width mismatch");
-  for (int c = 0; c < cols_; ++c) at(r, c) = v[static_cast<size_t>(c)];
-}
-
-IntMatrix IntMatrix::transposed() const {
-  IntMatrix t(cols_, rows_);
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  return t;
 }
 
 IntMatrix IntMatrix::operator*(const IntMatrix& rhs) const {
@@ -164,37 +128,6 @@ Vec IntMatrix::operator*(const Vec& v) const {
   return out;
 }
 
-IntMatrix IntMatrix::operator+(const IntMatrix& rhs) const {
-  DCT_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_, "shape mismatch");
-  IntMatrix out(rows_, cols_);
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < cols_; ++c)
-      out.at(r, c) = checked_add(at(r, c), rhs.at(r, c));
-  return out;
-}
-
-IntMatrix IntMatrix::operator-(const IntMatrix& rhs) const {
-  DCT_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_, "shape mismatch");
-  IntMatrix out(rows_, cols_);
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < cols_; ++c)
-      out.at(r, c) = checked_sub(at(r, c), rhs.at(r, c));
-  return out;
-}
-
-IntMatrix IntMatrix::vstack(const IntMatrix& other) const {
-  if (empty() && rows_ == 0) {
-    if (cols_ == 0 || cols_ == other.cols_) return other;
-  }
-  DCT_CHECK(cols_ == other.cols_, "vstack width mismatch");
-  IntMatrix out(rows_ + other.rows_, cols_);
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < cols_; ++c) out.at(r, c) = at(r, c);
-  for (int r = 0; r < other.rows_; ++r)
-    for (int c = 0; c < cols_; ++c) out.at(rows_ + r, c) = other.at(r, c);
-  return out;
-}
-
 IntMatrix IntMatrix::hstack(const IntMatrix& other) const {
   DCT_CHECK(rows_ == other.rows_, "hstack height mismatch");
   IntMatrix out(rows_, cols_ + other.cols_);
@@ -212,19 +145,6 @@ IntMatrix IntMatrix::submatrix(int r0, int r1, int c0, int c1) const {
   for (int r = r0; r < r1; ++r)
     for (int c = c0; c < c1; ++c) out.at(r - r0, c - c0) = at(r, c);
   return out;
-}
-
-void IntMatrix::swap_rows(int a, int b) {
-  for (int c = 0; c < cols_; ++c) std::swap(at(a, c), at(b, c));
-}
-
-void IntMatrix::scale_row(int r, Int s) {
-  for (int c = 0; c < cols_; ++c) at(r, c) = checked_mul(at(r, c), s);
-}
-
-void IntMatrix::add_scaled_row(int dst, int src, Int s) {
-  for (int c = 0; c < cols_; ++c)
-    at(dst, c) = checked_add(at(dst, c), checked_mul(at(src, c), s));
 }
 
 std::string IntMatrix::to_string() const {
@@ -329,92 +249,6 @@ int rank(const IntMatrix& m) {
   return static_cast<int>(rref(rm).size());
 }
 
-// ---------------------------------------------------------------------------
-// Hermite normal form (row style): H = U * A.
-// ---------------------------------------------------------------------------
-
-HermiteForm hermite_normal_form(const IntMatrix& a) {
-  HermiteForm out;
-  out.h = a;
-  out.u = IntMatrix::identity(a.rows());
-  IntMatrix& h = out.h;
-  IntMatrix& u = out.u;
-
-  int prow = 0;
-  for (int col = 0; col < a.cols() && prow < a.rows(); ++col) {
-    // Reduce all entries below the pivot row into the pivot via gcd steps.
-    for (int r = prow + 1; r < a.rows(); ++r) {
-      if (h.at(r, col) == 0) continue;
-      if (h.at(prow, col) == 0) {
-        h.swap_rows(prow, r);
-        u.swap_rows(prow, r);
-        continue;
-      }
-      Int x = 0, y = 0;
-      const Int p = h.at(prow, col);
-      const Int q = h.at(r, col);
-      const Int g = ext_gcd(p, q, x, y);
-      // New pivot row = x*prow + y*r; new r row = -(q/g)*prow + (p/g)*r.
-      const Int pg = p / g;
-      const Int qg = q / g;
-      Vec new_p(static_cast<size_t>(h.cols()));
-      Vec new_r(static_cast<size_t>(h.cols()));
-      Vec new_up(static_cast<size_t>(u.cols()));
-      Vec new_ur(static_cast<size_t>(u.cols()));
-      for (int c = 0; c < h.cols(); ++c) {
-        new_p[static_cast<size_t>(c)] = checked_add(
-            checked_mul(x, h.at(prow, c)), checked_mul(y, h.at(r, c)));
-        new_r[static_cast<size_t>(c)] = checked_sub(
-            checked_mul(pg, h.at(r, c)), checked_mul(qg, h.at(prow, c)));
-      }
-      for (int c = 0; c < u.cols(); ++c) {
-        new_up[static_cast<size_t>(c)] = checked_add(
-            checked_mul(x, u.at(prow, c)), checked_mul(y, u.at(r, c)));
-        new_ur[static_cast<size_t>(c)] = checked_sub(
-            checked_mul(pg, u.at(r, c)), checked_mul(qg, u.at(prow, c)));
-      }
-      h.set_row(prow, new_p);
-      h.set_row(r, new_r);
-      u.set_row(prow, new_up);
-      u.set_row(r, new_ur);
-    }
-    if (h.at(prow, col) == 0) continue;
-    if (h.at(prow, col) < 0) {
-      h.scale_row(prow, -1);
-      u.scale_row(prow, -1);
-    }
-    // Reduce entries above the pivot modulo the pivot.
-    const Int piv = h.at(prow, col);
-    for (int r = 0; r < prow; ++r) {
-      const Int f = floor_div(h.at(r, col), piv);
-      if (f != 0) {
-        h.add_scaled_row(r, prow, -f);
-        u.add_scaled_row(r, prow, -f);
-      }
-    }
-    ++prow;
-  }
-  out.rank = prow;
-  return out;
-}
-
-IntMatrix null_space(const IntMatrix& a) {
-  // Kernel basis = bottom rows of the HNF transform of A^T:
-  //   H = U A^T  =>  A U^T = H^T; zero rows of H give A (U row)^T = 0.
-  if (a.cols() == 0) return IntMatrix(0, 0);
-  if (a.rows() == 0) return IntMatrix::identity(a.cols());
-  const HermiteForm hf = hermite_normal_form(a.transposed());
-  IntMatrix basis(a.cols() - hf.rank, a.cols());
-  for (int r = hf.rank; r < a.cols(); ++r) {
-    Vec v = hf.u.row(r);
-    const Int g = gcd(v);
-    if (g > 1)
-      for (Int& x : v) x /= g;
-    basis.set_row(r - hf.rank, v);
-  }
-  return basis;
-}
-
 Int determinant(const IntMatrix& m) {
   DCT_CHECK(m.rows() == m.cols(), "determinant of non-square matrix");
   const int n = m.rows();
@@ -468,38 +302,6 @@ std::optional<RationalSolution> solve(const IntMatrix& a, const Vec& b) {
     const Rat& r = x[static_cast<size_t>(i)];
     out.x[static_cast<size_t>(i)] = checked_mul(r.num, denom / r.den);
   }
-  return out;
-}
-
-IntMatrix unimodular_completion(const IntMatrix& rows) {
-  const int k = rows.rows();
-  const int n = rows.cols();
-  DCT_CHECK(k <= n, "more rows than columns");
-  DCT_CHECK(rank(rows) == k, "rows must be linearly independent");
-  if (k == n) {
-    DCT_CHECK(std::abs(determinant(rows)) == 1,
-              "square input must already be unimodular");
-    return rows;
-  }
-  // Column-style HNF: rows * V = [H | 0] with V unimodular. When |det H| is
-  // 1 the row lattice is saturated and W = [rows ; bottom rows of V^{-1}]
-  // is unimodular.
-  const HermiteForm hf = hermite_normal_form(rows.transposed());
-  const IntMatrix v = hf.u.transposed();  // rows * v = hf.h^T
-  const IntMatrix h = hf.h.transposed().submatrix(0, k, 0, k);
-  DCT_CHECK(std::abs(determinant(h)) == 1,
-            "row lattice not saturated; no unimodular completion exists");
-  // Invert V column by column (denominators must be 1 since det(V) = ±1).
-  IntMatrix vinv(n, n);
-  for (int c = 0; c < n; ++c) {
-    Vec e(static_cast<size_t>(n), 0);
-    e[static_cast<size_t>(c)] = 1;
-    const auto sol = solve(v, e);
-    DCT_CHECK(sol.has_value() && sol->denom == 1, "unimodular inverse failed");
-    for (int r = 0; r < n; ++r) vinv.at(r, c) = sol->x[static_cast<size_t>(r)];
-  }
-  IntMatrix out = rows.vstack(vinv.submatrix(k, n, 0, n));
-  DCT_CHECK(std::abs(determinant(out)) == 1, "completion is not unimodular");
   return out;
 }
 

@@ -1,10 +1,10 @@
 // Exact integer linear algebra over int64 with checked overflow.
 //
-// This is the algebraic substrate of the reproduction: the decomposition
-// solver (Section 3 of the paper) needs integer nullspaces and ranks to
-// solve the no-communication equation D(F(i)) = G(i), and the unimodular
-// loop-transformation preprocessing needs Hermite normal forms and
-// unimodular completions.
+// The small kernel the compiler runs: checked arithmetic, gcds and
+// floor/ceil division (the paper's 0-based index arithmetic), a dense
+// matrix for access functions and loop transforms, and rational row
+// reduction for rank, determinant and linear solves (dependence distances,
+// the inverse of a unimodular loop transform).
 #pragma once
 
 #include <cstdint>
@@ -27,13 +27,13 @@ Int checked_mul(Int a, Int b);
 Int gcd(Int a, Int b);
 /// gcd of all entries (0 for an empty/zero vector).
 Int gcd(const Vec& v);
-/// Extended gcd: returns g = gcd(a,b) and sets x,y with a*x + b*y == g.
-Int ext_gcd(Int a, Int b, Int& x, Int& y);
 /// Floor division (rounds toward -inf) and the matching modulus (always
 /// in [0, |b|) for b != 0). These implement the paper's 0-based array
 /// index arithmetic exactly.
 Int floor_div(Int a, Int b);
 Int floor_mod(Int a, Int b);
+/// Ceiling division (rounds toward +inf).
+Int ceil_div(Int a, Int b);
 
 /// Dense row-major integer matrix.
 class IntMatrix {
@@ -43,8 +43,7 @@ class IntMatrix {
   IntMatrix(std::initializer_list<std::initializer_list<Int>> rows);
 
   static IntMatrix identity(int n);
-  /// Single-row / single-column constructors.
-  static IntMatrix row_vector(const Vec& v);
+  /// Single-column constructor.
   static IntMatrix col_vector(const Vec& v);
 
   int rows() const { return rows_; }
@@ -55,27 +54,15 @@ class IntMatrix {
   Int at(int r, int c) const;
 
   Vec row(int r) const;
-  Vec col(int c) const;
-  void set_row(int r, const Vec& v);
 
-  IntMatrix transposed() const;
   IntMatrix operator*(const IntMatrix& rhs) const;
   Vec operator*(const Vec& v) const;
-  IntMatrix operator+(const IntMatrix& rhs) const;
-  IntMatrix operator-(const IntMatrix& rhs) const;
   bool operator==(const IntMatrix& rhs) const = default;
 
-  /// Append the rows of `other` (must have equal cols) below this matrix.
-  IntMatrix vstack(const IntMatrix& other) const;
   /// Append the columns of `other` (must have equal rows) to the right.
   IntMatrix hstack(const IntMatrix& other) const;
   /// Rows [r0, r1) and columns [c0, c1).
   IntMatrix submatrix(int r0, int r1, int c0, int c1) const;
-
-  /// In-place elementary row operations (used by the HNF algorithm).
-  void swap_rows(int a, int b);
-  void scale_row(int r, Int s);
-  void add_scaled_row(int dst, int src, Int s);  // dst += s * src
 
   std::string to_string() const;
 
@@ -85,34 +72,10 @@ class IntMatrix {
   std::vector<Int> data_;
 };
 
-/// Rank over the rationals, computed with fraction-free (Bareiss-style)
-/// elimination so all intermediate values stay integral.
+/// Rank over the rationals, by exact rational row reduction.
 int rank(const IntMatrix& m);
 
-/// Result of a row-style Hermite normal form computation: H = U * A with
-/// U unimodular, H in row echelon form with non-negative pivots and
-/// entries above each pivot reduced modulo the pivot.
-struct HermiteForm {
-  IntMatrix h;  ///< the Hermite normal form
-  IntMatrix u;  ///< unimodular transform, h == u * a
-  int rank = 0;
-};
-HermiteForm hermite_normal_form(const IntMatrix& a);
-
-/// Basis of the integer nullspace { x : A x = 0 } as the rows of the
-/// returned matrix. The basis is primitive (each row has content 1) and
-/// spans the rational kernel.
-IntMatrix null_space(const IntMatrix& a);
-
-/// Extend the k linearly independent rows of `rows` (k x n, k <= n) to an
-/// n x n unimodular matrix whose first k rows are `rows`... not exactly:
-/// returns an n x n unimodular matrix whose row space's first k rows span
-/// the same lattice-saturated space and whose first k rows equal `rows`
-/// whenever `rows` itself is extendable (i.e. its HNF pivots are all 1).
-/// Throws if the rows are linearly dependent.
-IntMatrix unimodular_completion(const IntMatrix& rows);
-
-/// Determinant via fraction-free elimination (throws unless square).
+/// Determinant by exact rational elimination (throws unless square).
 Int determinant(const IntMatrix& m);
 
 /// Solve A x = b over the rationals; returns an integral solution scaled

@@ -42,16 +42,13 @@ std::string ProcStats::to_string() const {
 
 Machine::Machine(const MachineConfig& cfg, bool fast_directory)
     : cfg_(cfg), fast_directory_(fast_directory) {
-  DCT_CHECK(cfg.procs >= 1 && cfg.procs_per_cluster >= 1,
-            "need at least one processor per cluster");
+  DCT_CHECK(cfg.procs >= 1, "need at least one processor");
   // A structured code lets a sweep record the cell as skipped, not failed.
   if (cfg.procs > kMaxProcs)
     throw Error(Error::Code::kUnsupportedConfig,
                 strf("the machine model supports at most %d processors "
                      "(64-bit sharer masks); got %d",
                      kMaxProcs, cfg.procs));
-  DCT_CHECK(cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
-            "only direct-mapped caches modelled (as on DASH)");
   // Every address split below is a shift and a mask.
   const Int line_bytes = cfg.l1.line_bytes;
   const auto require = [&](bool ok, const char* rule) {

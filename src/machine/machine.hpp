@@ -35,17 +35,20 @@ using linalg::Int;
 /// 64-bit masks. Larger machines are rejected with kUnsupportedConfig.
 constexpr int kMaxProcs = 64;
 
+/// Processors per DASH cluster. The compiler allocates one copy of each
+/// replicated array per cluster, so this is a constant, not a knob.
+constexpr int kProcsPerCluster = 4;
+
+/// A direct-mapped cache (as on DASH).
 struct CacheConfig {
   Int size_bytes = 64 * 1024;
   Int line_bytes = 16;
-  int assoc = 1;  ///< direct-mapped
 };
 
 struct MachineConfig {
   int procs = 32;
-  int procs_per_cluster = 4;
-  CacheConfig l1{64 * 1024, 16, 1};
-  CacheConfig l2{256 * 1024, 16, 1};
+  CacheConfig l1{64 * 1024, 16};
+  CacheConfig l2{256 * 1024, 16};
   Int page_bytes = 4096;
   // Access latencies in cycles.
   double lat_l1 = 1;
@@ -60,8 +63,8 @@ struct MachineConfig {
   /// Acquiring a free lock / producer-consumer hand-off.
   double lock_cycles = 60;
 
-  int clusters() const { return (procs + procs_per_cluster - 1) / procs_per_cluster; }
-  int cluster_of(int proc) const { return proc / procs_per_cluster; }
+  int clusters() const { return (procs + kProcsPerCluster - 1) / kProcsPerCluster; }
+  int cluster_of(int proc) const { return proc / kProcsPerCluster; }
 
   /// The DASH configuration of the paper with a given processor count.
   static MachineConfig dash(int procs);

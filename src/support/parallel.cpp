@@ -10,14 +10,6 @@ int default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool ParallelOutcome::all_ok() const {
-  for (const std::exception_ptr& e : errors)
-    if (e) return false;
-  for (char s : started)
-    if (!s) return false;
-  return true;
-}
-
 std::exception_ptr ParallelOutcome::first_error() const {
   for (const std::exception_ptr& e : errors)
     if (e) return e;

@@ -23,7 +23,6 @@ struct ParallelOutcome {
   /// was dispatched.
   std::vector<char> started;
 
-  bool all_ok() const;
   /// The exception of the lowest-numbered failing index, or null.
   std::exception_ptr first_error() const;
 };

@@ -232,7 +232,13 @@ TEST(Decompose, EquationOneHolds) {
     if (!d.nests[j].comm_free) continue;
     const ir::LoopNest& nest = d.par[j].nest;
     ir::for_each_iteration(nest, [&](std::span<const ir::Int> iter) {
-      const auto g = computation_coords(d, static_cast<int>(j), iter);
+      // G_j(i): a loop assigned a processor dimension places i there.
+      std::vector<ir::Int> g(static_cast<size_t>(d.num_proc_dims), -1);
+      for (size_t l = 0; l < d.nests[j].loops.size(); ++l) {
+        const int pd = d.nests[j].loops[l].proc_dim;
+        if (pd >= 0 && pd < d.num_proc_dims)
+          g[static_cast<size_t>(pd)] = iter[l];
+      }
       for (const ir::Stmt& s : nest.stmts) {
         if (!s.write) continue;
         const auto idx = s.write->index(iter);

@@ -159,9 +159,10 @@ TEST(AnalyzePairs, AttributesAndKeepsLoopIndependent) {
     }
     // Self-pairs never report loop-independent vectors: one statement
     // instance executes atomically.
-    if (pd.src_stmt == pd.dst_stmt)
+    if (pd.src_stmt == pd.dst_stmt) {
       for (const DepVector& v : pd.vectors)
         EXPECT_FALSE(v.loop_independent());
+    }
   }
   EXPECT_TRUE(self_carried);
   EXPECT_TRUE(cross_li);
@@ -207,9 +208,7 @@ TEST(Parallelize, MovesParallelLoopOutermost) {
   s.reads = {simple_ref(0, 2, {{1, 0}, {0, -1}})};
   nest.stmts.push_back(std::move(s));
   const ParallelizedNest p = parallelize(nest);
-  EXPECT_EQ(p.outer_parallel_count(), 1);
-  EXPECT_TRUE(p.parallel[0]);
-  EXPECT_FALSE(p.parallel[1]);
+  EXPECT_EQ(p.parallel, (std::vector<bool>{true, false}));
   // The transform must be the interchange.
   EXPECT_EQ(p.transform, ir::permutation_matrix({1, 0}));
 }
@@ -223,7 +222,7 @@ TEST(Parallelize, LeavesGoodNestAlone) {
   nest.stmts.push_back(std::move(s));
   const ParallelizedNest p = parallelize(nest);
   EXPECT_EQ(p.transform, linalg::IntMatrix::identity(2));
-  EXPECT_EQ(p.outer_parallel_count(), 2);
+  EXPECT_EQ(p.parallel, (std::vector<bool>{true, true}));
 }
 
 TEST(Parallelize, SkewExposesWavefront) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "support/diagnostics.hpp"
@@ -280,6 +284,36 @@ TEST(Executor, LargerMachinePagesHomeEveryArray) {
         }
       }
   }
+}
+
+TEST(Executor, ReplicaAllocationCoversEveryCluster) {
+  // simulate homes and addresses one copy of a replicated array per
+  // cluster of MachineConfig::dash(P); compile must have allocated that
+  // many copies, or the last ones alias the next array.
+  const std::pair<const char*, ir::Program> programs[] = {
+      {"figure1", apps::figure1(16, 1)},  {"vpenta", apps::vpenta(16)},
+      {"lu", apps::lu(16)},               {"stencil5", apps::stencil5(16, 1)},
+      {"adi", apps::adi(16, 1)},          {"erlebacher", apps::erlebacher(8)},
+      {"swm256", apps::swm256(16, 1)},    {"tomcatv", apps::tomcatv(16, 1)}};
+  int replicated = 0;
+  for (const auto& [name, prog] : programs)
+    for (const int procs : {1, 4, 8, 32})
+      for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+        const auto cp = core::compile(prog, mode, procs);
+        const Int clusters = machine::MachineConfig::dash(procs).clusters();
+        std::vector<std::pair<Int, Int>> spans;  // [base, end) per array
+        for (const core::CompiledArray& ca : cp.arrays) {
+          replicated += ca.replicated ? 1 : 0;
+          spans.emplace_back(ca.base_addr,
+                             ca.base_addr +
+                                 ca.bytes * (ca.replicated ? clusters : 1));
+        }
+        std::sort(spans.begin(), spans.end());
+        for (size_t i = 1; i < spans.size(); ++i)
+          EXPECT_LE(spans[i - 1].second, spans[i].first)
+              << name << "/" << core::to_string(mode) << " P=" << procs;
+      }
+  EXPECT_GT(replicated, 0);
 }
 
 TEST(Executor, ValuesOffChangesNothingElse) {

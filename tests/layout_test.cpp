@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
@@ -156,6 +158,58 @@ TEST(Layout, BijectionProperty) {
         EXPECT_TRUE(seen.insert(addr).second) << "duplicate address";
       }
   }
+}
+
+TEST(Layout, ClosedFormMatchesStepInterpretation) {
+  // linearize() takes the closed form dim_functions() whenever the layout
+  // is simple; map_index() always interprets steps(). Over random
+  // strip-mine/permute compositions, simple or not, both must name the
+  // same in-range address for every element.
+  Rng rng(33);
+  int simple = 0;
+  constexpr int kTrials = 200;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<Int> dims(static_cast<size_t>(rng.uniform(1, 3)));
+    for (Int& d : dims) d = rng.uniform(1, 9);
+    Layout l = Layout::identity(dims);
+    for (int s = static_cast<int>(rng.uniform(1, 4)); s > 0; --s) {
+      const int n = static_cast<int>(l.dims().size());
+      if (rng.uniform(0, 1) == 0) {
+        l.apply(StripMine{static_cast<int>(rng.uniform(0, n - 1)),
+                          rng.uniform(1, 4)});
+      } else {
+        std::vector<int> perm(static_cast<size_t>(n));
+        std::iota(perm.begin(), perm.end(), 0);
+        for (int k = n - 1; k > 0; --k)
+          std::swap(perm[static_cast<size_t>(k)],
+                    perm[static_cast<size_t>(rng.uniform(0, k))]);
+        l.apply(Permute{perm});
+      }
+    }
+    simple += l.all_simple() ? 1 : 0;
+    Int count = 1;
+    for (Int d : dims) count *= d;
+    for (Int e = 0; e < count; ++e) {
+      std::vector<Int> idx(dims.size());
+      for (size_t k = 0, rest = static_cast<size_t>(e); k < dims.size(); ++k) {
+        idx[k] = static_cast<Int>(rest % static_cast<size_t>(dims[k]));
+        rest /= static_cast<size_t>(dims[k]);
+      }
+      const std::vector<Int> mapped = l.map_index(idx);
+      ASSERT_EQ(mapped.size(), l.dims().size());
+      Int addr = 0, stride = 1;
+      for (size_t k = 0; k < mapped.size(); ++k) {
+        ASSERT_GE(mapped[k], 0);
+        ASSERT_LT(mapped[k], l.dims()[k]);
+        addr += mapped[k] * stride;
+        stride *= l.dims()[k];
+      }
+      ASSERT_EQ(l.linearize(idx), addr) << l.to_string() << " element " << e;
+    }
+  }
+  // Both linearize() paths were exercised.
+  EXPECT_GT(simple, kTrials / 4);
+  EXPECT_LT(simple, kTrials);
 }
 
 TEST(Layout, OwnersContiguousProperty) {
