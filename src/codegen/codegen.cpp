@@ -196,9 +196,7 @@ std::string emit_nest(const CompiledProgram& cp, int nest_index) {
     std::string rhs;
     for (size_t r = 0; r < cs.reads.size(); ++r)
       rhs += (r ? ", " : "") + ref_text(cp, cs.reads[r], depth);
-    if (cs.write)
-      os << indent << ref_text(cp, *cs.write, depth) << " = f(" << rhs
-         << ");\n";
+    os << indent << ref_text(cp, cs.write, depth) << " = f(" << rhs << ");\n";
   }
   for (int l = depth - 1; l >= 0; --l)
     os << std::string(static_cast<size_t>(2 * (l + 1)), ' ') << "}\n";

@@ -1,17 +1,11 @@
 #include "core/compiler.hpp"
 
-#include <algorithm>
 #include <sstream>
 
-#include "linalg/int_matrix.hpp"
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
 
 namespace dct::core {
-
-using decomp::DistKind;
-using linalg::floor_div;
-using linalg::floor_mod;
 
 std::string to_string(Mode mode) {
   switch (mode) {
@@ -20,24 +14,6 @@ std::string to_string(Mode mode) {
     case Mode::Full: return "comp decomp + data transform";
   }
   return "?";
-}
-
-int CoordFold::fold(Int v) const {
-  const Int x = v - offset;
-  switch (kind) {
-    case DistKind::Serial:
-      return 0;
-    case DistKind::Block: {
-      const Int c = floor_div(x, std::max<Int>(1, block));
-      return static_cast<int>(std::clamp<Int>(c, 0, procs - 1));
-    }
-    case DistKind::Cyclic:
-      return static_cast<int>(floor_mod(x, procs));
-    case DistKind::BlockCyclic:
-      return static_cast<int>(
-          floor_mod(floor_div(x, std::max<Int>(1, block)), procs));
-  }
-  return 0;
 }
 
 std::string CompiledProgram::report() const {

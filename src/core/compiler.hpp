@@ -12,8 +12,6 @@
 //                   "comp decomp + data transform").
 #pragma once
 
-#include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "decomp/decomposition.hpp"
@@ -40,35 +38,8 @@ struct CompileOptions {
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
 };
 
-/// Folding of one virtual processor dimension onto physical ranks.
-struct CoordFold {
-  decomp::DistKind kind = decomp::DistKind::Serial;
-  int procs = 1;    ///< grid extent of this dimension
-  Int block = 1;    ///< BLOCK / BLOCK-CYCLIC block size
-  Int offset = 0;   ///< subtracted before folding (Base: loop lower bound)
-  int stride = 1;   ///< mixed-radix stride within the clique
-
-  /// Physical coordinate of value v. Total: any Int (including values
-  /// below the offset) maps into [0, procs) — BLOCK clamps, CYCLIC and
-  /// BLOCK-CYCLIC wrap with floored division semantics.
-  int fold(Int v) const;
-
-  /// Digit of this fold encoded in physical rank `myid` (mixed-radix
-  /// decode; the inverse of the `digit * stride` contribution to the
-  /// owner sum).
-  int digit_of(int myid) const { return (myid / stride) % procs; }
-
-  /// First value whose unclamped BLOCK / BLOCK-CYCLIC block index is t.
-  /// With block_hi these are the per-thread loop bounds the paper's
-  /// generated SPMD code computes from myid (Section 3.3).
-  Int block_lo(int t) const {
-    return offset + static_cast<Int>(t) * std::max<Int>(1, block);
-  }
-  /// Last value in block t (inclusive).
-  Int block_hi(int t) const { return block_lo(t + 1) - 1; }
-
-  bool operator==(const CoordFold&) const = default;
-};
+/// The folding function of one virtual processor dimension.
+using decomp::CoordFold;
 
 struct CompiledArray {
   layout::Layout layout;      ///< identity unless Full restructures it
@@ -92,7 +63,7 @@ struct CompiledStmt {
   double compute_cycles = 0;
   ir::StmtEval eval;
   std::vector<CompiledRef> reads;
-  std::optional<CompiledRef> write;
+  CompiledRef write;
   /// Owner mapping: pairs of (loop level, fold). Empty = run on proc 0.
   std::vector<std::pair<int, CoordFold>> owner;
 };
@@ -128,6 +99,9 @@ struct CompiledProgram {
 /// Base), fold-select and barrier-elim (not for Base), layout, lower,
 /// addr-strategy. The processor count is a compile-time input exactly as
 /// in the paper's generated SPMD code (block sizes are ceil(d/P)).
+///
+/// A statement without an evaluator throws kInvalidArgument (context
+/// "pass lower").
 ///
 /// A compile only compiles: it starts no thread, opens no file and runs
 /// no oracle. Callers that want the checks run them on the result

@@ -129,7 +129,7 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
                                                     cp.grid, &arr_rs)
                             : Layout::identity(decl.dims);
     ca.part = layout::make_partition(decl, cp.dec.arrays[a], cp.grid,
-                                     cp.dec.num_proc_dims);
+                                     cp.stride, cp.dec.num_proc_dims);
     ca.bytes = page_align(ca.layout.size() * decl.elem_size);
     ca.base_addr = next_addr;
     next_addr += ca.bytes * (ca.replicated ? clusters : 1);
@@ -164,25 +164,21 @@ CompiledRef flatten_ref(const ir::ArrayRef& r, int depth, bool is_write) {
 
 void lower(CompiledProgram& cp, support::RemarkSink& rs) {
   const ir::Program& prog = cp.program;
+  ir::require_evaluators(prog);
   // BASE's per-nest owner model: block-distribute the single marked loop
   // by its iteration-hull span instead of the partition-derived folds.
   const bool base_block_owner = cp.mode == Mode::Base;
 
-  // Fold parameters of one virtual dimension, from the first array bound
-  // to it (group members are aligned, so extents agree).
+  // The fold of one virtual dimension: the first array partition bound to
+  // it (group members are aligned, so extents agree), else BLOCK by 1.
   auto fold_for_dim = [&](int pd) {
+    for (const CompiledArray& ca : cp.arrays)
+      for (const layout::Partition::Dim& d : ca.part.dims)
+        if (d.proc_dim == pd) return d.fold;
     CoordFold f;
+    f.kind = DistKind::Block;
     f.procs = cp.grid[static_cast<size_t>(pd)];
     f.stride = cp.stride[static_cast<size_t>(pd)];
-    for (const CompiledArray& ca : cp.arrays)
-      for (const auto& d : ca.part.dims)
-        if (d.proc_dim == pd) {
-          f.kind = d.kind;
-          f.block = std::max<Int>(1, d.block);
-          return f;
-        }
-    f.kind = DistKind::Block;
-    f.block = 1;
     return f;
   };
 
@@ -205,7 +201,7 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
       cs.eval = stmt.eval;
       for (const ir::ArrayRef& r : stmt.reads)
         cs.reads.push_back(flatten_ref(r, depth, false));
-      if (stmt.write) cs.write = flatten_ref(*stmt.write, depth, true);
+      cs.write = flatten_ref(stmt.write, depth, true);
 
       if (base_block_owner) {
         // BASE: block-distribute the single marked loop by its span.
@@ -216,8 +212,7 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
           f.procs = cp.procs;
           f.offset = hull.lo[l];
           const Int span = hull.hi[l] - hull.lo[l] + 1;
-          f.block = std::max<Int>(1, ceil_div(span, cp.procs));
-          f.stride = 1;
+          f.block = decomp::fold_block(DistKind::Block, span, cp.procs, 0);
           cs.owner.push_back({static_cast<int>(l), f});
           break;
         }
@@ -276,7 +271,7 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
       };
       for (size_t k = 0; k < cs.reads.size(); ++k)
         cost(cs.reads[k], stmt.reads[k]);
-      if (cs.write) cost(*cs.write, *stmt.write);
+      cost(cs.write, stmt.write);
     }
   }
   rs.count("refs", refs);

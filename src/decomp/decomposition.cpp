@@ -28,6 +28,35 @@ std::string to_string(DistKind kind) {
   return "?";
 }
 
+Int fold_block(DistKind kind, Int extent, int procs, Int block) {
+  switch (kind) {
+    case DistKind::Block:
+      return std::max<Int>(1, linalg::ceil_div(extent, procs));
+    case DistKind::BlockCyclic:
+      return std::max<Int>(1, block);
+    default:
+      return 1;
+  }
+}
+
+int CoordFold::fold(Int v) const {
+  const Int x = v - offset;
+  switch (kind) {
+    case DistKind::Serial:
+      return 0;
+    case DistKind::Block: {
+      const Int c = linalg::floor_div(x, std::max<Int>(1, block));
+      return static_cast<int>(std::clamp<Int>(c, 0, procs - 1));
+    }
+    case DistKind::Cyclic:
+      return static_cast<int>(linalg::floor_mod(x, procs));
+    case DistKind::BlockCyclic:
+      return static_cast<int>(linalg::floor_mod(
+          linalg::floor_div(x, std::max<Int>(1, block)), procs));
+  }
+  return 0;
+}
+
 int ArrayDecomposition::distributed_count() const {
   int n = 0;
   for (const auto& d : dims)
@@ -98,8 +127,7 @@ struct RefInfo {
 };
 
 struct StmtInfo {
-  std::vector<RefInfo> refs;  ///< write (if any) first
-  int write_index = -1;       ///< index of the write in refs, or -1
+  std::vector<RefInfo> refs;  ///< the write, then the reads
   double exec = 0;            ///< dynamic executions x frequency
 };
 
@@ -148,10 +176,7 @@ NestInfo gather_nest_info(const ParallelizedNest& par, long frequency) {
           ri.elems *= info.span[static_cast<size_t>(k)];
       return ri;
     };
-    if (s.write) {
-      si.refs.push_back(make_ref(*s.write, true));
-      si.write_index = 0;
-    }
+    si.refs.push_back(make_ref(s.write, true));
     for (const ArrayRef& r : s.reads) si.refs.push_back(make_ref(r, false));
     info.stmts.push_back(std::move(si));
   }
@@ -361,8 +386,7 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
       int dominant_loop = -1;
       for (size_t s = 0; s < ni.stmts.size(); ++s) {
         const StmtInfo& si = ni.stmts[s];
-        if (si.write_index < 0) continue;
-        const RefInfo& w = si.refs[static_cast<size_t>(si.write_index)];
+        const RefInfo& w = si.refs.front();
         for (size_t k = 0; k < w.dim_loop.size(); ++k)
           if (group_of[static_cast<size_t>(
                   ag.node_id(w.array, static_cast<int>(k)))] == g &&

@@ -26,6 +26,7 @@
 //      pipelining needs both balance and granularity.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +41,43 @@ using linalg::Int;
 
 enum class DistKind { Serial, Block, Cyclic, BlockCyclic };
 std::string to_string(DistKind kind);
+
+/// Block size of `kind` folding `extent` values onto `procs` processors
+/// (Section 3): BLOCK ceil(extent/procs), BLOCK-CYCLIC the given `block`,
+/// CYCLIC (and Serial) 1; never below 1.
+Int fold_block(DistKind kind, Int extent, int procs, Int block);
+
+/// The folding function of one virtual processor dimension onto physical
+/// ranks. It maps loop iterations (the lowered owner-computes schedule)
+/// and array elements (layout::Partition) alike.
+struct CoordFold {
+  DistKind kind = DistKind::Serial;
+  int procs = 1;    ///< grid extent of this dimension
+  Int block = 1;    ///< BLOCK / BLOCK-CYCLIC block size
+  Int offset = 0;   ///< subtracted before folding (Base: loop lower bound)
+  int stride = 1;   ///< mixed-radix stride within the clique
+
+  /// Physical coordinate of value v. Total: any Int (including values
+  /// below the offset) maps into [0, procs) — BLOCK clamps, CYCLIC and
+  /// BLOCK-CYCLIC wrap with floored division semantics.
+  int fold(Int v) const;
+
+  /// Digit of this fold encoded in physical rank `myid` (mixed-radix
+  /// decode; the inverse of the `digit * stride` contribution to the
+  /// owner sum).
+  int digit_of(int myid) const { return (myid / stride) % procs; }
+
+  /// First value whose unclamped BLOCK / BLOCK-CYCLIC block index is t.
+  /// With block_hi these are the per-thread loop bounds the paper's
+  /// generated SPMD code computes from myid (Section 3.3).
+  Int block_lo(int t) const {
+    return offset + static_cast<Int>(t) * std::max<Int>(1, block);
+  }
+  /// Last value in block t (inclusive).
+  Int block_hi(int t) const { return block_lo(t + 1) - 1; }
+
+  bool operator==(const CoordFold&) const = default;
+};
 
 /// Distribution of one array dimension.
 struct DimDistribution {

@@ -412,7 +412,7 @@ NestDeps analyze(const LoopNest& nest) {
   for (const ir::Stmt& s : nest.stmts) {
     const int sd = s.effective_depth(d);
     for (const ArrayRef& r : s.reads) accesses.push_back({&r, false, sd});
-    if (s.write) accesses.push_back({&*s.write, true, sd});
+    accesses.push_back({&s.write, true, sd});
   }
 
   auto add_vector = [&](DepVector v) {
@@ -451,7 +451,7 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
     const int sd = s.effective_depth(d);
     for (const ArrayRef& r : s.reads)
       by_stmt[static_cast<size_t>(si)].push_back({&r, false, sd});
-    if (s.write) by_stmt[static_cast<size_t>(si)].push_back({&*s.write, true, sd});
+    by_stmt[static_cast<size_t>(si)].push_back({&s.write, true, sd});
   }
 
   std::vector<std::vector<std::vector<Dir>>> canon_by_len(
@@ -516,9 +516,7 @@ std::vector<bool> carried_levels_bruteforce(const LoopNest& nest) {
       if (!first) continue;
       for (const ArrayRef& r : s.reads)
         touches[{r.array, r.index(iter)}].push_back({it, false, sd});
-      if (s.write)
-        touches[{s.write->array, s.write->index(iter)}].push_back(
-            {it, true, sd});
+      touches[{s.write.array, s.write.index(iter)}].push_back({it, true, sd});
     }
   });
   for (const auto& [key, list] : touches) {

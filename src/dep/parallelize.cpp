@@ -98,7 +98,7 @@ int stride1_score(const ir::LoopNest& nest) {
   };
   for (const ir::Stmt& s : nest.stmts) {
     for (const ir::ArrayRef& r : s.reads) check(r);
-    if (s.write) check(*s.write);
+    check(s.write);
   }
   return score;
 }

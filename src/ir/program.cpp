@@ -218,14 +218,22 @@ std::string Program::to_string() const {
     }
     for (const auto& s : nest.stmts) {
       os << std::string(static_cast<size_t>(4 + 2 * nest.depth()), ' ');
-      if (s.write) os << s.write->to_string(*this) << " = f(";
+      os << s.write.to_string(*this) << " = f(";
       for (size_t i = 0; i < s.reads.size(); ++i)
         os << (i ? ", " : "") << s.reads[i].to_string(*this);
-      if (s.write) os << ")";
-      os << "\n";
+      os << ")\n";
     }
   }
   return os.str();
+}
+
+void require_evaluators(const Program& prog) {
+  for (const LoopNest& nest : prog.nests)
+    for (size_t s = 0; s < nest.stmts.size(); ++s)
+      if (!nest.stmts[s].eval)
+        throw Error(Error::Code::kInvalidArgument,
+                    strf("%s: nest %s statement %zu has no evaluator",
+                         prog.name.c_str(), nest.name.c_str(), s));
 }
 
 ProgramBuilder::ProgramBuilder(std::string name) { prog_.name = std::move(name); }

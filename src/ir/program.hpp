@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,13 +76,15 @@ struct ArrayRef {
 ArrayRef simple_ref(int array, int depth,
                     const std::vector<std::pair<int, Int>>& dims);
 
-/// One assignment statement: write = eval(reads). Every engine executes
-/// the evaluator: the reference interpreter and the simulator once per
-/// instance, the native backend through its run loops. The simulator's
-/// timing needs only the reference structure and the compute cost.
+/// One assignment statement: write = eval(reads). Every statement has both;
+/// compile and run_reference reject one without an evaluator. Every engine
+/// executes the evaluator: the reference interpreter and the simulator
+/// once per instance, the native backend through its run loops. The
+/// simulator's timing needs only the reference structure and the compute
+/// cost.
 struct Stmt {
   std::vector<ArrayRef> reads;
-  std::optional<ArrayRef> write;
+  ArrayRef write;
   double compute_cycles = 4.0;  ///< scalar FP work per execution
   StmtEval eval;
   /// Imperfect-nest support: the statement executes once per iteration of
@@ -147,6 +148,10 @@ struct Program {
   int array_id(const std::string& name) const;
   std::string to_string() const;
 };
+
+/// Throws Error(kInvalidArgument), naming the nest and the statement, when
+/// a statement of `prog` has no evaluator.
+void require_evaluators(const Program& prog);
 
 /// Walk every iteration of `nest` in original (lexicographic) order,
 /// invoking fn(iter). Used by reference executors and dependence tests.

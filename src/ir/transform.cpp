@@ -174,7 +174,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   out.stmts = nest.stmts;
   for (Stmt& s : out.stmts) {
     for (ArrayRef& r : s.reads) r.access = r.access * v;
-    if (s.write) s.write->access = s.write->access * v;
+    s.write.access = s.write.access * v;
   }
   return out;
 }

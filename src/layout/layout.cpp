@@ -212,10 +212,11 @@ Layout derive_layout(const ir::ArrayDecl& decl,
       continue;
     }
 
+    const Int block = decomp::fold_block(dd.kind, d, p, dd.block);
     int proc_pos = -1;
     switch (dd.kind) {
       case decomp::DistKind::Block:
-        l.apply(StripMine{cur, ceil_div(d, p)});
+        l.apply(StripMine{cur, block});
         proc_pos = cur + 1;  // second of the strip-mined dims
         break;
       case decomp::DistKind::Cyclic:
@@ -223,7 +224,7 @@ Layout derive_layout(const ir::ArrayDecl& decl,
         proc_pos = cur;  // first of the strip-mined dims
         break;
       case decomp::DistKind::BlockCyclic:
-        l.apply(StripMine{cur, dd.block});
+        l.apply(StripMine{cur, block});
         l.apply(StripMine{cur + 1, p});
         proc_pos = cur + 1;  // middle of the strip-mined dims
         break;
@@ -275,24 +276,8 @@ Layout derive_layout(const ir::ArrayDecl& decl,
 // ---------------------------------------------------------------------------
 
 int Partition::fold(int k, Int idx) const {
-  // Euclidean (floored) semantics, mirroring core::CoordFold::fold: C++
-  // truncating / and % would hand negative indices a negative "owner"
-  // (which aliases the -1 "unbound" marker) and mis-wrap CYCLIC blocks.
-  const Dim& d = dims[static_cast<size_t>(k)];
-  const Int block = std::max<Int>(1, d.block);
-  switch (d.kind) {
-    case decomp::DistKind::Serial:
-      return -1;
-    case decomp::DistKind::Block: {
-      const Int c = floor_div(idx, block);
-      return static_cast<int>(std::clamp<Int>(c, 0, d.procs - 1));
-    }
-    case decomp::DistKind::Cyclic:
-      return static_cast<int>(floor_mod(idx, d.procs));
-    case decomp::DistKind::BlockCyclic:
-      return static_cast<int>(floor_mod(floor_div(idx, block), d.procs));
-  }
-  return -1;
+  const decomp::CoordFold& f = dims[static_cast<size_t>(k)].fold;
+  return f.kind == decomp::DistKind::Serial ? -1 : f.fold(idx);
 }
 
 std::vector<int> Partition::owner(std::span<const Int> index) const {
@@ -305,32 +290,38 @@ std::vector<int> Partition::owner(std::span<const Int> index) const {
   return out;
 }
 
+int Partition::rank(std::span<const Int> index) const {
+  std::vector<int> coords = owner(index);
+  int r = 0;
+  for (const Dim& d : dims) {
+    if (d.proc_dim < 0) continue;
+    int& c = coords[static_cast<size_t>(d.proc_dim)];
+    if (c < 0) continue;
+    r += c * d.fold.stride;
+    c = -1;  // a processor dimension counts once
+  }
+  return r;
+}
+
 Partition make_partition(const ir::ArrayDecl& decl,
                          const decomp::ArrayDecomposition& ad,
                          std::span<const int> grid_extents,
-                         int num_proc_dims) {
+                         std::span<const int> strides, int num_proc_dims) {
   Partition part;
   part.num_proc_dims = num_proc_dims;
   part.dims.resize(decl.dims.size());
   for (size_t k = 0; k < decl.dims.size(); ++k) {
     Partition::Dim& d = part.dims[k];
     const decomp::DimDistribution& dd = ad.dims[k];
-    d.kind = ad.replicated ? decomp::DistKind::Serial : dd.kind;
     d.extent = decl.dims[k];
-    if (d.kind == decomp::DistKind::Serial) continue;
+    if (ad.replicated || dd.kind == decomp::DistKind::Serial) continue;
     d.proc_dim = dd.proc_dim;
-    d.procs = grid_extents[static_cast<size_t>(dd.proc_dim)];
-    switch (d.kind) {
-      case decomp::DistKind::Block:
-        d.block = ceil_div(d.extent, d.procs);
-        break;
-      case decomp::DistKind::BlockCyclic:
-        d.block = dd.block;
-        break;
-      default:
-        d.block = 1;
-        break;
-    }
+    const auto pd = static_cast<size_t>(dd.proc_dim);
+    d.fold.kind = dd.kind;
+    d.fold.procs = grid_extents[pd];
+    d.fold.block =
+        decomp::fold_block(dd.kind, d.extent, d.fold.procs, dd.block);
+    d.fold.stride = strides[pd];
   }
   return part;
 }

@@ -121,24 +121,31 @@ Layout derive_layout(const ir::ArrayDecl& decl,
 /// array does not bind it.
 struct Partition {
   struct Dim {
-    decomp::DistKind kind = decomp::DistKind::Serial;
     int proc_dim = -1;
     Int extent = 0;  ///< array extent along this dim
-    int procs = 1;   ///< grid extent of the processor dimension
-    Int block = 0;   ///< BLOCK: ceil(extent/procs); BLOCK-CYCLIC: given
+    /// The processor dimension's fold (kind Serial when unbound): the one
+    /// the lowered schedule binds for that dimension.
+    decomp::CoordFold fold;
   };
   std::vector<Dim> dims;
   int num_proc_dims = 0;
 
-  /// Fold one coordinate of dimension `k`.
+  /// Fold one coordinate of dimension `k`; -1 when the dimension is Serial.
   int fold(int k, Int idx) const;
   /// Owner coordinates (-1 where unbound) of a full index vector.
   std::vector<int> owner(std::span<const Int> index) const;
+  /// Processor rank of the owner: its coordinates weighted by their folds'
+  /// mixed-radix strides.
+  int rank(std::span<const Int> index) const;
 };
 
+/// The partition of one array: dimension k distributed onto processor
+/// dimension pd folds by its kind over grid_extents[pd] processors with
+/// mixed-radix stride strides[pd].
 Partition make_partition(const ir::ArrayDecl& decl,
                          const decomp::ArrayDecomposition& ad,
-                         std::span<const int> grid_extents, int num_proc_dims);
+                         std::span<const int> grid_extents,
+                         std::span<const int> strides, int num_proc_dims);
 
 // ---------------------------------------------------------------------------
 // Address-calculation cost model (Section 4.3)

@@ -158,13 +158,6 @@ RunResult simulate(const CompiledProgram& cp,
   const int P = cp.procs;
   const ir::Program& prog = cp.program;
 
-  auto owner_of_coords = [&](const std::vector<int>& coords) {
-    int proc = 0;
-    for (size_t pd = 0; pd < coords.size(); ++pd)
-      if (coords[pd] >= 0) proc += coords[pd] * cp.stride[pd];
-    return std::min(proc, P - 1);
-  };
-
   // ---- array state + page homing ----
   // Pages are the machine's: compile aligns arrays to 4 KB, so a larger
   // page may start before an array or end after it. An array's pages run
@@ -204,7 +197,7 @@ RunResult simulate(const CompiledProgram& cp,
         const Int byte = ca.base_addr + lin * decl.elem_size;
         auto& po = page_owner[static_cast<size_t>(byte / page_bytes -
                                                   first_page)];
-        if (byte < po.first) po = {byte, owner_of_coords(ca.part.owner(idx))};
+        if (byte < po.first) po = {byte, std::min(ca.part.rank(idx), P - 1)};
       });
     if (ca.replicated) {
       for (int c = 0; c < mcfg.clusters(); ++c) {
@@ -276,6 +269,7 @@ RunResult simulate(const CompiledProgram& cp,
 
 std::vector<std::vector<double>> run_reference(const ir::Program& prog,
                                                std::uint64_t init_seed) {
+  ir::require_evaluators(prog);
   std::vector<std::vector<double>> data(prog.arrays.size());
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     const ir::ArrayDecl& decl = prog.arrays[a];
@@ -322,13 +316,11 @@ std::vector<std::vector<double>> run_reference(const ir::Program& prog,
             vals[vi++] = data[static_cast<size_t>(r.array)][static_cast<size_t>(
                 linear_of(prog.arrays[static_cast<size_t>(r.array)], idx))];
           }
-          if (s.write && s.eval) {
-            const auto idx = s.write->index(iter);
-            data[static_cast<size_t>(s.write->array)][static_cast<size_t>(
-                linear_of(prog.arrays[static_cast<size_t>(s.write->array)],
-                          idx))] =
-                s.eval(std::span<const double>(vals.data(), vi));
-          }
+          const auto idx = s.write.index(iter);
+          data[static_cast<size_t>(s.write.array)][static_cast<size_t>(
+              linear_of(prog.arrays[static_cast<size_t>(s.write.array)],
+                        idx))] =
+              s.eval(std::span<const double>(vals.data(), vi));
         }
       };
       int level = 0;

@@ -97,7 +97,8 @@ RunResult simulate(const core::CompiledProgram& cp,
                    const ExecOptions& opts = {});
 
 /// Sequential reference execution (no machine model): returns the final
-/// array contents in original element order.
+/// array contents in original element order. A statement without an
+/// evaluator throws Error(kInvalidArgument).
 std::vector<std::vector<double>> run_reference(const ir::Program& prog,
                                                std::uint64_t init_seed = 42);
 

@@ -35,10 +35,10 @@
 // instance: one statement's n instances in one call, several statements'
 // one position at a time in program order. The instances and their order
 // are the same either way, so are the values. Pieces fall back to the
-// per-instance body when a full-depth statement has no write or no
-// evaluator, more reads than ir::StmtRun::kMaxReads, a reference without
-// a walker, or an owner that changes along the segment; the first
-// iteration of a segment that fires gated statements always does.
+// per-instance body when a full-depth statement has more reads than
+// ir::StmtRun::kMaxReads, a reference without a walker, or an owner that
+// changes along the segment; the first iteration of a segment that fires
+// gated statements always does.
 //
 // With `fast` off the kernel is the reference interpreter: every address
 // comes from Layout::linearize and every owner is folded per instance.
@@ -217,12 +217,10 @@ class Traversal {
           if (fast && s.full) r.walk = r.walker.build(ref, lay, d);
         };
         for (const core::CompiledRef& ref : cs.reads) add(ref);
-        if (cs.write) {
-          DCT_CHECK(!cp.arrays[static_cast<size_t>(cs.write->array)].replicated,
-                    "write to replicated array");
-          add(*cs.write);
-        }
-        s.runs = kRunLoops && s.full && cs.write && cs.eval &&
+        DCT_CHECK(!cp.arrays[static_cast<size_t>(cs.write.array)].replicated,
+                  "write to replicated array");
+        add(cs.write);
+        s.runs = kRunLoops && s.full &&
                  cs.reads.size() <= ir::StmtRun::kMaxReads &&
                  std::all_of(s.refs.begin(), s.refs.end(),
                              [](const Ref& r) { return r.walk; });
@@ -292,11 +290,10 @@ class Traversal {
     std::vector<OwnerStep> stepped;
     /// Owner pairs folded per instance (gated statements, interpreter).
     std::vector<std::pair<int, core::CoordFold>> folded;
-    std::vector<Ref> refs;  ///< reads in order, then the write (if any)
+    std::vector<Ref> refs;  ///< reads in order, then the write
     int q_base = 0;
-    /// Full depth, written by an evaluator from at most
-    /// StmtRun::kMaxReads reads, every reference walked: can run in run
-    /// loops under a kRunLoops policy.
+    /// Full depth, at most StmtRun::kMaxReads reads, every reference
+    /// walked: can run in run loops under a kRunLoops policy.
     bool runs = false;
     ir::StmtRun run;  ///< the current run's addresses
   };
@@ -362,12 +359,10 @@ class Traversal {
     const size_t n = cs.reads.size();
     for (size_t k = 0; k < n; ++k)
       vals_[k] = policy_.load(cur, s.refs[k].slot, next_addr(s.refs[k]));
-    if (cs.write) {
-      const bool has = policy_.values() && static_cast<bool>(cs.eval);
-      const std::span<const double> vals(vals_.data(), n);
-      policy_.store(cur, s.refs[n].slot, next_addr(s.refs[n]),
-                    has ? cs.eval(vals) : 0.0, has);
-    }
+    const bool has = policy_.values();
+    policy_.store(cur, s.refs[n].slot, next_addr(s.refs[n]),
+                  has ? cs.eval(std::span<const double>(vals_.data(), n)) : 0.0,
+                  has);
     policy_.end(cur);
     ++statements;
   }

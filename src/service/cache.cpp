@@ -80,7 +80,7 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
       os << "s:d" << s.depth << ":c" << s.compute_cycles << ":r";
       for (const ir::ArrayRef& r : s.reads) put_ref(os, r);
       os << ":w";
-      if (s.write) put_ref(os, *s.write);
+      put_ref(os, s.write);
       os << ';';
     }
     os << '|';
@@ -149,13 +149,11 @@ CompileCache::Lookup CompileCache::get_or_compile(const std::string& key,
 
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    // clear() may have raced us; reinsert so the result is not lost.
-    if (it == entries_.end())
-      it = entries_.emplace(key, Entry{}).first;
-    it->second.ready = true;
+    // Only ready entries are evicted, so this in-flight one is still here.
+    Entry& e = entries_.at(key);
+    e.ready = true;
     lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
+    e.lru_pos = lru_.begin();
     evict_excess_locked();
   }
   promise.set_value(result);
@@ -175,14 +173,6 @@ CompileCache::Stats CompileCache::stats() const {
   s.entries = lru_.size();
   s.capacity = capacity_;
   return s;
-}
-
-void CompileCache::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Drop completed entries only; in-flight compiles finish and reinsert
-  // themselves (see get_or_compile).
-  for (const std::string& key : lru_) entries_.erase(key);
-  lru_.clear();
 }
 
 }  // namespace dct::service

@@ -87,8 +87,6 @@ class CompileCache {
   };
   Stats stats() const;
 
-  void clear();
-
  private:
   struct Entry {
     std::shared_future<Compiled> future;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "support/remark.hpp"
 #include "support/str.hpp"
 
 namespace dct::service {
@@ -96,23 +97,6 @@ long require_long(const std::map<std::string, std::string>& kv,
   return static_cast<long>(require_number(kv, key, static_cast<double>(def),
                                           static_cast<double>(lo),
                                           static_cast<double>(hi), true));
-}
-
-void escape_into(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          os << strf("\\u%04x", c);
-        else
-          os << c;
-    }
-  }
 }
 
 }  // namespace
@@ -212,20 +196,14 @@ ParsedLine parse_line(const std::string& line) {
 std::string to_json(const Response& resp) {
   std::ostringstream os;
   os.precision(17);
-  os << "{\"id\":\"";
-  escape_into(os, resp.id);
-  os << "\",\"ok\":" << (resp.ok ? "true" : "false");
+  using support::json_escape;
+  os << "{\"id\":\"" << json_escape(resp.id)
+     << "\",\"ok\":" << (resp.ok ? "true" : "false");
   if (!resp.ok) {
-    os << ",\"error_code\":\"";
-    escape_into(os, resp.error_code);
-    os << "\",\"error\":\"";
-    escape_into(os, resp.error);
-    os << "\"";
-    if (!resp.context.empty()) {
-      os << ",\"context\":\"";
-      escape_into(os, resp.context);
-      os << "\"";
-    }
+    os << ",\"error_code\":\"" << json_escape(resp.error_code)
+       << "\",\"error\":\"" << json_escape(resp.error) << "\"";
+    if (!resp.context.empty())
+      os << ",\"context\":\"" << json_escape(resp.context) << "\"";
   }
   os << ",\"cache_hit\":" << (resp.cache_hit ? "true" : "false")
      << ",\"deduped\":" << (resp.deduped ? "true" : "false");

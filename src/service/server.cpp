@@ -61,11 +61,13 @@ ir::Program build_app(const std::string& name, linalg::Int size, int steps) {
   if (name == "crash")
     // Deliberate non-dct exception: exercises the kFault crash boundary.
     throw std::runtime_error("injected crash (app \"crash\")");
-  DCT_CHECK(size >= 4 && size <= 1024,
-            strf("app size %lld out of range [4, 1024]",
-                 static_cast<long long>(size)));
-  DCT_CHECK(steps >= 1 && steps <= 64,
-            strf("app steps %d out of range [1, 64]", steps));
+  if (size < 4 || size > 1024)
+    throw Error(Error::Code::kInvalidArgument,
+                strf("app size %lld out of range [4, 1024]",
+                     static_cast<long long>(size)));
+  if (steps < 1 || steps > 64)
+    throw Error(Error::Code::kInvalidArgument,
+                strf("app steps %d out of range [1, 64]", steps));
   if (name == "figure1") return apps::figure1(size, steps);
   if (name == "vpenta") return apps::vpenta(size);
   if (name == "lu") return apps::lu(size);
@@ -224,10 +226,12 @@ Response Server::process(Item& item) {
           .count();
 
   double compile_ms = 0, exec_ms = 0;
+  Error::Code code = Error::Code::kGeneric;  // of a failed request
   try {
     item.cancel.check("dctd queue wait");
-    DCT_CHECK(req.procs >= 1 && req.procs <= 64,
-              strf("procs %d out of range [1, 64]", req.procs));
+    if (req.procs < 1 || req.procs > 64)
+      throw Error(Error::Code::kInvalidArgument,
+                  strf("procs %d out of range [1, 64]", req.procs));
 
     const ir::Program prog = build_app(req.app, req.size, req.steps);
     core::CompileOptions copts = opts_.compile;
@@ -304,21 +308,19 @@ Response Server::process(Item& item) {
     resp.ok = true;
   } catch (const Error& e) {
     // Crash boundary tier 1: structured dct errors pass through verbatim.
-    resp.ok = false;
-    resp.error_code = to_string(e.code());
+    code = e.code();
     resp.error = e.what();
     resp.context = join_context(e);
   } catch (const std::exception& e) {
     // Tier 2: foreign exceptions become kFault — the request failed but
     // the worker (and every other queued request) is unaffected.
-    resp.ok = false;
-    resp.error_code = to_string(Error::Code::kFault);
+    code = Error::Code::kFault;
     resp.error = e.what();
   } catch (...) {
-    resp.ok = false;
-    resp.error_code = to_string(Error::Code::kFault);
+    code = Error::Code::kFault;
     resp.error = "unknown exception";
   }
+  if (!resp.ok) resp.error_code = to_string(code);
 
   resp.compile_ms = compile_ms;
   resp.exec_ms = exec_ms;
@@ -329,12 +331,6 @@ Response Server::process(Item& item) {
   sample.compile_us = resp.compile_ms * 1000.0;
   sample.exec_us = resp.exec_ms * 1000.0;
   sample.total_us = resp.total_ms * 1000.0;
-  Error::Code code = Error::Code::kGeneric;
-  if (!resp.ok) {
-    for (int c = 0; c <= static_cast<int>(Error::Code::kFault); ++c)
-      if (resp.error_code == to_string(static_cast<Error::Code>(c)))
-        code = static_cast<Error::Code>(c);
-  }
   metrics_.on_completed(sample, resp.ok, code);
   return resp;
 }

@@ -169,7 +169,7 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
           }
         };
         for (const ir::ArrayRef& r : stmt.reads) check_ref(r);
-        if (stmt.write) check_ref(*stmt.write);
+        check_ref(stmt.write);
       }
     }
   }
@@ -405,13 +405,13 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
         const Int v = rng.uniform(0, d.extent - 1);
         const int c = part.fold(static_cast<int>(k), v);
         ++rep.checks;
-        if (c < 0 || c >= d.procs) {
+        if (c < 0 || c >= d.fold.procs) {
           add_violation(
               rep, strf("%s dim %d: partition fold(%lld) = %d outside "
                         "[0, %d)",
                         cp.program.arrays[a].name.c_str(),
                         static_cast<int>(k), static_cast<long long>(v), c,
-                        d.procs));
+                        d.fold.procs));
           break;
         }
       }

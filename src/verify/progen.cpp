@@ -167,7 +167,7 @@ void count_strip_slices(const core::CompiledProgram& cp,
       for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
         if (cs.depth < d) continue;
         for (const core::CompiledRef& ref : cs.reads) note(ref);
-        if (cs.write) note(*cs.write);
+        note(cs.write);
       }
       // DistKind order: Serial, Block, Cyclic, BlockCyclic.
       if (strips) ++cov.strip_slices[static_cast<int>(r.fold.kind) - 1];

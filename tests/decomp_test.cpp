@@ -240,9 +240,8 @@ TEST(Decompose, EquationOneHolds) {
           g[static_cast<size_t>(pd)] = iter[l];
       }
       for (const ir::Stmt& s : nest.stmts) {
-        if (!s.write) continue;
-        const auto idx = s.write->index(iter);
-        const auto dx = data_coords(d, s.write->array, idx);
+        const auto idx = s.write.index(iter);
+        const auto dx = data_coords(d, s.write.array, idx);
         if (!dx.has_value()) continue;
         for (int p = 0; p < d.num_proc_dims; ++p) {
           if ((*dx)[static_cast<size_t>(p)] < 0 ||

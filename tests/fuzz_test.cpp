@@ -46,7 +46,7 @@ TEST(Fuzz, GeneratedProgramsAreInBounds) {
             }
           };
           for (const ir::ArrayRef& r : stmt.reads) check_ref(r);
-          if (stmt.write) check_ref(*stmt.write);
+          check_ref(stmt.write);
         }
       });
     }

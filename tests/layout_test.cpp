@@ -226,8 +226,9 @@ TEST(Layout, OwnersContiguousProperty) {
     ad.dims[static_cast<size_t>(which)] = DimDistribution{kind, 0, 0};
     const int p = static_cast<int>(rng.uniform(2, 4));
     const int grid[] = {p};
+    const int stride[] = {1};
     const Layout l = derive_layout(decl, ad, grid);
-    const Partition part = make_partition(decl, ad, grid, 1);
+    const Partition part = make_partition(decl, ad, grid, stride, 1);
     std::vector<std::set<Int>> per_proc(static_cast<size_t>(p));
     for (Int i = 0; i < d0; ++i)
       for (Int j = 0; j < d1; ++j) {
@@ -257,12 +258,14 @@ TEST(Partition, Folding) {
   ad.dims = {DimDistribution{DistKind::Cyclic, 0, 0},
              DimDistribution{DistKind::Block, 1, 0}};
   const int grid[] = {4, 2};
-  const Partition part = make_partition(decl, ad, grid, 2);
+  const int stride[] = {1, 4};  // one clique: rank = c0 + 4 * c1
+  const Partition part = make_partition(decl, ad, grid, stride, 2);
   EXPECT_EQ(part.fold(0, 5), 1);   // cyclic: 5 mod 4
   EXPECT_EQ(part.fold(1, 7), 0);   // block of 8: 7 / 8
   EXPECT_EQ(part.fold(1, 8), 1);
   const auto owner = part.owner(std::vector<Int>{6, 9});
   EXPECT_EQ(owner, (std::vector<int>{2, 1}));
+  EXPECT_EQ(part.rank(std::vector<Int>{6, 9}), 2 + 4 * 1);
 }
 
 TEST(AddressOverhead, StrategyOrdering) {

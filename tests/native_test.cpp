@@ -423,7 +423,7 @@ TEST(Native, RunLoopsKeepInstanceOrder) {
                                   std::to_string(threads);
         const auto cp = core::compile(prog, mode, threads);
         // I stays innermost: the dependences lie inside each run.
-        ASSERT_EQ(cp.nests[0].stmts[0].write->coeffs[1], 1) << label;
+        ASSERT_EQ(cp.nests[0].stmts[0].write.coeffs[1], 1) << label;
         NativeOptions opts;
         opts.threads = threads;
         const NativeResult r = run_native(cp, opts);
@@ -452,12 +452,6 @@ TEST(Native, RunLoopFallbacksMatchReference) {
       EXPECT_EQ(r.run_instances, 0) << label;
   };
 
-  // A write without an evaluator stores nothing: the nest's pieces stay
-  // per instance.
-  const ir::Program no_eval = order_program("no_eval", 0, 23, [&](int a, int b) {
-    return std::vector{assign(at(a, 0), {at(b, 0)}, {}),
-                       assign(at(b, 0), {at(b, 0), at(a, 0)}, plus)};
-  });
   // More reads than a run loop holds.
   const ir::Program wide = order_program("wide", 0, 23, [](int a, int b) {
     std::vector<ir::ArrayRef> reads;
@@ -481,9 +475,7 @@ TEST(Native, RunLoopFallbacksMatchReference) {
     const std::string t = "/t" + std::to_string(threads);
     for (Mode mode : {Mode::Base, Mode::Full}) {
       const std::string m = "/" + core::to_string(mode) + t;
-      auto cp = core::compile(no_eval, mode, threads);
-      check("no eval" + m, no_eval, cp, plan_program(cp), false);
-      cp = core::compile(wide, mode, threads);
+      const auto cp = core::compile(wide, mode, threads);
       check("wide" + m, wide, cp, plan_program(cp), false);
     }
     // A layout the walkers cannot step (strips that do not divide their

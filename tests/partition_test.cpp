@@ -1,12 +1,12 @@
 // Property tests for Partition::fold — the array-element ownership map —
 // and regression tests for Layout::linearize bounds checking.
 //
-// Partition::fold must use Euclidean (floored) division semantics like
-// CoordFold::fold: with C++ truncating / and %, negative indices produce
-// a negative Block "owner" (aliasing the -1 unbound marker) and mis-wrap
-// CYCLIC/BLOCK-CYCLIC coordinates. The references here are brute-force
-// restatements of the distribution definitions, mirroring
-// coordfold_test.cpp.
+// Partition::fold delegates to its dimension's CoordFold, whose Euclidean
+// (floored) division semantics it must keep: with C++ truncating / and %,
+// negative indices produce a negative Block "owner" (aliasing the -1
+// unbound marker) and mis-wrap CYCLIC/BLOCK-CYCLIC coordinates. The
+// references here are brute-force restatements of the distribution
+// definitions, mirroring coordfold_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 namespace dct::layout {
 namespace {
 
+using decomp::CoordFold;
 using decomp::DistKind;
 
 // BLOCK: processor p owns [p*block, (p+1)*block); out-of-range
@@ -53,22 +54,23 @@ Partition one_dim(DistKind kind, int procs, Int extent, Int block) {
   Partition part;
   part.num_proc_dims = 1;
   Partition::Dim d;
-  d.kind = kind;
   d.proc_dim = 0;
   d.extent = extent;
-  d.procs = procs;
-  d.block = block;
+  d.fold.kind = kind;
+  d.fold.procs = procs;
+  d.fold.block = block;
   part.dims.push_back(d);
   return part;
 }
 
 int reference(const Partition::Dim& d, Int idx) {
-  switch (d.kind) {
+  const CoordFold& f = d.fold;
+  switch (f.kind) {
     case DistKind::Serial: return -1;
-    case DistKind::Block: return block_ref(idx, d.procs, d.block);
-    case DistKind::Cyclic: return cyclic_ref(idx, d.procs);
+    case DistKind::Block: return block_ref(idx, f.procs, f.block);
+    case DistKind::Cyclic: return cyclic_ref(idx, f.procs);
     case DistKind::BlockCyclic:
-      return block_cyclic_ref(idx, d.procs, d.block);
+      return block_cyclic_ref(idx, f.procs, f.block);
   }
   return -1;
 }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 
 #include "apps/apps.hpp"
@@ -18,7 +19,9 @@
 #include "decomp/decomposition.hpp"
 #include "runtime/executor.hpp"
 #include "support/remark.hpp"
+#include "support/str.hpp"
 #include "verify/oracle.hpp"
+#include "verify/progen.hpp"
 
 namespace dct {
 namespace {
@@ -139,6 +142,113 @@ TEST(Pipeline, StageFailureNamesTheStage) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Error::Code::kOracleViolation) << e.what();
   }
+}
+
+TEST(Pipeline, StatementWithoutEvaluatorRejected) {
+  // Every statement is an assignment, write = eval(reads): a statement
+  // without an evaluator is refused by compile's lower stage and by the
+  // reference interpreter, naming the nest and the statement.
+  ir::Program prog = apps::stencil5(18, 2);
+  ir::LoopNest& nest = prog.nests.back();
+  ASSERT_FALSE(nest.stmts.empty());
+  nest.stmts.back().eval = {};
+  const std::string where = strf("nest %s statement %zu", nest.name.c_str(),
+                                 nest.stmts.size() - 1);
+  const auto expect_rejected = [&](const std::string& what,
+                                   const std::function<void()>& run,
+                                   const char* context) {
+    SCOPED_TRACE(what);
+    try {
+      run();
+      ADD_FAILURE() << "expected kInvalidArgument";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Error::Code::kInvalidArgument) << e.what();
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+      if (context != nullptr) {
+        ASSERT_FALSE(e.context().empty());
+        EXPECT_EQ(e.context().front(), context);
+      }
+    }
+  };
+  for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+    expect_rejected(
+        core::to_string(mode), [&] { core::compile(prog, mode, 4); },
+        "pass lower");
+    expect_rejected(
+        core::to_string(mode) + " supplied",
+        [&] {
+          core::compile_with_decomposition(prog, decomp::decompose(prog), mode,
+                                           4);
+        },
+        "pass lower");
+  }
+  expect_rejected("reference", [&] { runtime::run_reference(prog); },
+                  nullptr);
+}
+
+/// The virtual processor dimensions `lower` binds an owner loop to for
+/// statement s of nest j, in the order of CompiledStmt::owner.
+std::vector<int> bound_dims(const core::CompiledProgram& cp, size_t j,
+                            size_t s) {
+  const decomp::NestDecomposition& nd = cp.dec.nests[j];
+  std::vector<int> dims;
+  for (int pd = 0; pd < cp.dec.num_proc_dims; ++pd) {
+    int loop = -1;
+    if (s < nd.stmts.size() &&
+        pd < static_cast<int>(nd.stmts[s].loop_for_dim.size()))
+      loop = nd.stmts[s].loop_for_dim[static_cast<size_t>(pd)];
+    for (size_t l = 0; loop < 0 && l < nd.loops.size(); ++l)
+      if (nd.loops[l].proc_dim == pd) loop = static_cast<int>(l);
+    if (loop >= 0) dims.push_back(pd);
+  }
+  return dims;
+}
+
+TEST(Pipeline, PartitionFoldsAreLoweredFolds) {
+  // One fold per virtual processor dimension: every array dimension bound
+  // to dimension pd folds its elements exactly as the lowered schedule
+  // folds the iterations it binds to pd.
+  long compared = 0;
+  const auto check = [&](const core::CompiledProgram& cp) {
+    std::map<int, core::CoordFold> fold_of;
+    for (size_t a = 0; a < cp.arrays.size(); ++a)
+      for (const layout::Partition::Dim& d : cp.arrays[a].part.dims) {
+        if (d.proc_dim < 0) continue;
+        const auto [it, fresh] = fold_of.emplace(d.proc_dim, d.fold);
+        EXPECT_EQ(it->second, d.fold)
+            << cp.program.arrays[a].name << " p" << d.proc_dim;
+      }
+    for (size_t j = 0; j < cp.nests.size(); ++j)
+      for (size_t s = 0; s < cp.nests[j].stmts.size(); ++s) {
+        const auto& owner = cp.nests[j].stmts[s].owner;
+        const std::vector<int> dims = bound_dims(cp, j, s);
+        ASSERT_EQ(owner.size(), dims.size()) << "nest " << j << " stmt " << s;
+        for (size_t k = 0; k < dims.size(); ++k) {
+          const auto it = fold_of.find(dims[k]);
+          if (it == fold_of.end()) continue;  // no array binds it
+          EXPECT_EQ(owner[k].second, it->second)
+              << "nest " << j << " stmt " << s << " p" << dims[k];
+          ++compared;
+        }
+      }
+  };
+  for (const ir::Program& prog :
+       {apps::figure1(20), apps::lu(16), apps::stencil5(18), apps::adi(14),
+        apps::vpenta(12), apps::erlebacher(10), apps::swm256(14),
+        apps::tomcatv(14)}) {
+    const decomp::ProgramDecomposition dec = decomp::decompose(prog);
+    for (int procs : {4, 6, 32}) {
+      SCOPED_TRACE(prog.name + " P=" + std::to_string(procs));
+      for (Mode mode : {Mode::CompDecomp, Mode::Full})
+        check(core::compile(prog, mode, procs));
+      for (decomp::DistKind kind :
+           {decomp::DistKind::Cyclic, decomp::DistKind::BlockCyclic})
+        check(core::compile_with_decomposition(
+            prog, verify::refold(dec, kind), Mode::Full, procs));
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 TEST(Pipeline, TraceRecordsEveryPass) {

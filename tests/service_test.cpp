@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -212,6 +213,29 @@ TEST(Server, EnginesAgreeOnValues) {
   EXPECT_EQ(sim.values_hash, nat.values_hash);
 }
 
+TEST(Server, OutOfRangeFieldsAreInvalidArgument) {
+  // size, steps and procs outside their documented ranges are the
+  // caller's error, not an internal one.
+  Server server(small_server());
+  const auto with = [](const std::function<void(Request&)>& set) {
+    Request r = req("lu");
+    set(r);
+    return r;
+  };
+  for (const Request& r :
+       {with([](Request& x) { x.size = 3; }),
+        with([](Request& x) { x.size = 1025; }),
+        with([](Request& x) { x.steps = 0; }),
+        with([](Request& x) { x.steps = 65; }),
+        with([](Request& x) { x.procs = 0; })}) {
+    const Response resp = server.call(r);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.error_code, to_string(Error::Code::kInvalidArgument))
+        << resp.error;
+  }
+  EXPECT_EQ(server.metrics().errors(), 5);
+}
+
 TEST(Server, FaultIsolation) {
   // A crashing request, a malformed request and a deadline trip must each
   // produce a structured error while healthy requests keep flowing.
@@ -242,7 +266,7 @@ TEST(Server, FaultIsolation) {
 
   const Response procs = futs[3].get();
   EXPECT_FALSE(procs.ok);
-  EXPECT_EQ(procs.error_code, to_string(Error::Code::kGeneric));
+  EXPECT_EQ(procs.error_code, to_string(Error::Code::kInvalidArgument));
 
   for (size_t i = 4; i < futs.size(); ++i) {
     const Response r = futs[i].get();

@@ -22,7 +22,7 @@ std::multiset<std::pair<int, Vec>> touches(const LoopNest& nest) {
   for_each_iteration(nest, [&](std::span<const Int> it) {
     for (const Stmt& s : nest.stmts) {
       for (const ArrayRef& r : s.reads) out.insert({r.array, r.index(it)});
-      if (s.write) out.insert({s.write->array, s.write->index(it)});
+      out.insert({s.write.array, s.write.index(it)});
     }
   });
   return out;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the dctd service binary (run by the CI
-# service-smoke job and usable locally):
+# End-to-end smoke test for the dctd service binary (ctest runs it as
+# dctd.smoke; CI also runs it on the TSan build):
 #
 #   tools/smoke_dctd.sh [path-to-dctd]
 #
