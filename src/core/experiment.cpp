@@ -118,6 +118,8 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
         last = e;
       } catch (const std::exception& e) {
         last = Error(Error::Code::kFault, e.what());
+      } catch (...) {
+        last = Error(Error::Code::kFault, "unknown exception");
       }
       if (last && !retryable(last->code())) break;
     }
@@ -136,12 +138,14 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
     cell.fail.skipped = last->code() == Error::Code::kUnsupportedConfig;
   };
 
-  const support::ParallelOutcome po = support::parallel_for_collect(
+  // run_cell is the crash boundary: it catches every exception, so this
+  // never throws.
+  const std::vector<char> started = support::parallel_for(
       static_cast<int>(tasks.size()), opts.threads, run_cell, cancel);
 
   for (size_t i = 0; i < tasks.size(); ++i) {
     CellOutcome& cell = cells[i];
-    if (!po.started[i]) {
+    if (!started[i]) {
       // The deadline tripped before this cell was dispatched.
       cell.has_failure = true;
       cell.fail.mode = tasks[i].mode;
@@ -153,19 +157,6 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
       cell.fail.repro = strf("%s mode=%s procs=%d", prog.name.c_str(),
                              to_string(tasks[i].mode).c_str(),
                              tasks[i].procs);
-    } else if (po.errors[i]) {
-      // run_cell has its own crash boundary, so this is unreachable in
-      // practice — but a record beats losing the error.
-      try {
-        std::rethrow_exception(po.errors[i]);
-      } catch (const std::exception& e) {
-        cell.has_failure = true;
-        cell.ok = false;
-        cell.fail.mode = tasks[i].mode;
-        cell.fail.procs = tasks[i].procs;
-        cell.fail.code = Error::Code::kFault;
-        cell.fail.what = e.what();
-      }
     }
   }
 

@@ -347,7 +347,7 @@ std::vector<std::vector<Dir>> canonical_vectors(int len) {
 /// Vectors are length-d (extended with EQ past the common loops) and
 /// canonicalized for uniformly generated full-depth pairs. All-EQ
 /// (loop-independent) vectors are reported only when
-/// `keep_loop_independent`; callers drop them for nest-level summaries.
+/// `keep_loop_independent` (pairs of distinct statements).
 template <typename Add>
 void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
                       const std::vector<std::vector<std::vector<Dir>>>& canon,
@@ -394,55 +394,22 @@ void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
   }
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Nest-level analysis
 // ---------------------------------------------------------------------------
 
-NestDeps analyze(const LoopNest& nest) {
-  NestDeps out;
-  const int d = nest.depth();
-  out.carried.assign(static_cast<size_t>(d), false);
-  const Hull hull = iteration_hull(nest);
-  if (hull.empty || d == 0) return out;
-
-  // Collect (ref, is_write, stmt depth) tuples.
-  std::vector<Access> accesses;
-  for (const ir::Stmt& s : nest.stmts) {
-    const int sd = s.effective_depth(d);
-    for (const ArrayRef& r : s.reads) accesses.push_back({&r, false, sd});
-    accesses.push_back({&s.write, true, sd});
-  }
-
-  auto add_vector = [&](DepVector v) {
-    if (std::find(out.vectors.begin(), out.vectors.end(), v) ==
-        out.vectors.end())
-      out.vectors.push_back(std::move(v));
-  };
-
-  std::vector<std::vector<std::vector<Dir>>> canon_by_len(
-      static_cast<size_t>(d) + 1);
-  for (int len = 0; len <= d; ++len)
-    canon_by_len[static_cast<size_t>(len)] = canonical_vectors(len);
-
-  for (const Access& a1 : accesses)
-    for (const Access& a2 : accesses)
-      vectors_for_pair(nest, hull, d, canon_by_len, a1, a2,
-                       /*keep_loop_independent=*/false, add_vector);
-
-  for (const DepVector& v : out.vectors) {
-    const int l = v.carrier_level();
-    if (l >= 0) out.carried[static_cast<size_t>(l)] = true;
-  }
-  return out;
-}
-
-std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
-  std::vector<PairDeps> out;
+/// The one access-pair enumeration behind analyze_pairs and analyze:
+/// add(si, sj, v) for each vector of each ordered statement pair, source
+/// statement outermost. Loop-independent vectors between distinct
+/// statements are tested only when `keep_loop_independent`: analyze would
+/// drop them, and skipping their tests changes no other vector, nor the
+/// order of the rest.
+template <typename Add>
+void for_each_pair_vector(const LoopNest& nest, bool keep_loop_independent,
+                          Add&& add) {
   const int d = nest.depth();
   const Hull hull = iteration_hull(nest);
-  if (hull.empty || d == 0) return out;
+  if (hull.empty || d == 0) return;
 
   const int nstmts = static_cast<int>(nest.stmts.size());
   std::vector<std::vector<Access>> by_stmt(static_cast<size_t>(nstmts));
@@ -459,26 +426,55 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
   for (int len = 0; len <= d; ++len)
     canon_by_len[static_cast<size_t>(len)] = canonical_vectors(len);
 
-  for (int si = 0; si < nstmts; ++si) {
+  for (int si = 0; si < nstmts; ++si)
     for (int sj = 0; sj < nstmts; ++sj) {
-      PairDeps pd;
-      pd.src_stmt = si;
-      pd.dst_stmt = sj;
-      auto add = [&](DepVector v) {
-        if (std::find(pd.vectors.begin(), pd.vectors.end(), v) ==
-            pd.vectors.end())
-          pd.vectors.push_back(std::move(v));
-      };
       // A statement instance executes atomically, so a same-iteration
       // "dependence" of a statement on itself orders nothing.
-      const bool keep_li = si != sj;
+      const bool keep_li = keep_loop_independent && si != sj;
       for (const Access& a1 : by_stmt[static_cast<size_t>(si)])
         for (const Access& a2 : by_stmt[static_cast<size_t>(sj)])
-          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, keep_li, add);
-      if (!pd.vectors.empty()) out.push_back(std::move(pd));
+          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, keep_li,
+                           [&](DepVector v) { add(si, sj, std::move(v)); });
     }
-  }
+}
+
+/// Append `v` unless `vs` already holds it.
+void add_unique(std::vector<DepVector>& vs, DepVector v) {
+  if (std::find(vs.begin(), vs.end(), v) == vs.end())
+    vs.push_back(std::move(v));
+}
+
+}  // namespace
+
+std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
+  std::vector<PairDeps> out;
+  for_each_pair_vector(nest, /*keep_loop_independent=*/true,
+                       [&](int si, int sj, DepVector v) {
+                         if (out.empty() || out.back().src_stmt != si ||
+                             out.back().dst_stmt != sj)
+                           out.push_back({si, sj, {}});
+                         add_unique(out.back().vectors, std::move(v));
+                       });
   return out;
+}
+
+NestDeps analyze(const LoopNest& nest) {
+  NestDeps out;
+  for_each_pair_vector(nest, /*keep_loop_independent=*/false,
+                       [&](int, int, DepVector v) {
+                         add_unique(out.vectors, std::move(v));
+                       });
+  return out;
+}
+
+std::vector<bool> carried_levels(const std::vector<DepVector>& vectors,
+                                 int depth) {
+  std::vector<bool> carried(static_cast<size_t>(depth), false);
+  for (const DepVector& v : vectors) {
+    const int l = v.carrier_level();
+    if (l >= 0) carried[static_cast<size_t>(l)] = true;
+  }
+  return carried;
 }
 
 bool NestDeps::pipelinable(int level) const {
@@ -503,17 +499,12 @@ std::vector<bool> carried_levels_bruteforce(const LoopNest& nest) {
     int depth;
   };
   std::map<std::pair<int, Vec>, std::vector<Touch>> touches;
-  ir::for_each_iteration(nest, [&](std::span<const Int> iter) {
+  ir::for_each_iteration(nest, [&](std::span<const Int> iter,
+                                   std::span<const Int> lower) {
     Vec it(iter.begin(), iter.end());
     for (const ir::Stmt& s : nest.stmts) {
+      if (!s.fires(iter, lower)) continue;
       const int sd = s.effective_depth(d);
-      // A depth-sd statement executes only when all deeper loops are at
-      // their first iteration.
-      bool first = true;
-      for (int k = sd; k < d && first; ++k)
-        first = iter[static_cast<size_t>(k)] ==
-                nest.loops[static_cast<size_t>(k)].lower_bound(iter);
-      if (!first) continue;
       for (const ArrayRef& r : s.reads)
         touches[{r.array, r.index(iter)}].push_back({it, false, sd});
       touches[{s.write.array, s.write.index(iter)}].push_back({it, true, sd});

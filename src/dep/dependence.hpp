@@ -2,9 +2,12 @@
 //
 // Computes the set of dependence vectors of a nest (exact distance vectors
 // for uniformly generated reference pairs, conservative direction vectors
-// via hierarchical Banerjee + GCD testing otherwise) and the loops that
-// carry a dependence. This powers both the unimodular parallelization
-// preprocessing (paper §3.2 step 1) and the pipelining decision (§6.2.4).
+// via hierarchical Banerjee + GCD testing otherwise) once per ordered
+// statement pair (analyze_pairs). Everything else is a fold of that one
+// result: the nest summary (analyze) that drives the unimodular
+// parallelization preprocessing (paper §3.2 step 1) and the pipelining
+// decision (§6.2.4), the loops that carry a dependence (carried_levels),
+// and the native backend's per-nest synchronization.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +45,30 @@ struct Hull {
 };
 Hull iteration_hull(const ir::LoopNest& nest);
 
-/// Full dependence summary of one nest.
+/// Dependence vectors between one ordered statement pair of a nest.
+/// The vectors keep their statement attribution and include
+/// loop-independent (all-EQ) vectors between distinct statements — the
+/// information a scheduler needs to decide whether two statements may run
+/// on different processors within the same iteration. Self-pairs
+/// (src == dst) report carried vectors only: a statement instance executes
+/// atomically.
+struct PairDeps {
+  int src_stmt = 0;  ///< index into nest.stmts
+  int dst_stmt = 0;
+  std::vector<DepVector> vectors;  ///< deduplicated, never empty
+};
+
+/// The one dependence analysis: every ordered statement pair with at least
+/// one vector, source statement outermost, then destination statement.
+std::vector<PairDeps> analyze_pairs(const ir::LoopNest& nest);
+
+/// Nest-level summary of analyze_pairs: the union of every pair's vectors,
+/// loop-independent ones dropped (analyze does not test them) and
+/// duplicates removed.
 struct NestDeps {
-  std::vector<DepVector> vectors;  ///< deduplicated
-  std::vector<bool> carried;       ///< per level: some vector carried here
+  /// In order of first appearance in analyze_pairs (pairs in its order,
+  /// each pair's vectors in theirs).
+  std::vector<DepVector> vectors;
 
   /// A level is pipelinable if every vector it carries has an exact,
   /// constant positive distance at that level (doacross with point-to-point
@@ -55,20 +78,9 @@ struct NestDeps {
 
 NestDeps analyze(const ir::LoopNest& nest);
 
-/// Dependence vectors between one ordered statement pair of a nest.
-/// Unlike NestDeps, the vectors keep their statement attribution and
-/// include loop-independent (all-EQ) vectors between distinct statements —
-/// the information a scheduler needs to decide whether two statements may
-/// run on different processors within the same iteration. Self-pairs
-/// (src == dst) report carried vectors only: a statement instance executes
-/// atomically.
-struct PairDeps {
-  int src_stmt = 0;  ///< index into nest.stmts
-  int dst_stmt = 0;
-  std::vector<DepVector> vectors;  ///< deduplicated, never empty
-};
-
-std::vector<PairDeps> analyze_pairs(const ir::LoopNest& nest);
+/// Per level of a depth-`depth` nest: some vector is carried there.
+std::vector<bool> carried_levels(const std::vector<DepVector>& vectors,
+                                 int depth);
 
 /// Brute-force oracle for tests: enumerate all iteration pairs of a small
 /// nest and report the exact set of carried levels.

@@ -76,16 +76,6 @@ std::optional<std::vector<DepVector>> transform_vectors(
   return out;
 }
 
-std::vector<bool> parallel_levels(const std::vector<DepVector>& vectors,
-                                  int d) {
-  std::vector<bool> par(static_cast<size_t>(d), true);
-  for (const DepVector& v : vectors) {
-    const int l = v.carrier_level();
-    if (l >= 0) par[static_cast<size_t>(l)] = false;
-  }
-  return par;
-}
-
 /// Tie-break score: number of references whose fastest-varying (first,
 /// column-major) array dimension is indexed by the innermost loop with
 /// unit coefficient — i.e. stride-1 spatial locality in the inner loop.
@@ -155,7 +145,8 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
     Candidate c;
     c.u = u;
     c.vectors = std::move(*tv);
-    c.parallel = parallel_levels(c.vectors, d);
+    c.parallel = carried_levels(c.vectors, d);
+    c.parallel.flip();
     while (c.outer_parallel < d &&
            c.parallel[static_cast<size_t>(c.outer_parallel)])
       ++c.outer_parallel;
@@ -191,12 +182,8 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   // Computing stride-1 scores requires the transformed nest; only compute
   // it for candidates that survive the primary criteria.
   int best_outer = -1, best_total = -1;
-  for (const Candidate& c : candidates) {
+  for (const Candidate& c : candidates)
     best_outer = std::max(best_outer, c.outer_parallel);
-    if (c.outer_parallel == best_outer)
-      best_total = std::max(best_total, c.total_parallel);
-  }
-  best_total = -1;
   for (const Candidate& c : candidates)
     if (c.outer_parallel == best_outer)
       best_total = std::max(best_total, c.total_parallel);
@@ -224,11 +211,6 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   out.nest = std::move(best_nest);
   out.transform = best->u;
   out.deps.vectors = best->vectors;
-  out.deps.carried.assign(static_cast<size_t>(d), false);
-  for (const DepVector& v : out.deps.vectors) {
-    const int l = v.carrier_level();
-    if (l >= 0) out.deps.carried[static_cast<size_t>(l)] = true;
-  }
   out.parallel = best->parallel;
   if (rs != nullptr) {
     rs->count("legal_candidates", static_cast<long>(candidates.size()));

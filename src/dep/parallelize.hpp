@@ -15,7 +15,9 @@ struct ParallelizedNest {
   ir::LoopNest nest;            ///< the transformed nest
   linalg::IntMatrix transform;  ///< j = transform * i
   NestDeps deps;                ///< dependences of the transformed nest
-  std::vector<bool> parallel;   ///< per level: carries no dependence (DOALL)
+  /// Per level: carries no dependence (DOALL), the complement of
+  /// carried_levels(deps.vectors, depth).
+  std::vector<bool> parallel;
 };
 
 /// Search permutations (and, when no permutation exposes parallelism and

@@ -158,35 +158,6 @@ int Program::array_id(const std::string& name) const {
   return -1;
 }
 
-void for_each_iteration(const LoopNest& nest,
-                        const std::function<void(std::span<const Int>)>& fn) {
-  const int depth = nest.depth();
-  if (depth == 0) return;
-  Vec iter(static_cast<size_t>(depth), 0);
-  // Recursive walk flattened into an explicit loop over levels.
-  int level = 0;
-  std::vector<Int> upper(static_cast<size_t>(depth));
-  iter[0] = nest.loops[0].lower_bound(iter);
-  upper[0] = nest.loops[0].upper_bound(iter);
-  while (level >= 0) {
-    if (iter[static_cast<size_t>(level)] > upper[static_cast<size_t>(level)]) {
-      --level;
-      if (level >= 0) ++iter[static_cast<size_t>(level)];
-      continue;
-    }
-    if (level == depth - 1) {
-      fn(std::span<const Int>(iter));
-      ++iter[static_cast<size_t>(level)];
-    } else {
-      ++level;
-      iter[static_cast<size_t>(level)] =
-          nest.loops[static_cast<size_t>(level)].lower_bound(iter);
-      upper[static_cast<size_t>(level)] =
-          nest.loops[static_cast<size_t>(level)].upper_bound(iter);
-    }
-  }
-}
-
 std::string Program::to_string() const {
   std::ostringstream os;
   os << "program " << name << " (time_steps=" << time_steps << ")\n";

@@ -13,7 +13,6 @@
 // transform must preserve program semantics).
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,6 +95,17 @@ struct Stmt {
   int effective_depth(int nest_depth) const {
     return depth < 0 ? nest_depth : depth;
   }
+
+  /// The imperfect-nest firing rule at one iteration of a
+  /// for_each_iteration walk: the statement executes when every loop
+  /// deeper than its depth sits at its lower bound.
+  bool fires(std::span<const Int> iter, std::span<const Int> lower) const {
+    const int d = static_cast<int>(iter.size());
+    for (int k = effective_depth(d); k < d; ++k)
+      if (iter[static_cast<size_t>(k)] != lower[static_cast<size_t>(k)])
+        return false;
+    return true;
+  }
 };
 
 /// One affine bound: expr / divisor, rounded up (lower bounds) or down
@@ -154,9 +164,46 @@ struct Program {
 void require_evaluators(const Program& prog);
 
 /// Walk every iteration of `nest` in original (lexicographic) order,
-/// invoking fn(iter). Used by reference executors and dependence tests.
-void for_each_iteration(const LoopNest& nest,
-                        const std::function<void(std::span<const Int>)>& fn);
+/// invoking fn(iter, lower), where lower[k] is loop k's lower bound for
+/// the current outer prefix (Stmt::fires applies it). Each bound is
+/// computed once per entry into its loop, not once per iteration. The one
+/// nest walk of the reference executor and the dependence tests; the
+/// traversal kernel keeps its own, so the reference stays independent.
+template <typename Fn>
+void for_each_iteration(const LoopNest& nest, Fn&& fn) {
+  const size_t depth = nest.loops.size();
+  if (depth == 0) return;
+  std::vector<Int> iter(depth), lower(depth), upper(depth);
+  size_t level = 0;
+  iter[0] = lower[0] = nest.loops[0].lower_bound(iter);
+  upper[0] = nest.loops[0].upper_bound(iter);
+  for (;;) {
+    if (iter[level] > upper[level]) {
+      if (level == 0) return;
+      ++iter[--level];
+    } else if (level + 1 == depth) {
+      fn(std::span<const Int>(iter), std::span<const Int>(lower));
+      ++iter[level];
+    } else {
+      const Loop& lp = nest.loops[++level];
+      iter[level] = lower[level] = lp.lower_bound(iter);
+      upper[level] = lp.upper_bound(iter);
+    }
+  }
+}
+
+/// Walk an array's index space in column-major (linear) order:
+/// fn(idx, linear index). Calls nothing for an empty array.
+template <typename Fn>
+void for_each_element(const ArrayDecl& decl, Fn&& fn) {
+  const Int n = decl.elem_count();
+  std::vector<Int> idx(decl.dims.size(), 0);
+  for (Int linear = 0; linear < n; ++linear) {
+    fn(std::span<const Int>(idx), linear);
+    for (size_t k = 0; k < idx.size() && ++idx[k] == decl.dims[k]; ++k)
+      idx[k] = 0;
+  }
+}
 
 /// Fluent builder used by the application kernels.
 class ProgramBuilder {

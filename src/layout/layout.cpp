@@ -280,18 +280,14 @@ int Partition::fold(int k, Int idx) const {
   return f.kind == decomp::DistKind::Serial ? -1 : f.fold(idx);
 }
 
-std::vector<int> Partition::owner(std::span<const Int> index) const {
-  std::vector<int> out(static_cast<size_t>(num_proc_dims), -1);
-  for (size_t k = 0; k < dims.size() && k < index.size(); ++k) {
-    if (dims[k].proc_dim < 0) continue;
-    out[static_cast<size_t>(dims[k].proc_dim)] =
-        fold(static_cast<int>(k), index[k]);
-  }
-  return out;
-}
-
 int Partition::rank(std::span<const Int> index) const {
-  std::vector<int> coords = owner(index);
+  // Owner coordinate per processor dimension (-1 where unbound); a later
+  // array dimension bound to the same processor dimension overrides.
+  std::vector<int> coords(static_cast<size_t>(num_proc_dims), -1);
+  for (size_t k = 0; k < dims.size() && k < index.size(); ++k)
+    if (dims[k].proc_dim >= 0)
+      coords[static_cast<size_t>(dims[k].proc_dim)] =
+          fold(static_cast<int>(k), index[k]);
   int r = 0;
   for (const Dim& d : dims) {
     if (d.proc_dim < 0) continue;

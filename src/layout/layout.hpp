@@ -132,8 +132,6 @@ struct Partition {
 
   /// Fold one coordinate of dimension `k`; -1 when the dimension is Serial.
   int fold(int k, Int idx) const;
-  /// Owner coordinates (-1 where unbound) of a full index vector.
-  std::vector<int> owner(std::span<const Int> index) const;
   /// Processor rank of the owner: its coordinates weighted by their folds'
   /// mixed-radix strides.
   int rank(std::span<const Int> index) const;

@@ -313,10 +313,6 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
     res.run_instances += s.run_instances;
   }
   res.barriers = stats[0].barriers;
-  res.sequential_nests = plan.sequential_nests;
-  res.restricted_nests = plan.restricted_nests;
-  res.parallel_nests =
-      static_cast<int>(plan.nests.size()) - plan.sequential_nests;
   if (opts.collect_values)
     res.values = runtime::original_order(cp, [&](int a, Int lin) {
       return data[static_cast<size_t>(a)][static_cast<size_t>(lin)];

@@ -70,9 +70,6 @@ struct NativeResult {
   /// Statement instances executed through compiled run loops
   /// (ir::StmtEval::run) instead of one at a time, summed over threads.
   long long run_instances = 0;
-  int sequential_nests = 0;
-  int parallel_nests = 0;
-  int restricted_nests = 0;
 };
 
 /// Execute the compiled program on `opts.threads` hardware threads using

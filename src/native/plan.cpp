@@ -216,7 +216,6 @@ ProgramPlan plan_program(const core::CompiledProgram& cp) {
     pp.nests.push_back(plan_nest(cn, cp.procs));
     if (pp.nests.back().schedule == NestSchedule::Sequential)
       ++pp.sequential_nests;
-    if (!pp.nests.back().restrictions.empty()) ++pp.restricted_nests;
   }
   return pp;
 }

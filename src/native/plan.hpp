@@ -98,7 +98,6 @@ struct NestPlan {
 struct ProgramPlan {
   std::vector<NestPlan> nests;
   int sequential_nests = 0;
-  int restricted_nests = 0;
 };
 
 /// Classify every nest of the compiled program. Pure analysis: safe to

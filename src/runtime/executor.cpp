@@ -187,8 +187,7 @@ RunResult simulate(const CompiledProgram& cp,
     std::vector<std::pair<Int, int>> page_owner(
         distributed ? static_cast<size_t>(pages) : 0, {INT64_MAX, -1});
     if (values || distributed)
-      detail::for_each_element(decl, [&](std::span<const Int> idx,
-                                         Int linear) {
+      ir::for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
         const Int lin = ca.layout.linearize(idx);
         if (values)
           cells[a].data[static_cast<size_t>(lin)] =
@@ -293,23 +292,12 @@ std::vector<std::vector<double>> run_reference(const ir::Program& prog,
       max_reads = std::max(max_reads, s.reads.size());
   std::vector<double> vals(max_reads);
 
-  for (int step = 0; step < prog.time_steps; ++step) {
-    for (const ir::LoopNest& nest : prog.nests) {
-      const int d = nest.depth();
-      if (d == 0) continue;
-      // Explicit walk tracking the lower bound per level as it is entered:
-      // bounds above the innermost are loop-invariant per prefix, so they
-      // are computed once per level entry, not once per iteration (the
-      // same scheme as the simulator's nest walker).
-      std::vector<Int> iter(static_cast<size_t>(d)), lb(static_cast<size_t>(d)),
-          ub(static_cast<size_t>(d));
-      auto body = [&]() {
+  for (int step = 0; step < prog.time_steps; ++step)
+    for (const ir::LoopNest& nest : prog.nests)
+      ir::for_each_iteration(nest, [&](std::span<const Int> iter,
+                                       std::span<const Int> lower) {
         for (const ir::Stmt& s : nest.stmts) {
-          const int sd = s.effective_depth(d);
-          bool first = true;
-          for (int k = sd; k < d && first; ++k)
-            first = iter[static_cast<size_t>(k)] == lb[static_cast<size_t>(k)];
-          if (!first) continue;
+          if (!s.fires(iter, lower)) continue;
           size_t vi = 0;
           for (const ir::ArrayRef& r : s.reads) {
             const auto idx = r.index(iter);
@@ -322,30 +310,7 @@ std::vector<std::vector<double>> run_reference(const ir::Program& prog,
                         idx))] =
               s.eval(std::span<const double>(vals.data(), vi));
         }
-      };
-      int level = 0;
-      iter[0] = lb[0] = nest.loops[0].lower_bound(iter);
-      ub[0] = nest.loops[0].upper_bound(iter);
-      while (level >= 0) {
-        if (iter[static_cast<size_t>(level)] >
-            ub[static_cast<size_t>(level)]) {
-          --level;
-          if (level >= 0) ++iter[static_cast<size_t>(level)];
-          continue;
-        }
-        if (level == d - 1) {
-          body();
-          ++iter[static_cast<size_t>(level)];
-        } else {
-          ++level;
-          iter[static_cast<size_t>(level)] = lb[static_cast<size_t>(level)] =
-              nest.loops[static_cast<size_t>(level)].lower_bound(iter);
-          ub[static_cast<size_t>(level)] =
-              nest.loops[static_cast<size_t>(level)].upper_bound(iter);
-        }
-      }
-    }
-  }
+      });
   return data;
 }
 

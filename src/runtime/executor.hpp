@@ -108,37 +108,17 @@ std::vector<std::vector<double>> run_reference(const ir::Program& prog,
 /// so their results are bit-comparable.
 double init_value(std::uint64_t seed, int array, Int orig_linear);
 
-namespace detail {
-/// Walk an array's original index space in linear (column-major) order:
-/// fn(idx, original linear index).
-template <typename Fn>
-void for_each_element(const ir::ArrayDecl& decl, Fn&& fn) {
-  const int rank = static_cast<int>(decl.dims.size());
-  std::vector<Int> idx(static_cast<size_t>(rank), 0);
-  for (Int linear = 0;; ++linear) {
-    fn(std::span<const Int>(idx), linear);
-    int k = 0;
-    for (; k < rank; ++k) {
-      if (++idx[static_cast<size_t>(k)] < decl.dims[static_cast<size_t>(k)])
-        break;
-      idx[static_cast<size_t>(k)] = 0;
-    }
-    if (k == rank) return;
-  }
-}
-}  // namespace detail
-
 /// Set up array `a` in its compiled layout: fn(idx, lin, v) for every
 /// element, with lin = layout.linearize(idx) and v its initial value.
 template <typename Fn>
 void for_each_initial(const core::CompiledProgram& cp, int a,
                       std::uint64_t seed, Fn&& fn) {
   const layout::Layout& lay = cp.arrays[static_cast<size_t>(a)].layout;
-  detail::for_each_element(cp.program.arrays[static_cast<size_t>(a)],
-                           [&](std::span<const Int> idx, Int linear) {
-                             fn(idx, lay.linearize(idx),
-                                init_value(seed, a, linear));
-                           });
+  ir::for_each_element(cp.program.arrays[static_cast<size_t>(a)],
+                       [&](std::span<const Int> idx, Int linear) {
+                         fn(idx, lay.linearize(idx),
+                            init_value(seed, a, linear));
+                       });
 }
 
 /// Every array's contents in ORIGINAL element order, read from storage in
@@ -150,7 +130,7 @@ std::vector<std::vector<double>> original_order(const core::CompiledProgram& cp,
   for (size_t a = 0; a < values.size(); ++a) {
     const ir::ArrayDecl& decl = cp.program.arrays[a];
     values[a].resize(static_cast<size_t>(decl.elem_count()));
-    detail::for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
+    ir::for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
       values[a][static_cast<size_t>(linear)] =
           at(static_cast<int>(a), cp.arrays[a].layout.linearize(idx));
     });

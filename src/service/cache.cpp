@@ -160,13 +160,6 @@ CompileCache::Lookup CompileCache::get_or_compile(const std::string& key,
   return {std::move(result), /*hit=*/false, /*deduped=*/false};
 }
 
-CompileCache::Compiled CompileCache::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() || !it->second.ready) return nullptr;
-  return it->second.future.get();
-}
-
 CompileCache::Stats CompileCache::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;

@@ -73,9 +73,6 @@ class CompileCache {
   /// entry is dropped.
   Lookup get_or_compile(const std::string& key, const CompileFn& compile);
 
-  /// Peek without compiling; null when absent or still in flight.
-  Compiled lookup(const std::string& key);
-
   struct Stats {
     long hits = 0;
     long misses = 0;          ///< lookups that ran a compile

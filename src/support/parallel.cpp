@@ -1,6 +1,7 @@
 #include "support/parallel.hpp"
 
 #include <atomic>
+#include <exception>
 #include <thread>
 
 namespace dct::support {
@@ -10,50 +11,28 @@ int default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-std::exception_ptr ParallelOutcome::first_error() const {
-  for (const std::exception_ptr& e : errors)
-    if (e) return e;
-  return nullptr;
-}
-
-ParallelOutcome parallel_for_collect(int n, int threads,
-                                     const std::function<void(int)>& fn,
-                                     const CancelToken& cancel) {
-  ParallelOutcome out;
-  if (n <= 0) return out;
-  out.errors.assign(static_cast<size_t>(n), nullptr);
-  out.started.assign(static_cast<size_t>(n), 1);
+std::vector<char> parallel_for(int n, int threads,
+                               const std::function<void(int)>& fn,
+                               const CancelToken& cancel) {
+  if (n <= 0) return {};
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(n));
+  std::vector<char> started(static_cast<size_t>(n), 1);
   if (threads <= 0) threads = default_threads();
   const int workers = std::min(threads, n);
   const bool watch = cancel.valid();
-
-  auto run_one = [&](int i) {
-    try {
-      fn(i);
-    } catch (...) {
-      out.errors[static_cast<size_t>(i)] = std::current_exception();
-    }
-  };
-
-  if (workers <= 1) {
-    for (int i = 0; i < n; ++i) {
-      if (watch && cancel.expired()) {
-        for (int j = i; j < n; ++j) out.started[static_cast<size_t>(j)] = 0;
-        break;
-      }
-      run_one(i);
-    }
-    return out;
-  }
 
   std::atomic<int> next{0};
   auto work = [&] {
     for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       if (watch && cancel.expired()) {
-        out.started[static_cast<size_t>(i)] = 0;
+        started[static_cast<size_t>(i)] = 0;
         continue;  // drain the counter so every index gets a verdict
       }
-      run_one(i);
+      try {
+        fn(i);
+      } catch (...) {
+        errors[static_cast<size_t>(i)] = std::current_exception();
+      }
     }
   };
   std::vector<std::thread> pool;
@@ -61,13 +40,9 @@ ParallelOutcome parallel_for_collect(int n, int threads,
   for (int w = 1; w < workers; ++w) pool.emplace_back(work);
   work();
   for (std::thread& t : pool) t.join();
-  return out;
-}
-
-void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-  const ParallelOutcome out = parallel_for_collect(n, threads, fn);
-  if (const std::exception_ptr e = out.first_error())
-    std::rethrow_exception(e);
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  return started;
 }
 
 }  // namespace dct::support

@@ -52,25 +52,6 @@ std::optional<std::vector<Int>> sample_iteration(const ir::LoopNest& nest,
   return iter;
 }
 
-/// Walk every original index vector of `decl` in linear order.
-template <typename Fn>
-void for_each_index(const ir::ArrayDecl& decl, Fn&& fn) {
-  const int rank = static_cast<int>(decl.dims.size());
-  std::vector<Int> idx(static_cast<size_t>(rank), 0);
-  bool done = decl.elem_count() == 0;
-  while (!done) {
-    fn(std::span<const Int>(idx));
-    int k = 0;
-    while (k < rank) {
-      if (++idx[static_cast<size_t>(k)] < decl.dims[static_cast<size_t>(k)])
-        break;
-      idx[static_cast<size_t>(k)] = 0;
-      ++k;
-    }
-    if (k == rank) done = true;
-  }
-}
-
 }  // namespace
 
 std::string OracleReport::to_string() const {
@@ -234,7 +215,7 @@ void check_layout_against(const ir::ArrayDecl& decl,
   if (decl.elem_count() <= kExhaustiveBelow) {
     std::unordered_set<Int> seen;
     seen.reserve(static_cast<size_t>(decl.elem_count()));
-    for_each_index(decl, [&](std::span<const Int> idx) {
+    ir::for_each_element(decl, [&](std::span<const Int> idx, Int) {
       check_index(idx, &seen);
     });
   } else {

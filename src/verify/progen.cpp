@@ -246,6 +246,8 @@ std::optional<std::string> check_program(const ir::Program& prog,
     return "crash: " + e.full_message();
   } catch (const std::exception& e) {
     return strf("crash (foreign exception): %s", e.what());
+  } catch (...) {
+    return "crash (unknown exception)";
   }
   return std::nullopt;
 }

@@ -231,7 +231,8 @@ TEST(Decompose, EquationOneHolds) {
   for (size_t j = 0; j < prog.nests.size(); ++j) {
     if (!d.nests[j].comm_free) continue;
     const ir::LoopNest& nest = d.par[j].nest;
-    ir::for_each_iteration(nest, [&](std::span<const ir::Int> iter) {
+    ir::for_each_iteration(nest, [&](std::span<const ir::Int> iter,
+                                     std::span<const ir::Int>) {
       // G_j(i): a loop assigned a processor dimension places i there.
       std::vector<ir::Int> g(static_cast<size_t>(d.num_proc_dims), -1);
       for (size_t l = 0; l < d.nests[j].loops.size(); ++l) {

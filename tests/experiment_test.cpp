@@ -136,6 +136,28 @@ TEST(Experiment, FaultInEveryModeYieldsFailedCellNotAbort) {
   EXPECT_NE(text.find(" - |"), std::string::npos);
 }
 
+TEST(Experiment, NonStdExceptionFailsOnlyThatCell) {
+  // A throw of something that is not a std::exception must still stop at
+  // the cell's crash boundary: the sweep returns.
+  SweepOptions opts;
+  opts.procs = {1, 2};
+  opts.verify = false;
+  opts.fault_hook = [](Mode mode, int procs) {
+    if (mode == Mode::Full && procs == 2) throw 42;
+  };
+  SweepResult r;
+  ASSERT_NO_THROW(r = run_sweep(apps::figure1(16, 1), opts));
+  ASSERT_EQ(r.failures.size(), 1u);
+  const CellFailure& f = r.failures[0];
+  EXPECT_EQ(f.mode, Mode::Full);
+  EXPECT_EQ(f.procs, 2);
+  EXPECT_EQ(f.code, Error::Code::kFault);
+  EXPECT_EQ(f.what, "unknown exception");
+  for (size_t m = 0; m < r.modes.size(); ++m)
+    for (size_t p = 0; p < r.procs.size(); ++p)
+      EXPECT_EQ(r.speedups[m][p] > 0.0, !(m == 2 && p == 1)) << m << "," << p;
+}
+
 TEST(Experiment, RetriesRecoverTransientFaults) {
   std::atomic<int> remaining{2};  // first two attempts anywhere fault
   SweepOptions opts;

@@ -34,7 +34,8 @@ TEST(Fuzz, GeneratedProgramsAreInBounds) {
     const ir::Program prog = generate_program(seed);
     ASSERT_FALSE(prog.nests.empty());
     for (const ir::LoopNest& nest : prog.nests) {
-      ir::for_each_iteration(nest, [&](std::span<const linalg::Int> iter) {
+      ir::for_each_iteration(nest, [&](std::span<const linalg::Int> iter,
+                                       std::span<const linalg::Int>) {
         for (const ir::Stmt& stmt : nest.stmts) {
           auto check_ref = [&](const ir::ArrayRef& ref) {
             const linalg::Vec idx = ref.index(iter);

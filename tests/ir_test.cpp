@@ -56,7 +56,8 @@ LoopNest triangular_nest(Int n) {
 
 long long iterations(const LoopNest& nest) {
   long long n = 0;
-  for_each_iteration(nest, [&](std::span<const Int>) { ++n; });
+  for_each_iteration(nest,
+                     [&](std::span<const Int>, std::span<const Int>) { ++n; });
   return n;
 }
 
@@ -69,7 +70,7 @@ TEST(Iteration, LexicographicOrder) {
   nest.loops.push_back(loop("i", cst(0), cst(1)));
   nest.loops.push_back(loop("j", cst(0), cst(2)));
   std::vector<Vec> seen;
-  for_each_iteration(nest, [&](std::span<const Int> it) {
+  for_each_iteration(nest, [&](std::span<const Int> it, std::span<const Int>) {
     seen.emplace_back(it.begin(), it.end());
   });
   ASSERT_EQ(seen.size(), 6u);
@@ -86,8 +87,39 @@ TEST(Iteration, EmptyRangeSkipped) {
   nest.loops.push_back(loop("i", cst(0), cst(3)));
   nest.loops.push_back(loop("j", var(0), cst(1)));  // empty for i >= 2
   int count = 0;
-  for_each_iteration(nest, [&](std::span<const Int>) { ++count; });
+  for_each_iteration(
+      nest, [&](std::span<const Int>, std::span<const Int>) { ++count; });
   EXPECT_EQ(count, 2 + 1);  // i=0: j in 0..1; i=1: j=1
+}
+
+TEST(Iteration, LowerBoundsDriveTheFiringRule) {
+  // j starts at i: a depth-1 statement fires once per i, at j == i.
+  const LoopNest nest = triangular_nest(4);
+  Stmt outer;
+  outer.depth = 1;
+  std::vector<Vec> fired;
+  for_each_iteration(nest, [&](std::span<const Int> it,
+                               std::span<const Int> lower) {
+    EXPECT_EQ(lower[0], 0);
+    EXPECT_EQ(lower[1], it[0]);
+    if (outer.fires(it, lower)) fired.emplace_back(it.begin(), it.end());
+  });
+  EXPECT_EQ(fired, (std::vector<Vec>{{0, 0}, {1, 1}, {2, 2}, {3, 3}}));
+}
+
+TEST(Elements, ColumnMajorAndEmpty) {
+  ArrayDecl decl;
+  decl.dims = {2, 3};
+  Int calls = 0;
+  for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
+    EXPECT_EQ(linear, calls++);
+    EXPECT_EQ(idx[0] + 2 * idx[1], linear);  // first dimension fastest
+  });
+  EXPECT_EQ(calls, 6);
+  decl.dims = {4, 0};
+  calls = 0;
+  for_each_element(decl, [&](std::span<const Int>, Int) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(ArrayRefs, SimpleRefIndexing) {

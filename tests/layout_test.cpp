@@ -233,7 +233,7 @@ TEST(Layout, OwnersContiguousProperty) {
     for (Int i = 0; i < d0; ++i)
       for (Int j = 0; j < d1; ++j) {
         const std::vector<Int> idx{i, j};
-        const int owner = part.owner(idx)[0];
+        const int owner = part.fold(which, idx[static_cast<size_t>(which)]);
         ASSERT_GE(owner, 0);
         ASSERT_LT(owner, p);
         per_proc[static_cast<size_t>(owner)].insert(l.linearize(idx));
@@ -263,8 +263,8 @@ TEST(Partition, Folding) {
   EXPECT_EQ(part.fold(0, 5), 1);   // cyclic: 5 mod 4
   EXPECT_EQ(part.fold(1, 7), 0);   // block of 8: 7 / 8
   EXPECT_EQ(part.fold(1, 8), 1);
-  const auto owner = part.owner(std::vector<Int>{6, 9});
-  EXPECT_EQ(owner, (std::vector<int>{2, 1}));
+  EXPECT_EQ(part.fold(0, 6), 2);
+  EXPECT_EQ(part.fold(1, 9), 1);
   EXPECT_EQ(part.rank(std::vector<Int>{6, 9}), 2 + 4 * 1);
 }
 

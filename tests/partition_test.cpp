@@ -109,13 +109,11 @@ TEST(PartitionFold, SerialDimIsUnbound) {
 TEST(PartitionFold, NegativeIndexNeverAliasesUnboundMarker) {
   // The truncating-division bug made Block fold return idx/block < 0 for
   // negative indices — indistinguishable from the -1 "unbound" marker
-  // consumed by owner().
+  // consumed by rank().
   const Partition part = one_dim(DistKind::Block, 4, 16, 4);
   for (Int idx = -20; idx < 0; ++idx) {
-    const std::vector<Int> index = {idx};
-    const std::vector<int> coords = part.owner(index);
-    ASSERT_EQ(coords.size(), 1u);
-    EXPECT_EQ(coords[0], 0) << "idx=" << idx;
+    EXPECT_EQ(part.fold(0, idx), 0) << "idx=" << idx;
+    EXPECT_EQ(part.rank(std::vector<Int>{idx}), 0) << "idx=" << idx;
   }
 }
 

@@ -103,37 +103,21 @@ TEST(Cancel, HugeDeadlinesSaturateInsteadOfOverflowing) {
   }
 }
 
-TEST(Parallel, CollectReportsEveryFailingIndex) {
-  // parallel_for rethrows only the lowest failing index; the collect
-  // variant must report them all — the sweep's failure table depends on
-  // it.
-  for (int threads : {1, 4}) {
-    const support::ParallelOutcome out = support::parallel_for_collect(
-        10, threads, [](int i) {
-          if (i % 3 == 0) throw Error(strf("fail %d", i));
-        });
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(out.started[static_cast<size_t>(i)]);
-      EXPECT_EQ(out.errors[static_cast<size_t>(i)] != nullptr, i % 3 == 0)
-          << i;
-    }
-    ASSERT_NE(out.first_error(), nullptr);
-    try {
-      std::rethrow_exception(out.first_error());
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "fail 0");  // lowest index wins
-    }
-  }
-}
-
 TEST(Parallel, RethrowsLowestIndexForDirectCallers) {
-  try {
-    support::parallel_for(8, 4, [](int i) {
-      if (i >= 2) throw Error(strf("fail %d", i));
-    });
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "fail 2");
+  // A failing index stops nothing: every index runs, then the lowest
+  // failure is rethrown whatever the scheduling.
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    try {
+      support::parallel_for(8, threads, [&](int i) {
+        ++ran;
+        if (i >= 2) throw Error(strf("fail %d", i));
+      });
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "fail 2");
+    }
+    EXPECT_EQ(ran.load(), 8);
   }
 }
 
@@ -143,17 +127,18 @@ TEST(Parallel, CancelledTokenStopsDispatch) {
     const support::CancelToken t = support::CancelToken::make();
     t.cancel();
     std::atomic<int> ran{0};
-    const support::ParallelOutcome out = support::parallel_for_collect(
-        100, threads, [&](int) { ++ran; }, t);
+    const std::vector<char> started =
+        support::parallel_for(100, threads, [&](int) { ++ran; }, t);
     EXPECT_EQ(ran.load(), 0);
-    for (char s : out.started) EXPECT_FALSE(s);
+    ASSERT_EQ(started.size(), 100u);
+    for (char s : started) EXPECT_FALSE(s);
   }
 
   // Mid-run cancellation (serial, so the cut point is deterministic):
   // indices after the trip are drained and marked unstarted.
   const support::CancelToken t = support::CancelToken::make();
   std::atomic<int> ran{0};
-  const support::ParallelOutcome out = support::parallel_for_collect(
+  const std::vector<char> started = support::parallel_for(
       100, 1,
       [&](int i) {
         ++ran;
@@ -161,8 +146,9 @@ TEST(Parallel, CancelledTokenStopsDispatch) {
       },
       t);
   EXPECT_EQ(ran.load(), 1);
-  for (size_t i = 1; i < out.started.size(); ++i)
-    EXPECT_FALSE(out.started[i]);
+  ASSERT_EQ(started.size(), 100u);
+  EXPECT_TRUE(started[0]);
+  for (size_t i = 1; i < started.size(); ++i) EXPECT_FALSE(started[i]);
 }
 
 TEST(Rng, InclusiveBoundsAndNegatives) {

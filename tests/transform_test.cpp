@@ -19,7 +19,7 @@ using linalg::IntMatrix;
 /// Collect the multiset of (array, element index) touches of a nest.
 std::multiset<std::pair<int, Vec>> touches(const LoopNest& nest) {
   std::multiset<std::pair<int, Vec>> out;
-  for_each_iteration(nest, [&](std::span<const Int> it) {
+  for_each_iteration(nest, [&](std::span<const Int> it, std::span<const Int>) {
     for (const Stmt& s : nest.stmts) {
       for (const ArrayRef& r : s.reads) out.insert({r.array, r.index(it)});
       out.insert({s.write.array, s.write.index(it)});
@@ -84,7 +84,8 @@ TEST(ApplyUnimodular, InterchangePreservesTouches) {
   EXPECT_EQ(touches(nest), touches(t));
   // The interchanged nest iterates j outermost: 7 * 5 iterations.
   long long n = 0;
-  for_each_iteration(t, [&](std::span<const Int>) { ++n; });
+  for_each_iteration(t,
+                     [&](std::span<const Int>, std::span<const Int>) { ++n; });
   EXPECT_EQ(n, 35);
 }
 
