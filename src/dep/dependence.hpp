@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,7 +61,13 @@ struct PairDeps {
 
 /// The one dependence analysis: every ordered statement pair with at least
 /// one vector, source statement outermost, then destination statement.
-std::vector<PairDeps> analyze_pairs(const ir::LoopNest& nest);
+/// Loop-independent vectors between distinct statements src, dst are
+/// tested only when `test_li(src, dst)` holds, or `test_li` is empty: a
+/// caller that would discard a pair's loop-independent vectors skips the
+/// cost of testing them.
+std::vector<PairDeps> analyze_pairs(
+    const ir::LoopNest& nest,
+    const std::function<bool(int, int)>& test_li = {});
 
 /// Nest-level summary of analyze_pairs: the union of every pair's vectors,
 /// loop-independent ones dropped (analyze does not test them) and

@@ -9,8 +9,10 @@
 // compiled loops: a StmtRun from run() executes consecutive instances of
 // the statement in order, each one reading at its strided addresses,
 // evaluating, then writing. The native backend runs owned innermost runs
-// through them (runtime/traversal.hpp); the interpreter and the simulator
-// call the closure once per instance.
+// through them (runtime/traversal.hpp): a statement's n instances in one
+// call, or, for dependent statements sharing a run, one single-instance
+// entry (StmtRun::once) per statement per position. The interpreter and
+// the simulator call the closure once per instance.
 #pragma once
 
 #include <array>

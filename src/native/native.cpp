@@ -27,17 +27,23 @@ using Epoch = std::uint32_t;
 constexpr Epoch kTerminal = std::numeric_limits<Epoch>::max();
 
 /// One monotonic epoch counter per thread, each on its own cache lines. A
-/// post is a release store to the poster's own counter, so the waiter's
-/// acquire load of any later epoch also sees everything the poster wrote
-/// before it. 32 bits wide so std::atomic::wait blocks on a futex of the
-/// counter itself.
+/// post is a sequentially consistent store to the poster's own counter, so
+/// the waiter's acquire load of any later epoch also sees everything the
+/// poster wrote before it. 32 bits wide so std::atomic::wait blocks on a
+/// futex of the counter itself.
 class EpochCounters {
  public:
   explicit EpochCounters(int threads) : slots_(static_cast<size_t>(threads)) {}
 
   void post(int t, Epoch e) {
     std::atomic<Epoch>& a = slots_[static_cast<size_t>(t)].epoch;
-    a.store(e, std::memory_order_release);
+    // Not just release: notify_all skips the futex wake when it reads no
+    // registered waiter, and a waiter registers before its last check of
+    // the counter. That check can miss a release store still buffered
+    // when the registration is read (store-load reordering), leaving the
+    // waiter asleep for good: about one run_native in 10^5 hung that way
+    // under load. A seq_cst store is ordered before the read.
+    a.store(e, std::memory_order_seq_cst);
     a.notify_all();
   }
 
@@ -213,6 +219,7 @@ struct ThreadStats {
   long long waits = 0;
   long long walker_splits = 0;
   long long run_instances = 0;
+  long long split_instances = 0;
 };
 
 /// One SPMD worker: walks every nest with the owner filter (or its
@@ -247,7 +254,8 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
     }
   }
   return {kernel.statements, policy.barriers, policy.waits,
-          kernel.counters.walker_splits, kernel.counters.run_instances};
+          kernel.counters.walker_splits, kernel.counters.run_instances,
+          kernel.counters.split_instances};
 }
 
 }  // namespace
@@ -311,6 +319,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
     res.waits += s.waits;
     res.walker_splits += s.walker_splits;
     res.run_instances += s.run_instances;
+    res.split_instances += s.split_instances;
   }
   res.barriers = stats[0].barriers;
   if (opts.collect_values)

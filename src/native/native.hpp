@@ -9,12 +9,15 @@
 // `q == myid` owner filter or a restricted per-thread slice, and the
 // synchronization the native::plan classification derived from the
 // nest's dependences. Sequential nests run the kernel unfiltered on
-// thread 0.
+// thread 0. Owned innermost stretches run as compiled run loops: one per
+// statement when a nest's statements are independent (no array written
+// by one is read or written by another), else one loop over the
+// positions that runs each statement in program order.
 //
 // Synchronization uses one primitive: per-thread, cache-line-padded,
 // monotonic epoch counters. Every thread numbers the same sequence of
 // sync events, so an epoch names one program point on all threads. A post
-// is a release store of the current epoch to the thread's own counter; a
+// is a seq_cst store of the current epoch to the thread's own counter; a
 // wait spins on an acquire load of another thread's counter, then yields,
 // then blocks in std::atomic::wait; a barrier is a post followed by a wait
 // on every counter. The plan's three sync shapes map onto it as follows:
@@ -70,6 +73,9 @@ struct NativeResult {
   /// Statement instances executed through compiled run loops
   /// (ir::StmtEval::run) instead of one at a time, summed over threads.
   long long run_instances = 0;
+  /// Of those, instances of a nest whose full-depth statements are
+  /// independent and run one run loop each instead of interleaved.
+  long long split_instances = 0;
 };
 
 /// Execute the compiled program on `opts.threads` hardware threads using

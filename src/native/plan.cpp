@@ -85,7 +85,17 @@ NestPlan plan_nest(const CompiledNest& cn, int procs) {
   int bl = -1;
   bool post = false, gather = false;
   std::vector<dep::DepVector> cross;  // full-depth, between different owners
-  for (const dep::PairDeps& pd : dep::analyze_pairs(cn.nest)) {
+  // Test loop-independent vectors only for the pairs the loop below reads
+  // them from: not where same_owner skips them, nor into a gated
+  // statement from a full-depth one listed after it.
+  const size_t depth = static_cast<size_t>(d);
+  const dep::DepVector li{std::vector<dep::Dir>(depth, dep::Dir::EQ),
+                          std::vector<std::optional<Int>>(depth, Int{0})};
+  auto test_li = [&](int s1, int s2) {
+    return !(full(s1) && !full(s2) && s1 > s2) &&
+           !same_owner({s1, s2, {}}, li);
+  };
+  for (const dep::PairDeps& pd : dep::analyze_pairs(cn.nest, test_li)) {
     for (const dep::DepVector& v : pd.vectors) {
       if (same_owner(pd, v)) continue;  // one thread, walk order
       if (!full(pd.src_stmt)) {

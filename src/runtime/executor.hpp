@@ -52,6 +52,8 @@ struct ExecCounters {
                                      ///< segment's end
   long long run_instances = 0;       ///< statement instances executed by
                                      ///< run loops (native backend only)
+  long long split_instances = 0;     ///< of which in a split nest: one run
+                                     ///< loop per independent statement
 
   bool operator==(const ExecCounters&) const = default;
 };

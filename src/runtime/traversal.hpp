@@ -32,9 +32,12 @@
 // The kernel then runs each owned piece of an innermost segment (a stretch
 // inside every walker's run, with every owner constant over it) through
 // the statements' compiled runs (ir::StmtEval::run) instead of instance by
-// instance: one statement's n instances in one call, several statements'
-// one position at a time in program order. The instances and their order
-// are the same either way, so are the values. Pieces fall back to the
+// instance: one statement's n instances in one call. Several statements
+// run the same way, one run loop each in program order, when they are
+// independent (no array written by one is read or written by another, so
+// any order of their instances gives the same values); otherwise they run
+// one position at a time in program order, the instances and their order
+// being the same as instance by instance. Pieces fall back to the
 // per-instance body when a full-depth statement has more reads than
 // ir::StmtRun::kMaxReads, a reference without a walker, or an owner that
 // changes along the segment; the first iteration of a segment that fires
@@ -247,6 +250,8 @@ class Traversal {
       }
       plan.run_slices = runs && !plan.full.empty();
       plan.run_segments = plan.run_slices && constant_owners;
+      plan.split = plan.run_slices && plan.full.size() > 1 &&
+                   independent(plan.full);
     }
     scratch_.assign(max_rank, 0);
     vals_.assign(max_reads, 0.0);
@@ -306,7 +311,28 @@ class Traversal {
     bool run_slices = false;          ///< owned slices run as run loops
     /// So do segment pieces: no owner changes along the innermost loop.
     bool run_segments = false;
+    /// A piece runs one run loop per statement rather than position by
+    /// position: the full-depth statements are several and independent.
+    bool split = false;
   };
+
+  /// No array written by one of `stmts` is read or written by another:
+  /// their instances give the same values in any order.
+  static bool independent(const std::vector<Stmt*>& stmts) {
+    for (const Stmt* w : stmts) {
+      const int a = w->cs->write.array;
+      for (const Stmt* o : stmts) {
+        if (o == w) continue;
+        if (o->cs->write.array == a ||
+            std::any_of(o->cs->reads.begin(), o->cs->reads.end(),
+                        [&](const core::CompiledRef& r) {
+                          return r.array == a;
+                        }))
+          return false;
+      }
+    }
+    return true;
+  }
 
   Int at(int k) const { return iter_[static_cast<size_t>(k)]; }
 
@@ -412,7 +438,9 @@ class Traversal {
 
   /// n positions of a piece inside every walker's run, through run loops:
   /// the statements of `batch` (owned, in program order) execute, every
-  /// walker of the nest moves n steps.
+  /// walker of the nest moves n steps. One statement, or the independent
+  /// statements of a split nest, run n instances per run loop in turn;
+  /// any other batch runs position by position.
   void run_piece(std::span<Stmt* const> batch, Int n) {
     if (n <= 0) return;
     for (Stmt* s : batch) {
@@ -424,8 +452,8 @@ class Traversal {
       run.write = element(s->refs[run.reads]);
       run.write_step = s->refs[run.reads].walker.delta();
     }
-    if (batch.size() == 1) {
-      batch[0]->run(n);
+    if (batch.size() == 1 || plan_->split) {
+      for (Stmt* s : batch) s->run(n);
     } else {
       for (Int k = 0; k < n; ++k)
         for (Stmt* s : batch) s->run.once();
@@ -434,6 +462,7 @@ class Traversal {
     const long long done = n * static_cast<long long>(batch.size());
     statements += done;
     counters.run_instances += done;
+    if (plan_->split) counters.split_instances += done;
   }
 
   /// The element at walked reference r's current address.

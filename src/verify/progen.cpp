@@ -192,7 +192,9 @@ std::optional<std::string> run_engines(
   if (cov != nullptr) count_strip_slices(cp, plan, *cov);
   native::NativeOptions nopts;
   nopts.threads = procs;
-  if (native::run_native(cp, plan, nopts).values != reference)
+  const native::NativeResult res = native::run_native(cp, plan, nopts);
+  if (cov != nullptr) cov->split_instances += res.split_instances;
+  if (res.values != reference)
     return strf("%s procs=%d engine=native diverges from the sequential "
                 "reference",
                 what.c_str(), procs);

@@ -45,6 +45,9 @@ struct CheckCoverage {
   long strip_slices[3] = {};
   /// Refolded decompositions compile_with_decomposition rejected.
   long refold_skips = 0;
+  /// Native instances run one run loop per independent statement
+  /// (NativeResult::split_instances).
+  long long split_instances = 0;
 };
 
 /// Differential check: all 3 modes x procs {1, 3, 4}, and FULL refolded

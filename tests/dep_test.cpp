@@ -151,8 +151,9 @@ TEST(Analyze, SoundVsBruteForce) {
 
 /// analyze is the fold of analyze_pairs: the union of every pair's
 /// vectors without the loop-independent ones, each once, in order of
-/// first appearance. Checked on the apps' nests before and after
-/// parallelization and on the fuzzer's programs.
+/// first appearance. A pair analyze_pairs is told not to test for
+/// loop-independent vectors keeps its other vectors. Checked on the apps'
+/// nests before and after parallelization and on the fuzzer's programs.
 TEST(Analyze, NestSummaryIsPairUnion) {
   std::vector<LoopNest> nests;
   for (const ir::Program& prog :
@@ -189,6 +190,23 @@ TEST(Analyze, NestSummaryIsPairUnion) {
     EXPECT_EQ(carried_levels(deps.vectors, nest.depth()),
               carried_levels(all, nest.depth()))
         << nest.name;
+    // A pair whose loop-independent tests are skipped loses exactly those
+    // vectors, and the pair itself when nothing else is left.
+    const auto odd = [](int s1, int s2) { return (s1 + s2) % 2 == 1; };
+    std::vector<PairDeps> want;
+    for (PairDeps pd : analyze_pairs(nest)) {
+      if (!odd(pd.src_stmt, pd.dst_stmt))
+        std::erase_if(pd.vectors,
+                      [](const DepVector& v) { return v.loop_independent(); });
+      if (!pd.vectors.empty()) want.push_back(std::move(pd));
+    }
+    const std::vector<PairDeps> got = analyze_pairs(nest, odd);
+    ASSERT_EQ(got.size(), want.size()) << nest.name;
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].src_stmt, want[k].src_stmt) << nest.name;
+      EXPECT_EQ(got[k].dst_stmt, want[k].dst_stmt) << nest.name;
+      EXPECT_EQ(got[k].vectors, want[k].vectors) << nest.name;
+    }
   }
 }
 

@@ -122,6 +122,11 @@ TEST(Fuzz, DifferentialSweepFindsNoDivergence) {
   }
   std::cout << "[ fuzz ] refolded decompositions rejected: "
             << cov.refold_skips << "\n";
+  // Some generated nest must hold independent statements, or the sweep
+  // never runs the split run loops against the reference.
+  std::cout << "[ fuzz ] native instances in split run loops: "
+            << cov.split_instances << "\n";
+  EXPECT_GT(cov.split_instances, 0) << "no split run loop ran";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <set>
 
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
@@ -413,6 +414,24 @@ TEST(Native, RunLoopsKeepInstanceOrder) {
              assign(at(b, 0), {at(a, -1), at(b, 0)},
                     [](R r) { return r[0] + r[1]; })};
        })},
+      // Two statements sharing an array run interleaved, even where one
+      // run loop per statement would happen to give the same values.
+      {"forward flow pair",
+       order_program("fwdflow", 1, 23, [](int a, int b) {
+         return std::vector{
+             assign(at(a, 0), {at(a, 0)},
+                    [](R r) { return r[0] * 0.5 + 1.0; }),
+             assign(at(b, 0), {at(a, -1), at(b, 0)},
+                    [](R r) { return r[0] - r[1]; })};
+       })},
+      {"backward anti pair",
+       order_program("bwdanti", 0, 22, [](int a, int b) {
+         return std::vector{
+             assign(at(a, 0), {at(a, 0)},
+                    [](R r) { return r[0] * 0.5 + 1.0; }),
+             assign(at(b, 0), {at(a, 1), at(b, 0)},
+                    [](R r) { return r[0] - r[1]; })};
+       })},
   };
   for (const auto& [name, prog] : cases) {
     const auto want = runtime::run_reference(prog);
@@ -429,8 +448,55 @@ TEST(Native, RunLoopsKeepInstanceOrder) {
         const NativeResult r = run_native(cp, opts);
         expect_bit_identical(label, r.values, want);
         EXPECT_EQ(r.run_instances, r.statements) << label;
+        EXPECT_EQ(r.split_instances, 0) << label;
       }
   }
+}
+
+TEST(Native, SplitsOnlyIndependentStatements) {
+  // A nest of several full-depth statements of which none reads or writes
+  // an array another writes runs one run loop per statement; every other
+  // nest keeps one statement's run loop or the interleave. Each nest runs
+  // as a program of its own, so the counter gives its verdict.
+  const std::set<std::string> split = {
+      "tomcatv/residual", "tomcatv/update",   "swm256/calc1",
+      "swm256/calc2",     "swm256/copyback", "vpenta/fwd2d"};
+  for (const auto& [name, prog] : programs())
+    for (size_t j = 0; j < prog.nests.size(); ++j) {
+      ir::Program one = prog;
+      one.nests = {prog.nests[j]};
+      const std::string nest = name + "/" + prog.nests[j].name;
+      const auto want = runtime::run_reference(one);
+      for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+        for (int threads : {1, 4}) {
+          const std::string label = nest + "/" + core::to_string(mode) +
+                                    "/t" + std::to_string(threads);
+          NativeOptions opts;
+          opts.threads = threads;
+          const NativeResult r =
+              run_native(core::compile(one, mode, threads), opts);
+          expect_bit_identical(label, r.values, want);
+          EXPECT_EQ(r.split_instances, split.count(nest) ? r.statements : 0)
+              << label;
+        }
+    }
+  // Whole programs: every nest of swm256 splits, every one of adi and LU
+  // keeps its order; tomcatv's one-statement row_solve is a fifth of its
+  // instances.
+  NativeOptions opts;
+  opts.threads = 4;
+  for (const auto& [name, prog] : programs())
+    for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
+      const NativeResult r = run_native(core::compile(prog, mode, 4), opts);
+      const std::string label = name + "/" + core::to_string(mode);
+      if (name == "swm256") {
+        EXPECT_EQ(r.split_instances, r.statements) << label;
+      } else if (name == "tomcatv") {
+        EXPECT_EQ(r.split_instances * 5, r.statements * 4) << label;
+      } else if (name == "adi" || name == "lu") {
+        EXPECT_EQ(r.split_instances, 0) << label;
+      }
+    }
 }
 
 TEST(Native, RunLoopFallbacksMatchReference) {
