@@ -398,22 +398,19 @@ void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
 // Nest-level analysis
 // ---------------------------------------------------------------------------
 
-/// The one access-pair enumeration behind analyze_pairs and analyze:
-/// add(si, sj, v) for each vector of each ordered statement pair, source
-/// statement outermost. Loop-independent vectors between distinct
-/// statements si, sj are tested only when `keep_loop_independent` and
-/// `test_li` is empty or holds for (si, sj): analyze would drop them, and
-/// skipping their tests changes no other vector, nor the order of the
-/// rest. analyze passes a constant false flag rather than a predicate:
-/// its enumeration then compiles as lean as before (a predicate there
-/// measured ~6% slower).
-template <typename Add>
-void for_each_pair_vector(const LoopNest& nest, bool keep_loop_independent,
-                          const std::function<bool(int, int)>& test_li,
-                          Add&& add) {
+/// Append `v` unless `vs` already holds it.
+void add_unique(std::vector<DepVector>& vs, DepVector v) {
+  if (std::find(vs.begin(), vs.end(), v) == vs.end())
+    vs.push_back(std::move(v));
+}
+
+}  // namespace
+
+std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
+  std::vector<PairDeps> out;
   const int d = nest.depth();
   const Hull hull = iteration_hull(nest);
-  if (hull.empty || d == 0) return;
+  if (hull.empty || d == 0) return out;
 
   const int nstmts = static_cast<int>(nest.stmts.size());
   std::vector<std::vector<Access>> by_stmt(static_cast<size_t>(nstmts));
@@ -432,42 +429,25 @@ void for_each_pair_vector(const LoopNest& nest, bool keep_loop_independent,
 
   for (int si = 0; si < nstmts; ++si)
     for (int sj = 0; sj < nstmts; ++sj) {
+      PairDeps pd{si, sj, {}};
       // A statement instance executes atomically, so a same-iteration
       // "dependence" of a statement on itself orders nothing.
-      const bool keep = keep_loop_independent && si != sj &&
-                        (!test_li || test_li(si, sj));
       for (const Access& a1 : by_stmt[static_cast<size_t>(si)])
         for (const Access& a2 : by_stmt[static_cast<size_t>(sj)])
-          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, keep,
-                           [&](DepVector v) { add(si, sj, std::move(v)); });
+          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, si != sj,
+                           [&](DepVector v) {
+                             add_unique(pd.vectors, std::move(v));
+                           });
+      if (!pd.vectors.empty()) out.push_back(std::move(pd));
     }
-}
-
-/// Append `v` unless `vs` already holds it.
-void add_unique(std::vector<DepVector>& vs, DepVector v) {
-  if (std::find(vs.begin(), vs.end(), v) == vs.end())
-    vs.push_back(std::move(v));
-}
-
-}  // namespace
-
-std::vector<PairDeps> analyze_pairs(
-    const LoopNest& nest, const std::function<bool(int, int)>& test_li) {
-  std::vector<PairDeps> out;
-  for_each_pair_vector(nest, true, test_li, [&](int si, int sj, DepVector v) {
-    if (out.empty() || out.back().src_stmt != si || out.back().dst_stmt != sj)
-      out.push_back({si, sj, {}});
-    add_unique(out.back().vectors, std::move(v));
-  });
   return out;
 }
 
-NestDeps analyze(const LoopNest& nest) {
+NestDeps summarize(const std::vector<PairDeps>& pairs) {
   NestDeps out;
-  for_each_pair_vector(nest, false, {},
-                       [&](int, int, DepVector v) {
-                         add_unique(out.vectors, std::move(v));
-                       });
+  for (const PairDeps& pd : pairs)
+    for (const DepVector& v : pd.vectors)
+      if (!v.loop_independent()) add_unique(out.vectors, v);
   return out;
 }
 

@@ -3,15 +3,15 @@
 // Computes the set of dependence vectors of a nest (exact distance vectors
 // for uniformly generated reference pairs, conservative direction vectors
 // via hierarchical Banerjee + GCD testing otherwise) once per ordered
-// statement pair (analyze_pairs). Everything else is a fold of that one
-// result: the nest summary (analyze) that drives the unimodular
-// parallelization preprocessing (paper §3.2 step 1) and the pipelining
-// decision (§6.2.4), the loops that carry a dependence (carried_levels),
-// and the native backend's per-nest synchronization.
+// statement pair (analyze_pairs). parallelize runs it once per nest and
+// keeps the result; everything else is a fold of it: the nest summary
+// (summarize) that drives the unimodular parallelization preprocessing
+// (paper §3.2 step 1) and the pipelining decision (§6.2.4), the loops that
+// carry a dependence (carried_levels), and the native backend's per-nest
+// synchronization (the pairs mapped through the chosen transform).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,19 +61,13 @@ struct PairDeps {
 
 /// The one dependence analysis: every ordered statement pair with at least
 /// one vector, source statement outermost, then destination statement.
-/// Loop-independent vectors between distinct statements src, dst are
-/// tested only when `test_li(src, dst)` holds, or `test_li` is empty: a
-/// caller that would discard a pair's loop-independent vectors skips the
-/// cost of testing them.
-std::vector<PairDeps> analyze_pairs(
-    const ir::LoopNest& nest,
-    const std::function<bool(int, int)>& test_li = {});
+std::vector<PairDeps> analyze_pairs(const ir::LoopNest& nest);
 
-/// Nest-level summary of analyze_pairs: the union of every pair's vectors,
-/// loop-independent ones dropped (analyze does not test them) and
-/// duplicates removed.
+/// Nest-level summary of a pair list (summarize): the union of every
+/// pair's carried vectors, loop-independent ones dropped and duplicates
+/// removed.
 struct NestDeps {
-  /// In order of first appearance in analyze_pairs (pairs in its order,
+  /// In order of first appearance in the pair list (pairs in its order,
   /// each pair's vectors in theirs).
   std::vector<DepVector> vectors;
 
@@ -83,7 +77,7 @@ struct NestDeps {
   bool pipelinable(int level) const;
 };
 
-NestDeps analyze(const ir::LoopNest& nest);
+NestDeps summarize(const std::vector<PairDeps>& pairs);
 
 /// Per level of a depth-`depth` nest: some vector is carried there.
 std::vector<bool> carried_levels(const std::vector<DepVector>& vectors,

@@ -95,7 +95,6 @@ int stride1_score(const ir::LoopNest& nest) {
 
 struct Candidate {
   IntMatrix u;
-  std::vector<DepVector> vectors;
   std::vector<bool> parallel;
   int outer_parallel = 0;
   int total_parallel = 0;
@@ -108,7 +107,8 @@ struct Candidate {
 ParallelizedNest parallelize(const ir::LoopNest& nest,
                              support::RemarkSink* rs) {
   const int d = nest.depth();
-  const NestDeps deps = analyze(nest);
+  std::vector<PairDeps> pairs = analyze_pairs(nest);
+  const NestDeps deps = summarize(pairs);
 
   // Imperfect nests: a statement at depth m executes once per iteration
   // of the outer m loops, so a legal transform must map the outer m loops
@@ -144,8 +144,7 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
     if (!tv.has_value()) return std::nullopt;
     Candidate c;
     c.u = u;
-    c.vectors = std::move(*tv);
-    c.parallel = carried_levels(c.vectors, d);
+    c.parallel = carried_levels(*tv, d);
     c.parallel.flip();
     while (c.outer_parallel < d &&
            c.parallel[static_cast<size_t>(c.outer_parallel)])
@@ -210,8 +209,17 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   ParallelizedNest out;
   out.nest = std::move(best_nest);
   out.transform = best->u;
-  out.deps.vectors = best->vectors;
   out.parallel = best->parallel;
+  // The transform is legal for the union of the carried vectors, so for
+  // each pair's; loop-independent vectors stay all-EQ under any transform.
+  // It maps vectors one to one, so the summary keeps its order.
+  for (PairDeps& pd : pairs) {
+    auto tv = transform_vectors(pd.vectors, best->u);
+    DCT_CHECK(tv.has_value(), "chosen transform must be legal for every pair");
+    pd.vectors = std::move(*tv);
+  }
+  out.pairs = std::move(pairs);
+  out.deps = summarize(out.pairs);
   if (rs != nullptr) {
     rs->count("legal_candidates", static_cast<long>(candidates.size()));
     rs->count("dependence_vectors", static_cast<long>(deps.vectors.size()));

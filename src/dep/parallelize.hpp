@@ -15,6 +15,10 @@ struct ParallelizedNest {
   ir::LoopNest nest;            ///< the transformed nest
   linalg::IntMatrix transform;  ///< j = transform * i
   NestDeps deps;                ///< dependences of the transformed nest
+  /// analyze_pairs of the original nest, each vector mapped through
+  /// `transform`: the statement-attributed dependences of `nest`, which
+  /// the native backend's plan folds without analyzing again.
+  std::vector<PairDeps> pairs;
   /// Per level: carries no dependence (DOALL), the complement of
   /// carried_levels(deps.vectors, depth).
   std::vector<bool> parallel;

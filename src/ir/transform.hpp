@@ -34,7 +34,7 @@ linalg::IntMatrix unimodular_inverse(const linalg::IntMatrix& u);
 
 // Fourier–Motzkin elimination over affine inequalities, shared by bound
 // regeneration (apply_unimodular) and dependence feasibility
-// (dep::analyze). Each caller keeps its own policy around these steps.
+// (dep::analyze_pairs). Each caller keeps its own policy around these steps.
 
 /// One affine inequality c · x + c0 >= 0.
 struct Ineq {

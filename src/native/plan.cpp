@@ -14,7 +14,8 @@ using core::CoordFold;
 
 namespace {
 
-NestPlan plan_nest(const CompiledNest& cn, int procs) {
+NestPlan plan_nest(const CompiledNest& cn,
+                   const std::vector<dep::PairDeps>& pairs, int procs) {
   NestPlan np;
   const int d = static_cast<int>(cn.nest.loops.size());
   if (d == 0 || cn.stmts.empty()) {
@@ -85,17 +86,7 @@ NestPlan plan_nest(const CompiledNest& cn, int procs) {
   int bl = -1;
   bool post = false, gather = false;
   std::vector<dep::DepVector> cross;  // full-depth, between different owners
-  // Test loop-independent vectors only for the pairs the loop below reads
-  // them from: not where same_owner skips them, nor into a gated
-  // statement from a full-depth one listed after it.
-  const size_t depth = static_cast<size_t>(d);
-  const dep::DepVector li{std::vector<dep::Dir>(depth, dep::Dir::EQ),
-                          std::vector<std::optional<Int>>(depth, Int{0})};
-  auto test_li = [&](int s1, int s2) {
-    return !(full(s1) && !full(s2) && s1 > s2) &&
-           !same_owner({s1, s2, {}}, li);
-  };
-  for (const dep::PairDeps& pd : dep::analyze_pairs(cn.nest, test_li)) {
+  for (const dep::PairDeps& pd : pairs) {
     for (const dep::DepVector& v : pd.vectors) {
       if (same_owner(pd, v)) continue;  // one thread, walk order
       if (!full(pd.src_stmt)) {
@@ -222,8 +213,8 @@ NestPlan plan_nest(const CompiledNest& cn, int procs) {
 ProgramPlan plan_program(const core::CompiledProgram& cp) {
   ProgramPlan pp;
   pp.nests.reserve(cp.nests.size());
-  for (const CompiledNest& cn : cp.nests) {
-    pp.nests.push_back(plan_nest(cn, cp.procs));
+  for (size_t j = 0; j < cp.nests.size(); ++j) {
+    pp.nests.push_back(plan_nest(cp.nests[j], cp.dec.par[j].pairs, cp.procs));
     if (pp.nests.back().schedule == NestSchedule::Sequential)
       ++pp.sequential_nests;
   }

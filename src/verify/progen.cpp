@@ -1,6 +1,8 @@
 #include "verify/progen.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -175,12 +177,30 @@ void count_strip_slices(const core::CompiledProgram& cp,
   }
 }
 
+/// Each statement pair's vectors, as a set.
+std::map<std::pair<int, int>, std::set<std::string>> pair_sets(
+    const std::vector<dep::PairDeps>& pairs) {
+  std::map<std::pair<int, int>, std::set<std::string>> out;
+  for (const dep::PairDeps& pd : pairs)
+    for (const dep::DepVector& v : pd.vectors)
+      out[{pd.src_stmt, pd.dst_stmt}].insert(v.to_string());
+  return out;
+}
+
 /// Both engines and the native backend on one compilation, against the
 /// sequential reference.
 std::optional<std::string> run_engines(
     const core::CompiledProgram& cp, const std::string& what,
     const std::vector<std::vector<double>>& reference, CheckCoverage* cov) {
   const int procs = cp.procs;
+  // The native plan folds the pairs parallelize mapped through each
+  // nest's transform: they must be what analyzing the compiled nest finds.
+  for (size_t j = 0; j < cp.nests.size(); ++j)
+    if (pair_sets(cp.dec.par[j].pairs) !=
+        pair_sets(dep::analyze_pairs(cp.nests[j].nest)))
+      return strf("%s procs=%d nest %zu: stored dependence pairs differ "
+                  "from the compiled nest's",
+                  what.c_str(), procs, j);
   const OracleReport diff = check_differential(
       cp, machine::MachineConfig::dash(procs), reference);
   if (!diff.ok())

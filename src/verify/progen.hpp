@@ -53,9 +53,10 @@ struct CheckCoverage {
 /// Differential check: all 3 modes x procs {1, 3, 4}, and FULL refolded
 /// to CYCLIC and BLOCK-CYCLIC x procs {3, 4}, each on both engines and the
 /// native backend vs the sequential reference, plus the static validation
-/// oracles on the unrefolded compilations. Returns a description of the
-/// first disagreement (or crash), nullopt on full agreement. Adds to
-/// `cov` when given.
+/// oracles on the unrefolded compilations and, on every compilation, the
+/// stored dependence pairs against a fresh analysis of each compiled
+/// nest. Returns a description of the first disagreement (or crash),
+/// nullopt on full agreement. Adds to `cov` when given.
 std::optional<std::string> check_program(const ir::Program& prog,
                                          CheckCoverage* cov = nullptr);
 

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "apps/apps.hpp"
+#include "core/compiler.hpp"
 #include "ir/transform.hpp"
 #include "support/rng.hpp"
 #include "verify/progen.hpp"
@@ -23,6 +25,11 @@ using ir::LoopNest;
 using ir::simple_ref;
 using ir::Stmt;
 using ir::var;
+
+/// The nest summary of one analysis.
+NestDeps analyze(const LoopNest& nest) {
+  return summarize(analyze_pairs(nest));
+}
 
 LoopNest make_nest(std::vector<std::pair<Int, Int>> bounds) {
   LoopNest nest;
@@ -149,11 +156,10 @@ TEST(Analyze, SoundVsBruteForce) {
       expect_sound(nest, "seed " + std::to_string(seed) + " " + nest.name);
 }
 
-/// analyze is the fold of analyze_pairs: the union of every pair's
-/// vectors without the loop-independent ones, each once, in order of
-/// first appearance. A pair analyze_pairs is told not to test for
-/// loop-independent vectors keeps its other vectors. Checked on the apps'
-/// nests before and after parallelization and on the fuzzer's programs.
+/// summarize folds analyze_pairs: the union of every pair's vectors
+/// without the loop-independent ones, each once, in order of first
+/// appearance. Checked on the apps' nests before and after
+/// parallelization and on the fuzzer's programs.
 TEST(Analyze, NestSummaryIsPairUnion) {
   std::vector<LoopNest> nests;
   for (const ir::Program& prog :
@@ -190,23 +196,6 @@ TEST(Analyze, NestSummaryIsPairUnion) {
     EXPECT_EQ(carried_levels(deps.vectors, nest.depth()),
               carried_levels(all, nest.depth()))
         << nest.name;
-    // A pair whose loop-independent tests are skipped loses exactly those
-    // vectors, and the pair itself when nothing else is left.
-    const auto odd = [](int s1, int s2) { return (s1 + s2) % 2 == 1; };
-    std::vector<PairDeps> want;
-    for (PairDeps pd : analyze_pairs(nest)) {
-      if (!odd(pd.src_stmt, pd.dst_stmt))
-        std::erase_if(pd.vectors,
-                      [](const DepVector& v) { return v.loop_independent(); });
-      if (!pd.vectors.empty()) want.push_back(std::move(pd));
-    }
-    const std::vector<PairDeps> got = analyze_pairs(nest, odd);
-    ASSERT_EQ(got.size(), want.size()) << nest.name;
-    for (size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].src_stmt, want[k].src_stmt) << nest.name;
-      EXPECT_EQ(got[k].dst_stmt, want[k].dst_stmt) << nest.name;
-      EXPECT_EQ(got[k].vectors, want[k].vectors) << nest.name;
-    }
   }
 }
 
@@ -306,6 +295,17 @@ TEST(Parallelize, LeavesGoodNestAlone) {
   EXPECT_EQ(p.parallel, (std::vector<bool>{true, true}));
 }
 
+/// SOR-like: A(i,j) = A(i-1,j) + A(i,j-1).
+LoopNest sor_nest() {
+  LoopNest nest = make_nest({{1, 6}, {1, 6}});
+  Stmt s;
+  s.write = simple_ref(0, 2, {{0, 0}, {1, 0}});
+  s.reads = {simple_ref(0, 2, {{0, -1}, {1, 0}}),
+             simple_ref(0, 2, {{0, 0}, {1, -1}})};
+  nest.stmts.push_back(std::move(s));
+  return nest;
+}
+
 TEST(Parallelize, SkewExposesWavefront) {
   // SOR-like: A(i,j) = A(i-1,j) + A(i,j-1): both loops carry; skewing
   // j by i gives distances (1,1),(0,1)->(1,0)... after skew (1,0),(1,1):
@@ -313,18 +313,65 @@ TEST(Parallelize, SkewExposesWavefront) {
   // With transform [[1,0],[1,1]]: (1,0)->(1,1), (0,1)->(0,1): inner still
   // carries. With wavefront permute+skew [[1,1],[1,0]] deps become
   // (1,1),(1,0): inner parallel.
-  LoopNest nest = make_nest({{1, 6}, {1, 6}});
-  Stmt s;
-  s.write = simple_ref(0, 2, {{0, 0}, {1, 0}});
-  s.reads = {simple_ref(0, 2, {{0, -1}, {1, 0}}),
-             simple_ref(0, 2, {{0, 0}, {1, -1}})};
-  nest.stmts.push_back(std::move(s));
-  const ParallelizedNest p = parallelize(nest);
+  const ParallelizedNest p = parallelize(sor_nest());
   // No permutation can give a DOALL; the skew fallback must find one
   // parallel (inner) loop.
   EXPECT_EQ(std::count(p.parallel.begin(), p.parallel.end(), true), 1);
   EXPECT_TRUE(p.parallel[1]);
   EXPECT_FALSE(p.parallel[0]);
+}
+
+/// parallelize stores the original nest's pairs mapped through its
+/// transform; they must be what analyzing the transformed nest finds:
+/// the same statement pairs, each with the same set of vectors. Checked
+/// on every compiled nest of the apps and the fuzzer's programs. A skew
+/// maps exact distances, which need not match a fresh analysis of the
+/// skewed nest, so there the stored vectors must cover every carried
+/// level.
+TEST(Parallelize, StoresTheTransformedNestsPairs) {
+  using Sets = std::map<std::pair<int, int>, std::set<std::string>>;
+  auto as_sets = [](const std::vector<PairDeps>& pairs) {
+    Sets out;
+    for (const PairDeps& pd : pairs)
+      for (const DepVector& v : pd.vectors)
+        out[{pd.src_stmt, pd.dst_stmt}].insert(v.to_string());
+    return out;
+  };
+  std::vector<ir::Program> progs = {
+      apps::figure1(16), apps::vpenta(16), apps::lu(16),
+      apps::stencil5(16), apps::adi(16),    apps::erlebacher(16),
+      apps::swm256(16),  apps::tomcatv(16)};
+  for (std::uint64_t seed = 0; seed < 100; ++seed)
+    progs.push_back(verify::generate_program(seed));
+  long transformed = 0;
+  for (const ir::Program& prog : progs)
+    for (const core::Mode mode :
+         {core::Mode::Base, core::Mode::CompDecomp, core::Mode::Full})
+      for (const int procs : {1, 3, 4}) {
+        const core::CompiledProgram cp = core::compile(prog, mode, procs);
+        ASSERT_EQ(cp.dec.par.size(), cp.nests.size());
+        for (size_t j = 0; j < cp.nests.size(); ++j) {
+          const ParallelizedNest& par = cp.dec.par[j];
+          if (par.transform != linalg::IntMatrix::identity(par.nest.depth()))
+            ++transformed;
+          EXPECT_EQ(as_sets(par.pairs),
+                    as_sets(analyze_pairs(cp.nests[j].nest)))
+              << prog.name << " " << core::to_string(mode) << " P=" << procs
+              << " nest " << j;
+        }
+      }
+  EXPECT_GT(transformed, 0);  // some nest took a permutation
+
+  const ParallelizedNest p = parallelize(sor_nest());
+  ASSERT_NE(p.transform, linalg::IntMatrix::identity(2));
+  std::vector<DepVector> stored;
+  for (const PairDeps& pd : p.pairs)
+    stored.insert(stored.end(), pd.vectors.begin(), pd.vectors.end());
+  const std::vector<bool> carried = carried_levels(stored, 2);
+  const std::vector<bool> brute = carried_levels_bruteforce(p.nest);
+  for (size_t k = 0; k < brute.size(); ++k)
+    EXPECT_TRUE(!brute[k] || carried[k]) << "level " << k;
+  EXPECT_TRUE(brute[0]);
 }
 
 }  // namespace
