@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <span>
 #include <sstream>
 
 #include "ir/transform.hpp"
@@ -105,37 +107,119 @@ Hull iteration_hull(const ir::LoopNest& nest) {
 
 namespace {
 
-/// Fourier–Motzkin feasibility over the rationals (with gcd cuts): false
-/// means no integer solution exists; true is conservative. Caps work to
-/// stay cheap — on blow-up it answers true (sound).
-bool fm_feasible(std::vector<Ineq> system, int nvars) {
-  constexpr size_t kMaxRows = 4000;
-  for (Ineq& q : system) ir::normalize_ineq(q);
-  for (int v = nvars - 1; v >= 0; --v) {
-    auto [lower, upper, rest] = ir::split_on(std::move(system), v);
-    if (lower.size() * upper.size() + rest.size() > kMaxRows) return true;
-    system = std::move(rest);
-    for (const Ineq& lo : lower)
-      for (const Ineq& hi : upper) {
-        Ineq q = ir::eliminate(lo, hi, v);
-        if (std::all_of(q.c.begin(), q.c.end(), [](Int x) { return x == 0; })) {
-          if (q.c0 < 0) return false;
-          continue;  // trivially satisfied
-        }
-        system.push_back(std::move(q));
+/// Fourier–Motzkin feasibility systems of one analyze_pairs call. A system
+/// is a flat list of rows of nvars + 1 Ints (see ir::normalize_row) over
+/// (i, i'), the two copies of the nest's iteration vector; the buffers are
+/// reused from test to test, and the bound rows of both copies are built
+/// once per nest.
+class FmSystem {
+ public:
+  explicit FmSystem(const LoopNest& nest)
+      : nest_(nest),
+        nvars_(2 * nest.depth()),
+        width_(static_cast<size_t>(nvars_) + 1) {}
+
+  /// Start a system holding the bound rows.
+  void reset() {
+    if (!bounds_built_) {
+      std::vector<Ineq> bounds;
+      ir::append_bound_ineqs(nest_, 0, nvars_, bounds);             // i
+      ir::append_bound_ineqs(nest_, nest_.depth(), nvars_, bounds);  // i'
+      for (const Ineq& q : bounds) {
+        bounds_.insert(bounds_.end(), q.c.begin(), q.c.end());
+        bounds_.push_back(q.c0);
       }
-    // Deduplicate to control growth.
-    std::sort(system.begin(), system.end(), [](const Ineq& a, const Ineq& b) {
-      return std::tie(a.c, a.c0) < std::tie(b.c, b.c0);
-    });
-    system.erase(std::unique(system.begin(), system.end(),
-                             [](const Ineq& a, const Ineq& b) {
-                               return a.c == b.c && a.c0 == b.c0;
-                             }),
-                 system.end());
+      bounds_built_ = true;
+    }
+    rows_.assign(bounds_.begin(), bounds_.end());
   }
-  for (const Ineq& q : system)
-    if (q.c0 < 0) return false;
+
+  /// Append a zero row and return it.
+  std::span<Int> add_row() {
+    rows_.resize(rows_.size() + width_, 0);
+    return std::span<Int>(rows_).last(width_);
+  }
+
+  /// Append q == 0 as the rows q and -q; `fill` sets q on a zero row.
+  template <typename Fill>
+  void add_equality(Fill&& fill) {
+    rows_.resize(rows_.size() + 2 * width_, 0);
+    const std::span<Int> both = std::span<Int>(rows_).last(2 * width_);
+    const std::span<Int> q = both.first(width_), neg = both.last(width_);
+    fill(q);
+    for (size_t k = 0; k < width_; ++k) neg[k] = -q[k];
+  }
+
+  /// Feasibility over the rationals (with gcd cuts): false means no integer
+  /// solution exists; true is conservative. Caps work to stay cheap — on
+  /// blow-up it answers true (sound). Eliminates the last variable first,
+  /// keeps each step's rows deduplicated and sorted.
+  bool feasible();
+
+ private:
+  static constexpr size_t kMaxRows = 4000;
+
+  size_t count(const std::vector<Int>& buf) const {
+    return buf.size() / width_;
+  }
+  std::span<Int> row(std::vector<Int>& buf, size_t r) const {
+    return std::span<Int>(buf).subspan(r * width_, width_);
+  }
+
+  const LoopNest& nest_;
+  int nvars_;
+  size_t width_;
+  bool bounds_built_ = false;
+  std::vector<Int> bounds_;
+  std::vector<Int> rows_, next_;  ///< this step's system, the next one's
+  std::vector<size_t> lower_, upper_, order_;
+};
+
+bool FmSystem::feasible() {
+  for (size_t r = 0; r < count(rows_); ++r) ir::normalize_row(row(rows_, r));
+  for (int v = nvars_ - 1; v >= 0; --v) {
+    const auto at = static_cast<size_t>(v);
+    lower_.clear();
+    upper_.clear();
+    next_.clear();
+    for (size_t r = 0; r < count(rows_); ++r) {
+      const std::span<Int> q = row(rows_, r);
+      if (q[at] > 0)
+        lower_.push_back(r);
+      else if (q[at] < 0)
+        upper_.push_back(r);
+      else
+        next_.insert(next_.end(), q.begin(), q.end());
+    }
+    if (lower_.size() * upper_.size() + count(next_) > kMaxRows) return true;
+    for (const size_t lo : lower_)
+      for (const size_t hi : upper_) {
+        next_.resize(next_.size() + width_);
+        const std::span<Int> q = std::span<Int>(next_).last(width_);
+        ir::eliminate_row(row(rows_, lo), row(rows_, hi), v, q);
+        if (std::all_of(q.begin(), q.end() - 1, [](Int x) { return x == 0; })) {
+          if (q.back() < 0) return false;
+          next_.resize(next_.size() - width_);  // trivially satisfied
+        }
+      }
+    // Deduplicate to control growth: rows_ becomes next_'s distinct rows in
+    // lexicographic order (coefficients, then the constant).
+    order_.resize(count(next_));
+    std::iota(order_.begin(), order_.end(), size_t{0});
+    std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      return std::ranges::lexicographical_compare(row(next_, a),
+                                                  row(next_, b));
+    });
+    rows_.clear();
+    for (const size_t r : order_) {
+      const std::span<Int> q = row(next_, r);
+      if (rows_.empty() ||
+          !std::ranges::equal(q, std::span<Int>(rows_).last(width_)))
+        rows_.insert(rows_.end(), q.begin(), q.end());
+    }
+  }
+  for (size_t r = 0; r < count(rows_); ++r)
+    if (row(rows_, r).back() < 0) return false;
   return true;
 }
 
@@ -149,7 +233,7 @@ bool fm_feasible(std::vector<Ineq> system, int nvars) {
 /// levels are unconstrained free variables.
 bool direction_feasible(const ir::LoopNest& nest, const ArrayRef& src,
                         const ArrayRef& dst, const Hull& hull,
-                        const std::vector<Dir>& dirs) {
+                        const std::vector<Dir>& dirs, FmSystem& fm) {
   const int depth = nest.depth();
   const int common = static_cast<int>(dirs.size());
   const int rank = src.access.rows();
@@ -218,56 +302,47 @@ bool direction_feasible(const ir::LoopNest& nest, const ArrayRef& src,
 
   // Exact rational feasibility over (i, i') with the true (possibly
   // triangular) bounds, direction constraints and subscript equalities.
-  const int nvars = 2 * depth;
-  std::vector<Ineq> system;
-  ir::append_bound_ineqs(nest, 0, nvars, system);      // i
-  ir::append_bound_ineqs(nest, depth, nvars, system);  // i'
+  fm.reset();
   for (int k = 0; k < common; ++k) {
-    Ineq q;
-    q.c.assign(static_cast<size_t>(nvars), 0);
-    switch (dirs[static_cast<size_t>(k)]) {
-      case Dir::EQ: {  // i'_k - i_k == 0
-        q.c[static_cast<size_t>(depth + k)] = 1;
-        q.c[static_cast<size_t>(k)] = -1;
-        Ineq neg = q;
-        for (Int& v : neg.c) v = -v;
-        system.push_back(std::move(q));
-        system.push_back(std::move(neg));
+    const auto i = static_cast<size_t>(k), ip = static_cast<size_t>(depth + k);
+    switch (dirs[i]) {
+      case Dir::EQ:  // i'_k - i_k == 0
+        fm.add_equality([&](std::span<Int> q) {
+          q[ip] = 1;
+          q[i] = -1;
+        });
+        break;
+      case Dir::LT: {  // i'_k - i_k - 1 >= 0
+        const std::span<Int> q = fm.add_row();
+        q[ip] = 1;
+        q[i] = -1;
+        q.back() = -1;
         break;
       }
-      case Dir::LT:  // i'_k - i_k - 1 >= 0
-        q.c[static_cast<size_t>(depth + k)] = 1;
-        q.c[static_cast<size_t>(k)] = -1;
-        q.c0 = -1;
-        system.push_back(std::move(q));
+      case Dir::GT: {  // i_k - i'_k - 1 >= 0
+        const std::span<Int> q = fm.add_row();
+        q[i] = 1;
+        q[ip] = -1;
+        q.back() = -1;
         break;
-      case Dir::GT:  // i_k - i'_k - 1 >= 0
-        q.c[static_cast<size_t>(k)] = 1;
-        q.c[static_cast<size_t>(depth + k)] = -1;
-        q.c0 = -1;
-        system.push_back(std::move(q));
-        break;
+      }
     }
   }
+  auto acc = [](const IntMatrix& m, int row, int col) {
+    return col < m.cols() ? m.at(row, col) : 0;
+  };
   for (int r = 0; r < rank; ++r) {
-    Ineq q;
-    q.c.assign(static_cast<size_t>(nvars), 0);
-    auto acc = [](const IntMatrix& m, int row, int col) {
-      return col < m.cols() ? m.at(row, col) : 0;
-    };
-    for (int k = 0; k < depth; ++k) {
-      q.c[static_cast<size_t>(k)] = acc(src.access, r, k);
-      q.c[static_cast<size_t>(depth + k)] = -acc(dst.access, r, k);
-    }
-    q.c0 = linalg::checked_sub(src.offset[static_cast<size_t>(r)],
-                               dst.offset[static_cast<size_t>(r)]);
-    Ineq neg = q;
-    for (Int& v : neg.c) v = -v;
-    neg.c0 = -neg.c0;
-    system.push_back(std::move(q));
-    system.push_back(std::move(neg));
+    const Int c0 = linalg::checked_sub(src.offset[static_cast<size_t>(r)],
+                                       dst.offset[static_cast<size_t>(r)]);
+    fm.add_equality([&](std::span<Int> q) {
+      for (int k = 0; k < depth; ++k) {
+        q[static_cast<size_t>(k)] = acc(src.access, r, k);
+        q[static_cast<size_t>(depth + k)] = -acc(dst.access, r, k);
+      }
+      q.back() = c0;
+    });
   }
-  return fm_feasible(std::move(system), nvars);
+  return fm.feasible();
 }
 
 /// Exact dependence for a uniformly generated pair (equal access
@@ -352,7 +427,7 @@ template <typename Add>
 void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
                       const std::vector<std::vector<std::vector<Dir>>>& canon,
                       const Access& a1, const Access& a2,
-                      bool keep_loop_independent, Add&& add) {
+                      bool keep_loop_independent, FmSystem& fm, Add&& add) {
   if (!a1.is_write && !a2.is_write) return;
   if (a1.ref->array != a2.ref->array) return;
   const int common = std::min(a1.depth, a2.depth);
@@ -382,7 +457,7 @@ void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
     const bool all_eq = std::all_of(dirs.begin(), dirs.end(),
                                     [](Dir x) { return x == Dir::EQ; });
     if (all_eq && !keep_loop_independent) continue;
-    if (!direction_feasible(nest, *a1.ref, *a2.ref, hull, dirs)) continue;
+    if (!direction_feasible(nest, *a1.ref, *a2.ref, hull, dirs, fm)) continue;
     DepVector v;
     v.dirs = dirs;
     v.dirs.resize(static_cast<size_t>(d), Dir::EQ);
@@ -427,6 +502,7 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
   for (int len = 0; len <= d; ++len)
     canon_by_len[static_cast<size_t>(len)] = canonical_vectors(len);
 
+  FmSystem fm(nest);
   for (int si = 0; si < nstmts; ++si)
     for (int sj = 0; sj < nstmts; ++sj) {
       PairDeps pd{si, sj, {}};
@@ -434,7 +510,7 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
       // "dependence" of a statement on itself orders nothing.
       for (const Access& a1 : by_stmt[static_cast<size_t>(si)])
         for (const Access& a2 : by_stmt[static_cast<size_t>(sj)])
-          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, si != sj,
+          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, si != sj, fm,
                            [&](DepVector v) {
                              add_unique(pd.vectors, std::move(v));
                            });

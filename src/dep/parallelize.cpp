@@ -79,12 +79,20 @@ std::optional<std::vector<DepVector>> transform_vectors(
 /// Tie-break score: number of references whose fastest-varying (first,
 /// column-major) array dimension is indexed by the innermost loop with
 /// unit coefficient — i.e. stride-1 spatial locality in the inner loop.
-int stride1_score(const ir::LoopNest& nest) {
+/// Scored on the nest transformed by u without building it: a reference
+/// F becomes F * u^-1 (apply_unimodular), whose row 0 is all this needs.
+int stride1_score(const ir::LoopNest& nest, const IntMatrix& u) {
+  const IntMatrix v = ir::unimodular_inverse(u);
   const int inner = nest.depth() - 1;
   int score = 0;
   auto check = [&](const ir::ArrayRef& r) {
     if (r.access.rows() == 0) return;
-    if (std::abs(r.access.at(0, inner)) == 1) ++score;
+    DCT_CHECK(r.access.cols() == v.rows(), "matmul shape mismatch");
+    Int coeff = 0;
+    for (int k = 0; k < r.access.cols(); ++k)
+      coeff = linalg::checked_add(
+          coeff, linalg::checked_mul(r.access.at(0, k), v.at(k, inner)));
+    if (std::abs(coeff) == 1) ++score;
   };
   for (const ir::Stmt& s : nest.stmts) {
     for (const ir::ArrayRef& r : s.reads) check(r);
@@ -178,8 +186,8 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
         }
   }
 
-  // Computing stride-1 scores requires the transformed nest; only compute
-  // it for candidates that survive the primary criteria.
+  // Stride-1 scores only break ties among candidates that survive the
+  // primary criteria.
   int best_outer = -1, best_total = -1;
   for (const Candidate& c : candidates)
     best_outer = std::max(best_outer, c.outer_parallel);
@@ -189,25 +197,22 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
 
   const Candidate* best = nullptr;
   int best_stride1 = -1;
-  ir::LoopNest best_nest;
   for (Candidate& c : candidates) {
     if (c.outer_parallel != best_outer || c.total_parallel != best_total)
       continue;
-    ir::LoopNest transformed = ir::apply_unimodular(nest, c.u);
-    c.stride1 = stride1_score(transformed);
+    c.stride1 = stride1_score(nest, c.u);
     const bool better =
         best == nullptr || c.stride1 > best_stride1 ||
         (c.stride1 == best_stride1 && c.is_identity && !best->is_identity);
     if (better) {
       best = &c;
       best_stride1 = c.stride1;
-      best_nest = std::move(transformed);
     }
   }
   DCT_CHECK(best != nullptr);
 
   ParallelizedNest out;
-  out.nest = std::move(best_nest);
+  out.nest = ir::apply_unimodular(nest, best->u);
   out.transform = best->u;
   out.parallel = best->parallel;
   // The transform is legal for the union of the carried vectors, so for

@@ -53,12 +53,66 @@ IntMatrix unimodular_inverse(const IntMatrix& u) {
   return inv;
 }
 
-void normalize_ineq(Ineq& q) {
-  const linalg::Int g = linalg::gcd(q.c);
+namespace {
+
+void normalize(std::span<linalg::Int> c, linalg::Int& c0) {
+  const linalg::Int g = linalg::gcd(c);
   if (g > 1) {
-    for (auto& v : q.c) v /= g;
-    q.c0 = linalg::floor_div(q.c0, g);
+    for (auto& v : c) v /= g;
+    c0 = linalg::floor_div(c0, g);
   }
+}
+
+void combine(std::span<const linalg::Int> lo, linalg::Int lo0,
+             std::span<const linalg::Int> hi, linalg::Int hi0, int v,
+             std::span<linalg::Int> out, linalg::Int& out0) {
+  const linalg::Int clo = lo[static_cast<size_t>(v)];
+  const linalg::Int chi = -hi[static_cast<size_t>(v)];
+  for (size_t k = 0; k < out.size(); ++k)
+    out[k] = checked_add(checked_mul(clo, hi[k]), checked_mul(chi, lo[k]));
+  out0 = checked_add(checked_mul(clo, hi0), checked_mul(chi, lo0));
+  DCT_CHECK(out[static_cast<size_t>(v)] == 0, "FM elimination bug");
+  normalize(out, out0);
+}
+
+/// The rows of `system` split by the sign of their coefficient on x_v:
+/// lower bounds (> 0), upper bounds (< 0) and the rest.
+struct FmSplit {
+  std::vector<Ineq> lower, upper, rest;
+};
+
+FmSplit split_on(std::vector<Ineq> system, int v) {
+  FmSplit out;
+  for (Ineq& q : system) {
+    const linalg::Int cv = q.c[static_cast<size_t>(v)];
+    if (cv > 0)
+      out.lower.push_back(std::move(q));
+    else if (cv < 0)
+      out.upper.push_back(std::move(q));
+    else
+      out.rest.push_back(std::move(q));
+  }
+  return out;
+}
+
+Ineq eliminate(const Ineq& lo, const Ineq& hi, int v) {
+  Ineq q;
+  q.c.resize(lo.c.size());
+  combine(lo.c, lo.c0, hi.c, hi.c0, v, q.c, q.c0);
+  return q;
+}
+
+}  // namespace
+
+void normalize_row(std::span<linalg::Int> row) {
+  normalize(row.first(row.size() - 1), row.back());
+}
+
+void eliminate_row(std::span<const linalg::Int> lo,
+                   std::span<const linalg::Int> hi, int v,
+                   std::span<linalg::Int> out) {
+  const size_t n = out.size() - 1;
+  combine(lo.first(n), lo[n], hi.first(n), hi[n], v, out.first(n), out[n]);
 }
 
 void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
@@ -89,33 +143,6 @@ void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
   }
 }
 
-FmSplit split_on(std::vector<Ineq> system, int v) {
-  FmSplit out;
-  for (Ineq& q : system) {
-    const linalg::Int cv = q.c[static_cast<size_t>(v)];
-    if (cv > 0)
-      out.lower.push_back(std::move(q));
-    else if (cv < 0)
-      out.upper.push_back(std::move(q));
-    else
-      out.rest.push_back(std::move(q));
-  }
-  return out;
-}
-
-Ineq eliminate(const Ineq& lo, const Ineq& hi, int v) {
-  const linalg::Int clo = lo.c[static_cast<size_t>(v)];
-  const linalg::Int chi = -hi.c[static_cast<size_t>(v)];
-  Ineq q;
-  q.c.resize(lo.c.size());
-  for (size_t k = 0; k < q.c.size(); ++k)
-    q.c[k] = checked_add(checked_mul(clo, hi.c[k]), checked_mul(chi, lo.c[k]));
-  q.c0 = checked_add(checked_mul(clo, hi.c0), checked_mul(chi, lo.c0));
-  DCT_CHECK(q.c[static_cast<size_t>(v)] == 0, "FM elimination bug");
-  normalize_ineq(q);
-  return q;
-}
-
 LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   const int d = nest.depth();
   DCT_CHECK(u.rows() == d && u.cols() == d, "transform shape mismatch");
@@ -133,7 +160,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
             checked_add(cj[static_cast<size_t>(col)],
                         checked_mul(q.c[static_cast<size_t>(row)], v.at(row, col)));
     q.c = std::move(cj);
-    normalize_ineq(q);
+    normalize(q.c, q.c0);
   }
 
   // Fourier–Motzkin: peel bounds for levels d-1 .. 0.

@@ -6,6 +6,7 @@
 // inequality system describing the iteration polytope.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ir/program.hpp"
@@ -42,25 +43,25 @@ struct Ineq {
   linalg::Int c0 = 0;
 };
 
-/// Integer tightening: divide by the gcd of the variable coefficients,
-/// flooring the constant (keeps every integer point).
-void normalize_ineq(Ineq& q);
-
 /// Append the inequalities of `nest`'s loop bounds, loop by loop (lowers,
 /// then uppers), over variables [base, base + depth) of an `nvars`-wide
 /// space.
 void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
                         std::vector<Ineq>& out);
 
-/// The rows of `system` split by the sign of their coefficient on x_v:
-/// lower bounds (> 0), upper bounds (< 0) and the rest.
-struct FmSplit {
-  std::vector<Ineq> lower, upper, rest;
-};
-FmSplit split_on(std::vector<Ineq> system, int v);
+// Flat rows: an inequality over nvars variables as nvars + 1 Ints, the
+// coefficients c followed by the constant c0, so a system can live in one
+// reused buffer.
 
-/// One elimination: the normalized nonnegative combination of `lo` (a
-/// lower bound on x_v) and `hi` (an upper bound) in which x_v cancels.
-Ineq eliminate(const Ineq& lo, const Ineq& hi, int v);
+/// Integer tightening: divide by the gcd of the variable coefficients,
+/// flooring the constant (keeps every integer point).
+void normalize_row(std::span<linalg::Int> row);
+
+/// One elimination into `out` (same width): the normalized nonnegative
+/// combination of `lo` (a lower bound on x_v) and `hi` (an upper bound) in
+/// which x_v cancels.
+void eliminate_row(std::span<const linalg::Int> lo,
+                   std::span<const linalg::Int> hi, int v,
+                   std::span<linalg::Int> out);
 
 }  // namespace dct::ir

@@ -95,23 +95,29 @@ Int Layout::size() const {
 }
 
 std::vector<Int> Layout::map_index(std::span<const Int> index) const {
+  std::vector<Int> out, scratch;
+  map_index(index, out, scratch);
+  return out;
+}
+
+void Layout::map_index(std::span<const Int> index, std::vector<Int>& out,
+                       std::vector<Int>& scratch) const {
   // Always interpret the transform steps: this is the reference that the
   // closed form in linearize() is checked against.
-  std::vector<Int> cur(index.begin(), index.end());
+  out.assign(index.begin(), index.end());
   for (const Transform& t : steps_) {
     if (const auto* sm = std::get_if<StripMine>(&t)) {
-      const Int v = cur[static_cast<size_t>(sm->dim)];
-      cur[static_cast<size_t>(sm->dim)] = floor_mod(v, sm->size);
-      cur.insert(cur.begin() + sm->dim + 1, floor_div(v, sm->size));
+      const Int v = out[static_cast<size_t>(sm->dim)];
+      out[static_cast<size_t>(sm->dim)] = floor_mod(v, sm->size);
+      out.insert(out.begin() + sm->dim + 1, floor_div(v, sm->size));
     } else {
       const auto& perm = std::get<Permute>(t).perm;
-      std::vector<Int> next(perm.size());
+      scratch.resize(perm.size());
       for (size_t k = 0; k < perm.size(); ++k)
-        next[k] = cur[static_cast<size_t>(perm[k])];
-      cur = std::move(next);
+        scratch[k] = out[static_cast<size_t>(perm[k])];
+      out.swap(scratch);
     }
   }
-  return cur;
 }
 
 Int Layout::linearize(std::span<const Int> index) const {

@@ -71,6 +71,10 @@ class Layout {
   /// Restructured index vector of an original element, by interpreting
   /// steps() one transform at a time (never the closed form).
   std::vector<Int> map_index(std::span<const Int> index) const;
+  /// The same into `out`, with `scratch` for permutations: callers that
+  /// map many indices reuse both buffers.
+  void map_index(std::span<const Int> index, std::vector<Int>& out,
+                 std::vector<Int>& scratch) const;
   /// Column-major linear address of an original element in the
   /// restructured array: the closed form dim_functions() when
   /// all_simple(), map_index() otherwise.

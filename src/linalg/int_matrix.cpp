@@ -37,7 +37,7 @@ Int gcd(Int a, Int b) {
   return a;
 }
 
-Int gcd(const Vec& v) {
+Int gcd(std::span<const Int> v) {
   Int g = 0;
   for (Int x : v) g = gcd(g, x);
   return g;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,7 @@ Int checked_mul(Int a, Int b);
 /// Non-negative gcd; gcd(0,0) == 0.
 Int gcd(Int a, Int b);
 /// gcd of all entries (0 for an empty/zero vector).
-Int gcd(const Vec& v);
+Int gcd(std::span<const Int> v);
 /// Floor division (rounds toward -inf) and the matching modulus (always
 /// in [0, |b|) for b != 0). These implement the paper's 0-based array
 /// index arithmetic exactly.

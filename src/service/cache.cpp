@@ -1,7 +1,9 @@
 #include "service/cache.hpp"
 
+#include <charconv>
 #include <span>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "support/diagnostics.hpp"
@@ -10,37 +12,69 @@ namespace dct::service {
 
 namespace {
 
-void put_vec(std::ostringstream& os, std::span<const linalg::Int> v) {
-  os << '[';
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) os << ',';
-    os << v[i];
+/// Appends the canonical key text to one string: integers in decimal,
+/// doubles as printf's %.17g (which round-trips every compute_cycles).
+class KeyWriter {
+ public:
+  explicit KeyWriter(std::string& out) : out_(out) {}
+
+  KeyWriter& operator<<(std::string_view s) {
+    out_ += s;
+    return *this;
   }
-  os << ']';
-}
-
-void put_expr(std::ostringstream& os, const ir::AffineExpr& e) {
-  put_vec(os, e.coeffs);
-  os << '+' << e.constant;
-}
-
-void put_bounds(std::ostringstream& os, const std::vector<ir::Bound>& bs) {
-  os << '{';
-  for (const ir::Bound& b : bs) {
-    put_expr(os, b.expr);
-    os << '/' << b.divisor << ';';
+  KeyWriter& operator<<(char c) {
+    out_ += c;
+    return *this;
   }
-  os << '}';
-}
+  template <typename T>
+    requires std::is_integral_v<T>
+  KeyWriter& operator<<(T v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out_.append(buf, res.ptr);
+    return *this;
+  }
+  KeyWriter& operator<<(double v) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                   std::chars_format::general, 17);
+    out_.append(buf, res.ptr);
+    return *this;
+  }
 
-void put_ref(std::ostringstream& os, const ir::ArrayRef& r) {
-  os << "a" << r.array << ":";
-  os << r.access.rows() << 'x' << r.access.cols() << '[';
-  for (int i = 0; i < r.access.rows(); ++i)
-    for (int j = 0; j < r.access.cols(); ++j) os << r.access.at(i, j) << ',';
-  os << ']';
-  put_vec(os, r.offset);
-}
+  void vec(std::span<const linalg::Int> v) {
+    *this << '[';
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (i != 0) *this << ',';
+      *this << v[i];
+    }
+    *this << ']';
+  }
+  void expr(const ir::AffineExpr& e) {
+    vec(e.coeffs);
+    *this << '+' << e.constant;
+  }
+  void bounds(const std::vector<ir::Bound>& bs) {
+    *this << '{';
+    for (const ir::Bound& b : bs) {
+      expr(b.expr);
+      *this << '/' << b.divisor << ';';
+    }
+    *this << '}';
+  }
+  void ref(const ir::ArrayRef& r) {
+    *this << 'a' << r.array << ':' << r.access.rows() << 'x'
+          << r.access.cols() << '[';
+    for (int i = 0; i < r.access.rows(); ++i)
+      for (int j = 0; j < r.access.cols(); ++j)
+        *this << r.access.at(i, j) << ',';
+    *this << ']';
+    vec(r.offset);
+  }
+
+ private:
+  std::string& out_;
+};
 
 }  // namespace
 
@@ -56,21 +90,22 @@ std::uint64_t fnv1a(const std::string& s) {
 std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
                       const core::CompileOptions& opts,
                       const std::string& salt) {
-  std::ostringstream os;
-  os.precision(17);  // compute_cycles round-trips exactly
-  os << "v1|prog=" << prog.name << "|steps=" << prog.time_steps << "|";
+  std::string key;
+  key.reserve(2048);
+  KeyWriter os(key);
+  os << "v1|prog=" << prog.name << "|steps=" << prog.time_steps << '|';
   for (const ir::ArrayDecl& a : prog.arrays) {
     os << "arr " << a.name << ':';
-    put_vec(os, a.dims);
+    os.vec(a.dims);
     os << 'e' << a.elem_size << (a.transformable ? 't' : 'f') << '|';
   }
   for (const ir::LoopNest& n : prog.nests) {
     os << "nest " << n.name << ":f" << n.frequency << ':';
     for (const ir::Loop& l : n.loops) {
       os << l.var_name << ":lo";
-      put_bounds(os, l.lowers);
+      os.bounds(l.lowers);
       os << "up";
-      put_bounds(os, l.uppers);
+      os.bounds(l.uppers);
       os << ';';
     }
     for (const ir::Stmt& s : n.stmts) {
@@ -78,9 +113,9 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
       // (shape, cost, reference pattern) plus the program name identify a
       // statement for caching purposes.
       os << "s:d" << s.depth << ":c" << s.compute_cycles << ":r";
-      for (const ir::ArrayRef& r : s.reads) put_ref(os, r);
+      for (const ir::ArrayRef& r : s.reads) os.ref(r);
       os << ":w";
-      put_ref(os, s.write);
+      os.ref(s.write);
       os << ';';
     }
     os << '|';
@@ -88,7 +123,7 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
   os << "mode=" << static_cast<int>(mode) << "|P=" << procs
      << "|strat=" << static_cast<int>(opts.strategy);
   if (!salt.empty()) os << "|salt=" << salt;
-  return os.str();
+  return key;
 }
 
 CompileCache::CompileCache(std::size_t capacity) : capacity_(capacity) {

@@ -22,14 +22,15 @@ void LatencyHistogram::record_us(double us) {
   buckets_[static_cast<size_t>(bucket_of(us))].fetch_add(
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  sum_us_.fetch_add(static_cast<long long>(us), std::memory_order_relaxed);
+  sum_ns_.fetch_add(static_cast<long long>(us * 1000.0),
+                    std::memory_order_relaxed);
 }
 
 double LatencyHistogram::mean_us() const {
   const long n = count_.load(std::memory_order_relaxed);
   if (n == 0) return 0;
-  return static_cast<double>(sum_us_.load(std::memory_order_relaxed)) /
-         static_cast<double>(n);
+  return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
+         1000.0 / static_cast<double>(n);
 }
 
 double LatencyHistogram::quantile_us(double q) const {
@@ -63,7 +64,9 @@ void Metrics::on_completed(const RequestSample& s, bool ok, Error::Code code) {
     by_code_[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
   }
   queue_.record_us(s.queue_us);
+  key_.record_us(s.key_us);
   compile_.record_us(s.compile_us);
+  spot_check_.record_us(s.spot_check_us);
   exec_.record_us(s.exec_us);
   total_.record_us(s.total_us);
 }
@@ -98,7 +101,9 @@ std::string Metrics::render(const CompileCache::Stats& cache,
     const char* stage;
     const LatencyHistogram* h;
   } stages[] = {{"queue", &queue_},
+                {"key", &key_},
                 {"compile", &compile_},
+                {"spot_check", &spot_check_},
                 {"exec", &exec_},
                 {"total", &total_}};
   for (const auto& [stage, h] : stages) {

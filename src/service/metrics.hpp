@@ -33,15 +33,17 @@ class LatencyHistogram {
  private:
   std::array<std::atomic<long>, kBuckets> buckets_{};
   std::atomic<long> count_{0};
-  std::atomic<long long> sum_us_{0};
+  std::atomic<long long> sum_ns_{0};  ///< ns, so short stages keep a mean
 };
 
 /// One request's timing breakdown, recorded on completion.
 struct RequestSample {
-  double queue_us = 0;    ///< submit -> dequeue
-  double compile_us = 0;  ///< cache lookup + compile (near-zero on hits)
-  double exec_us = 0;     ///< simulate / native run
-  double total_us = 0;    ///< submit -> response
+  double queue_us = 0;       ///< submit -> dequeue
+  double key_us = 0;         ///< build the program and its cache key
+  double compile_us = 0;     ///< cache lookup + compile (near-zero on hits)
+  double spot_check_us = 0;  ///< cache-hit spot check (zero on most)
+  double exec_us = 0;        ///< simulate / native run
+  double total_us = 0;       ///< submit -> response
 };
 
 class Metrics {
@@ -78,7 +80,7 @@ class Metrics {
   static constexpr int kCodes = static_cast<int>(Error::Code::kFault) + 1;
   std::array<std::atomic<long>, kCodes> by_code_{};
 
-  LatencyHistogram queue_, compile_, exec_, total_;
+  LatencyHistogram queue_, key_, compile_, spot_check_, exec_, total_;
 };
 
 }  // namespace dct::service

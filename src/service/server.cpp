@@ -225,7 +225,7 @@ Response Server::process(Item& item) {
       std::chrono::duration<double, std::milli>(dequeued - item.enqueued)
           .count();
 
-  double compile_ms = 0, exec_ms = 0;
+  double key_ms = 0, compile_ms = 0, spot_check_ms = 0, exec_ms = 0;
   Error::Code code = Error::Code::kGeneric;  // of a failed request
   try {
     item.cancel.check("dctd queue wait");
@@ -238,6 +238,7 @@ Response Server::process(Item& item) {
     const std::string key =
         cache_key(prog, req.mode, req.procs, copts, req.hpf);
     resp.key_hash = fnv1a(key);
+    key_ms = ms_since(dequeued);
 
     const Clock::time_point c0 = Clock::now();
     const CompileCache::Lookup looked =
@@ -271,8 +272,10 @@ Response Server::process(Item& item) {
                   opts_.spot_check_every ==
               0) {
         metrics_.on_spot_check();
-        verify::validate_compiled(cp).raise_if_violated(
-            strf("cache spot-check %s", req.app.c_str()));
+        const Clock::time_point s0 = Clock::now();
+        const verify::ValidationReport checked = verify::validate_compiled(cp);
+        spot_check_ms = ms_since(s0);
+        checked.raise_if_violated(strf("cache spot-check %s", req.app.c_str()));
       }
     }
 
@@ -328,7 +331,9 @@ Response Server::process(Item& item) {
 
   RequestSample sample;
   sample.queue_us = resp.queue_ms * 1000.0;
+  sample.key_us = key_ms * 1000.0;
   sample.compile_us = resp.compile_ms * 1000.0;
+  sample.spot_check_us = spot_check_ms * 1000.0;
   sample.exec_us = resp.exec_ms * 1000.0;
   sample.total_us = resp.total_ms * 1000.0;
   metrics_.on_completed(sample, resp.ok, code);

@@ -93,7 +93,10 @@ struct ServerOptions {
   core::CompileOptions compile;
   /// Run the static validation oracles on every Nth cache hit (0 = never):
   /// cheap continuous self-checking that a cached artifact still satisfies
-  /// its invariants.
+  /// its invariants. One check (verify::validate_compiled) averages
+  /// 0.23 ms over perfbench dctd_mix's 2,520 keys, about 1.3 average
+  /// compiles (one thread, 4-vCPU Xeon); at 16 the checks take about 12%
+  /// of dctd_mix's worker time.
   int spot_check_every = 16;
 };
 

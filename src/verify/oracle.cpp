@@ -1,9 +1,9 @@
 #include "verify/oracle.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "dep/dependence.hpp"
 #include "native/native.hpp"
@@ -26,6 +26,9 @@ constexpr std::uint64_t kSeed = 0x5eedULL;
 /// Arrays with at most this many elements are checked exhaustively for
 /// address collisions; larger ones are sampled.
 constexpr Int kExhaustiveBelow = 4096;
+/// Exhaustive collision checks keep a bitmap over the layout's addresses
+/// up to this many.
+constexpr Int kBitmapBelow = 16 * kExhaustiveBelow;
 /// Fold domains wider than this skip the exact coverage count (totality
 /// and step-consistency are still sampled).
 constexpr Int kCoverageCap = 65536;
@@ -37,19 +40,27 @@ void add_violation(OracleReport& rep, std::string msg) {
     rep.violations.push_back("... further violations suppressed");
 }
 
-/// One random iteration of `nest`, bounds resolved outermost-in; nullopt
-/// when a sampled prefix leads to an empty inner range.
-std::optional<std::vector<Int>> sample_iteration(const ir::LoopNest& nest,
-                                                 Rng& rng) {
+/// One random iteration of `nest` into `iter`, bounds resolved
+/// outermost-in; false when a sampled prefix leads to an empty inner range.
+bool sample_iteration(const ir::LoopNest& nest, Rng& rng,
+                      std::vector<Int>& iter) {
   const int d = nest.depth();
-  std::vector<Int> iter(static_cast<size_t>(d), 0);
+  iter.assign(static_cast<size_t>(d), 0);
   for (int l = 0; l < d; ++l) {
     const Int lb = nest.loops[static_cast<size_t>(l)].lower_bound(iter);
     const Int ub = nest.loops[static_cast<size_t>(l)].upper_bound(iter);
-    if (ub < lb) return std::nullopt;
+    if (ub < lb) return false;
     iter[static_cast<size_t>(l)] = rng.uniform(lb, ub);
   }
-  return iter;
+  return true;
+}
+
+/// Inserts `v` into the sorted `set`; false when it was already there.
+bool insert_sorted(std::vector<Int>& set, Int v) {
+  const auto it = std::lower_bound(set.begin(), set.end(), v);
+  if (it != set.end() && *it == v) return false;
+  set.insert(it, v);
+  return true;
 }
 
 }  // namespace
@@ -71,6 +82,19 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
   rep.oracle = "equation1";
   const decomp::ProgramDecomposition& dec = cp.dec;
   Rng rng(kSeed ^ 0xe91ULL);
+
+  // One reference's claim on one virtual dimension: the data coordinate is
+  // its subscript row `row`, the computation coordinate iteration level
+  // `loop`. Everything but the sampled iteration is fixed per nest.
+  struct Probe {
+    int stmt;
+    const ir::ArrayRef* ref;
+    int pd;
+    int row;
+    int loop;
+  };
+  std::vector<Probe> probes;
+  std::vector<Int> iter, rows;
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     if (j >= dec.nests.size()) break;
@@ -101,56 +125,70 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
       return decomp::LoopSched::Sequential;
     };
 
-    for (int draw = 0; draw < 2 * kSamples; ++draw) {
-      const auto iter = sample_iteration(nest, rng);
-      if (!iter) continue;
-      for (size_t s = 0; s < nest.stmts.size(); ++s) {
-        const ir::Stmt& stmt = nest.stmts[s];
-        auto check_ref = [&](const ir::ArrayRef& ref) {
-          const auto dc = decomp::data_coords(dec, ref.array,
-                                              ref.index(*iter));
-          if (!dc) return;  // replicated / fully serial array
-          const decomp::ArrayDecomposition& ad =
-              dec.arrays[static_cast<size_t>(ref.array)];
-          for (int pd = 0; pd < dec.num_proc_dims; ++pd) {
-            const Int data_c = (*dc)[static_cast<size_t>(pd)];
-            if (data_c < 0) continue;  // dimension unbound for this array
-            // Pipelined dimensions move data point-to-point by design;
-            // Equation 1 equality is only promised on DOALL dimensions.
-            if (dim_sched(pd) != decomp::LoopSched::Distributed) continue;
-            // A constant subscript along a distributed dimension is a
-            // single-owner broadcast: the cost model reads it through the
-            // cache rather than charging communication, so Equation 1
-            // makes no alignment claim for it.
-            bool constant_subscript = false;
-            for (size_t k = 0; k < ad.dims.size(); ++k) {
-              if (ad.dims[k].proc_dim != pd) continue;
-              bool varies = false;
-              for (int c = 0; c < ref.access.cols(); ++c)
-                varies |= ref.access.at(static_cast<int>(k), c) != 0;
-              constant_subscript = !varies;
-              break;
-            }
-            if (constant_subscript) continue;
-            const int l = owner_loop(s, pd);
-            if (l < 0) continue;
-            ++rep.checks;
-            const Int comp_c = (*iter)[static_cast<size_t>(l)];
-            if (data_c != comp_c)
-              add_violation(
-                  rep,
-                  strf("%s nest %d stmt %d array %s dim p%d: D_x(F(i))=%lld "
-                       "but G(i)=%lld at sampled iteration",
-                       cp.program.name.c_str(), static_cast<int>(j),
-                       static_cast<int>(s),
-                       cp.program.arrays[static_cast<size_t>(ref.array)]
-                           .name.c_str(),
-                       pd, static_cast<long long>(data_c),
-                       static_cast<long long>(comp_c)));
+    probes.clear();
+    for (size_t s = 0; s < nest.stmts.size(); ++s) {
+      auto add_probes = [&](const ir::ArrayRef& ref) {
+        // The data coordinates of the subscript row numbers: per virtual
+        // dimension, the row whose value is its data coordinate (< 0 when
+        // unbound); none for a replicated or fully serial array.
+        rows.resize(static_cast<size_t>(ref.access.rows()));
+        std::iota(rows.begin(), rows.end(), Int{0});
+        const auto row_of = decomp::data_coords(dec, ref.array, rows);
+        if (!row_of) return;
+        const decomp::ArrayDecomposition& ad =
+            dec.arrays[static_cast<size_t>(ref.array)];
+        for (int pd = 0; pd < dec.num_proc_dims; ++pd) {
+          const Int row = (*row_of)[static_cast<size_t>(pd)];
+          if (row < 0) continue;
+          // Pipelined dimensions move data point-to-point by design;
+          // Equation 1 equality is only promised on DOALL dimensions.
+          if (dim_sched(pd) != decomp::LoopSched::Distributed) continue;
+          // A constant subscript along a distributed dimension is a
+          // single-owner broadcast: the cost model reads it through the
+          // cache rather than charging communication, so Equation 1
+          // makes no alignment claim for it.
+          bool constant_subscript = false;
+          for (size_t k = 0; k < ad.dims.size(); ++k) {
+            if (ad.dims[k].proc_dim != pd) continue;
+            bool varies = false;
+            for (int c = 0; c < ref.access.cols(); ++c)
+              varies |= ref.access.at(static_cast<int>(k), c) != 0;
+            constant_subscript = !varies;
+            break;
           }
-        };
-        for (const ir::ArrayRef& r : stmt.reads) check_ref(r);
-        check_ref(stmt.write);
+          if (constant_subscript) continue;
+          const int l = owner_loop(s, pd);
+          if (l < 0) continue;
+          probes.push_back(
+              {static_cast<int>(s), &ref, pd, static_cast<int>(row), l});
+        }
+      };
+      for (const ir::ArrayRef& r : nest.stmts[s].reads) add_probes(r);
+      add_probes(nest.stmts[s].write);
+    }
+
+    for (int draw = 0; draw < 2 * kSamples; ++draw) {
+      if (!sample_iteration(nest, rng, iter)) continue;
+      for (const Probe& p : probes) {
+        const ir::ArrayRef& ref = *p.ref;
+        Int data_c = ref.offset[static_cast<size_t>(p.row)];
+        for (int c = 0; c < ref.access.cols(); ++c)
+          data_c = linalg::checked_add(
+              data_c, linalg::checked_mul(ref.access.at(p.row, c),
+                                          iter[static_cast<size_t>(c)]));
+        if (data_c < 0) continue;  // dimension unbound for this element
+        ++rep.checks;
+        const Int comp_c = iter[static_cast<size_t>(p.loop)];
+        if (data_c != comp_c)
+          add_violation(
+              rep,
+              strf("%s nest %d stmt %d array %s dim p%d: D_x(F(i))=%lld "
+                   "but G(i)=%lld at sampled iteration",
+                   cp.program.name.c_str(), static_cast<int>(j), p.stmt,
+                   cp.program.arrays[static_cast<size_t>(ref.array)]
+                       .name.c_str(),
+                   p.pd, static_cast<long long>(data_c),
+                   static_cast<long long>(comp_c)));
       }
     }
   }
@@ -166,9 +204,10 @@ void check_layout_against(const ir::ArrayDecl& decl,
   ++rep.subjects;
   const Int total = layout.size();
   const std::vector<Int>& ldims = layout.dims();
+  std::vector<Int> mapped, scratch;  // map_index buffers
 
-  auto check_index = [&](std::span<const Int> idx,
-                         std::unordered_set<Int>* seen) {
+  // Checks one declared index; returns its address when in range, else -1.
+  auto check_index = [&](std::span<const Int> idx) -> Int {
     ++rep.checks;
     Int lin = -1;
     try {
@@ -178,19 +217,19 @@ void check_layout_against(const ir::ArrayDecl& decl,
       // layout rejects means the layout does not cover the array.
       add_violation(rep, decl.name + ": linearize rejected declared index: " +
                              e.what());
-      return;
+      return -1;
     }
     if (lin < 0 || lin >= total) {
       add_violation(rep, strf("%s: linearize out of range: %lld not in "
                               "[0, %lld)",
                               decl.name.c_str(), static_cast<long long>(lin),
                               static_cast<long long>(total)));
-      return;
+      return -1;
     }
     // The step-interpreted mapping must agree with the linear address —
     // this differentially checks dim_functions() (which the §4.3 address
     // walkers are built from) against the transform composition.
-    const std::vector<Int> mapped = layout.map_index(idx);
+    layout.map_index(idx, mapped, scratch);
     Int addr = 0, stride = 1;
     bool in_range = mapped.size() == ldims.size();
     for (size_t k = 0; in_range && k < mapped.size(); ++k) {
@@ -206,24 +245,41 @@ void check_layout_against(const ir::ArrayDecl& decl,
                          "%lld",
                          decl.name.c_str(), static_cast<long long>(lin),
                          static_cast<long long>(addr)));
-    if (seen != nullptr && !seen->insert(lin).second)
-      add_violation(rep, strf("%s: address collision at %lld (layout not "
-                              "injective)",
-                              decl.name.c_str(), static_cast<long long>(lin)));
+    return lin;
+  };
+  auto collision = [&](Int lin) {
+    add_violation(rep, strf("%s: address collision at %lld (layout not "
+                            "injective)",
+                            decl.name.c_str(), static_cast<long long>(lin)));
   };
 
+  std::vector<Int> idx(decl.dims.size(), 0);
   if (decl.elem_count() <= kExhaustiveBelow) {
-    std::unordered_set<Int> seen;
-    seen.reserve(static_cast<size_t>(decl.elem_count()));
-    ir::for_each_element(decl, [&](std::span<const Int> idx, Int) {
-      check_index(idx, &seen);
-    });
+    // Addresses seen: a bitmap over [0, total), or a sorted list when a
+    // layout far larger than the array would make the bitmap wasteful.
+    const bool bitmap = total <= kBitmapBelow;
+    std::vector<bool> seen_bits(bitmap ? static_cast<size_t>(total) : 0);
+    std::vector<Int> seen;
+    auto first_visit = [&](Int lin) {
+      if (!bitmap) return insert_sorted(seen, lin);
+      const bool fresh = !seen_bits[static_cast<size_t>(lin)];
+      seen_bits[static_cast<size_t>(lin)] = true;
+      return fresh;
+    };
+    // Every element in column-major order (ir::for_each_element).
+    for (Int n = decl.elem_count(); n > 0; --n) {
+      const Int lin = check_index(idx);
+      if (lin >= 0 && !first_visit(lin)) collision(lin);
+      for (size_t k = 0; k < idx.size() && ++idx[k] == decl.dims[k]; ++k)
+        idx[k] = 0;
+    }
   } else {
     // Sampled: distinct original elements must still get distinct
     // addresses.
     Rng rng(kSeed ^ 0xb13ULL ^ static_cast<std::uint64_t>(total));
-    std::unordered_set<Int> orig_seen, addr_seen;
-    std::vector<Int> idx(decl.dims.size());
+    std::vector<Int> orig_seen, addr_seen;
+    orig_seen.reserve(kSamples);
+    addr_seen.reserve(kSamples);
     for (int s = 0; s < kSamples; ++s) {
       Int orig = 0, stride = 1;
       for (size_t k = 0; k < decl.dims.size(); ++k) {
@@ -231,8 +287,9 @@ void check_layout_against(const ir::ArrayDecl& decl,
         orig += idx[k] * stride;
         stride *= decl.dims[k];
       }
-      if (!orig_seen.insert(orig).second) continue;
-      check_index(idx, &addr_seen);
+      if (!insert_sorted(orig_seen, orig)) continue;
+      const Int lin = check_index(idx);
+      if (lin >= 0 && !insert_sorted(addr_seen, lin)) collision(lin);
     }
   }
 }

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
@@ -236,6 +238,27 @@ TEST(AnalyzePairs, AttributesAndKeepsLoopIndependent) {
   }
   EXPECT_TRUE(self_carried);
   EXPECT_TRUE(cross_li);
+}
+
+/// LU's eliminate nest is the one Table 1 nest whose pairs are not
+/// uniformly generated, so its vectors come from direction tests that
+/// reach Fourier–Motzkin. The pair list is pinned in order.
+TEST(Analyze, LuPairsArePinned) {
+  const std::vector<std::string> want = {
+      "0->1 (0,0,0)",
+      "1->0 (<,0,0) (0,0,0) (<,<,0)",
+      "1->1 (<,0,0) (<,0,<) (<,<,0)",
+  };
+  for (const Int n : {6, 9}) {
+    std::vector<std::string> got;
+    for (const PairDeps& pd : analyze_pairs(apps::lu(n).nests[0])) {
+      std::ostringstream line;
+      line << pd.src_stmt << "->" << pd.dst_stmt;
+      for (const DepVector& v : pd.vectors) line << " " << v.to_string();
+      got.push_back(line.str());
+    }
+    EXPECT_EQ(got, want) << "lu(" << n << ")";
+  }
 }
 
 /// Pair attribution agrees with the nest summary on carried levels.

@@ -8,6 +8,7 @@
 #include <functional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -69,6 +70,50 @@ TEST(CacheKey, DistinguishesEveryInput) {
   keys.insert(service::cache_key(lu, core::Mode::Full, 4, strat));
   keys.insert(service::cache_key(lu, core::Mode::Full, 4, opts, "salt"));
   EXPECT_EQ(keys.size(), 7u) << "every varied input must change the key";
+}
+
+TEST(CacheKey, TextIsPinned) {
+  // Clients see fnv1a of this text as key_hash, so it must not drift.
+  const core::CompileOptions opts;
+  EXPECT_EQ(service::cache_key(apps::lu(8), core::Mode::Full, 4, opts,
+                               "!HPF$ DISTRIBUTE A(*, CYCLIC)"),
+      "v1|prog=lu|steps=1|arr A:[8,8]e8t|nest eliminate:f1:I1:lo{[]+0/1;}up"
+      "{[]+6/1;};I2:lo{[1]+1/1;}up{[]+7/1;};I3:lo{[1]+1/1;}up{[]+7/1;};s:d2"
+      ":c8:ra0:2x3[0,1,0,1,0,0,][0,0]a0:2x3[1,0,0,1,0,0,][0,0]:wa0:2x3[0,1,"
+      "0,1,0,0,][0,0];s:d-1:c2:ra0:2x3[0,1,0,0,0,1,][0,0]a0:2x3[0,1,0,1,0,0"
+      ",][0,0]a0:2x3[1,0,0,0,0,1,][0,0]:wa0:2x3[0,1,0,0,0,1,][0,0];|mode=2|"
+      "P=4|strat=2|salt=!HPF$ DISTRIBUTE A(*, CYCLIC)");
+
+  // No app uses a fractional compute_cycles; these take the %.17g path.
+  auto one_stmt = [](double compute_cycles) {
+    ir::ProgramBuilder pb("one");
+    const int x = pb.array("X", {8}, 8);
+    ir::LoopNest& nest = pb.nest("scale", 1);
+    nest.loops.push_back(ir::loop("i", ir::cst(0), ir::cst(7)));
+    ir::Stmt s;
+    s.write = ir::simple_ref(x, 1, {{0, 0}});
+    s.reads = {ir::simple_ref(x, 1, {{0, 0}})};
+    s.compute_cycles = compute_cycles;
+    s.eval = [](std::span<const double> r) { return r[0] * 2; };
+    nest.stmts.push_back(std::move(s));
+    return pb.build();
+  };
+  const std::pair<double, const char*> cases[] = {
+      {0.1,
+       "v1|prog=one|steps=1|arr X:[8]e8t|nest scale:f1:i:lo{[]+0/1;}up{[]+7/"
+       "1;};s:d-1:c0.10000000000000001:ra0:1x1[1,][0]:wa0:1x1[1,][0];|mode=0"
+       "|P=1|strat=2"},
+      {1e21,
+       "v1|prog=one|steps=1|arr X:[8]e8t|nest scale:f1:i:lo{[]+0/1;}up{[]+7/"
+       "1;};s:d-1:c1e+21:ra0:1x1[1,][0]:wa0:1x1[1,][0];|mode=0|P=1|strat=2"},
+      {2.5e-7,
+       "v1|prog=one|steps=1|arr X:[8]e8t|nest scale:f1:i:lo{[]+0/1;}up{[]+7/"
+       "1;};s:d-1:c2.4999999999999999e-07:ra0:1x1[1,][0]:wa0:1x1[1,][0];|mod"
+       "e=0|P=1|strat=2"},
+  };
+  for (const auto& [cc, want] : cases)
+    EXPECT_EQ(service::cache_key(one_stmt(cc), core::Mode::Base, 1, opts),
+              want);
 }
 
 TEST(Cache, HitMissAndLruEviction) {
@@ -334,7 +379,9 @@ TEST(Server, MetricsDumpShape) {
        {"dctd_requests_total 3", "dctd_requests_ok 2",
         "dctd_requests_error 1", "dctd_cache_hits 1", "dctd_cache_misses 1",
         "dctd_queue_depth 0",
-        "dctd_latency_ms{stage=\"total\",quantile=\"p99\"}"})
+        "dctd_latency_ms{stage=\"total\",quantile=\"p99\"}",
+        "dctd_latency_ms{stage=\"key\",quantile=\"mean\"}",
+        "dctd_latency_ms{stage=\"spot_check\",quantile=\"mean\"}"})
     EXPECT_NE(dump.find(needle), std::string::npos)
         << "missing \"" << needle << "\" in:\n"
         << dump;

@@ -91,7 +91,9 @@ for needle in \
     'dctd_cache_capacity 8' \
     'dctd_queue_depth 0' \
     'dctd_latency_ms{stage="queue",quantile="p50"}' \
+    'dctd_latency_ms{stage="key",quantile="p50"}' \
     'dctd_latency_ms{stage="compile",quantile="p95"}' \
+    'dctd_latency_ms{stage="spot_check",quantile="mean"}' \
     'dctd_latency_ms{stage="exec",quantile="p99"}' \
     'dctd_latency_ms{stage="total",quantile="mean"}'; do
   grep -qF "$needle" "$metrics" || fail "metrics missing: $needle"
