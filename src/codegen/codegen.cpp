@@ -108,7 +108,8 @@ std::string ref_text(const CompiledProgram& cp, const CompiledRef& ref,
 
 std::string emit_nest(const CompiledProgram& cp, int nest_index) {
   const core::CompiledNest& cn = cp.nests[static_cast<size_t>(nest_index)];
-  const int depth = static_cast<int>(cn.nest.loops.size());
+  const ir::LoopNest& nest = cp.dec.par[static_cast<size_t>(nest_index)].nest;
+  const int depth = nest.depth();
   std::ostringstream os;
 
   // Which loops are rewritten by the schedule? Use the first statement's
@@ -119,7 +120,7 @@ std::string emit_nest(const CompiledProgram& cp, int nest_index) {
       fold_of[static_cast<size_t>(loop)] = &fold;
 
   for (int l = 0; l < depth; ++l) {
-    const ir::Loop& lp = cn.nest.loops[static_cast<size_t>(l)];
+    const ir::Loop& lp = nest.loops[static_cast<size_t>(l)];
     std::string lo, hi;
     for (const ir::Bound& b : lp.lowers) {
       std::string e = affine(b.expr.coeffs, b.expr.constant);

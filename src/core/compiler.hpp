@@ -10,6 +10,10 @@
 //   CompDecomp    — the global decomposition algorithm; original layouts.
 //   Full          — CompDecomp plus array restructuring (the paper's
 //                   "comp decomp + data transform").
+//
+// A CompiledProgram holds each compile fact once: the transformed nests,
+// their transforms and dependence pairs in dec.par, the decisions in
+// dec.nests and dec.arrays, and the lowered statements in nests.
 #pragma once
 
 #include <vector>
@@ -68,9 +72,11 @@ struct CompiledStmt {
   std::vector<std::pair<int, CoordFold>> owner;
 };
 
+/// The lowered form of nest j; the transformed nest itself, its
+/// transform and its dependences stay in dec.par[j], and its decisions in
+/// dec.nests[j].
 struct CompiledNest {
-  ir::LoopNest nest;  ///< the transformed nest
-  std::vector<CompiledStmt> stmts;
+  std::vector<CompiledStmt> stmts;  ///< lowered dec.par[j].nest.stmts
   bool barrier_after = true;
 };
 
@@ -79,13 +85,15 @@ struct CompiledProgram {
   Mode mode = Mode::Base;
   int procs = 1;
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
+  /// The transformed nests with their transforms and dependence pairs
+  /// (dec.par) and every decomposition decision (dec.nests, dec.arrays).
   decomp::ProgramDecomposition dec;
   std::vector<int> grid;  ///< physical extent per virtual dimension
   /// Mixed-radix stride of each virtual dimension within its co-activity
   /// clique: a processor's rank is the sum of coordinate * stride.
   std::vector<int> stride;
   std::vector<CompiledArray> arrays;
-  std::vector<CompiledNest> nests;
+  std::vector<CompiledNest> nests;  ///< one per dec.par entry
   /// Structured pipeline trace: per-pass wall time, remarks and decision
   /// counters (see support/remark.hpp; callers print it with
   /// PipelineTrace::json).

@@ -188,7 +188,6 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
     const dep::ParallelizedNest& par = cp.dec.par[j];
     const decomp::NestDecomposition& nd = cp.dec.nests[j];
     CompiledNest cn;
-    cn.nest = par.nest;
     cn.barrier_after = nd.barrier_after;
     const int depth = par.nest.depth();
     const dep::Hull hull = dep::iteration_hull(par.nest);
@@ -253,19 +252,20 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     CompiledNest& cn = cp.nests[j];
+    const ir::LoopNest& nest = cp.dec.par[j].nest;
     for (size_t s = 0; s < cn.stmts.size(); ++s) {
       // Compiled refs were flattened in source order, so they pair with
       // the IR statement's reads/write positionally.
-      const ir::Stmt& stmt = cn.nest.stmts[s];
+      const ir::Stmt& stmt = nest.stmts[s];
       CompiledStmt& cs = cn.stmts[s];
       auto cost = [&](CompiledRef& cr, const ir::ArrayRef& r) {
         const Layout& l = cp.arrays[static_cast<size_t>(cr.array)].layout;
-        cr.addr_overhead = layout::address_overhead(cn.nest, r, l, cp.strategy);
+        cr.addr_overhead = layout::address_overhead(nest, r, l, cp.strategy);
         ++refs;
         if (cr.addr_overhead > 0) {
           ++costed;
           chosen_total += cr.addr_overhead;
-          naive_total += layout::address_overhead(cn.nest, r, l,
+          naive_total += layout::address_overhead(nest, r, l,
                                                   layout::AddrStrategy::Naive);
         }
       };

@@ -1,10 +1,12 @@
 #include "decomp/decomposition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <initializer_list>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "support/diagnostics.hpp"
@@ -131,10 +133,29 @@ struct StmtInfo {
   double exec = 0;            ///< dynamic executions x frequency
 };
 
+/// A group a nest can drive: the loop indexing the group's dimension in
+/// the write of the nest's most-executed statement that has one, and how
+/// that loop runs.
+struct Drivable {
+  int group = -1;
+  int loop = -1;
+  LoopSched sched = LoopSched::Sequential;
+};
+
 struct NestInfo {
   std::vector<StmtInfo> stmts;
   std::vector<double> span;  ///< hull span per loop (>= 1)
   double iters = 1;          ///< approximate iteration count
+  /// Per loop: Distributed when it carries no dependence, else Pipelined
+  /// when every dependence it carries has an exact positive distance,
+  /// else Sequential.
+  std::vector<LoopSched> sched;
+  /// Filled once the alignment groups are known: per (statement, group),
+  /// row-major, the loop indexing the group's dimension of the
+  /// statement's write (-1 when none) ...
+  std::vector<int> write_loop;
+  /// ... and the groups the nest can drive, in group order.
+  std::vector<Drivable> drivable;
 };
 
 NestInfo gather_nest_info(const ParallelizedNest& par, long frequency) {
@@ -151,6 +172,12 @@ NestInfo gather_nest_info(const ParallelizedNest& par, long frequency) {
     info.span[static_cast<size_t>(k)] = std::max(1.0, s);
     info.iters *= info.span[static_cast<size_t>(k)];
   }
+  const dep::NestDeps deps = dep::summarize(par.pairs);
+  for (int k = 0; k < d; ++k)
+    info.sched.push_back(par.parallel[static_cast<size_t>(k)]
+                             ? LoopSched::Distributed
+                         : deps.pipelinable(k) ? LoopSched::Pipelined
+                                               : LoopSched::Sequential);
 
   for (const ir::Stmt& s : par.nest.stmts) {
     StmtInfo si;
@@ -240,17 +267,22 @@ class AlignmentGroups {
   std::vector<std::set<int>> arrays_;
 };
 
-/// Evaluation of one nest under one candidate view (subset of active
-/// groups the nest's computation actually follows).
+/// Evaluation of one nest under one candidate view: the active groups
+/// the nest's computation follows, each with its driving loop.
 struct NestEval {
-  std::vector<int> honored;            ///< group ids driving this nest
-  std::vector<int> honored_loop;       ///< driving loop per honored group
-  std::vector<LoopSched> honored_sched;
-  std::vector<std::map<int, int>> stmt_loops;  ///< per stmt: group -> loop
+  std::array<Drivable, kMaxProcDims> view;
+  size_t size = 0;  ///< groups in the view
+  int dim_sum = 0;  ///< their summed dimension numbers (tie-break)
   double comm = 0;
   double boundary = 0;
-  double parallelism = 1;
   double score = 0;
+
+  std::span<const Drivable> honored() const { return {view.data(), size}; }
+  const Drivable* find(int group) const {
+    for (const Drivable& dr : honored())
+      if (dr.group == group) return &dr;
+    return nullptr;
+  }
 };
 
 }  // namespace
@@ -352,36 +384,17 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
 
   // For tie-breaks: FORTRAN column-major locality prefers distributing
   // higher (slower-varying) dimensions.
-  auto group_dim_sum = [&](int g) {
-    int sum = 0;
-    for (int n = 0; n < nnodes; ++n)
-      if (group_of[static_cast<size_t>(n)] == g) sum += ag.dim_of(n);
-    return sum;
-  };
+  std::vector<int> dim_sum(static_cast<size_t>(ngroups), 0);
+  for (int n = 0; n < nnodes; ++n)
+    if (group_of[static_cast<size_t>(n)] >= 0)
+      dim_sum[static_cast<size_t>(group_of[static_cast<size_t>(n)])] +=
+          ag.dim_of(n);
 
-  // --- per-nest evaluation under an active-group set S ---
-  //
-  // The nest picks the "view" (subset of S it follows, one loop per group,
-  // at most max_proc_dims groups) minimizing its own cost; S-groups it
-  // does not follow but whose arrays it writes cost communication.
-  auto evaluate_nest = [&](int j, const std::vector<bool>& active) {
-    const ParallelizedNest& par = out.par[static_cast<size_t>(j)];
-    const NestInfo& ni = info[static_cast<size_t>(j)];
-    const double work =
-        ni.iters *
-        static_cast<double>(prog.nests[static_cast<size_t>(j)].frequency);
-
-    // Which active groups can this nest drive, and by which loop?
-    struct Drivable {
-      int group;
-      int loop;
-      LoopSched sched;
-      double grid1_par;  ///< parallel factor if sole driver
-    };
-    std::vector<Drivable> drivable;
-    std::vector<std::map<int, int>> stmt_loops(ni.stmts.size());
+  // Which groups can each nest drive, and by which loop? The most-executed
+  // statement writing a dimension of the group decides.
+  for (NestInfo& ni : info) {
+    ni.write_loop.assign(ni.stmts.size() * static_cast<size_t>(ngroups), -1);
     for (int g = 0; g < ngroups; ++g) {
-      if (!active[static_cast<size_t>(g)]) continue;
       double dominant_exec = -1;
       int dominant_loop = -1;
       for (size_t s = 0; s < ni.stmts.size(); ++s) {
@@ -391,33 +404,39 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
           if (group_of[static_cast<size_t>(
                   ag.node_id(w.array, static_cast<int>(k)))] == g &&
               w.dim_loop[k] >= 0) {
-            stmt_loops[s][g] = w.dim_loop[k];
+            ni.write_loop[s * static_cast<size_t>(ngroups) +
+                          static_cast<size_t>(g)] = w.dim_loop[k];
             if (si.exec > dominant_exec) {
               dominant_exec = si.exec;
               dominant_loop = w.dim_loop[k];
             }
           }
       }
-      if (dominant_loop < 0) continue;
-      Drivable dr;
-      dr.group = g;
-      dr.loop = dominant_loop;
-      if (par.parallel[static_cast<size_t>(dominant_loop)])
-        dr.sched = LoopSched::Distributed;
-      else if (par.deps.pipelinable(dominant_loop))
-        dr.sched = LoopSched::Pipelined;
-      else
-        dr.sched = LoopSched::Sequential;
-      drivable.push_back(dr);
+      if (dominant_loop >= 0)
+        ni.drivable.push_back(
+            {g, dominant_loop, ni.sched[static_cast<size_t>(dominant_loop)]});
     }
+  }
 
-    // Communication/boundary of a given honored set. Offsets along a
-    // pipelined dimension are not charged as boundary traffic — the
-    // pipeline efficiency factor already models that flow.
-    auto charge = [&](const std::vector<int>& honored,
-                      const std::vector<int>& honored_loops,
-                      const std::vector<LoopSched>& honored_scheds,
-                      double grid_each, double& comm, double& boundary) {
+  // The cost model's processor grid for a view of one and of two groups.
+  const std::vector<int> grids[kMaxProcDims] = {
+      factor_grid(kCostModelProcs, 1), factor_grid(kCostModelProcs, 2)};
+
+  // --- per-nest evaluation under an active-group set S ---
+  //
+  // The nest picks the "view" (subset of S it follows, one loop per group,
+  // at most max_proc_dims groups) minimizing its own cost; S-groups it
+  // does not follow but whose arrays it writes cost communication.
+  auto evaluate_nest = [&](int j, const std::vector<bool>& active) {
+    const NestInfo& ni = info[static_cast<size_t>(j)];
+    const double work =
+        ni.iters *
+        static_cast<double>(prog.nests[static_cast<size_t>(j)].frequency);
+
+    // Communication/boundary of a view. Offsets along a pipelined
+    // dimension are not charged as boundary traffic — the pipeline
+    // efficiency factor already models that flow.
+    auto charge = [&](NestEval& ev, double grid_each) {
       for (size_t s = 0; s < ni.stmts.size(); ++s) {
         const StmtInfo& si = ni.stmts[s];
         for (const RefInfo& r : si.refs) {
@@ -425,29 +444,24 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
             const int g = group_of[static_cast<size_t>(
                 ag.node_id(r.array, static_cast<int>(k)))];
             if (g < 0 || !active[static_cast<size_t>(g)]) continue;
-            const auto it =
-                std::find(honored.begin(), honored.end(), g);
-            if (it == honored.end()) {
+            const Drivable* dr = ev.find(g);
+            if (dr == nullptr) {
               // Array dimension distributed but computation not aligned.
-              comm += (r.is_write ? 1.0 : 0.5) * r.elems;
+              ev.comm += (r.is_write ? 1.0 : 0.5) * r.elems;
               continue;
             }
-            const int owner_loop = [&] {
-              const auto sit = stmt_loops[s].find(g);
-              if (sit != stmt_loops[s].end()) return sit->second;
-              return honored_loops[static_cast<size_t>(it - honored.begin())];
-            }();
+            const int write_loop = ni.write_loop[
+                s * static_cast<size_t>(ngroups) + static_cast<size_t>(g)];
+            const int owner_loop = write_loop >= 0 ? write_loop : dr->loop;
             const int l = r.dim_loop[k];
             if (l >= 0 && l != owner_loop) {
-              comm += r.elems;
+              ev.comm += r.elems;
             } else if (l == owner_loop && r.dim_offset[k] != 0 &&
-                       honored_scheds[static_cast<size_t>(it -
-                                                          honored.begin())] !=
-                           LoopSched::Pipelined) {
-              boundary += r.elems / ni.span[static_cast<size_t>(l)] *
-                          grid_each;
+                       dr->sched != LoopSched::Pipelined) {
+              ev.boundary += r.elems / ni.span[static_cast<size_t>(l)] *
+                             grid_each;
             } else if (l == kConst && r.is_write) {
-              comm += r.elems;
+              ev.comm += r.elems;
             }
           }
         }
@@ -456,39 +470,27 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
 
     // Enumerate views of size 0, 1 and 2.
     NestEval best;
-    best.comm = 0;
-    best.boundary = 0;
-    charge({}, {}, {}, 1.0, best.comm, best.boundary);
-    best.stmt_loops = stmt_loops;
+    charge(best, 1.0);
     best.score = work + 16.0 * best.comm + 4.0 * best.boundary;
 
-    auto consider = [&](const std::vector<const Drivable*>& view) {
+    auto consider = [&](std::initializer_list<Drivable> view) {
+      NestEval ev;
+      for (const Drivable& dr : view) {
+        ev.view[ev.size++] = dr;
+        ev.dim_sum += dim_sum[static_cast<size_t>(dr.group)];
+      }
       // Distinct driving loops required.
-      if (view.size() == 2 && view[0]->loop == view[1]->loop) return;
-      const auto grid =
-          factor_grid(kCostModelProcs, static_cast<int>(view.size()));
+      if (ev.size == 2 && ev.view[0].loop == ev.view[1].loop) return;
+      const std::vector<int>& grid = grids[ev.size - 1];
       double par_factor = 1;
-      for (size_t i = 0; i < view.size(); ++i) {
+      for (size_t i = 0; i < ev.size; ++i) {
         const double extent = static_cast<double>(grid[i]);
-        if (view[i]->sched == LoopSched::Distributed)
+        if (ev.view[i].sched == LoopSched::Distributed)
           par_factor *= extent;
-        else if (view[i]->sched == LoopSched::Pipelined)
+        else if (ev.view[i].sched == LoopSched::Pipelined)
           par_factor *= 0.25 * extent;
       }
-      NestEval ev;
-      std::vector<int> honored, honored_loops;
-      for (const Drivable* dr : view) {
-        honored.push_back(dr->group);
-        honored_loops.push_back(dr->loop);
-        ev.honored_sched.push_back(dr->sched);
-      }
-      charge(honored, honored_loops, ev.honored_sched,
-             static_cast<double>(grid[0]) / (view.size() == 2 ? 2.0 : 1.0),
-             ev.comm, ev.boundary);
-      ev.honored = honored;
-      ev.honored_loop = honored_loops;
-      ev.stmt_loops = stmt_loops;
-      ev.parallelism = par_factor;
+      charge(ev, static_cast<double>(grid[0]) / (ev.size == 2 ? 2.0 : 1.0));
       // Communication and boundary traffic are also spread across the
       // machine; everything is charged in per-processor time.
       ev.score = (work + 16.0 * ev.comm + 4.0 * ev.boundary) /
@@ -497,17 +499,19 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
       const bool tie =
           std::abs(ev.score - best.score) <=
           1e-6 * std::max(std::abs(ev.score), std::abs(best.score));
-      int ev_dims = 0, best_dims = 0;
-      for (int g : ev.honored) ev_dims += group_dim_sum(g);
-      for (int g : best.honored) best_dims += group_dim_sum(g);
-      if ((!tie && ev.score < best.score) || (tie && ev_dims > best_dims))
-        best = std::move(ev);
+      if ((!tie && ev.score < best.score) || (tie && ev.dim_sum > best.dim_sum))
+        best = ev;
     };
-    for (const Drivable& a : drivable) consider({&a});
+    const auto is_active = [&](const Drivable& dr) {
+      return active[static_cast<size_t>(dr.group)];
+    };
+    for (const Drivable& a : ni.drivable)
+      if (is_active(a)) consider({a});
     if (kMaxProcDims >= 2)
-      for (const Drivable& a : drivable)
-        for (const Drivable& b : drivable)
-          if (a.group != b.group) consider({&a, &b});
+      for (const Drivable& a : ni.drivable)
+        for (const Drivable& b : ni.drivable)
+          if (is_active(a) && is_active(b) && a.group != b.group)
+            consider({a, b});
     return best;
   };
 
@@ -529,16 +533,17 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
     double best_sc = cur;
     int best_dim_sum = -1;
     for (int g = 0; g < ngroups; ++g) {
-      std::vector<bool> trial = active;
-      trial[static_cast<size_t>(g)] = !trial[static_cast<size_t>(g)];
-      const double sc = score_state(trial);
+      active[static_cast<size_t>(g)] = !active[static_cast<size_t>(g)];
+      const double sc = score_state(active);
+      active[static_cast<size_t>(g)] = !active[static_cast<size_t>(g)];
       const bool tie = std::abs(sc - best_sc) <=
                        1e-6 * std::max(std::abs(sc), std::abs(best_sc));
       if ((!tie && sc < best_sc) ||
-          (tie && best_flip >= 0 && group_dim_sum(g) > best_dim_sum)) {
+          (tie && best_flip >= 0 &&
+           dim_sum[static_cast<size_t>(g)] > best_dim_sum)) {
         best_sc = sc;
         best_flip = g;
-        best_dim_sum = group_dim_sum(g);
+        best_dim_sum = dim_sum[static_cast<size_t>(g)];
       }
     }
     if (best_flip >= 0 && best_sc < cur * (1.0 - 1e-9)) {
@@ -557,10 +562,9 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
   // some nest.
   std::vector<int> dim_of_group(static_cast<size_t>(ngroups), -1);
   for (const NestEval& ev : evals)
-    for (int g : ev.honored)
-      if (dim_of_group[static_cast<size_t>(g)] < 0) {
-        dim_of_group[static_cast<size_t>(g)] = out.num_proc_dims++;
-      }
+    for (const Drivable& dr : ev.honored())
+      if (dim_of_group[static_cast<size_t>(dr.group)] < 0)
+        dim_of_group[static_cast<size_t>(dr.group)] = out.num_proc_dims++;
 
   // Co-activity cliques for grid folding.
   out.clique_size.assign(static_cast<size_t>(out.num_proc_dims), 1);
@@ -568,9 +572,10 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
   out.clique_id.resize(static_cast<size_t>(out.num_proc_dims));
   std::iota(out.clique_id.begin(), out.clique_id.end(), 0);
   for (const NestEval& ev : evals) {
-    if (ev.honored.size() < 2) continue;
+    if (ev.size < 2) continue;
     std::vector<int> dims;
-    for (int g : ev.honored) dims.push_back(dim_of_group[static_cast<size_t>(g)]);
+    for (const Drivable& dr : ev.honored())
+      dims.push_back(dim_of_group[static_cast<size_t>(dr.group)]);
     std::sort(dims.begin(), dims.end());
     for (size_t i = 0; i < dims.size(); ++i) {
       auto& sz = out.clique_size[static_cast<size_t>(dims[i])];
@@ -586,6 +591,7 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
   out.nests.resize(static_cast<size_t>(nnests));
   for (int j = 0; j < nnests; ++j) {
     const NestEval& ev = evals[static_cast<size_t>(j)];
+    const NestInfo& ni = info[static_cast<size_t>(j)];
     const ParallelizedNest& nestpar = out.par[static_cast<size_t>(j)];
     NestDecomposition& nd = out.nests[static_cast<size_t>(j)];
     nd.loops.assign(static_cast<size_t>(nestpar.nest.depth()),
@@ -595,14 +601,14 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
     // The cost model charges nothing for a written array that has no
     // dimension in a group this nest distributes, yet every processor
     // may then touch the same element of it.
-    for (const StmtInfo& si : info[static_cast<size_t>(j)].stmts)
+    for (const StmtInfo& si : ni.stmts)
       for (const RefInfo& r : si.refs) {
         if (!written[static_cast<size_t>(r.array)]) continue;
-        for (const int g : ev.honored) {
+        for (const Drivable& dr : ev.honored()) {
           bool in_group = false;
           for (size_t k = 0; k < r.dim_loop.size(); ++k)
             in_group |= group_of[static_cast<size_t>(ag.node_id(
-                            r.array, static_cast<int>(k)))] == g;
+                            r.array, static_cast<int>(k)))] == dr.group;
           nd.owner_pinned = nd.owner_pinned && in_group;
         }
       }
@@ -610,18 +616,19 @@ ProgramDecomposition decompose_from(std::vector<ParallelizedNest> par,
     for (size_t s = 0; s < nd.stmts.size(); ++s) {
       nd.stmts[s].loop_for_dim.assign(
           static_cast<size_t>(out.num_proc_dims), -1);
-      for (const auto& [g, loop] : ev.stmt_loops[s]) {
+      for (int g = 0; g < ngroups; ++g) {
+        const int loop = ni.write_loop[s * static_cast<size_t>(ngroups) +
+                                       static_cast<size_t>(g)];
         const int pd = dim_of_group[static_cast<size_t>(g)];
-        if (pd >= 0) nd.stmts[s].loop_for_dim[static_cast<size_t>(pd)] = loop;
+        if (loop >= 0 && pd >= 0)
+          nd.stmts[s].loop_for_dim[static_cast<size_t>(pd)] = loop;
       }
     }
-    for (size_t i = 0; i < ev.honored.size(); ++i) {
-      const int g = ev.honored[i];
-      const int l = ev.honored_loop[i];
-      const int pd = dim_of_group[static_cast<size_t>(g)];
+    for (const Drivable& dr : ev.honored()) {
+      const int l = dr.loop;
       LoopAssignment& la = nd.loops[static_cast<size_t>(l)];
-      la.proc_dim = pd;
-      la.sched = ev.honored_sched[i];
+      la.proc_dim = dim_of_group[static_cast<size_t>(dr.group)];
+      la.sched = dr.sched;
       // Load-balance fact for folding-function selection: bounds of the
       // distributed loop varying with outer loops, or inner bounds varying
       // with it, mean triangular work.

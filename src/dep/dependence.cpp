@@ -12,7 +12,6 @@
 namespace dct::dep {
 
 using ir::ArrayRef;
-using ir::Ineq;
 using ir::LoopNest;
 using linalg::checked_add;
 using linalg::checked_mul;
@@ -121,15 +120,9 @@ class FmSystem {
 
   /// Start a system holding the bound rows.
   void reset() {
-    if (!bounds_built_) {
-      std::vector<Ineq> bounds;
-      ir::append_bound_ineqs(nest_, 0, nvars_, bounds);             // i
-      ir::append_bound_ineqs(nest_, nest_.depth(), nvars_, bounds);  // i'
-      for (const Ineq& q : bounds) {
-        bounds_.insert(bounds_.end(), q.c.begin(), q.c.end());
-        bounds_.push_back(q.c0);
-      }
-      bounds_built_ = true;
+    if (bounds_.empty()) {
+      ir::append_bound_rows(nest_, 0, nvars_, bounds_);             // i
+      ir::append_bound_rows(nest_, nest_.depth(), nvars_, bounds_);  // i'
     }
     rows_.assign(bounds_.begin(), bounds_.end());
   }
@@ -169,7 +162,6 @@ class FmSystem {
   const LoopNest& nest_;
   int nvars_;
   size_t width_;
-  bool bounds_built_ = false;
   std::vector<Int> bounds_;
   std::vector<Int> rows_, next_;  ///< this step's system, the next one's
   std::vector<size_t> lower_, upper_, order_;

@@ -217,14 +217,12 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   out.parallel = best->parallel;
   // The transform is legal for the union of the carried vectors, so for
   // each pair's; loop-independent vectors stay all-EQ under any transform.
-  // It maps vectors one to one, so the summary keeps its order.
   for (PairDeps& pd : pairs) {
     auto tv = transform_vectors(pd.vectors, best->u);
     DCT_CHECK(tv.has_value(), "chosen transform must be legal for every pair");
     pd.vectors = std::move(*tv);
   }
   out.pairs = std::move(pairs);
-  out.deps = summarize(out.pairs);
   if (rs != nullptr) {
     rs->count("legal_candidates", static_cast<long>(candidates.size()));
     rs->count("dependence_vectors", static_cast<long>(deps.vectors.size()));

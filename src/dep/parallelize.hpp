@@ -11,16 +11,20 @@
 
 namespace dct::dep {
 
+/// One nest after the preprocessing: the one record of the transformed
+/// nest, its transform and its dependences. Every later stage (the
+/// decomposition, lowering, the native plan, codegen and the oracles)
+/// reads the nest from here; nothing keeps a copy.
 struct ParallelizedNest {
   ir::LoopNest nest;            ///< the transformed nest
   linalg::IntMatrix transform;  ///< j = transform * i
-  NestDeps deps;                ///< dependences of the transformed nest
   /// analyze_pairs of the original nest, each vector mapped through
   /// `transform`: the statement-attributed dependences of `nest`, which
-  /// the native backend's plan folds without analyzing again.
+  /// the decomposition (summarize) and the native backend's plan fold
+  /// without analyzing again.
   std::vector<PairDeps> pairs;
   /// Per level: carries no dependence (DOALL), the complement of
-  /// carried_levels(deps.vectors, depth).
+  /// carried_levels over `pairs`' vectors.
   std::vector<bool> parallel;
 };
 

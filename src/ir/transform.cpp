@@ -1,7 +1,8 @@
 #include "ir/transform.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <utility>
+#include <string>
 
 #include "support/diagnostics.hpp"
 
@@ -53,92 +54,49 @@ IntMatrix unimodular_inverse(const IntMatrix& u) {
   return inv;
 }
 
-namespace {
-
-void normalize(std::span<linalg::Int> c, linalg::Int& c0) {
+void normalize_row(std::span<linalg::Int> row) {
+  const std::span<linalg::Int> c = row.first(row.size() - 1);
   const linalg::Int g = linalg::gcd(c);
   if (g > 1) {
-    for (auto& v : c) v /= g;
-    c0 = linalg::floor_div(c0, g);
+    for (auto& x : c) x /= g;
+    row.back() = linalg::floor_div(row.back(), g);
   }
-}
-
-void combine(std::span<const linalg::Int> lo, linalg::Int lo0,
-             std::span<const linalg::Int> hi, linalg::Int hi0, int v,
-             std::span<linalg::Int> out, linalg::Int& out0) {
-  const linalg::Int clo = lo[static_cast<size_t>(v)];
-  const linalg::Int chi = -hi[static_cast<size_t>(v)];
-  for (size_t k = 0; k < out.size(); ++k)
-    out[k] = checked_add(checked_mul(clo, hi[k]), checked_mul(chi, lo[k]));
-  out0 = checked_add(checked_mul(clo, hi0), checked_mul(chi, lo0));
-  DCT_CHECK(out[static_cast<size_t>(v)] == 0, "FM elimination bug");
-  normalize(out, out0);
-}
-
-/// The rows of `system` split by the sign of their coefficient on x_v:
-/// lower bounds (> 0), upper bounds (< 0) and the rest.
-struct FmSplit {
-  std::vector<Ineq> lower, upper, rest;
-};
-
-FmSplit split_on(std::vector<Ineq> system, int v) {
-  FmSplit out;
-  for (Ineq& q : system) {
-    const linalg::Int cv = q.c[static_cast<size_t>(v)];
-    if (cv > 0)
-      out.lower.push_back(std::move(q));
-    else if (cv < 0)
-      out.upper.push_back(std::move(q));
-    else
-      out.rest.push_back(std::move(q));
-  }
-  return out;
-}
-
-Ineq eliminate(const Ineq& lo, const Ineq& hi, int v) {
-  Ineq q;
-  q.c.resize(lo.c.size());
-  combine(lo.c, lo.c0, hi.c, hi.c0, v, q.c, q.c0);
-  return q;
-}
-
-}  // namespace
-
-void normalize_row(std::span<linalg::Int> row) {
-  normalize(row.first(row.size() - 1), row.back());
 }
 
 void eliminate_row(std::span<const linalg::Int> lo,
                    std::span<const linalg::Int> hi, int v,
                    std::span<linalg::Int> out) {
-  const size_t n = out.size() - 1;
-  combine(lo.first(n), lo[n], hi.first(n), hi[n], v, out.first(n), out[n]);
+  const linalg::Int clo = lo[static_cast<size_t>(v)];
+  const linalg::Int chi = -hi[static_cast<size_t>(v)];
+  for (size_t k = 0; k < out.size(); ++k)
+    out[k] = checked_add(checked_mul(clo, hi[k]), checked_mul(chi, lo[k]));
+  DCT_CHECK(out[static_cast<size_t>(v)] == 0, "FM elimination bug");
+  normalize_row(out);
 }
 
-void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
-                        std::vector<Ineq>& out) {
+void append_bound_rows(const LoopNest& nest, int base, int nvars,
+                       std::vector<linalg::Int>& rows) {
+  const size_t width = static_cast<size_t>(nvars) + 1;
   const auto at = [base](size_t i) { return static_cast<size_t>(base) + i; };
   for (size_t k = 0; k < nest.loops.size(); ++k) {
     const Loop& lp = nest.loops[k];
     for (const Bound& b : lp.lowers) {
       // divisor * i_k - expr >= 0
-      Ineq q;
-      q.c.assign(static_cast<size_t>(nvars), 0);
-      q.c[at(k)] = b.divisor;
+      rows.resize(rows.size() + width, 0);
+      const std::span<linalg::Int> q = std::span(rows).last(width);
+      q[at(k)] = b.divisor;
       for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
-        q.c[at(i)] = linalg::checked_sub(q.c[at(i)], b.expr.coeffs[i]);
-      q.c0 = -b.expr.constant;
-      out.push_back(std::move(q));
+        q[at(i)] = linalg::checked_sub(q[at(i)], b.expr.coeffs[i]);
+      q.back() = -b.expr.constant;
     }
     for (const Bound& b : lp.uppers) {
       // expr - divisor * i_k >= 0
-      Ineq q;
-      q.c.assign(static_cast<size_t>(nvars), 0);
+      rows.resize(rows.size() + width, 0);
+      const std::span<linalg::Int> q = std::span(rows).last(width);
       for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
-        q.c[at(i)] = b.expr.coeffs[i];
-      q.c[at(k)] = linalg::checked_sub(q.c[at(k)], b.divisor);
-      q.c0 = b.expr.constant;
-      out.push_back(std::move(q));
+        q[at(i)] = b.expr.coeffs[i];
+      q[at(k)] = linalg::checked_sub(q[at(k)], b.divisor);
+      q.back() = b.expr.constant;
     }
   }
 }
@@ -147,20 +105,26 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   const int d = nest.depth();
   DCT_CHECK(u.rows() == d && u.cols() == d, "transform shape mismatch");
   const IntMatrix v = unimodular_inverse(u);  // i = v * j
+  const size_t width = static_cast<size_t>(d) + 1;
+  const auto row = [width](std::vector<linalg::Int>& buf, size_t r) {
+    return std::span(buf).subspan(r * width, width);
+  };
 
-  // Build the iteration-polytope inequality system over i, then substitute
-  // i = v * j to express it over j.
-  std::vector<Ineq> system;
-  append_bound_ineqs(nest, 0, d, system);
-  for (Ineq& q : system) {
-    linalg::Vec cj(static_cast<size_t>(d), 0);
-    for (int col = 0; col < d; ++col)
-      for (int row = 0; row < d; ++row)
-        cj[static_cast<size_t>(col)] =
-            checked_add(cj[static_cast<size_t>(col)],
-                        checked_mul(q.c[static_cast<size_t>(row)], v.at(row, col)));
-    q.c = std::move(cj);
-    normalize(q.c, q.c0);
+  // Build the iteration-polytope system over i, then substitute i = v * j
+  // to express it over j.
+  std::vector<linalg::Int> rows, next;
+  append_bound_rows(nest, 0, d, rows);
+  linalg::Vec cj(static_cast<size_t>(d));
+  for (size_t r = 0; r < rows.size() / width; ++r) {
+    const std::span<linalg::Int> q = row(rows, r);
+    for (int col = 0; col < d; ++col) {
+      linalg::Int c = 0;
+      for (int i = 0; i < d; ++i)
+        c = checked_add(c, checked_mul(q[static_cast<size_t>(i)], v.at(i, col)));
+      cj[static_cast<size_t>(col)] = c;
+    }
+    std::copy(cj.begin(), cj.end(), q.begin());
+    normalize_row(q);
   }
 
   // Fourier–Motzkin: peel bounds for levels d-1 .. 0.
@@ -168,33 +132,52 @@ LoopNest apply_unimodular(const LoopNest& nest, const IntMatrix& u) {
   out.name = nest.name;
   out.frequency = nest.frequency;
   out.loops.resize(static_cast<size_t>(d));
+  std::vector<size_t> lower, upper;
   for (int k = d - 1; k >= 0; --k) {
-    Loop& lp = out.loops[static_cast<size_t>(k)];
+    const auto at = static_cast<size_t>(k);
+    Loop& lp = out.loops[at];
     lp.var_name = "j" + std::to_string(k);
-    auto [lower, upper, rest] = split_on(std::move(system), k);
+    // Split on the sign of the j_k coefficient: lower bounds (> 0), upper
+    // bounds (< 0); the rest carry over to the outer levels.
+    lower.clear();
+    upper.clear();
+    next.clear();
+    for (size_t r = 0; r < rows.size() / width; ++r) {
+      const std::span<linalg::Int> q = row(rows, r);
+      if (q[at] > 0)
+        lower.push_back(r);
+      else if (q[at] < 0)
+        upper.push_back(r);
+      else
+        next.insert(next.end(), q.begin(), q.end());
+    }
     DCT_CHECK(!lower.empty() && !upper.empty(),
               "transformed nest is unbounded at level " + std::to_string(k));
-    for (const Ineq& q : lower) {
+    for (const size_t r : lower) {
       // ck * j_k >= -(rest of q)  =>  j_k >= ceil(expr / ck)
-      Bound b;
-      b.divisor = q.c[static_cast<size_t>(k)];
-      b.expr.coeffs.assign(q.c.begin(), q.c.begin() + k);
+      const std::span<linalg::Int> q = row(rows, r);
+      Bound& b = lp.lowers.emplace_back();
+      b.divisor = q[at];
+      b.expr.coeffs.assign(q.begin(), q.begin() + k);
       for (auto& cv : b.expr.coeffs) cv = -cv;
-      b.expr.constant = -q.c0;
-      lp.lowers.push_back(std::move(b));
+      b.expr.constant = -q.back();
     }
-    for (const Ineq& q : upper) {
+    for (const size_t r : upper) {
       // (-ck) * j_k <= rest of q  =>  j_k <= floor(expr / -ck)
-      Bound b;
-      b.divisor = -q.c[static_cast<size_t>(k)];
-      b.expr.coeffs.assign(q.c.begin(), q.c.begin() + k);
-      b.expr.constant = q.c0;
-      lp.uppers.push_back(std::move(b));
+      const std::span<linalg::Int> q = row(rows, r);
+      Bound& b = lp.uppers.emplace_back();
+      b.divisor = -q[at];
+      b.expr.coeffs.assign(q.begin(), q.begin() + k);
+      b.expr.constant = q.back();
     }
     // Eliminate j_k for the outer levels.
-    system = std::move(rest);
-    for (const Ineq& lo : lower)
-      for (const Ineq& hi : upper) system.push_back(eliminate(lo, hi, k));
+    for (const size_t lo : lower)
+      for (const size_t hi : upper) {
+        next.resize(next.size() + width);
+        eliminate_row(row(rows, lo), row(rows, hi), k,
+                      std::span(next).last(width));
+      }
+    rows.swap(next);
   }
 
   // Transform the statements: F' = F * V, offsets unchanged.

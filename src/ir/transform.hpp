@@ -3,7 +3,8 @@
 // A unimodular matrix U maps the iteration vector i of a nest to a new
 // vector j = U * i. Array references transform as F' = F * U^{-1}; loop
 // bounds are regenerated with Fourier–Motzkin elimination on the affine
-// inequality system describing the iteration polytope.
+// inequality system describing the iteration polytope, held as flat rows
+// (the one system format, shared with the dependence tests).
 #pragma once
 
 #include <span>
@@ -35,23 +36,15 @@ linalg::IntMatrix unimodular_inverse(const linalg::IntMatrix& u);
 
 // Fourier–Motzkin elimination over affine inequalities, shared by bound
 // regeneration (apply_unimodular) and dependence feasibility
-// (dep::analyze_pairs). Each caller keeps its own policy around these steps.
+// (dep::analyze_pairs); each caller keeps its own policy around these
+// steps. A system has one format: flat rows, an inequality c · x + c0 >= 0
+// over nvars variables stored as nvars + 1 Ints, the coefficients c
+// followed by the constant c0, so a whole system lives in one buffer.
 
-/// One affine inequality c · x + c0 >= 0.
-struct Ineq {
-  linalg::Vec c;
-  linalg::Int c0 = 0;
-};
-
-/// Append the inequalities of `nest`'s loop bounds, loop by loop (lowers,
-/// then uppers), over variables [base, base + depth) of an `nvars`-wide
-/// space.
-void append_bound_ineqs(const LoopNest& nest, int base, int nvars,
-                        std::vector<Ineq>& out);
-
-// Flat rows: an inequality over nvars variables as nvars + 1 Ints, the
-// coefficients c followed by the constant c0, so a system can live in one
-// reused buffer.
+/// Append the rows of `nest`'s loop bounds, loop by loop (lowers, then
+/// uppers), over variables [base, base + depth) of an `nvars`-wide space.
+void append_bound_rows(const LoopNest& nest, int base, int nvars,
+                       std::vector<linalg::Int>& rows);
 
 /// Integer tightening: divide by the gcd of the variable coefficients,
 /// flooring the constant (keeps every integer point).

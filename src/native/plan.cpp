@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "dep/dependence.hpp"
+#include "dep/parallelize.hpp"
 #include "support/str.hpp"
 
 namespace dct::native {
@@ -14,19 +14,14 @@ using core::CoordFold;
 
 namespace {
 
-NestPlan plan_nest(const CompiledNest& cn,
-                   const std::vector<dep::PairDeps>& pairs, int procs) {
+/// `cn` is `par.nest` lowered, statement for statement, so the pairs'
+/// statement indices name compiled statements.
+NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
+                   int procs) {
   NestPlan np;
-  const int d = static_cast<int>(cn.nest.loops.size());
+  const int d = par.nest.depth();
   if (d == 0 || cn.stmts.empty()) {
     np.why = "empty";
-    return np;
-  }
-  // The dependence analysis attributes vectors by statement index; that
-  // only maps onto the compiled statements if the lists are parallel.
-  if (cn.nest.stmts.size() != cn.stmts.size()) {
-    np.schedule = NestSchedule::Sequential;
-    np.why = "stmt lists misaligned";
     return np;
   }
 
@@ -86,7 +81,7 @@ NestPlan plan_nest(const CompiledNest& cn,
   int bl = -1;
   bool post = false, gather = false;
   std::vector<dep::DepVector> cross;  // full-depth, between different owners
-  for (const dep::PairDeps& pd : pairs) {
+  for (const dep::PairDeps& pd : par.pairs) {
     for (const dep::DepVector& v : pd.vectors) {
       if (same_owner(pd, v)) continue;  // one thread, walk order
       if (!full(pd.src_stmt)) {
@@ -214,7 +209,7 @@ ProgramPlan plan_program(const core::CompiledProgram& cp) {
   ProgramPlan pp;
   pp.nests.reserve(cp.nests.size());
   for (size_t j = 0; j < cp.nests.size(); ++j) {
-    pp.nests.push_back(plan_nest(cp.nests[j], cp.dec.par[j].pairs, cp.procs));
+    pp.nests.push_back(plan_nest(cp.dec.par[j], cp.nests[j], cp.procs));
     if (pp.nests.back().schedule == NestSchedule::Sequential)
       ++pp.sequential_nests;
   }

@@ -5,12 +5,14 @@
 // compiled nest, the synchronization that makes the SPMD walk race-free
 // from the nest's statement-attributed dependence vectors, which
 // dep::parallelize stored with the nest (ParallelizedNest::pairs): the
-// plan folds them and analyzes nothing itself. The backend implements
-// every shape below with one primitive, per-thread monotonic epoch
-// counters (native.hpp): a post publishes "this thread is past sync event
-// n", a wait blocks until one thread has posted n, and a barrier is a post
-// followed by a wait on every thread. The shapes and the dependence
-// condition each one needs:
+// plan folds them and analyzes nothing itself. The nest and its pairs come
+// from that one record (cp.dec.par[j]); cp.nests[j] holds its statements
+// lowered in the same order, so a pair's statement indices name them. The
+// backend implements every shape below with one primitive, per-thread
+// monotonic epoch counters (native.hpp): a post publishes "this thread is
+// past sync event n", a wait blocks until one thread has posted n, and a
+// barrier is a post followed by a wait on every thread. The shapes and
+// the dependence condition each one needs:
 //
 //  * barrier_level BL — a barrier after every iteration of loop BL orders
 //    every dependence carried at levels <= BL across threads (the classic
@@ -102,9 +104,9 @@ struct ProgramPlan {
   int sequential_nests = 0;
 };
 
-/// Classify every nest of a compiled program from the pair vectors in
-/// cp.dec.par. A pure fold: never fails (unanalyzable shapes fall back to
-/// Sequential).
+/// Classify every nest of a compiled program from its record in cp.dec.par
+/// (the nest and its pair vectors) and its lowered statements. A pure
+/// fold: never fails (unanalyzable shapes fall back to Sequential).
 ProgramPlan plan_program(const core::CompiledProgram& cp);
 
 }  // namespace dct::native

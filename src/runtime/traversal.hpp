@@ -195,7 +195,7 @@ class Traversal {
     size_t max_rank = 1, max_reads = 1;
     plans_.resize(cp.nests.size());
     for (size_t j = 0; j < cp.nests.size(); ++j) {
-      const int d = static_cast<int>(cp.nests[j].nest.loops.size());
+      const int d = cp.dec.par[j].nest.depth();
       for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
         max_reads = std::max(max_reads, cs.reads.size());
         Stmt s;
@@ -260,9 +260,9 @@ class Traversal {
   /// Walk nest `j` once. Levels named in `restrictions` visit only the
   /// owned values of their fold digit.
   void run_nest(size_t j, std::span<const Restriction> restrictions = {}) {
-    const int d = static_cast<int>(cp_.nests[j].nest.loops.size());
+    loops_ = &cp_.dec.par[j].nest.loops;
+    const int d = static_cast<int>(loops_->size());
     if (d == 0) return;
-    loops_ = &cp_.nests[j].nest.loops;
     plan_ = &plans_[j];
     inner_ = d - 1;
     iter_.assign(static_cast<size_t>(d), 0);

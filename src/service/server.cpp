@@ -130,10 +130,16 @@ void Server::enqueue(Item item) {
   });
   if (stopping_) {
     lock.unlock();
+    // Refused, but received: it completes as a cancelled error, so the
+    // counters still add up (received = completed + rejected).
     Response resp;
     resp.id = item.req.id;
     resp.error_code = to_string(Error::Code::kCancelled);
     resp.error = "server is shutting down";
+    resp.total_ms = resp.queue_ms = ms_since(item.enqueued);
+    RequestSample sample;
+    sample.queue_us = sample.total_us = resp.total_ms * 1000.0;
+    metrics_.on_completed(sample, false, Error::Code::kCancelled);
     deliver(item, std::move(resp));
     return;
   }

@@ -103,7 +103,7 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
     // nests the decomposition itself charged with communication or
     // boundary traffic.
     if (!nd.comm_free || !nd.boundary_free) continue;
-    const ir::LoopNest& nest = cp.nests[j].nest;
+    const ir::LoopNest& nest = dec.par[j].nest;
     if (nest.depth() == 0) continue;
     ++rep.subjects;
 
@@ -418,8 +418,9 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
   // Owner folds of the lowered schedule, over each nest's iteration hull.
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     const core::CompiledNest& cn = cp.nests[j];
-    if (cn.nest.depth() == 0) continue;
-    const dep::Hull hull = dep::iteration_hull(cn.nest);
+    const ir::LoopNest& nest = cp.dec.par[j].nest;
+    if (nest.depth() == 0) continue;
+    const dep::Hull hull = dep::iteration_hull(nest);
     if (hull.empty) continue;
     for (size_t s = 0; s < cn.stmts.size(); ++s)
       for (const auto& [loop, fold] : cn.stmts[s].owner)

@@ -156,7 +156,7 @@ void count_strip_slices(const core::CompiledProgram& cp,
                         const native::ProgramPlan& plan,
                         CheckCoverage& cov) {
   for (size_t j = 0; j < plan.nests.size(); ++j) {
-    const int d = static_cast<int>(cp.nests[j].nest.loops.size());
+    const int d = cp.dec.par[j].nest.depth();
     for (const native::NestRestriction& r : plan.nests[j].restrictions) {
       if (r.level != d - 1 || r.fold.kind == decomp::DistKind::Serial)
         continue;
@@ -197,7 +197,7 @@ std::optional<std::string> run_engines(
   // nest's transform: they must be what analyzing the compiled nest finds.
   for (size_t j = 0; j < cp.nests.size(); ++j)
     if (pair_sets(cp.dec.par[j].pairs) !=
-        pair_sets(dep::analyze_pairs(cp.nests[j].nest)))
+        pair_sets(dep::analyze_pairs(cp.dec.par[j].nest)))
       return strf("%s procs=%d nest %zu: stored dependence pairs differ "
                   "from the compiled nest's",
                   what.c_str(), procs, j);

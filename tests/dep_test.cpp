@@ -378,7 +378,7 @@ TEST(Parallelize, StoresTheTransformedNestsPairs) {
           if (par.transform != linalg::IntMatrix::identity(par.nest.depth()))
             ++transformed;
           EXPECT_EQ(as_sets(par.pairs),
-                    as_sets(analyze_pairs(cp.nests[j].nest)))
+                    as_sets(analyze_pairs(par.nest)))
               << prog.name << " " << core::to_string(mode) << " P=" << procs
               << " nest " << j;
         }

@@ -2,10 +2,12 @@
 // from the trace), equivalence of a supplied decomposition with compile(),
 // rejection of a malformed one and failure attribution to the failing
 // stage, the structured trace (remarks, counters, wall time, JSON
-// rendering), the determinism of the multi-threaded experiment sweep, and
-// that the library ignores the environment.
+// rendering), the determinism of the multi-threaded experiment sweep,
+// that the library ignores the environment, and the digests pinning every
+// compile artifact.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,10 +16,13 @@
 #include <sstream>
 
 #include "apps/apps.hpp"
+#include "codegen/codegen.hpp"
 #include "core/compiler.hpp"
 #include "core/experiment.hpp"
 #include "decomp/decomposition.hpp"
+#include "native/plan.hpp"
 #include "runtime/executor.hpp"
+#include "service/cache.hpp"
 #include "support/remark.hpp"
 #include "support/str.hpp"
 #include "verify/oracle.hpp"
@@ -384,6 +389,93 @@ TEST(Pipeline, LibraryIgnoresEnvironment) {
   EXPECT_EQ(core::render_sweep("stencil5", set.sweep),
             core::render_sweep("stencil5", clean.sweep));
   std::remove(trace_path.c_str());
+}
+
+// Everything a compile hands its callers, as text: the report, the
+// emitted SPMD code, every pass's remarks and counters (not its wall
+// time), every native plan's rationale, and each nest's transform and
+// stored dependence pairs.
+std::string artifact_text(const core::CompiledProgram& cp) {
+  std::ostringstream os;
+  os << cp.report() << codegen::emit_program(cp);
+  for (const support::PassRecord& p : cp.trace.passes) {
+    os << "pass " << p.name << "\n";
+    for (const support::Remark& r : p.remarks)
+      os << r.nest << ' ' << r.nest_name << ' ' << r.array << ' '
+         << r.array_name << ": " << r.message << "\n";
+    for (const auto& [name, value] : p.counters)
+      os << name << '=' << value << "\n";
+  }
+  for (const native::NestPlan& np : native::plan_program(cp).nests)
+    os << "plan " << np.why << "\n";
+  for (const dep::ParallelizedNest& par : cp.dec.par) {
+    os << par.transform.to_string() << "\n";
+    for (const dep::PairDeps& pd : par.pairs) {
+      os << pd.src_stmt << "->" << pd.dst_stmt;
+      for (const dep::DepVector& v : pd.vectors) os << ' ' << v.to_string();
+      os << "\n";
+    }
+  }
+  return os.str();
+}
+
+// One FNV-1a digest of artifact_text per (program, mode, P) over the 8
+// applications at sizes 16, 33 and 64 and the fuzzer's programs of seeds
+// 0-99, at P = 1, 3, 4 and 32. A compile that throws digests its error.
+// Refactors of the compiler must leave every line as it is; regenerate
+// after an intentional change with
+//   DCT_UPDATE_GOLDEN=1 ./pipeline_test --gtest_filter=*ArePinned
+// and review the diff of tests/golden/compile_digests.txt.
+TEST(Pipeline, CompileArtifactsArePinned) {
+  std::vector<std::pair<std::string, ir::Program>> corpus;
+  for (const int n : {16, 33, 64}) {
+    for (const ir::Program& p :
+         {apps::figure1(n), apps::vpenta(n), apps::lu(n), apps::stencil5(n),
+          apps::adi(n), apps::erlebacher(n), apps::swm256(n),
+          apps::tomcatv(n)})
+      corpus.emplace_back(strf("%s(%d)", p.name.c_str(), n), p);
+  }
+  for (std::uint64_t seed = 0; seed < 100; ++seed)
+    corpus.emplace_back(strf("seed%d", static_cast<int>(seed)),
+                        verify::generate_program(seed));
+
+  std::ostringstream got;
+  for (const auto& [name, prog] : corpus)
+    for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
+      for (const int procs : {1, 3, 4, 32}) {
+        std::string text;
+        try {
+          text = artifact_text(core::compile(prog, mode, procs));
+        } catch (const Error& e) {
+          text = std::string("error: ") + e.what();
+        }
+        got << name << ' ' << core::to_string(mode) << " P=" << procs << ' '
+            << strf("%016" PRIx64, service::fnv1a(text)) << "\n";
+      }
+
+  const std::string path =
+      std::string(DCT_TEST_DIR) + "/golden/compile_digests.txt";
+  if (std::getenv("DCT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got.str();
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path
+                         << " (run with DCT_UPDATE_GOLDEN=1 to create)";
+  std::istringstream got_lines(got.str());
+  std::string want_line, got_line;
+  int drifted = 0;
+  while (std::getline(in, want_line)) {
+    std::getline(got_lines, got_line);
+    if (got_line != want_line && ++drifted <= 10)
+      ADD_FAILURE() << "artifact drift: want '" << want_line << "', got '"
+                    << got_line << "'";
+    got_line.clear();
+  }
+  EXPECT_EQ(drifted, 0);
+  EXPECT_FALSE(std::getline(got_lines, got_line)) << "extra line " << got_line;
 }
 
 }  // namespace

@@ -387,6 +387,26 @@ TEST(Server, MetricsDumpShape) {
         << dump;
 }
 
+TEST(Server, RefusedAtShutdownIsCounted) {
+  Server server(small_server());
+  (void)server.call(req("lu"));
+  server.shutdown();
+  const Response refused = server.call(req("lu"));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, "cancelled");
+  // Every received request completed: the refusal counts as an error
+  // with its code.
+  const std::string dump = server.metrics_text();
+  for (const char* needle :
+       {"dctd_requests_total 2\n", "dctd_requests_completed 2\n",
+        "dctd_requests_ok 1\n", "dctd_requests_error 1\n",
+        "dctd_requests_rejected 0\n",
+        "dctd_requests_error_code{code=\"cancelled\"} 1\n"})
+    EXPECT_NE(dump.find(needle), std::string::npos)
+        << "missing \"" << needle << "\" in:\n"
+        << dump;
+}
+
 // ------------------------------------------------------------- protocol
 
 TEST(Protocol, ParsesRequestsAndCommands) {

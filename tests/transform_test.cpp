@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
@@ -145,6 +146,99 @@ TEST(ApplyUnimodular, ThreeDeep) {
   nest.stmts.push_back(std::move(s));
   const LoopNest t = apply_unimodular(nest, permutation_matrix({2, 0, 1}));
   EXPECT_EQ(touches(nest), touches(t));
+}
+
+/// Every regenerated bound of `nest` with its raw coefficient list, in
+/// the order apply_unimodular emits them.
+std::string bound_text(const LoopNest& nest) {
+  std::ostringstream os;
+  auto put = [&os](const char* kind, const Bound& b) {
+    os << ' ' << kind << " [";
+    for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
+      os << (i ? "," : "") << b.expr.coeffs[i];
+    os << '|' << b.expr.constant << "]/" << b.divisor;
+  };
+  for (const Loop& lp : nest.loops) {
+    os << lp.var_name << ':';
+    for (const Bound& b : lp.lowers) put("lo", b);
+    for (const Bound& b : lp.uppers) put("hi", b);
+    os << '\n';
+  }
+  return os.str();
+}
+
+/// The Fourier–Motzkin bound regeneration, row for row: rows with
+/// coefficients of both signs, divisors above 1, redundant bounds, several
+/// combined rows bounding one level and gcd-tightened rows all appear
+/// here, which permutations of the applications' nests never produce. The
+/// text was recorded before bound regeneration moved onto flat rows.
+TEST(Transform, BoundsArePinned) {
+  // SOR, A(i,j) = A(i-1,j) + A(i,j-1), under the wavefront transform
+  // dep::parallelize picks for it.
+  LoopNest sor;
+  sor.loops.push_back(loop("i", cst(1), cst(6)));
+  sor.loops.push_back(loop("j", cst(1), cst(6)));
+  Stmt s;
+  s.write = simple_ref(0, 2, {{0, 0}, {1, 0}});
+  s.reads = {simple_ref(0, 2, {{0, -1}, {1, 0}}),
+             simple_ref(0, 2, {{0, 0}, {1, -1}})};
+  sor.stmts.push_back(s);
+  EXPECT_EQ(bound_text(apply_unimodular(sor, IntMatrix{{1, 1}, {1, 0}})),
+            "j0: lo [|2]/1 hi [|12]/1\n"
+            "j1: lo [0|1]/1 lo [1|-6]/1 hi [0|6]/1 hi [1|-1]/1\n");
+
+  // A skew by -2 composed with a rotation of a 3-deep nest whose
+  // innermost bounds depend on both outer loops.
+  LoopNest deep;
+  deep.loops.push_back(loop("i", cst(0), cst(3)));
+  deep.loops.push_back(loop("j", cst(1), cst(4)));
+  deep.loops.push_back(loop("k", var(0), var(1) + 2));
+  s.write = simple_ref(0, 3, {{0, 0}, {1, 0}, {2, 0}});
+  s.reads.clear();
+  deep.stmts = {s};
+  EXPECT_EQ(bound_text(apply_unimodular(
+                deep, permutation_matrix({2, 0, 1}) * skew_matrix(3, 2, 0, -2))),
+            "j0: lo [|-3]/1 lo [|-6]/1 hi [|6]/1\n"
+            "j1: lo [0|0]/1 lo [-1|0]/1 hi [0|3]/1 hi [-1|6]/2\n"
+            "j2: lo [0,0|1]/1 lo [1,2|-2]/1 hi [0,0|4]/1\n");
+
+  // LU's triangular nest (k, i > k, j > k) permuted to (i, j, k).
+  LoopNest lu;
+  lu.loops.push_back(loop("k", cst(0), cst(7)));
+  lu.loops.push_back(loop("i", var(0) + 1, cst(7)));
+  lu.loops.push_back(loop("j", var(0) + 1, cst(7)));
+  s.write = simple_ref(0, 3, {{1, 0}, {2, 0}});
+  s.reads = {simple_ref(0, 3, {{1, 0}, {0, 0}}),
+             simple_ref(0, 3, {{0, 0}, {2, 0}})};
+  lu.stmts = {s};
+  EXPECT_EQ(bound_text(apply_unimodular(lu, permutation_matrix({1, 2, 0}))),
+            "j0: lo [|1]/1 hi [|7]/1\n"
+            "j1: lo [0|1]/1 hi [0|7]/1\n"
+            "j2: lo [0,0|0]/1 hi [0,0|7]/1 hi [1,0|-1]/1 hi [0,1|-1]/1\n");
+
+  // The same nest with k skewed by i and by j: eliminating j2 yields
+  // several lower bounds of j1, so their order fixes the order in which
+  // lower and upper rows are combined.
+  EXPECT_EQ(bound_text(apply_unimodular(
+                lu, skew_matrix(3, 0, 1, 1) * skew_matrix(3, 0, 2, 1))),
+            "j0: lo [|2]/1 lo [|-4]/1 hi [|21]/1 hi [|20]/1 hi [|20]/1\n"
+            "j1: lo [1|-14]/1 lo [0|1]/1 lo [1|-6]/2 lo [1|-13]/1 "
+            "hi [0|7]/1 hi [1|-1]/1\n"
+            "j2: lo [1,-1|-7]/1 lo [1,-2|1]/1 lo [1,-1|1]/2 hi [1,-1|0]/1 "
+            "hi [0,0|7]/1\n");
+
+  // Bounds with divisors, 3/2 <= i <= 13/2 and (2i + 1)/2 <= j <= 8,
+  // interchanged: the gcd tightening of each substituted row shows.
+  LoopNest halves;
+  halves.loops.push_back(Loop{"i", {Bound{cst(3), 2}}, {Bound{cst(13), 2}}});
+  halves.loops.push_back(
+      Loop{"j", {Bound{var(0, 2) + 1, 2}}, {Bound{cst(8), 1}}});
+  s.write = simple_ref(0, 2, {{0, 0}, {1, 0}});
+  s.reads.clear();
+  halves.stmts = {s};
+  EXPECT_EQ(bound_text(apply_unimodular(halves, permutation_matrix({1, 0}))),
+            "j0: lo [|3]/1 hi [|8]/1\n"
+            "j1: lo [0|2]/1 hi [0|6]/1 hi [1|-1]/1\n");
 }
 
 }  // namespace
