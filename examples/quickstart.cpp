@@ -41,7 +41,7 @@ int main() {
   //     carries a structured trace (per-pass wall time, remarks, decision
   //     counters). Print the whole trace as one JSON line on stderr, then
   //     the summary.
-  std::cerr << full.trace.json({{"unit", full.program.name},
+  std::cerr << full.trace.json({{"unit", full.program().name},
                                 {"mode", core::to_string(full.mode)},
                                 {"procs", strf("%d", full.procs)}})
             << "\n";

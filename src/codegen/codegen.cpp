@@ -63,7 +63,7 @@ std::string address(const CompiledProgram& cp, const CompiledRef& ref,
     const bool transformed = f.div != 1 || f.mod != 0;
     if (transformed && cp.strategy == layout::AddrStrategy::Optimized) {
       // The strength-reduced counters of Section 4.3.
-      term = strf("%s_c%zu", cp.program.arrays[static_cast<size_t>(ref.array)]
+      term = strf("%s_c%zu", cp.program().arrays[static_cast<size_t>(ref.array)]
                                  .name.c_str(),
                   k);
     } else {
@@ -93,7 +93,7 @@ std::string digit_expr(const CoordFold& f, int total_procs) {
 
 std::string ref_text(const CompiledProgram& cp, const CompiledRef& ref,
                      int depth) {
-  const auto& decl = cp.program.arrays[static_cast<size_t>(ref.array)];
+  const auto& decl = cp.program().arrays[static_cast<size_t>(ref.array)];
   const core::CompiledArray& ca = cp.arrays[static_cast<size_t>(ref.array)];
   if (ca.layout.is_identity()) {
     std::string subs;
@@ -108,7 +108,7 @@ std::string ref_text(const CompiledProgram& cp, const CompiledRef& ref,
 
 std::string emit_nest(const CompiledProgram& cp, int nest_index) {
   const core::CompiledNest& cn = cp.nests[static_cast<size_t>(nest_index)];
-  const ir::LoopNest& nest = cp.dec.par[static_cast<size_t>(nest_index)].nest;
+  const ir::LoopNest& nest = cp.dec().par[static_cast<size_t>(nest_index)].nest;
   const int depth = nest.depth();
   std::ostringstream os;
 
@@ -207,10 +207,10 @@ std::string emit_nest(const CompiledProgram& cp, int nest_index) {
 
 std::string emit_program(const CompiledProgram& cp) {
   std::ostringstream os;
-  os << "/* " << cp.program.name << " — " << core::to_string(cp.mode)
+  os << "/* " << cp.program().name << " — " << core::to_string(cp.mode)
      << ", P = " << cp.procs << " */\n";
   for (size_t a = 0; a < cp.arrays.size(); ++a) {
-    const auto& decl = cp.program.arrays[a];
+    const auto& decl = cp.program().arrays[a];
     const auto& ca = cp.arrays[a];
     if (ca.layout.is_identity()) {
       os << strf("%s %s", decl.elem_size == 8 ? "double" : "float",
@@ -226,13 +226,13 @@ std::string emit_program(const CompiledProgram& cp) {
     os << (ca.replicated ? ";  /* replicated per cluster */\n" : ";\n");
   }
   os << "\nvoid spmd_main(int myid) {\n";
-  if (cp.program.time_steps > 1)
-    os << strf("  for (int t = 0; t < %d; t++) {\n", cp.program.time_steps);
+  if (cp.program().time_steps > 1)
+    os << strf("  for (int t = 0; t < %d; t++) {\n", cp.program().time_steps);
   for (size_t j = 0; j < cp.nests.size(); ++j) {
-    os << "  /* nest " << cp.program.nests[j].name << " */\n"
+    os << "  /* nest " << cp.program().nests[j].name << " */\n"
        << emit_nest(cp, static_cast<int>(j));
   }
-  if (cp.program.time_steps > 1) os << "  }\n";
+  if (cp.program().time_steps > 1) os << "  }\n";
   os << "}\n";
   return os.str();
 }

@@ -11,11 +11,20 @@
 //   Full          — CompDecomp plus array restructuring (the paper's
 //                   "comp decomp + data transform").
 //
+// A compile is two halves. The Analysis is per program: parallelization,
+// the decomposition, fold selection and barrier elimination map loops and
+// arrays onto *virtual* processors, so they read neither the processor
+// count nor (beyond Base versus the global algorithm) the mode. The tail
+// (layout, lower, addr-strategy) folds that onto P physical processors.
+// Any number of compiles may share one immutable Analysis.
+//
 // A CompiledProgram holds each compile fact once: the transformed nests,
-// their transforms and dependence pairs in dec.par, the decisions in
-// dec.nests and dec.arrays, and the lowered statements in nests.
+// their transforms and dependence pairs in dec().par, the decisions in
+// dec().nests and dec().arrays (all in the shared Analysis), and the
+// lowered statements in nests.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "decomp/decomposition.hpp"
@@ -73,21 +82,49 @@ struct CompiledStmt {
 };
 
 /// The lowered form of nest j; the transformed nest itself, its
-/// transform and its dependences stay in dec.par[j], and its decisions in
-/// dec.nests[j].
+/// transform and its dependences stay in dec().par[j], and its decisions
+/// in dec().nests[j].
 struct CompiledNest {
-  std::vector<CompiledStmt> stmts;  ///< lowered dec.par[j].nest.stmts
+  std::vector<CompiledStmt> stmts;  ///< lowered dec().par[j].nest.stmts
   bool barrier_after = true;
 };
 
-struct CompiledProgram {
+/// The per-program half of a compile: the stages that read neither the
+/// processor count nor the mode beyond Base versus the global algorithm.
+/// Immutable once built (it is handed out as shared_ptr<const Analysis>),
+/// so any number of compiles, threads and caches may share one.
+struct Analysis {
+  /// One decomposition and the trace records of the stages that built
+  /// it, in order ("parallelize" first). A supplied decomposition has no
+  /// records.
+  struct Decomposed {
+    /// The transformed nests with their transforms and dependence pairs
+    /// (dec.par) and every decomposition decision (dec.nests,
+    /// dec.arrays).
+    decomp::ProgramDecomposition dec;
+    std::vector<support::PassRecord> passes;
+  };
+
   ir::Program program;  ///< original program (arrays and sizes)
+  /// CompDecomp and Full compile from this: parallelize, decompose,
+  /// fold-select, barrier-elim.
+  std::shared_ptr<const Decomposed> global;
+  /// Base compiles from this: parallelize (run once for both halves; Base
+  /// gets a copy of its output), decompose-base.
+  std::shared_ptr<const Decomposed> base;
+
+  /// The half `mode` compiles from. Throws kInvalidArgument when this
+  /// analysis was built without it.
+  const Decomposed& decomposed(Mode mode) const;
+};
+
+struct CompiledProgram {
+  /// The analysis this was compiled from, shared with every other
+  /// compile of the program; program() and dec() read it.
+  std::shared_ptr<const Analysis> analysis;
   Mode mode = Mode::Base;
   int procs = 1;
   layout::AddrStrategy strategy = layout::AddrStrategy::Optimized;
-  /// The transformed nests with their transforms and dependence pairs
-  /// (dec.par) and every decomposition decision (dec.nests, dec.arrays).
-  decomp::ProgramDecomposition dec;
   std::vector<int> grid;  ///< physical extent per virtual dimension
   /// Mixed-radix stride of each virtual dimension within its co-activity
   /// clique: a processor's rank is the sum of coordinate * stride.
@@ -96,17 +133,31 @@ struct CompiledProgram {
   std::vector<CompiledNest> nests;  ///< one per dec.par entry
   /// Structured pipeline trace: per-pass wall time, remarks and decision
   /// counters (see support/remark.hpp; callers print it with
-  /// PipelineTrace::json).
+  /// PipelineTrace::json). It starts with copies of the analysis's
+  /// records, wall time included, so it reads as a fresh compile's.
   support::PipelineTrace trace;
 
+  /// The original program (arrays and sizes).
+  const ir::Program& program() const { return analysis->program; }
+  /// The decomposition this compile folded.
+  const decomp::ProgramDecomposition& dec() const {
+    return analysis->decomposed(mode).dec;
+  }
   std::string report() const;  ///< human-readable compilation summary
 };
+
+/// Run the per-program stages, both halves: parallelize once, then
+/// decompose-base, and decompose, fold-select and barrier-elim. A stage
+/// that throws propagates with context "pass <stage>" and no analysis is
+/// returned. Pure and reentrant, like compile.
+std::shared_ptr<const Analysis> analyze(const ir::Program& prog);
 
 /// Compile `prog` for `procs` processors by running the stages for `mode`
 /// in order (core/pass.cpp): parallelize, decompose (decompose-base for
 /// Base), fold-select and barrier-elim (not for Base), layout, lower,
 /// addr-strategy. The processor count is a compile-time input exactly as
-/// in the paper's generated SPMD code (block sizes are ceil(d/P)).
+/// in the paper's generated SPMD code (block sizes are ceil(d/P)). The
+/// result's analysis holds only the half `mode` reads.
 ///
 /// A statement without an evaluator throws kInvalidArgument (context
 /// "pass lower").
@@ -120,10 +171,18 @@ struct CompiledProgram {
 CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
                         const CompileOptions& opts = {});
 
+/// The tail of a compile (layout, lower, addr-strategy) on a shared
+/// analysis. Byte-identical to compile(analysis->program, mode, procs,
+/// opts): the analysis's trace records for `mode` are copied in front of
+/// the tail's.
+CompiledProgram compile(std::shared_ptr<const Analysis> analysis, Mode mode,
+                        int procs, const CompileOptions& opts = {});
+
 /// Compile with an externally supplied decomposition (ablation studies,
 /// HPF-directed decompositions): layouts, folds and schedules are derived
 /// from `dec` exactly as `compile` does from its own analysis: only the
-/// stages from layout onward run. `mode` selects layout restructuring
+/// stages from layout onward run, on an analysis whose one decomposition
+/// (no trace records) serves every mode. `mode` selects layout restructuring
 /// (Full) and the Base owner model. A `dec` whose nest or array count
 /// differs from `prog` throws kInvalidArgument; one binding a processor
 /// dimension outside dec.num_proc_dims throws kUnsupportedConfig (both

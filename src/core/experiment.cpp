@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -72,6 +73,17 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
                   : std::vector<std::vector<double>>{};
   const CompileOptions copts{.strategy = opts.strategy};
 
+  // One analysis serves every cell: the first attempt that gets past its
+  // fault hook builds it. One that throws is not kept, so every attempt
+  // of every cell retries it and fails with its own stage context, as a
+  // compile of its own would.
+  std::mutex analysis_mu;
+  const auto shared_analysis = [&] {
+    const std::lock_guard<std::mutex> lock(analysis_mu);
+    if (out.analysis == nullptr) out.analysis = analyze(prog);
+    return out.analysis;
+  };
+
   // Crash boundary around one cell: any failure of any attempt becomes a
   // CellFailure record; the sweep itself always completes.
   struct CellOutcome {
@@ -87,7 +99,7 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   auto attempt = [&](const Task& t)
       -> std::pair<runtime::RunResult, support::PipelineTrace> {
     if (opts.fault_hook) opts.fault_hook(t.mode, t.procs);
-    CompiledProgram cp = compile(prog, t.mode, t.procs, copts);
+    CompiledProgram cp = compile(shared_analysis(), t.mode, t.procs, copts);
     support::PipelineTrace trace = std::move(cp.trace);
     runtime::ExecOptions eopts;
     eopts.collect_values = t.verify;
@@ -252,7 +264,9 @@ Table1Row table1_row(const std::string& name, const ir::Program& prog,
                              row.full_speedup >= 1.5 * row.base_speedup;
   row.data_transform_critical = row.full_speedup >= 1.2 * cd;
 
-  const decomp::ProgramDecomposition dec = decomp::decompose(prog);
+  // The sweep's own analysis: every cell compiled from it.
+  const decomp::ProgramDecomposition& dec =
+      r.analysis->decomposed(Mode::CompDecomp).dec;
   std::vector<std::string> decs;
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     if (dec.arrays[a].replicated ||

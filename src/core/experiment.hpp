@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,13 @@ struct SweepResult {
   /// The largest-P run per mode (its `mem` is the memory statistics
   /// render_sweep prints).
   std::vector<runtime::RunResult> raw_at_max;
+  /// The analysis every cell compiled from; null when it failed.
+  std::shared_ptr<const Analysis> analysis;
   /// Pipeline traces of every compilation in the sweep, aggregated
-  /// (per-pass wall time, runs and decision counters summed).
+  /// (per-pass wall time, runs and decision counters summed). Each cell
+  /// carries the shared analysis's records, wall time included, so the
+  /// analysis stages read as if every cell had run them: their wall_ms
+  /// is the one analysis's time once per cell.
   support::PipelineTrace trace;
   /// Every cell that faulted, was skipped or got cancelled.
   std::vector<CellFailure> failures;
@@ -83,8 +89,9 @@ struct SweepResult {
 
 /// Run the full sweep. The paper's speedups are "calculated over the best
 /// sequential version": we use the BASE compilation on one processor.
-/// Every (mode, P) point is an independent compile+simulate, so they run
-/// on a thread pool (opts.threads) with deterministic result ordering.
+/// Every (mode, P) point is a compile+simulate from one shared analysis
+/// of `prog` (core::analyze), so they run on a thread pool (opts.threads)
+/// with deterministic result ordering.
 /// The sweep always returns: cell faults land in SweepResult::failures.
 SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts = {});
 

@@ -1,14 +1,16 @@
-// The compiler's stages and the one driver that runs them.
+// The compiler's stages and the drivers that run them.
 //
 // Each stage of the paper's flow — parallelization (§3.2), global
 // computation/data decomposition (§3), folding-function selection,
 // barrier elimination [Tseng 95], layout derivation (§4.2), schedule
-// lowering and address-strategy costing (§4.3) — is a plain function over
-// the CompiledProgram being built. run_stages() calls them in order for a
-// mode, giving each its own timed trace record (wall time, remarks,
-// decision counters) in a support::RemarkEngine.
+// lowering and address-strategy costing (§4.3) — is a plain function.
+// The stages up to barrier-elim build a core::Analysis (they read neither
+// P nor the mode beyond Base versus the global algorithm); the tail from
+// layout on builds a CompiledProgram from one. Each stage gets its own
+// timed trace record (wall time, remarks, decision counters) in a
+// support::RemarkEngine.
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <utility>
 
 #include "core/compiler.hpp"
@@ -31,45 +33,22 @@ Int page_align(Int x, Int page = 4096) { return ceil_div(x, page) * page; }
 // parallelize — unimodular preprocessing per nest (§3.2)
 // ---------------------------------------------------------------------------
 
-void parallelize(CompiledProgram& cp, support::RemarkSink& rs) {
-  const ir::Program& prog = cp.program;
-  cp.dec.par.clear();
+std::vector<dep::ParallelizedNest> parallelize(const ir::Program& prog,
+                                               support::RemarkSink& rs) {
+  std::vector<dep::ParallelizedNest> par;
   for (size_t j = 0; j < prog.nests.size(); ++j) {
     support::ScopedSink nest_rs(&rs, static_cast<int>(j), prog.nests[j].name);
-    cp.dec.par.push_back(dep::parallelize(prog.nests[j], &nest_rs));
+    par.push_back(dep::parallelize(prog.nests[j], &nest_rs));
   }
   rs.count("nests", static_cast<long>(prog.nests.size()));
+  return par;
 }
 
-// ---------------------------------------------------------------------------
-// decompose / decompose-base — alignment + global group selection (§3)
-// ---------------------------------------------------------------------------
-
-// The parallelize stage left its result in dec.par; the decomposition
-// consumes it and rebuilds dec around it.
-void decompose(CompiledProgram& cp, support::RemarkSink& rs) {
-  cp.dec = decomp::decompose_from(std::move(cp.dec.par), cp.program, &rs);
-}
-
-void decompose_per_nest(CompiledProgram& cp, support::RemarkSink& rs) {
-  cp.dec = decomp::decompose_base_from(std::move(cp.dec.par), cp.program, &rs);
-}
-
-// ---------------------------------------------------------------------------
-// fold-select — folding-function selection per virtual dimension
-// ---------------------------------------------------------------------------
-
-void select_folds(CompiledProgram& cp, support::RemarkSink& rs) {
-  decomp::select_folds(cp.program, cp.dec, &rs);
-}
-
-// ---------------------------------------------------------------------------
-// barrier-elim — synchronization optimization [Tseng 95]
-// ---------------------------------------------------------------------------
-
-void eliminate_barriers(CompiledProgram& cp, support::RemarkSink& rs) {
-  decomp::eliminate_barriers(cp.dec, &rs);
-}
+// The later analysis stages — decompose / decompose-base (alignment +
+// global group selection, §3), fold-select (folding-function selection
+// per virtual dimension) and barrier-elim (synchronization optimization
+// [Tseng 95]) — are the decomp:: functions of the same names, run by
+// analyze_halves below.
 
 // ---------------------------------------------------------------------------
 // layout — grid folding, per-array layouts/partitions, address space (§4.2)
@@ -80,8 +59,8 @@ void eliminate_barriers(CompiledProgram& cp, support::RemarkSink& rs) {
 /// dimensions inside its own space. Checked before anything indexes by
 /// them.
 void check_decomposition(const CompiledProgram& cp) {
-  const ir::Program& prog = cp.program;
-  const decomp::ProgramDecomposition& dec = cp.dec;
+  const ir::Program& prog = cp.program();
+  const decomp::ProgramDecomposition& dec = cp.dec();
   if (dec.nests.size() != prog.nests.size() ||
       dec.par.size() != prog.nests.size() ||
       dec.arrays.size() != prog.arrays.size())
@@ -105,16 +84,17 @@ void check_decomposition(const CompiledProgram& cp) {
 
 void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
   check_decomposition(cp);
-  const ir::Program& prog = cp.program;
+  const ir::Program& prog = cp.program();
+  const decomp::ProgramDecomposition& dec = cp.dec();
   const bool restructure = cp.mode == Mode::Full;
-  cp.grid = cp.dec.grid_extents(cp.procs);
+  cp.grid = dec.grid_extents(cp.procs);
 
   // Mixed-radix strides within co-activity cliques.
-  cp.stride.assign(static_cast<size_t>(cp.dec.num_proc_dims), 1);
-  for (int pd = 0; pd < cp.dec.num_proc_dims; ++pd)
+  cp.stride.assign(static_cast<size_t>(dec.num_proc_dims), 1);
+  for (int pd = 0; pd < dec.num_proc_dims; ++pd)
     for (int q = 0; q < pd; ++q)
-      if (cp.dec.clique_id[static_cast<size_t>(q)] ==
-          cp.dec.clique_id[static_cast<size_t>(pd)])
+      if (dec.clique_id[static_cast<size_t>(q)] ==
+          dec.clique_id[static_cast<size_t>(pd)])
         cp.stride[static_cast<size_t>(pd)] *= cp.grid[static_cast<size_t>(q)];
 
   const Int clusters = ceil_div(cp.procs, machine::kProcsPerCluster);
@@ -124,12 +104,12 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
     const ir::ArrayDecl& decl = prog.arrays[a];
     support::ScopedSink arr_rs(&rs, -1, {}, static_cast<int>(a), decl.name);
     CompiledArray ca;
-    ca.replicated = cp.dec.arrays[a].replicated;
-    ca.layout = restructure ? layout::derive_layout(decl, cp.dec.arrays[a],
+    ca.replicated = dec.arrays[a].replicated;
+    ca.layout = restructure ? layout::derive_layout(decl, dec.arrays[a],
                                                     cp.grid, &arr_rs)
                             : Layout::identity(decl.dims);
-    ca.part = layout::make_partition(decl, cp.dec.arrays[a], cp.grid,
-                                     cp.stride, cp.dec.num_proc_dims);
+    ca.part = layout::make_partition(decl, dec.arrays[a], cp.grid,
+                                     cp.stride, dec.num_proc_dims);
     ca.bytes = page_align(ca.layout.size() * decl.elem_size);
     ca.base_addr = next_addr;
     next_addr += ca.bytes * (ca.replicated ? clusters : 1);
@@ -163,7 +143,8 @@ CompiledRef flatten_ref(const ir::ArrayRef& r, int depth, bool is_write) {
 }
 
 void lower(CompiledProgram& cp, support::RemarkSink& rs) {
-  const ir::Program& prog = cp.program;
+  const ir::Program& prog = cp.program();
+  const decomp::ProgramDecomposition& dec = cp.dec();
   ir::require_evaluators(prog);
   // BASE's per-nest owner model: block-distribute the single marked loop
   // by its iteration-hull span instead of the partition-derived folds.
@@ -185,8 +166,8 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
   long owner_bindings = 0;
   cp.nests.clear();
   for (size_t j = 0; j < prog.nests.size(); ++j) {
-    const dep::ParallelizedNest& par = cp.dec.par[j];
-    const decomp::NestDecomposition& nd = cp.dec.nests[j];
+    const dep::ParallelizedNest& par = dec.par[j];
+    const decomp::NestDecomposition& nd = dec.nests[j];
     CompiledNest cn;
     cn.barrier_after = nd.barrier_after;
     const int depth = par.nest.depth();
@@ -216,7 +197,7 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
           break;
         }
       } else {
-        for (int pd = 0; pd < cp.dec.num_proc_dims; ++pd) {
+        for (int pd = 0; pd < dec.num_proc_dims; ++pd) {
           int loop = -1;
           if (s < nd.stmts.size() &&
               pd < static_cast<int>(nd.stmts[s].loop_for_dim.size()))
@@ -252,7 +233,7 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     CompiledNest& cn = cp.nests[j];
-    const ir::LoopNest& nest = cp.dec.par[j].nest;
+    const ir::LoopNest& nest = cp.dec().par[j].nest;
     for (size_t s = 0; s < cn.stmts.size(); ++s) {
       // Compiled refs were flattened in source order, so they pair with
       // the IR statement's reads/write positionally.
@@ -287,73 +268,119 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
 }
 
 // ---------------------------------------------------------------------------
-// The driver
+// The drivers
 // ---------------------------------------------------------------------------
 
-/// Compiles `prog` by running the stages for `mode` in order:
-///   Base:       parallelize, decompose-base, layout, lower, addr-strategy
-///   CompDecomp: parallelize, decompose, fold-select, barrier-elim,
-///               layout, lower, addr-strategy
-///   Full:       as CompDecomp; layout restructures arrays
-/// With a supplied `dec` only the tail from `layout` onward runs.
-CompiledProgram run_stages(const ir::Program& prog, Mode mode, int procs,
-                           const CompileOptions& opts,
-                           std::optional<decomp::ProgramDecomposition> dec) {
+/// Runs `stage` as the stage `name` and appends its trace record (wall
+/// time, remarks, decision counters) to `passes`. Any failure is
+/// attributed to the stage that raised it: fault isolation upstream
+/// (core::run_sweep) records the failing stage per cell.
+template <typename Stage>
+void run(const std::string& name, std::vector<support::PassRecord>& passes,
+         Stage&& stage) {
+  support::RemarkEngine eng;
+  eng.begin_pass(name);
+  try {
+    stage(static_cast<support::RemarkSink&>(eng));
+  } catch (Error& e) {
+    throw e.with_context("pass " + name);
+  } catch (const std::exception& e) {
+    throw Error(Error::Code::kFault, e.what()).with_context("pass " + name);
+  }
+  eng.end_pass();
+  passes.push_back(std::move(eng.take_trace().passes.front()));
+}
+
+/// Builds the analysis halves asked for:
+///   base:   parallelize, decompose-base
+///   global: parallelize, decompose, fold-select, barrier-elim
+/// parallelize runs once; when both halves are built, Base decomposes a
+/// copy of its output and of its trace record.
+std::shared_ptr<const Analysis> analyze_halves(const ir::Program& prog,
+                                               bool global, bool base) {
+  auto an = std::make_shared<Analysis>();
+  an->program = prog;
+  const ir::Program& p = an->program;
+  std::vector<support::PassRecord> passes;
+  std::vector<dep::ParallelizedNest> par;
+  run("parallelize", passes,
+      [&](support::RemarkSink& rs) { par = parallelize(p, rs); });
+
+  if (base) {
+    auto d = std::make_shared<Analysis::Decomposed>();
+    d->passes = global ? passes : std::move(passes);
+    run("decompose-base", d->passes, [&](support::RemarkSink& rs) {
+      d->dec =
+          decomp::decompose_base_from(global ? par : std::move(par), p, &rs);
+    });
+    an->base = std::move(d);
+  }
+  if (global) {
+    auto d = std::make_shared<Analysis::Decomposed>();
+    d->passes = std::move(passes);
+    decomp::ProgramDecomposition& dec = d->dec;
+    run("decompose", d->passes, [&](support::RemarkSink& rs) {
+      dec = decomp::decompose_from(std::move(par), p, &rs);
+    });
+    run("fold-select", d->passes,
+        [&](support::RemarkSink& rs) { decomp::select_folds(p, dec, &rs); });
+    run("barrier-elim", d->passes,
+        [&](support::RemarkSink& rs) { decomp::eliminate_barriers(dec, &rs); });
+    an->global = std::move(d);
+  }
+  return an;
+}
+
+/// The tail: layout, lower, addr-strategy, on `mode`'s half of `an`,
+/// recorded after that half's trace records.
+CompiledProgram run_tail(std::shared_ptr<const Analysis> an, Mode mode,
+                         int procs, const CompileOptions& opts) {
   DCT_CHECK(procs >= 1, "need at least one processor");
+  DCT_CHECK(an != nullptr, "compile from a null analysis");
   CompiledProgram cp;
-  cp.program = prog;
+  cp.trace.passes = an->decomposed(mode).passes;
+  cp.analysis = std::move(an);
   cp.mode = mode;
   cp.procs = procs;
   cp.strategy = opts.strategy;
 
-  support::RemarkEngine eng;
-  const auto run = [&](const std::string& name, auto&& stage) {
-    eng.begin_pass(name);
-    // Attribute any failure to the stage that raised it: fault isolation
-    // upstream (core::run_sweep) records the failing stage per cell.
-    try {
-      stage(cp, eng);
-    } catch (Error& e) {
-      eng.end_pass();
-      throw e.with_context("pass " + name);
-    } catch (const std::exception& e) {
-      eng.end_pass();
-      throw Error(Error::Code::kFault, e.what()).with_context("pass " + name);
-    }
-    eng.end_pass();
-  };
-
-  if (dec) {
-    cp.dec = std::move(*dec);
-  } else {
-    run("parallelize", parallelize);
-    if (mode == Mode::Base) {
-      run("decompose-base", decompose_per_nest);
-    } else {
-      run("decompose", decompose);
-      run("fold-select", select_folds);
-      run("barrier-elim", eliminate_barriers);
-    }
-  }
-  run("layout", lay_out);
-  run("lower", lower);
-  run("addr-strategy", cost_addresses);
-  cp.trace = eng.take_trace();
+  std::vector<support::PassRecord>& passes = cp.trace.passes;
+  run("layout", passes, [&](support::RemarkSink& rs) { lay_out(cp, rs); });
+  run("lower", passes, [&](support::RemarkSink& rs) { lower(cp, rs); });
+  run("addr-strategy", passes,
+      [&](support::RemarkSink& rs) { cost_addresses(cp, rs); });
+  for (const support::PassRecord& r : passes) cp.trace.total_ms += r.wall_ms;
   return cp;
 }
 
 }  // namespace
 
+std::shared_ptr<const Analysis> analyze(const ir::Program& prog) {
+  return analyze_halves(prog, /*global=*/true, /*base=*/true);
+}
+
 CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
                         const CompileOptions& opts) {
-  return run_stages(prog, mode, procs, opts, std::nullopt);
+  DCT_CHECK(procs >= 1, "need at least one processor");
+  const bool base = mode == Mode::Base;
+  return run_tail(analyze_halves(prog, !base, base), mode, procs, opts);
+}
+
+CompiledProgram compile(std::shared_ptr<const Analysis> analysis, Mode mode,
+                        int procs, const CompileOptions& opts) {
+  return run_tail(std::move(analysis), mode, procs, opts);
 }
 
 CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            decomp::ProgramDecomposition dec,
                                            Mode mode, int procs,
                                            const CompileOptions& opts) {
-  return run_stages(prog, mode, procs, opts, std::move(dec));
+  auto an = std::make_shared<Analysis>();
+  an->program = prog;
+  auto supplied = std::make_shared<Analysis::Decomposed>();
+  supplied->dec = std::move(dec);
+  an->global = an->base = std::move(supplied);
+  return run_tail(std::move(an), mode, procs, opts);
 }
 
 }  // namespace dct::core

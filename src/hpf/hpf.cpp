@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <utility>
 
 #include "support/diagnostics.hpp"
 #include "support/str.hpp"
@@ -297,6 +298,19 @@ Directives parse(const ir::Program& prog, const std::string& text) {
                                      al.array_dim_of_tdim, array_rank(array));
   }
   return out;
+}
+
+core::CompiledProgram compile(const core::Analysis& analysis,
+                              const std::string& text, core::Mode mode,
+                              int procs, const core::CompileOptions& opts) {
+  const ir::Program& prog = analysis.program;
+  const Directives dirs = parse(prog, text);
+  decomp::ProgramDecomposition dec =
+      analysis.decomposed(core::Mode::CompDecomp).dec;
+  for (const auto& [name, ad] : dirs.arrays)
+    dec.arrays[static_cast<size_t>(prog.array_id(name))] = ad;
+  return core::compile_with_decomposition(prog, std::move(dec), mode, procs,
+                                          opts);
 }
 
 }  // namespace dct::hpf

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiler.hpp"
 #include "decomp/decomposition.hpp"
 #include "ir/program.hpp"
 
@@ -43,5 +44,17 @@ struct Directives {
 /// are first seen, consistently across aligned arrays.
 /// Throws dct::Error with a line-precise message on malformed input.
 Directives parse(const ir::Program& prog, const std::string& text);
+
+/// Compile `analysis`'s program under the directive block `text`: the
+/// global algorithm's decomposition (what CompDecomp and Full compile
+/// from) with the data decomposition of every array the directives name
+/// replaced, through the tail only (core::compile_with_decomposition).
+/// Virtual processor dimensions in the directives must fit the automatic
+/// decomposition's processor space; the layout stage rejects one that
+/// does not with kUnsupportedConfig.
+core::CompiledProgram compile(const core::Analysis& analysis,
+                              const std::string& text, core::Mode mode,
+                              int procs,
+                              const core::CompileOptions& opts = {});
 
 }  // namespace dct::hpf

@@ -235,7 +235,7 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
     for (const NestRestriction& r : plan.nests[j].restrictions)
       restrict[j].push_back({r.level, r.fold, r.fold.digit_of(myid)});
 
-  const ir::Program& prog = cp.program;
+  const ir::Program& prog = cp.program();
   for (int step = 0; step < prog.time_steps; ++step) {
     for (size_t j = 0; j < cp.nests.size(); ++j) {
       const NestPlan& np = plan.nests[j];
@@ -273,7 +273,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
   // Arrays live in their TRANSFORMED linear layouts; values are stored as
   // doubles regardless of the modelled element size so results stay
   // bit-identical to the double-valued reference.
-  std::vector<std::vector<double>> data(cp.program.arrays.size());
+  std::vector<std::vector<double>> data(cp.program().arrays.size());
   for (size_t a = 0; a < data.size(); ++a) {
     data[a].assign(static_cast<size_t>(cp.arrays[a].layout.size()), 0.0);
     runtime::for_each_initial(cp, static_cast<int>(a), opts.init_seed,

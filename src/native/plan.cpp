@@ -209,7 +209,7 @@ ProgramPlan plan_program(const core::CompiledProgram& cp) {
   ProgramPlan pp;
   pp.nests.reserve(cp.nests.size());
   for (size_t j = 0; j < cp.nests.size(); ++j) {
-    pp.nests.push_back(plan_nest(cp.dec.par[j], cp.nests[j], cp.procs));
+    pp.nests.push_back(plan_nest(cp.dec().par[j], cp.nests[j], cp.procs));
     if (pp.nests.back().schedule == NestSchedule::Sequential)
       ++pp.sequential_nests;
   }

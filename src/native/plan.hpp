@@ -6,7 +6,7 @@
 // from the nest's statement-attributed dependence vectors, which
 // dep::parallelize stored with the nest (ParallelizedNest::pairs): the
 // plan folds them and analyzes nothing itself. The nest and its pairs come
-// from that one record (cp.dec.par[j]); cp.nests[j] holds its statements
+// from that one record (cp.dec().par[j]); cp.nests[j] holds its statements
 // lowered in the same order, so a pair's statement indices name them. The
 // backend implements every shape below with one primitive, per-thread
 // monotonic epoch counters (native.hpp): a post publishes "this thread is
@@ -104,7 +104,7 @@ struct ProgramPlan {
   int sequential_nests = 0;
 };
 
-/// Classify every nest of a compiled program from its record in cp.dec.par
+/// Classify every nest of a compiled program from its record in cp.dec().par
 /// (the nest and its pair vectors) and its lowered statements. A pure
 /// fold: never fails (unanalyzable shapes fall back to Sequential).
 ProgramPlan plan_program(const core::CompiledProgram& cp);

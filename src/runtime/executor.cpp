@@ -69,7 +69,7 @@ class SimPolicy {
             c.wtime.data(),
             c.data.data(),
             ca.base_addr,
-            cp_.program.arrays[static_cast<size_t>(ref.array)].elem_size,
+            cp_.program().arrays[static_cast<size_t>(ref.array)].elem_size,
             ca.bytes,
             ca.replicated,
             ref.addr_overhead};
@@ -156,7 +156,7 @@ RunResult simulate(const CompiledProgram& cp,
   DCT_CHECK(mcfg.procs == cp.procs, "machine/compile processor mismatch");
   machine::Machine machine(mcfg, opts.fast_exec);
   const int P = cp.procs;
-  const ir::Program& prog = cp.program;
+  const ir::Program& prog = cp.program();
 
   // ---- array state + page homing ----
   // Pages are the machine's: compile aligns arrays to 4 KB, so a larger

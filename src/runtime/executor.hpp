@@ -116,7 +116,7 @@ template <typename Fn>
 void for_each_initial(const core::CompiledProgram& cp, int a,
                       std::uint64_t seed, Fn&& fn) {
   const layout::Layout& lay = cp.arrays[static_cast<size_t>(a)].layout;
-  ir::for_each_element(cp.program.arrays[static_cast<size_t>(a)],
+  ir::for_each_element(cp.program().arrays[static_cast<size_t>(a)],
                        [&](std::span<const Int> idx, Int linear) {
                          fn(idx, lay.linearize(idx),
                             init_value(seed, a, linear));
@@ -128,9 +128,9 @@ void for_each_initial(const core::CompiledProgram& cp, int a,
 template <typename At>
 std::vector<std::vector<double>> original_order(const core::CompiledProgram& cp,
                                                 At&& at) {
-  std::vector<std::vector<double>> values(cp.program.arrays.size());
+  std::vector<std::vector<double>> values(cp.program().arrays.size());
   for (size_t a = 0; a < values.size(); ++a) {
-    const ir::ArrayDecl& decl = cp.program.arrays[a];
+    const ir::ArrayDecl& decl = cp.program().arrays[a];
     values[a].resize(static_cast<size_t>(decl.elem_count()));
     ir::for_each_element(decl, [&](std::span<const Int> idx, Int linear) {
       values[a][static_cast<size_t>(linear)] =

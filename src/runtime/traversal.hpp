@@ -195,7 +195,7 @@ class Traversal {
     size_t max_rank = 1, max_reads = 1;
     plans_.resize(cp.nests.size());
     for (size_t j = 0; j < cp.nests.size(); ++j) {
-      const int d = cp.dec.par[j].nest.depth();
+      const int d = cp.dec().par[j].nest.depth();
       for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
         max_reads = std::max(max_reads, cs.reads.size());
         Stmt s;
@@ -260,7 +260,7 @@ class Traversal {
   /// Walk nest `j` once. Levels named in `restrictions` visit only the
   /// owned values of their fold digit.
   void run_nest(size_t j, std::span<const Restriction> restrictions = {}) {
-    loops_ = &cp_.dec.par[j].nest.loops;
+    loops_ = &cp_.dec().par[j].nest.loops;
     const int d = static_cast<int>(loops_->size());
     if (d == 0) return;
     plan_ = &plans_[j];

@@ -4,9 +4,6 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
-#include <utility>
-
-#include "support/diagnostics.hpp"
 
 namespace dct::service {
 
@@ -87,9 +84,7 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
-                      const core::CompileOptions& opts,
-                      const std::string& salt) {
+std::string program_key(const ir::Program& prog) {
   std::string key;
   key.reserve(2048);
   KeyWriter os(key);
@@ -120,87 +115,25 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
     }
     os << '|';
   }
-  os << "mode=" << static_cast<int>(mode) << "|P=" << procs
+  return key;
+}
+
+std::string cache_key(std::string_view program_key, core::Mode mode,
+                      int procs, const core::CompileOptions& opts,
+                      const std::string& salt) {
+  std::string key;
+  key.reserve(program_key.size() + 32 + salt.size());
+  KeyWriter os(key);
+  os << program_key << "mode=" << static_cast<int>(mode) << "|P=" << procs
      << "|strat=" << static_cast<int>(opts.strategy);
   if (!salt.empty()) os << "|salt=" << salt;
   return key;
 }
 
-CompileCache::CompileCache(std::size_t capacity) : capacity_(capacity) {
-  DCT_CHECK(capacity >= 1, "cache capacity must be at least 1");
-  stats_.capacity = capacity;
-}
-
-void CompileCache::evict_excess_locked() {
-  while (lru_.size() > capacity_) {
-    const std::string victim = lru_.back();
-    lru_.pop_back();
-    entries_.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
-CompileCache::Lookup CompileCache::get_or_compile(const std::string& key,
-                                                  const CompileFn& compile) {
-  std::promise<Compiled> promise;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.ready) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return {it->second.future.get(), /*hit=*/true, /*deduped=*/false};
-      }
-      // Another request is compiling this key right now: join it.
-      ++stats_.inflight_dedup;
-      std::shared_future<Compiled> fut = it->second.future;
-      lock.unlock();
-      return {fut.get(), /*hit=*/false, /*deduped=*/true};
-    }
-    ++stats_.misses;
-    Entry e;
-    e.future = promise.get_future().share();
-    entries_.emplace(key, std::move(e));
-  }
-
-  // The compile runs outside the lock (it is the expensive part and the
-  // whole point of single-flight is to let other keys proceed meanwhile).
-  Compiled result;
-  try {
-    result = compile();
-    DCT_CHECK(result != nullptr, "compile function returned null");
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failures;
-      entries_.erase(key);
-    }
-    // Wake every joined waiter with the same failure, then rethrow for
-    // the compiling caller.
-    promise.set_exception(std::current_exception());
-    throw;
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    // Only ready entries are evicted, so this in-flight one is still here.
-    Entry& e = entries_.at(key);
-    e.ready = true;
-    lru_.push_front(key);
-    e.lru_pos = lru_.begin();
-    evict_excess_locked();
-  }
-  promise.set_value(result);
-  return {std::move(result), /*hit=*/false, /*deduped=*/false};
-}
-
-CompileCache::Stats CompileCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.entries = lru_.size();
-  s.capacity = capacity_;
-  return s;
+std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
+                      const core::CompileOptions& opts,
+                      const std::string& salt) {
+  return cache_key(program_key(prog), mode, procs, opts, salt);
 }
 
 }  // namespace dct::service

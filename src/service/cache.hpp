@@ -1,8 +1,8 @@
 // Content-addressed compilation cache (the serving layer's workhorse).
 //
-// The compile stages (decompose → fold-select → layout → lower) are a pure,
-// expensive function of (program IR, mode, P, layout-relevant options) —
-// exactly the shape serving stacks hide behind a cache. CompileCache maps
+// A compile is a pure, expensive function of (program IR, mode, P,
+// layout-relevant options) — exactly the shape serving stacks hide
+// behind a cache. CompileCache maps
 // a canonical fingerprint of those inputs to a shared_ptr<const
 // CompiledProgram>; entries are immutable after insertion, so any number
 // of concurrent requests can simulate / natively execute the same compiled
@@ -33,9 +33,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/compiler.hpp"
+#include "support/diagnostics.hpp"
 
 namespace dct::service {
 
@@ -52,13 +54,41 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
 /// FNV-1a 64-bit hash (exposed for fingerprint display and tests).
 std::uint64_t fnv1a(const std::string& s);
 
-class CompileCache {
+/// Canonical text of the program part of cache_key: everything up to
+/// the mode. cache_key(prog, ...) == cache_key(program_key(prog), ...).
+std::string program_key(const ir::Program& prog);
+
+/// cache_key from a program_key text.
+std::string cache_key(std::string_view program_key, core::Mode mode,
+                      int procs, const core::CompileOptions& opts,
+                      const std::string& salt = {});
+
+/// Counters of one BuildCache.
+struct CacheStats {
+  long hits = 0;
+  long misses = 0;          ///< lookups that ran a compile
+  long evictions = 0;
+  long inflight_dedup = 0;  ///< lookups that joined an in-flight compile
+  long failures = 0;        ///< compiles that threw
+  std::size_t entries = 0;  ///< completed entries resident now
+  std::size_t capacity = 0;
+};
+
+/// A single-flight, LRU-bounded cache of immutable values built on
+/// demand (the properties listed at the top of this file). The compile
+/// cache holds CompiledPrograms; dctd's analysis cache (server.hpp) holds
+/// analyses with the same code.
+template <typename T>
+class BuildCache {
  public:
-  using Compiled = std::shared_ptr<const core::CompiledProgram>;
+  using Compiled = std::shared_ptr<const T>;
   using CompileFn = std::function<Compiled()>;
 
   /// `capacity` >= 1: maximum number of completed entries kept resident.
-  explicit CompileCache(std::size_t capacity);
+  explicit BuildCache(std::size_t capacity) : capacity_(capacity) {
+    DCT_CHECK(capacity >= 1, "cache capacity must be at least 1");
+    stats_.capacity = capacity;
+  }
 
   struct Lookup {
     Compiled program;
@@ -66,23 +96,21 @@ class CompileCache {
     bool deduped = false;  ///< joined another request's in-flight compile
   };
 
-  /// Return the cached program for `key`, or run `compile` (on the calling
+  /// Return the cached value for `key`, or run `compile` (on the calling
   /// thread) and cache its result. Exactly one caller per key compiles at
   /// a time; concurrent callers for the same key wait for that compile.
   /// Exceptions from `compile` propagate to every waiting caller and the
   /// entry is dropped.
   Lookup get_or_compile(const std::string& key, const CompileFn& compile);
 
-  struct Stats {
-    long hits = 0;
-    long misses = 0;          ///< lookups that ran a compile
-    long evictions = 0;
-    long inflight_dedup = 0;  ///< lookups that joined an in-flight compile
-    long failures = 0;        ///< compiles that threw
-    std::size_t entries = 0;  ///< completed entries resident now
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
+  using Stats = CacheStats;
+  Stats stats() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    Stats s = stats_;
+    s.entries = lru_.size();
+    s.capacity = capacity_;
+    return s;
+  }
 
  private:
   struct Entry {
@@ -92,13 +120,73 @@ class CompileCache {
     std::list<std::string>::iterator lru_pos;
   };
 
-  void evict_excess_locked();
-
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recently used, ready keys
   Stats stats_;
 };
+
+using CompileCache = BuildCache<core::CompiledProgram>;
+
+template <typename T>
+typename BuildCache<T>::Lookup BuildCache<T>::get_or_compile(
+    const std::string& key, const CompileFn& compile) {
+  std::promise<Compiled> promise;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if (it->second.ready) {
+        ++stats_.hits;
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        return {it->second.future.get(), /*hit=*/true, /*deduped=*/false};
+      }
+      // Another request is compiling this key right now: join it.
+      ++stats_.inflight_dedup;
+      std::shared_future<Compiled> fut = it->second.future;
+      lock.unlock();
+      return {fut.get(), /*hit=*/false, /*deduped=*/true};
+    }
+    ++stats_.misses;
+    Entry e;
+    e.future = promise.get_future().share();
+    entries_.emplace(key, std::move(e));
+  }
+
+  // The compile runs outside the lock (it is the expensive part and the
+  // whole point of single-flight is to let other keys proceed meanwhile).
+  Compiled result;
+  try {
+    result = compile();
+    DCT_CHECK(result != nullptr, "compile function returned null");
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.failures;
+      entries_.erase(key);
+    }
+    // Wake every joined waiter with the same failure, then rethrow for
+    // the compiling caller.
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    // Only ready entries are evicted, so this in-flight one is still here.
+    Entry& e = entries_.at(key);
+    e.ready = true;
+    lru_.push_front(key);
+    e.lru_pos = lru_.begin();
+    while (lru_.size() > capacity_) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+  }
+  promise.set_value(result);
+  return {std::move(result), /*hit=*/false, /*deduped=*/false};
+}
 
 }  // namespace dct::service

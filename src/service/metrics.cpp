@@ -71,7 +71,8 @@ void Metrics::on_completed(const RequestSample& s, bool ok, Error::Code code) {
   total_.record_us(s.total_us);
 }
 
-std::string Metrics::render(const CompileCache::Stats& cache,
+std::string Metrics::render(const CacheStats& cache,
+                            const CacheStats& analyses,
                             std::size_t queue_depth) const {
   std::ostringstream os;
   os << "dctd_requests_total " << received() << "\n"
@@ -96,6 +97,9 @@ std::string Metrics::render(const CompileCache::Stats& cache,
      << "dctd_cache_capacity " << cache.capacity << "\n"
      << "dctd_cache_spot_checks "
      << spot_checks_.load(std::memory_order_relaxed) << "\n"
+     << "dctd_analysis_hits " << analyses.hits << "\n"
+     << "dctd_analysis_misses " << analyses.misses << "\n"
+     << "dctd_analysis_evictions " << analyses.evictions << "\n"
      << "dctd_queue_depth " << queue_depth << "\n";
   const struct {
     const char* stage;

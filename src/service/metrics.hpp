@@ -39,8 +39,10 @@ class LatencyHistogram {
 /// One request's timing breakdown, recorded on completion.
 struct RequestSample {
   double queue_us = 0;       ///< submit -> dequeue
-  double key_us = 0;         ///< build the program and its cache key
-  double compile_us = 0;     ///< cache lookup + compile (near-zero on hits)
+  double key_us = 0;         ///< compose the compile cache key
+  /// Both cache lookups: the analysis (on a miss: build the program and
+  /// analyze it) and the compile (on a miss: the tail). Near-zero on hits.
+  double compile_us = 0;
   double spot_check_us = 0;  ///< cache-hit spot check (zero on most)
   double exec_us = 0;        ///< simulate / native run
   double total_us = 0;       ///< submit -> response
@@ -63,9 +65,10 @@ class Metrics {
   long ok() const { return ok_.load(std::memory_order_relaxed); }
   long errors() const { return errors_.load(std::memory_order_relaxed); }
 
-  /// Text dump, one `dctd_<name>[{labels}] <value>` per line; cache stats
-  /// and the live queue depth are supplied by the owner (the Server).
-  std::string render(const CompileCache::Stats& cache,
+  /// Text dump, one `dctd_<name>[{labels}] <value>` per line; the stats
+  /// of the compile and analysis caches and the live queue depth are
+  /// supplied by the owner (the Server).
+  std::string render(const CacheStats& cache, const CacheStats& analyses,
                      std::size_t queue_depth) const;
 
  private:

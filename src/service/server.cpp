@@ -103,7 +103,7 @@ std::uint64_t values_fingerprint(
 }
 
 Server::Server(const ServerOptions& opts)
-    : opts_(opts), cache_(opts.cache_cap) {
+    : opts_(opts), analyses_(opts.cache_cap), cache_(opts.cache_cap) {
   DCT_CHECK(opts_.workers >= 1, "server needs at least one worker");
   DCT_CHECK(opts_.queue_cap >= 1, "server queue capacity must be >= 1");
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
@@ -190,7 +190,7 @@ std::size_t Server::queue_depth() const {
 }
 
 std::string Server::metrics_text() const {
-  return metrics_.render(cache_.stats(), queue_depth());
+  return metrics_.render(cache_.stats(), analyses_.stats(), queue_depth());
 }
 
 void Server::worker_loop() {
@@ -239,34 +239,38 @@ Response Server::process(Item& item) {
       throw Error(Error::Code::kInvalidArgument,
                   strf("procs %d out of range [1, 64]", req.procs));
 
-    const ir::Program prog = build_app(req.app, req.size, req.steps);
-    core::CompileOptions copts = opts_.compile;
-    const std::string key =
-        cache_key(prog, req.mode, req.procs, copts, req.hpf);
-    resp.key_hash = fnv1a(key);
-    key_ms = ms_since(dequeued);
+    // The analysis level, keyed by the request's fields: a hit builds
+    // nothing. A build or analysis that throws leaves no entry.
+    const Clock::time_point a0 = Clock::now();
+    const AnalysisCache::Lookup analyzed = analyses_.get_or_compile(
+        req.app + '|' + std::to_string(req.size) + '|' +
+            std::to_string(req.steps),
+        [&]() -> AnalysisCache::Compiled {
+          const ir::Program prog = build_app(req.app, req.size, req.steps);
+          return std::make_shared<const AnalyzedProgram>(
+              AnalyzedProgram{core::analyze(prog), program_key(prog)});
+        });
+    const AnalyzedProgram& entry = *analyzed.program;
+    const double analysis_ms = ms_since(a0);
 
+    const Clock::time_point k0 = Clock::now();
+    const std::string key = cache_key(entry.key_prefix, req.mode, req.procs,
+                                      opts_.compile, req.hpf);
+    resp.key_hash = fnv1a(key);
+    key_ms = ms_since(k0);
+
+    // The compile level: a miss runs only the tail on the analysis.
     const Clock::time_point c0 = Clock::now();
     const CompileCache::Lookup looked =
         cache_.get_or_compile(key, [&]() -> CompileCache::Compiled {
-          if (req.hpf.empty())
-            return std::make_shared<const core::CompiledProgram>(
-                core::compile(prog, req.mode, req.procs, copts));
-          // HPF bridge: run the automatic decomposition, then override the
-          // data decomposition of every array the directives name. Virtual
-          // processor dimensions in the directives must fit the automatic
-          // decomposition's processor space — remapping a larger directive
-          // grid is out of scope for the service, and the compile's layout
-          // stage rejects it with kUnsupportedConfig.
-          decomp::ProgramDecomposition dec = decomp::decompose(prog);
-          const hpf::Directives dirs = hpf::parse(prog, req.hpf);
-          for (const auto& [name, ad] : dirs.arrays)
-            dec.arrays[static_cast<std::size_t>(prog.array_id(name))] = ad;
           return std::make_shared<const core::CompiledProgram>(
-              core::compile_with_decomposition(prog, std::move(dec),
-                                               req.mode, req.procs, copts));
+              req.hpf.empty()
+                  ? core::compile(entry.analysis, req.mode, req.procs,
+                                  opts_.compile)
+                  : hpf::compile(*entry.analysis, req.hpf, req.mode,
+                                 req.procs, opts_.compile));
         });
-    compile_ms = ms_since(c0);
+    compile_ms = analysis_ms + ms_since(c0);
     resp.cache_hit = looked.hit;
     resp.deduped = looked.deduped;
     const core::CompiledProgram& cp = *looked.program;

@@ -1,5 +1,10 @@
 // The dctd request server: a worker pool draining a bounded queue of
-// compile-and-execute requests against the content-addressed CompileCache.
+// compile-and-execute requests against two caches. The analysis cache is
+// keyed by the request's (app, size, steps): a hit builds nothing, and
+// its entry holds the analyzed program (core::analyze) and the program
+// part of the compile key. The content-addressed CompileCache is keyed by
+// that text plus mode, P, options and HPF salt; a miss runs only the
+// compile's tail on the cached analysis.
 //
 // The serving model composes three prior layers of the repo:
 //  * PR 1's pass pipeline is the unit of work (compile once per unique
@@ -86,7 +91,8 @@ struct Response {
 struct ServerOptions {
   int workers = 2;
   std::size_t queue_cap = 64;   ///< submit() blocks beyond this depth
-  std::size_t cache_cap = 32;   ///< CompileCache capacity (entries)
+  /// Capacity (entries) of the CompileCache and of the analysis cache.
+  std::size_t cache_cap = 32;
   double default_deadline_ms = 0;  ///< 0 = requests have no deadline
   /// Compilation knobs shared by every request, threaded explicitly into
   /// each compile.
@@ -110,6 +116,14 @@ ir::Program build_app(const std::string& name, linalg::Int size, int steps);
 /// bit-exact): two runs agree on this iff their results are bit-identical.
 std::uint64_t values_fingerprint(
     const std::vector<std::vector<double>>& values);
+
+/// One analysis cache entry: a request's program, analyzed, and the
+/// program part of its compile cache key.
+struct AnalyzedProgram {
+  std::shared_ptr<const core::Analysis> analysis;
+  std::string key_prefix;  ///< program_key(analysis->program)
+};
+using AnalysisCache = BuildCache<AnalyzedProgram>;
 
 class Server {
  public:
@@ -144,6 +158,7 @@ class Server {
 
   Metrics& metrics() { return metrics_; }
   const CompileCache& cache() const { return cache_; }
+  const AnalysisCache& analyses() const { return analyses_; }
   std::size_t queue_depth() const;
 
  private:
@@ -160,6 +175,7 @@ class Server {
   static void deliver(Item& item, Response resp);
 
   ServerOptions opts_;
+  AnalysisCache analyses_;
   CompileCache cache_;
   Metrics metrics_;
   std::atomic<long> spot_counter_{0};  ///< cache hits, for spot cadence

@@ -80,7 +80,7 @@ std::string OracleReport::to_string() const {
 OracleReport check_equation1(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "equation1";
-  const decomp::ProgramDecomposition& dec = cp.dec;
+  const decomp::ProgramDecomposition& dec = cp.dec();
   Rng rng(kSeed ^ 0xe91ULL);
 
   // One reference's claim on one virtual dimension: the data coordinate is
@@ -184,8 +184,8 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
               rep,
               strf("%s nest %d stmt %d array %s dim p%d: D_x(F(i))=%lld "
                    "but G(i)=%lld at sampled iteration",
-                   cp.program.name.c_str(), static_cast<int>(j), p.stmt,
-                   cp.program.arrays[static_cast<size_t>(ref.array)]
+                   cp.program().name.c_str(), static_cast<int>(j), p.stmt,
+                   cp.program().arrays[static_cast<size_t>(ref.array)]
                        .name.c_str(),
                    p.pd, static_cast<long long>(data_c),
                    static_cast<long long>(comp_c)));
@@ -298,7 +298,7 @@ OracleReport check_layout_bijectivity(const core::CompiledProgram& cp) {
   OracleReport rep;
   rep.oracle = "layout-bijectivity";
   for (size_t a = 0; a < cp.arrays.size(); ++a)
-    check_layout_against(cp.program.arrays[a], cp.arrays[a].layout, rep);
+    check_layout_against(cp.program().arrays[a], cp.arrays[a].layout, rep);
   return rep;
 }
 
@@ -418,7 +418,7 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
   // Owner folds of the lowered schedule, over each nest's iteration hull.
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     const core::CompiledNest& cn = cp.nests[j];
-    const ir::LoopNest& nest = cp.dec.par[j].nest;
+    const ir::LoopNest& nest = cp.dec().par[j].nest;
     if (nest.depth() == 0) continue;
     const dep::Hull hull = dep::iteration_hull(nest);
     if (hull.empty) continue;
@@ -427,7 +427,7 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
         check_one_fold(fold, hull.lo[static_cast<size_t>(loop)],
                        hull.hi[static_cast<size_t>(loop)],
                        strf("%s nest %d stmt %d loop %d",
-                            cp.program.name.c_str(), static_cast<int>(j),
+                            cp.program().name.c_str(), static_cast<int>(j),
                             static_cast<int>(s), loop),
                        rep);
   }
@@ -448,7 +448,7 @@ OracleReport check_fold_coverage(const core::CompiledProgram& cp) {
           add_violation(
               rep, strf("%s dim %d: partition fold(%lld) = %d outside "
                         "[0, %d)",
-                        cp.program.arrays[a].name.c_str(),
+                        cp.program().arrays[a].name.c_str(),
                         static_cast<int>(k), static_cast<long long>(v), c,
                         d.fold.procs));
           break;
@@ -480,7 +480,7 @@ OracleReport check_differential(
   auto expect = [&](bool ok, const std::string& what) {
     ++rep.checks;
     if (!ok)
-      add_violation(rep, strf("%s procs=%d: ", cp.program.name.c_str(),
+      add_violation(rep, strf("%s procs=%d: ", cp.program().name.c_str(),
                               cp.procs) + what);
   };
   auto expect_eq = [&](bool eq, const char* field) {
@@ -524,21 +524,21 @@ OracleReport check_native(const core::CompiledProgram& cp) {
   rep.oracle = "native-differential";
   ++rep.subjects;
 
-  const auto reference = runtime::run_reference(cp.program);
+  const auto reference = runtime::run_reference(cp.program());
   native::NativeOptions nopts;
   nopts.threads = cp.procs;
   native::NativeResult res;
   try {
     res = native::run_native(cp, nopts);
   } catch (const Error& e) {
-    add_violation(rep, cp.program.name + ": native backend failed: " +
+    add_violation(rep, cp.program().name + ": native backend failed: " +
                            e.full_message());
     return rep;
   }
 
   ++rep.checks;
   if (res.values.size() != reference.size()) {
-    add_violation(rep, cp.program.name + ": native backend array count "
+    add_violation(rep, cp.program().name + ": native backend array count "
                        "differs from the reference");
     return rep;
   }
@@ -553,8 +553,8 @@ OracleReport check_native(const core::CompiledProgram& cp) {
     add_violation(
         rep, strf("%s: native backend diverges from the reference on "
                   "array %s (%d threads, first mismatch at element %zu)",
-                  cp.program.name.c_str(),
-                  cp.program.arrays[a].name.c_str(), cp.procs, at));
+                  cp.program().name.c_str(),
+                  cp.program().arrays[a].name.c_str(), cp.procs, at));
   }
   return rep;
 }

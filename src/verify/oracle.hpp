@@ -64,7 +64,7 @@ OracleReport check_layout_bijectivity(const core::CompiledProgram& cp);
 OracleReport check_fold_coverage(const core::CompiledProgram& cp);
 /// Runs the program under both engines and demands they agree on every
 /// observable (only the fast-path counters may differ) and that their
-/// values equal `reference`, which is runtime::run_reference(cp.program)
+/// values equal `reference`, which is runtime::run_reference(cp.program())
 /// taken by the caller so one reference serves many compilations;
 /// requires mcfg.procs == cp.procs.
 OracleReport check_differential(

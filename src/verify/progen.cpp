@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -156,7 +157,7 @@ void count_strip_slices(const core::CompiledProgram& cp,
                         const native::ProgramPlan& plan,
                         CheckCoverage& cov) {
   for (size_t j = 0; j < plan.nests.size(); ++j) {
-    const int d = cp.dec.par[j].nest.depth();
+    const int d = cp.dec().par[j].nest.depth();
     for (const native::NestRestriction& r : plan.nests[j].restrictions) {
       if (r.level != d - 1 || r.fold.kind == decomp::DistKind::Serial)
         continue;
@@ -196,8 +197,8 @@ std::optional<std::string> run_engines(
   // The native plan folds the pairs parallelize mapped through each
   // nest's transform: they must be what analyzing the compiled nest finds.
   for (size_t j = 0; j < cp.nests.size(); ++j)
-    if (pair_sets(cp.dec.par[j].pairs) !=
-        pair_sets(dep::analyze_pairs(cp.dec.par[j].nest)))
+    if (pair_sets(cp.dec().par[j].pairs) !=
+        pair_sets(dep::analyze_pairs(cp.dec().par[j].nest)))
       return strf("%s procs=%d nest %zu: stored dependence pairs differ "
                   "from the compiled nest's",
                   what.c_str(), procs, j);
@@ -227,10 +228,12 @@ std::optional<std::string> check_program(const ir::Program& prog,
                                          CheckCoverage* cov) {
   try {
     const auto reference = runtime::run_reference(prog);
+    const std::shared_ptr<const core::Analysis> analysis =
+        core::analyze(prog);
     for (const core::Mode mode :
          {core::Mode::Base, core::Mode::CompDecomp, core::Mode::Full}) {
       for (const int procs : {1, 3, 4}) {
-        const core::CompiledProgram cp = core::compile(prog, mode, procs);
+        const core::CompiledProgram cp = core::compile(analysis, mode, procs);
 
         // Static oracles on every compilation.
         const ValidationReport vr = validate_compiled(cp);
@@ -245,7 +248,8 @@ std::optional<std::string> check_program(const ir::Program& prog,
     }
     // FULL with every distributed dimension refolded: the CYCLIC and
     // BLOCK-CYCLIC slices the generated programs' own folds never pick.
-    const decomp::ProgramDecomposition dec = decomp::decompose(prog);
+    const decomp::ProgramDecomposition& dec =
+        analysis->decomposed(core::Mode::Full).dec;
     for (const decomp::DistKind kind :
          {decomp::DistKind::Cyclic, decomp::DistKind::BlockCyclic}) {
       const decomp::ProgramDecomposition re = refold(dec, kind);

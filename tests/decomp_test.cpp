@@ -167,7 +167,7 @@ TEST(Decompose, TomcatvBlockRows) {
 TEST(Decompose, BaseDistributesOutermostParallelLoop) {
   // BASE has no one-shot entry point: compile() runs its decomposition.
   const ir::Program prog = tomcatv(24);
-  const ProgramDecomposition d = core::compile(prog, core::Mode::Base, 4).dec;
+  const ProgramDecomposition d = core::compile(prog, core::Mode::Base, 4).dec();
   EXPECT_EQ(d.num_proc_dims, 1);
   for (size_t a = 0; a < d.arrays.size(); ++a)
     EXPECT_EQ(d.arrays[a].distributed_count(), 0);

@@ -372,9 +372,9 @@ TEST(Parallelize, StoresTheTransformedNestsPairs) {
          {core::Mode::Base, core::Mode::CompDecomp, core::Mode::Full})
       for (const int procs : {1, 3, 4}) {
         const core::CompiledProgram cp = core::compile(prog, mode, procs);
-        ASSERT_EQ(cp.dec.par.size(), cp.nests.size());
+        ASSERT_EQ(cp.dec().par.size(), cp.nests.size());
         for (size_t j = 0; j < cp.nests.size(); ++j) {
-          const ParallelizedNest& par = cp.dec.par[j];
+          const ParallelizedNest& par = cp.dec().par[j];
           if (par.transform != linalg::IntMatrix::identity(par.nest.depth()))
             ++transformed;
           EXPECT_EQ(as_sets(par.pairs),

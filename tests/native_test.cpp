@@ -246,7 +246,7 @@ TEST(Native, CyclicAndBlockCyclicSlicesMatchReference) {
           for (const NestRestriction& r : pp.nests[j].restrictions)
             innermost |= r.fold.kind == kind &&
                          r.level + 1 == static_cast<int>(
-                                            cp.dec.par[j].nest.loops.size());
+                                            cp.dec().par[j].nest.loops.size());
         EXPECT_TRUE(innermost) << label << ": no innermost slice of that kind";
         NativeOptions opts;
         opts.threads = threads;

@@ -3,8 +3,9 @@
 // rejection of a malformed one and failure attribution to the failing
 // stage, the structured trace (remarks, counters, wall time, JSON
 // rendering), the determinism of the multi-threaded experiment sweep,
-// that the library ignores the environment, and the digests pinning every
-// compile artifact.
+// that the library ignores the environment, the digests pinning every
+// compile artifact, and that compiles from one shared analysis hand out
+// those same artifacts.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -196,9 +197,9 @@ TEST(Pipeline, StatementWithoutEvaluatorRejected) {
 /// statement s of nest j, in the order of CompiledStmt::owner.
 std::vector<int> bound_dims(const core::CompiledProgram& cp, size_t j,
                             size_t s) {
-  const decomp::NestDecomposition& nd = cp.dec.nests[j];
+  const decomp::NestDecomposition& nd = cp.dec().nests[j];
   std::vector<int> dims;
-  for (int pd = 0; pd < cp.dec.num_proc_dims; ++pd) {
+  for (int pd = 0; pd < cp.dec().num_proc_dims; ++pd) {
     int loop = -1;
     if (s < nd.stmts.size() &&
         pd < static_cast<int>(nd.stmts[s].loop_for_dim.size()))
@@ -222,7 +223,7 @@ TEST(Pipeline, PartitionFoldsAreLoweredFolds) {
         if (d.proc_dim < 0) continue;
         const auto [it, fresh] = fold_of.emplace(d.proc_dim, d.fold);
         EXPECT_EQ(it->second, d.fold)
-            << cp.program.arrays[a].name << " p" << d.proc_dim;
+            << cp.program().arrays[a].name << " p" << d.proc_dim;
       }
     for (size_t j = 0; j < cp.nests.size(); ++j)
       for (size_t s = 0; s < cp.nests[j].stmts.size(); ++s) {
@@ -408,7 +409,7 @@ std::string artifact_text(const core::CompiledProgram& cp) {
   }
   for (const native::NestPlan& np : native::plan_program(cp).nests)
     os << "plan " << np.why << "\n";
-  for (const dep::ParallelizedNest& par : cp.dec.par) {
+  for (const dep::ParallelizedNest& par : cp.dec().par) {
     os << par.transform.to_string() << "\n";
     for (const dep::PairDeps& pd : par.pairs) {
       os << pd.src_stmt << "->" << pd.dst_stmt;
@@ -419,14 +420,9 @@ std::string artifact_text(const core::CompiledProgram& cp) {
   return os.str();
 }
 
-// One FNV-1a digest of artifact_text per (program, mode, P) over the 8
-// applications at sizes 16, 33 and 64 and the fuzzer's programs of seeds
-// 0-99, at P = 1, 3, 4 and 32. A compile that throws digests its error.
-// Refactors of the compiler must leave every line as it is; regenerate
-// after an intentional change with
-//   DCT_UPDATE_GOLDEN=1 ./pipeline_test --gtest_filter=*ArePinned
-// and review the diff of tests/golden/compile_digests.txt.
-TEST(Pipeline, CompileArtifactsArePinned) {
+// The 8 applications at sizes 16, 33 and 64 and the fuzzer's programs of
+// seeds 0-99, each compiled in every mode at P = 1, 3, 4 and 32.
+std::vector<std::pair<std::string, ir::Program>> pinned_corpus() {
   std::vector<std::pair<std::string, ir::Program>> corpus;
   for (const int n : {16, 33, 64}) {
     for (const ir::Program& p :
@@ -438,17 +434,34 @@ TEST(Pipeline, CompileArtifactsArePinned) {
   for (std::uint64_t seed = 0; seed < 100; ++seed)
     corpus.emplace_back(strf("seed%d", static_cast<int>(seed)),
                         verify::generate_program(seed));
+  return corpus;
+}
+const Mode kPinnedModes[] = {Mode::Base, Mode::CompDecomp, Mode::Full};
+const int kPinnedProcs[] = {1, 3, 4, 32};
 
+/// artifact_text of `compile()`, or the error it threw.
+std::string artifact_or_error(
+    const std::function<core::CompiledProgram()>& compile) {
+  try {
+    return artifact_text(compile());
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+// One FNV-1a digest of artifact_text per (program, mode, P) of
+// pinned_corpus. A compile that throws digests its error.
+// Refactors of the compiler must leave every line as it is; regenerate
+// after an intentional change with
+//   DCT_UPDATE_GOLDEN=1 ./pipeline_test --gtest_filter=*ArePinned
+// and review the diff of tests/golden/compile_digests.txt.
+TEST(Pipeline, CompileArtifactsArePinned) {
   std::ostringstream got;
-  for (const auto& [name, prog] : corpus)
-    for (const Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full})
-      for (const int procs : {1, 3, 4, 32}) {
-        std::string text;
-        try {
-          text = artifact_text(core::compile(prog, mode, procs));
-        } catch (const Error& e) {
-          text = std::string("error: ") + e.what();
-        }
+  for (const auto& [name, prog] : pinned_corpus())
+    for (const Mode mode : kPinnedModes)
+      for (const int procs : kPinnedProcs) {
+        const std::string text = artifact_or_error(
+            [&] { return core::compile(prog, mode, procs); });
         got << name << ' ' << core::to_string(mode) << " P=" << procs << ' '
             << strf("%016" PRIx64, service::fnv1a(text)) << "\n";
       }
@@ -476,6 +489,26 @@ TEST(Pipeline, CompileArtifactsArePinned) {
   }
   EXPECT_EQ(drifted, 0);
   EXPECT_FALSE(std::getline(got_lines, got_line)) << "extra line " << got_line;
+}
+
+// One analysis per program feeds every (mode, P) of the pinned corpus:
+// each compile from it hands out exactly what a fresh compile does, trace
+// records of the shared stages included.
+TEST(Analyze, SharedAcrossModeAndProcs) {
+  long compared = 0;
+  for (const auto& [name, prog] : pinned_corpus()) {
+    const std::shared_ptr<const core::Analysis> shared = core::analyze(prog);
+    for (const Mode mode : kPinnedModes)
+      for (const int procs : kPinnedProcs) {
+        EXPECT_EQ(artifact_or_error(
+                      [&] { return core::compile(shared, mode, procs); }),
+                  artifact_or_error(
+                      [&] { return core::compile(prog, mode, procs); }))
+            << name << ' ' << core::to_string(mode) << " P=" << procs;
+        ++compared;
+      }
+  }
+  EXPECT_EQ(compared, 1488);
 }
 
 }  // namespace

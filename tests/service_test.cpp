@@ -1,7 +1,8 @@
 // Tests for the dctd serving layer (src/service/): the content-addressed
 // compilation cache (keys, LRU bound, single-flight, failure paths), the
-// request server's crash boundaries and deadlines, the HPF request
-// bridge, the wire protocol, and the metrics dump shape.
+// request server's analysis cache in front of it (one analysis per
+// program, failures, eviction), its crash boundaries and deadlines, the
+// HPF request bridge, the wire protocol, and the metrics dump shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -357,6 +358,76 @@ TEST(Server, HpfDirectiveRequests) {
   EXPECT_NE(d.context.find("pass layout"), std::string::npos) << d.context;
 }
 
+TEST(Server, AnalyzesOncePerProgram) {
+  // 15 (mode, P) keys of one program, each requested twice at once: one
+  // analysis serves all of them, and every key compiles once.
+  ServerOptions opts = small_server(4);
+  opts.queue_cap = 32;
+  opts.cache_cap = 16;
+  Server server(opts);
+  std::vector<std::future<Response>> futs;
+  for (int round = 0; round < 2; ++round)
+    for (const core::Mode mode :
+         {core::Mode::Base, core::Mode::CompDecomp, core::Mode::Full})
+      for (const int procs : {1, 2, 3, 4, 8}) {
+        Request r = req("stencil5", procs, Engine::Compile);
+        r.mode = mode;
+        futs.push_back(server.submit(r));
+      }
+  std::set<std::uint64_t> keys;
+  for (auto& f : futs) {
+    const Response r = f.get();
+    EXPECT_TRUE(r.ok) << r.error;
+    keys.insert(r.key_hash);
+  }
+  EXPECT_EQ(keys.size(), 15u);
+  const service::CacheStats analyses = server.analyses().stats();
+  EXPECT_EQ(analyses.misses, 1);
+  EXPECT_EQ(analyses.hits + analyses.inflight_dedup, 29);
+  EXPECT_EQ(analyses.entries, 1u);
+  const service::CacheStats compiles = server.cache().stats();
+  EXPECT_EQ(compiles.misses, 15);
+  EXPECT_EQ(compiles.hits + compiles.inflight_dedup, 15);
+}
+
+TEST(Server, FailedAnalysisLeavesNoEntryAndRetries) {
+  // The crash app throws while its program is built, inside the
+  // analysis cache: every request misses, fails and leaves nothing.
+  Server server(small_server());
+  for (int i = 0; i < 2; ++i) {
+    const Response r = server.call(req("crash"));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error_code, to_string(Error::Code::kFault));
+  }
+  const service::CacheStats analyses = server.analyses().stats();
+  EXPECT_EQ(analyses.misses, 2);
+  EXPECT_EQ(analyses.failures, 2);
+  EXPECT_EQ(analyses.entries, 0u);
+  EXPECT_EQ(server.cache().stats().misses, 0);
+  // A healthy program after them analyzes and is kept.
+  EXPECT_TRUE(server.call(req("lu")).ok);
+  EXPECT_EQ(server.analyses().stats().entries, 1u);
+}
+
+TEST(Server, AnalysesAreEvictedAtCacheCap) {
+  // cache_cap bounds the analysis cache too: with room for 2, a third
+  // program evicts the least recently used analysis, which analyzes
+  // again on its next request.
+  ServerOptions opts = small_server(1);
+  opts.cache_cap = 2;
+  Server server(opts);
+  for (const char* app : {"lu", "adi", "lu", "stencil5", "adi"}) {
+    const Response r = server.call(req(app, 4, Engine::Compile));
+    EXPECT_TRUE(r.ok) << app << ": " << r.error;
+  }
+  const service::CacheStats analyses = server.analyses().stats();
+  EXPECT_EQ(analyses.misses, 4);
+  EXPECT_EQ(analyses.hits, 1);
+  EXPECT_EQ(analyses.evictions, 2);
+  EXPECT_EQ(analyses.entries, 2u);
+  EXPECT_EQ(analyses.capacity, 2u);
+}
+
 TEST(Server, DrainWaitsForAllAccepted) {
   Server server(small_server(2));
   std::atomic<int> done{0};
@@ -375,10 +446,13 @@ TEST(Server, MetricsDumpShape) {
   (void)server.call(req("nosuch-app"));
   server.drain();
   const std::string dump = server.metrics_text();
+  // The failed build of nosuch-app is an analysis miss that leaves no
+  // entry, and it never reaches the compile cache.
   for (const char* needle :
        {"dctd_requests_total 3", "dctd_requests_ok 2",
         "dctd_requests_error 1", "dctd_cache_hits 1", "dctd_cache_misses 1",
-        "dctd_queue_depth 0",
+        "dctd_analysis_hits 1\n", "dctd_analysis_misses 2\n",
+        "dctd_analysis_evictions 0\n", "dctd_queue_depth 0",
         "dctd_latency_ms{stage=\"total\",quantile=\"p99\"}",
         "dctd_latency_ms{stage=\"key\",quantile=\"mean\"}",
         "dctd_latency_ms{stage=\"spot_check\",quantile=\"mean\"}"})

@@ -12,7 +12,7 @@
 // Configuration (environment, read here once at startup; the library
 // itself reads no environment variables):
 //   DCT_SERVICE_WORKERS      worker threads            (default 2, >= 1)
-//   DCT_SERVICE_CACHE_CAP    cache entries             (default 32, >= 1)
+//   DCT_SERVICE_CACHE_CAP    entries per cache         (default 32, >= 1)
 //   DCT_SERVICE_QUEUE_CAP    queue bound, backpressure (default 64, >= 1)
 //   DCT_SERVICE_DEADLINE_MS  default request deadline  (default 0 = none)
 // A value that is not a whole decimal integer in range is rejected with one
