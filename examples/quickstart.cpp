@@ -45,7 +45,7 @@ int main() {
                                 {"mode", core::to_string(full.mode)},
                                 {"procs", strf("%d", full.procs)}})
             << "\n";
-  std::cout << "Pass pipeline (" << strf("%.3f", full.trace.total_ms)
+  std::cout << "Pass pipeline (" << strf("%.3f", full.trace.total_ms())
             << " ms; the full JSON trace is on stderr):\n";
   for (const auto& p : full.trace.passes)
     std::cout << "  " << strf("%-14s", p.name.c_str())

@@ -16,9 +16,8 @@ std::string to_string(Mode mode) {
   return "?";
 }
 
-const Analysis::Decomposed& Analysis::decomposed(Mode mode) const {
-  const std::shared_ptr<const Decomposed>& half =
-      mode == Mode::Base ? base : global;
+const decomp::ProgramDecomposition& Analysis::dec(Mode mode) const {
+  const auto& half = mode == Mode::Base ? base : global;
   if (half == nullptr)
     throw Error(Error::Code::kInvalidArgument,
                 strf("the analysis of %s has no decomposition for mode %s",

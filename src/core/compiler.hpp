@@ -89,33 +89,18 @@ struct CompiledNest {
   bool barrier_after = true;
 };
 
-/// The per-program half of a compile: the stages that read neither the
-/// processor count nor the mode beyond Base versus the global algorithm.
-/// Immutable once built (it is handed out as shared_ptr<const Analysis>),
-/// so any number of compiles, threads and caches may share one.
+/// The per-program half of a compile (see the top of this file): pure
+/// data, immutable once built and shared as shared_ptr<const Analysis>.
 struct Analysis {
-  /// One decomposition and the trace records of the stages that built
-  /// it, in order ("parallelize" first). A supplied decomposition has no
-  /// records.
-  struct Decomposed {
-    /// The transformed nests with their transforms and dependence pairs
-    /// (dec.par) and every decomposition decision (dec.nests,
-    /// dec.arrays).
-    decomp::ProgramDecomposition dec;
-    std::vector<support::PassRecord> passes;
-  };
-
   ir::Program program;  ///< original program (arrays and sizes)
-  /// CompDecomp and Full compile from this: parallelize, decompose,
-  /// fold-select, barrier-elim.
-  std::shared_ptr<const Decomposed> global;
-  /// Base compiles from this: parallelize (run once for both halves; Base
-  /// gets a copy of its output), decompose-base.
-  std::shared_ptr<const Decomposed> base;
+  /// The decompositions CompDecomp/Full (parallelize, decompose,
+  /// fold-select, barrier-elim) and Base (parallelize, decompose-base)
+  /// compile from: transformed nests, dependence pairs and decisions.
+  std::shared_ptr<const decomp::ProgramDecomposition> global, base;
 
-  /// The half `mode` compiles from. Throws kInvalidArgument when this
-  /// analysis was built without it.
-  const Decomposed& decomposed(Mode mode) const;
+  /// The decomposition `mode` compiles from. Throws kInvalidArgument when
+  /// this analysis was built without it.
+  const decomp::ProgramDecomposition& dec(Mode mode) const;
 };
 
 struct CompiledProgram {
@@ -131,33 +116,36 @@ struct CompiledProgram {
   std::vector<int> stride;
   std::vector<CompiledArray> arrays;
   std::vector<CompiledNest> nests;  ///< one per dec.par entry
-  /// Structured pipeline trace: per-pass wall time, remarks and decision
-  /// counters (see support/remark.hpp; callers print it with
-  /// PipelineTrace::json). It starts with copies of the analysis's
-  /// records, wall time included, so it reads as a fresh compile's.
+  /// Structured pipeline trace of the stages this compile ran (see the
+  /// compile overloads and support/remark.hpp; callers print it with
+  /// PipelineTrace::json).
   support::PipelineTrace trace;
 
   /// The original program (arrays and sizes).
   const ir::Program& program() const { return analysis->program; }
   /// The decomposition this compile folded.
   const decomp::ProgramDecomposition& dec() const {
-    return analysis->decomposed(mode).dec;
+    return analysis->dec(mode);
   }
   std::string report() const;  ///< human-readable compilation summary
 };
 
 /// Run the per-program stages, both halves: parallelize once, then
-/// decompose-base, and decompose, fold-select and barrier-elim. A stage
-/// that throws propagates with context "pass <stage>" and no analysis is
-/// returned. Pure and reentrant, like compile.
-std::shared_ptr<const Analysis> analyze(const ir::Program& prog);
+/// decompose-base, and decompose, fold-select and barrier-elim. When the
+/// analysis succeeds and `trace` is given, the stages' records are
+/// appended to it in that order. A stage that throws propagates with
+/// context "pass <stage>"; no analysis is returned and `trace` is left
+/// as it was. Pure and reentrant, like compile.
+std::shared_ptr<const Analysis> analyze(
+    const ir::Program& prog, support::PipelineTrace* trace = nullptr);
 
 /// Compile `prog` for `procs` processors by running the stages for `mode`
 /// in order (core/pass.cpp): parallelize, decompose (decompose-base for
 /// Base), fold-select and barrier-elim (not for Base), layout, lower,
 /// addr-strategy. The processor count is a compile-time input exactly as
 /// in the paper's generated SPMD code (block sizes are ceil(d/P)). The
-/// result's analysis holds only the half `mode` reads.
+/// result's analysis holds only the decomposition `mode` reads, and its
+/// trace a record of every stage run.
 ///
 /// A statement without an evaluator throws kInvalidArgument (context
 /// "pass lower").
@@ -172,9 +160,9 @@ CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
                         const CompileOptions& opts = {});
 
 /// The tail of a compile (layout, lower, addr-strategy) on a shared
-/// analysis. Byte-identical to compile(analysis->program, mode, procs,
-/// opts): the analysis's trace records for `mode` are copied in front of
-/// the tail's.
+/// analysis. Its artifacts are byte-identical to compile(analysis->program,
+/// mode, procs, opts)'s; its trace holds only the tail's three records
+/// (the analysis's went to the caller of analyze).
 CompiledProgram compile(std::shared_ptr<const Analysis> analysis, Mode mode,
                         int procs, const CompileOptions& opts = {});
 
@@ -182,8 +170,8 @@ CompiledProgram compile(std::shared_ptr<const Analysis> analysis, Mode mode,
 /// HPF-directed decompositions): layouts, folds and schedules are derived
 /// from `dec` exactly as `compile` does from its own analysis: only the
 /// stages from layout onward run, on an analysis whose one decomposition
-/// (no trace records) serves every mode. `mode` selects layout restructuring
-/// (Full) and the Base owner model. A `dec` whose nest or array count
+/// serves every mode. `mode` selects layout restructuring (Full) and the
+/// Base owner model. A `dec` whose nest or array count
 /// differs from `prog` throws kInvalidArgument; one binding a processor
 /// dimension outside dec.num_proc_dims throws kUnsupportedConfig (both
 /// with context "pass layout").

@@ -74,13 +74,13 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   const CompileOptions copts{.strategy = opts.strategy};
 
   // One analysis serves every cell: the first attempt that gets past its
-  // fault hook builds it. One that throws is not kept, so every attempt
-  // of every cell retries it and fails with its own stage context, as a
-  // compile of its own would.
+  // fault hook builds it and records its stages in the sweep's trace. One
+  // that throws is not kept, so every attempt of every cell retries it
+  // and fails with its own stage context, as a compile of its own would.
   std::mutex analysis_mu;
   const auto shared_analysis = [&] {
     const std::lock_guard<std::mutex> lock(analysis_mu);
-    if (out.analysis == nullptr) out.analysis = analyze(prog);
+    if (out.analysis == nullptr) out.analysis = analyze(prog, &out.trace);
     return out.analysis;
   };
 
@@ -265,8 +265,7 @@ Table1Row table1_row(const std::string& name, const ir::Program& prog,
   row.data_transform_critical = row.full_speedup >= 1.2 * cd;
 
   // The sweep's own analysis: every cell compiled from it.
-  const decomp::ProgramDecomposition& dec =
-      r.analysis->decomposed(Mode::CompDecomp).dec;
+  const decomp::ProgramDecomposition& dec = r.analysis->dec(Mode::CompDecomp);
   std::vector<std::string> decs;
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     if (dec.arrays[a].replicated ||

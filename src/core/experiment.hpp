@@ -72,11 +72,9 @@ struct SweepResult {
   std::vector<runtime::RunResult> raw_at_max;
   /// The analysis every cell compiled from; null when it failed.
   std::shared_ptr<const Analysis> analysis;
-  /// Pipeline traces of every compilation in the sweep, aggregated
-  /// (per-pass wall time, runs and decision counters summed). Each cell
-  /// carries the shared analysis's records, wall time included, so the
-  /// analysis stages read as if every cell had run them: their wall_ms
-  /// is the one analysis's time once per cell.
+  /// Pipeline traces of the sweep, aggregated (per-pass wall time, runs
+  /// and decision counters summed): the one analysis's stages once, then
+  /// every cell's tail and simulation.
   support::PipelineTrace trace;
   /// Every cell that faulted, was skipped or got cancelled.
   std::vector<CellFailure> failures;

@@ -6,10 +6,11 @@
 // lowering and address-strategy costing (§4.3) — is a plain function.
 // The stages up to barrier-elim build a core::Analysis (they read neither
 // P nor the mode beyond Base versus the global algorithm); the tail from
-// layout on builds a CompiledProgram from one. Each stage gets its own
-// timed trace record (wall time, remarks, decision counters) in a
-// support::RemarkEngine.
+// layout on builds a CompiledProgram from one. Each stage run gets one
+// timed trace record (wall time, remarks, decision counters) from a
+// support::PassRecorder, appended to the trace of whoever ran it.
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -278,67 +279,62 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
 template <typename Stage>
 void run(const std::string& name, std::vector<support::PassRecord>& passes,
          Stage&& stage) {
-  support::RemarkEngine eng;
-  eng.begin_pass(name);
+  support::PassRecorder rec(name);
   try {
-    stage(static_cast<support::RemarkSink&>(eng));
+    stage(static_cast<support::RemarkSink&>(rec));
   } catch (Error& e) {
     throw e.with_context("pass " + name);
   } catch (const std::exception& e) {
     throw Error(Error::Code::kFault, e.what()).with_context("pass " + name);
   }
-  eng.end_pass();
-  passes.push_back(std::move(eng.take_trace().passes.front()));
+  passes.push_back(rec.finish());
 }
 
-/// Builds the analysis halves asked for:
+/// Builds the analysis halves asked for, recording each stage into
+/// `passes`:
 ///   base:   parallelize, decompose-base
 ///   global: parallelize, decompose, fold-select, barrier-elim
 /// parallelize runs once; when both halves are built, Base decomposes a
-/// copy of its output and of its trace record.
-std::shared_ptr<const Analysis> analyze_halves(const ir::Program& prog,
-                                               bool global, bool base) {
+/// copy of its output.
+std::shared_ptr<const Analysis> analyze_halves(
+    const ir::Program& prog, bool global, bool base,
+    std::vector<support::PassRecord>& passes) {
   auto an = std::make_shared<Analysis>();
   an->program = prog;
   const ir::Program& p = an->program;
-  std::vector<support::PassRecord> passes;
   std::vector<dep::ParallelizedNest> par;
   run("parallelize", passes,
       [&](support::RemarkSink& rs) { par = parallelize(p, rs); });
 
-  if (base) {
-    auto d = std::make_shared<Analysis::Decomposed>();
-    d->passes = global ? passes : std::move(passes);
-    run("decompose-base", d->passes, [&](support::RemarkSink& rs) {
-      d->dec =
-          decomp::decompose_base_from(global ? par : std::move(par), p, &rs);
+  if (base)
+    run("decompose-base", passes, [&](support::RemarkSink& rs) {
+      an->base = std::make_shared<const decomp::ProgramDecomposition>(
+          decomp::decompose_base_from(global ? par : std::move(par), p, &rs));
     });
-    an->base = std::move(d);
-  }
   if (global) {
-    auto d = std::make_shared<Analysis::Decomposed>();
-    d->passes = std::move(passes);
-    decomp::ProgramDecomposition& dec = d->dec;
-    run("decompose", d->passes, [&](support::RemarkSink& rs) {
-      dec = decomp::decompose_from(std::move(par), p, &rs);
+    auto dec = std::make_shared<decomp::ProgramDecomposition>();
+    run("decompose", passes, [&](support::RemarkSink& rs) {
+      *dec = decomp::decompose_from(std::move(par), p, &rs);
     });
-    run("fold-select", d->passes,
-        [&](support::RemarkSink& rs) { decomp::select_folds(p, dec, &rs); });
-    run("barrier-elim", d->passes,
-        [&](support::RemarkSink& rs) { decomp::eliminate_barriers(dec, &rs); });
-    an->global = std::move(d);
+    run("fold-select", passes,
+        [&](support::RemarkSink& rs) { decomp::select_folds(p, *dec, &rs); });
+    run("barrier-elim", passes, [&](support::RemarkSink& rs) {
+      decomp::eliminate_barriers(*dec, &rs);
+    });
+    an->global = std::move(dec);
   }
   return an;
 }
 
-/// The tail: layout, lower, addr-strategy, on `mode`'s half of `an`,
-/// recorded after that half's trace records.
+/// The tail: layout, lower, addr-strategy, on `mode`'s decomposition of
+/// `an`, recorded after the records `trace` already holds.
 CompiledProgram run_tail(std::shared_ptr<const Analysis> an, Mode mode,
-                         int procs, const CompileOptions& opts) {
+                         int procs, const CompileOptions& opts,
+                         support::PipelineTrace trace = {}) {
   DCT_CHECK(procs >= 1, "need at least one processor");
   DCT_CHECK(an != nullptr, "compile from a null analysis");
   CompiledProgram cp;
-  cp.trace.passes = an->decomposed(mode).passes;
+  cp.trace = std::move(trace);
   cp.analysis = std::move(an);
   cp.mode = mode;
   cp.procs = procs;
@@ -349,21 +345,27 @@ CompiledProgram run_tail(std::shared_ptr<const Analysis> an, Mode mode,
   run("lower", passes, [&](support::RemarkSink& rs) { lower(cp, rs); });
   run("addr-strategy", passes,
       [&](support::RemarkSink& rs) { cost_addresses(cp, rs); });
-  for (const support::PassRecord& r : passes) cp.trace.total_ms += r.wall_ms;
   return cp;
 }
 
 }  // namespace
 
-std::shared_ptr<const Analysis> analyze(const ir::Program& prog) {
-  return analyze_halves(prog, /*global=*/true, /*base=*/true);
+std::shared_ptr<const Analysis> analyze(const ir::Program& prog,
+                                        support::PipelineTrace* trace) {
+  std::vector<support::PassRecord> passes;
+  auto an = analyze_halves(prog, /*global=*/true, /*base=*/true, passes);
+  if (trace != nullptr)
+    std::move(passes.begin(), passes.end(), std::back_inserter(trace->passes));
+  return an;
 }
 
 CompiledProgram compile(const ir::Program& prog, Mode mode, int procs,
                         const CompileOptions& opts) {
   DCT_CHECK(procs >= 1, "need at least one processor");
   const bool base = mode == Mode::Base;
-  return run_tail(analyze_halves(prog, !base, base), mode, procs, opts);
+  support::PipelineTrace trace;
+  auto an = analyze_halves(prog, !base, base, trace.passes);
+  return run_tail(std::move(an), mode, procs, opts, std::move(trace));
 }
 
 CompiledProgram compile(std::shared_ptr<const Analysis> analysis, Mode mode,
@@ -377,9 +379,8 @@ CompiledProgram compile_with_decomposition(const ir::Program& prog,
                                            const CompileOptions& opts) {
   auto an = std::make_shared<Analysis>();
   an->program = prog;
-  auto supplied = std::make_shared<Analysis::Decomposed>();
-  supplied->dec = std::move(dec);
-  an->global = an->base = std::move(supplied);
+  an->global = an->base =
+      std::make_shared<const decomp::ProgramDecomposition>(std::move(dec));
   return run_tail(std::move(an), mode, procs, opts);
 }
 

@@ -305,8 +305,7 @@ core::CompiledProgram compile(const core::Analysis& analysis,
                               int procs, const core::CompileOptions& opts) {
   const ir::Program& prog = analysis.program;
   const Directives dirs = parse(prog, text);
-  decomp::ProgramDecomposition dec =
-      analysis.decomposed(core::Mode::CompDecomp).dec;
+  decomp::ProgramDecomposition dec = analysis.dec(core::Mode::CompDecomp);
   for (const auto& [name, ad] : dirs.arrays)
     dec.arrays[static_cast<size_t>(prog.array_id(name))] = ad;
   return core::compile_with_decomposition(prog, std::move(dec), mode, procs,

@@ -153,6 +153,7 @@ class SimPolicy {
 RunResult simulate(const CompiledProgram& cp,
                    const machine::MachineConfig& mcfg,
                    const ExecOptions& opts) {
+  support::PassRecorder rec("simulate");
   DCT_CHECK(mcfg.procs == cp.procs, "machine/compile processor mismatch");
   machine::Machine machine(mcfg, opts.fast_exec);
   const int P = cp.procs;
@@ -244,25 +245,22 @@ RunResult simulate(const CompiledProgram& cp,
   ExecCounters& ctr = res.counters = kernel.counters;
   ctr.dir_fast = res.mem.dir_fast_hits;
 
-  support::RemarkEngine eng;
-  eng.begin_pass("simulate");
-  eng.count("sim_walker_fast_hits", static_cast<long>(ctr.walker_fast));
-  eng.count("sim_linearize_fallbacks",
+  rec.count("sim_walker_fast_hits", static_cast<long>(ctr.walker_fast));
+  rec.count("sim_linearize_fallbacks",
             static_cast<long>(ctr.linearize_fallback));
-  eng.count("sim_dir_fast_hits", static_cast<long>(ctr.dir_fast));
-  eng.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
-  eng.count("sim_walker_splits", static_cast<long>(ctr.walker_splits));
-  eng.count("sim_statements", static_cast<long>(res.statements));
+  rec.count("sim_dir_fast_hits", static_cast<long>(ctr.dir_fast));
+  rec.count("sim_owner_hoisted", static_cast<long>(ctr.owner_hoisted));
+  rec.count("sim_walker_splits", static_cast<long>(ctr.walker_splits));
+  rec.count("sim_statements", static_cast<long>(res.statements));
   std::size_t state_bytes = machine.state_bytes();
   for (const Cells& c : cells) state_bytes += c.bytes();
-  eng.count("sim_state_bytes", static_cast<long>(state_bytes));
-  eng.end_pass();
-  res.trace = eng.take_trace();
+  rec.count("sim_state_bytes", static_cast<long>(state_bytes));
 
   if (values)
     res.values = original_order(cp, [&](int a, Int lin) {
       return cells[static_cast<size_t>(a)].data[static_cast<size_t>(lin)];
     });
+  res.trace.passes.push_back(rec.finish());
   return res;
 }
 

@@ -68,8 +68,8 @@ struct RunResult {
   ExecCounters counters;
   /// One-pass "simulate" trace record carrying the sim_* counters
   /// (sim_state_bytes: host bytes of the per-element state, directory,
-  /// page homes and cache slots); core::run_sweep merges it into the
-  /// sweep's pipeline trace.
+  /// page homes and cache slots) and the wall time of the whole call;
+  /// core::run_sweep merges it into the sweep's pipeline trace.
   support::PipelineTrace trace;
   /// Final contents of every array, indexed by the ORIGINAL element order
   /// (layout-independent, for bit-exact comparison across modes).

@@ -32,7 +32,67 @@ std::string join_context(const Error& e) {
   return out;
 }
 
+using linalg::Int;
+
+/// The apps build_app knows, and whether each one's program reads
+/// `steps` (lu and vpenta run one step whatever is asked).
+struct App {
+  const char* name;
+  bool reads_steps;
+  ir::Program (*build)(Int size, int steps);
+};
+constexpr App kApps[] = {
+    {"figure1", true, apps::figure1},
+    {"vpenta", false, [](Int n, int) { return apps::vpenta(n); }},
+    {"lu", false, [](Int n, int) { return apps::lu(n); }},
+    {"stencil5", true, apps::stencil5},
+    {"adi", true, apps::adi},
+    {"erlebacher", true, apps::erlebacher},
+    {"swm256", true, apps::swm256},
+    {"tomcatv", true, apps::tomcatv},
+};
+
+const App* find_app(const std::string& name) {
+  for (const App& app : kApps)
+    if (name == app.name) return &app;
+  return nullptr;
+}
+
+void check_steps(int steps) {
+  if (steps < 1 || steps > 64)
+    throw Error(Error::Code::kInvalidArgument,
+                strf("app steps %d out of range [1, 64]", steps));
+}
+
+/// The analysis cache key of `req`: app, size and, for an app that reads
+/// them, steps. Out-of-range steps throw here, as a cached analysis of an
+/// app that ignores them would hide them.
+std::string analysis_key(const Request& req) {
+  check_steps(req.steps);
+  const App* app = find_app(req.app);
+  return req.app + '|' + std::to_string(req.size) +
+         (app == nullptr || app->reads_steps ? '|' + std::to_string(req.steps)
+                                             : "");
+}
+
 }  // namespace
+
+ir::Program build_app(const std::string& name, Int size, int steps) {
+  if (name == "crash")
+    // Deliberate non-dct exception: exercises the kFault crash boundary.
+    throw std::runtime_error("injected crash (app \"crash\")");
+  if (size < 4 || size > 1024)
+    throw Error(Error::Code::kInvalidArgument,
+                strf("app size %lld out of range [4, 1024]",
+                     static_cast<long long>(size)));
+  check_steps(steps);
+  if (const App* app = find_app(name)) return app->build(size, steps);
+  std::string known;
+  for (const App& app : kApps) known += std::string(" ") + app.name;
+  throw Error(Error::Code::kInvalidArgument,
+              strf("unknown app \"%s\" (known:%s)", name.c_str(),
+                   known.c_str()));
+}
 
 const char* to_string(Engine e) {
   switch (e) {
@@ -55,31 +115,6 @@ std::optional<core::Mode> parse_mode(const std::string& s) {
   if (s == "comp_decomp" || s == "compdecomp") return core::Mode::CompDecomp;
   if (s == "full" || s.empty()) return core::Mode::Full;
   return std::nullopt;
-}
-
-ir::Program build_app(const std::string& name, linalg::Int size, int steps) {
-  if (name == "crash")
-    // Deliberate non-dct exception: exercises the kFault crash boundary.
-    throw std::runtime_error("injected crash (app \"crash\")");
-  if (size < 4 || size > 1024)
-    throw Error(Error::Code::kInvalidArgument,
-                strf("app size %lld out of range [4, 1024]",
-                     static_cast<long long>(size)));
-  if (steps < 1 || steps > 64)
-    throw Error(Error::Code::kInvalidArgument,
-                strf("app steps %d out of range [1, 64]", steps));
-  if (name == "figure1") return apps::figure1(size, steps);
-  if (name == "vpenta") return apps::vpenta(size);
-  if (name == "lu") return apps::lu(size);
-  if (name == "stencil5") return apps::stencil5(size, steps);
-  if (name == "adi") return apps::adi(size, steps);
-  if (name == "erlebacher") return apps::erlebacher(size, steps);
-  if (name == "swm256") return apps::swm256(size, steps);
-  if (name == "tomcatv") return apps::tomcatv(size, steps);
-  throw Error(Error::Code::kInvalidArgument,
-              strf("unknown app \"%s\" (known: figure1 vpenta lu stencil5 "
-                   "adi erlebacher swm256 tomcatv)",
-                   name.c_str()));
 }
 
 std::uint64_t values_fingerprint(
@@ -239,13 +274,11 @@ Response Server::process(Item& item) {
       throw Error(Error::Code::kInvalidArgument,
                   strf("procs %d out of range [1, 64]", req.procs));
 
-    // The analysis level, keyed by the request's fields: a hit builds
-    // nothing. A build or analysis that throws leaves no entry.
+    // The analysis level, keyed by the request's fields (analysis_key): a
+    // hit builds nothing. A build or analysis that throws leaves no entry.
     const Clock::time_point a0 = Clock::now();
     const AnalysisCache::Lookup analyzed = analyses_.get_or_compile(
-        req.app + '|' + std::to_string(req.size) + '|' +
-            std::to_string(req.steps),
-        [&]() -> AnalysisCache::Compiled {
+        analysis_key(req), [&]() -> AnalysisCache::Compiled {
           const ir::Program prog = build_app(req.app, req.size, req.steps);
           return std::make_shared<const AnalyzedProgram>(
               AnalyzedProgram{core::analyze(prog), program_key(prog)});

@@ -1,10 +1,11 @@
 // The dctd request server: a worker pool draining a bounded queue of
 // compile-and-execute requests against two caches. The analysis cache is
-// keyed by the request's (app, size, steps): a hit builds nothing, and
-// its entry holds the analyzed program (core::analyze) and the program
-// part of the compile key. The content-addressed CompileCache is keyed by
-// that text plus mode, P, options and HPF salt; a miss runs only the
-// compile's tail on the cached analysis.
+// keyed by the request's app, size and (for apps that read them) steps:
+// a hit builds nothing, and its entry holds the analyzed program
+// (core::analyze) and the program part of the compile key. The
+// content-addressed CompileCache is keyed by that text plus mode, P,
+// options and HPF salt; a miss runs only the compile's tail on the cached
+// analysis.
 //
 // The serving model composes three prior layers of the repo:
 //  * PR 1's pass pipeline is the unit of work (compile once per unique
@@ -107,7 +108,7 @@ struct ServerOptions {
 };
 
 /// Build a registered application program. Throws Error(kInvalidArgument)
-/// for unknown names or out-of-range sizes. The name "crash" is a fault-
+/// for unknown names or out-of-range sizes or steps. The name "crash" is a fault-
 /// injection hook that throws a plain std::runtime_error — it exists so
 /// tests (and the CI smoke) can prove the crash boundary holds.
 ir::Program build_app(const std::string& name, linalg::Int size, int steps);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "support/diagnostics.hpp"
-
 namespace dct::support {
 
 namespace {
@@ -62,18 +60,21 @@ void PipelineTrace::merge(const PipelineTrace& other) {
     for (PassRecord& p : passes)
       if (p.name == pr.name) { mine = &p; break; }
     if (mine == nullptr) {
-      PassRecord copy;
-      copy.name = pr.name;
-      copy.runs = 0;
-      passes.push_back(std::move(copy));
-      mine = &passes.back();
+      mine = &passes.emplace_back();
+      mine->name = pr.name;
+      mine->runs = 0;
     }
     mine->runs += pr.runs;
     mine->wall_ms += pr.wall_ms;
     mine->remark_count += pr.remark_count;
     for (const auto& [k, v] : pr.counters) mine->counters[k] += v;
   }
-  total_ms += other.total_ms;
+}
+
+double PipelineTrace::total_ms() const {
+  double ms = 0;
+  for (const PassRecord& p : passes) ms += p.wall_ms;
+  return ms;
 }
 
 std::string PipelineTrace::json(
@@ -83,7 +84,7 @@ std::string PipelineTrace::json(
   for (const auto& [k, v] : meta)
     os << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\",";
   char ms[32];
-  std::snprintf(ms, sizeof(ms), "%.3f", total_ms);
+  std::snprintf(ms, sizeof(ms), "%.3f", total_ms());
   os << "\"total_ms\":" << ms << ",\"passes\":[";
   for (size_t i = 0; i < passes.size(); ++i) {
     const PassRecord& p = passes[i];
@@ -113,37 +114,22 @@ std::string PipelineTrace::json(
   return os.str();
 }
 
-void RemarkEngine::begin_pass(const std::string& name) {
-  DCT_CHECK(!open_, "begin_pass with a pass still open");
-  PassRecord pr;
-  pr.name = name;
-  trace_.passes.push_back(std::move(pr));
-  open_ = true;
-  start_ms_ = now_ms();
+PassRecorder::PassRecorder(std::string name) : start_ms_(now_ms()) {
+  rec_.name = std::move(name);
 }
 
-void RemarkEngine::end_pass() {
-  DCT_CHECK(open_, "end_pass without begin_pass");
-  const double elapsed = now_ms() - start_ms_;
-  trace_.passes.back().wall_ms = elapsed;
-  trace_.total_ms += elapsed;
-  open_ = false;
+void PassRecorder::remark(Remark r) {
+  rec_.remarks.push_back(std::move(r));
+  ++rec_.remark_count;
 }
 
-PassRecord& RemarkEngine::current() {
-  DCT_CHECK(open_, "remark emitted outside any pass");
-  return trace_.passes.back();
+void PassRecorder::count(const std::string& counter, long delta) {
+  rec_.counters[counter] += delta;
 }
 
-void RemarkEngine::remark(Remark r) {
-  PassRecord& pr = current();
-  r.pass = pr.name;
-  pr.remarks.push_back(std::move(r));
-  ++pr.remark_count;
-}
-
-void RemarkEngine::count(const std::string& counter, long delta) {
-  current().counters[counter] += delta;
+PassRecord PassRecorder::finish() {
+  rec_.wall_ms = now_ms() - start_ms_;
+  return std::move(rec_);
 }
 
 }  // namespace dct::support

@@ -2,10 +2,10 @@
 //
 // Every pipeline stage reports what it decided — per-nest and per-array
 // attributed remarks plus named decision counters — into a RemarkSink.
-// The compile driver owns a RemarkEngine that groups everything by stage
-// and stamps wall-clock time per stage; the resulting PipelineTrace travels
-// with the CompiledProgram so the experiment harness can aggregate traces
-// across a whole sweep.
+// Whoever runs a stage records it with one PassRecorder (remarks,
+// counters, wall time) into its own PipelineTrace — a CompiledProgram's,
+// core::analyze's caller's, a RunResult's — so the experiment harness can
+// aggregate traces across a whole sweep.
 //
 // The library never prints a trace: remarks are always collected, and a
 // caller that wants the report renders it with PipelineTrace::json and
@@ -22,7 +22,6 @@ namespace dct::support {
 
 /// One structured observation from a compiler pass.
 struct Remark {
-  std::string pass;     ///< filled in by the engine
   std::string message;
   int nest = -1;        ///< nest index, -1 = program-wide
   int array = -1;       ///< array index, -1 = no array attribution
@@ -86,7 +85,9 @@ struct PassRecord {
 /// The structured report of one compilation (or an aggregation of many).
 struct PipelineTrace {
   std::vector<PassRecord> passes;
-  double total_ms = 0;
+
+  /// The passes' wall time, summed.
+  double total_ms() const;
 
   /// Fold another trace in: per-pass wall time, run and remark counts and
   /// counters are summed; individual remarks are dropped (aggregations
@@ -99,25 +100,21 @@ struct PipelineTrace {
       const std::vector<std::pair<std::string, std::string>>& meta = {}) const;
 };
 
-/// Collects remarks/counters into per-pass records with wall-clock timing.
-class RemarkEngine final : public RemarkSink {
+/// Records one run of the pass `name`: the remarks and counters emitted
+/// into it, and the wall time from construction to finish().
+class PassRecorder final : public RemarkSink {
  public:
-  /// Open a pass record; subsequent remarks/counters land in it.
-  void begin_pass(const std::string& name);
-  /// Close the open record, stamping its wall time.
-  void end_pass();
+  explicit PassRecorder(std::string name);
 
   void remark(Remark r) override;
   void count(const std::string& counter, long delta = 1) override;
 
-  const PipelineTrace& trace() const { return trace_; }
-  PipelineTrace take_trace() { return std::move(trace_); }
+  /// Stamps the wall time and hands the record out; call it once.
+  PassRecord finish();
 
  private:
-  PassRecord& current();
-  PipelineTrace trace_;
-  bool open_ = false;
-  double start_ms_ = 0;
+  PassRecord rec_;
+  double start_ms_;
 };
 
 /// JSON string escaping (exposed for tests).

@@ -248,8 +248,7 @@ std::optional<std::string> check_program(const ir::Program& prog,
     }
     // FULL with every distributed dimension refolded: the CYCLIC and
     // BLOCK-CYCLIC slices the generated programs' own folds never pick.
-    const decomp::ProgramDecomposition& dec =
-        analysis->decomposed(core::Mode::Full).dec;
+    const decomp::ProgramDecomposition& dec = analysis->dec(core::Mode::Full);
     for (const decomp::DistKind kind :
          {decomp::DistKind::Cyclic, decomp::DistKind::BlockCyclic}) {
       const decomp::ProgramDecomposition re = refold(dec, kind);

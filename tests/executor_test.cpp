@@ -1,10 +1,12 @@
 // Tests for the SPMD execution engine: determinism, clock/sync behaviour,
-// page homing, values on and off, host state, and failure injection.
+// page homing, values on and off, host state, the trace record's wall
+// time, and failure injection.
 #include "runtime/executor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -388,6 +390,22 @@ TEST(Executor, SimStateBytesArePinned) {
   EXPECT_EQ(r.trace.passes.at(0).counters.at("sim_state_bytes"),
             9 * elements + 24 * lines + 4 * 1024 + 32 * 80 * 1024);
   EXPECT_EQ(r.trace.passes.at(0).counters.at("sim_state_bytes"), 4001792);
+}
+
+TEST(Executor, TraceRecordTimesTheWholeSimulation) {
+  // The "simulate" record's wall time spans the call, not only the
+  // counter writes at its end. The bound is deliberately loose: the run
+  // takes tens of milliseconds, and the record must hold at least half.
+  const auto cp = core::compile(apps::stencil5(256, 4), Mode::Full, 32);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = simulate(cp, machine::MachineConfig::dash(32));
+  const double measured_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+  ASSERT_GE(measured_ms, 10.0) << "the run is too short to time";
+  ASSERT_EQ(r.trace.passes.size(), 1u);
+  EXPECT_EQ(r.trace.passes[0].name, "simulate");
+  EXPECT_GE(r.trace.passes[0].wall_ms, 0.5 * measured_ms);
 }
 
 }  // namespace

@@ -390,6 +390,25 @@ TEST(Server, AnalyzesOncePerProgram) {
   EXPECT_EQ(compiles.hits + compiles.inflight_dedup, 15);
 }
 
+TEST(Server, AppsThatIgnoreStepsShareOneAnalysis) {
+  // lu builds one program whatever `steps` asks for, so lu(64) at steps
+  // 1, 2 and 3 is one analysis and one compile. stencil5 reads steps:
+  // each value is a program of its own.
+  Server server(small_server(1));
+  for (const char* app : {"lu", "stencil5"})
+    for (const int steps : {1, 2, 3}) {
+      Request r = req(app, 4, Engine::Compile);
+      r.size = 64;
+      r.steps = steps;
+      const Response resp = server.call(r);
+      EXPECT_TRUE(resp.ok) << app << " steps=" << steps << ": " << resp.error;
+    }
+  const service::CacheStats analyses = server.analyses().stats();
+  EXPECT_EQ(analyses.misses, 1 + 3);
+  EXPECT_EQ(analyses.hits, 2);
+  EXPECT_EQ(server.cache().stats().misses, 1 + 3);
+}
+
 TEST(Server, FailedAnalysisLeavesNoEntryAndRetries) {
   // The crash app throws while its program is built, inside the
   // analysis cache: every request misses, fails and leaves nothing.

@@ -95,9 +95,9 @@ core::CompiledProgram corrupted_stencil5() {
   core::CompiledProgram cp =
       core::compile(apps::stencil5(14, 2), Mode::Full, 4);
   auto an = std::make_shared<core::Analysis>(*cp.analysis);
-  auto global = std::make_shared<core::Analysis::Decomposed>(*an->global);
+  auto global = std::make_shared<decomp::ProgramDecomposition>(*an->global);
   bool corrupted = false;
-  for (auto& ad : global->dec.arrays) {
+  for (auto& ad : global->arrays) {
     if (ad.dims.size() >= 2 && ad.dims[0].proc_dim != ad.dims[1].proc_dim) {
       std::swap(ad.dims[0].proc_dim, ad.dims[1].proc_dim);
       corrupted = true;

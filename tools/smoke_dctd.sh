@@ -22,7 +22,9 @@ metrics="$workdir/metrics.txt"
 # 4 workers, mixed workload: healthy requests interleaved with crashing,
 # malformed, unknown-app and already-expired-deadline requests. The drain
 # after the first request makes hit1/hit2 deterministic cache HITS
-# (without it they could join the first compile in flight instead).
+# (without it they could join the first compile in flight instead). lu
+# runs one step whatever is asked, so steps3 hits warm's (steps 2)
+# analysis and compile too.
 DCT_SERVICE_WORKERS=4 DCT_SERVICE_CACHE_CAP=8 "$DCTD" >"$out" 2>"$metrics" <<'EOF'
 {"id":"warm","app":"lu","size":48,"procs":4}
 {"cmd":"drain"}
@@ -37,6 +39,7 @@ not even json
 {"id":"native","app":"stencil5","size":32,"procs":2,"engine":"native"}
 {"id":"compile","app":"vpenta","size":24,"procs":4,"engine":"compile"}
 {"id":"hpf","app":"adi","size":32,"procs":2,"hpf":"!HPF$ DISTRIBUTE X(*, BLOCK)"}
+{"id":"steps3","app":"lu","size":48,"procs":4,"steps":3}
 {"cmd":"metrics"}
 {"cmd":"shutdown"}
 EOF
@@ -44,9 +47,9 @@ EOF
 fail() { echo "FAIL: $1" >&2; echo "--- responses ---" >&2; cat "$out" >&2; \
          echo "--- metrics ---" >&2; cat "$metrics" >&2; exit 1; }
 
-# One response line per request line: 9 served + 3 rejected at parse time
-# (the rejected ones carry synthesized line-numbered ids).
-[ "$(wc -l <"$out")" -eq 12 ] || fail "expected 12 response lines"
+# One response line per request line: 10 served + 3 rejected at parse
+# time (the rejected ones carry synthesized line-numbered ids).
+[ "$(wc -l <"$out")" -eq 13 ] || fail "expected 13 response lines"
 
 expect() { # expect <id> <pattern>
   grep -F "\"id\":\"$1\"" "$out" | grep -qF "$2" \
@@ -66,28 +69,34 @@ expect native   '"ok":true'
 expect native   '"seconds":'
 expect compile  '"ok":true'
 expect hpf      '"ok":true'
+expect steps3   '"cache_hit":true'
 
 # Healthy requests must not be dropped by their faulty neighbours.
-[ "$(grep -cF '"ok":true' "$out")" -eq 6 ] || fail "expected 6 ok responses"
+[ "$(grep -cF '"ok":true' "$out")" -eq 7 ] || fail "expected 7 ok responses"
 
-# The cached artifact serves bit-identical results: warm + both hits
-# report the same values fingerprint.
+# The cached artifact serves bit-identical results: warm and the three
+# hits report the same values fingerprint.
 vals="$(grep -F '"id":"warm"' "$out" | grep -o '"values":"[0-9a-f]*"')"
 [ -n "$vals" ] || fail "warm response missing a values fingerprint"
-[ "$(grep -cF "$vals" "$out")" -eq 3 ] \
+[ "$(grep -cF "$vals" "$out")" -eq 4 ] \
   || fail "cache hits must return bit-identical values"
 
-# Metrics shape: counters and latency quantiles for every stage.
+# Metrics shape: counters and latency quantiles for every stage. The
+# analysis cache sees every served request that got past the queue: warm,
+# native, compile, hpf, crash and unknown miss (the last two fail); hit1,
+# hit2 and steps3 hit.
 for needle in \
-    'dctd_requests_total 12' \
-    'dctd_requests_completed 9' \
-    'dctd_requests_ok 6' \
+    'dctd_requests_total 13' \
+    'dctd_requests_completed 10' \
+    'dctd_requests_ok 7' \
     'dctd_requests_error 3' \
     'dctd_requests_rejected 3' \
     'dctd_requests_error_code{code="invalid-argument"} 1' \
     'dctd_requests_error_code{code="fault"} 1' \
     'dctd_requests_error_code{code="deadline-exceeded"} 1' \
-    'dctd_cache_hits 2' \
+    'dctd_cache_hits 3' \
+    'dctd_analysis_hits 3' \
+    'dctd_analysis_misses 6' \
     'dctd_cache_capacity 8' \
     'dctd_queue_depth 0' \
     'dctd_latency_ms{stage="queue",quantile="p50"}' \
