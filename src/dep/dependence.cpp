@@ -108,9 +108,9 @@ namespace {
 
 /// Fourier–Motzkin feasibility systems of one analyze_pairs call. A system
 /// is a flat list of rows of nvars + 1 Ints (see ir::normalize_row) over
-/// (i, i'), the two copies of the nest's iteration vector; the buffers are
-/// reused from test to test, and the bound rows of both copies are built
-/// once per nest.
+/// (i, i'), the two copies of the nest's iteration vector, plus a list of
+/// equalities in the same format; the buffers are reused from test to
+/// test, and the bound rows of both copies are built once per nest.
 class FmSystem {
  public:
   explicit FmSystem(const LoopNest& nest)
@@ -118,35 +118,31 @@ class FmSystem {
         nvars_(2 * nest.depth()),
         width_(static_cast<size_t>(nvars_) + 1) {}
 
-  /// Start a system holding the bound rows.
+  /// Start a system holding the bound rows and no equality.
   void reset() {
     if (bounds_.empty()) {
       ir::append_bound_rows(nest_, 0, nvars_, bounds_);             // i
       ir::append_bound_rows(nest_, nest_.depth(), nvars_, bounds_);  // i'
     }
     rows_.assign(bounds_.begin(), bounds_.end());
+    eqs_.clear();
   }
 
   /// Append a zero row and return it.
-  std::span<Int> add_row() {
-    rows_.resize(rows_.size() + width_, 0);
-    return std::span<Int>(rows_).last(width_);
-  }
+  std::span<Int> add_row() { return append_zero(rows_); }
 
-  /// Append q == 0 as the rows q and -q; `fill` sets q on a zero row.
+  /// Append the equality q == 0; `fill` sets q on a zero row.
   template <typename Fill>
   void add_equality(Fill&& fill) {
-    rows_.resize(rows_.size() + 2 * width_, 0);
-    const std::span<Int> both = std::span<Int>(rows_).last(2 * width_);
-    const std::span<Int> q = both.first(width_), neg = both.last(width_);
-    fill(q);
-    for (size_t k = 0; k < width_; ++k) neg[k] = -q[k];
+    fill(append_zero(eqs_));
   }
 
   /// Feasibility over the rationals (with gcd cuts): false means no integer
-  /// solution exists; true is conservative. Caps work to stay cheap — on
-  /// blow-up it answers true (sound). Eliminates the last variable first,
-  /// keeps each step's rows deduplicated and sorted.
+  /// solution exists; true is conservative. Equalities with a unit
+  /// coefficient are substituted first, so their variables never enter
+  /// elimination; the rest become the row pair q and -q. Caps work to stay
+  /// cheap — on blow-up it answers true (sound). Eliminates the last
+  /// variable first, keeps each step's rows deduplicated and sorted.
   bool feasible();
 
  private:
@@ -158,44 +154,102 @@ class FmSystem {
   std::span<Int> row(std::vector<Int>& buf, size_t r) const {
     return std::span<Int>(buf).subspan(r * width_, width_);
   }
+  std::span<Int> append_zero(std::vector<Int>& buf) const {
+    buf.resize(buf.size() + width_, 0);
+    return std::span<Int>(buf).last(width_);
+  }
+  void substitute_equalities();
 
   const LoopNest& nest_;
   int nvars_;
   size_t width_;
   std::vector<Int> bounds_;
   std::vector<Int> rows_, next_;  ///< this step's system, the next one's
+  std::vector<Int> eqs_;
   std::vector<size_t> lower_, upper_, order_;
 };
 
+/// x_v = -(the rest of q) for an equality q with a unit coefficient at v
+/// is exact over the integers, so substituting it into every other row
+/// and equality removes x_v without losing or adding an integer point.
+/// Each substitution may give a remaining equality a unit coefficient, so
+/// the scan restarts after one; the last variable with a unit coefficient
+/// goes first, as elimination would reach it first.
+void FmSystem::substitute_equalities() {
+  size_t e = 0;
+  while (e < count(eqs_)) {
+    const std::span<Int> q = row(eqs_, e);
+    int v = nvars_ - 1;
+    while (v >= 0 && std::abs(q[static_cast<size_t>(v)]) != 1) --v;
+    if (v < 0) {
+      ++e;
+      continue;
+    }
+    const auto at = static_cast<size_t>(v);
+    if (q[at] < 0)
+      for (Int& x : q) x = -x;
+    const auto substitute = [&](std::span<Int> r) {
+      const Int c = r[at];
+      if (c == 0) return;
+      for (size_t k = 0; k < width_; ++k)
+        r[k] = linalg::checked_sub(r[k], checked_mul(c, q[k]));
+    };
+    for (size_t r = 0; r < count(rows_); ++r) substitute(row(rows_, r));
+    for (size_t r = 0; r < count(eqs_); ++r)
+      if (r != e) substitute(row(eqs_, r));
+    eqs_.erase(eqs_.begin() + static_cast<std::ptrdiff_t>(e * width_),
+               eqs_.begin() + static_cast<std::ptrdiff_t>((e + 1) * width_));
+    e = 0;
+  }
+  for (size_t r = 0; r < count(eqs_); ++r) {
+    const std::span<Int> q = row(eqs_, r);
+    if (std::all_of(q.begin(), q.end(), [](Int x) { return x == 0; }))
+      continue;  // 0 == 0: substitution made it trivial
+    rows_.insert(rows_.end(), q.begin(), q.end());
+    const std::span<Int> neg = append_zero(rows_);
+    for (size_t k = 0; k < width_; ++k) neg[k] = -q[k];
+  }
+}
+
 bool FmSystem::feasible() {
+  substitute_equalities();
   for (size_t r = 0; r < count(rows_); ++r) ir::normalize_row(row(rows_, r));
+  bool distinct = false;  // rows_ is sorted and free of duplicates
   for (int v = nvars_ - 1; v >= 0; --v) {
     const auto at = static_cast<size_t>(v);
     lower_.clear();
     upper_.clear();
+    for (size_t r = 0; r < count(rows_); ++r) {
+      const Int c = row(rows_, r)[at];
+      if (c > 0)
+        lower_.push_back(r);
+      else if (c < 0)
+        upper_.push_back(r);
+    }
+    if (lower_.empty() && upper_.empty()) continue;  // x_v was substituted
     next_.clear();
     for (size_t r = 0; r < count(rows_); ++r) {
       const std::span<Int> q = row(rows_, r);
-      if (q[at] > 0)
-        lower_.push_back(r);
-      else if (q[at] < 0)
-        upper_.push_back(r);
-      else
-        next_.insert(next_.end(), q.begin(), q.end());
+      if (q[at] == 0) next_.insert(next_.end(), q.begin(), q.end());
     }
     if (lower_.size() * upper_.size() + count(next_) > kMaxRows) return true;
+    const size_t kept = count(next_);
     for (const size_t lo : lower_)
       for (const size_t hi : upper_) {
-        next_.resize(next_.size() + width_);
-        const std::span<Int> q = std::span<Int>(next_).last(width_);
+        const std::span<Int> q = append_zero(next_);
         ir::eliminate_row(row(rows_, lo), row(rows_, hi), v, q);
         if (std::all_of(q.begin(), q.end() - 1, [](Int x) { return x == 0; })) {
           if (q.back() < 0) return false;
           next_.resize(next_.size() - width_);  // trivially satisfied
         }
       }
+    if (distinct && count(next_) == kept) {  // an ordered subset of rows_
+      rows_.swap(next_);
+      continue;
+    }
     // Deduplicate to control growth: rows_ becomes next_'s distinct rows in
     // lexicographic order (coefficients, then the constant).
+    distinct = true;
     order_.resize(count(next_));
     std::iota(order_.begin(), order_.end(), size_t{0});
     std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
@@ -338,26 +392,20 @@ bool direction_feasible(const ir::LoopNest& nest, const ArrayRef& src,
 }
 
 /// Exact dependence for a uniformly generated pair (equal access
-/// matrices): solve F * delta = src.offset - dst.offset ... precisely,
-/// element equality F i + o_src = F i' + o_dst gives F (i' - i) = o_src -
-/// o_dst. Returns the unique delta when F has full column rank, nullopt
-/// when no integral solution exists, and no value via `unique=false` when
-/// delta is underdetermined (caller falls back to direction testing).
+/// matrices): element equality F i + o_src = F i' + o_dst gives
+/// F (i' - i) = o_src - o_dst. Returns the unique delta when F has full
+/// column rank, nullopt when no integral solution exists, and no value via
+/// `unique=false` when delta is underdetermined (caller falls back to
+/// direction testing). One integer elimination decides all three.
 std::optional<Vec> uniform_distance(const ArrayRef& src, const ArrayRef& dst,
                                     bool& unique) {
   unique = false;
   if (src.access != dst.access) return std::nullopt;
-  if (linalg::rank(src.access) != src.access.cols()) return std::nullopt;
-  unique = true;
   Vec rhs(src.offset.size());
   for (size_t r = 0; r < rhs.size(); ++r)
     rhs[r] = linalg::checked_sub(src.offset[r], dst.offset[r]);
-  const auto sol = linalg::solve(src.access, rhs);
-  if (!sol.has_value() || sol->denom != 1) {
-    // No integral delta: the two references never overlap.
-    return std::nullopt;
-  }
-  return sol->x;
+  // No integral delta means the two references never overlap.
+  return linalg::solve_unique_integral(src.access, rhs, unique);
 }
 
 /// Is there an in-hull iteration pair separated by exactly `delta`?
@@ -386,28 +434,31 @@ struct Access {
   int depth;
 };
 
-/// Canonical direction vectors of a given length, all-EQ first, then the
-/// carried shapes EQ^l LT {EQ,LT,GT}^(len-l-1) (first non-EQ is LT).
-std::vector<std::vector<Dir>> canonical_vectors(int len) {
-  std::vector<std::vector<Dir>> out;
-  out.emplace_back(static_cast<size_t>(len), Dir::EQ);  // loop-independent
-  for (int l = 0; l < len; ++l) {
-    std::vector<Dir> prefix(static_cast<size_t>(l), Dir::EQ);
-    prefix.push_back(Dir::LT);
-    const int tail = len - l - 1;
-    int total = 1;
-    for (int t = 0; t < tail; ++t) total *= 3;
-    for (int mask = 0; mask < total; ++mask) {
-      std::vector<Dir> vec = prefix;
-      int m = mask;
-      for (int t = 0; t < tail; ++t) {
-        vec.push_back(static_cast<Dir>(m % 3));
-        m /= 3;
-      }
-      out.push_back(std::move(vec));
-    }
+/// Step `dirs` to the next canonical direction vector of its length, in
+/// the order all-EQ first, then the carried shapes EQ^l LT
+/// {EQ,LT,GT}^(len-l-1) (first non-EQ is LT) by increasing l, each tail
+/// counted in base 3 with its first component fastest. Returns false after
+/// the last one.
+bool next_canonical(std::vector<Dir>& dirs) {
+  const size_t len = dirs.size();
+  size_t l = 0;
+  while (l < len && dirs[l] == Dir::EQ) ++l;
+  if (l == len) {  // all-EQ: the first carried shape is LT EQ...
+    if (len == 0) return false;
+    dirs[0] = Dir::LT;
+    return true;
   }
-  return out;
+  for (size_t t = l + 1; t < len; ++t) {  // count the tail up
+    if (dirs[t] != Dir::GT) {
+      dirs[t] = static_cast<Dir>(static_cast<int>(dirs[t]) + 1);
+      return true;
+    }
+    dirs[t] = Dir::EQ;
+  }
+  if (l + 1 == len) return false;  // EQ^(len-1) LT was the last one
+  dirs[l] = Dir::EQ;  // carry to the next level: EQ^(l+1) LT EQ...
+  dirs[l + 1] = Dir::LT;
+  return true;
 }
 
 /// Collect the dependence vectors between one access pair into `add`.
@@ -417,9 +468,9 @@ std::vector<std::vector<Dir>> canonical_vectors(int len) {
 /// `keep_loop_independent` (pairs of distinct statements).
 template <typename Add>
 void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
-                      const std::vector<std::vector<std::vector<Dir>>>& canon,
                       const Access& a1, const Access& a2,
-                      bool keep_loop_independent, FmSystem& fm, Add&& add) {
+                      bool keep_loop_independent, std::vector<Dir>& dirs,
+                      FmSystem& fm, Add&& add) {
   if (!a1.is_write && !a2.is_write) return;
   if (a1.ref->array != a2.ref->array) return;
   const int common = std::min(a1.depth, a2.depth);
@@ -443,22 +494,27 @@ void vectors_for_pair(const LoopNest& nest, const Hull& hull, int d,
       return;
     }
   }
-  // General pair: hierarchical direction-vector testing over the loops
-  // common to both statements.
-  for (const auto& dirs : canon[static_cast<size_t>(common)]) {
-    const bool all_eq = std::all_of(dirs.begin(), dirs.end(),
-                                    [](Dir x) { return x == Dir::EQ; });
-    if (all_eq && !keep_loop_independent) continue;
-    if (!direction_feasible(nest, *a1.ref, *a2.ref, hull, dirs, fm)) continue;
-    DepVector v;
-    v.dirs = dirs;
-    v.dirs.resize(static_cast<size_t>(d), Dir::EQ);
-    v.dist.assign(static_cast<size_t>(d), std::nullopt);
-    for (int k = 0; k < d; ++k)
-      if (v.dirs[static_cast<size_t>(k)] == Dir::EQ)
-        v.dist[static_cast<size_t>(k)] = 0;
-    add(std::move(v));
-  }
+  // General pair: test every canonical direction vector over the loops
+  // common to both statements, one at a time (the all-EQ one only when
+  // loop-independent vectors are kept); Banerjee and GCD screen each test
+  // before Fourier–Motzkin runs.
+  dirs.assign(static_cast<size_t>(common), Dir::EQ);
+  bool all_eq = true;
+  do {
+    if ((keep_loop_independent || !all_eq) &&
+        direction_feasible(nest, *a1.ref, *a2.ref, hull, dirs, fm)) {
+      DepVector v;
+      v.dirs.reserve(static_cast<size_t>(d));
+      v.dirs.assign(dirs.begin(), dirs.end());
+      v.dirs.resize(static_cast<size_t>(d), Dir::EQ);
+      v.dist.assign(static_cast<size_t>(d), std::nullopt);
+      for (int k = 0; k < d; ++k)
+        if (v.dirs[static_cast<size_t>(k)] == Dir::EQ)
+          v.dist[static_cast<size_t>(k)] = 0;
+      add(std::move(v));
+    }
+    all_eq = false;
+  } while (next_canonical(dirs));
 }
 
 // ---------------------------------------------------------------------------
@@ -489,11 +545,7 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
     by_stmt[static_cast<size_t>(si)].push_back({&s.write, true, sd});
   }
 
-  std::vector<std::vector<std::vector<Dir>>> canon_by_len(
-      static_cast<size_t>(d) + 1);
-  for (int len = 0; len <= d; ++len)
-    canon_by_len[static_cast<size_t>(len)] = canonical_vectors(len);
-
+  std::vector<Dir> dirs;  // the direction vector under test
   FmSystem fm(nest);
   for (int si = 0; si < nstmts; ++si)
     for (int sj = 0; sj < nstmts; ++sj) {
@@ -502,7 +554,7 @@ std::vector<PairDeps> analyze_pairs(const LoopNest& nest) {
       // "dependence" of a statement on itself orders nothing.
       for (const Access& a1 : by_stmt[static_cast<size_t>(si)])
         for (const Access& a2 : by_stmt[static_cast<size_t>(sj)])
-          vectors_for_pair(nest, hull, d, canon_by_len, a1, a2, si != sj, fm,
+          vectors_for_pair(nest, hull, d, a1, a2, si != sj, dirs, fm,
                            [&](DepVector v) {
                              add_unique(pd.vectors, std::move(v));
                            });

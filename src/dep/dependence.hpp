@@ -2,13 +2,15 @@
 //
 // Computes the set of dependence vectors of a nest (exact distance vectors
 // for uniformly generated reference pairs, conservative direction vectors
-// via hierarchical Banerjee + GCD testing otherwise) once per ordered
-// statement pair (analyze_pairs). parallelize runs it once per nest and
-// keeps the result; everything else is a fold of it: the nest summary
-// (summarize) that drives the unimodular parallelization preprocessing
-// (paper §3.2 step 1) and the pipelining decision (§6.2.4), the loops that
-// carry a dependence (carried_levels), and the native backend's per-nest
-// synchronization (the pairs mapped through the chosen transform).
+// otherwise: every canonical direction vector is tested, first by Banerjee
+// and GCD, then by Fourier–Motzkin with the subscript and EQ-direction
+// equalities substituted) once per ordered statement pair
+// (analyze_pairs). parallelize runs it once per nest and keeps the result;
+// everything else is a fold of it: the nest summary (summarize) that
+// drives the unimodular parallelization preprocessing (paper §3.2 step 1)
+// and the pipelining decision (§6.2.4), the loops that carry a dependence
+// (carried_levels), and the native backend's per-nest synchronization (the
+// pairs mapped through the chosen transform).
 #pragma once
 
 #include <cstdint>

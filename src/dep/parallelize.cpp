@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "ir/transform.hpp"
 #include "support/diagnostics.hpp"
@@ -15,65 +14,45 @@ using linalg::IntMatrix;
 
 namespace {
 
-/// Transform a dependence-vector set by a unimodular matrix. Permutation
+/// Map a dependence-vector set through a unimodular matrix into `out`,
+/// whose vectors' storage is reused from call to call. Permutation
 /// matrices work on any vector (directions permute); general matrices need
-/// exact distances. Returns nullopt when the transform cannot be applied
-/// or would make some vector lexicographically negative (illegal).
-std::optional<std::vector<DepVector>> transform_vectors(
-    const std::vector<DepVector>& vectors, const IntMatrix& u) {
+/// exact distances. Returns false when the transform cannot be applied or
+/// would make some vector lexicographically negative (illegal).
+bool transform_vectors(const std::vector<DepVector>& vectors,
+                       const IntMatrix& u, std::vector<DepVector>& out) {
   const int d = u.rows();
-  // Detect a pure permutation.
-  std::vector<int> perm(static_cast<size_t>(d), -1);
-  bool is_perm = true;
-  for (int r = 0; r < d && is_perm; ++r) {
-    int ones = 0;
-    for (int c = 0; c < d; ++c) {
-      const Int v = u.at(r, c);
-      if (v == 1) {
-        perm[static_cast<size_t>(r)] = c;
-        ++ones;
-      } else if (v != 0) {
-        is_perm = false;
-      }
-    }
-    if (ones != 1) is_perm = false;
-  }
-
-  std::vector<DepVector> out;
-  out.reserve(vectors.size());
-  for (const DepVector& v : vectors) {
-    DepVector t;
+  const bool is_perm = ir::is_permutation(u);
+  out.resize(vectors.size());
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    const DepVector& v = vectors[i];
+    DepVector& t = out[i];
     t.dirs.resize(static_cast<size_t>(d));
     t.dist.resize(static_cast<size_t>(d));
-    if (is_perm) {
-      for (int l = 0; l < d; ++l) {
-        t.dirs[static_cast<size_t>(l)] =
-            v.dirs[static_cast<size_t>(perm[static_cast<size_t>(l)])];
-        t.dist[static_cast<size_t>(l)] =
-            v.dist[static_cast<size_t>(perm[static_cast<size_t>(l)])];
+    for (int l = 0; l < d; ++l) {
+      const auto at = static_cast<size_t>(l);
+      if (is_perm) {  // new level l reads the old level u(l, c) == 1 names
+        size_t c = 0;
+        while (u.at(l, static_cast<int>(c)) != 1) ++c;
+        t.dirs[at] = v.dirs[c];
+        t.dist[at] = v.dist[c];
+        continue;
       }
-    } else {
-      linalg::Vec delta(static_cast<size_t>(d));
-      for (int l = 0; l < d; ++l) {
-        if (!v.dist[static_cast<size_t>(l)].has_value()) return std::nullopt;
-        delta[static_cast<size_t>(l)] = *v.dist[static_cast<size_t>(l)];
+      Int x = 0;
+      for (int c = 0; c < d; ++c) {
+        const auto& dc = v.dist[static_cast<size_t>(c)];
+        if (!dc.has_value()) return false;
+        x = linalg::checked_add(x, linalg::checked_mul(u.at(l, c), *dc));
       }
-      const linalg::Vec nd = u * delta;
-      for (int l = 0; l < d; ++l) {
-        const Int x = nd[static_cast<size_t>(l)];
-        t.dirs[static_cast<size_t>(l)] =
-            x == 0 ? Dir::EQ : (x > 0 ? Dir::LT : Dir::GT);
-        t.dist[static_cast<size_t>(l)] = x;
-      }
+      t.dirs[at] = x == 0 ? Dir::EQ : (x > 0 ? Dir::LT : Dir::GT);
+      t.dist[at] = x;
     }
     // Legality: the transformed vector must be lexicographically positive
     // (or all-EQ, which cannot happen for a carried vector).
     const int cl = t.carrier_level();
-    if (cl >= 0 && t.dirs[static_cast<size_t>(cl)] == Dir::GT)
-      return std::nullopt;
-    out.push_back(std::move(t));
+    if (cl >= 0 && t.dirs[static_cast<size_t>(cl)] == Dir::GT) return false;
   }
-  return out;
+  return true;
 }
 
 /// Tie-break score: number of references whose fastest-varying (first,
@@ -101,13 +80,14 @@ int stride1_score(const ir::LoopNest& nest, const IntMatrix& u) {
   return score;
 }
 
+/// A legal transform: its index in the searched list (0 is the
+/// identity), the DOALL levels it exposes and its stride-1 score.
 struct Candidate {
-  IntMatrix u;
-  std::vector<bool> parallel;
+  size_t u = 0;
   int outer_parallel = 0;
   int total_parallel = 0;
   int stride1 = 0;
-  bool is_identity = false;
+  bool is_identity() const { return u == 0; }
 };
 
 }  // namespace
@@ -120,24 +100,32 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
 
   // Imperfect nests: a statement at depth m executes once per iteration
   // of the outer m loops, so a legal transform must map the outer m loops
-  // among themselves (block-triangular with a unimodular leading block).
+  // among themselves (block-triangular with a unimodular leading block;
+  // a block-triangular permutation's leading block is a permutation).
   std::vector<int> stmt_depths;
   for (const ir::Stmt& s : nest.stmts) {
     const int m = s.effective_depth(d);
     if (m < d) stmt_depths.push_back(m);
   }
   auto admissible = [&](const IntMatrix& u) {
+    const bool is_perm = ir::is_permutation(u);
     for (int m : stmt_depths) {
       for (int i = 0; i < m; ++i)
         for (int j = m; j < d; ++j)
           if (u.at(i, j) != 0) return false;
-      if (std::abs(linalg::determinant(u.submatrix(0, m, 0, m))) != 1)
+      if (!is_perm &&
+          std::abs(linalg::determinant(u.submatrix(0, m, 0, m))) != 1)
         return false;
     }
     return true;
   };
 
+  // Every permutation, the identity first; the wavefront fallback appends
+  // skewed ones.
+  size_t permutations = 1;
+  for (int k = 2; k <= d; ++k) permutations *= static_cast<size_t>(k);
   std::vector<IntMatrix> transforms;
+  transforms.reserve(permutations);
   {
     std::vector<int> perm(static_cast<size_t>(d));
     std::iota(perm.begin(), perm.end(), 0);
@@ -146,26 +134,23 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
     } while (std::next_permutation(perm.begin(), perm.end()));
   }
 
-  auto evaluate = [&](const IntMatrix& u) -> std::optional<Candidate> {
-    if (!admissible(u)) return std::nullopt;
-    auto tv = transform_vectors(deps.vectors, u);
-    if (!tv.has_value()) return std::nullopt;
+  std::vector<DepVector> mapped;  // reused by every candidate
+  std::vector<Candidate> candidates;
+  auto evaluate = [&](size_t i) {
+    const IntMatrix& u = transforms[i];
+    if (!admissible(u) || !transform_vectors(deps.vectors, u, mapped)) return;
+    const std::vector<bool> carried = carried_levels(mapped, d);
     Candidate c;
-    c.u = u;
-    c.parallel = carried_levels(*tv, d);
-    c.parallel.flip();
+    c.u = i;
     while (c.outer_parallel < d &&
-           c.parallel[static_cast<size_t>(c.outer_parallel)])
+           !carried[static_cast<size_t>(c.outer_parallel)])
       ++c.outer_parallel;
     c.total_parallel = static_cast<int>(
-        std::count(c.parallel.begin(), c.parallel.end(), true));
-    c.is_identity = (u == IntMatrix::identity(d));
-    return c;
+        std::count(carried.begin(), carried.end(), false));
+    candidates.push_back(c);
   };
 
-  std::vector<Candidate> candidates;
-  for (const IntMatrix& u : transforms)
-    if (auto c = evaluate(u)) candidates.push_back(std::move(*c));
+  for (size_t i = 0; i < permutations; ++i) evaluate(i);
   DCT_CHECK(!candidates.empty(), "identity transform must always be legal");
 
   const bool any_parallel = std::any_of(
@@ -181,8 +166,10 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
       for (int s = 0; s < t; ++s)
         for (Int f = 1; f <= 2; ++f) {
           const IntMatrix skew = ir::skew_matrix(d, t, s, f);
-          for (const IntMatrix& p : transforms)
-            if (auto c = evaluate(p * skew)) candidates.push_back(std::move(*c));
+          for (size_t p = 0; p < permutations; ++p) {
+            transforms.push_back(transforms[p] * skew);
+            evaluate(transforms.size() - 1);
+          }
         }
   }
 
@@ -200,10 +187,10 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   for (Candidate& c : candidates) {
     if (c.outer_parallel != best_outer || c.total_parallel != best_total)
       continue;
-    c.stride1 = stride1_score(nest, c.u);
+    c.stride1 = stride1_score(nest, transforms[c.u]);
     const bool better =
         best == nullptr || c.stride1 > best_stride1 ||
-        (c.stride1 == best_stride1 && c.is_identity && !best->is_identity);
+        (c.stride1 == best_stride1 && c.is_identity() && !best->is_identity());
     if (better) {
       best = &c;
       best_stride1 = c.stride1;
@@ -212,24 +199,27 @@ ParallelizedNest parallelize(const ir::LoopNest& nest,
   DCT_CHECK(best != nullptr);
 
   ParallelizedNest out;
-  out.nest = ir::apply_unimodular(nest, best->u);
-  out.transform = best->u;
-  out.parallel = best->parallel;
+  const IntMatrix& u = transforms[best->u];
+  out.nest = ir::apply_unimodular(nest, u);
+  out.transform = u;
+  transform_vectors(deps.vectors, u, mapped);
+  out.parallel = carried_levels(mapped, d);
+  out.parallel.flip();
   // The transform is legal for the union of the carried vectors, so for
   // each pair's; loop-independent vectors stay all-EQ under any transform.
   for (PairDeps& pd : pairs) {
-    auto tv = transform_vectors(pd.vectors, best->u);
-    DCT_CHECK(tv.has_value(), "chosen transform must be legal for every pair");
-    pd.vectors = std::move(*tv);
+    const bool legal = transform_vectors(pd.vectors, u, mapped);
+    DCT_CHECK(legal, "chosen transform must be legal for every pair");
+    pd.vectors.swap(mapped);
   }
   out.pairs = std::move(pairs);
   if (rs != nullptr) {
     rs->count("legal_candidates", static_cast<long>(candidates.size()));
     rs->count("dependence_vectors", static_cast<long>(deps.vectors.size()));
-    if (!best->is_identity) rs->count("nests_transformed");
+    if (!best->is_identity()) rs->count("nests_transformed");
     if (skewed) rs->count("wavefront_searches");
     rs->note(strf("%s: %d of %d outer loop(s) DOALL%s",
-                  best->is_identity ? "identity transform"
+                  best->is_identity() ? "identity transform"
                                     : (skewed ? "skewed wavefront transform"
                                               : "unimodular transform"),
                   best->outer_parallel, d,

@@ -12,17 +12,31 @@ using linalg::checked_add;
 using linalg::checked_mul;
 using linalg::IntMatrix;
 
+bool is_permutation(const IntMatrix& u) {
+  const int n = u.rows();
+  if (u.cols() != n) return false;
+  for (int r = 0; r < n; ++r) {
+    int row_ones = 0, col_ones = 0;  // in row r and in column r
+    for (int c = 0; c < n; ++c) {
+      const linalg::Int x = u.at(r, c), y = u.at(c, r);
+      if ((x != 0 && x != 1) || (y != 0 && y != 1)) return false;
+      row_ones += x == 1;
+      col_ones += y == 1;
+    }
+    if (row_ones != 1 || col_ones != 1) return false;
+  }
+  return true;
+}
+
 IntMatrix permutation_matrix(const std::vector<int>& perm) {
   const int n = static_cast<int>(perm.size());
   IntMatrix m(n, n);
-  std::vector<bool> seen(static_cast<size_t>(n), false);
   for (int l = 0; l < n; ++l) {
     const int src = perm[static_cast<size_t>(l)];
-    DCT_CHECK(src >= 0 && src < n && !seen[static_cast<size_t>(src)],
-              "not a permutation");
-    seen[static_cast<size_t>(src)] = true;
+    DCT_CHECK(src >= 0 && src < n, "not a permutation");
     m.at(l, src) = 1;
   }
+  DCT_CHECK(is_permutation(m), "not a permutation");
   return m;
 }
 
@@ -41,9 +55,14 @@ IntMatrix reversal_matrix(int depth, int level) {
 
 IntMatrix unimodular_inverse(const IntMatrix& u) {
   DCT_CHECK(u.rows() == u.cols(), "inverse of non-square matrix");
-  DCT_CHECK(std::abs(linalg::determinant(u)) == 1, "matrix is not unimodular");
   const int n = u.rows();
   IntMatrix inv(n, n);
+  if (is_permutation(u)) {  // orthogonal: the inverse is the transpose
+    for (int r = 0; r < n; ++r)
+      for (int c = 0; c < n; ++c) inv.at(c, r) = u.at(r, c);
+    return inv;
+  }
+  DCT_CHECK(std::abs(linalg::determinant(u)) == 1, "matrix is not unimodular");
   for (int c = 0; c < n; ++c) {
     linalg::Vec e(static_cast<size_t>(n), 0);
     e[static_cast<size_t>(c)] = 1;

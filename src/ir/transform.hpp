@@ -31,7 +31,12 @@ linalg::IntMatrix reversal_matrix(int depth, int level);
 /// bounds — Fourier–Motzkin is closed over them).
 LoopNest apply_unimodular(const LoopNest& nest, const linalg::IntMatrix& u);
 
-/// Exact integer inverse of a unimodular matrix.
+/// Whether `u` is a permutation matrix: square, 0/1 entries, one 1 in
+/// every row and every column.
+bool is_permutation(const linalg::IntMatrix& u);
+
+/// Exact integer inverse of a unimodular matrix: the transpose of a
+/// permutation, rational solves otherwise.
 linalg::IntMatrix unimodular_inverse(const linalg::IntMatrix& u);
 
 // Fourier–Motzkin elimination over affine inequalities, shared by bound

@@ -8,24 +8,6 @@
 
 namespace dct::linalg {
 
-Int checked_add(Int a, Int b) {
-  Int r = 0;
-  DCT_CHECK(!__builtin_add_overflow(a, b, &r), "int64 add overflow");
-  return r;
-}
-
-Int checked_sub(Int a, Int b) {
-  Int r = 0;
-  DCT_CHECK(!__builtin_sub_overflow(a, b, &r), "int64 sub overflow");
-  return r;
-}
-
-Int checked_mul(Int a, Int b) {
-  Int r = 0;
-  DCT_CHECK(!__builtin_mul_overflow(a, b, &r), "int64 mul overflow");
-  return r;
-}
-
 Int gcd(Int a, Int b) {
   a = std::abs(a);
   b = std::abs(b);
@@ -39,7 +21,11 @@ Int gcd(Int a, Int b) {
 
 Int gcd(std::span<const Int> v) {
   Int g = 0;
-  for (Int x : v) g = gcd(g, x);
+  for (const Int x : v) {
+    if (x == 0) continue;
+    g = g == 0 ? std::abs(x) : gcd(g, x);
+    if (g == 1) break;
+  }
   return g;
 }
 
@@ -84,18 +70,6 @@ IntMatrix IntMatrix::col_vector(const Vec& v) {
   IntMatrix m(static_cast<int>(v.size()), 1);
   for (size_t i = 0; i < v.size(); ++i) m.at(static_cast<int>(i), 0) = v[i];
   return m;
-}
-
-Int& IntMatrix::at(int r, int c) {
-  DCT_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "index out of range");
-  return data_[static_cast<size_t>(r) * static_cast<size_t>(cols_) +
-               static_cast<size_t>(c)];
-}
-
-Int IntMatrix::at(int r, int c) const {
-  DCT_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "index out of range");
-  return data_[static_cast<size_t>(r) * static_cast<size_t>(cols_) +
-               static_cast<size_t>(c)];
 }
 
 Vec IntMatrix::row(int r) const {
@@ -159,150 +133,146 @@ std::string IntMatrix::to_string() const {
 }
 
 // ---------------------------------------------------------------------------
-// Rational helper for exact elimination (matrices here are tiny).
+// Exact elimination over the integers (matrices here are tiny)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Rat {
-  Int num = 0;
-  Int den = 1;
+/// A row-major copy of `a`, with `b` as one more column when given.
+struct Flat {
+  int rows, width;
+  std::vector<Int> v;
 
-  void normalize() {
-    DCT_CHECK(den != 0, "rational with zero denominator");
-    if (den < 0) {
-      num = checked_mul(num, -1);
-      den = checked_mul(den, -1);
-    }
-    const Int g = gcd(num, den);
-    if (g > 1) {
-      num /= g;
-      den /= g;
+  Flat(const IntMatrix& a, std::span<const Int> b = {})
+      : rows(a.rows()), width(a.cols() + (b.empty() ? 0 : 1)) {
+    v.reserve(static_cast<size_t>(rows) * static_cast<size_t>(width));
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < a.cols(); ++c) v.push_back(a.at(r, c));
+      if (!b.empty()) v.push_back(b[static_cast<size_t>(r)]);
     }
   }
-  bool is_zero() const { return num == 0; }
+  Int& at(int r, int c) {
+    return v[static_cast<size_t>(r) * static_cast<size_t>(width) +
+             static_cast<size_t>(c)];
+  }
+  void swap_rows(int r1, int r2) {
+    for (int c = 0; c < width; ++c) std::swap(at(r1, c), at(r2, c));
+  }
 };
 
-Rat make_rat(Int n, Int d = 1) {
-  Rat r{n, d};
-  r.normalize();
-  return r;
-}
-
-Rat operator*(const Rat& a, const Rat& b) {
-  return make_rat(checked_mul(a.num, b.num), checked_mul(a.den, b.den));
-}
-
-Rat operator-(const Rat& a, const Rat& b) {
-  return make_rat(
-      checked_sub(checked_mul(a.num, b.den), checked_mul(b.num, a.den)),
-      checked_mul(a.den, b.den));
-}
-
-Rat operator/(const Rat& a, const Rat& b) {
-  DCT_CHECK(!b.is_zero(), "rational division by zero");
-  return make_rat(checked_mul(a.num, b.den), checked_mul(a.den, b.num));
-}
-
-using RatMatrix = std::vector<std::vector<Rat>>;
-
-RatMatrix to_rat(const IntMatrix& m) {
-  RatMatrix out(static_cast<size_t>(m.rows()),
-                std::vector<Rat>(static_cast<size_t>(m.cols())));
-  for (int r = 0; r < m.rows(); ++r)
-    for (int c = 0; c < m.cols(); ++c)
-      out[static_cast<size_t>(r)][static_cast<size_t>(c)] = make_rat(m.at(r, c));
-  return out;
-}
-
-/// Row-reduce `m` in place; returns pivot column per pivot row.
-std::vector<int> rref(RatMatrix& m) {
-  std::vector<int> pivots;
-  if (m.empty()) return pivots;
-  const size_t nrows = m.size();
-  const size_t ncols = m[0].size();
-  size_t prow = 0;
-  for (size_t col = 0; col < ncols && prow < nrows; ++col) {
-    size_t sel = prow;
-    while (sel < nrows && m[sel][col].is_zero()) ++sel;
-    if (sel == nrows) continue;
-    std::swap(m[sel], m[prow]);
-    const Rat inv = make_rat(1) / m[prow][col];
-    for (size_t c = col; c < ncols; ++c) m[prow][c] = m[prow][c] * inv;
-    for (size_t r = 0; r < nrows; ++r) {
-      if (r == prow || m[r][col].is_zero()) continue;
-      const Rat f = m[r][col];
-      for (size_t c = col; c < ncols; ++c)
-        m[r][c] = m[r][c] - f * m[prow][c];
+/// Fraction-free Gauss–Jordan elimination of `m`, pivoting in its first
+/// `cols` columns: the i-th pivot moves to row i, where it is the row's
+/// first nonzero entry, and every other row is zero in its column. Each
+/// combined row is divided by the gcd of its entries, an exact
+/// equivalence that keeps the numbers small. Returns the number of
+/// pivots, the rank of those columns; the rows below them are zero in
+/// those columns.
+int eliminate(Flat& m, int cols) {
+  int prow = 0;
+  for (int col = 0; col < cols && prow < m.rows; ++col) {
+    int sel = prow;
+    while (sel < m.rows && m.at(sel, col) == 0) ++sel;
+    if (sel == m.rows) continue;
+    m.swap_rows(sel, prow);
+    for (int r = 0; r < m.rows; ++r) {
+      if (r == prow || m.at(r, col) == 0) continue;
+      const Int g = gcd(m.at(prow, col), m.at(r, col));
+      const Int fr = m.at(prow, col) / g, fp = m.at(r, col) / g;
+      Int row_gcd = 0;
+      for (int c = 0; c < m.width; ++c) {
+        m.at(r, c) = checked_sub(checked_mul(fr, m.at(r, c)),
+                                 checked_mul(fp, m.at(prow, c)));
+        row_gcd = gcd(row_gcd, m.at(r, c));
+      }
+      if (row_gcd > 1)
+        for (int c = 0; c < m.width; ++c) m.at(r, c) /= row_gcd;
     }
-    pivots.push_back(static_cast<int>(col));
     ++prow;
   }
-  return pivots;
+  return prow;
 }
 
 }  // namespace
-
-int rank(const IntMatrix& m) {
-  if (m.empty()) return 0;
-  RatMatrix rm = to_rat(m);
-  return static_cast<int>(rref(rm).size());
-}
 
 Int determinant(const IntMatrix& m) {
   DCT_CHECK(m.rows() == m.cols(), "determinant of non-square matrix");
   const int n = m.rows();
   if (n == 0) return 1;
-  RatMatrix rm = to_rat(m);
-  Rat det = make_rat(1);
-  for (int col = 0; col < n; ++col) {
-    int sel = col;
-    while (sel < n && rm[static_cast<size_t>(sel)][static_cast<size_t>(col)]
-                          .is_zero())
-      ++sel;
+  // Bareiss: every division below is exact.
+  Flat a(m);
+  Int sign = 1, prev = 1;
+  for (int k = 0; k < n; ++k) {
+    int sel = k;
+    while (sel < n && a.at(sel, k) == 0) ++sel;
     if (sel == n) return 0;
-    if (sel != col) {
-      std::swap(rm[static_cast<size_t>(sel)], rm[static_cast<size_t>(col)]);
-      det = det * make_rat(-1);
+    if (sel != k) {
+      a.swap_rows(sel, k);
+      sign = -sign;
     }
-    const Rat piv = rm[static_cast<size_t>(col)][static_cast<size_t>(col)];
-    det = det * piv;
-    for (int r = col + 1; r < n; ++r) {
-      const Rat f = rm[static_cast<size_t>(r)][static_cast<size_t>(col)] / piv;
-      if (f.is_zero()) continue;
-      for (int c = col; c < n; ++c)
-        rm[static_cast<size_t>(r)][static_cast<size_t>(c)] =
-            rm[static_cast<size_t>(r)][static_cast<size_t>(c)] -
-            f * rm[static_cast<size_t>(col)][static_cast<size_t>(c)];
-    }
+    for (int i = k + 1; i < n; ++i)
+      for (int j = k + 1; j < n; ++j)
+        a.at(i, j) = checked_sub(checked_mul(a.at(i, j), a.at(k, k)),
+                                 checked_mul(a.at(i, k), a.at(k, j))) /
+                     prev;
+    prev = a.at(k, k);
   }
-  DCT_CHECK(det.den == 1, "integer determinant must be integral");
-  return det.num;
+  return checked_mul(sign, a.at(n - 1, n - 1));
 }
 
 std::optional<RationalSolution> solve(const IntMatrix& a, const Vec& b) {
   DCT_CHECK(static_cast<int>(b.size()) == a.rows(), "rhs size mismatch");
-  RatMatrix rm = to_rat(a.hstack(IntMatrix::col_vector(b)));
-  const std::vector<int> pivots = rref(rm);
   const int n = a.cols();
-  // Inconsistent if a pivot lands in the augmented column.
-  for (int p : pivots)
-    if (p == n) return std::nullopt;
-  // Build a particular solution: pivot variables take the augmented value,
-  // free variables are zero.
-  std::vector<Rat> x(static_cast<size_t>(n), make_rat(0));
-  for (size_t i = 0; i < pivots.size(); ++i)
-    x[static_cast<size_t>(pivots[i])] = rm[i][static_cast<size_t>(n)];
+  if (b.empty()) return RationalSolution{Vec(static_cast<size_t>(n), 0), 1};
+  Flat m(a, b);
+  const int pivots = eliminate(m, n);
+  for (int r = pivots; r < a.rows(); ++r)
+    if (m.at(r, n) != 0) return std::nullopt;  // inconsistent
+  // Pivot row i reads p * x_c = rhs at its pivot column c; the free
+  // variables are zero.
+  Vec num(static_cast<size_t>(n), 0), den(static_cast<size_t>(n), 1);
   Int denom = 1;
-  for (const Rat& r : x) denom = checked_mul(denom, r.den / gcd(denom, r.den));
+  for (int i = 0; i < pivots; ++i) {
+    int c = 0;
+    while (m.at(i, c) == 0) ++c;
+    Int p = m.at(i, c), rhs = m.at(i, n);
+    if (p < 0) {
+      p = checked_mul(p, -1);
+      rhs = checked_mul(rhs, -1);
+    }
+    const Int g = gcd(p, rhs);
+    num[static_cast<size_t>(c)] = rhs / g;
+    den[static_cast<size_t>(c)] = p / g;
+    denom = checked_mul(denom, (p / g) / gcd(denom, p / g));
+  }
   RationalSolution out;
   out.denom = denom;
   out.x.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const Rat& r = x[static_cast<size_t>(i)];
-    out.x[static_cast<size_t>(i)] = checked_mul(r.num, denom / r.den);
-  }
+  for (size_t c = 0; c < static_cast<size_t>(n); ++c)
+    out.x[c] = checked_mul(num[c], denom / den[c]);
   return out;
+}
+
+std::optional<Vec> solve_unique_integral(const IntMatrix& a,
+                                         std::span<const Int> b,
+                                         bool& full_rank) {
+  DCT_CHECK(static_cast<int>(b.size()) == a.rows(), "rhs size mismatch");
+  const int n = a.cols();
+  if (b.empty()) {  // no equations: only a 0-column system is determined
+    full_rank = n == 0;
+    return full_rank ? std::optional<Vec>(Vec{}) : std::nullopt;
+  }
+  Flat m(a, b);
+  full_rank = eliminate(m, n) == n;
+  if (!full_rank) return std::nullopt;
+  for (int r = n; r < a.rows(); ++r)
+    if (m.at(r, n) != 0) return std::nullopt;  // inconsistent
+  // Row i now reads pivot_i * x_i = rhs_i.
+  Vec x(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    if (m.at(i, n) % m.at(i, i) != 0) return std::nullopt;  // not integral
+    x[static_cast<size_t>(i)] = m.at(i, n) / m.at(i, i);
+  }
+  return x;
 }
 
 }  // namespace dct::linalg

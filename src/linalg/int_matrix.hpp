@@ -2,9 +2,9 @@
 //
 // The small kernel the compiler runs: checked arithmetic, gcds and
 // floor/ceil division (the paper's 0-based index arithmetic), a dense
-// matrix for access functions and loop transforms, and rational row
-// reduction for rank, determinant and linear solves (dependence distances,
-// the inverse of a unimodular loop transform).
+// matrix for access functions and loop transforms, and exact elimination
+// over the integers for determinants and linear solves (dependence
+// distances, the inverse of a non-permutation unimodular loop transform).
 #pragma once
 
 #include <cstdint>
@@ -14,19 +14,34 @@
 #include <string>
 #include <vector>
 
+#include "support/diagnostics.hpp"
+
 namespace dct::linalg {
 
 using Int = std::int64_t;
 using Vec = std::vector<Int>;
 
-/// Checked arithmetic: throws dct::Error on int64 overflow.
-Int checked_add(Int a, Int b);
-Int checked_sub(Int a, Int b);
-Int checked_mul(Int a, Int b);
+/// Checked arithmetic: throws dct::Error on int64 overflow. Inline: the
+/// elimination loops run it on every coefficient.
+inline Int checked_add(Int a, Int b) {
+  Int r = 0;
+  DCT_CHECK(!__builtin_add_overflow(a, b, &r), "int64 add overflow");
+  return r;
+}
+inline Int checked_sub(Int a, Int b) {
+  Int r = 0;
+  DCT_CHECK(!__builtin_sub_overflow(a, b, &r), "int64 sub overflow");
+  return r;
+}
+inline Int checked_mul(Int a, Int b) {
+  Int r = 0;
+  DCT_CHECK(!__builtin_mul_overflow(a, b, &r), "int64 mul overflow");
+  return r;
+}
 
 /// Non-negative gcd; gcd(0,0) == 0.
 Int gcd(Int a, Int b);
-/// gcd of all entries (0 for an empty/zero vector).
+/// gcd of all entries (0 for an empty/zero vector); stops at 1.
 Int gcd(std::span<const Int> v);
 /// Floor division (rounds toward -inf) and the matching modulus (always
 /// in [0, |b|) for b != 0). These implement the paper's 0-based array
@@ -51,8 +66,16 @@ class IntMatrix {
   int cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  Int& at(int r, int c);
-  Int at(int r, int c) const;
+  Int& at(int r, int c) {
+    DCT_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "index out of range");
+    return data_[static_cast<size_t>(r) * static_cast<size_t>(cols_) +
+                 static_cast<size_t>(c)];
+  }
+  Int at(int r, int c) const {
+    DCT_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "index out of range");
+    return data_[static_cast<size_t>(r) * static_cast<size_t>(cols_) +
+                 static_cast<size_t>(c)];
+  }
 
   Vec row(int r) const;
 
@@ -73,18 +96,25 @@ class IntMatrix {
   std::vector<Int> data_;
 };
 
-/// Rank over the rationals, by exact rational row reduction.
-int rank(const IntMatrix& m);
-
-/// Determinant by exact rational elimination (throws unless square).
+/// Determinant by fraction-free (Bareiss) elimination (throws unless
+/// square).
 Int determinant(const IntMatrix& m);
 
-/// Solve A x = b over the rationals; returns an integral solution scaled
-/// by the returned denominator: A * x == denom * b. nullopt if unsolvable.
+/// Solve A x = b over the rationals (fraction-free integer elimination,
+/// free variables zero); returns an integral solution scaled by the
+/// returned denominator: A * x == denom * b. nullopt if unsolvable.
 struct RationalSolution {
   Vec x;
   Int denom = 1;
 };
 std::optional<RationalSolution> solve(const IntMatrix& a, const Vec& b);
+
+/// The solution of A x = b when it is unique and integral, by the same
+/// elimination with no denominators to collect. `full_rank` reports
+/// whether A has full column rank; nullopt when it has not, when the
+/// system is inconsistent or when its one solution is not integral.
+std::optional<Vec> solve_unique_integral(const IntMatrix& a,
+                                         std::span<const Int> b,
+                                         bool& full_rank);
 
 }  // namespace dct::linalg

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,7 +18,9 @@
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
 #include "ir/transform.hpp"
+#include "service/cache.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "verify/progen.hpp"
 
 namespace dct::dep {
@@ -158,6 +163,69 @@ TEST(Analyze, SoundVsBruteForce) {
       expect_sound(nest, "seed " + std::to_string(seed) + " " + nest.name);
 }
 
+/// Subscript equalities without a unit coefficient are not substituted
+/// into the Fourier–Motzkin system; they stay an inequality pair. Each
+/// nest writes A(2*i) (1-deep) or A(2*i, j) (2-deep) and reads A(c*i + o)
+/// or A(c*i + o, 0); the 2-deep reads differ from the write in their
+/// access matrix, so those pairs go through direction testing.
+TEST(Analyze, NonUnitSubscriptEqualities) {
+  const auto nest_with = [](int depth, Int read_coeff, Int read_offset) {
+    LoopNest nest = make_nest(depth == 1
+                                  ? std::vector<std::pair<Int, Int>>{{0, 7}}
+                                  : std::vector<std::pair<Int, Int>>{{0, 7},
+                                                                     {0, 3}});
+    Stmt s;
+    s.write.array = 0;
+    s.write.access = depth == 1 ? linalg::IntMatrix{{2}}
+                                : linalg::IntMatrix{{2, 0}, {0, 1}};
+    s.write.offset.assign(static_cast<size_t>(depth), 0);
+    ir::ArrayRef read = s.write;
+    read.access.at(0, 0) = read_coeff;
+    read.offset[0] = read_offset;
+    if (depth == 2) read.access.at(1, 1) = 0;
+    s.reads = {read};
+    nest.stmts.push_back(std::move(s));
+    return nest;
+  };
+  for (const int depth : {1, 2}) {
+    const std::string where = "depth " + std::to_string(depth);
+    // 2*i == 2*i' + 1 has no integer solution.
+    const LoopNest odd = nest_with(depth, 2, 1);
+    EXPECT_TRUE(analyze_pairs(odd).empty()) << where;
+    for (const bool carried : carried_levels_bruteforce(odd))
+      EXPECT_FALSE(carried) << where;
+    expect_sound(odd, "A(2*i) = A(2*i+1), " + where);
+    // i == 2*i' reads in iteration i' what iteration 2*i' writes.
+    const LoopNest quad = nest_with(depth, 4, 0);
+    EXPECT_FALSE(analyze_pairs(quad).empty()) << where;
+    EXPECT_TRUE(carried_levels_bruteforce(quad)[0]) << where;
+    expect_sound(quad, "A(2*i) = A(4*i), " + where);
+  }
+  // S0 (depth 1) writes A(i, i); S1 (depth 2) reads A(j+1, -j). Each
+  // subscript row has a unit coefficient and passes Banerjee and GCD, and
+  // j is free of the direction constraints, so the pair is independent
+  // only by parity: substituting j' = i - 1 leaves 2*i - 1 == 0, which
+  // only the row pair, each row tightened by its gcd, rules out.
+  LoopNest parity = make_nest({{0, 7}, {-7, 7}});
+  Stmt s0;
+  s0.depth = 1;
+  s0.write.array = 0;
+  s0.write.access = linalg::IntMatrix{{1, 0}, {1, 0}};
+  s0.write.offset = {0, 0};
+  s0.reads = {simple_ref(1, 2, {{0, 0}})};
+  parity.stmts.push_back(std::move(s0));
+  Stmt s1;
+  s1.write = simple_ref(2, 2, {{0, 0}, {1, 0}});
+  ir::ArrayRef read;
+  read.array = 0;
+  read.access = linalg::IntMatrix{{0, 1}, {0, -1}};
+  read.offset = {1, 0};
+  s1.reads = {read};
+  parity.stmts.push_back(std::move(s1));
+  EXPECT_EQ(carried_levels_bruteforce(parity), (std::vector<bool>{false, false}));
+  EXPECT_TRUE(analyze_pairs(parity).empty());
+}
+
 /// summarize folds analyze_pairs: the union of every pair's vectors
 /// without the loop-independent ones, each once, in order of first
 /// appearance. Checked on the apps' nests before and after
@@ -259,6 +327,101 @@ TEST(Analyze, LuPairsArePinned) {
     }
     EXPECT_EQ(got, want) << "lu(" << n << ")";
   }
+}
+
+/// One line per ordered statement pair: "src->dst v v ...".
+std::string pairs_text(const std::vector<PairDeps>& pairs) {
+  std::ostringstream os;
+  for (const PairDeps& pd : pairs) {
+    os << pd.src_stmt << "->" << pd.dst_stmt;
+    for (const DepVector& v : pd.vectors) os << ' ' << v.to_string();
+    os << "\n";
+  }
+  return os.str();
+}
+
+/// Everything the dependence step decides for one nest: analyze_pairs'
+/// vectors, then parallelize's transform, DOALL levels, regenerated loop
+/// bounds, transformed access matrices and mapped pairs (or the error it
+/// threw).
+std::string analysis_text(const LoopNest& nest) {
+  std::ostringstream os;
+  try {
+    os << pairs_text(analyze_pairs(nest));
+    const ParallelizedNest par = parallelize(nest);
+    os << par.transform.to_string() << "\n";
+    for (const bool p : par.parallel) os << (p ? 'P' : 'S');
+    os << "\n";
+    for (const ir::Loop& lp : par.nest.loops) {
+      os << lp.var_name << ':';
+      for (const auto* bounds : {&lp.lowers, &lp.uppers})
+        for (const ir::Bound& b : *bounds) {
+          os << (bounds == &lp.lowers ? " lo [" : " hi [");
+          for (size_t i = 0; i < b.expr.coeffs.size(); ++i)
+            os << (i ? "," : "") << b.expr.coeffs[i];
+          os << '|' << b.expr.constant << "]/" << b.divisor;
+        }
+      os << "\n";
+    }
+    for (const Stmt& s : par.nest.stmts) {
+      for (const ir::ArrayRef& r : s.reads) os << r.access.to_string() << ' ';
+      os << s.write.access.to_string() << "\n";
+    }
+    os << pairs_text(par.pairs);
+  } catch (const Error& e) {
+    os << "error: " << e.what() << "\n";
+  }
+  return os.str();
+}
+
+// One FNV-1a digest of analysis_text over every nest, per program: the
+// fuzzer's programs of seeds 0-1999 and the 8 applications at six sizes.
+// This pins the Fourier–Motzkin feasibility tests (their gcd cuts and row
+// cap) and the unimodular inverse far past the applications' nests.
+// Regenerate after an intentional change with
+//   DCT_UPDATE_GOLDEN=1 ./dep_test --gtest_filter=*PairsArePinnedOnFuzzCorpus
+// and review the diff of tests/golden/analysis_digests.txt.
+TEST(Analyze, PairsArePinnedOnFuzzCorpus) {
+  std::vector<std::pair<std::string, ir::Program>> corpus;
+  for (const int n : {8, 16, 33, 64, 96, 256})
+    for (const ir::Program& p :
+         {apps::figure1(n), apps::vpenta(n), apps::lu(n), apps::stencil5(n),
+          apps::adi(n), apps::erlebacher(n), apps::swm256(n),
+          apps::tomcatv(n)})
+      corpus.emplace_back(strf("%s(%d)", p.name.c_str(), n), p);
+  for (std::uint64_t seed = 0; seed < 2000; ++seed)
+    corpus.emplace_back(strf("seed%d", static_cast<int>(seed)),
+                        verify::generate_program(seed));
+  std::ostringstream got;
+  for (const auto& [name, prog] : corpus) {
+    std::string text;
+    for (const LoopNest& nest : prog.nests) text += analysis_text(nest);
+    got << name << ' ' << strf("%016" PRIx64, service::fnv1a(text)) << "\n";
+  }
+
+  const std::string path =
+      std::string(DCT_TEST_DIR) + "/golden/analysis_digests.txt";
+  if (std::getenv("DCT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got.str();
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path
+                         << " (run with DCT_UPDATE_GOLDEN=1 to create)";
+  std::istringstream got_lines(got.str());
+  std::string want_line, got_line;
+  int drifted = 0;
+  while (std::getline(in, want_line)) {
+    std::getline(got_lines, got_line);
+    if (got_line != want_line && ++drifted <= 10)
+      ADD_FAILURE() << "analysis drift: want '" << want_line << "', got '"
+                    << got_line << "'";
+    got_line.clear();
+  }
+  EXPECT_EQ(drifted, 0);
+  EXPECT_FALSE(std::getline(got_lines, got_line)) << "extra line " << got_line;
 }
 
 /// Pair attribution agrees with the nest summary on carried levels.

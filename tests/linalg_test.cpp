@@ -74,11 +74,34 @@ TEST(IntMatrix, StackAndSubmatrix) {
   EXPECT_EQ(IntMatrix::col_vector(Vec{5, 6}), b);
 }
 
-TEST(Rank, Basics) {
-  EXPECT_EQ(rank(IntMatrix{{1, 2}, {2, 4}}), 1);
-  EXPECT_EQ(rank(IntMatrix{{1, 0}, {0, 1}}), 2);
-  EXPECT_EQ(rank(IntMatrix(3, 3)), 0);
-  EXPECT_EQ(rank(IntMatrix{{2, 4, 6}, {1, 2, 3}, {0, 0, 1}}), 2);
+/// Full column rank is decided by the elimination that solves; only a
+/// unique integral solution is returned.
+TEST(SolveUniqueIntegral, RankAndIntegrality) {
+  const auto full_rank = [](const IntMatrix& a) {
+    bool full = false;
+    solve_unique_integral(a, Vec(static_cast<size_t>(a.rows()), 0), full);
+    return full;
+  };
+  EXPECT_FALSE(full_rank(IntMatrix{{1, 2}, {2, 4}}));
+  EXPECT_TRUE(full_rank(IntMatrix{{1, 0}, {0, 1}}));
+  EXPECT_FALSE(full_rank(IntMatrix(3, 3)));
+  EXPECT_FALSE(full_rank(IntMatrix{{2, 4, 6}, {1, 2, 3}, {0, 0, 1}}));
+  EXPECT_TRUE(full_rank(IntMatrix{{1, 0}, {2, 1}, {0, 3}}));
+
+  bool full = false;
+  const IntMatrix diag{{1, 1}, {1, -1}};
+  EXPECT_EQ(solve_unique_integral(diag, Vec{2, 0}, full), (Vec{1, 1}));
+  EXPECT_TRUE(full);
+  EXPECT_FALSE(solve_unique_integral(diag, Vec{1, 0}, full).has_value());
+  EXPECT_TRUE(full);  // x = (1/2, 1/2): unique but not integral
+  EXPECT_FALSE(
+      solve_unique_integral(IntMatrix{{1}, {1}}, Vec{1, 2}, full).has_value());
+  EXPECT_TRUE(full);  // inconsistent
+  EXPECT_EQ(solve_unique_integral(IntMatrix{{3, 0}, {0, -2}, {3, -2}},
+                                  Vec{-6, 4, -2}, full),
+            (Vec{-2, -2}));
+  EXPECT_FALSE(solve_unique_integral(IntMatrix{{0, 1}}, Vec{1}, full));
+  EXPECT_FALSE(full);
 }
 
 TEST(Determinant, Basics) {

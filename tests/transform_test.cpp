@@ -79,6 +79,52 @@ TEST(UnimodularInverse, RoundTrips) {
   EXPECT_THROW(unimodular_inverse(IntMatrix{{2, 0}, {0, 1}}), Error);
 }
 
+/// A permutation's inverse is its transpose, taken without a solve, for
+/// every permutation up to depth 4.
+TEST(UnimodularInverse, PermutationIsTranspose) {
+  for (int n = 1; n <= 4; ++n) {
+    std::vector<int> perm(static_cast<size_t>(n));
+    for (int k = 0; k < n; ++k) perm[static_cast<size_t>(k)] = k;
+    int seen = 0;
+    do {
+      const IntMatrix u = permutation_matrix(perm);
+      ASSERT_TRUE(is_permutation(u));
+      IntMatrix transpose(n, n);
+      for (int r = 0; r < n; ++r)
+        for (int c = 0; c < n; ++c) transpose.at(c, r) = u.at(r, c);
+      EXPECT_EQ(unimodular_inverse(u), transpose) << u.to_string();
+      EXPECT_EQ(u * unimodular_inverse(u), IntMatrix::identity(n));
+      ++seen;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    EXPECT_EQ(seen, n == 1 ? 1 : n == 2 ? 2 : n == 3 ? 6 : 24);
+  }
+  // One 1 per row but a repeated column: singular, not a permutation.
+  EXPECT_FALSE(is_permutation(IntMatrix{{1, 0}, {1, 0}}));
+  EXPECT_THROW(unimodular_inverse(IntMatrix{{1, 0}, {1, 0}}), Error);
+  EXPECT_FALSE(is_permutation(IntMatrix{{0, -1}, {1, 0}}));
+  EXPECT_FALSE(is_permutation(IntMatrix{{0, 1}}));
+}
+
+/// Skews composed with permutations, as the wavefront search builds
+/// them, are no permutations: they keep the rational solves.
+TEST(UnimodularInverse, SkewedPermutationsRoundTrip) {
+  for (int n = 2; n <= 4; ++n) {
+    std::vector<int> perm(static_cast<size_t>(n));
+    for (int k = 0; k < n; ++k) perm[static_cast<size_t>(k)] = k;
+    do {
+      for (int t = 1; t < n; ++t)
+        for (int s = 0; s < t; ++s)
+          for (const Int f : {-2, 1, 2}) {
+            const IntMatrix u =
+                permutation_matrix(perm) * skew_matrix(n, t, s, f);
+            ASSERT_FALSE(is_permutation(u));
+            EXPECT_EQ(u * unimodular_inverse(u), IntMatrix::identity(n))
+                << u.to_string();
+          }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
+
 TEST(ApplyUnimodular, InterchangePreservesTouches) {
   const LoopNest nest = rect_nest(5, 7);
   const LoopNest t = apply_unimodular(nest, permutation_matrix({1, 0}));
