@@ -11,8 +11,6 @@ namespace dct::layout {
 
 using linalg::ceil_div;
 using linalg::checked_mul;
-using linalg::floor_div;
-using linalg::floor_mod;
 
 Layout Layout::identity(std::vector<Int> dims) {
   Layout l;
@@ -107,9 +105,15 @@ void Layout::map_index(std::span<const Int> index, std::vector<Int>& out,
   out.assign(index.begin(), index.end());
   for (const Transform& t : steps_) {
     if (const auto* sm = std::get_if<StripMine>(&t)) {
+      // (v mod b, v div b), floored, from one division (b >= 1).
       const Int v = out[static_cast<size_t>(sm->dim)];
-      out[static_cast<size_t>(sm->dim)] = floor_mod(v, sm->size);
-      out.insert(out.begin() + sm->dim + 1, floor_div(v, sm->size));
+      Int q = v / sm->size, r = v - q * sm->size;
+      if (r < 0) {
+        --q;
+        r += sm->size;
+      }
+      out[static_cast<size_t>(sm->dim)] = r;
+      out.insert(out.begin() + sm->dim + 1, q);
     } else {
       const auto& perm = std::get<Permute>(t).perm;
       scratch.resize(perm.size());

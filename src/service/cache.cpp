@@ -75,13 +75,12 @@ class KeyWriter {
 
 }  // namespace
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t fnv1a(std::string_view s, std::uint64_t state) {
   for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
+    state ^= static_cast<unsigned char>(c);
+    state *= 1099511628211ULL;
   }
-  return h;
+  return state;
 }
 
 std::string program_key(const ir::Program& prog) {

@@ -21,7 +21,10 @@
 //  * LRU-bounded — completed entries beyond the capacity are evicted in
 //    least-recently-used order (in-flight compiles are never evicted; the
 //    resident count can transiently exceed the capacity while more than
-//    `capacity` distinct keys are compiling simultaneously);
+//    `capacity` distinct keys are compiling simultaneously). An evicted
+//    entry leaves the map under the lock but is released (its key text,
+//    its value when no request still holds it) after the lock, by the
+//    request whose insert evicted it;
 //  * failure-transparent — a failing compile propagates its exception to
 //    every waiter and leaves no entry behind, so the next request retries.
 #pragma once
@@ -51,8 +54,13 @@ std::string cache_key(const ir::Program& prog, core::Mode mode, int procs,
                       const core::CompileOptions& opts,
                       const std::string& salt = {});
 
-/// FNV-1a 64-bit hash (exposed for fingerprint display and tests).
-std::uint64_t fnv1a(const std::string& s);
+/// FNV-1a's 64-bit offset basis: the hash of the empty text.
+inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ULL;
+
+/// FNV-1a 64-bit hash of `s`, continuing from `state`, the hash of the
+/// text before it: fnv1a(b, fnv1a(a)) == fnv1a(a + b). dctd reports it of
+/// each cache key as the response's key_hash.
+std::uint64_t fnv1a(std::string_view s, std::uint64_t state = kFnv1aBasis);
 
 /// Canonical text of the program part of cache_key: everything up to
 /// the mode. cache_key(prog, ...) == cache_key(program_key(prog), ...).
@@ -113,17 +121,21 @@ class BuildCache {
   }
 
  private:
+  using LruList = std::list<const std::string*>;
   struct Entry {
     std::shared_future<Compiled> future;
     bool ready = false;
     /// Position in lru_ (valid only when ready).
-    std::list<std::string>::iterator lru_pos;
+    typename LruList::iterator lru_pos;
   };
+  using Map = std::unordered_map<std::string, Entry>;
 
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< front = most recently used, ready keys
+  Map entries_;
+  /// Ready keys, front = most recently used; each points at its key in
+  /// entries_ (node keys do not move).
+  LruList lru_;
   Stats stats_;
 };
 
@@ -161,10 +173,11 @@ typename BuildCache<T>::Lookup BuildCache<T>::get_or_compile(
     result = compile();
     DCT_CHECK(result != nullptr, "compile function returned null");
   } catch (...) {
+    typename Map::node_type dropped;  // released after the lock
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.failures;
-      entries_.erase(key);
+      dropped = entries_.extract(key);
     }
     // Wake every joined waiter with the same failure, then rethrow for
     // the compiling caller.
@@ -172,18 +185,27 @@ typename BuildCache<T>::Lookup BuildCache<T>::get_or_compile(
     throw;
   }
 
+  // The evicted entry leaves the map under the lock and is destroyed
+  // (its key, its future and, when it held the last reference, its value)
+  // when this function returns, after the lock.
+  typename Map::node_type evicted;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     // Only ready entries are evicted, so this in-flight one is still here.
-    Entry& e = entries_.at(key);
-    e.ready = true;
-    lru_.push_front(key);
-    e.lru_pos = lru_.begin();
-    while (lru_.size() > capacity_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
+    const auto it = entries_.find(key);
+    if (lru_.size() < capacity_) {
+      lru_.push_front(&it->first);
+    } else {
+      // Full: the least recently used entry goes, and its list node
+      // becomes this entry's. (Each completion adds one ready entry, so
+      // the list is never more than full.)
+      evicted = entries_.extract(*lru_.back());
+      lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+      lru_.front() = &it->first;
       ++stats_.evictions;
     }
+    it->second.ready = true;
+    it->second.lru_pos = lru_.begin();
   }
   promise.set_value(result);
   return {std::move(result), /*hit=*/false, /*deduped=*/false};

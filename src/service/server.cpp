@@ -280,8 +280,10 @@ Response Server::process(Item& item) {
     const AnalysisCache::Lookup analyzed = analyses_.get_or_compile(
         analysis_key(req), [&]() -> AnalysisCache::Compiled {
           const ir::Program prog = build_app(req.app, req.size, req.steps);
-          return std::make_shared<const AnalyzedProgram>(
-              AnalyzedProgram{core::analyze(prog), program_key(prog)});
+          std::string prefix = program_key(prog);
+          const std::uint64_t prefix_hash = fnv1a(prefix);
+          return std::make_shared<const AnalyzedProgram>(AnalyzedProgram{
+              core::analyze(prog), std::move(prefix), prefix_hash});
         });
     const AnalyzedProgram& entry = *analyzed.program;
     const double analysis_ms = ms_since(a0);
@@ -289,7 +291,10 @@ Response Server::process(Item& item) {
     const Clock::time_point k0 = Clock::now();
     const std::string key = cache_key(entry.key_prefix, req.mode, req.procs,
                                       opts_.compile, req.hpf);
-    resp.key_hash = fnv1a(key);
+    // fnv1a(key), continued from the analysis's hash of the prefix.
+    resp.key_hash =
+        fnv1a(std::string_view(key).substr(entry.key_prefix.size()),
+              entry.key_prefix_hash);
     key_ms = ms_since(k0);
 
     // The compile level: a miss runs only the tail on the analysis.

@@ -99,11 +99,13 @@ struct ServerOptions {
   /// each compile.
   core::CompileOptions compile;
   /// Run the static validation oracles on every Nth cache hit (0 = never):
-  /// cheap continuous self-checking that a cached artifact still satisfies
-  /// its invariants. One check (verify::validate_compiled) averages
-  /// 0.23 ms over perfbench dctd_mix's 2,520 keys, about 1.3 average
-  /// compiles (one thread, 4-vCPU Xeon); at 16 the checks take about 12%
-  /// of dctd_mix's worker time.
+  /// continuous self-checking that a cached artifact still satisfies its
+  /// invariants. One check (verify::validate_compiled) averages
+  /// 0.15–0.19 ms over perfbench dctd_mix's 2,520 keys, 0.66–0.69 of the
+  /// 0.22–0.27 ms it took before its oracles' hash sets and cached loop
+  /// bounds, and about 10 compile tails from a shared analysis (one
+  /// thread, 4-vCPU Xeon). At 16, in a closed loop over those keys with
+  /// 3 workers, the checks take 34% of a worker's time (42% before).
   int spot_check_every = 16;
 };
 
@@ -119,10 +121,11 @@ std::uint64_t values_fingerprint(
     const std::vector<std::vector<double>>& values);
 
 /// One analysis cache entry: a request's program, analyzed, and the
-/// program part of its compile cache key.
+/// program part of its compile cache key with that part's hash.
 struct AnalyzedProgram {
   std::shared_ptr<const core::Analysis> analysis;
-  std::string key_prefix;  ///< program_key(analysis->program)
+  std::string key_prefix;             ///< program_key(analysis->program)
+  std::uint64_t key_prefix_hash = 0;  ///< fnv1a(key_prefix)
 };
 using AnalysisCache = BuildCache<AnalyzedProgram>;
 

@@ -1,6 +1,7 @@
 #include "verify/oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -40,28 +41,81 @@ void add_violation(OracleReport& rep, std::string msg) {
     rep.violations.push_back("... further violations suppressed");
 }
 
-/// One random iteration of `nest` into `iter`, bounds resolved
-/// outermost-in; false when a sampled prefix leads to an empty inner range.
-bool sample_iteration(const ir::LoopNest& nest, Rng& rng,
-                      std::vector<Int>& iter) {
-  const int d = nest.depth();
-  iter.assign(static_cast<size_t>(d), 0);
-  for (int l = 0; l < d; ++l) {
-    const Int lb = nest.loops[static_cast<size_t>(l)].lower_bound(iter);
-    const Int ub = nest.loops[static_cast<size_t>(l)].upper_bound(iter);
-    if (ub < lb) return false;
-    iter[static_cast<size_t>(l)] = rng.uniform(lb, ub);
+/// Draws random iterations of a nest, bounds resolved outermost-in. A
+/// level whose bounds read no loop variable has the same range at every
+/// draw: it is resolved the first time a draw reaches it and reused.
+class IterationSampler {
+ public:
+  /// Starts drawing iterations of `nest`.
+  void reset(const ir::LoopNest& nest) {
+    const auto constant = [](const std::vector<ir::Bound>& bounds) {
+      return std::all_of(bounds.begin(), bounds.end(),
+                         [](const ir::Bound& b) {
+                           return std::all_of(b.expr.coeffs.begin(),
+                                              b.expr.coeffs.end(),
+                                              [](Int c) { return c == 0; });
+                         });
+    };
+    nest_ = &nest;
+    levels_.clear();
+    levels_.reserve(nest.loops.size());
+    for (const ir::Loop& lp : nest.loops)
+      levels_.push_back({constant(lp.lowers) && constant(lp.uppers)});
   }
-  return true;
-}
 
-/// Inserts `v` into the sorted `set`; false when it was already there.
-bool insert_sorted(std::vector<Int>& set, Int v) {
-  const auto it = std::lower_bound(set.begin(), set.end(), v);
-  if (it != set.end() && *it == v) return false;
-  set.insert(it, v);
-  return true;
-}
+  /// One random iteration into `iter`; false when a sampled prefix leads
+  /// to an empty inner range.
+  bool draw(Rng& rng, std::vector<Int>& iter) {
+    iter.assign(levels_.size(), 0);
+    for (size_t l = 0; l < levels_.size(); ++l) {
+      Level& lv = levels_[l];
+      Int lb = lv.lb, ub = lv.ub;
+      if (!lv.known) {
+        lb = nest_->loops[l].lower_bound(iter);
+        ub = nest_->loops[l].upper_bound(iter);
+        if (lv.constant) lv = {true, true, lb, ub};
+      }
+      if (ub < lb) return false;
+      iter[l] = rng.uniform(lb, ub);
+    }
+    return true;
+  }
+
+ private:
+  struct Level {
+    bool constant;  ///< no bound reads a loop variable
+    bool known = false;
+    Int lb = 0, ub = 0;
+  };
+  const ir::LoopNest* nest_ = nullptr;
+  std::vector<Level> levels_;
+};
+
+/// A set of at most `max_values` (>= 1) non-negative Ints: open
+/// addressing with linear probing in a table at least twice that size, so
+/// a probe ends within a few slots.
+class IntSet {
+ public:
+  explicit IntSet(size_t max_values)
+      : slots_(std::bit_ceil(2 * max_values), -1),
+        mask_(slots_.size() - 1) {}
+
+  /// Adds `v` (>= 0); false when it was already there.
+  bool insert(Int v) {
+    // Fibonacci hashing: consecutive values land far apart.
+    size_t i = static_cast<size_t>(static_cast<std::uint64_t>(v) *
+                                   0x9e3779b97f4a7c15ULL >> 32) &
+               mask_;
+    for (; slots_[i] != -1; i = (i + 1) & mask_)
+      if (slots_[i] == v) return false;
+    slots_[i] = v;
+    return true;
+  }
+
+ private:
+  std::vector<Int> slots_;  ///< -1 = empty
+  size_t mask_;
+};
 
 }  // namespace
 
@@ -95,6 +149,7 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
   };
   std::vector<Probe> probes;
   std::vector<Int> iter, rows;
+  IterationSampler sampler;
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
     if (j >= dec.nests.size()) break;
@@ -167,8 +222,9 @@ OracleReport check_equation1(const core::CompiledProgram& cp) {
       add_probes(nest.stmts[s].write);
     }
 
+    sampler.reset(nest);
     for (int draw = 0; draw < 2 * kSamples; ++draw) {
-      if (!sample_iteration(nest, rng, iter)) continue;
+      if (!sampler.draw(rng, iter)) continue;
       for (const Probe& p : probes) {
         const ir::ArrayRef& ref = *p.ref;
         Int data_c = ref.offset[static_cast<size_t>(p.row)];
@@ -255,13 +311,14 @@ void check_layout_against(const ir::ArrayDecl& decl,
 
   std::vector<Int> idx(decl.dims.size(), 0);
   if (decl.elem_count() <= kExhaustiveBelow) {
-    // Addresses seen: a bitmap over [0, total), or a sorted list when a
+    // Addresses seen: a bitmap over [0, total), or a hash set when a
     // layout far larger than the array would make the bitmap wasteful.
     const bool bitmap = total <= kBitmapBelow;
     std::vector<bool> seen_bits(bitmap ? static_cast<size_t>(total) : 0);
-    std::vector<Int> seen;
+    std::optional<IntSet> seen;
+    if (!bitmap) seen.emplace(static_cast<size_t>(decl.elem_count()));
     auto first_visit = [&](Int lin) {
-      if (!bitmap) return insert_sorted(seen, lin);
+      if (!bitmap) return seen->insert(lin);
       const bool fresh = !seen_bits[static_cast<size_t>(lin)];
       seen_bits[static_cast<size_t>(lin)] = true;
       return fresh;
@@ -277,9 +334,7 @@ void check_layout_against(const ir::ArrayDecl& decl,
     // Sampled: distinct original elements must still get distinct
     // addresses.
     Rng rng(kSeed ^ 0xb13ULL ^ static_cast<std::uint64_t>(total));
-    std::vector<Int> orig_seen, addr_seen;
-    orig_seen.reserve(kSamples);
-    addr_seen.reserve(kSamples);
+    IntSet orig_seen(kSamples), addr_seen(kSamples);
     for (int s = 0; s < kSamples; ++s) {
       Int orig = 0, stride = 1;
       for (size_t k = 0; k < decl.dims.size(); ++k) {
@@ -287,9 +342,9 @@ void check_layout_against(const ir::ArrayDecl& decl,
         orig += idx[k] * stride;
         stride *= decl.dims[k];
       }
-      if (!insert_sorted(orig_seen, orig)) continue;
+      if (!orig_seen.insert(orig)) continue;
       const Int lin = check_index(idx);
-      if (lin >= 0 && !insert_sorted(addr_seen, lin)) collision(lin);
+      if (lin >= 0 && !addr_seen.insert(lin)) collision(lin);
     }
   }
 }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
 #include <set>
 #include <thread>
 #include <utility>
@@ -191,7 +193,95 @@ TEST(Cache, SingleFlightCompilesOnce) {
   EXPECT_EQ(s.hits + s.inflight_dedup, kThreads - 1);
 }
 
+/// A cached value whose destructor reads its cache's stats from a second
+/// thread and waits for that read a bounded time. Released under the
+/// cache's lock, the read would block until the destructor returned.
+struct LockProbe {
+  struct Shared {
+    service::BuildCache<LockProbe>* cache = nullptr;
+    bool probing = true;  ///< off before the cache itself is destroyed
+    int released = 0;
+    int blocked = 0;  ///< reads that did not finish within the wait
+    std::vector<std::thread> readers;
+  };
+  explicit LockProbe(Shared* s) : shared(s) {}
+  LockProbe(const LockProbe&) = delete;
+  LockProbe& operator=(const LockProbe&) = delete;
+  ~LockProbe() {
+    if (!shared->probing) return;
+    ++shared->released;
+    auto read = std::make_shared<std::promise<void>>();
+    const std::future<void> done = read->get_future();
+    shared->readers.emplace_back([cache = shared->cache, read] {
+      cache->stats();
+      read->set_value();
+    });
+    if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready)
+      ++shared->blocked;
+  }
+
+  Shared* shared;
+};
+
+TEST(Cache, EvictedValuesAreReleasedOutsideTheLock) {
+  service::BuildCache<LockProbe> cache(2);
+  LockProbe::Shared shared;
+  shared.cache = &cache;
+  // Five keys through a cache of two: three evictions, each dropping the
+  // last reference to its value (no Lookup is kept).
+  for (const char* key : {"k0", "k1", "k2", "k3", "k4"})
+    cache.get_or_compile(key, [&] {
+      return std::make_shared<const LockProbe>(&shared);
+    });
+  const service::CacheStats stats = cache.stats();
+  shared.probing = false;
+  for (std::thread& t : shared.readers) t.join();
+  EXPECT_EQ(stats.evictions, 3);
+  EXPECT_EQ(shared.released, stats.evictions);
+  EXPECT_EQ(shared.blocked, 0) << "an evicted value was released under the "
+                                  "cache lock";
+}
+
 // --------------------------------------------------------------- server
+
+TEST(Server, KeyHashIsFnvOfKeyText) {
+  // dctd hashes only the suffix of each key and continues from the hash
+  // of the prefix its analysis holds; the result must be fnv1a of the
+  // whole key text, computed here independently.
+  Server server(small_server());
+  struct Sent {
+    std::future<Response> response;
+    std::uint64_t want;
+  };
+  std::vector<Sent> sent;
+  for (const char* app : {"figure1", "vpenta", "lu", "stencil5", "adi",
+                          "erlebacher", "swm256", "tomcatv"}) {
+    const ir::Program prog = service::build_app(app, 16, 2);
+    std::string all_serial = "!HPF$ DISTRIBUTE " + prog.arrays[0].name + "(*";
+    for (size_t k = 1; k < prog.arrays[0].dims.size(); ++k) all_serial += ", *";
+    all_serial += ")";
+    for (const core::Mode mode :
+         {core::Mode::Base, core::Mode::CompDecomp, core::Mode::Full})
+      for (const int procs : {1, 4, 32})
+        for (const std::string& hpf : {std::string(), all_serial}) {
+          Request r = req(app, procs, Engine::Compile);
+          r.size = 16;
+          r.steps = 2;
+          r.mode = mode;
+          r.hpf = hpf;
+          sent.push_back({server.submit(r),
+                          service::fnv1a(service::cache_key(
+                              prog, mode, procs, core::CompileOptions{},
+                              hpf))});
+        }
+  }
+  EXPECT_EQ(sent.size(), 144u);
+  for (Sent& s : sent) {
+    const Response r = s.response.get();
+    ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
+    EXPECT_EQ(r.key_hash, s.want) << r.id;
+  }
+}
 
 TEST(Server, ServesAndCaches) {
   Server server(small_server());

@@ -86,6 +86,21 @@ verify::OracleReport mismatched_layout_report() {
   return rep;
 }
 
+/// An 8x1000 array (8,000 elements: the sampled path) forced through a
+/// rank-1 identity layout of extent 8. Every sample's step-interpreted
+/// index has the wrong rank, and samples that share a first subscript
+/// collide.
+verify::OracleReport mismatched_sampled_layout_report() {
+  ir::ArrayDecl decl;
+  decl.name = "broken_sampled";
+  decl.dims = {8, 1000};
+  const layout::Layout lay = layout::Layout::identity({8});
+  verify::OracleReport rep;
+  rep.oracle = "layout-bijectivity";
+  verify::check_layout_against(decl, lay, rep);
+  return rep;
+}
+
 /// stencil5 under Full is (BLOCK, BLOCK): both dimensions of the main
 /// array bind processor dimensions. Swapping the bindings makes D_x
 /// disagree with G on every non-diagonal iteration. The swap is made in
@@ -427,6 +442,55 @@ TEST(Verify, CheckCountsArePinned) {
       "... further violations suppressed",
   };
   EXPECT_EQ(eq1.violations, want_eq1);
+}
+
+TEST(Verify, SampledBijectivityViolationsArePinned) {
+  // The sampled path (arrays above 4,096 elements) on a broken subject:
+  // which originals it draws, which repeats it skips and at which sample
+  // each collision is reported.
+  const verify::OracleReport rep = mismatched_sampled_layout_report();
+  EXPECT_EQ(rep.subjects, 1);
+  EXPECT_EQ(rep.checks, 253);
+  const std::string rank = "broken_sampled: map_index outside restructured "
+                           "dims";
+  const auto collision = [](int at) {
+    return "broken_sampled: address collision at " + std::to_string(at) +
+           " (layout not injective)";
+  };
+  const std::vector<std::string> want = {
+      rank,         rank, rank,         rank, collision(2),
+      rank,         rank, collision(4), rank, rank,
+      collision(6), rank, rank,         rank, collision(3),
+      rank,         "... further violations suppressed",
+  };
+  EXPECT_EQ(rep.violations, want);
+}
+
+TEST(Verify, WideLayoutBijectivityViolationsArePinned) {
+  // The exhaustive path's set of seen addresses when the layout is too
+  // large for a bitmap (over 65,536 addresses): an 8x10 array through a
+  // rank-1 layout strip-mined to 70,000. Addresses repeat from the ninth
+  // element on.
+  ir::ArrayDecl decl;
+  decl.name = "broken_wide";
+  decl.dims = {8, 10};
+  layout::Layout lay = layout::Layout::identity({8});
+  lay.apply(layout::StripMine{0, 70000});
+  verify::OracleReport rep;
+  rep.oracle = "layout-bijectivity";
+  verify::check_layout_against(decl, lay, rep);
+  EXPECT_EQ(rep.subjects, 1);
+  EXPECT_EQ(rep.checks, 80);
+  const std::string rank = "broken_wide: map_index outside restructured "
+                           "dims";
+  std::vector<std::string> want(9, rank);
+  for (int at = 0; at < 4; ++at) {
+    want.push_back("broken_wide: address collision at " +
+                   std::to_string(at) + " (layout not injective)");
+    if (at < 3) want.push_back(rank);
+  }
+  want.push_back("... further violations suppressed");
+  EXPECT_EQ(rep.violations, want);
 }
 
 TEST(Verify, RaiseIfViolatedThrowsStructuredError) {
