@@ -1,5 +1,6 @@
 #include "codegen/codegen.hpp"
 
+#include <span>
 #include <sstream>
 
 #include "support/diagnostics.hpp"
@@ -8,7 +9,6 @@
 namespace dct::codegen {
 
 using core::CompiledProgram;
-using core::CompiledRef;
 using core::CoordFold;
 using decomp::DistKind;
 
@@ -17,7 +17,7 @@ namespace {
 std::string loop_var(int level) { return strf("i%d", level); }
 
 /// Render an affine expression over loop variables.
-std::string affine(const linalg::Vec& coeffs, linalg::Int constant) {
+std::string affine(std::span<const linalg::Int> coeffs, linalg::Int constant) {
   std::ostringstream os;
   bool any = false;
   for (size_t k = 0; k < coeffs.size(); ++k) {
@@ -36,22 +36,16 @@ std::string affine(const linalg::Vec& coeffs, linalg::Int constant) {
   return os.str();
 }
 
-/// Subscript of one original array dimension of a compiled reference.
-std::string subscript(const CompiledRef& ref, int row, int depth) {
-  linalg::Vec coeffs(static_cast<size_t>(depth));
-  for (int k = 0; k < depth; ++k)
-    coeffs[static_cast<size_t>(k)] =
-        ref.coeffs[static_cast<size_t>(row) * static_cast<size_t>(depth) +
-                   static_cast<size_t>(k)];
-  return affine(coeffs, ref.offsets[static_cast<size_t>(row)]);
+/// Subscript of one original array dimension of a reference.
+std::string subscript(const ir::ArrayRef& ref, int row) {
+  return affine(ref.access.row(row), ref.offset[static_cast<size_t>(row)]);
 }
 
 /// Linearized address expression of a reference through a layout, using
 /// the layout's closed-form dimension functions. Strategy Naive spells
 /// out the mod/div; Optimized names the strength-reduced counters the
 /// preamble maintains.
-std::string address(const CompiledProgram& cp, const CompiledRef& ref,
-                    int depth) {
+std::string address(const CompiledProgram& cp, const ir::ArrayRef& ref) {
   const core::CompiledArray& ca = cp.arrays[static_cast<size_t>(ref.array)];
   const auto& fns = ca.layout.dim_functions();
   std::ostringstream os;
@@ -59,7 +53,7 @@ std::string address(const CompiledProgram& cp, const CompiledRef& ref,
   bool any = false;
   for (size_t k = 0; k < fns.size(); ++k) {
     const auto& f = fns[k];
-    std::string term = subscript(ref, f.src, depth);
+    std::string term = subscript(ref, f.src);
     const bool transformed = f.div != 1 || f.mod != 0;
     if (transformed && cp.strategy == layout::AddrStrategy::Optimized) {
       // The strength-reduced counters of Section 4.3.
@@ -91,17 +85,16 @@ std::string digit_expr(const CoordFold& f, int total_procs) {
   return strf("(myid/%d)%%%d", f.stride, f.procs);
 }
 
-std::string ref_text(const CompiledProgram& cp, const CompiledRef& ref,
-                     int depth) {
+std::string ref_text(const CompiledProgram& cp, const ir::ArrayRef& ref) {
   const auto& decl = cp.program().arrays[static_cast<size_t>(ref.array)];
   const core::CompiledArray& ca = cp.arrays[static_cast<size_t>(ref.array)];
   if (ca.layout.is_identity()) {
     std::string subs;
-    for (int r = 0; r < ref.rank; ++r)
-      subs += (r ? ", " : "") + subscript(ref, r, depth);
+    for (int r = 0; r < ref.access.rows(); ++r)
+      subs += (r ? ", " : "") + subscript(ref, r);
     return decl.name + "(" + subs + ")";
   }
-  return decl.name + "[" + address(cp, ref, depth) + "]";
+  return decl.name + "[" + address(cp, ref) + "]";
 }
 
 }  // namespace
@@ -192,16 +185,18 @@ std::string emit_nest(const CompiledProgram& cp, int nest_index) {
     }
   }
 
-  for (const core::CompiledStmt& cs : cn.stmts) {
-    const std::string indent(static_cast<size_t>(2 * (cs.depth + 1)), ' ');
+  for (const ir::Stmt& st : nest.stmts) {
+    const std::string indent(
+        static_cast<size_t>(2 * (st.effective_depth(depth) + 1)), ' ');
     std::string rhs;
-    for (size_t r = 0; r < cs.reads.size(); ++r)
-      rhs += (r ? ", " : "") + ref_text(cp, cs.reads[r], depth);
-    os << indent << ref_text(cp, cs.write, depth) << " = f(" << rhs << ");\n";
+    for (size_t r = 0; r < st.reads.size(); ++r)
+      rhs += (r ? ", " : "") + ref_text(cp, st.reads[r]);
+    os << indent << ref_text(cp, st.write) << " = f(" << rhs << ");\n";
   }
   for (int l = depth - 1; l >= 0; --l)
     os << std::string(static_cast<size_t>(2 * (l + 1)), ' ') << "}\n";
-  if (cn.barrier_after) os << "  barrier();\n";
+  if (cp.dec().nests[static_cast<size_t>(nest_index)].barrier_after)
+    os << "  barrier();\n";
   return os.str();
 }
 
@@ -223,7 +218,8 @@ std::string emit_program(const CompiledProgram& cp) {
                  static_cast<long long>(ca.layout.size()),
                  ca.layout.to_string().c_str());
     }
-    os << (ca.replicated ? ";  /* replicated per cluster */\n" : ";\n");
+    os << (cp.dec().arrays[a].replicated ? ";  /* replicated per cluster */\n"
+                                         : ";\n");
   }
   os << "\nvoid spmd_main(int myid) {\n";
   if (cp.program().time_steps > 1)

@@ -19,9 +19,10 @@
 // Any number of compiles may share one immutable Analysis.
 //
 // A CompiledProgram holds each compile fact once: the transformed nests,
-// their transforms and dependence pairs in dec().par, the decisions in
-// dec().nests and dec().arrays (all in the shared Analysis), and the
-// lowered statements in nests.
+// their statements, transforms and dependence pairs in dec().par, the
+// decisions in dec().nests and dec().arrays (all in the shared Analysis),
+// and what lowering decides per statement (owners and address overheads)
+// in nests.
 #pragma once
 
 #include <memory>
@@ -54,39 +55,31 @@ struct CompileOptions {
 /// The folding function of one virtual processor dimension.
 using decomp::CoordFold;
 
+/// Array a's storage; dec().arrays[a].replicated says whether it has one
+/// copy per cluster.
 struct CompiledArray {
   layout::Layout layout;      ///< identity unless Full restructures it
   Int base_addr = 0;          ///< byte address of (first copy of) the array
   Int bytes = 0;              ///< allocated bytes per copy
-  bool replicated = false;    ///< one copy per cluster
   layout::Partition part;     ///< ownership folding (element -> coords)
 };
 
-struct CompiledRef {
-  int array = -1;
-  bool is_write = false;
-  int rank = 0;
-  std::vector<Int> coeffs;   ///< rank x depth, row-major
-  std::vector<Int> offsets;  ///< rank
-  double addr_overhead = 0;  ///< cycles per access (Section 4.3 model)
-};
-
+/// What lowering decides for statement s of nest j; the statement itself
+/// (its references, depth, compute cost and evaluator) is
+/// dec().par[j].nest.stmts[s].
 struct CompiledStmt {
-  int depth = 0;  ///< executes once per iteration of the outer `depth` loops
-  double compute_cycles = 0;
-  ir::StmtEval eval;
-  std::vector<CompiledRef> reads;
-  CompiledRef write;
   /// Owner mapping: pairs of (loop level, fold). Empty = run on proc 0.
   std::vector<std::pair<int, CoordFold>> owner;
+  /// Cycles per access of each reference (Section 4.3 model): the reads
+  /// in order, then the write.
+  std::vector<double> addr_overhead;
 };
 
 /// The lowered form of nest j; the transformed nest itself, its
 /// transform and its dependences stay in dec().par[j], and its decisions
-/// in dec().nests[j].
+/// (barrier_after included) in dec().nests[j].
 struct CompiledNest {
-  std::vector<CompiledStmt> stmts;  ///< lowered dec().par[j].nest.stmts
-  bool barrier_after = true;
+  std::vector<CompiledStmt> stmts;  ///< one per dec().par[j].nest.stmts
 };
 
 /// The per-program half of a compile (see the top of this file): pure

@@ -105,7 +105,6 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
     const ir::ArrayDecl& decl = prog.arrays[a];
     support::ScopedSink arr_rs(&rs, -1, {}, static_cast<int>(a), decl.name);
     CompiledArray ca;
-    ca.replicated = dec.arrays[a].replicated;
     ca.layout = restructure ? layout::derive_layout(decl, dec.arrays[a],
                                                     cp.grid, &arr_rs)
                             : Layout::identity(decl.dims);
@@ -113,7 +112,7 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
                                      cp.stride, dec.num_proc_dims);
     ca.bytes = page_align(ca.layout.size() * decl.elem_size);
     ca.base_addr = next_addr;
-    next_addr += ca.bytes * (ca.replicated ? clusters : 1);
+    next_addr += ca.bytes * (dec.arrays[a].replicated ? clusters : 1);
     if (!ca.layout.is_identity()) {
       arr_rs.note("restructured: " + ca.layout.to_string());
       arr_rs.count("arrays_restructured");
@@ -125,23 +124,8 @@ void lay_out(CompiledProgram& cp, support::RemarkSink& rs) {
 }
 
 // ---------------------------------------------------------------------------
-// lower — owner-computes schedule lowering to CompiledStmts
+// lower — owner-computes schedule lowering: one owner mapping per statement
 // ---------------------------------------------------------------------------
-
-CompiledRef flatten_ref(const ir::ArrayRef& r, int depth, bool is_write) {
-  CompiledRef out;
-  out.array = r.array;
-  out.is_write = is_write;
-  out.rank = r.access.rows();
-  out.coeffs.assign(
-      static_cast<size_t>(out.rank) * static_cast<size_t>(depth), 0);
-  for (int row = 0; row < out.rank; ++row)
-    for (int c = 0; c < r.access.cols() && c < depth; ++c)
-      out.coeffs[static_cast<size_t>(row) * static_cast<size_t>(depth) +
-                 static_cast<size_t>(c)] = r.access.at(row, c);
-  out.offsets = r.offset;
-  return out;
-}
 
 void lower(CompiledProgram& cp, support::RemarkSink& rs) {
   const ir::Program& prog = cp.program();
@@ -170,20 +154,10 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
     const dep::ParallelizedNest& par = dec.par[j];
     const decomp::NestDecomposition& nd = dec.nests[j];
     CompiledNest cn;
-    cn.barrier_after = nd.barrier_after;
-    const int depth = par.nest.depth();
     const dep::Hull hull = dep::iteration_hull(par.nest);
 
     for (size_t s = 0; s < par.nest.stmts.size(); ++s) {
-      const ir::Stmt& stmt = par.nest.stmts[s];
       CompiledStmt cs;
-      cs.depth = stmt.effective_depth(depth);
-      cs.compute_cycles = stmt.compute_cycles;
-      cs.eval = stmt.eval;
-      for (const ir::ArrayRef& r : stmt.reads)
-        cs.reads.push_back(flatten_ref(r, depth, false));
-      cs.write = flatten_ref(stmt.write, depth, true);
-
       if (base_block_owner) {
         // BASE: block-distribute the single marked loop by its span.
         for (size_t l = 0; l < nd.loops.size(); ++l) {
@@ -215,7 +189,7 @@ void lower(CompiledProgram& cp, support::RemarkSink& rs) {
       owner_bindings += static_cast<long>(cs.owner.size());
       cn.stmts.push_back(std::move(cs));
     }
-    if (!cn.barrier_after) {
+    if (!nd.barrier_after) {
       support::ScopedSink nest_rs(&rs, static_cast<int>(j), prog.nests[j].name);
       nest_rs.count("barriers_dropped");
     }
@@ -233,27 +207,25 @@ void cost_addresses(CompiledProgram& cp, support::RemarkSink& rs) {
   double chosen_total = 0, naive_total = 0;
 
   for (size_t j = 0; j < cp.nests.size(); ++j) {
-    CompiledNest& cn = cp.nests[j];
     const ir::LoopNest& nest = cp.dec().par[j].nest;
-    for (size_t s = 0; s < cn.stmts.size(); ++s) {
-      // Compiled refs were flattened in source order, so they pair with
-      // the IR statement's reads/write positionally.
+    for (size_t s = 0; s < nest.stmts.size(); ++s) {
       const ir::Stmt& stmt = nest.stmts[s];
-      CompiledStmt& cs = cn.stmts[s];
-      auto cost = [&](CompiledRef& cr, const ir::ArrayRef& r) {
-        const Layout& l = cp.arrays[static_cast<size_t>(cr.array)].layout;
-        cr.addr_overhead = layout::address_overhead(nest, r, l, cp.strategy);
+      std::vector<double>& out = cp.nests[j].stmts[s].addr_overhead;
+      out.reserve(stmt.reads.size() + 1);
+      auto cost = [&](const ir::ArrayRef& r) {
+        const Layout& l = cp.arrays[static_cast<size_t>(r.array)].layout;
+        const double o = layout::address_overhead(nest, r, l, cp.strategy);
+        out.push_back(o);
         ++refs;
-        if (cr.addr_overhead > 0) {
+        if (o > 0) {
           ++costed;
-          chosen_total += cr.addr_overhead;
+          chosen_total += o;
           naive_total += layout::address_overhead(nest, r, l,
                                                   layout::AddrStrategy::Naive);
         }
       };
-      for (size_t k = 0; k < cs.reads.size(); ++k)
-        cost(cs.reads[k], stmt.reads[k]);
-      cost(cs.write, stmt.write);
+      for (const ir::ArrayRef& r : stmt.reads) cost(r);
+      cost(stmt.write);
     }
   }
   rs.count("refs", refs);

@@ -16,10 +16,13 @@
 //   1. Unimodular preprocessing per nest (dep::parallelize).
 //   2. Alignment grouping of (array, dimension) nodes that should share a
 //      virtual processor dimension (via common indexing loops).
-//   3. Greedy/enumerative selection of which groups to distribute,
-//      weighted by execution frequency: communication (references that
-//      cannot satisfy Eq. 1) is pushed to the least-executed code, exactly
-//      as the paper's greedy does. Read-only arrays are replicated.
+//   3. Selection of which groups to distribute by local search: from all
+//      serial, flip the one group that most lowers a cost model of a
+//      32-processor grid (work, communication and boundary traffic, each
+//      nest weighted by its execution frequency), until no flip improves.
+//      Communication (references that cannot satisfy Eq. 1) thus lands in
+//      the least-executed code, the outcome the paper's greedy ordering
+//      by frequency aims for. Read-only arrays are replicated.
 //   4. Folding-function selection per virtual dimension: BLOCK by
 //      default, CYCLIC when work per iteration grows/shrinks with the
 //      iteration number (load balance, e.g. LU), BLOCK-CYCLIC when

@@ -121,7 +121,8 @@ std::string ArrayRef::to_string(const Program& prog) const {
   for (int r = 0; r < access.rows(); ++r) {
     if (r) os << ",";
     AffineExpr e;
-    e.coeffs = access.row(r);
+    const std::span<const Int> row = access.row(r);
+    e.coeffs.assign(row.begin(), row.end());
     e.constant = offset[static_cast<size_t>(r)];
     os << e.to_string();
   }

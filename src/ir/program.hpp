@@ -138,9 +138,10 @@ struct LoopNest {
   std::string name;
   std::vector<Loop> loops;  ///< outermost first
   std::vector<Stmt> stmts;
-  /// Static execution-frequency weight; the decomposition pass orders its
-  /// greedy constraint processing by this (paper §3.2: "starting with the
-  /// constraints among the more frequently executed loops").
+  /// Static execution-frequency weight; the decomposition's cost model
+  /// weights this nest's work and communication by it, where the paper
+  /// orders its greedy constraint processing by it (§3.2: "starting with
+  /// the constraints among the more frequently executed loops").
   long frequency = 1;
 
   int depth() const { return static_cast<int>(loops.size()); }

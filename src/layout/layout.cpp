@@ -17,7 +17,7 @@ Layout Layout::identity(std::vector<Int> dims) {
   l.dims_ = std::move(dims);
   l.fns_.resize(l.dims_.size());
   for (size_t k = 0; k < l.dims_.size(); ++k)
-    l.fns_[k] = DimFn{static_cast<int>(k), 1, 0, true};
+    l.fns_[k] = DimFn{static_cast<int>(k), 1, 0};
   return l;
 }
 
@@ -25,34 +25,25 @@ void Layout::apply(const StripMine& sm) {
   DCT_CHECK(sm.dim >= 0 && sm.dim < static_cast<int>(dims_.size()),
             "strip-mine dimension out of range");
   DCT_CHECK(sm.size >= 1, "strip size must be positive");
+  // Splitting (x/div) mod m by b gives
+  //   low  = (x/div) mod b
+  //   high = (x/(div*b)) mod (m/b)
+  // a closed form only when b divides m (or m == 0, no modulus).
+  const DimFn f = fns_[static_cast<size_t>(sm.dim)];
+  if (f.mod != 0 && f.mod % sm.size != 0)
+    throw Error(Error::Code::kInvalidArgument,
+                strf("strip size %lld does not divide the modulus %lld of "
+                     "dimension %d: no closed form",
+                     static_cast<long long>(sm.size),
+                     static_cast<long long>(f.mod), sm.dim));
+  const DimFn low{f.src, f.div, sm.size};
+  const DimFn high{f.src, checked_mul(f.div, sm.size),
+                   f.mod == 0 ? 0 : f.mod / sm.size};
   const Int d = dims_[static_cast<size_t>(sm.dim)];
   steps_.push_back(sm);
   // (i mod b) at position dim, (i div b) at position dim+1.
   dims_[static_cast<size_t>(sm.dim)] = sm.size;
   dims_.insert(dims_.begin() + sm.dim + 1, ceil_div(d, sm.size));
-  // Fast-path bookkeeping: splitting (x/div) mod m by b gives
-  //   low  = (x/div) mod b        (requires b to divide m, or m == 0)
-  //   high = (x/(div*b)) mod (m/b)
-  const DimFn f = fns_[static_cast<size_t>(sm.dim)];
-  DimFn low = f, high = f;
-  bool ok = f.simple;
-  if (ok) {
-    if (f.mod == 0) {
-      low.mod = sm.size;
-      high.div = checked_mul(f.div, sm.size);
-      high.mod = 0;
-    } else if (f.mod % sm.size == 0) {
-      low.mod = sm.size;
-      high.div = checked_mul(f.div, sm.size);
-      high.mod = f.mod / sm.size;
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok) {
-    low.simple = high.simple = false;
-    fast_ = false;
-  }
   fns_[static_cast<size_t>(sm.dim)] = low;
   fns_.insert(fns_.begin() + sm.dim + 1, high);
 }
@@ -126,30 +117,17 @@ void Layout::map_index(std::span<const Int> index, std::vector<Int>& out,
 
 Int Layout::linearize(std::span<const Int> index) const {
   // Column-major: dim 0 varies fastest.
-  if (fast_) {
-    Int addr = 0;
-    Int stride = 1;
-    for (size_t k = 0; k < fns_.size(); ++k) {
-      const DimFn& f = fns_[k];
-      Int v = index[static_cast<size_t>(f.src)] / f.div;  // indices >= 0
-      if (f.mod != 0) v %= f.mod;
-      // Same bounds contract as the slow path below: an out-of-range
-      // index must fail, not silently wrap into another element (the
-      // truncating div above may also leave v negative for negative
-      // indices, which this catches).
-      DCT_CHECK(v >= 0 && v < dims_[k], "mapped index out of bounds");
-      addr += v * stride;
-      stride *= dims_[k];
-    }
-    return addr;
-  }
-  const std::vector<Int> mapped = map_index(index);
   Int addr = 0;
   Int stride = 1;
-  for (size_t k = 0; k < mapped.size(); ++k) {
-    DCT_CHECK(mapped[k] >= 0 && mapped[k] < dims_[k],
-              "mapped index out of bounds");
-    addr += mapped[k] * stride;
+  for (size_t k = 0; k < fns_.size(); ++k) {
+    const DimFn& f = fns_[k];
+    Int v = index[static_cast<size_t>(f.src)] / f.div;  // indices >= 0
+    if (f.mod != 0) v %= f.mod;
+    // An out-of-range index must fail, not silently wrap into another
+    // element (the truncating div above may also leave v negative for
+    // negative indices, which this catches).
+    DCT_CHECK(v >= 0 && v < dims_[k], "mapped index out of bounds");
+    addr += v * stride;
     stride *= dims_[k];
   }
   return addr;

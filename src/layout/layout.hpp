@@ -56,6 +56,9 @@ class Layout {
   /// Identity layout of an array with the given extents.
   static Layout identity(std::vector<Int> dims);
 
+  /// Throws kInvalidArgument, leaving the layout as it was, when the strip
+  /// size does not divide the modulus of the dimension it strips: the
+  /// result would have no closed form (dim_functions()).
   void apply(const StripMine& sm);
   void apply(const Permute& p);
 
@@ -69,35 +72,31 @@ class Layout {
   const std::vector<Transform>& steps() const { return steps_; }
 
   /// Restructured index vector of an original element, by interpreting
-  /// steps() one transform at a time (never the closed form).
+  /// steps() one transform at a time (never the closed form): the
+  /// reference the oracle checks the closed form against.
   std::vector<Int> map_index(std::span<const Int> index) const;
   /// The same into `out`, with `scratch` for permutations: callers that
   /// map many indices reuse both buffers.
   void map_index(std::span<const Int> index, std::vector<Int>& out,
                  std::vector<Int>& scratch) const;
   /// Column-major linear address of an original element in the
-  /// restructured array: the closed form dim_functions() when
-  /// all_simple(), map_index() otherwise.
+  /// restructured array, by the closed form dim_functions(). Throws when a
+  /// restructured coordinate falls outside dims().
   Int linearize(std::span<const Int> index) const;
 
   std::string to_string() const;
 
   /// Closed form of one restructured dimension: value = (orig[src] / div)
-  /// mod `mod` (mod == 0 means no modulus). Valid when `simple`; layouts
-  /// produced by the Section 4.2 algorithm are always simple, which is
-  /// what makes the Section 4.3 address optimizations applicable.
+  /// mod `mod` (mod == 0 means no modulus). Every layout has one (apply
+  /// rejects a strip that would break it), which is what makes the
+  /// Section 4.3 address optimizations and the runtime's incremental
+  /// address walkers applicable.
   struct DimFn {
     int src;
     Int div = 1;
     Int mod = 0;
-    bool simple = true;
   };
   const std::vector<DimFn>& dim_functions() const { return fns_; }
-
-  /// True when every restructured dimension has a simple closed form —
-  /// the precondition for the Section 4.3 strength-reduced (incremental)
-  /// address walkers in the runtime.
-  bool all_simple() const { return fast_; }
 
   /// Column-major element strides of the restructured dimensions:
   /// strides()[k] multiplies dim_functions()[k]'s value in linearize().
@@ -107,7 +106,6 @@ class Layout {
   std::vector<Int> dims_;
   std::vector<Transform> steps_;
   std::vector<DimFn> fns_;
-  bool fast_ = true;
 };
 
 /// The layout algorithm of Section 4.2: derive the restructured layout of

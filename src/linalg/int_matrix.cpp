@@ -72,12 +72,6 @@ IntMatrix IntMatrix::col_vector(const Vec& v) {
   return m;
 }
 
-Vec IntMatrix::row(int r) const {
-  Vec v(static_cast<size_t>(cols_));
-  for (int c = 0; c < cols_; ++c) v[static_cast<size_t>(c)] = at(r, c);
-  return v;
-}
-
 IntMatrix IntMatrix::operator*(const IntMatrix& rhs) const {
   DCT_CHECK(cols_ == rhs.rows_, "matmul shape mismatch");
   IntMatrix out(rows_, rhs.cols_);

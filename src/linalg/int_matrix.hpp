@@ -77,7 +77,12 @@ class IntMatrix {
                  static_cast<size_t>(c)];
   }
 
-  Vec row(int r) const;
+  /// Row r, one bounds check for the whole row.
+  std::span<const Int> row(int r) const {
+    DCT_CHECK(r >= 0 && r < rows_, "row out of range");
+    return {data_.data() + static_cast<size_t>(r) * static_cast<size_t>(cols_),
+            static_cast<size_t>(cols_)};
+  }
 
   IntMatrix operator*(const IntMatrix& rhs) const;
   Vec operator*(const Vec& v) const;

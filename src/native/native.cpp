@@ -103,8 +103,8 @@ class NativePolicy {
       : data_(data), epochs_(epochs), T_(T), myid_(myid),
         seen_(static_cast<size_t>(T), 0) {}
 
-  Slot slot(const core::CompiledRef& ref) const {
-    return data_[static_cast<size_t>(ref.array)].data();
+  Slot slot(int array, double) const {
+    return data_[static_cast<size_t>(array)].data();
   }
   bool owns(int q) {
     if (firing_) [[unlikely]]
@@ -250,7 +250,7 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
       }
       const bool last =
           step == prog.time_steps - 1 && j == cp.nests.size() - 1;
-      if (cp.nests[j].barrier_after || last) policy.barrier();
+      if (cp.dec().nests[j].barrier_after || last) policy.barrier();
     }
   }
   return {kernel.statements, policy.barriers, policy.waits,

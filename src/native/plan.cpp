@@ -14,8 +14,8 @@ using core::CoordFold;
 
 namespace {
 
-/// `cn` is `par.nest` lowered, statement for statement, so the pairs'
-/// statement indices name compiled statements.
+/// `cn` holds the owners lowering decided for `par.nest`, statement for
+/// statement, so the pairs' statement indices name both.
 NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
                    int procs) {
   NestPlan np;
@@ -25,7 +25,10 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
     return np;
   }
 
-  auto full = [&](int s) { return cn.stmts[static_cast<size_t>(s)].depth >= d; };
+  auto depth = [&](int s) {
+    return par.nest.stmts[static_cast<size_t>(s)].effective_depth(d);
+  };
+  auto full = [&](int s) { return depth(s) >= d; };
   const int nstmts = static_cast<int>(cn.stmts.size());
   bool gated = false;
   for (int s = 0; s < nstmts; ++s)
@@ -43,8 +46,8 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
     if (src.owner != dst.owner) return false;
     for (const auto& [loop, fold] : src.owner) {
       const auto& dist = v.dist[static_cast<size_t>(loop)];
-      if (loop >= std::min(src.depth, dst.depth) || !dist.has_value() ||
-          *dist != 0)
+      if (loop >= std::min(depth(pd.src_stmt), depth(pd.dst_stmt)) ||
+          !dist.has_value() || *dist != 0)
         return false;
     }
     return true;
@@ -170,7 +173,7 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
         if (g > lead) return false;
         continue;
       }
-      if (np.gate != GateSync::None || gs.depth <= loop ||
+      if (np.gate != GateSync::None || depth(g) <= loop ||
           !digits_exact(gs.owner) ||
           std::find(gs.owner.begin(), gs.owner.end(),
                     std::pair<int, CoordFold>(loop, fold)) == gs.owner.end())

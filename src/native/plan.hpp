@@ -5,9 +5,10 @@
 // compiled nest, the synchronization that makes the SPMD walk race-free
 // from the nest's statement-attributed dependence vectors, which
 // dep::parallelize stored with the nest (ParallelizedNest::pairs): the
-// plan folds them and analyzes nothing itself. The nest and its pairs come
-// from that one record (cp.dec().par[j]); cp.nests[j] holds its statements
-// lowered in the same order, so a pair's statement indices name them. The
+// plan folds them and analyzes nothing itself. The nest, its statements
+// and its pairs come from that one record (cp.dec().par[j]); cp.nests[j]
+// holds each statement's owners in the same order, so a pair's statement
+// indices name both. The
 // backend implements every shape below with one primitive, per-thread
 // monotonic epoch counters (native.hpp): a post publishes "this thread is
 // past sync event n", a wait blocks until one thread has posted n, and a
@@ -105,7 +106,7 @@ struct ProgramPlan {
 };
 
 /// Classify every nest of a compiled program from its record in cp.dec().par
-/// (the nest and its pair vectors) and its lowered statements. A pure
+/// (the nest and its pair vectors) and its statements' owners. A pure
 /// fold: never fails (unanalyzable shapes fall back to Sequential).
 ProgramPlan plan_program(const core::CompiledProgram& cp);
 

@@ -10,7 +10,6 @@
 namespace dct::runtime {
 
 using core::CompiledProgram;
-using core::CompiledRef;
 
 double init_value(std::uint64_t seed, int array, Int orig_linear) {
   Rng rng(seed ^ (static_cast<std::uint64_t>(array + 1) << 40) ^
@@ -62,17 +61,18 @@ class SimPolicy {
         clock_(clock), cancel_(cancel), cache_clock_(cache_clock),
         values_(values) {}
 
-  Slot slot(const CompiledRef& ref) const {
-    const core::CompiledArray& ca = cp_.arrays[static_cast<size_t>(ref.array)];
-    Cells& c = cells_[static_cast<size_t>(ref.array)];
+  Slot slot(int array, double addr_overhead) const {
+    const auto a = static_cast<size_t>(array);
+    const core::CompiledArray& ca = cp_.arrays[a];
+    Cells& c = cells_[a];
     return {c.wproc.data(),
             c.wtime.data(),
             c.data.data(),
             ca.base_addr,
-            cp_.program().arrays[static_cast<size_t>(ref.array)].elem_size,
+            cp_.program().arrays[a].elem_size,
             ca.bytes,
-            ca.replicated,
-            ref.addr_overhead};
+            cp_.dec().arrays[a].replicated,
+            addr_overhead};
   }
 
   static bool owns(int) { return true; }
@@ -169,8 +169,9 @@ RunResult simulate(const CompiledProgram& cp,
   for (size_t a = 0; a < prog.arrays.size(); ++a) {
     const core::CompiledArray& ca = cp.arrays[a];
     const ir::ArrayDecl& decl = prog.arrays[a];
+    const bool replicated = cp.dec().arrays[a].replicated;
     const bool distributed =
-        !ca.replicated &&
+        !replicated &&
         std::any_of(ca.part.dims.begin(), ca.part.dims.end(),
                     [](const auto& d) { return d.proc_dim >= 0; });
     const auto n = static_cast<size_t>(ca.layout.size());
@@ -199,7 +200,7 @@ RunResult simulate(const CompiledProgram& cp,
                                                   first_page)];
         if (byte < po.first) po = {byte, std::min(ca.part.rank(idx), P - 1)};
       });
-    if (ca.replicated) {
+    if (replicated) {
       for (int c = 0; c < mcfg.clusters(); ++c) {
         const auto [first, count] = pages_of(ca.base_addr + c * ca.bytes);
         for (Int pg = first; pg < first + count; ++pg)
@@ -229,7 +230,7 @@ RunResult simulate(const CompiledProgram& cp,
       kernel.run_nest(j);
       const bool last =
           step == prog.time_steps - 1 && j == cp.nests.size() - 1;
-      if (P > 1 && (cp.nests[j].barrier_after || last)) {
+      if (P > 1 && (cp.dec().nests[j].barrier_after || last)) {
         const double m = *std::max_element(clock.begin(), clock.end());
         const double bc = machine.barrier_cost(P);
         for (double& c : clock) c = m + bc;

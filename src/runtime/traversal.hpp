@@ -8,7 +8,8 @@
 // statement-instance body: reads, then eval, then the write. What an
 // instance does is the policy's:
 //
-//   Slot slot(const CompiledRef&)      per-reference storage handle
+//   Slot slot(int array, double addr_overhead)   per-reference storage
+//                                      handle (the overhead: Section 4.3)
 //   bool owns(int q)                   run instances owned by q here?
 //   Cursor cursor() / flush(Cursor&)   open / close a segment's cursor
 //   begin(Cursor&, q, compute_cycles) / end(Cursor&)   bracket an instance
@@ -39,12 +40,16 @@
 // one position at a time in program order, the instances and their order
 // being the same as instance by instance. Pieces fall back to the
 // per-instance body when a full-depth statement has more reads than
-// ir::StmtRun::kMaxReads, a reference without a walker, or an owner that
-// changes along the segment; the first iteration of a segment that fires
-// gated statements always does.
+// ir::StmtRun::kMaxReads or an owner that changes along the segment; the
+// first iteration of a segment that fires gated statements always does.
 //
 // With `fast` off the kernel is the reference interpreter: every address
 // comes from Layout::linearize and every owner is folded per instance.
+//
+// Each statement is read where the compile keeps it: its references,
+// depth, compute cost and evaluator from the transformed nest
+// (cp.dec().par[j].nest.stmts[s]), its owners and address overheads from
+// what lowering decided (cp.nests[j].stmts[s]).
 #pragma once
 
 #include <algorithm>
@@ -195,12 +200,16 @@ class Traversal {
     size_t max_rank = 1, max_reads = 1;
     plans_.resize(cp.nests.size());
     for (size_t j = 0; j < cp.nests.size(); ++j) {
-      const int d = cp.dec().par[j].nest.depth();
-      for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
-        max_reads = std::max(max_reads, cs.reads.size());
+      const ir::LoopNest& nest = cp.dec().par[j].nest;
+      const int d = nest.depth();
+      for (size_t i = 0; i < nest.stmts.size(); ++i) {
+        const ir::Stmt& st = nest.stmts[i];
+        const core::CompiledStmt& cs = cp.nests[j].stmts[i];
+        max_reads = std::max(max_reads, st.reads.size());
         Stmt s;
+        s.st = &st;
         s.cs = &cs;
-        s.full = cs.depth >= d;
+        s.full = st.effective_depth(d) >= d;
         for (const auto& pair : cs.owner) {
           if (!fast || !s.full)
             s.folded.push_back(pair);
@@ -211,23 +220,24 @@ class Traversal {
         }
         // Walkers pay off only for references advanced every innermost
         // iteration; gated statements keep the linearize path.
-        auto add = [&](const core::CompiledRef& ref) {
-          const auto& lay = cp.arrays[static_cast<size_t>(ref.array)].layout;
-          max_rank = std::max(max_rank, static_cast<size_t>(ref.rank));
+        auto add = [&](const ir::ArrayRef& ref) {
+          max_rank = std::max(max_rank, ref.offset.size());
           Ref& r = s.refs.emplace_back();
           r.ref = &ref;
-          r.slot = policy.slot(ref);
-          if (fast && s.full) r.walk = r.walker.build(ref, lay, d);
+          r.slot = policy.slot(ref.array, cs.addr_overhead[s.refs.size() - 1]);
+          r.walk = fast && s.full;
+          if (r.walk)
+            r.walker.build(ref,
+                           cp.arrays[static_cast<size_t>(ref.array)].layout);
         };
-        for (const core::CompiledRef& ref : cs.reads) add(ref);
-        DCT_CHECK(!cp.arrays[static_cast<size_t>(cs.write.array)].replicated,
+        for (const ir::ArrayRef& ref : st.reads) add(ref);
+        DCT_CHECK(!cp.dec().arrays[static_cast<size_t>(st.write.array)]
+                       .replicated,
                   "write to replicated array");
-        add(cs.write);
-        s.runs = kRunLoops && s.full &&
-                 cs.reads.size() <= ir::StmtRun::kMaxReads &&
-                 std::all_of(s.refs.begin(), s.refs.end(),
-                             [](const Ref& r) { return r.walk; });
-        if (s.runs) s.run = cs.eval.run(cs.reads.size());
+        add(st.write);
+        s.runs = kRunLoops && fast && s.full &&
+                 st.reads.size() <= ir::StmtRun::kMaxReads;
+        if (s.runs) s.run = st.eval.run(st.reads.size());
         plans_[j].stmts.push_back(std::move(s));
       }
     }
@@ -280,13 +290,14 @@ class Traversal {
  private:
   using Cursor = typename Policy::Cursor;
   struct Ref {
-    const core::CompiledRef* ref = nullptr;
+    const ir::ArrayRef* ref = nullptr;
     typename Policy::Slot slot{};
     bool walk = false;  ///< addresses come from the incremental walker
     RefWalker walker;
   };
   struct Stmt {
-    const core::CompiledStmt* cs = nullptr;
+    const ir::Stmt* st = nullptr;          ///< the transformed statement
+    const core::CompiledStmt* cs = nullptr;  ///< its owners and overheads
     bool full = false;  ///< executes on every innermost iteration
     /// Owner pairs invariant over the innermost loop: folded once per
     /// segment into q_base.
@@ -298,7 +309,7 @@ class Traversal {
     std::vector<Ref> refs;  ///< reads in order, then the write
     int q_base = 0;
     /// Full depth, at most StmtRun::kMaxReads reads, every reference
-    /// walked: can run in run loops under a kRunLoops policy.
+    /// walked (fast): can run in run loops under a kRunLoops policy.
     bool runs = false;
     ir::StmtRun run;  ///< the current run's addresses
   };
@@ -320,14 +331,12 @@ class Traversal {
   /// their instances give the same values in any order.
   static bool independent(const std::vector<Stmt*>& stmts) {
     for (const Stmt* w : stmts) {
-      const int a = w->cs->write.array;
+      const int a = w->st->write.array;
       for (const Stmt* o : stmts) {
         if (o == w) continue;
-        if (o->cs->write.array == a ||
-            std::any_of(o->cs->reads.begin(), o->cs->reads.end(),
-                        [&](const core::CompiledRef& r) {
-                          return r.array == a;
-                        }))
+        if (o->st->write.array == a ||
+            std::any_of(o->st->reads.begin(), o->st->reads.end(),
+                        [&](const ir::ArrayRef& r) { return r.array == a; }))
           return false;
       }
     }
@@ -363,31 +372,31 @@ class Traversal {
 
   // Out of line: the cold path of the fast configuration.
   [[gnu::noinline]] Int linearize(const Ref& r) {
-    const core::CompiledRef& ref = *r.ref;
-    const int d = inner_ + 1;
-    for (int k = 0; k < ref.rank; ++k) {
-      Int v = ref.offsets[static_cast<size_t>(k)];
-      const Int* row = ref.coeffs.data() + static_cast<size_t>(k * d);
-      for (int l = 0; l < d; ++l) v += row[l] * at(l);
-      scratch_[static_cast<size_t>(k)] = v;
+    const ir::ArrayRef& ref = *r.ref;
+    const size_t rank = ref.offset.size();
+    for (size_t k = 0; k < rank; ++k) {
+      const std::span<const Int> row = ref.access.row(static_cast<int>(k));
+      Int v = ref.offset[k];
+      for (size_t l = 0; l < row.size(); ++l) v += row[l] * iter_[l];
+      scratch_[k] = v;
     }
     ++counters.linearize_fallback;
     return cp_.arrays[static_cast<size_t>(ref.array)].layout.linearize(
-        std::span<const Int>(scratch_.data(), static_cast<size_t>(ref.rank)));
+        std::span<const Int>(scratch_.data(), rank));
   }
 
   /// One statement instance on processor q: reads, then eval, then write.
   /// Without values() the reads still happen and eval does not.
   /// Inlined into every segment loop: this is the engines' hot path.
   [[gnu::always_inline]] void instance(Cursor& cur, Stmt& s, int q) {
-    const core::CompiledStmt& cs = *s.cs;
-    policy_.begin(cur, q, cs.compute_cycles);
-    const size_t n = cs.reads.size();
+    const ir::Stmt& st = *s.st;
+    policy_.begin(cur, q, st.compute_cycles);
+    const size_t n = st.reads.size();
     for (size_t k = 0; k < n; ++k)
       vals_[k] = policy_.load(cur, s.refs[k].slot, next_addr(s.refs[k]));
     const bool has = policy_.values();
     policy_.store(cur, s.refs[n].slot, next_addr(s.refs[n]),
-                  has ? cs.eval(std::span<const double>(vals_.data(), n)) : 0.0,
+                  has ? st.eval(std::span<const double>(vals_.data(), n)) : 0.0,
                   has);
     policy_.end(cur);
     ++statements;
@@ -546,7 +555,7 @@ class Traversal {
   }
 
   bool fires(const Stmt& s) const {
-    for (int k = s.cs->depth; k < inner_; ++k)
+    for (int k = s.st->effective_depth(inner_ + 1); k < inner_; ++k)
       if (at(k) != lb_[static_cast<size_t>(k)]) return false;
     return true;
   }

@@ -9,12 +9,11 @@ namespace dct::runtime {
 using linalg::floor_div;
 using linalg::floor_mod;
 
-bool RefWalker::build(const core::CompiledRef& ref,
-                      const layout::Layout& layout, int depth) {
-  if (!layout.all_simple()) return false;
+void RefWalker::build(const ir::ArrayRef& ref, const layout::Layout& layout) {
   ref_ = &ref;
-  depth_ = depth;
-  subs_.assign(static_cast<size_t>(ref.rank), 0);
+  const int rank = ref.access.rows();
+  const int depth = ref.access.cols();
+  subs_.assign(static_cast<size_t>(rank), 0);
   dims_.clear();
   active_.clear();
   inner_delta_ = 0;
@@ -24,17 +23,13 @@ bool RefWalker::build(const core::CompiledRef& ref,
   const std::vector<Int> strides = layout.strides();
   for (size_t k = 0; k < fns.size(); ++k) {
     const layout::Layout::DimFn& f = fns[k];
-    if (f.src < 0 || f.src >= ref.rank) return false;
+    DCT_CHECK(f.src >= 0 && f.src < rank, "layout reads a missing subscript");
     InitDim d;
     d.src = f.src;
     d.div = f.div;
     d.mod = f.mod;
     d.stride = strides[k];
-    const Int c =
-        depth > 0 ? ref.coeffs[static_cast<size_t>(f.src) *
-                                   static_cast<size_t>(depth) +
-                               static_cast<size_t>(depth - 1)]
-                  : 0;
+    const Int c = depth > 0 ? ref.access.at(f.src, depth - 1) : 0;
     if (c != 0) {
       if (f.div == 1 && f.mod == 0) {
         // Untransformed dimension: its contribution changes by a constant
@@ -47,17 +42,15 @@ bool RefWalker::build(const core::CompiledRef& ref,
     }
     dims_.push_back(d);
   }
-  return true;
 }
 
 void RefWalker::init(std::span<const Int> iter, Int owned_stride) {
-  const core::CompiledRef& ref = *ref_;
-  for (int r = 0; r < ref.rank; ++r) {
-    Int v = ref.offsets[static_cast<size_t>(r)];
-    const Int* row = ref.coeffs.data() +
-                     static_cast<size_t>(r) * static_cast<size_t>(depth_);
-    for (int k = 0; k < depth_; ++k) v += row[k] * iter[static_cast<size_t>(k)];
-    subs_[static_cast<size_t>(r)] = v;
+  const ir::ArrayRef& ref = *ref_;
+  for (size_t r = 0; r < subs_.size(); ++r) {
+    const std::span<const Int> row = ref.access.row(static_cast<int>(r));
+    Int v = ref.offset[r];
+    for (size_t k = 0; k < row.size(); ++k) v += row[k] * iter[k];
+    subs_[r] = v;
   }
   addr_ = 0;
   for (const InitDim& d : dims_) {

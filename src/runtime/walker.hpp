@@ -16,16 +16,16 @@
 // per strip-mined dimension whatever the number of strips crossed.
 //
 // A walker is built once per (nest, statement, reference) before the
-// iteration-space walk; construction fails (and the traversal kernel
-// falls back to Layout::linearize) for layouts with a non-simple
-// dimension, so results are bit-identical by construction.
+// iteration-space walk, from the reference and the layout's closed form
+// (Layout::dim_functions), the same one Layout::linearize evaluates, so
+// results are bit-identical by construction.
 #pragma once
 
 #include <limits>
 #include <span>
 #include <vector>
 
-#include "core/compiler.hpp"
+#include "ir/program.hpp"
 #include "layout/layout.hpp"
 
 namespace dct::runtime {
@@ -37,11 +37,10 @@ inline constexpr Int kEndlessRun = std::numeric_limits<Int>::max();
 
 class RefWalker {
  public:
-  /// Prepare the walker for `ref` inside a nest of the given depth. Returns
-  /// false when the layout cannot be walked incrementally (non-simple
-  /// dimension); the walker must not be used then.
-  bool build(const core::CompiledRef& ref, const layout::Layout& layout,
-             int depth);
+  /// Prepare the walker for `ref`, whose access matrix has one column per
+  /// loop of its nest, through the layout of its array. `ref` must outlive
+  /// the walker's use.
+  void build(const ir::ArrayRef& ref, const layout::Layout& layout);
 
   /// Position the walker at iteration `iter` (full iteration vector, the
   /// innermost coordinate included); each step then advances the innermost
@@ -113,7 +112,7 @@ class RefWalker {
     int active = -1;  ///< index into active_, -1 when not stepped
   };
 
-  const core::CompiledRef* ref_ = nullptr;
+  const ir::ArrayRef* ref_ = nullptr;
   std::vector<InitDim> dims_;
   std::vector<DimState> active_;
   std::vector<Int> subs_;  ///< scratch: subscript per row during init
@@ -121,7 +120,6 @@ class RefWalker {
   Int delta_ = 0;          ///< per-step address delta inside a run
   Int addr_ = 0;
   Int run_ = kEndlessRun;
-  int depth_ = 0;
 };
 
 }  // namespace dct::runtime

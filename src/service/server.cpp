@@ -119,12 +119,12 @@ std::optional<core::Mode> parse_mode(const std::string& s) {
 
 std::uint64_t values_fingerprint(
     const std::vector<std::vector<double>>& values) {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = kFnv1aBasis;
+  // Little-endian bytes by shifts: the same hash on any host.
   const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+    h = fnv1a(std::string_view(bytes, sizeof bytes), h);
   };
   for (const std::vector<double>& arr : values) {
     mix(arr.size());

@@ -157,20 +157,21 @@ void count_strip_slices(const core::CompiledProgram& cp,
                         const native::ProgramPlan& plan,
                         CheckCoverage& cov) {
   for (size_t j = 0; j < plan.nests.size(); ++j) {
-    const int d = cp.dec().par[j].nest.depth();
+    const ir::LoopNest& nest = cp.dec().par[j].nest;
+    const int d = nest.depth();
     for (const native::NestRestriction& r : plan.nests[j].restrictions) {
       if (r.level != d - 1 || r.fold.kind == decomp::DistKind::Serial)
         continue;
       bool strips = false;
-      const auto note = [&](const core::CompiledRef& ref) {
+      const auto note = [&](const ir::ArrayRef& ref) {
         runtime::RefWalker w;
-        const auto& lay = cp.arrays[static_cast<size_t>(ref.array)].layout;
-        strips |= w.build(ref, lay, d) && w.walks_strips();
+        w.build(ref, cp.arrays[static_cast<size_t>(ref.array)].layout);
+        strips |= w.walks_strips();
       };
-      for (const core::CompiledStmt& cs : cp.nests[j].stmts) {
-        if (cs.depth < d) continue;
-        for (const core::CompiledRef& ref : cs.reads) note(ref);
-        note(cs.write);
+      for (const ir::Stmt& st : nest.stmts) {
+        if (st.effective_depth(d) < d) continue;
+        for (const ir::ArrayRef& ref : st.reads) note(ref);
+        note(st.write);
       }
       // DistKind order: Serial, Block, Cyclic, BlockCyclic.
       if (strips) ++cov.strip_slices[static_cast<int>(r.fold.kind) - 1];

@@ -304,11 +304,12 @@ TEST(Executor, ReplicaAllocationCoversEveryCluster) {
         const auto cp = core::compile(prog, mode, procs);
         const Int clusters = machine::MachineConfig::dash(procs).clusters();
         std::vector<std::pair<Int, Int>> spans;  // [base, end) per array
-        for (const core::CompiledArray& ca : cp.arrays) {
-          replicated += ca.replicated ? 1 : 0;
+        for (size_t a = 0; a < cp.arrays.size(); ++a) {
+          const core::CompiledArray& ca = cp.arrays[a];
+          const bool copies = cp.dec().arrays[a].replicated;
+          replicated += copies ? 1 : 0;
           spans.emplace_back(ca.base_addr,
-                             ca.base_addr +
-                                 ca.bytes * (ca.replicated ? clusters : 1));
+                             ca.base_addr + ca.bytes * (copies ? clusters : 1));
         }
         std::sort(spans.begin(), spans.end());
         for (size_t i = 1; i < spans.size(); ++i)

@@ -161,12 +161,12 @@ TEST(Layout, BijectionProperty) {
 }
 
 TEST(Layout, ClosedFormMatchesStepInterpretation) {
-  // linearize() takes the closed form dim_functions() whenever the layout
-  // is simple; map_index() always interprets steps(). Over random
-  // strip-mine/permute compositions, simple or not, both must name the
-  // same in-range address for every element.
+  // linearize() evaluates the closed form dim_functions(); map_index()
+  // interprets steps(). Over random strip-mine/permute compositions both
+  // must name the same in-range address for every element. A strip that
+  // would leave no closed form is rejected and changes nothing.
   Rng rng(33);
-  int simple = 0;
+  int rejected = 0;
   constexpr int kTrials = 200;
   for (int trial = 0; trial < kTrials; ++trial) {
     std::vector<Int> dims(static_cast<size_t>(rng.uniform(1, 3)));
@@ -175,8 +175,15 @@ TEST(Layout, ClosedFormMatchesStepInterpretation) {
     for (int s = static_cast<int>(rng.uniform(1, 4)); s > 0; --s) {
       const int n = static_cast<int>(l.dims().size());
       if (rng.uniform(0, 1) == 0) {
-        l.apply(StripMine{static_cast<int>(rng.uniform(0, n - 1)),
-                          rng.uniform(1, 4)});
+        const std::string before = l.to_string();
+        try {
+          l.apply(StripMine{static_cast<int>(rng.uniform(0, n - 1)),
+                            rng.uniform(1, 4)});
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), Error::Code::kInvalidArgument);
+          EXPECT_EQ(l.to_string(), before);
+          ++rejected;
+        }
       } else {
         std::vector<int> perm(static_cast<size_t>(n));
         std::iota(perm.begin(), perm.end(), 0);
@@ -186,7 +193,6 @@ TEST(Layout, ClosedFormMatchesStepInterpretation) {
         l.apply(Permute{perm});
       }
     }
-    simple += l.all_simple() ? 1 : 0;
     Int count = 1;
     for (Int d : dims) count *= d;
     for (Int e = 0; e < count; ++e) {
@@ -207,9 +213,36 @@ TEST(Layout, ClosedFormMatchesStepInterpretation) {
       ASSERT_EQ(l.linearize(idx), addr) << l.to_string() << " element " << e;
     }
   }
-  // Both linearize() paths were exercised.
-  EXPECT_GT(simple, kTrials / 4);
-  EXPECT_LT(simple, kTrials);
+  // Rejection stays the exception.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, kTrials / 4);
+}
+
+TEST(Layout, RejectsStripThatBreaksClosedForm) {
+  // Stripping (i mod 4) by 3 would need (i mod 4) mod 3 and
+  // (i mod 4) div 3, which no (i / div) mod m has: apply refuses it and
+  // leaves the layout as it was.
+  Layout l = Layout::identity({12});
+  l.apply(StripMine{0, 4});  // (i mod 4, i div 4)
+  const std::string before = l.to_string();
+  try {
+    l.apply(StripMine{0, 3});
+    ADD_FAILURE() << "strip by 3 of a modulus-4 dimension accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Error::Code::kInvalidArgument);
+  }
+  EXPECT_EQ(l.to_string(), before);
+  // A strip that divides the modulus, and one of the part without a
+  // modulus, keep the closed form.
+  l.apply(StripMine{0, 2});  // (i mod 2, (i / 2) mod 2, i div 4)
+  l.apply(StripMine{2, 2});  // ..., (i / 4) mod 2, i div 8
+  ASSERT_EQ(l.dims(), (std::vector<Int>{2, 2, 2, 2}));
+  for (Int i = 0; i < 12; ++i) {
+    const std::vector<Int> mapped = l.map_index(std::vector<Int>{i});
+    EXPECT_EQ(l.linearize(std::vector<Int>{i}),
+              mapped[0] + 2 * mapped[1] + 4 * mapped[2] + 8 * mapped[3])
+        << i;
+  }
 }
 
 TEST(Layout, OwnersContiguousProperty) {

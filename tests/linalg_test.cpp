@@ -52,7 +52,9 @@ TEST(IntMatrix, ConstructionAndAccess) {
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.cols(), 3);
   EXPECT_EQ(m.at(1, 2), 6);
-  EXPECT_EQ(m.row(0), (Vec{1, 2, 3}));
+  const std::span<const Int> row = m.row(0);
+  EXPECT_EQ(Vec(row.begin(), row.end()), (Vec{1, 2, 3}));
+  EXPECT_THROW((void)m.row(2), Error);
   EXPECT_THROW(m.at(2, 0), Error);
   EXPECT_THROW(m.at(0, 3), Error);
 }

@@ -131,19 +131,20 @@ TEST(Native, ThrowingThreadReleasesItsWaiters) {
   // thrower's terminal epoch must release them: run_native rethrows the
   // Error instead of hanging.
   for (Mode mode : {Mode::Base, Mode::CompDecomp, Mode::Full}) {
-    auto cp = core::compile(apps::lu(16), mode, 4);
-    ASSERT_EQ(plan_program(cp).nests[0].gate,
-              mode == Mode::Base ? GateSync::None : GateSync::Post);
     // Divides run in k order, one k after another: call 16 is the first
     // divide of k = 1, which the column-cyclic modes give to thread 1.
+    ir::Program prog = apps::lu(16);
+    ir::Stmt& div = prog.nests[0].stmts[0];
     auto calls = std::make_shared<std::atomic<int>>(0);
-    core::CompiledStmt& div = cp.nests[0].stmts[0];
-    ASSERT_LT(div.depth, 3);
     div.eval = [calls, inner = div.eval](std::span<const double> r) {
       if (calls->fetch_add(1) + 1 == 16)
         throw Error(Error::Code::kGeneric, "divide failed");
       return inner(r);
     };
+    const auto cp = core::compile(prog, mode, 4);
+    ASSERT_LT(cp.dec().par[0].nest.stmts[0].effective_depth(3), 3);
+    ASSERT_EQ(plan_program(cp).nests[0].gate,
+              mode == Mode::Base ? GateSync::None : GateSync::Post);
     NativeOptions opts;
     opts.threads = 4;
     try {
@@ -442,7 +443,8 @@ TEST(Native, RunLoopsKeepInstanceOrder) {
                                   std::to_string(threads);
         const auto cp = core::compile(prog, mode, threads);
         // I stays innermost: the dependences lie inside each run.
-        ASSERT_EQ(cp.nests[0].stmts[0].write.coeffs[1], 1) << label;
+        ASSERT_EQ(cp.dec().par[0].nest.stmts[0].write.access.at(0, 1), 1)
+            << label;
         NativeOptions opts;
         opts.threads = threads;
         const NativeResult r = run_native(cp, opts);
@@ -529,10 +531,6 @@ TEST(Native, RunLoopFallbacksMatchReference) {
       return s;
     })};
   });
-  const ir::Program pair = order_program("pair", 0, 23, [&](int a, int b) {
-    return std::vector{assign(at(a, 0), {at(a, 0), at(b, 0)}, plus),
-                       assign(at(b, 0), {at(b, 0), at(a, 0)}, plus)};
-  });
   const ir::Program apart = order_program("apart", 1, 23, [&](int a, int b) {
     return std::vector{assign(at(a, 0), {at(a, 0), at(a, -1)}, plus),
                        assign(at(b, 0), {at(b, 0), at(b, -1)}, plus)};
@@ -544,20 +542,11 @@ TEST(Native, RunLoopFallbacksMatchReference) {
       const auto cp = core::compile(wide, mode, threads);
       check("wide" + m, wide, cp, plan_program(cp), false);
     }
-    // A layout the walkers cannot step (strips that do not divide their
-    // modulus): its references fall back to Layout::linearize.
-    auto cp = core::compile(pair, Mode::Full, threads);
-    layout::Layout odd = layout::Layout::identity({24, 24});
-    odd.apply(layout::StripMine{0, 4});
-    odd.apply(layout::StripMine{0, 3});
-    ASSERT_FALSE(odd.all_simple());
-    cp.arrays[0].layout = odd;
-    check("no walker" + t, pair, cp, plan_program(cp), false);
     // An unowned statement inside a batched segment: the second of two
     // independent statements all on thread 0, the first spread over the
     // threads, and no restricted walk, so every thread's segments hold
     // owned and unowned statements and still run as run loops.
-    cp = core::compile(apart, Mode::Base, threads);
+    auto cp = core::compile(apart, Mode::Base, threads);
     cp.nests[0].stmts[1].owner.clear();
     ProgramPlan pp = plan_program(cp);
     EXPECT_EQ(pp.sequential_nests, 0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -281,6 +282,22 @@ TEST(Server, KeyHashIsFnvOfKeyText) {
     ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
     EXPECT_EQ(r.key_hash, s.want) << r.id;
   }
+}
+
+TEST(Server, ValuesFingerprintIsPinned) {
+  // Responses carry values_hash and perfbench compares native runs by it,
+  // so it must not drift: FNV-1a over each array's length, then each
+  // value's bits, 8 little-endian bytes apiece. -0.0 and a NaN hash by
+  // their bits.
+  using Values = std::vector<std::vector<double>>;
+  const double nan = std::bit_cast<double>(std::uint64_t{0x7ff8000000000001});
+  EXPECT_EQ(service::values_fingerprint(Values{}), 0x14650fb0739d0383u);
+  EXPECT_EQ(service::values_fingerprint(Values{{1.0, 2.5, -3.25}}),
+            0x0b574746f1802653u);
+  EXPECT_EQ(service::values_fingerprint(
+                Values{{0.0, -0.0}, {nan, 1e300, -1e-300}}),
+            0x9483fd7109376635u);
+  EXPECT_EQ(service::values_fingerprint(Values{{}, {}}), 0xa31e272015f12c43u);
 }
 
 TEST(Server, ServesAndCaches) {

@@ -20,21 +20,20 @@ namespace {
 using core::Mode;
 using layout::Layout;
 
+/// A reference to array 0 with the given access matrix and offsets.
+ir::ArrayRef make_ref(linalg::IntMatrix access, std::vector<Int> offset) {
+  ir::ArrayRef ref;
+  ref.array = 0;
+  ref.access = std::move(access);
+  ref.offset = std::move(offset);
+  return ref;
+}
+
 /// Evaluate the affine subscripts of `ref` at `iter` and linearize them
 /// through the layout — the address the interpreter would produce.
-Int reference_addr(const core::CompiledRef& ref, const Layout& lay,
+Int reference_addr(const ir::ArrayRef& ref, const Layout& lay,
                    std::span<const Int> iter) {
-  std::vector<Int> subs(static_cast<size_t>(ref.rank));
-  const int depth = static_cast<int>(iter.size());
-  for (int r = 0; r < ref.rank; ++r) {
-    Int v = ref.offsets[static_cast<size_t>(r)];
-    for (int k = 0; k < depth; ++k)
-      v += ref.coeffs[static_cast<size_t>(r) * static_cast<size_t>(depth) +
-                      static_cast<size_t>(k)] *
-           iter[static_cast<size_t>(k)];
-    subs[static_cast<size_t>(r)] = v;
-  }
-  return lay.linearize(subs);
+  return lay.linearize(ref.index(iter));
 }
 
 /// Walk `trips` positions of the innermost loop, `stride` iterations
@@ -43,16 +42,13 @@ Int reference_addr(const core::CompiledRef& ref, const Layout& lay,
 /// positions now and then. Compares the walker against subscript
 /// evaluation + linearize at every visited position; returns the number of
 /// runs taken.
-Int check_walk(const core::CompiledRef& ref, const Layout& lay, int depth,
+Int check_walk(const ir::ArrayRef& ref, const Layout& lay,
                std::span<const Int> start, Int trips, Int stride = 1,
                Rng* rng = nullptr) {
   RefWalker w;
-  if (!w.build(ref, lay, depth)) {
-    ADD_FAILURE() << "layout " << lay.to_string() << " not walkable";
-    return 0;
-  }
+  w.build(ref, lay);
   std::vector<Int> iter(start.begin(), start.end());
-  Int& inner = iter[static_cast<size_t>(depth - 1)];
+  Int& inner = iter.back();
   w.init(iter, stride);
   Int runs = 0;
   for (Int left = trips; left > 0;) {
@@ -80,7 +76,7 @@ Int check_walk(const core::CompiledRef& ref, const Layout& lay, int depth,
 
 TEST(Walker, MatchesLinearizeOnRandomLayouts) {
   Rng rng(20260807);
-  int checked = 0;
+  int rejected = 0;
   for (int trial = 0; trial < 300; ++trial) {
     // Random affine reference first: its subscript span on the walked
     // (innermost) loop decides how big each extent must be, now that
@@ -89,10 +85,8 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
     const int depth = static_cast<int>(rng.uniform(1, 3));
     const Int trips = rng.uniform(8, 40);
     const Int stride = rng.uniform(1, 5);  // owned stride: CYCLIC slices
-    core::CompiledRef ref;
-    ref.rank = rank;
-    ref.coeffs.assign(static_cast<size_t>(rank * depth), 0);
-    ref.offsets.assign(static_cast<size_t>(rank), 0);
+    ir::ArrayRef ref = make_ref(linalg::IntMatrix(rank, depth),
+                                std::vector<Int>(static_cast<size_t>(rank)));
     std::vector<Int> start(static_cast<size_t>(depth), 0);
     for (int k = 0; k + 1 < depth; ++k)
       start[static_cast<size_t>(k)] = rng.uniform(0, 4);
@@ -102,7 +96,7 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
       Int max_sub = 0;
       for (int k = 0; k < depth; ++k) {
         const Int c = rng.uniform(-2, 2);
-        ref.coeffs[static_cast<size_t>(r * depth + k)] = c;
+        ref.access.at(r, k) = c;
         const Int hi =
             k == depth - 1 ? trips * stride : start[static_cast<size_t>(k)];
         min_sub += std::min<Int>(0, c * hi);
@@ -110,19 +104,24 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
       }
       // Offset lifts the minimum to zero; the extent covers the whole
       // span plus slack so strip boundaries land unevenly.
-      ref.offsets[static_cast<size_t>(r)] = -min_sub;
+      ref.offset[static_cast<size_t>(r)] = -min_sub;
       dims.push_back(max_sub - min_sub + rng.uniform(4, 12));
     }
     Layout lay = Layout::identity(dims);
 
     // Random sequence of the Section 4.2 primitives: strip-mines in the
     // BLOCK / CYCLIC / BLOCK-CYCLIC shapes, interleaved with permutations.
+    // A strip that would break the closed form is rejected and skipped.
     const int nops = static_cast<int>(rng.uniform(0, 3));
     for (int op = 0; op < nops; ++op) {
       if (rng.uniform(0, 2) != 0) {
         const int d =
             static_cast<int>(rng.uniform(0, static_cast<int>(lay.dims().size()) - 1));
-        lay.apply(layout::StripMine{d, rng.uniform(2, 6)});
+        try {
+          lay.apply(layout::StripMine{d, rng.uniform(2, 6)});
+        } catch (const Error&) {
+          ++rejected;
+        }
       } else {
         std::vector<int> perm(lay.dims().size());
         for (size_t k = 0; k < perm.size(); ++k) perm[k] = static_cast<int>(k);
@@ -132,12 +131,9 @@ TEST(Walker, MatchesLinearizeOnRandomLayouts) {
         lay.apply(layout::Permute{perm});
       }
     }
-    if (!lay.all_simple()) continue;  // nested strips may break divisibility
-
-    check_walk(ref, lay, depth, start, trips, stride, &rng);
-    ++checked;
+    check_walk(ref, lay, start, trips, stride, &rng);
   }
-  EXPECT_GT(checked, 200);  // the skip path must stay the exception
+  EXPECT_LT(rejected, 100);  // rejection must stay the exception
 }
 
 TEST(Walker, JumpsMatchSingleSteps) {
@@ -150,16 +146,12 @@ TEST(Walker, JumpsMatchSingleSteps) {
     Layout lay = Layout::identity(dims);
     lay.apply(layout::StripMine{0, rng.uniform(2, 6)});
     if (rng.uniform(0, 1) != 0) lay.apply(layout::Permute{{1, 0, 2}});
-    if (!lay.all_simple()) continue;
 
-    core::CompiledRef ref;
-    ref.rank = 2;
-    ref.coeffs = {0, 1, 1, 0};  // A(i1, i0)
-    ref.offsets = {0, 0};
+    const ir::ArrayRef ref = make_ref({{0, 1}, {1, 0}}, {0, 0});  // A(i1, i0)
     RefWalker jumper;
     RefWalker stepper;
-    ASSERT_TRUE(jumper.build(ref, lay, 2));
-    ASSERT_TRUE(stepper.build(ref, lay, 2));
+    jumper.build(ref, lay);
+    stepper.build(ref, lay);
     const std::vector<Int> start{rng.uniform(0, dims[1] - 1), 0};
     jumper.init(start);
     stepper.init(start);
@@ -191,16 +183,13 @@ TEST(Walker, CyclicStrideMultipleOfModulusIsOneRun) {
   lay.apply(layout::StripMine{1, 4});
   lay.apply(layout::Permute{{0, 2, 1}});
   ASSERT_EQ(lay.to_string(), "dims(96,24,4) strip(dim=1, b=4) permute(0,2,1)");
-  core::CompiledRef ref;
-  ref.rank = 2;
-  ref.coeffs = {1, 0, 0, 1};  // A(i, j), j innermost
-  ref.offsets = {0, 0};
+  const ir::ArrayRef ref = make_ref({{1, 0}, {0, 1}}, {0, 0});  // A(i, j)
   for (Int t = 0; t < 4; ++t) {
     const std::vector<Int> start{17, t};
-    EXPECT_EQ(check_walk(ref, lay, 2, start, 24, /*stride=*/4), 1)
+    EXPECT_EQ(check_walk(ref, lay, start, 24, /*stride=*/4), 1)
         << "thread " << t;
     RefWalker w;
-    ASSERT_TRUE(w.build(ref, lay, 2));
+    w.build(ref, lay);
     w.init(start, 4);
     EXPECT_EQ(w.run(), kEndlessRun);
   }
@@ -224,17 +213,14 @@ TEST(Walker, DerivedLayoutsAcrossDistributions) {
       ad.dims[static_cast<size_t>(dim)].proc_dim = 0;
       ad.dims[static_cast<size_t>(dim)].block = 3;
       const Layout lay = layout::derive_layout(decl, ad, grid);
-      ASSERT_TRUE(lay.all_simple());
 
       // Row walk and column walk, each crossing strip boundaries.
       for (int inner_row = 0; inner_row < 2; ++inner_row) {
-        core::CompiledRef ref;
-        ref.rank = 2;
-        ref.coeffs = inner_row != 0 ? std::vector<Int>{0, 1, 1, 0}
-                                    : std::vector<Int>{1, 0, 0, 1};
-        ref.offsets = {0, 0};
+        const ir::ArrayRef ref =
+            inner_row != 0 ? make_ref({{0, 1}, {1, 0}}, {0, 0})
+                           : make_ref({{1, 0}, {0, 1}}, {0, 0});
         const std::vector<Int> start = {0, 0};
-        check_walk(ref, lay, 2, start, inner_row != 0 ? 33 : 19);
+        check_walk(ref, lay, start, inner_row != 0 ? 33 : 19);
       }
     }
   }
