@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -26,6 +28,52 @@ using Epoch = std::uint32_t;
 /// later, so the survivors run to the end instead of hanging.
 constexpr Epoch kTerminal = std::numeric_limits<Epoch>::max();
 
+/// Alignment of a word other threads spin on: two lines, since
+/// adjacent-line prefetchers pair 64-byte lines.
+constexpr size_t kLinePair = 128;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Every wait in the backend: returns a's value once done(value) holds.
+/// Spins on acquire loads with a pause, yielding every kPausesPerYield
+/// pauses, for up to kSpinBudget (the awaited thread is usually running
+/// and about to post); then sleeps in std::atomic::wait and counts the
+/// wait in `slept`. Every poster stores with a seq_cst store or RMW before
+/// notify_all: notify_all skips the futex wake when it reads no registered
+/// waiter, and a waiter registers before its last check of the word. That
+/// check can miss a release store still buffered when the registration is
+/// read (store-load reordering), leaving the waiter asleep for good: about
+/// one run_native in 10^5 hung that way under load. A seq_cst store is
+/// ordered before the read.
+template <class Done>
+Epoch await(const std::atomic<Epoch>& a, Done done, long long& slept) {
+  using Clock = std::chrono::steady_clock;
+  // Long enough to cover a run's usual barrier skew and the gap between
+  // back-to-back runs; a ~10 us spin slept in most of them.
+  constexpr auto kSpinBudget = std::chrono::microseconds(200);
+  constexpr int kPausesPerYield = 256;
+  Epoch cur = a.load(std::memory_order_acquire);
+  if (done(cur)) return cur;
+  const Clock::time_point give_up = Clock::now() + kSpinBudget;
+  do {
+    for (int i = 0; i < kPausesPerYield; ++i) {
+      cpu_relax();
+      if (done(cur = a.load(std::memory_order_acquire))) return cur;
+    }
+    std::this_thread::yield();
+    if (done(cur = a.load(std::memory_order_acquire))) return cur;
+  } while (Clock::now() < give_up);
+  ++slept;
+  do {
+    a.wait(cur, std::memory_order_acquire);
+  } while (!done(cur = a.load(std::memory_order_acquire)));
+  return cur;
+}
+
 /// One monotonic epoch counter per thread, each on its own cache lines. A
 /// post is a sequentially consistent store to the poster's own counter, so
 /// the waiter's acquire load of any later epoch also sees everything the
@@ -37,49 +85,18 @@ class EpochCounters {
 
   void post(int t, Epoch e) {
     std::atomic<Epoch>& a = slots_[static_cast<size_t>(t)].epoch;
-    // Not just release: notify_all skips the futex wake when it reads no
-    // registered waiter, and a waiter registers before its last check of
-    // the counter. That check can miss a release store still buffered
-    // when the registration is read (store-load reordering), leaving the
-    // waiter asleep for good: about one run_native in 10^5 hung that way
-    // under load. A seq_cst store is ordered before the read.
-    a.store(e, std::memory_order_seq_cst);
+    a.store(e, std::memory_order_seq_cst);  // see await()
     a.notify_all();
   }
 
-  /// Returns the epoch thread t has posted once it is >= e. Spins first
-  /// (the producer usually runs on another core and is about to post),
-  /// then yields (it may be preempted), then blocks.
-  Epoch wait(int t, Epoch e) const {
-    const std::atomic<Epoch>& a = slots_[static_cast<size_t>(t)].epoch;
-    Epoch cur = a.load(std::memory_order_acquire);
-    for (int i = 0; cur < e && i < kSpins; ++i) {
-      cpu_relax();
-      cur = a.load(std::memory_order_acquire);
-    }
-    for (int i = 0; cur < e && i < kYields; ++i) {
-      std::this_thread::yield();
-      cur = a.load(std::memory_order_acquire);
-    }
-    while (cur < e) {
-      a.wait(cur, std::memory_order_acquire);
-      cur = a.load(std::memory_order_acquire);
-    }
-    return cur;
+  /// Returns the epoch thread t has posted once it is >= e.
+  Epoch wait(int t, Epoch e, long long& slept) const {
+    return await(slots_[static_cast<size_t>(t)].epoch,
+                 [e](Epoch cur) { return cur >= e; }, slept);
   }
 
  private:
-  static constexpr int kSpins = 256;
-  static constexpr int kYields = 16;
-
-  static void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-
-  // Two lines: adjacent-line prefetchers pair 64-byte lines.
-  struct alignas(128) Slot {
+  struct alignas(kLinePair) Slot {
     std::atomic<Epoch> epoch{0};
   };
   std::vector<Slot> slots_;
@@ -171,8 +188,9 @@ class NativePolicy {
     ++barriers;
   }
 
-  long long barriers = 0;  ///< all-thread syncs
-  long long waits = 0;     ///< point-to-point waits
+  long long barriers = 0;       ///< all-thread syncs
+  long long waits = 0;          ///< point-to-point waits
+  long long blocked_waits = 0;  ///< epoch waits that slept
 
  private:
   /// The firing's owner is q: with GatherPost it first waits for every
@@ -192,7 +210,7 @@ class NativePolicy {
   /// load: the acquire that observed it ordered everything before it.
   void observe(int t, Epoch e) {
     Epoch& seen = seen_[static_cast<size_t>(t)];
-    if (seen < e) seen = epochs_.wait(t, e);
+    if (seen < e) seen = epochs_.wait(t, e, blocked_waits);
   }
   void wait(int t, Epoch e) {
     observe(t, e);
@@ -217,6 +235,7 @@ struct ThreadStats {
   long long statements = 0;
   long long barriers = 0;
   long long waits = 0;
+  long long blocked_waits = 0;
   long long walker_splits = 0;
   long long run_instances = 0;
   long long split_instances = 0;
@@ -254,9 +273,77 @@ ThreadStats run_worker(const CompiledProgram& cp, const ProgramPlan& plan,
     }
   }
   return {kernel.statements, policy.barriers, policy.waits,
-          kernel.counters.walker_splits, kernel.counters.run_instances,
-          kernel.counters.split_instances};
+          policy.blocked_waits, kernel.counters.walker_splits,
+          kernel.counters.run_instances, kernel.counters.split_instances};
 }
+
+/// SPMD threads 1..T-1 of one calling thread's runs; the caller runs
+/// thread 0 itself, so a T = 1 run starts no thread. Workers are started
+/// by the first run that needs them and live until the calling thread
+/// exits, waiting for their next run in between. A run bumps the start
+/// word of each worker it uses, so a worker that a smaller run leaves out
+/// reads nothing of it; the last worker to finish brings `running_` to 0.
+class Team {
+ public:
+  Team() = default;
+  ~Team() {
+    stopping_ = true;
+    for (const std::unique_ptr<Worker>& w : workers_) {
+      w->start.fetch_add(1, std::memory_order_seq_cst);
+      w->start.notify_all();
+    }
+    for (const std::unique_ptr<Worker>& w : workers_) w->thread.join();
+  }
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+
+  /// Runs job(myid) for myid 0..threads-1, 0 on the caller, and returns
+  /// once every call has. `job` must not throw.
+  void run(int threads, const std::function<void(int)>& job) {
+    const size_t used = static_cast<size_t>(threads - 1);
+    workers_.reserve(used);  // so that push_back cannot drop a started thread
+    while (workers_.size() < used) {
+      auto w = std::make_unique<Worker>();
+      const int myid = static_cast<int>(workers_.size()) + 1;
+      w->thread = std::thread([this, &me = *w, myid] { serve(me, myid); });
+      workers_.push_back(std::move(w));
+    }
+    job_ = &job;
+    // Ordered before any worker's read by the seq_cst start posts.
+    running_.store(static_cast<Epoch>(used), std::memory_order_relaxed);
+    for (size_t i = 0; i < used; ++i) {
+      workers_[i]->start.fetch_add(1, std::memory_order_seq_cst);  // await()
+      workers_[i]->start.notify_all();
+    }
+    job(0);
+    long long slept = 0;
+    await(running_, [](Epoch n) { return n == 0; }, slept);
+  }
+
+ private:
+  struct Worker {
+    alignas(kLinePair) std::atomic<Epoch> start{0};  ///< runs published
+    std::thread thread;
+  };
+
+  void serve(Worker& w, int myid) {
+    Epoch seen = 0;
+    long long slept = 0;
+    for (;;) {
+      seen = await(w.start, [seen](Epoch s) { return s != seen; }, slept);
+      if (stopping_) return;
+      (*job_)(myid);
+      if (running_.fetch_sub(1, std::memory_order_seq_cst) == 1)
+        running_.notify_all();
+    }
+  }
+
+  alignas(kLinePair) std::atomic<Epoch> running_{0};  ///< workers still in
+  // Written by the caller between runs, read by a worker after its start.
+  const std::function<void(int)>* job_ = nullptr;
+  bool stopping_ = false;
+  std::vector<std::unique_ptr<Worker>> workers_;
+};
 
 }  // namespace
 
@@ -287,28 +374,26 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(T));
-    for (int myid = 0; myid < T; ++myid) {
-      threads.emplace_back([&, myid] {
-        try {
-          stats[static_cast<size_t>(myid)] =
-              run_worker(cp, plan, data, epochs, myid);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> g(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-          // Release every wait on this thread; the run's results are
-          // discarded anyway.
-          epochs.post(myid, kTerminal);
-        }
-      });
+  const auto spmd_thread = [&](int myid) {
+    try {
+      stats[static_cast<size_t>(myid)] =
+          run_worker(cp, plan, data, epochs, myid);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> g(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      // Release every wait on this thread; the run's results are
+      // discarded anyway.
+      epochs.post(myid, kTerminal);
     }
-    for (std::thread& t : threads) t.join();
-  }
+  };
+
+  // Workers started here, by a thread's first run at more threads than
+  // any before, are timed too. They are joined when the thread exits.
+  thread_local Team team;
+  const auto t0 = std::chrono::steady_clock::now();
+  team.run(T, spmd_thread);
   const auto t1 = std::chrono::steady_clock::now();
   if (first_error) std::rethrow_exception(first_error);
 
@@ -317,6 +402,7 @@ NativeResult run_native(const CompiledProgram& cp, const ProgramPlan& plan,
   for (const ThreadStats& s : stats) {
     res.statements += s.statements;
     res.waits += s.waits;
+    res.blocked_waits += s.blocked_waits;
     res.walker_splits += s.walker_splits;
     res.run_instances += s.run_instances;
     res.split_instances += s.split_instances;

@@ -1,8 +1,13 @@
 // Native threaded SPMD execution of a compiled program.
 //
 // Where runtime::simulate models a DASH-class machine, this backend runs
-// the transformed program for real: one std::thread per compiled
-// processor, arrays allocated in their *transformed* linear layouts. Each
+// the transformed program for real: one SPMD thread per compiled
+// processor, arrays allocated in their *transformed* linear layouts. The
+// calling thread is SPMD thread 0; threads 1..T-1 are the first T-1
+// workers of a team the calling thread keeps across runs (a worker is
+// started by the first run that needs it and joined when the calling
+// thread exits), so a run at no more threads than an earlier one starts
+// no thread, and a T = 1 run uses none but the caller's. Each
 // thread runs the same owner-computes traversal kernel as the simulator
 // (runtime/traversal.hpp: walker addressing, hoisted owners, the gated-
 // statement rule) under a native policy: plain loads and stores, the
@@ -18,17 +23,18 @@
 // monotonic epoch counters. Every thread numbers the same sequence of
 // sync events, so an epoch names one program point on all threads. A post
 // is a seq_cst store of the current epoch to the thread's own counter; a
-// wait spins on an acquire load of another thread's counter, then yields,
-// then blocks in std::atomic::wait; a barrier is a post followed by a wait
-// on every counter. The plan's three sync shapes map onto it as follows:
-// a barrier after each iteration of the barrier level; after each gated
-// firing, a post by the firing's owner that every other thread waits on
-// (optionally preceded by the owner waiting for every other thread's
-// arrival); and a doacross, where each thread waits, before each
-// innermost segment, for the previous block's owner to post that
-// iteration, and posts its own after it. A thread that throws posts a
-// terminal epoch that satisfies every wait on it, so run_native rethrows
-// instead of hanging.
+// wait spins on an acquire load of another thread's counter for a bounded
+// time (up to 200 us, yielding now and then), then sleeps in
+// std::atomic::wait; a barrier is a post followed by a wait on every
+// counter. The team's start and finish handshakes use the same wait.
+// The plan's three sync shapes map onto it as follows: a barrier after
+// each iteration of the barrier level; after each gated firing, a post by
+// the firing's owner that every other thread waits on (optionally
+// preceded by the owner waiting for every other thread's arrival); and a
+// doacross, where each thread waits, before each innermost segment, for
+// the previous block's owner to post that iteration, and posts its own
+// after it. A thread that throws posts a terminal epoch that satisfies
+// every wait on it, so run_native rethrows instead of hanging.
 //
 // The backend is an execution tier, not a model: its wall-clock time is
 // the hardware's answer to whether the Section 4 layout transformations
@@ -67,6 +73,9 @@ struct NativeResult {
   long long statements = 0;  ///< statement instances executed (all threads)
   long long barriers = 0;    ///< all-thread barriers per thread
   long long waits = 0;       ///< point-to-point waits, summed over threads
+  /// Epoch waits (barrier arrivals and point-to-point waits) that outlasted
+  /// the spin and ended asleep in std::atomic::wait, summed over threads.
+  long long blocked_waits = 0;
   /// Innermost runs cut by a walker's strip boundary before their
   /// segment's end, summed over threads (runtime::ExecCounters).
   long long walker_splits = 0;
@@ -78,9 +87,9 @@ struct NativeResult {
   long long split_instances = 0;
 };
 
-/// Execute the compiled program on `opts.threads` hardware threads using
-/// a precomputed plan. Throws Error(kInvalidArgument) when the thread
-/// count does not match the compiled processor count.
+/// Execute the compiled program on `opts.threads` threads, the caller and
+/// its team, using a precomputed plan. Throws Error(kInvalidArgument) when
+/// the thread count does not match the compiled processor count.
 NativeResult run_native(const core::CompiledProgram& cp,
                         const ProgramPlan& plan, const NativeOptions& opts);
 

@@ -5,11 +5,17 @@
 // The pipeline consults no process-global state: every knob travels in
 // CompileOptions, so concurrent compiles with *different* options — with
 // the oracles, native threads included, running beside them — are clean,
-// and the serving cache keeps its invariants under a thread storm.
+// and the serving cache keeps its invariants under a thread storm; the
+// native backend's team handshake survives thousands of back-to-back runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -17,6 +23,7 @@
 
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
+#include "native/native.hpp"
 #include "runtime/executor.hpp"
 #include "service/cache.hpp"
 #include "service/server.hpp"
@@ -159,6 +166,59 @@ TEST(Concurrency, CacheStressMatchesSequential) {
   EXPECT_LE(stats.entries, stats.capacity);
   EXPECT_EQ(stats.hits + stats.inflight_dedup + stats.misses,
             static_cast<long>(kThreads) * kPerThread);
+}
+
+// The native team's start and finish handshake under stress: 2,000
+// back-to-back runs of a small program on one caller, T stepping through
+// 1, 2, 3, 4 every 4 runs, so the caller's team grows in the first steps
+// and later runs use all of it or only its first workers. A lost wake-up hangs a run rather than failing
+// it, so a watchdog aborts the test when no run completes for 20 s.
+TEST(Concurrency, NativeTeamBackToBackRuns) {
+  constexpr int kRuns = 2000, kRunsPerStep = 4;
+  const ir::Program prog = apps::lu(8);
+  std::vector<core::CompiledProgram> cps;
+  std::vector<native::ProgramPlan> plans;
+  for (int t = 1; t <= 4; ++t) {
+    cps.push_back(core::compile(prog, core::Mode::Full, t));
+    plans.push_back(native::plan_program(cps.back()));
+  }
+  std::atomic<int> done_runs{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    int last = -1;
+    while (!cv.wait_for(lk, std::chrono::seconds(20),
+                        [&] { return finished; })) {
+      const int now = done_runs.load();
+      if (now == last) {
+        std::fprintf(stderr, "native team stalled after %d runs\n", now);
+        std::abort();
+      }
+      last = now;
+    }
+  });
+
+  long long statements = -1;
+  int mismatches = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    const size_t t = static_cast<size_t>((i / kRunsPerStep) % 4);
+    native::NativeOptions opts;
+    opts.threads = static_cast<int>(t) + 1;
+    opts.collect_values = false;
+    const long long n = native::run_native(cps[t], plans[t], opts).statements;
+    if (statements < 0) statements = n;
+    if (n != statements) ++mismatches;
+    done_runs.fetch_add(1);
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_EQ(mismatches, 0) << "every run executes every statement instance";
 }
 
 // LRU bound under churn: a cache far smaller than the workload's unique

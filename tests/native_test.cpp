@@ -1,7 +1,7 @@
 // Differential tests for the native threaded SPMD backend: every app in
 // every compilation mode must produce bit-identical array results to the
-// sequential reference at 1, 2 and 4 threads, under real std::thread
-// execution with transformed layouts and walker addressing.
+// sequential reference at 1, 2 and 4 threads, on the caller and its team
+// of real threads, with transformed layouts and walker addressing.
 #include "native/native.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "apps/apps.hpp"
 #include "core/compiler.hpp"
@@ -155,6 +156,65 @@ TEST(Native, ThrowingThreadReleasesItsWaiters) {
                 std::string::npos)
           << e.what();
     }
+    // The caller's team survives the throw: the next run on it (the
+    // divide no longer throws) completes with the reference's values.
+    expect_bit_identical(core::to_string(mode) + " after the throw",
+                         run_native(cp, opts).values,
+                         runtime::run_reference(prog));
+  }
+}
+
+TEST(Native, TeamFollowsThreadCountChanges) {
+  // One caller, back to back: its team grows when T does (4 to 8), a
+  // smaller run uses only its first T-1 workers, a T = 1 run none, and
+  // every run matches the reference.
+  const ir::Program progs[] = {apps::lu(16), apps::stencil5(18, 2)};
+  for (const ir::Program& prog : progs) {
+    const auto want = runtime::run_reference(prog);
+    for (int threads : {4, 2, 8, 1, 3, 4}) {
+      const auto cp = core::compile(prog, Mode::Full, threads);
+      NativeOptions opts;
+      opts.threads = threads;
+      expect_bit_identical(prog.name + "/t" + std::to_string(threads),
+                           run_native(cp, opts).values, want);
+    }
+  }
+}
+
+TEST(Native, ConcurrentCallersKeepTheirOwnTeams) {
+  // dctd's case: several threads call run_native at once, each with
+  // thread counts of its own, so each runs on a team of its own.
+  const ir::Program prog = apps::adi(14, 2);
+  const auto want = runtime::run_reference(prog);
+  std::vector<core::CompiledProgram> cps;
+  for (int threads = 1; threads <= 4; ++threads)
+    cps.push_back(core::compile(prog, Mode::Full, threads));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c)
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < 10; ++i) {
+        const int threads = 1 + (c + i / 3) % 4;
+        NativeOptions opts;
+        opts.threads = threads;
+        if (run_native(cps[static_cast<size_t>(threads - 1)], opts).values !=
+            want)
+          mismatches.fetch_add(1);
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(Native, OneThreadRunsNeverWait) {
+  // A T = 1 run is the caller alone: no sync event, so no wait and none
+  // that sleeps.
+  for (const auto& [name, prog] : programs()) {
+    const auto cp = core::compile(prog, Mode::Full, 1);
+    const NativeResult res = run_native(cp, NativeOptions{});
+    EXPECT_EQ(res.barriers, 0) << name;
+    EXPECT_EQ(res.waits, 0) << name;
+    EXPECT_EQ(res.blocked_waits, 0) << name;
   }
 }
 
