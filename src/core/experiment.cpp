@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "support/deadline.hpp"
 #include "support/diagnostics.hpp"
 #include "support/parallel.hpp"
 #include "support/str.hpp"
@@ -43,12 +44,11 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   out.procs = opts.procs;
   out.modes = opts.modes;
 
-  // Sweep-wide cooperative deadline: the executor polls this token at
-  // segment granularity, and the thread pool stops dispatching new cells
-  // once it trips.
-  support::CancelToken cancel;
-  if (opts.deadline_ms > 0)
-    cancel = support::CancelToken::with_deadline_ms(opts.deadline_ms);
+  // Sweep-wide wall-clock deadline: every cell checks it before it
+  // starts, and the executor polls it at segment granularity.
+  const support::Deadline deadline =
+      opts.deadline_ms > 0 ? support::Deadline::in_ms(opts.deadline_ms)
+                           : support::Deadline();
 
   // Every sweep point — the sequential baseline, the per-mode verification
   // runs and the (mode, P) grid — is an independent compile + simulation,
@@ -103,7 +103,7 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
     support::PipelineTrace trace = std::move(cp.trace);
     runtime::ExecOptions eopts;
     eopts.collect_values = t.verify;
-    eopts.cancel = cancel;
+    eopts.deadline = deadline;
     runtime::RunResult rr =
         runtime::simulate(cp, machine::MachineConfig::dash(t.procs), eopts);
     trace.merge(rr.trace);
@@ -117,6 +117,16 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
   auto run_cell = [&](int idx) {
     const Task& t = tasks[static_cast<size_t>(idx)];
     CellOutcome& cell = cells[static_cast<size_t>(idx)];
+    cell.fail.mode = t.mode;
+    cell.fail.procs = t.procs;
+    if (deadline.expired()) {
+      cell.has_failure = true;
+      cell.fail.code = Error::Code::kDeadlineExceeded;
+      cell.fail.what = "sweep budget exhausted before the cell started";
+      cell.fail.repro = strf("%s mode=%s procs=%d", prog.name.c_str(),
+                             to_string(t.mode).c_str(), t.procs);
+      return;
+    }
     std::optional<Error> last;
     const int tries = 1 + std::max(0, opts.retries);
     for (int a = 0; a < tries && !cell.ok; ++a) {
@@ -126,20 +136,14 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
         cell.result = std::move(rr);
         cell.trace = std::move(trace);
         cell.ok = true;
-      } catch (const Error& e) {
-        last = e;
-      } catch (const std::exception& e) {
-        last = Error(Error::Code::kFault, e.what());
       } catch (...) {
-        last = Error(Error::Code::kFault, "unknown exception");
+        last = current_error();
       }
       if (last && !retryable(last->code())) break;
     }
     if (cell.ok) return;
     // Every attempt failed: the cell is recorded and rendered as "-".
     cell.has_failure = true;
-    cell.fail.mode = t.mode;
-    cell.fail.procs = t.procs;
     cell.fail.code = last->code();
     cell.fail.stage = join(last->context(), "; ");
     cell.fail.what = last->what();
@@ -152,25 +156,8 @@ SweepResult run_sweep(const ir::Program& prog, const SweepOptions& opts) {
 
   // run_cell is the crash boundary: it catches every exception, so this
   // never throws.
-  const std::vector<char> started = support::parallel_for(
-      static_cast<int>(tasks.size()), opts.threads, run_cell, cancel);
-
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    CellOutcome& cell = cells[i];
-    if (!started[i]) {
-      // The deadline tripped before this cell was dispatched.
-      cell.has_failure = true;
-      cell.fail.mode = tasks[i].mode;
-      cell.fail.procs = tasks[i].procs;
-      cell.fail.code = cancel.valid() && cancel.expired()
-                           ? cancel.reason()
-                           : Error::Code::kCancelled;
-      cell.fail.what = "sweep budget exhausted before the cell started";
-      cell.fail.repro = strf("%s mode=%s procs=%d", prog.name.c_str(),
-                             to_string(tasks[i].mode).c_str(),
-                             tasks[i].procs);
-    }
-  }
+  support::parallel_for(static_cast<int>(tasks.size()), opts.threads,
+                        run_cell);
 
   for (size_t i = 0; i < tasks.size(); ++i) {
     out.trace.merge(cells[i].trace);

@@ -4,8 +4,8 @@
 // summary tables.
 //
 // The sweep is fault-isolated: every (mode, P) cell runs inside a crash
-// boundary with a configurable retry budget and a cooperative wall-clock
-// deadline (SweepOptions::deadline_ms). A cell that keeps failing becomes a
+// boundary with a configurable retry budget and a wall-clock deadline
+// (SweepOptions::deadline_ms). A cell that keeps failing becomes a
 // structured CellFailure record — it never takes the sweep down — and is
 // rendered as "-": no other mode's result ever stands in for it.
 #pragma once
@@ -18,7 +18,6 @@
 #include "core/compiler.hpp"
 #include "machine/machine.hpp"
 #include "runtime/executor.hpp"
-#include "support/cancel.hpp"
 #include "support/diagnostics.hpp"
 
 namespace dct::core {
@@ -36,9 +35,9 @@ struct SweepOptions {
   /// configs, oracle violations and deadline trips are never retried).
   int retries = 0;
   /// Wall-clock budget for the whole sweep in milliseconds; 0 disables the
-  /// deadline. On expiry, running simulations stop at their next
-  /// cancellation poll and cells not yet started are recorded as
-  /// cancelled.
+  /// deadline. On expiry, running simulations stop at their next deadline
+  /// poll, and cells that start later fail with kDeadlineExceeded without
+  /// compiling.
   double deadline_ms = 0;
   /// Test seam: called at the start of every cell attempt (before the
   /// compile). A throw is handled exactly like a pass or simulator fault
@@ -76,7 +75,7 @@ struct SweepResult {
   /// and decision counters summed): the one analysis's stages once, then
   /// every cell's tail and simulation.
   support::PipelineTrace trace;
-  /// Every cell that faulted, was skipped or got cancelled.
+  /// Every cell that faulted, was skipped or ran out of time.
   std::vector<CellFailure> failures;
 
   /// True when every cell produced its result (skipped cells count as

@@ -254,10 +254,8 @@ void run(const std::string& name, std::vector<support::PassRecord>& passes,
   support::PassRecorder rec(name);
   try {
     stage(static_cast<support::RemarkSink&>(rec));
-  } catch (Error& e) {
-    throw e.with_context("pass " + name);
-  } catch (const std::exception& e) {
-    throw Error(Error::Code::kFault, e.what()).with_context("pass " + name);
+  } catch (...) {
+    throw current_error().with_context("pass " + name);
   }
   passes.push_back(rec.finish());
 }

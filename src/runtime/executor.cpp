@@ -55,10 +55,10 @@ class SimPolicy {
 
   SimPolicy(const CompiledProgram& cp, const machine::MachineConfig& mcfg,
             machine::Machine& machine, std::vector<Cells>& cells,
-            std::vector<double>& clock, const support::CancelToken& cancel,
+            std::vector<double>& clock, const support::Deadline& deadline,
             bool cache_clock, bool values)
       : cp_(cp), mcfg_(mcfg), machine_(machine), cells_(cells),
-        clock_(clock), cancel_(cancel), cache_clock_(cache_clock),
+        clock_(clock), deadline_(deadline), cache_clock_(cache_clock),
         values_(values) {}
 
   Slot slot(int array, double addr_overhead) const {
@@ -129,9 +129,7 @@ class SimPolicy {
     s.wtime[lin] = cur.t;
   }
 
-  void poll() const {
-    if (cancel_.valid()) cancel_.check("simulate");
-  }
+  void poll() const { deadline_.check("simulate"); }
   static void gate() {}
   static void after_iteration(int) {}
 
@@ -143,7 +141,7 @@ class SimPolicy {
   machine::Machine& machine_;
   std::vector<Cells>& cells_;
   std::vector<double>& clock_;
-  const support::CancelToken& cancel_;
+  const support::Deadline& deadline_;
   const bool cache_clock_;
   const bool values_;
 };
@@ -221,7 +219,7 @@ RunResult simulate(const CompiledProgram& cp,
   RunResult res;
   res.proc_cycles.assign(static_cast<size_t>(P), 0.0);
   std::vector<double>& clock = res.proc_cycles;
-  SimPolicy policy(cp, mcfg, machine, cells, clock, opts.cancel,
+  SimPolicy policy(cp, mcfg, machine, cells, clock, opts.deadline,
                    opts.fast_exec, values);
   Traversal<SimPolicy> kernel(cp, policy, opts.fast_exec);
   for (int step = 0; step < prog.time_steps; ++step) {

@@ -32,7 +32,7 @@
 
 #include "core/compiler.hpp"
 #include "machine/machine.hpp"
-#include "support/cancel.hpp"
+#include "support/deadline.hpp"
 #include "support/remark.hpp"
 
 namespace dct::runtime {
@@ -85,10 +85,10 @@ struct ExecOptions {
   /// true = fast configuration (walkers, owner hoisting, clock caching,
   /// machine fast path); false = interpreter.
   bool fast_exec = true;
-  /// Cooperative cancellation: the engines poll this token at segment
-  /// granularity and throw Error(kCancelled / kDeadlineExceeded) when it
-  /// expires. A default (inert) token costs one branch per segment.
-  support::CancelToken cancel;
+  /// Wall-clock deadline: the engines check it at segment granularity
+  /// and throw Error(kDeadlineExceeded) once it expires. A default
+  /// deadline never expires and costs one compare per segment.
+  support::Deadline deadline;
 };
 
 /// Simulate the compiled program on the machine. `mcfg.procs` must match

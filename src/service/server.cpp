@@ -156,7 +156,7 @@ void Server::enqueue(Item item) {
   metrics_.on_received();
   const double dl = item.req.deadline_ms != 0 ? item.req.deadline_ms
                                               : opts_.default_deadline_ms;
-  if (dl > 0) item.cancel = support::CancelToken::with_deadline_ms(dl);
+  if (dl > 0) item.deadline = support::Deadline::in_ms(dl);
   item.enqueued = Clock::now();
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -269,7 +269,7 @@ Response Server::process(Item& item) {
   double key_ms = 0, compile_ms = 0, spot_check_ms = 0, exec_ms = 0;
   Error::Code code = Error::Code::kGeneric;  // of a failed request
   try {
-    item.cancel.check("dctd queue wait");
+    item.deadline.check("dctd queue wait");
     if (req.procs < 1 || req.procs > 64)
       throw Error(Error::Code::kInvalidArgument,
                   strf("procs %d out of range [1, 64]", req.procs));
@@ -327,7 +327,7 @@ Response Server::process(Item& item) {
       }
     }
 
-    item.cancel.check("dctd post-compile");
+    item.deadline.check("dctd post-compile");
     const Clock::time_point e0 = Clock::now();
     switch (req.engine) {
       case Engine::Compile:
@@ -335,7 +335,7 @@ Response Server::process(Item& item) {
       case Engine::Simulate: {
         runtime::ExecOptions eo;
         eo.init_seed = req.seed;
-        eo.cancel = item.cancel;
+        eo.deadline = item.deadline;
         const runtime::RunResult rr =
             runtime::simulate(cp, machine::MachineConfig::dash(req.procs),
                               eo);
@@ -357,19 +357,13 @@ Response Server::process(Item& item) {
     }
     exec_ms = ms_since(e0);
     resp.ok = true;
-  } catch (const Error& e) {
-    // Crash boundary tier 1: structured dct errors pass through verbatim.
+  } catch (...) {
+    // Crash boundary: the request fails with its error's code, and the
+    // worker (and every other queued request) is unaffected.
+    const Error e = current_error();
     code = e.code();
     resp.error = e.what();
     resp.context = join_context(e);
-  } catch (const std::exception& e) {
-    // Tier 2: foreign exceptions become kFault — the request failed but
-    // the worker (and every other queued request) is unaffected.
-    code = Error::Code::kFault;
-    resp.error = e.what();
-  } catch (...) {
-    code = Error::Code::kFault;
-    resp.error = "unknown exception";
   }
   if (!resp.ok) resp.error_code = to_string(code);
 

@@ -19,8 +19,8 @@
 //
 // Concurrency contract: submit() applies backpressure (blocks while the
 // queue is full), workers pull in FIFO order, and every request carries a
-// CancelToken armed from its deadline at submit time — a request that
-// waited out its deadline in the queue fails fast without compiling.
+// support::Deadline set from its deadline_ms at submit time — a request
+// that waited out its deadline in the queue fails fast without compiling.
 #pragma once
 
 #include <atomic>
@@ -39,7 +39,7 @@
 #include "core/compiler.hpp"
 #include "service/cache.hpp"
 #include "service/metrics.hpp"
-#include "support/cancel.hpp"
+#include "support/deadline.hpp"
 
 namespace dct::service {
 
@@ -168,7 +168,7 @@ class Server {
  private:
   struct Item {
     Request req;
-    support::CancelToken cancel;
+    support::Deadline deadline;
     std::chrono::steady_clock::time_point enqueued;
     std::function<void(Response)> callback;  ///< receives the Response
   };

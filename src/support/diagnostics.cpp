@@ -24,6 +24,18 @@ const char* to_string(Error::Code code) {
   return "?";
 }
 
+Error current_error() {
+  try {
+    throw;
+  } catch (const Error& e) {
+    return e;
+  } catch (const std::exception& e) {
+    return Error(Error::Code::kFault, e.what());
+  } catch (...) {
+    return Error(Error::Code::kFault, "unknown exception");
+  }
+}
+
 namespace detail {
 
 void check_failed(const char* expr, const char* file, int line,

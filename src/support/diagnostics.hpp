@@ -27,7 +27,7 @@ class Error : public std::runtime_error {
     kUnsupportedConfig,  ///< valid request the implementation cannot serve
                          ///< (recorded as a skipped cell, not a failure)
     kOracleViolation,    ///< a validation oracle found wrong results
-    kCancelled,          ///< cooperative cancellation tripped
+    kCancelled,          ///< a dctd request refused at shutdown
     kDeadlineExceeded,   ///< wall-clock deadline budget exhausted
     kFault,              ///< foreign exception caught at a crash boundary
   };
@@ -60,6 +60,11 @@ class Error : public std::runtime_error {
 
 /// Short stable name of a code, e.g. "unsupported-config".
 const char* to_string(Error::Code code);
+
+/// The exception in flight as an Error, for crash boundaries: a dct::Error
+/// as it is, any other std::exception as kFault with its what(), and
+/// anything else as kFault "unknown exception". Call only inside a catch.
+Error current_error();
 
 namespace detail {
 [[noreturn]] void check_failed(const char* expr, const char* file, int line,

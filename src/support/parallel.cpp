@@ -1,8 +1,10 @@
 #include "support/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
+#include <vector>
 
 namespace dct::support {
 
@@ -11,23 +13,15 @@ int default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-std::vector<char> parallel_for(int n, int threads,
-                               const std::function<void(int)>& fn,
-                               const CancelToken& cancel) {
-  if (n <= 0) return {};
+void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
+  if (n <= 0) return;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(n));
-  std::vector<char> started(static_cast<size_t>(n), 1);
   if (threads <= 0) threads = default_threads();
   const int workers = std::min(threads, n);
-  const bool watch = cancel.valid();
 
   std::atomic<int> next{0};
   auto work = [&] {
     for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (watch && cancel.expired()) {
-        started[static_cast<size_t>(i)] = 0;
-        continue;  // drain the counter so every index gets a verdict
-      }
       try {
         fn(i);
       } catch (...) {
@@ -42,7 +36,6 @@ std::vector<char> parallel_for(int n, int threads,
   for (std::thread& t : pool) t.join();
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
-  return started;
 }
 
 }  // namespace dct::support

@@ -3,9 +3,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
-
-#include "support/cancel.hpp"
 
 namespace dct::support {
 
@@ -15,15 +12,10 @@ int default_threads();
 
 /// Run fn(0) .. fn(n-1) on up to `threads` worker threads (<= 0 means
 /// default_threads(); 1 runs serially on the calling thread). Blocks until
-/// every dispatched index has completed. If any invocation throws, the
-/// exception of the lowest-numbered failing index is rethrown after the
-/// join, so failure reporting is deterministic regardless of scheduling;
-/// callers that must see every failure catch inside `fn`. When `cancel` is
-/// a valid token, workers stop fetching new indices once it expires.
-/// Returns started[i]: false when cancellation stopped the loop before
-/// fn(i) was dispatched.
-std::vector<char> parallel_for(int n, int threads,
-                               const std::function<void(int)>& fn,
-                               const CancelToken& cancel = {});
+/// every index has completed. If any invocation throws, the exception of
+/// the lowest-numbered failing index is rethrown after the join, so
+/// failure reporting is deterministic regardless of scheduling; callers
+/// that must see every failure catch inside `fn`.
+void parallel_for(int n, int threads, const std::function<void(int)>& fn);
 
 }  // namespace dct::support

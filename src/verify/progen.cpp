@@ -268,12 +268,8 @@ std::optional<std::string> check_program(const ir::Program& prog,
           return bad;
       }
     }
-  } catch (const Error& e) {
-    return "crash: " + e.full_message();
-  } catch (const std::exception& e) {
-    return strf("crash (foreign exception): %s", e.what());
   } catch (...) {
-    return "crash (unknown exception)";
+    return "crash: " + current_error().full_message();
   }
   return std::nullopt;
 }

@@ -185,14 +185,14 @@ TEST(Executor, RejectsProcessorCountsBeyondInt8Writers) {
 }
 
 TEST(Executor, DeadlineCancelsRunawayNest) {
-  // A runaway simulation must stop at a cancellation poll, in both
-  // engines, with the deadline's structured code.
+  // A runaway simulation must stop at a deadline poll, in both engines,
+  // with the deadline's structured code.
   const ir::Program prog = apps::stencil5(96, 4);
   const auto cp = core::compile(prog, Mode::Full, 4);
   for (bool fast : {true, false}) {
     ExecOptions opts;
     opts.fast_exec = fast;
-    opts.cancel = support::CancelToken::with_deadline_ms(0);  // expired
+    opts.deadline = support::Deadline::in_ms(0);  // expired
     try {
       simulate(cp, machine::MachineConfig::dash(4), opts);
       FAIL() << "expected deadline trip (fast_exec=" << fast << ")";
@@ -202,24 +202,17 @@ TEST(Executor, DeadlineCancelsRunawayNest) {
   }
 }
 
-TEST(Executor, ExplicitCancellationStopsSimulation) {
+TEST(Executor, FarDeadlineChangesNothing) {
+  // A deadline that does not trip changes no cycle and no value.
   const ir::Program prog = apps::figure1(32, 2);
   const auto cp = core::compile(prog, Mode::Base, 2);
-  ExecOptions opts;
-  opts.cancel = support::CancelToken::make();
-  opts.cancel.cancel();
-  EXPECT_THROW(simulate(cp, machine::MachineConfig::dash(2), opts), Error);
-  // An inert token costs nothing and changes nothing.
   const auto plain = simulate(cp, machine::MachineConfig::dash(2));
-  const auto with_token =
-      simulate(cp, machine::MachineConfig::dash(2),
-               [] {
-                 ExecOptions o;
-                 o.cancel = support::CancelToken::with_deadline_ms(60000);
-                 return o;
-               }());
-  EXPECT_EQ(plain.cycles, with_token.cycles);
-  EXPECT_EQ(plain.values, with_token.values);
+  ExecOptions opts;
+  opts.deadline = support::Deadline::in_ms(60000);
+  const auto with_deadline =
+      simulate(cp, machine::MachineConfig::dash(2), opts);
+  EXPECT_EQ(plain.cycles, with_deadline.cycles);
+  EXPECT_EQ(plain.values, with_deadline.values);
 }
 
 TEST(Executor, AddressStrategyChangesTimeNotValues) {

@@ -1,13 +1,14 @@
 // Tests for the experiment harness (sweeps, figure rendering, Table 1)
 // and its fault isolation: injected faults become CellFailure records of
 // exactly the faulting cells, unsupported configurations are skipped, and
-// a tripped deadline cancels the sweep cooperatively — the sweep itself
-// always completes.
+// an expired deadline fails the cells left — the sweep itself always
+// completes.
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 
 #include "apps/apps.hpp"
 #include "support/diagnostics.hpp"
@@ -198,17 +199,26 @@ TEST(Experiment, UnsupportedProcCountIsSkippedNotDegraded) {
 }
 
 TEST(Experiment, DeadlineCancelsRunawaySweep) {
-  // A deadline that expires immediately: simulations stop at their first
-  // cancellation poll and undispatched cells are recorded as cancelled.
-  // The sweep still returns a complete (all-failures) result.
+  // A deadline under one clock tick has expired before the first cell
+  // starts, so every cell fails at its start without compiling, and the
+  // sweep still returns a complete (all-failures) result.
   SweepOptions opts;
   opts.procs = {2, 4, 8};
   opts.verify = false;
-  opts.deadline_ms = 0.0001;
+  opts.threads = 1;
+  opts.deadline_ms = std::numeric_limits<double>::denorm_min();
+  int hook_calls = 0;
+  opts.fault_hook = [&hook_calls](Mode, int) { ++hook_calls; };
   const SweepResult r = run_sweep(apps::stencil5(64, 4), opts);
-  ASSERT_FALSE(r.failures.empty());
-  for (const CellFailure& f : r.failures)
+  EXPECT_EQ(hook_calls, 0);
+  // The sequential baseline plus the 3 x 3 grid.
+  ASSERT_EQ(r.failures.size(), 10u);
+  for (const CellFailure& f : r.failures) {
     EXPECT_EQ(f.code, Error::Code::kDeadlineExceeded) << f.to_string();
+    EXPECT_EQ(f.what, "sweep budget exhausted before the cell started");
+    EXPECT_EQ(f.attempts, 0) << f.to_string();
+  }
+  EXPECT_EQ(r.analysis, nullptr);
   // Nothing useful was measured, but nothing crashed either.
   const std::string text = render_sweep("deadline", r);
   EXPECT_NE(text.find("cell failures:"), std::string::npos);

@@ -1,12 +1,15 @@
 // Tests for the support utilities (string formatting, RNG,
-// structured errors, cancellation tokens, parallel-for fault collection).
+// structured errors and their crash-boundary conversion, deadlines,
+// parallel-for fault collection).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 
-#include "support/cancel.hpp"
+#include "support/deadline.hpp"
 #include "support/diagnostics.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -67,39 +70,65 @@ TEST(Error, CodesAndContextChain) {
                "deadline-exceeded");
 }
 
-TEST(Cancel, InertTokenNeverExpires) {
-  const support::CancelToken t;
-  EXPECT_FALSE(t.valid());
-  EXPECT_FALSE(t.expired());
-  EXPECT_NO_THROW(t.check("anywhere"));
+TEST(Support, CurrentErrorMapsEveryExceptionKind) {
+  // A dct::Error keeps its code and context.
+  try {
+    throw Error(Error::Code::kOracleViolation, "bad values")
+        .with_context("verify cell");
+  } catch (...) {
+    const Error e = current_error();
+    EXPECT_EQ(e.code(), Error::Code::kOracleViolation);
+    EXPECT_STREQ(e.what(), "bad values");
+    ASSERT_EQ(e.context().size(), 1u);
+    EXPECT_EQ(e.context()[0], "verify cell");
+  }
+  // Any other std::exception becomes a fault with its message.
+  try {
+    throw std::runtime_error("vector::at");
+  } catch (...) {
+    const Error e = current_error();
+    EXPECT_EQ(e.code(), Error::Code::kFault);
+    EXPECT_STREQ(e.what(), "vector::at");
+    EXPECT_TRUE(e.context().empty());
+  }
+  // Anything else thrown becomes a fault too.
+  try {
+    throw 7;
+  } catch (...) {
+    const Error e = current_error();
+    EXPECT_EQ(e.code(), Error::Code::kFault);
+    EXPECT_STREQ(e.what(), "unknown exception");
+  }
 }
 
-TEST(Cancel, ExplicitCancelAndDeadline) {
-  const support::CancelToken t = support::CancelToken::make();
-  EXPECT_TRUE(t.valid());
-  EXPECT_FALSE(t.expired());
-  t.cancel();
-  EXPECT_TRUE(t.expired());
-  EXPECT_EQ(t.reason(), Error::Code::kCancelled);
+TEST(Deadline, DefaultNeverExpires) {
+  const support::Deadline d;
+  EXPECT_FALSE(d.expired());
+  EXPECT_NO_THROW(d.check("anywhere"));
+}
+
+TEST(Deadline, NonPositiveOrNaNExpiresAtOnce) {
+  for (const double ms : {0.0, -5.0, std::nan("")})
+    EXPECT_TRUE(support::Deadline::in_ms(ms).expired()) << ms;
+}
+
+TEST(Deadline, HugeDeadlinesSaturateInsteadOfOverflowing) {
+  // Converting these waits to clock ticks would overflow; the deadline
+  // must saturate to "never expires", not wrap into the past.
+  for (const double ms : {std::numeric_limits<double>::infinity(), 1e300}) {
+    const support::Deadline d = support::Deadline::in_ms(ms);
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_NO_THROW(d.check("anywhere")) << ms;
+  }
+}
+
+TEST(Deadline, CheckThrowsDeadlineExceededNamingWhere) {
   try {
-    t.check("unit test");
+    support::Deadline::in_ms(0).check("unit test");
     FAIL() << "expected Error";
   } catch (const Error& e) {
-    EXPECT_EQ(e.code(), Error::Code::kCancelled);
+    EXPECT_EQ(e.code(), Error::Code::kDeadlineExceeded);
     EXPECT_NE(std::string(e.what()).find("unit test"), std::string::npos);
-  }
-
-  const support::CancelToken d = support::CancelToken::with_deadline_ms(0);
-  EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.reason(), Error::Code::kDeadlineExceeded);
-}
-
-TEST(Cancel, HugeDeadlinesSaturateInsteadOfOverflowing) {
-  // Converting these waits to clock ticks would overflow; the token must
-  // saturate to "never expires", not wrap into the past.
-  for (const double ms : {std::numeric_limits<double>::infinity(), 1e300}) {
-    const support::CancelToken t = support::CancelToken::with_deadline_ms(ms);
-    EXPECT_FALSE(t.expired()) << ms;
   }
 }
 
@@ -119,36 +148,6 @@ TEST(Parallel, RethrowsLowestIndexForDirectCallers) {
     }
     EXPECT_EQ(ran.load(), 8);
   }
-}
-
-TEST(Parallel, CancelledTokenStopsDispatch) {
-  // Pre-cancelled token: no index is dispatched at all.
-  for (int threads : {1, 4}) {
-    const support::CancelToken t = support::CancelToken::make();
-    t.cancel();
-    std::atomic<int> ran{0};
-    const std::vector<char> started =
-        support::parallel_for(100, threads, [&](int) { ++ran; }, t);
-    EXPECT_EQ(ran.load(), 0);
-    ASSERT_EQ(started.size(), 100u);
-    for (char s : started) EXPECT_FALSE(s);
-  }
-
-  // Mid-run cancellation (serial, so the cut point is deterministic):
-  // indices after the trip are drained and marked unstarted.
-  const support::CancelToken t = support::CancelToken::make();
-  std::atomic<int> ran{0};
-  const std::vector<char> started = support::parallel_for(
-      100, 1,
-      [&](int i) {
-        ++ran;
-        if (i == 0) t.cancel();
-      },
-      t);
-  EXPECT_EQ(ran.load(), 1);
-  ASSERT_EQ(started.size(), 100u);
-  EXPECT_TRUE(started[0]);
-  for (size_t i = 1; i < started.size(); ++i) EXPECT_FALSE(started[i]);
 }
 
 TEST(Rng, InclusiveBoundsAndNegatives) {
