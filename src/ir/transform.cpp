@@ -47,12 +47,6 @@ IntMatrix skew_matrix(int depth, int target, int source, linalg::Int factor) {
   return m;
 }
 
-IntMatrix reversal_matrix(int depth, int level) {
-  IntMatrix m = IntMatrix::identity(depth);
-  m.at(level, level) = -1;
-  return m;
-}
-
 IntMatrix unimodular_inverse(const IntMatrix& u) {
   DCT_CHECK(u.rows() == u.cols(), "inverse of non-square matrix");
   const int n = u.rows();
@@ -63,12 +57,14 @@ IntMatrix unimodular_inverse(const IntMatrix& u) {
     return inv;
   }
   DCT_CHECK(std::abs(linalg::determinant(u)) == 1, "matrix is not unimodular");
+  // Column c solves u x = e_c; a unimodular u has one integral inverse.
+  bool full_rank = false;
   for (int c = 0; c < n; ++c) {
     linalg::Vec e(static_cast<size_t>(n), 0);
     e[static_cast<size_t>(c)] = 1;
-    const auto sol = linalg::solve(u, e);
-    DCT_CHECK(sol.has_value() && sol->denom == 1, "unimodular inverse failed");
-    for (int r = 0; r < n; ++r) inv.at(r, c) = sol->x[static_cast<size_t>(r)];
+    const auto x = linalg::solve_unique_integral(u, e, full_rank);
+    DCT_CHECK(x.has_value(), "unimodular inverse failed");
+    for (int r = 0; r < n; ++r) inv.at(r, c) = (*x)[static_cast<size_t>(r)];
   }
   return inv;
 }

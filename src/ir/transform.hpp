@@ -21,9 +21,6 @@ linalg::IntMatrix permutation_matrix(const std::vector<int>& perm);
 linalg::IntMatrix skew_matrix(int depth, int target, int source,
                               linalg::Int factor);
 
-/// Reversal matrix: identity with row `level` negated.
-linalg::IntMatrix reversal_matrix(int depth, int level);
-
 /// Apply a unimodular transform to a nest: returns the equivalent nest
 /// over j = U * i (same set of executed statement instances, new
 /// enumeration order). Throws if U is not unimodular or if the transformed
@@ -36,7 +33,7 @@ LoopNest apply_unimodular(const LoopNest& nest, const linalg::IntMatrix& u);
 bool is_permutation(const linalg::IntMatrix& u);
 
 /// Exact integer inverse of a unimodular matrix: the transpose of a
-/// permutation, rational solves otherwise.
+/// permutation, one unique integral solve per column otherwise.
 linalg::IntMatrix unimodular_inverse(const linalg::IntMatrix& u);
 
 // Fourier–Motzkin elimination over affine inequalities, shared by bound

@@ -40,7 +40,7 @@ void Layout::apply(const StripMine& sm) {
   const DimFn high{f.src, checked_mul(f.div, sm.size),
                    f.mod == 0 ? 0 : f.mod / sm.size};
   const Int d = dims_[static_cast<size_t>(sm.dim)];
-  steps_.push_back(sm);
+  steps_.emplace_back(sm);
   // (i mod b) at position dim, (i div b) at position dim+1.
   dims_[static_cast<size_t>(sm.dim)] = sm.size;
   dims_.insert(dims_.begin() + sm.dim + 1, ceil_div(d, sm.size));
@@ -62,7 +62,7 @@ void Layout::apply(const Permute& p) {
     nd[k] = dims_[static_cast<size_t>(src)];
     nf[k] = fns_[static_cast<size_t>(src)];
   }
-  steps_.push_back(p);
+  steps_.emplace_back(p);
   dims_ = std::move(nd);
   fns_ = std::move(nf);
 }

@@ -66,12 +66,6 @@ IntMatrix IntMatrix::identity(int n) {
   return m;
 }
 
-IntMatrix IntMatrix::col_vector(const Vec& v) {
-  IntMatrix m(static_cast<int>(v.size()), 1);
-  for (size_t i = 0; i < v.size(); ++i) m.at(static_cast<int>(i), 0) = v[i];
-  return m;
-}
-
 IntMatrix IntMatrix::operator*(const IntMatrix& rhs) const {
   DCT_CHECK(cols_ == rhs.rows_, "matmul shape mismatch");
   IntMatrix out(rows_, rhs.cols_);
@@ -93,16 +87,6 @@ Vec IntMatrix::operator*(const Vec& v) const {
       out[static_cast<size_t>(r)] =
           checked_add(out[static_cast<size_t>(r)],
                       checked_mul(at(r, c), v[static_cast<size_t>(c)]));
-  return out;
-}
-
-IntMatrix IntMatrix::hstack(const IntMatrix& other) const {
-  DCT_CHECK(rows_ == other.rows_, "hstack height mismatch");
-  IntMatrix out(rows_, cols_ + other.cols_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) out.at(r, c) = at(r, c);
-    for (int c = 0; c < other.cols_; ++c) out.at(r, cols_ + c) = other.at(r, c);
-  }
   return out;
 }
 
@@ -211,39 +195,6 @@ Int determinant(const IntMatrix& m) {
     prev = a.at(k, k);
   }
   return checked_mul(sign, a.at(n - 1, n - 1));
-}
-
-std::optional<RationalSolution> solve(const IntMatrix& a, const Vec& b) {
-  DCT_CHECK(static_cast<int>(b.size()) == a.rows(), "rhs size mismatch");
-  const int n = a.cols();
-  if (b.empty()) return RationalSolution{Vec(static_cast<size_t>(n), 0), 1};
-  Flat m(a, b);
-  const int pivots = eliminate(m, n);
-  for (int r = pivots; r < a.rows(); ++r)
-    if (m.at(r, n) != 0) return std::nullopt;  // inconsistent
-  // Pivot row i reads p * x_c = rhs at its pivot column c; the free
-  // variables are zero.
-  Vec num(static_cast<size_t>(n), 0), den(static_cast<size_t>(n), 1);
-  Int denom = 1;
-  for (int i = 0; i < pivots; ++i) {
-    int c = 0;
-    while (m.at(i, c) == 0) ++c;
-    Int p = m.at(i, c), rhs = m.at(i, n);
-    if (p < 0) {
-      p = checked_mul(p, -1);
-      rhs = checked_mul(rhs, -1);
-    }
-    const Int g = gcd(p, rhs);
-    num[static_cast<size_t>(c)] = rhs / g;
-    den[static_cast<size_t>(c)] = p / g;
-    denom = checked_mul(denom, (p / g) / gcd(denom, p / g));
-  }
-  RationalSolution out;
-  out.denom = denom;
-  out.x.resize(static_cast<size_t>(n));
-  for (size_t c = 0; c < static_cast<size_t>(n); ++c)
-    out.x[c] = checked_mul(num[c], denom / den[c]);
-  return out;
 }
 
 std::optional<Vec> solve_unique_integral(const IntMatrix& a,

@@ -3,8 +3,9 @@
 // The small kernel the compiler runs: checked arithmetic, gcds and
 // floor/ceil division (the paper's 0-based index arithmetic), a dense
 // matrix for access functions and loop transforms, and exact elimination
-// over the integers for determinants and linear solves (dependence
-// distances, the inverse of a non-permutation unimodular loop transform).
+// over the integers for determinants and unique integral solves
+// (dependence distances, the inverse of a non-permutation unimodular loop
+// transform).
 #pragma once
 
 #include <cstdint>
@@ -59,8 +60,6 @@ class IntMatrix {
   IntMatrix(std::initializer_list<std::initializer_list<Int>> rows);
 
   static IntMatrix identity(int n);
-  /// Single-column constructor.
-  static IntMatrix col_vector(const Vec& v);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -88,8 +87,6 @@ class IntMatrix {
   Vec operator*(const Vec& v) const;
   bool operator==(const IntMatrix& rhs) const = default;
 
-  /// Append the columns of `other` (must have equal rows) to the right.
-  IntMatrix hstack(const IntMatrix& other) const;
   /// Rows [r0, r1) and columns [c0, c1).
   IntMatrix submatrix(int r0, int r1, int c0, int c1) const;
 
@@ -105,17 +102,8 @@ class IntMatrix {
 /// square).
 Int determinant(const IntMatrix& m);
 
-/// Solve A x = b over the rationals (fraction-free integer elimination,
-/// free variables zero); returns an integral solution scaled by the
-/// returned denominator: A * x == denom * b. nullopt if unsolvable.
-struct RationalSolution {
-  Vec x;
-  Int denom = 1;
-};
-std::optional<RationalSolution> solve(const IntMatrix& a, const Vec& b);
-
-/// The solution of A x = b when it is unique and integral, by the same
-/// elimination with no denominators to collect. `full_rank` reports
+/// The solution of A x = b when it is unique and integral, by
+/// fraction-free integer elimination. `full_rank` reports
 /// whether A has full column rank; nullopt when it has not, when the
 /// system is inconsistent or when its one solution is not integral.
 std::optional<Vec> solve_unique_integral(const IntMatrix& a,

@@ -21,8 +21,8 @@ using core::CompiledProgram;
 namespace {
 
 /// Sync event number. Every thread counts the same sequence of sync events
-/// (barriers, gate arrivals and firings, doacross iterations), so "thread t
-/// posted epoch e" names the same program point on every thread.
+/// (barriers, gated firings, doacross iterations), so "thread t posted
+/// epoch e" names the same program point on every thread.
 using Epoch = std::uint32_t;
 /// Posted by a thread that throws: satisfies every wait on it, now and
 /// later, so the survivors run to the end instead of hanging.
@@ -104,7 +104,7 @@ class EpochCounters {
 
 /// Traversal policy of one SPMD thread: plain loads and stores into the
 /// transformed layouts, the owner filter, and the plan's epoch syncs (a
-/// barrier after each iteration of the barrier level, owner posts around
+/// barrier after each iteration of the barrier level, owner posts after
 /// gated-statement firings, doacross waits and posts per segment).
 /// Unfiltered, it runs a Sequential nest whole on one thread. Its accesses
 /// being plain, it takes owned pieces of segments as compiled run loops.
@@ -123,11 +123,7 @@ class NativePolicy {
   Slot slot(int array, double) const {
     return data_[static_cast<size_t>(array)].data();
   }
-  bool owns(int q) {
-    if (firing_) [[unlikely]]
-      fire(q);
-    return !filter_ || q == myid_;
-  }
+  bool owns(int q) const { return !filter_ || q == myid_; }
   static Cursor cursor() { return {}; }
   static void flush(Cursor&) {}
   static void begin(Cursor&, int, double) {}
@@ -142,22 +138,16 @@ class NativePolicy {
   void poll() {
     if (upstream_ >= 0) wait(upstream_, n_ + 1);
   }
-  /// Called before and after each gated-statement firing; the kernel asks
-  /// owns() for the firing's owner in between. All threads evaluate the
-  /// same firing predicate and owner, so every thread counts the firing.
-  void gate() {
+  /// After each gated-statement firing, owned by q: q posts and every
+  /// other thread waits on it. All threads evaluate the same firing
+  /// predicate and owner, so every thread counts the firing.
+  void fired(int q) {
     if (!filter_ || np_->gate == GateSync::None || T_ == 1) return;
-    if (!firing_) {
-      firing_ = true;
-      if (np_->gate == GateSync::GatherPost) post(next());  // arrival
-      return;
-    }
-    firing_ = false;
     const Epoch e = next();
-    if (owner_ == myid_)
+    if (q == myid_)
       post(e);
     else
-      wait(owner_, e);
+      wait(q, e);
   }
   void after_iteration(int level) {
     if (!filter_) return;
@@ -193,14 +183,6 @@ class NativePolicy {
   long long blocked_waits = 0;  ///< epoch waits that slept
 
  private:
-  /// The firing's owner is q: with GatherPost it first waits for every
-  /// other thread's arrival (posted by gate() before the firing).
-  void fire(int q) {
-    owner_ = q;
-    if (np_->gate == GateSync::GatherPost && q == myid_)
-      for (int t = 0; t < T_; ++t)
-        if (t != myid_) wait(t, n_);
-  }
   Epoch next() {
     DCT_CHECK(n_ < kTerminal - 1, "native sync epoch overflow");
     return ++n_;
@@ -224,8 +206,6 @@ class NativePolicy {
   const NestPlan* np_ = nullptr;
   bool filter_ = true;
   Epoch n_ = 0;          ///< last sync event this thread reached
-  bool firing_ = false;  ///< between the two gate() calls of a firing
-  int owner_ = 0;        ///< owner of the current firing
   int upstream_ = -1;    ///< doacross: thread holding the previous block
   int post_level_ = -1;  ///< doacross: post after each iteration here
   std::vector<Epoch> seen_;  ///< per thread: highest epoch observed

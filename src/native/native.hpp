@@ -29,12 +29,11 @@
 // counter. The team's start and finish handshakes use the same wait.
 // The plan's three sync shapes map onto it as follows: a barrier after
 // each iteration of the barrier level; after each gated firing, a post by
-// the firing's owner that every other thread waits on (optionally
-// preceded by the owner waiting for every other thread's arrival); and a
-// doacross, where each thread waits, before each innermost segment, for
-// the previous block's owner to post that iteration, and posts its own
-// after it. A thread that throws posts a terminal epoch that satisfies
-// every wait on it, so run_native rethrows instead of hanging.
+// the firing's owner that every other thread waits on; and a doacross,
+// where each thread waits, before each innermost segment, for the previous
+// block's owner to post that iteration, and posts its own after it. A
+// thread that throws posts a terminal epoch that satisfies every wait on
+// it, so run_native rethrows instead of hanging.
 //
 // The backend is an execution tier, not a model: its wall-clock time is
 // the hardware's answer to whether the Section 4 layout transformations

@@ -82,7 +82,7 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
   full_uniform = full_uniform && lead >= 0 && digits_exact(sig);
 
   int bl = -1;
-  bool post = false, gather = false;
+  bool post = false;
   std::vector<dep::DepVector> cross;  // full-depth, between different owners
   for (const dep::PairDeps& pd : par.pairs) {
     for (const dep::DepVector& v : pd.vectors) {
@@ -98,11 +98,17 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
         // Into a gated statement: carried ones are ordered by the barrier
         // level. At the equal prefix the gated statement fires at the
         // first inner iteration, ahead of every statement listed after
-        // it; one listed before may run first, so the owner gathers.
-        if (!v.loop_independent())
+        // it; one listed before may run first on another thread, which
+        // no firing sync orders — run the nest on one thread instead.
+        if (!v.loop_independent()) {
           bl = std::max(bl, v.carrier_level());
-        else if (pd.src_stmt < pd.dst_stmt)
-          gather = true;
+        } else if (pd.src_stmt < pd.dst_stmt) {
+          np.schedule = NestSchedule::Sequential;
+          np.why = strf("loop-independent dependence %d->%d into a later "
+                        "gated statement across owners",
+                        pd.src_stmt, pd.dst_stmt);
+          return np;
+        }
         continue;
       }
       if (v.loop_independent()) {
@@ -149,9 +155,7 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
     bl = -1;  // every cross-owner vector is carried innermost
   }
   np.barrier_level = bl;
-  np.gate = gather ? GateSync::GatherPost
-         : post ? GateSync::Post
-                : GateSync::None;
+  np.gate = post ? GateSync::Post : GateSync::None;
 
   // Restriction: prune the walk at an owner-bound level of the full-depth
   // statements' shared signature that is deeper than every synchronized
@@ -198,11 +202,8 @@ NestPlan plan_nest(const dep::ParallelizedNest& par, const CompiledNest& cn,
       np.doacross.level >= 0
           ? strf("doacross level=%d upstream=digit-1", np.doacross.level)
           : strf("barrier_level=%d", np.barrier_level);
-  const char* gate = np.gate == GateSync::None   ? ""
-                     : np.gate == GateSync::Post ? " gate=post(owner)"
-                                                 : " gate=gather+post(owner)";
-  np.why = strf("parallel: %s%s restrict=[%s]", sync.c_str(), gate,
-                levels.c_str());
+  np.why = strf("parallel: %s%s restrict=[%s]", sync.c_str(),
+                post ? " gate=post(owner)" : "", levels.c_str());
   return np;
 }
 

@@ -23,12 +23,12 @@
 //    imperfect nests: LU's pivot column) fire once per prefix; when another
 //    owner depends on one, after each firing its owner posts and every
 //    other thread waits on that owner only. That orders every dependence
-//    out of the gated statement. A
-//    dependence into it from another owner must be ordered already:
-//    carried at or above BL, or loop-independent from a full-depth
-//    statement listed after it (the gated statement fires at the first
-//    inner iteration, ahead of every such instance). Otherwise the owner
-//    first gathers every other thread's arrival (gate=gather+post(owner)).
+//    out of the gated statement. A dependence into it from another owner
+//    must be ordered already: carried at or above BL, or loop-independent
+//    from a full-depth statement listed after it (the gated statement
+//    fires at the first inner iteration, ahead of every such instance).
+//    A loop-independent one from a statement listed before it makes the
+//    nest Sequential.
 //  * doacross — a dependence carried by the innermost loop, when that loop
 //    is BLOCK-owned: each thread walks only its own block and, per
 //    iteration of the enclosing loops, waits for the owner of the previous
@@ -39,8 +39,9 @@
 //    block or the previous one.
 //  * Sequential — the fallback for shapes the rules above cannot order
 //    (a loop-independent dependence between full-depth statements of
-//    different owners, an innermost-carried dependence that is not a
-//    doacross): thread 0 runs the whole nest between barriers.
+//    different owners or into a later gated statement, an
+//    innermost-carried dependence that is not a doacross): thread 0 runs
+//    the whole nest between barriers.
 //
 // Dependences between statements owned by the same processor for both
 // endpoints need no synchronization: the owning thread executes them in
@@ -71,9 +72,8 @@ enum class NestSchedule { Parallel, Sequential };
 
 /// How gated-statement firings synchronize.
 enum class GateSync {
-  None,        ///< no firing syncs: no other owner depends on one
-  Post,        ///< the owner posts after firing; the others wait on it
-  GatherPost,  ///< as Post, after the owner waits for every other thread
+  None,  ///< no firing syncs: no other owner depends on one
+  Post,  ///< the owner posts after firing; the others wait on it
 };
 
 /// One loop level walked per thread over its own iterations (BLOCK bounds

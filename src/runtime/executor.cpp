@@ -130,7 +130,7 @@ class SimPolicy {
   }
 
   void poll() const { deadline_.check("simulate"); }
-  static void gate() {}
+  static void fired(int) {}
   static void after_iteration(int) {}
 
   double wait_cycles = 0;  ///< cross-processor dataflow stalls

@@ -16,8 +16,8 @@
 //   double load(Cursor&, const Slot&, Int lin)
 //   store(Cursor&, const Slot&, Int lin, double v, bool has_value)
 //   poll()                once per non-empty segment
-//   gate()                before and after every gated-statement firing;
-//                         owns() is asked about its owner once in between
+//   fired(q)              after every gated-statement firing, with its
+//                         owner q, whether or not owns(q)
 //   after_iteration(l)    after each iteration of non-innermost loop l
 //   kRunLoops             static constexpr bool: takes whole runs
 //   bool values()         evaluate statements? When false, load()'s
@@ -546,12 +546,11 @@ class Traversal {
     policy_.flush(cur);
   }
 
-  /// One firing of gated statement `s`, bracketed by the policy's gates.
+  /// One firing of gated statement `s`, then the policy's firing hook.
   void fire(Cursor& cur, Stmt& s) {
-    policy_.gate();
     const int q = owner(s);
     if (policy_.owns(q)) instance(cur, s, q);
-    policy_.gate();
+    policy_.fired(q);
   }
 
   bool fires(const Stmt& s) const {

@@ -208,8 +208,8 @@ std::optional<std::string> run_engines(
   if (!diff.ok())
     return strf("%s %s", what.c_str(), diff.to_string().c_str());
 
-  // Real threads: the plan's derived barriers, owner posts, gathers
-  // and doacross waits must order every dependence.
+  // Real threads: the plan's derived barriers, owner posts and doacross
+  // waits must order every dependence.
   const native::ProgramPlan plan = native::plan_program(cp);
   if (cov != nullptr) count_strip_slices(cp, plan, *cov);
   native::NativeOptions nopts;

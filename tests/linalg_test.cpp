@@ -67,13 +67,12 @@ TEST(IntMatrix, MulAndTranspose) {
   EXPECT_EQ(IntMatrix::identity(2) * a, a);
 }
 
-TEST(IntMatrix, StackAndSubmatrix) {
-  IntMatrix a{{1, 2}, {3, 4}};
-  IntMatrix b{{5}, {6}};
-  EXPECT_EQ(a.hstack(b), (IntMatrix{{1, 2, 5}, {3, 4, 6}}));
-  EXPECT_EQ(a.hstack(a).cols(), 4);
-  EXPECT_EQ(a.hstack(b).submatrix(0, 2, 1, 3), (IntMatrix{{2, 5}, {4, 6}}));
-  EXPECT_EQ(IntMatrix::col_vector(Vec{5, 6}), b);
+TEST(IntMatrix, Submatrix) {
+  const IntMatrix a{{1, 2, 5}, {3, 4, 6}};
+  EXPECT_EQ(a.submatrix(0, 2, 1, 3), (IntMatrix{{2, 5}, {4, 6}}));
+  EXPECT_EQ(a.submatrix(1, 2, 0, 3), (IntMatrix{{3, 4, 6}}));
+  EXPECT_EQ(a.submatrix(0, 0, 0, 3).rows(), 0);
+  EXPECT_THROW(a.submatrix(0, 3, 0, 1), Error);
 }
 
 /// Full column rank is decided by the elimination that solves; only a
@@ -112,28 +111,6 @@ TEST(Determinant, Basics) {
   EXPECT_EQ(determinant(IntMatrix{{1, 2}, {2, 4}}), 0);
   EXPECT_EQ(determinant(IntMatrix::identity(5)), 1);
   EXPECT_THROW(determinant(IntMatrix(2, 3)), Error);
-}
-
-TEST(Solve, ConsistentAndInconsistent) {
-  IntMatrix a{{1, 2}, {3, 4}};
-  auto sol = solve(a, Vec{5, 11});
-  ASSERT_TRUE(sol.has_value());
-  const Vec ax = a * sol->x;
-  EXPECT_EQ(ax, (Vec{5 * sol->denom, 11 * sol->denom}));
-
-  IntMatrix sing{{1, 2}, {2, 4}};
-  EXPECT_FALSE(solve(sing, Vec{1, 0}).has_value());
-  auto sol2 = solve(sing, Vec{1, 2});
-  ASSERT_TRUE(sol2.has_value());
-  EXPECT_EQ(sing * sol2->x, (Vec{sol2->denom, 2 * sol2->denom}));
-}
-
-TEST(Solve, RationalSolutionScaled) {
-  IntMatrix a{{2}};
-  auto sol = solve(a, Vec{1});
-  ASSERT_TRUE(sol.has_value());
-  EXPECT_EQ(sol->denom, 2);
-  EXPECT_EQ(sol->x, (Vec{1}));
 }
 
 }  // namespace

@@ -218,24 +218,49 @@ TEST(Native, OneThreadRunsNeverWait) {
   }
 }
 
-TEST(Native, GatherOrdersReadsListedBeforeTheGatedStatement) {
+TEST(Native, ReadListedBeforeTheGatedStatementRunsSequential) {
   // LU with the update listed before the divide: the first update of each
   // row reads the multiplier before the divide overwrites it, on another
-  // column's owner, so the divide's owner must gather every thread's
-  // arrival before firing.
+  // column's owner. No firing sync orders that read, so the nest runs on
+  // one thread.
   ir::Program prog = apps::lu(16);
   std::swap(prog.nests[0].stmts[0], prog.nests[0].stmts[1]);
   const auto want = runtime::run_reference(prog);
   for (Mode mode : {Mode::CompDecomp, Mode::Full}) {
-    for (int threads : {2, 4}) {
+    for (int threads : {2, 3, 4, 8}) {
       const std::string label =
           core::to_string(mode) + "/t" + std::to_string(threads);
       const auto cp = core::compile(prog, mode, threads);
-      EXPECT_EQ(plan_program(cp).nests[0].gate, GateSync::GatherPost)
+      const NestPlan np = plan_program(cp).nests[0];
+      EXPECT_EQ(np.schedule, NestSchedule::Sequential) << label;
+      EXPECT_EQ(np.why,
+                "loop-independent dependence 0->1 into a later gated "
+                "statement across owners")
           << label;
       NativeOptions opts;
       opts.threads = threads;
       expect_bit_identical(label, run_native(cp, opts).values, want);
+    }
+  }
+}
+
+TEST(Native, LuPostSyncCountsArePinned) {
+  // LU(16)'s pivot divide fires 120 times, once per row below each
+  // pivot; after each firing its owner posts and the T-1 others wait.
+  // Each of the 15 k iterations ends in a barrier, and the run in one
+  // more. The firing hook must issue exactly these syncs.
+  const ir::Program prog = apps::lu(16);
+  for (Mode mode : {Mode::CompDecomp, Mode::Full}) {
+    for (int threads : {2, 3, 4, 8}) {
+      const std::string label =
+          core::to_string(mode) + "/t" + std::to_string(threads);
+      const auto cp = core::compile(prog, mode, threads);
+      ASSERT_EQ(plan_program(cp).nests[0].gate, GateSync::Post) << label;
+      NativeOptions opts;
+      opts.threads = threads;
+      const NativeResult res = run_native(cp, opts);
+      EXPECT_EQ(res.barriers, 16) << label;
+      EXPECT_EQ(res.waits, 120 * (threads - 1)) << label;
     }
   }
 }
